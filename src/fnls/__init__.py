@@ -14,18 +14,13 @@ from .errors import (
     ValidationError,
     WrapAroundError,
 )
-from .spectral import Field, Grid, cubic_nonlinearity, make_grid, to_physical, to_spectral
+from .spectral import Field, Grid, make_grid
 from .symbols import (
-    DyadicClass,
-    bracket,
-    classify_dyadic,
-    dispersion_symbol,
     envelope_scale,
     group_velocity,
     remainder_bound_constant,
     remainder_symbol,
     resonance,
-    sobolev_weight,
 )
 from .norms import SpaceTimeField, energy, mass, sobolev_norm, window_trajectory, xsb_norm
 from .evolution import (
@@ -33,17 +28,13 @@ from .evolution import (
     SimConfig,
     Trajectory,
     evolve,
-    evolve_forced,
-    linear_propagate,
     picard_iterate,
-    strang_step,
 )
 from .constructions import (
     BoxSpec,
     WavepacketSpec,
     approximate_solution,
     box_data,
-    change_of_variables,
     lambda_for,
     modulated_wavepacket,
     nls_pair,
@@ -57,7 +48,6 @@ from .experiments import (
     pde_residual,
     run_approximation_error,
     run_conservation_suite,
-    run_convergence_suite,
     run_illposedness_demo,
     scan_remainder,
     scan_trilinear,

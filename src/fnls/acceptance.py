@@ -10,6 +10,7 @@ width, window, and carrier below).
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,11 +210,22 @@ ALL_CRITERIA = (
 
 
 def run_acceptance(echo=print) -> list[CriterionResult]:
-    """Run every criterion, echoing one pass/fail line each."""
+    """Run every criterion, echoing one pass/fail line each.
+
+    A criterion that raises is reported as a failure whose detail holds the
+    exception, its traceback goes to stderr, and the remaining criteria
+    still run.
+    """
     results = []
-    for fn in ALL_CRITERIA:
+    for index, fn in enumerate(ALL_CRITERIA, start=1):
         t0 = time.perf_counter()
-        res = fn()
+        try:
+            res = fn()
+        except Exception as exc:  # one broken gate must not hide the others
+            traceback.print_exc()
+            res = CriterionResult(
+                index, fn.__name__, False, f"raised {type(exc).__name__}: {exc}"
+            )
         res.elapsed = time.perf_counter() - t0
         results.append(res)
         if echo is not None:

@@ -121,7 +121,6 @@ def _load_config_defaults(argv) -> dict:
 
 def _add_common(p):
     p.add_argument("--config", help="key=value file seeding these options")
-    p.add_argument("--seed", type=int, default=0, help="echoed into outputs")
     p.add_argument("--out", help="output path (stdout when omitted)")
 
 

@@ -13,10 +13,18 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import ResolutionError, ValidationError, WrapAroundError
-from .spectral import Field, Grid, spectral_values, tail_fraction, spectral_tail_fraction
+from .spectral import (
+    Field,
+    Grid,
+    physical_values,
+    resize_spectrum,
+    spectral_tail_fraction,
+    spectral_values,
+    tail_fraction,
+)
 from .symbols import envelope_scale, group_velocity
 from .norms import SpaceTimeField, sobolev_norm
-from .evolution import SimConfig, Trajectory, TAIL_MASS_LIMIT
+from .evolution import Trajectory, TAIL_MASS_LIMIT
 
 INTERP_LOSS_LIMIT = 1e-8
 
@@ -97,36 +105,6 @@ def trilinear_convolution(
     return SpaceTimeField(tau, xi, vals)
 
 
-def change_of_variables(t: float, x, n_carrier: float, alpha: float):
-    """Wavepacket frame (s, y) = (t, (x + alpha N^(alpha-1) t) / beta)."""
-    if n_carrier < 4:
-        raise ValidationError("carrier frequency must be >= 4")
-    beta = envelope_scale(alpha, n_carrier)
-    vel = group_velocity(alpha, n_carrier)
-    return t, (np.asarray(x, dtype=float) + vel * t) / beta
-
-
-def container_config(
-    grid: Grid, alpha: float, dt: float, t_final: float,
-    gamma: float = 1.0, record_every: int = 1, frame_velocity: float = 0.0,
-) -> SimConfig:
-    """SimConfig used as trajectory metadata for constructed (not integrated)
-    trajectories; the accuracy guard is widened to whatever the stored dt
-    implies since no stepping happens at that dt."""
-    peak = float(np.max(np.abs(grid.k) ** alpha))
-    needed = abs(dt) * peak / (2.0 * np.pi)
-    return SimConfig(
-        alpha=alpha,
-        gamma=gamma,
-        dt=dt,
-        t_final=t_final,
-        grid=grid,
-        record_every=record_every,
-        cfl_factor=max(1.0, needed * (1.0 + 1e-9)),
-        frame_velocity=frame_velocity,
-    )
-
-
 def _carrier_mode_index(n_carrier: float, grid: Grid) -> int:
     m = n_carrier * grid.length / (2.0 * np.pi)
     m_int = int(round(m))
@@ -190,19 +168,16 @@ def approximate_solution(
         out *= np.exp(1j * phase_rate * t)
         field = Field.spectral(target_grid, out)
         # only a localized envelope makes a wrap-around claim to enforce
-        if tail_fraction(state) <= TAIL_MASS_LIMIT < tail_fraction(field):
+        if (
+            tail_fraction(physical_values(state))
+            <= TAIL_MASS_LIMIT
+            < tail_fraction(physical_values(field))
+        ):
             raise WrapAroundError(
                 f"modulated packet too close to the boundary at t={t:.6g}"
             )
         states.append(field)
-
-    dt = v_traj.config.dt
-    cfg = container_config(
-        target_grid, alpha, dt, v_traj.config.t_final,
-        gamma=v_traj.config.gamma, record_every=v_traj.config.record_every,
-        frame_velocity=frame_velocity,
-    )
-    return Trajectory(v_traj.times.copy(), states, cfg)
+    return Trajectory(v_traj.times.copy(), states)
 
 
 ENVELOPES = {
@@ -255,13 +230,12 @@ def modulated_wavepacket(spec: WavepacketSpec, grid: Grid) -> Field:
     """Sample the modulated envelope on the grid (wrap-around checked)."""
     w = ENVELOPES[spec.profile]((grid.x - spec.x0) / spec.tau_scale)
     values = spec.amplitude * np.exp(1j * spec.carrier * grid.x) * w
-    field = Field.physical(grid, values)
-    if tail_fraction(field) > TAIL_MASS_LIMIT:
+    frac = tail_fraction(values)
+    if frac > TAIL_MASS_LIMIT:
         raise WrapAroundError(
-            "envelope does not fit the grid: tail mass fraction "
-            f"{tail_fraction(field):.3g}"
+            f"envelope does not fit the grid: tail mass fraction {frac:.3g}"
         )
-    return field
+    return Field.physical(grid, values)
 
 
 def rescale_solution(
@@ -282,18 +256,11 @@ def rescale_solution(
         raise ValidationError(
             "target grid length must be the source length divided by lambda"
         )
-    nx_s, nx_t = src.nx, target_grid.nx
     states = []
     for state in traj.states:
         uhat = spectral_values(state)
-        if nx_t >= nx_s:
-            half = nx_s // 2
-            out = np.zeros(nx_t, dtype=np.complex128)
-            out[:half] = uhat[:half]
-            out[-half:] = uhat[half:]
-        else:
-            half = nx_t // 2
-            out = np.concatenate([uhat[:half], uhat[nx_s - half :]])
+        out = resize_spectrum(uhat, target_grid.nx)
+        if target_grid.nx < src.nx:
             total = float(np.sum(np.abs(uhat) ** 2))
             kept = float(np.sum(np.abs(out) ** 2))
             if total > 0 and np.sqrt(max(total - kept, 0.0) / total) > INTERP_LOSS_LIMIT:
@@ -303,12 +270,7 @@ def rescale_solution(
                 )
         states.append(Field.spectral(target_grid, out))
 
-    scale_t = lam ** (-alpha)
-    cfg = container_config(
-        target_grid, alpha, traj.config.dt * scale_t, traj.config.t_final * scale_t,
-        gamma=traj.config.gamma, record_every=traj.config.record_every,
-    )
-    return Trajectory(traj.times * scale_t, states, cfg)
+    return Trajectory(traj.times * lam ** (-alpha), states)
 
 
 def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
@@ -346,10 +308,9 @@ def nls_pair(
         raise ValidationError(f"unknown profile {profile!r}")
     center = 0.5 * grid.length if x0 is None else x0
     env = ENVELOPES[profile]((grid.x - center) / sigma)
-    base = Field.physical(grid, env.astype(np.complex128))
-    if tail_fraction(base) > TAIL_MASS_LIMIT:
+    if tail_fraction(env) > TAIL_MASS_LIMIT:
         raise WrapAroundError("envelope does not fit the grid")
-    a1 = epsilon / sobolev_norm(base, s)
+    a1 = epsilon / sobolev_norm(Field.physical(grid, env), s)
     a2 = a1 * (1.0 + delta / epsilon)
     return (
         Field.physical(grid, a1 * env),

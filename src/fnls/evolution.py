@@ -1,9 +1,9 @@
-"""Time evolution: exact linear propagator, Strang split-step integrator,
-forced linear (Duhamel) evolution, and Picard iteration.
+"""Time evolution: Strang split-step integrator and Picard iteration.
 
 The linear flow is applied exactly in spectral space, so the only time
 discretization errors come from operator splitting (second order) and the
-Duhamel quadrature (interaction-picture trapezoid, also second order).
+Duhamel quadrature of the Picard map (interaction-picture trapezoid, also
+second order).
 The cubic substep is the exact flow of i u_t = gamma |u|^2 u, a pointwise
 phase rotation that preserves |u| sample by sample; the phase uses the
 dealiased band projection of |u|^2, which is real, so the discrete mass
@@ -12,8 +12,8 @@ is conserved to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -25,10 +25,15 @@ from .spectral import (
     cubic_values,
     forward_transform,
     inverse_transform,
+    physical_values,
     spectral_values,
 )
 
 TAIL_MASS_LIMIT = 1e-8
+
+# picard_iterate keeps several (n_t + 1) x nx complex histories; one of them
+# may take at most this many bytes
+PICARD_HISTORY_LIMIT = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,6 @@ class Trajectory:
 
     times: np.ndarray
     states: Sequence[Field]
-    config: SimConfig
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -97,18 +101,6 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return self.states[0].grid
-
-
-def linear_propagate(f: Field, alpha: float, t: float, frame_velocity: float = 0.0) -> Field:
-    """Exact free evolution: each mode advanced by exp(i(|k|^a + v k) t)."""
-    if not (1.0 < alpha <= 2.0):
-        raise ValidationError(f"alpha must lie in (1, 2], got {alpha}")
-    k = f.grid.k
-    phase = np.exp(1j * (np.abs(k) ** alpha + frame_velocity * k) * t)
-    uhat = spectral_values(f) * phase
-    if f.is_physical:
-        return Field.physical(f.grid, inverse_transform(uhat, f.grid))
-    return Field.spectral(f.grid, uhat)
 
 
 def _strang_kernel(uhat: np.ndarray, cfg: SimConfig, dt: float, half_phase=None):
@@ -123,14 +115,6 @@ def _strang_kernel(uhat: np.ndarray, cfg: SimConfig, dt: float, half_phase=None)
         u = u * np.exp(-1j * cfg.gamma * dt * density)
         uhat = forward_transform(u, grid)
     return uhat * half_phase
-
-
-def strang_step(f: Field, cfg: SimConfig) -> Field:
-    """Half linear step, exact cubic phase rotation, half linear step."""
-    uhat = _strang_kernel(spectral_values(f), cfg, cfg.dt)
-    if f.is_physical:
-        return Field.physical(f.grid, inverse_transform(uhat, f.grid))
-    return Field.spectral(f.grid, uhat)
 
 
 def _guard(uhat: np.ndarray, cfg: SimConfig, t: float) -> None:
@@ -148,7 +132,7 @@ def _guard(uhat: np.ndarray, cfg: SimConfig, t: float) -> None:
 def _check_tail(state: Field, t: float) -> None:
     from .spectral import tail_fraction
 
-    frac = tail_fraction(state)
+    frac = tail_fraction(physical_values(state))
     if frac > TAIL_MASS_LIMIT:
         raise WrapAroundError(
             f"tail mass fraction {frac:.3g} in the outer 10% of the domain "
@@ -205,53 +189,7 @@ def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     elif n_whole % cfg.record_every != 0:
         times.append(n_whole * cfg.dt)
         states.append(Field.spectral(cfg.grid, uhat))
-    return Trajectory(np.array(times), states, cfg)
-
-
-ForcingProvider = Callable[[float], "Field | np.ndarray"]
-
-
-def _forcing_spectrum(forcing: ForcingProvider, t: float, grid: Grid) -> np.ndarray:
-    val = forcing(t)
-    if isinstance(val, Field):
-        return spectral_values(val)
-    return forward_transform(np.asarray(val, dtype=np.complex128), grid)
-
-
-def evolve_forced(forcing: ForcingProvider, cfg: SimConfig) -> Trajectory:
-    """Solve i e_t + (-Delta)^(alpha/2) e = E with e(0) = 0.
-
-    Integrates the interaction-picture form w(t) = U(-t) e(t),
-    w' = -i U(-t) E(t), with the trapezoid rule, then maps back; this reuses
-    the exact propagator and matches the split-step order.
-    """
-    n_whole, remainder = _step_plan(cfg)
-    grid = cfg.grid
-    omega = cfg.symbol()
-
-    w = np.zeros(grid.nx, dtype=np.complex128)
-    g_prev = _forcing_spectrum(forcing, 0.0, grid)  # U(0) E(0)
-    times = [0.0]
-    states = [Field.spectral(grid, w.copy())]
-
-    def record(t, w_now):
-        times.append(t)
-        states.append(Field.spectral(grid, np.exp(1j * omega * t) * w_now))
-
-    t_prev = 0.0
-    steps = [cfg.dt] * n_whole + ([remainder] if remainder != 0.0 else [])
-    for n, step in enumerate(steps, start=1):
-        t = t_prev + step
-        g_next = np.exp(-1j * omega * t) * _forcing_spectrum(forcing, t, grid)
-        w = w - 0.5j * step * (g_prev + g_next)
-        if not np.all(np.isfinite(w)):
-            raise BlowUpError(t, "forced evolution lost finiteness")
-        is_last = n == len(steps)
-        if n % cfg.record_every == 0 or is_last:
-            record(t, w)
-        g_prev = g_next
-        t_prev = t
-    return Trajectory(np.array(times), states, cfg)
+    return Trajectory(np.array(times), states)
 
 
 @dataclass(frozen=True)
@@ -266,17 +204,26 @@ class PicardResult:
 def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     """Iterate the Duhamel map u -> U(t) phi - i gamma Int U(t-t') |u|^2 u dt'.
 
-    The time integral uses the same interaction-picture trapezoid as
-    evolve_forced on the cfg.dt lattice over [0, t_final], which should be
-    small for the map to contract.  Successive differences are measured in
-    H^((2-alpha)/4), maximized over the time lattice; growth over three
-    consecutive iterations raises NonContractionError.
+    The time integral is the trapezoid rule for the interaction-picture
+    form w' = -i U(-t) E(t) on the cfg.dt lattice over [0, t_final], which
+    should be small for the map to contract.  Successive differences are
+    measured in H^((2-alpha)/4), maximized over the time lattice; growth over
+    three consecutive iterations raises NonContractionError.  Inputs whose
+    (n_t + 1) x nx history would exceed PICARD_HISTORY_LIMIT bytes are
+    rejected before anything is allocated.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     n_whole, remainder = _step_plan(cfg)
     if remainder != 0.0:
         raise ValidationError("picard_iterate needs t_final to be a multiple of dt")
+    history_bytes = 16 * (n_whole + 1) * cfg.grid.nx  # complex128 entries
+    if history_bytes > PICARD_HISTORY_LIMIT:
+        raise ValidationError(
+            f"a Picard history of {n_whole + 1} x {cfg.grid.nx} values needs "
+            f"{history_bytes / 2**20:.0f} MiB, over the {PICARD_HISTORY_LIMIT // 2**20} MiB "
+            "limit; shorten t_final, raise dt or lower nx"
+        )
     grid = cfg.grid
     omega = cfg.symbol()
     times = cfg.dt * np.arange(n_whole + 1)
@@ -318,8 +265,3 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
         difference_norms=np.array(diffs),
         times=times,
     )
-
-
-def reversed_config(cfg: SimConfig) -> SimConfig:
-    """Config integrating the same span backwards (dt -> -dt)."""
-    return replace(cfg, dt=-cfg.dt, t_final=-cfg.t_final)

@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def mass(f: Field) -> float:
     """Integral of |u|^2 over the torus."""
-    if f.is_physical:
-        return float(f.grid.dx * np.sum(np.abs(f.values) ** 2))
     return float(np.sum(np.abs(f.values) ** 2) / f.grid.length)
 
 

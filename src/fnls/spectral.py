@@ -70,26 +70,19 @@ def make_grid(nx: int, length: float) -> Grid:
     return Grid(nx=nx, length=length, x=x, k=k)
 
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
-
 @dataclass(frozen=True)
 class Field:
-    """One complex state on a grid, in physical or spectral representation.
+    """One complex state on a grid, stored as its spectral coefficients.
 
-    Immutable: the value buffer is copied and write-protected on construction.
+    Immutable: the coefficient buffer is copied and write-protected on
+    construction.  Field.physical builds one from physical samples and
+    physical_values gives the samples back.
     """
 
     grid: Grid
-    representation: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.representation not in (PHYSICAL, SPECTRAL):
-            raise ValidationError(
-                f"representation must be {PHYSICAL!r} or {SPECTRAL!r}"
-            )
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.grid.nx,):
             raise ValidationError(
@@ -98,16 +91,17 @@ class Field:
         object.__setattr__(self, "values", _frozen_array(vals))
 
     @classmethod
-    def physical(cls, grid: Grid, values) -> "Field":
-        return cls(grid, PHYSICAL, values)
+    def physical(cls, grid: Grid, samples) -> "Field":
+        return cls(grid, forward_transform(np.asarray(samples, dtype=np.complex128), grid))
 
     @classmethod
     def spectral(cls, grid: Grid, values) -> "Field":
-        return cls(grid, SPECTRAL, values)
+        return cls(grid, values)
 
-    @property
-    def is_physical(self) -> bool:
-        return self.representation == PHYSICAL
+    def __sub__(self, other: "Field") -> "Field":
+        if (self.grid.nx, self.grid.length) != (other.grid.nx, other.grid.length):
+            raise ValidationError("fields live on different grids")
+        return Field(self.grid, self.values - other.values)
 
 
 def forward_transform(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -120,57 +114,34 @@ def inverse_transform(uhat: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.ifft(uhat) / grid.dx
 
 
-def to_spectral(f: Field) -> Field:
-    if f.representation == SPECTRAL:
-        raise ValidationError("field is already spectral")
-    return Field.spectral(f.grid, forward_transform(f.values, f.grid))
-
-
-def to_physical(f: Field) -> Field:
-    if f.representation == PHYSICAL:
-        raise ValidationError("field is already physical")
-    return Field.physical(f.grid, inverse_transform(f.values, f.grid))
-
-
 def spectral_values(f: Field) -> np.ndarray:
-    """Spectral coefficients of f regardless of stored representation."""
-    if f.representation == SPECTRAL:
-        return f.values
-    return forward_transform(f.values, f.grid)
+    """Spectral coefficients of f (the stored values)."""
+    return f.values
 
 
 def physical_values(f: Field) -> np.ndarray:
-    if f.representation == PHYSICAL:
-        return f.values
+    """Physical samples of f on its grid."""
     return inverse_transform(f.values, f.grid)
 
 
-def pad_spectrum(uhat: np.ndarray, factor: int = PAD_FACTOR) -> np.ndarray:
-    """Embed nx FFT-ordered coefficients into a factor*nx lattice (zero fill).
+def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
+    """Carry FFT-ordered coefficients onto the nx-mode band.
 
-    The -nx/2 coefficient keeps its negative-frequency identity, matching the
-    asymmetric lattice {-nx/2, ..., nx/2 - 1}.
+    Growing zero-fills the new outer modes; shrinking drops the outermost
+    ones.  The -n/2 coefficient of the smaller band keeps its
+    negative-frequency identity, matching the asymmetric lattice
+    {-n/2, ..., n/2 - 1}.
     """
-    nx = uhat.shape[0]
-    half = nx // 2
-    out = np.zeros(factor * nx, dtype=np.complex128)
+    half = min(uhat.shape[0], nx) // 2
+    out = np.zeros(nx, dtype=np.complex128)
     out[:half] = uhat[:half]
-    out[-half:] = uhat[half:]
-    return out
-
-
-def truncate_spectrum(fine_hat: np.ndarray, nx: int) -> np.ndarray:
-    """Restrict a fine-lattice spectrum to the nx band (inverse of padding)."""
-    half = nx // 2
-    out = np.empty(nx, dtype=np.complex128)
-    out[:half] = fine_hat[:half]
-    out[half:] = fine_hat[-half:]
+    out[-half:] = uhat[-half:]
     return out
 
 
 def upsampled_physical(uhat: np.ndarray, grid: Grid, factor: int = PAD_FACTOR):
     """Physical samples of the trig interpolant on the factor-times finer grid."""
-    fine = pad_spectrum(uhat, factor)
+    fine = resize_spectrum(uhat, factor * grid.nx)
     dx_fine = grid.dx / factor
     return np.fft.ifft(fine) / dx_fine
 
@@ -184,7 +155,7 @@ def dealiased_density(uhat: np.ndarray, grid: Grid) -> np.ndarray:
     """
     u_fine = upsampled_physical(uhat, grid)
     dens_hat = np.fft.fft(np.abs(u_fine) ** 2) * (grid.dx / PAD_FACTOR)
-    dens_hat = truncate_spectrum(dens_hat, grid.nx)
+    dens_hat = resize_spectrum(dens_hat, grid.nx)
     return np.real(np.fft.ifft(dens_hat) / grid.dx)
 
 
@@ -193,37 +164,29 @@ def cubic_values(uhat: np.ndarray, grid: Grid) -> np.ndarray:
     u_fine = upsampled_physical(uhat, grid)
     w_fine = (np.abs(u_fine) ** 2) * u_fine
     w_hat_fine = np.fft.fft(w_fine) * (grid.dx / PAD_FACTOR)
-    return truncate_spectrum(w_hat_fine, grid.nx)
+    return resize_spectrum(w_hat_fine, grid.nx)
 
 
-def cubic_nonlinearity(f: Field) -> Field:
-    """Dealiased |u|^2 u in the same representation as the input."""
-    what = cubic_values(spectral_values(f), f.grid)
-    if f.is_physical:
-        return Field.physical(f.grid, inverse_transform(what, f.grid))
-    return Field.spectral(f.grid, what)
-
-
-def tail_fraction(f: Field) -> float:
-    """Fraction of the mass sitting in the outer 10% of the domain.
+def tail_fraction(u: np.ndarray) -> float:
+    """Fraction of the mass of the samples u sitting in the outer 10% of the
+    domain.
 
     Used to certify that a wavepacket run on the torus is a faithful stand-in
-    for the whole line.
+    for the whole line.  It takes samples, not a Field, so that callers
+    holding the samples pay no inverse transform.
     """
-    u = physical_values(f)
     dens = np.abs(u) ** 2
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
-    n_edge = max(1, f.grid.nx // 20)
+    n_edge = max(1, u.shape[0] // 20)
     outer = float(dens[:n_edge].sum() + dens[-n_edge:].sum())
     return outer / total
 
 
 def spectral_tail_fraction(f: Field) -> float:
     """Fraction of the mass carried by the outer 10% of the frequency band."""
-    uhat = spectral_values(f)
-    dens = np.abs(uhat) ** 2
+    dens = np.abs(f.values) ** 2
     total = float(dens.sum())
     if total == 0.0:
         return 0.0

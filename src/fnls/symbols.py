@@ -1,12 +1,10 @@
-"""Scalar symbol functions: dispersion, weights, resonance, remainder,
-and the dyadic interaction classifier.
+"""Scalar symbol functions: resonance, wavepacket frame, and the remainder
+of the dispersion symbol.
 
 All functions accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,25 +20,6 @@ def _check_alpha(alpha: float, allow_two: bool = True) -> float:
         rng = "(1, 2]" if allow_two else "(1, 2)"
         raise ValidationError(f"alpha must lie in {rng}, got {alpha}")
     return alpha
-
-
-def dispersion_symbol(alpha: float, xi):
-    """|xi|^alpha, the Fourier symbol of the fractional Laplacian.
-
-    alpha = 2 is admitted as the classical Schrodinger reference limit.
-    """
-    alpha = _check_alpha(alpha, allow_two=True)
-    return np.abs(xi) ** alpha
-
-
-def sobolev_weight(s: float, xi):
-    """(1 + xi^2)^(s/2), the H^s multiplier."""
-    return (1.0 + np.asarray(xi, dtype=float) ** 2) ** (s / 2.0)
-
-
-def bracket(x):
-    """1 + |x|, the Japanese bracket used in the space-time weights."""
-    return 1.0 + np.abs(x)
 
 
 def resonance(alpha: float, xi1, xi2, xi3):
@@ -142,70 +121,4 @@ def remainder_bound_constant(alpha: float) -> float:
             8.0 * alpha * half_prod ** (-1.5),
             (2.0 ** (4.0 - alpha) / 6.0) * (2.0 - alpha) * half_prod ** (-0.5),
         )
-    )
-
-
-def dyadic_shell(m) -> np.ndarray:
-    """Round a magnitude to its dyadic shell 2^round(log2(max(m, 1))).
-
-    Shells below 1 collapse to 1, mirroring the unit-time-average restriction
-    to modulations of size at least one.
-    """
-    m = np.maximum(np.abs(np.asarray(m, dtype=float)), 1.0)
-    return 2.0 ** np.round(np.log2(m))
-
-
-# "comparable" for dyadic shells: within this multiplicative factor
-DYADIC_COMPARABLE = 4.0
-
-
-@dataclass(frozen=True)
-class DyadicClass:
-    """Dyadic shells of one frequency/modulation triple and its admissibility."""
-
-    n1: float
-    n2: float
-    n3: float
-    h: float
-    l1: float
-    l2: float
-    l3: float
-    admissible: bool
-
-    @property
-    def n_sorted(self):
-        return tuple(sorted((self.n1, self.n2, self.n3), reverse=True))
-
-    @property
-    def l_sorted(self):
-        return tuple(sorted((self.l1, self.l2, self.l3), reverse=True))
-
-
-def shells_admissible(n1, n2, n3, h, l1, l2, l3) -> bool:
-    """Support constraint on dyadic shells: N_max ~ N_med and
-    L_max ~ max(H, L_med), both within DYADIC_COMPARABLE."""
-    n_max, n_med, _ = sorted((n1, n2, n3), reverse=True)
-    l_max, l_med, _ = sorted((l1, l2, l3), reverse=True)
-    rhs = max(h, l_med)
-    return (n_max <= DYADIC_COMPARABLE * n_med) and (
-        max(l_max, rhs) <= DYADIC_COMPARABLE * min(l_max, rhs)
-    )
-
-
-def classify_dyadic(
-    alpha: float, xi1: float, xi2: float, xi3: float,
-    lam1: float, lam2: float, lam3: float,
-) -> DyadicClass:
-    """Classify one interaction point into dyadic shells.
-
-    The modulations lam_j = tau_j - h_j(xi_j) are supplied by the caller;
-    the resonance magnitude H is recomputed here from the frequencies.
-    """
-    h = resonance(alpha, xi1, xi2, xi3)
-    n1, n2, n3 = (float(dyadic_shell(v)) for v in (xi1, xi2, xi3))
-    hs = float(dyadic_shell(h))
-    l1, l2, l3 = (float(dyadic_shell(v)) for v in (lam1, lam2, lam3))
-    return DyadicClass(
-        n1, n2, n3, hs, l1, l2, l3,
-        shells_admissible(n1, n2, n3, hs, l1, l2, l3),
     )

@@ -60,6 +60,21 @@ def test_scan_output_is_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scan_output_independent_of_thread_count(tmp_path, monkeypatch):
+    scans = [
+        ["scan-trilinear", "--n", "16,32,64,128"],
+        ["scan-wavepacket", "--s", "0,0.25", "--m", "16,32,64,128"],
+    ]
+    for args in scans:
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FNLS_THREADS", threads)
+            out = tmp_path / f"{args[0]}-{threads}.csv"
+            assert main(args + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], args[0]
+
+
 def test_picard_report(tmp_path):
     out = tmp_path / "picard.txt"
     rc = main(
@@ -144,6 +159,14 @@ def test_usage_errors_exit_one(capsys):
     assert main(["evolve", "--no-such-flag"]) == 1
     assert main(["not-a-command"]) == 1
     assert main(["evolve", "--nx", "12"]) == 1  # grid validation
+    assert main(["evolve", "--seed", "1"]) == 1  # no such option
+
+
+def test_picard_history_over_memory_limit_is_validation_error(capsys):
+    # 10001 x 1024 complex values per history: about 160 MiB each
+    args = ["picard", "--t-final", "10", "--dt", "1e-3", "--nx", "1024"]
+    assert main(args) == 1
+    assert "MiB" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_two(tmp_path):
@@ -188,6 +211,30 @@ def test_verify_aggregation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_acceptance", fake_bad)
     assert main(["verify"]) == 2
+
+
+def test_verify_reports_raising_gate_and_runs_the_rest(tmp_path, monkeypatch, capsys):
+    from fnls import acceptance
+    from fnls.errors import WrapAroundError
+
+    def raising_gate():
+        raise WrapAroundError("packet hit the boundary")
+
+    def passing_gate():
+        return acceptance.CriterionResult(2, "stub", True, "fine")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (raising_gate, passing_gate))
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("[FAIL] criterion 1 (raising_gate): raised WrapAroundError")
+    assert "packet hit the boundary" in lines[0]
+    assert lines[1].startswith("[PASS] criterion 2")
+    report = out.read_text()
+    assert "criterion_1=FAIL" in report and "criterion_2=PASS" in report
 
 
 def test_illposed_cli_short(tmp_path):

@@ -1,18 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
-from fnls.evolution import (
-    SimConfig,
-    evolve,
-    evolve_forced,
-    linear_propagate,
-    picard_iterate,
-    reversed_config,
-    strang_step,
-)
+from fnls.evolution import SimConfig, evolve, picard_iterate
 from fnls.experiments import initial_field
 
 
@@ -39,56 +33,65 @@ def test_config_validation(circle):
         SimConfig(alpha=2.0, gamma=1.0, dt=1.0, t_final=1.0, grid=circle)
 
 
+def _final(phi, alpha, gamma, dt, t_final, **kw):
+    """Last state of an evolve run that records only the end."""
+    cfg = SimConfig(
+        alpha=alpha, gamma=gamma, dt=dt, t_final=t_final, grid=phi.grid,
+        record_every=10**9, **kw,
+    )
+    return evolve(phi, cfg).states[-1]
+
+
+def _random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    return Field.physical(grid, rng.standard_normal(grid.nx) + 1j * rng.standard_normal(grid.nx))
+
+
 def test_linear_propagate_identity_and_phase(circle):
+    # gamma = 0: evolve is the exact free flow exp(i|k|^alpha t) mode by mode
     f = _gaussian(circle)
-    out = linear_propagate(f, 1.5, 0.0)
-    assert np.allclose(out.values, f.values, rtol=0, atol=1e-14)
+    cfg = SimConfig(alpha=1.5, gamma=0.0, dt=0.01, t_final=0.7, grid=circle)
+    assert np.array_equal(evolve(f, cfg).states[0].values, f.values)  # t = 0
 
     mode = Field.physical(circle, np.exp(1j * 3 * circle.x))
-    out = linear_propagate(mode, 1.5, 0.7)
-    expect = np.exp(1j * 3.0**1.5 * 0.7) * mode.values
-    assert np.max(np.abs(out.values - expect)) < 1e-13
+    out = physical_values(_final(mode, 1.5, 0.0, 0.01, 0.7))
+    expect = np.exp(1j * (3 * circle.x + 3.0**1.5 * 0.7))
+    assert np.max(np.abs(out - expect)) < 1e-13
 
 
 def test_linear_propagate_group_law(circle):
-    rng = np.random.default_rng(0)
-    f = Field.physical(circle, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    one = linear_propagate(linear_propagate(f, 1.5, 0.3), 1.5, 0.4)
-    two = linear_propagate(f, 1.5, 0.7)
+    f = _random_field(circle, 0)
+    one = _final(_final(f, 1.5, 0.0, 0.01, 0.3), 1.5, 0.0, 0.01, 0.4)
+    two = _final(f, 1.5, 0.0, 0.01, 0.7)
     assert np.max(np.abs(one.values - two.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
 def test_linear_propagate_preserves_every_sobolev_norm(circle):
-    rng = np.random.default_rng(1)
-    f = Field.physical(circle, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    out = linear_propagate(f, 1.3, 2.1)
+    f = _random_field(circle, 1)
+    out = _final(f, 1.3, 0.0, 0.01, 2.1, cfl_factor=10.0)
     for s in (-1.0, 0.0, 0.5, 2.0):
         assert sobolev_norm(out, s) == pytest.approx(sobolev_norm(f, s), rel=1e-12)
 
 
 def test_strang_step_linear_limit(circle):
-    cfg = SimConfig(alpha=1.5, gamma=0.0, dt=1e-2, t_final=1.0, grid=circle)
     f = _gaussian(circle)
-    a = strang_step(f, cfg)
-    b = linear_propagate(f, 1.5, 1e-2)
-    assert np.max(np.abs(a.values - b.values)) < 1e-14
+    out = physical_values(_final(f, 1.5, 0.0, 1e-2, 1e-2))
+    free = Field.spectral(circle, np.exp(1j * np.abs(circle.k) ** 1.5 * 1e-2) * f.values)
+    assert np.max(np.abs(out - physical_values(free))) < 1e-14
 
 
 def test_strang_step_plane_wave_exact(circle):
     # the split step is exact on plane waves: both substeps are diagonal
     a, k, gamma, dt, alpha = 0.3, 2.0, -1.0, 1e-2, 1.7
-    cfg = SimConfig(alpha=alpha, gamma=gamma, dt=dt, t_final=1.0, grid=circle, cfl_factor=10.0)
     f = Field.physical(circle, a * np.exp(1j * k * circle.x))
-    out = strang_step(f, cfg)
+    out = physical_values(_final(f, alpha, gamma, dt, dt, cfl_factor=10.0))
     expect = a * np.exp(1j * (k * circle.x + (abs(k) ** alpha - gamma * a**2) * dt))
-    assert np.max(np.abs(out.values - expect)) < 1e-13
+    assert np.max(np.abs(out - expect)) < 1e-13
 
 
 def test_strang_step_preserves_mass(circle):
-    rng = np.random.default_rng(2)
-    f = Field.physical(circle, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-2, t_final=1.0, grid=circle)
-    assert mass(strang_step(f, cfg)) == pytest.approx(mass(f), rel=1e-12)
+    f = _random_field(circle, 2)
+    assert mass(_final(f, 1.5, 1.0, 1e-2, 1e-2)) == pytest.approx(mass(f), rel=1e-12)
 
 
 def test_evolve_plane_wave_oracle(circle):
@@ -149,8 +152,8 @@ def test_evolve_time_reversal(circle):
     phi = _gaussian(circle, a=0.8)
     cfg = SimConfig(alpha=1.4, gamma=1.0, dt=1e-3, t_final=0.5, grid=circle, record_every=500)
     fwd = evolve(phi, cfg)
-    back = evolve(fwd.states[-1], reversed_config(cfg))
-    got = physical_values(back.states[-1])
+    back = evolve(fwd.states[-1], replace(cfg, dt=-cfg.dt, t_final=-cfg.t_final))
+    got = back.states[-1].values
     assert np.linalg.norm(got - phi.values) / np.linalg.norm(phi.values) <= 1e-8
     assert back.times[-1] == pytest.approx(-0.5)
 
@@ -160,7 +163,7 @@ def test_evolve_matches_reference_nls_at_alpha_two(circle):
     # i u_t - u_xx = gamma |u|^2 u (the alpha = 2 specialization)
     gamma, dt, n_steps = 1.0, 1e-3, 200
     phi = _gaussian(circle, a=0.6)
-    u = phi.values.copy()
+    u = physical_values(phi)
     phase = np.exp(0.5j * dt * circle.k**2)
     for _ in range(n_steps):
         u = np.fft.ifft(np.fft.fft(u) * phase)
@@ -204,56 +207,11 @@ def test_evolve_partial_final_step(circle):
     assert diff < 1e-6
 
 
-def test_evolve_forced_zero(circle):
-    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=circle, record_every=10)
-    traj = evolve_forced(lambda t: np.zeros(256, dtype=complex), cfg)
-    assert all(np.all(s.values == 0) for s in traj.states)
-
-
-def test_evolve_forced_resonant_oracle(circle):
-    # E(t) = U(t) g  =>  e(t) = -i t U(t) g exactly (trapezoid is exact here)
-    alpha = 1.5
-    rng = np.random.default_rng(4)
-    g = Field.physical(circle, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-
-    def forcing(t):
-        return linear_propagate(g, alpha, t)
-
-    cfg = SimConfig(alpha=alpha, gamma=1.0, dt=1e-3, t_final=0.2, grid=circle, record_every=200)
-    traj = evolve_forced(forcing, cfg)
-    t = traj.times[-1]
-    expect = -1j * t * spectral_values(linear_propagate(g, alpha, t))
-    got = spectral_values(traj.states[-1])
-    assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
-
-
-def test_evolve_forced_single_mode_oracle(circle):
-    # E = e^{ikx} e^{i omega t}: ehat(t) solves a scalar ODE with closed form
-    alpha, k, omega = 1.5, 3.0, 1.3
-    idx = int(np.argmin(np.abs(circle.k - k)))
-
-    def forcing(t):
-        return Field.physical(circle, np.exp(1j * (k * circle.x + omega * t)))
-
-    dt = 5e-4
-    cfg = SimConfig(alpha=alpha, gamma=1.0, dt=dt, t_final=0.3, grid=circle, record_every=600)
-    traj = evolve_forced(forcing, cfg)
-    t = traj.times[-1]
-    wk = abs(k) ** alpha
-    coef = circle.length  # spectral coefficient of e^{ikx}
-    expect = (
-        -1j * coef * np.exp(1j * wk * t) * (np.exp(1j * (omega - wk) * t) - 1.0)
-        / (1j * (omega - wk))
-    )
-    got = spectral_values(traj.states[-1])[idx]
-    assert got == pytest.approx(expect, rel=5e-7)  # O(dt^2)
-
-
 def test_picard_free_limit(circle):
     phi = _gaussian(circle, a=0.4)
     cfg = SimConfig(alpha=1.5, gamma=0.0, dt=1e-3, t_final=0.05, grid=circle)
     res = picard_iterate(phi, cfg, iterations=1)
-    expect = spectral_values(linear_propagate(phi, 1.5, 0.05))
+    expect = np.exp(1j * np.abs(circle.k) ** 1.5 * 0.05) * spectral_values(phi)
     assert np.max(np.abs(spectral_values(res.final) - expect)) < 1e-12
 
 

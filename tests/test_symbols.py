@@ -2,44 +2,39 @@ import numpy as np
 import pytest
 
 from fnls.errors import ValidationError
-from fnls.symbols import (
-    bracket,
-    classify_dyadic,
-    dispersion_symbol,
-    dyadic_shell,
-    remainder_bound_constant,
-    remainder_symbol,
-    resonance,
-    shells_admissible,
-    sobolev_weight,
-)
+from fnls.evolution import SimConfig
+from fnls.spectral import make_grid
+from fnls.symbols import remainder_bound_constant, remainder_symbol, resonance
+
+
+def _dispersion(alpha, nx=16):
+    """Lattice and dispersion symbol of the evolution on the 2*pi torus."""
+    grid = make_grid(nx, 2 * np.pi)
+    cfg = SimConfig(alpha=alpha, gamma=0.0, dt=1e-3, t_final=1e-3, grid=grid)
+    return grid.k, cfg.symbol()
 
 
 def test_dispersion_values():
-    assert dispersion_symbol(2.0, 3.0) == pytest.approx(9.0)
-    assert dispersion_symbol(1.5, 4.0) == pytest.approx(8.0)
-    assert dispersion_symbol(1.5, 0.0) == 0.0
+    k, sym = _dispersion(2.0)
+    assert sym[k == 3.0][0] == pytest.approx(9.0)
+    k, sym = _dispersion(1.5)
+    assert sym[k == 4.0][0] == pytest.approx(8.0)
+    assert sym[k == 0.0][0] == 0.0
 
 
 def test_dispersion_domain():
+    grid = make_grid(16, 2 * np.pi)
     for bad in (1.0, 0.5, 2.1, 3.0):
         with pytest.raises(ValidationError):
-            dispersion_symbol(bad, 1.0)
+            SimConfig(alpha=bad, gamma=0.0, dt=1e-3, t_final=1e-3, grid=grid)
 
 
 def test_dispersion_even_and_increasing():
-    xi = np.linspace(0.1, 50, 200)
     for alpha in (1.2, 1.7, 2.0):
-        assert np.array_equal(
-            dispersion_symbol(alpha, xi), dispersion_symbol(alpha, -xi)
-        )
-        assert np.all(np.diff(dispersion_symbol(alpha, xi)) > 0)
-
-
-def test_weights():
-    assert sobolev_weight(0.0, 17.3) == 1.0
-    assert sobolev_weight(1.0, 1.0) == pytest.approx(np.sqrt(2.0))
-    assert bracket(-3.0) == 4.0
+        k, sym = _dispersion(alpha, nx=256)
+        # FFT order: index m holds k = m, index nx - m holds k = -m
+        assert np.array_equal(sym[1:128], sym[:128:-1])
+        assert np.all(np.diff(sym[:128]) > 0)
 
 
 def test_resonance_values():
@@ -163,43 +158,3 @@ def test_remainder_explicit_constant():
     assert c1 == pytest.approx(
         max(8 * 1.5 * half**-1.5, 2 ** (4 - 1.5) / 6 * 0.5 * half**-0.5)
     )
-
-
-def test_dyadic_shell_rounding():
-    assert dyadic_shell(0.1) == 1.0  # floor shell
-    assert dyadic_shell(1.0) == 1.0
-    assert dyadic_shell(3.0) == 4.0
-    assert dyadic_shell(-6.0) == 8.0  # round(log2 6) = 3
-
-
-def test_classify_example_resonant_pair():
-    cls = classify_dyadic(1.5, 8.0, -8.0, 0.0, 1.0, 1.0, 1.0)
-    assert cls.h == 1.0  # |h| = 0 collapses to the floor shell
-    assert cls.admissible
-
-
-def test_classify_rejects_incomparable_shells():
-    # frequency shells 16x apart violate N_max ~ N_med (such shells cannot
-    # arise from an exact sum-zero triple, so test the rule directly)
-    assert not shells_admissible(64.0, 4.0, 4.0, 1.0, 1.0, 1.0, 1.0)
-    # resonant shell far above every modulation violates the L constraint
-    cls = classify_dyadic(1.5, 64.0, -4.0, -60.0, 1.0, 1.0, 1.0)
-    assert cls.h > 4.0 * max(cls.l_sorted)
-    assert not cls.admissible
-
-
-def test_classify_points_on_multiplier_support_are_admissible():
-    # brute force over a small sum-zero space-time lattice: lambdas computed
-    # from tau_j = h_j(xi_j) + lambda_j with tau_1+tau_2+tau_3 = 0 forces
-    # lam_1+lam_2+lam_3 = -h, the support constraint
-    alpha = 1.5
-    rng = np.random.default_rng(4)
-    xis = np.arange(-6.0, 7.0, 1.0)
-    for _ in range(4000):
-        x1, x2 = rng.choice(xis, 2)
-        x3 = -(x1 + x2)
-        h = resonance(alpha, x1, x2, x3)
-        l1, l2 = rng.uniform(-8, 8, 2)
-        l3 = -h - l1 - l2
-        cls = classify_dyadic(alpha, x1, x2, x3, l1, l2, l3)
-        assert cls.admissible, (x1, x2, x3, l1, l2, l3, cls)
