@@ -35,9 +35,11 @@ from .constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
+    demodulate,
     lambda_for,
     modulated_wavepacket,
     nls_pair,
+    remodulate,
     rescale_solution,
     trilinear_convolution,
 )

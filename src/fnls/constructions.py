@@ -16,6 +16,7 @@ from .errors import ResolutionError, ValidationError, WrapAroundError
 from .spectral import (
     Field,
     Grid,
+    lattice_mode,
     physical_values,
     resize_spectrum,
     spectral_tail_fraction,
@@ -105,15 +106,17 @@ def trilinear_convolution(
     return SpaceTimeField(tau, xi, vals)
 
 
-def _carrier_mode_index(n_carrier: float, grid: Grid) -> int:
-    m = n_carrier * grid.length / (2.0 * np.pi)
-    m_int = int(round(m))
-    if abs(m - m_int) > 1e-9 * max(1.0, abs(m)):
-        raise ValidationError(
-            f"carrier frequency {n_carrier} is not on the grid lattice "
-            f"(needs N*L/2pi integer, got {m})"
+def _carrier_band(n_carrier: float, band_nx: int, grid: Grid) -> int:
+    """Lattice index m_N of the carrier; the band_nx modes m_N + {-band_nx/2,
+    ..., band_nx/2 - 1} must fit on the grid's band."""
+    m_n = lattice_mode(n_carrier, grid)
+    half_b, half_g = band_nx // 2, grid.nx // 2
+    if m_n + half_b > half_g or m_n - half_b < -half_g:
+        raise ResolutionError(
+            "grid cannot hold the modulated band: "
+            f"carrier mode {m_n} +- {half_b} exceeds +-{half_g}"
         )
-    return m_int
+    return m_n
 
 
 def approximate_solution(
@@ -141,13 +144,7 @@ def approximate_solution(
             f"beta*L_v = L_target (beta*L_v = {beta * v_grid.length:.6g}, "
             f"L_target = {target_grid.length:.6g})"
         )
-    m_n = _carrier_mode_index(n_carrier, target_grid)
-    half_v, half_t = v_grid.nx // 2, target_grid.nx // 2
-    if m_n + half_v > half_t or m_n - half_v < -half_t:
-        raise ResolutionError(
-            "target grid cannot hold the modulated band: "
-            f"carrier mode {m_n} +- {half_v} exceeds +-{half_t}"
-        )
+    m_n = _carrier_band(n_carrier, v_grid.nx, target_grid)
 
     k_v = v_grid.k
     idx = (m_n + np.round(k_v / v_grid.dk).astype(int)) % target_grid.nx
@@ -259,18 +256,55 @@ def rescale_solution(
     states = []
     for state in traj.states:
         uhat = spectral_values(state)
-        out = resize_spectrum(uhat, target_grid.nx)
-        if target_grid.nx < src.nx:
-            total = float(np.sum(np.abs(uhat) ** 2))
-            kept = float(np.sum(np.abs(out) ** 2))
-            if total > 0 and np.sqrt(max(total - kept, 0.0) / total) > INTERP_LOSS_LIMIT:
-                raise ResolutionError(
-                    "rescaling would truncate "
-                    f"{np.sqrt((total - kept) / total):.3g} of the state"
-                )
-        states.append(Field.spectral(target_grid, out))
+        _check_truncation(uhat, target_grid.nx, "rescaling")
+        states.append(Field.spectral(target_grid, resize_spectrum(uhat, target_grid.nx)))
 
     return Trajectory(traj.times * lam ** (-alpha), states)
+
+
+def _check_truncation(uhat: np.ndarray, nx: int, what: str) -> None:
+    """Raise unless the modes resize_spectrum(uhat, nx) drops hold less than
+    INTERP_LOSS_LIMIT of uhat's norm.
+
+    The dropped modes are summed directly: a difference of the total and
+    kept sums would leave round-off of order sqrt(1e-16) = 1e-8, the limit
+    itself.
+    """
+    half = nx // 2
+    lost = float(np.sum(np.abs(uhat[half : uhat.shape[0] - half]) ** 2))
+    total = float(np.sum(np.abs(uhat) ** 2))
+    if total > 0 and np.sqrt(lost / total) > INTERP_LOSS_LIMIT:
+        raise ResolutionError(f"{what} would truncate {np.sqrt(lost / total):.3g} of the state")
+
+
+def demodulate(state: Field, n_carrier: float, band_grid: Grid) -> Field:
+    """Envelope e^(-iNx) u of a state on the band_grid.nx-mode grid of the
+    same torus: mode m_N + k of u becomes mode k.
+
+    Lossless for a state that approximate_solution built from an envelope
+    with band_grid.nx modes, whose band is exactly m_N +- band_grid.nx/2;
+    otherwise the dropped modes must hold < INTERP_LOSS_LIMIT of the norm.
+    """
+    grid = state.grid
+    if abs(band_grid.length - grid.length) > 1e-9 * grid.length:
+        raise ValidationError("band grid must lie on the same torus as the state")
+    m_n = _carrier_band(n_carrier, band_grid.nx, grid)
+    shifted = np.roll(spectral_values(state), -m_n)
+    _check_truncation(shifted, band_grid.nx, "demodulation")
+    return Field.spectral(band_grid, resize_spectrum(shifted, band_grid.nx))
+
+
+def remodulate(traj: Trajectory, n_carrier: float, target_grid: Grid) -> Trajectory:
+    """Inverse of demodulate for every state: e^(iNx) w on target_grid."""
+    band = traj.grid
+    if abs(band.length - target_grid.length) > 1e-9 * target_grid.length:
+        raise ValidationError("band grid must lie on the same torus as the target")
+    m_n = _carrier_band(n_carrier, band.nx, target_grid)
+    states = []
+    for state in traj.states:
+        out = resize_spectrum(spectral_values(state), target_grid.nx)
+        states.append(Field.spectral(target_grid, np.roll(out, m_n)))
+    return Trajectory(traj.times.copy(), states)
 
 
 def lambda_for(s: float, alpha: float, n_carrier: float) -> float:

@@ -3,6 +3,9 @@
 Each pipeline measures one scaling claim at desk scale and returns plain
 data (ScanResult / dict reports) that the CLI serializes.  Scans
 parallelize over the parameter values; FNLS_THREADS caps the worker count.
+The evolution pipelines (approximation error, separation demo) run their
+evolutions one after another: their steps are short numpy calls that hold
+the interpreter lock, so two threads run them slower than one.
 Every pipeline is deterministic for a fixed configuration.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Field, Grid, cubic_values, make_grid, spectral_values
+from .spectral import Field, Grid, cubic_values, lattice_mode, make_grid, spectral_values
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
 # picard_iterate is not called here; it stays importable from this module
@@ -26,9 +29,11 @@ from .constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
+    demodulate,
     lambda_for,
     modulated_wavepacket,
     nls_pair,
+    remodulate,
     rescale_solution,
     trilinear_convolution,
 )
@@ -132,9 +137,7 @@ def initial_field(grid: Grid, spec: str) -> Field:
     if name == "plane":
         a = params.pop("a", 0.1)
         k = params.pop("k", 1.0)
-        m = k * grid.length / (2.0 * np.pi)
-        if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
-            raise ValidationError(f"plane-wave frequency {k} not on the lattice")
+        lattice_mode(k, grid)
         values = a * np.exp(1j * k * grid.x)
     elif name == "gaussian":
         a = params.pop("a", 1.0)
@@ -324,6 +327,7 @@ def run_approximation_error(
     n_list = sorted(float(n) for n in n_list)
     length = _lattice_length(length, n_list[0])
     x_grid = make_grid(nx, length)
+    band_grid = make_grid(nx_envelope, length)
     s_err = (2.0 - alpha) / 4.0
 
     def one(n):
@@ -339,16 +343,17 @@ def run_approximation_error(
         v_image = approximate_solution(v_traj, n, alpha, x_grid)
         u_cfg = SimConfig(
             alpha=alpha, gamma=1.0, dt=dt, t_final=t_final,
-            grid=x_grid, record_every=record_every, check_tail=True,
+            grid=band_grid, record_every=record_every, carrier=n, check_tail=True,
         )
-        u_traj = evolve(v_image.states[0], u_cfg)
+        w_traj = evolve(demodulate(v_image.states[0], n, band_grid), u_cfg)
+        u_traj = remodulate(w_traj, n, x_grid)
         errs = [
             sobolev_norm(u_s - v_s, s_err)
             for u_s, v_s in zip(u_traj.states, v_image.states)
         ]
         return float(np.max(errs))
 
-    errors = parallel_map(one, n_list)
+    errors = [one(n) for n in n_list]
     return ApproximationScan(
         scan=fit_power_law("N", n_list, errors, drop_preasymptotic=False),
         errors=dict(zip(n_list, errors)),
@@ -374,7 +379,7 @@ def run_illposedness_demo(
     sigma: float = 16.0,
     length: float = 360.0,
     nx: int = 4096,
-    nx_envelope: int = 2048,
+    nx_envelope: int = 512,
     dt: float = 0.025,
     record_every: int = 1600,
 ) -> dict:
@@ -401,6 +406,7 @@ def run_illposedness_demo(
     length = _lattice_length(length, n_carrier)
     x_grid = make_grid(nx, length)
     target_grid = make_grid(2 * nx, length / lam)
+    band_grid = make_grid(nx_envelope, length)
     beta = envelope_scale(alpha, n_carrier)
     vel = group_velocity(alpha, n_carrier)
     y_grid = make_grid(nx_envelope, length / beta)
@@ -428,8 +434,8 @@ def run_illposedness_demo(
     )
     u_cfg = SimConfig(
         alpha=alpha, gamma=1.0, dt=dt, t_final=t_internal,
-        grid=x_grid, record_every=record_every,
-        frame_velocity=-vel, check_tail=True,
+        grid=band_grid, record_every=record_every,
+        frame_velocity=-vel, carrier=n_carrier, check_tail=True,
     )
     s_track = (2.0 - alpha) / 4.0
 
@@ -438,14 +444,15 @@ def run_illposedness_demo(
         v_image = approximate_solution(
             v_traj, n_carrier, alpha, x_grid, frame_velocity=-vel
         )
-        u_traj = evolve(v_image.states[0], u_cfg)
+        w_traj = evolve(demodulate(v_image.states[0], n_carrier, band_grid), u_cfg)
+        u_traj = remodulate(w_traj, n_carrier, x_grid)
         track = max(
             sobolev_norm(a - b, s_track)
             for a, b in zip(u_traj.states, v_image.states)
         )
         return rescale_solution(u_traj, lam, alpha, target_grid), track
 
-    (u1, track1), (u2, track2) = parallel_map(branch, [phi1, phi2])
+    (u1, track1), (u2, track2) = [branch(phi) for phi in (phi1, phi2)]
 
     sep = np.array([sobolev_norm(a - b, s) for a, b in zip(u1.states, u2.states)])
     norm1 = sobolev_norm(u1.states[0], s)

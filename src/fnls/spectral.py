@@ -124,6 +124,18 @@ def physical_values(f: Field) -> np.ndarray:
     return inverse_transform(f.values, f.grid)
 
 
+def lattice_mode(freq: float, grid: Grid) -> int:
+    """Index m with freq = m * dk; freq must lie on the grid's lattice."""
+    m = freq * grid.length / (2.0 * np.pi)
+    m_int = int(round(m))
+    if abs(m - m_int) > 1e-9 * max(1.0, abs(m)):
+        raise ValidationError(
+            f"frequency {freq} is not on the grid lattice "
+            f"(needs freq*L/2pi integer, got {m})"
+        )
+    return m_int
+
+
 def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
     """Carry FFT-ordered coefficients onto the nx-mode band.
 
@@ -146,17 +158,19 @@ def upsampled_physical(uhat: np.ndarray, grid: Grid, factor: int = PAD_FACTOR):
     return np.fft.ifft(fine) / dx_fine
 
 
-def dealiased_density(uhat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Band-limited projection of |u|^2 sampled on the coarse grid.
+def dealiased_density(uhat: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of u and the band-limited projection of |u|^2, both on the
+    coarse grid, from one padded inverse transform.
 
-    Computed on the 2x padded lattice so every retained mode of the quadratic
-    product is exact; the projection is real up to the lone -nx/2 mode, whose
-    imaginary leftover is discarded.
+    The even points of the 2x padded interpolant are the coarse samples.
+    |u|^2 on the padded lattice gives every retained mode of the quadratic
+    product exactly; it is real, so its projection goes through rfft/irfft,
+    which keeps only the real part of the lone Nyquist coefficient.
     """
     u_fine = upsampled_physical(uhat, grid)
-    dens_hat = np.fft.fft(np.abs(u_fine) ** 2) * (grid.dx / PAD_FACTOR)
-    dens_hat = resize_spectrum(dens_hat, grid.nx)
-    return np.real(np.fft.ifft(dens_hat) / grid.dx)
+    dens_hat = np.fft.rfft(np.abs(u_fine) ** 2)[: grid.nx // 2 + 1]
+    density = np.fft.irfft(dens_hat, grid.nx) / PAD_FACTOR
+    return u_fine[::PAD_FACTOR], density
 
 
 def cubic_values(uhat: np.ndarray, grid: Grid) -> np.ndarray:

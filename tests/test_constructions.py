@@ -12,9 +12,11 @@ from fnls.constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
+    demodulate,
     lambda_for,
     modulated_wavepacket,
     nls_pair,
+    remodulate,
     rescale_solution,
     trilinear_convolution,
 )
@@ -300,6 +302,59 @@ def test_approximate_solution_residual_decays_in_n():
         sups.append(np.linalg.norm(rv) / np.sqrt(y_grid.length))
     slope = fit_power_law("N", ns, sups, drop_preasymptotic=False).fitted_slope
     assert slope <= -alpha / 2.0 + 0.3
+
+
+# ------------------------------------------------------ demodulated grid
+
+
+def _modulated_gaussian(nx=1024, band_nx=256, length=40.0, m=48, sigma=1.5):
+    full = make_grid(nx, length)
+    band = make_grid(band_nx, length)
+    n = m * full.dk
+    env = np.exp(-0.5 * ((full.x - 0.5 * length) / sigma) ** 2)
+    return full, band, n, Field.physical(full, np.exp(1j * n * full.x) * env)
+
+
+@pytest.mark.parametrize("frame", [0.0, -1.0])
+def test_demodulated_grid_matches_full_grid(frame):
+    # e^(-iNx) u on a 256-mode band with the symbol at k + N (frame term
+    # included) is the same solution as u on the full 1024-mode grid
+    full, band, n, phi = _modulated_gaussian()
+    alpha = 1.5
+    v = frame * group_velocity(alpha, n)
+    kw = dict(alpha=alpha, gamma=1.0, dt=1e-3, t_final=0.5, record_every=100, frame_velocity=v)
+    ref = evolve(phi, SimConfig(grid=full, **kw))
+    w_traj = evolve(demodulate(phi, n, band), SimConfig(grid=band, carrier=n, **kw))
+    got = remodulate(w_traj, n, full)
+    assert np.array_equal(got.times, ref.times)
+    for a, b in zip(got.states, ref.states):
+        assert np.linalg.norm(a.values - b.values) <= 1e-10 * np.linalg.norm(b.values)
+    masses = np.array([mass(s) for s in w_traj.states])  # 500 steps of round-off
+    assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
+
+
+def test_demodulate_round_trip_and_validations():
+    full, band, n, phi = _modulated_gaussian()
+    w = demodulate(phi, n, band)
+    assert w.grid is band
+    assert mass(w) == pytest.approx(mass(phi), rel=1e-14)
+    back = remodulate(Trajectory(np.array([0.0]), [w]), n, full).states[0]
+    assert np.max(np.abs(back.values - phi.values)) <= 1e-12 * np.max(np.abs(phi.values))
+    # carrier off the lattice: N*L/2pi not an integer
+    off = n * 1.01
+    with pytest.raises(ValidationError):
+        demodulate(phi, off, band)
+    with pytest.raises(ValidationError):
+        remodulate(Trajectory(np.array([0.0]), [w]), off, full)
+    with pytest.raises(ValidationError):
+        SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=band, carrier=off)
+    # a band that holds only part of the packet, or that cannot fit the grid
+    with pytest.raises(ResolutionError):
+        demodulate(phi, n, make_grid(16, full.length))
+    with pytest.raises(ResolutionError):
+        demodulate(phi, 400 * full.dk, band)
+    with pytest.raises(ValidationError):
+        demodulate(phi, n, make_grid(256, 2 * full.length))
 
 
 # -------------------------------------------------------------- wavepackets

@@ -33,6 +33,18 @@ def test_config_validation(circle):
         SimConfig(alpha=2.0, gamma=1.0, dt=1.0, t_final=1.0, grid=circle)
 
 
+def test_accuracy_guard_counts_frame_and_carrier_terms(circle):
+    # dt*max|k|^1.5 = 0.015 * 128^1.5 = 21.7 passes 2*pi*4 = 25.1, but the
+    # fastest phase |k|^1.5 + v*k reaches 0.015 * (127^1.5 + 20*127) = 59.6
+    ok = dict(alpha=1.5, gamma=1.0, dt=0.015, t_final=1.0, grid=circle)
+    SimConfig(**ok)
+    with pytest.raises(ValidationError):
+        SimConfig(**ok, frame_velocity=20.0)
+    # a carrier N = 40 puts the top of the band at |127 + 40|^1.5: 32.4
+    with pytest.raises(ValidationError):
+        SimConfig(**ok, carrier=40.0)
+
+
 def _final(phi, alpha, gamma, dt, t_final, **kw):
     """Last state of an evolve run that records only the end."""
     cfg = SimConfig(
@@ -92,6 +104,51 @@ def test_strang_step_plane_wave_exact(circle):
 def test_strang_step_preserves_mass(circle):
     f = _random_field(circle, 2)
     assert mass(_final(f, 1.5, 1.0, 1e-2, 1e-2)) == pytest.approx(mass(f), rel=1e-12)
+
+
+def _five_fft_step(uhat, grid, symbol, gamma, dt):
+    """Reference Strang step with a separate coarse inverse transform and a
+    full complex transform of the padded density."""
+    nx, dx = grid.nx, grid.dx
+    half = np.exp(0.5j * dt * symbol)
+    uhat = uhat * half
+    fine = np.zeros(2 * nx, dtype=complex)
+    fine[: nx // 2] = uhat[: nx // 2]
+    fine[-nx // 2 :] = uhat[-nx // 2 :]
+    u_fine = np.fft.ifft(fine) / (dx / 2)
+    dens_hat_fine = np.fft.fft(np.abs(u_fine) ** 2) * (dx / 2)
+    dens_hat = np.zeros(nx, dtype=complex)
+    dens_hat[: nx // 2] = dens_hat_fine[: nx // 2]
+    dens_hat[-nx // 2 :] = dens_hat_fine[-nx // 2 :]
+    density = np.real(np.fft.ifft(dens_hat) / dx)
+    u = np.fft.ifft(uhat) / dx
+    uhat = np.fft.fft(u * np.exp(-1j * gamma * dt * density)) * dx
+    return uhat * half
+
+
+@pytest.mark.parametrize("nx", [16, 256])
+def test_strang_step_matches_five_fft_reference(nx):
+    grid = make_grid(nx, 2 * np.pi)
+    rng = np.random.default_rng(nx)
+    uhat = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+    uhat[nx // 2] = 0.7 - 0.4j  # the -nx/2 mode: the Nyquist edge of both paths
+    phi = Field.spectral(grid, uhat)
+    for alpha, gamma, dt in ((1.5, 1.0, 1e-3), (2.0, -0.5, 1e-4)):
+        cfg = SimConfig(alpha=alpha, gamma=gamma, dt=dt, t_final=dt, grid=grid, cfl_factor=100.0)
+        got = spectral_values(evolve(phi, cfg).states[-1])
+        want = _five_fft_step(uhat, grid, cfg.symbol(), gamma, dt)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_guard_rejects_non_finite_spectrum(circle, bad):
+    vals = spectral_values(_gaussian(circle)).copy()
+    vals[3] = bad
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.01, grid=circle)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowUpError) as info:
+        evolve(Field.spectral(circle, vals), cfg)
+    assert "non-finite spectrum" in str(info.value)
+    assert info.value.t_reached == pytest.approx(1e-3)
 
 
 def test_evolve_plane_wave_oracle(circle):
@@ -184,6 +241,7 @@ def test_evolve_blow_up_guard(circle):
     with pytest.raises(BlowUpError) as info:
         evolve(phi, cfg)
     assert info.value.t_reached > 0
+    assert "|u| reached" in str(info.value)
 
 
 def test_evolve_tail_check(circle):
