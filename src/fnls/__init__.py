@@ -28,6 +28,7 @@ from .evolution import (
     SimConfig,
     Trajectory,
     evolve,
+    evolve_together,
     picard_iterate,
 )
 from .constructions import (

@@ -108,32 +108,34 @@ class Trajectory:
         return self.states[0].grid
 
 
-def _strang_kernel(uhat: np.ndarray, cfg: SimConfig, dt: float, half_phase=None):
-    """One split step on spectral coefficients; returns new coefficients.
+def _strang_kernel(uhat: np.ndarray, half_phase: np.ndarray, gamma: float, dt: float, dx):
+    """One split step on stacked (rows, nx) spectral coefficients; returns
+    new coefficients.  half_phase holds each row's exp(i dt symbol / 2) and
+    dx is the (rows, 1) column of grid spacings.
 
     Four FFTs: the padded inverse transform inside dealiased_density gives
     both the samples and the density (two more FFTs), and one forward
-    transform returns to spectral space.
+    transform returns to spectral space.  Each covers all rows in one call
+    and no operation mixes rows, so a row computes exactly what it would
+    alone.
     """
-    if half_phase is None:
-        half_phase = np.exp(0.5j * dt * cfg.symbol())
     uhat = uhat * half_phase
-    if cfg.gamma != 0.0:
-        u, density = dealiased_density(uhat, cfg.grid)
-        uhat = forward_transform(u * np.exp(-1j * cfg.gamma * dt * density), cfg.grid)
+    if gamma != 0.0:
+        u, density = dealiased_density(uhat, dx)
+        uhat = forward_transform(u * np.exp(-1j * gamma * dt * density), dx)
     return uhat * half_phase
 
 
-def _guard(uhat: np.ndarray, cfg: SimConfig, t: float) -> None:
-    # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound; only fall
-    # back to the exact samples when it is exceeded.  A NaN or inf anywhere
-    # makes the bound NaN or inf, which fails the comparison too.
-    bound = float(np.sum(np.abs(uhat))) / cfg.grid.length
-    if not bound <= cfg.blowup_threshold:
-        if not np.isfinite(bound):
+def _guard(uhat: np.ndarray, dx, length, threshold, t: float) -> None:
+    # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound per row;
+    # only fall back to a row's exact samples when it is exceeded.  A NaN or
+    # inf anywhere makes the bound NaN or inf, which fails the comparison too.
+    bound = np.sum(np.abs(uhat), axis=-1) / length
+    for row in np.flatnonzero(~(bound <= threshold)):
+        if not np.isfinite(bound[row]):
             raise BlowUpError(t, "non-finite spectrum")
-        peak = float(np.max(np.abs(inverse_transform(uhat, cfg.grid))))
-        if peak > cfg.blowup_threshold:
+        peak = float(np.max(np.abs(inverse_transform(uhat[row], dx[row]))))
+        if peak > threshold[row]:
             raise BlowUpError(t, f"|u| reached {peak:.3g}")
 
 
@@ -165,39 +167,61 @@ def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     cfg.check_tail is set, WrapAroundError if a recorded state accumulates
     mass near the periodic boundary.
     """
-    if phi.grid is not cfg.grid and (phi.grid.nx, phi.grid.length) != (
-        cfg.grid.nx,
-        cfg.grid.length,
-    ):
-        raise ValidationError("initial data grid does not match config grid")
-    uhat = spectral_values(phi)
-    half_phase = np.exp(0.5j * cfg.dt * cfg.symbol())
+    return evolve_together([(phi, cfg)])[0]
+
+
+def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]:
+    """Integrate several (phi, cfg) problems in one loop, one trajectory each.
+
+    The coefficients are stacked into a (runs, nx) array, so every step
+    costs one call per numpy operation whatever the number of runs.  The
+    runs must share nx, dt, t_final, record_every and gamma; alpha, the
+    grid length, frame_velocity, carrier, blowup_threshold and check_tail
+    may differ.  Each trajectory is bit-identical to evolve(phi, cfg) for
+    its run, and a run that fails raises what evolve would raise for it.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ValidationError("evolve_together needs at least one run")
+    cfgs = [cfg for _, cfg in runs]
+    if len({(c.grid.nx, c.dt, c.t_final, c.record_every, c.gamma) for c in cfgs}) != 1:
+        raise ValidationError("runs must share nx, dt, t_final, record_every and gamma")
+    for phi, cfg in runs:
+        if (phi.grid.nx, phi.grid.length) != (cfg.grid.nx, cfg.grid.length):
+            raise ValidationError("initial data grid does not match config grid")
+    cfg = cfgs[0]
+    uhat = np.stack([spectral_values(phi) for phi, _ in runs])
+    symbol = np.stack([c.symbol() for c in cfgs])
+    dx = np.array([[c.grid.dx] for c in cfgs])
+    length = np.array([c.grid.length for c in cfgs])
+    threshold = np.array([c.blowup_threshold for c in cfgs])
+    half_phase = np.exp(0.5j * cfg.dt * symbol)
 
     n_whole, remainder = _step_plan(cfg)
-    times = [0.0]
-    states = [Field.spectral(cfg.grid, uhat)]
-    if cfg.check_tail:
-        _check_tail(states[0], 0.0)
+    times: list[float] = []
+    states: list[list[Field]] = [[] for _ in runs]
 
+    def record(t: float, check_tail: bool = True) -> None:
+        times.append(t)
+        for row, c in enumerate(cfgs):
+            states[row].append(Field.spectral(c.grid, uhat[row]))
+            if check_tail and c.check_tail:
+                _check_tail(states[row][-1], t)
+
+    record(0.0)
     for n in range(1, n_whole + 1):
-        uhat = _strang_kernel(uhat, cfg, cfg.dt, half_phase)
+        uhat = _strang_kernel(uhat, half_phase, cfg.gamma, cfg.dt, dx)
         t = n * cfg.dt
-        _guard(uhat, cfg, t)
+        _guard(uhat, dx, length, threshold, t)
         if n % cfg.record_every == 0:
-            state = Field.spectral(cfg.grid, uhat)
-            times.append(t)
-            states.append(state)
-            if cfg.check_tail:
-                _check_tail(state, t)
+            record(t)
     if remainder != 0.0:
-        uhat = _strang_kernel(uhat, cfg, remainder)
-        _guard(uhat, cfg, cfg.t_final)
-        times.append(cfg.t_final)
-        states.append(Field.spectral(cfg.grid, uhat))
+        uhat = _strang_kernel(uhat, np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)
+        _guard(uhat, dx, length, threshold, cfg.t_final)
+        record(cfg.t_final, check_tail=False)
     elif n_whole % cfg.record_every != 0:
-        times.append(n_whole * cfg.dt)
-        states.append(Field.spectral(cfg.grid, uhat))
-    return Trajectory(np.array(times), states)
+        record(n_whole * cfg.dt, check_tail=False)
+    return [Trajectory(np.array(times), row_states) for row_states in states]
 
 
 @dataclass(frozen=True)

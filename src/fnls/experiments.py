@@ -3,9 +3,10 @@
 Each pipeline measures one scaling claim at desk scale and returns plain
 data (ScanResult / dict reports) that the CLI serializes.  Scans
 parallelize over the parameter values; FNLS_THREADS caps the worker count.
-The evolution pipelines (approximation error, separation demo) run their
-evolutions one after another: their steps are short numpy calls that hold
-the interpreter lock, so two threads run them slower than one.
+The evolution pipelines (approximation error, separation demo) use no
+threads: their steps are short numpy calls that hold the interpreter lock,
+so they step all their evolutions as one stacked batch (evolve_together)
+and pay each call's fixed cost once for every run.
 Every pipeline is deterministic for a fixed configuration.
 """
 
@@ -23,7 +24,7 @@ from .symbols import envelope_scale, group_velocity, remainder_bound_constant, r
 from .norms import energy, mass, sobolev_norm, xsb_norm
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
-from .evolution import SimConfig, Trajectory, evolve, picard_iterate  # noqa: F401
+from .evolution import SimConfig, Trajectory, evolve, evolve_together, picard_iterate  # noqa: F401
 from .constructions import (
     BoxSpec,
     WavepacketSpec,
@@ -330,7 +331,7 @@ def run_approximation_error(
     band_grid = make_grid(nx_envelope, length)
     s_err = (2.0 - alpha) / 4.0
 
-    def one(n):
+    def runs(n):
         beta = envelope_scale(alpha, n)
         y_grid = make_grid(nx_envelope, length / beta)
         env = epsilon * np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
@@ -339,21 +340,23 @@ def run_approximation_error(
             alpha=2.0, gamma=1.0, dt=dt, t_final=t_final,
             grid=y_grid, record_every=record_every,
         )
-        v_traj = evolve(phi, v_cfg)
-        v_image = approximate_solution(v_traj, n, alpha, x_grid)
         u_cfg = SimConfig(
             alpha=alpha, gamma=1.0, dt=dt, t_final=t_final,
             grid=band_grid, record_every=record_every, carrier=n, check_tail=True,
         )
-        w_traj = evolve(demodulate(v_image.states[0], n, band_grid), u_cfg)
+        data = approximate_solution(Trajectory([0.0], [phi]), n, alpha, x_grid)
+        return [(phi, v_cfg), (demodulate(data.states[0], n, band_grid), u_cfg)]
+
+    trajs = evolve_together([run for n in n_list for run in runs(n)])
+    errors = []
+    for n, v_traj, w_traj in zip(n_list, trajs[::2], trajs[1::2]):
+        v_image = approximate_solution(v_traj, n, alpha, x_grid)
         u_traj = remodulate(w_traj, n, x_grid)
         errs = [
             sobolev_norm(u_s - v_s, s_err)
             for u_s, v_s in zip(u_traj.states, v_image.states)
         ]
-        return float(np.max(errs))
-
-    errors = [one(n) for n in n_list]
+        errors.append(float(np.max(errs)))
     return ApproximationScan(
         scan=fit_power_law("N", n_list, errors, drop_preasymptotic=False),
         errors=dict(zip(n_list, errors)),
@@ -439,12 +442,21 @@ def run_illposedness_demo(
     )
     s_track = (2.0 - alpha) / 4.0
 
-    def branch(phi):
-        v_traj = evolve(phi, v_cfg)
+    def fractional_data(phi):
+        data = approximate_solution(
+            Trajectory([0.0], [phi]), n_carrier, alpha, x_grid, frame_velocity=-vel
+        )
+        return demodulate(data.states[0], n_carrier, band_grid)
+
+    v1, v2, w1, w2 = evolve_together(
+        [(phi1, v_cfg), (phi2, v_cfg)]
+        + [(fractional_data(phi), u_cfg) for phi in (phi1, phi2)]
+    )
+
+    def branch(v_traj, w_traj):
         v_image = approximate_solution(
             v_traj, n_carrier, alpha, x_grid, frame_velocity=-vel
         )
-        w_traj = evolve(demodulate(v_image.states[0], n_carrier, band_grid), u_cfg)
         u_traj = remodulate(w_traj, n_carrier, x_grid)
         track = max(
             sobolev_norm(a - b, s_track)
@@ -452,7 +464,7 @@ def run_illposedness_demo(
         )
         return rescale_solution(u_traj, lam, alpha, target_grid), track
 
-    (u1, track1), (u2, track2) = [branch(phi) for phi in (phi1, phi2)]
+    (u1, track1), (u2, track2) = branch(v1, w1), branch(v2, w2)
 
     sep = np.array([sobolev_norm(a - b, s) for a, b in zip(u1.states, u2.states)])
     norm1 = sobolev_norm(u1.states[0], s)

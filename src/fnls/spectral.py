@@ -92,7 +92,7 @@ class Field:
 
     @classmethod
     def physical(cls, grid: Grid, samples) -> "Field":
-        return cls(grid, forward_transform(np.asarray(samples, dtype=np.complex128), grid))
+        return cls(grid, forward_transform(np.asarray(samples, dtype=np.complex128), grid.dx))
 
     @classmethod
     def spectral(cls, grid: Grid, values) -> "Field":
@@ -104,14 +104,15 @@ class Field:
         return Field(self.grid, self.values - other.values)
 
 
-def forward_transform(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Physical samples -> spectral coefficients (Riemann-sum normalization)."""
-    return np.fft.fft(u) * grid.dx
+def forward_transform(u: np.ndarray, dx) -> np.ndarray:
+    """Physical samples -> spectral coefficients (Riemann-sum normalization)
+    along the last axis; stacked rows take a (rows, 1) column of dx."""
+    return np.fft.fft(u) * dx
 
 
-def inverse_transform(uhat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral coefficients -> physical samples."""
-    return np.fft.ifft(uhat) / grid.dx
+def inverse_transform(uhat: np.ndarray, dx) -> np.ndarray:
+    """Spectral coefficients -> physical samples along the last axis."""
+    return np.fft.ifft(uhat) / dx
 
 
 def spectral_values(f: Field) -> np.ndarray:
@@ -121,7 +122,7 @@ def spectral_values(f: Field) -> np.ndarray:
 
 def physical_values(f: Field) -> np.ndarray:
     """Physical samples of f on its grid."""
-    return inverse_transform(f.values, f.grid)
+    return inverse_transform(f.values, f.grid.dx)
 
 
 def lattice_mode(freq: float, grid: Grid) -> int:
@@ -137,45 +138,47 @@ def lattice_mode(freq: float, grid: Grid) -> int:
 
 
 def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
-    """Carry FFT-ordered coefficients onto the nx-mode band.
+    """Carry FFT-ordered coefficients (last axis) onto the nx-mode band.
 
     Growing zero-fills the new outer modes; shrinking drops the outermost
     ones.  The -n/2 coefficient of the smaller band keeps its
     negative-frequency identity, matching the asymmetric lattice
     {-n/2, ..., n/2 - 1}.
     """
-    half = min(uhat.shape[0], nx) // 2
-    out = np.zeros(nx, dtype=np.complex128)
-    out[:half] = uhat[:half]
-    out[-half:] = uhat[-half:]
+    half = min(uhat.shape[-1], nx) // 2
+    out = np.zeros(uhat.shape[:-1] + (nx,), dtype=np.complex128)
+    out[..., :half] = uhat[..., :half]
+    out[..., -half:] = uhat[..., -half:]
     return out
 
 
-def upsampled_physical(uhat: np.ndarray, grid: Grid, factor: int = PAD_FACTOR):
+def upsampled_physical(uhat: np.ndarray, dx, factor: int = PAD_FACTOR):
     """Physical samples of the trig interpolant on the factor-times finer grid."""
-    fine = resize_spectrum(uhat, factor * grid.nx)
-    dx_fine = grid.dx / factor
+    fine = resize_spectrum(uhat, factor * uhat.shape[-1])
+    dx_fine = dx / factor
     return np.fft.ifft(fine) / dx_fine
 
 
-def dealiased_density(uhat: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def dealiased_density(uhat: np.ndarray, dx) -> tuple[np.ndarray, np.ndarray]:
     """Samples of u and the band-limited projection of |u|^2, both on the
-    coarse grid, from one padded inverse transform.
+    coarse grid, from one padded inverse transform.  Rows of stacked
+    coefficients are transformed independently, each with its dx.
 
     The even points of the 2x padded interpolant are the coarse samples.
     |u|^2 on the padded lattice gives every retained mode of the quadratic
     product exactly; it is real, so its projection goes through rfft/irfft,
     which keeps only the real part of the lone Nyquist coefficient.
     """
-    u_fine = upsampled_physical(uhat, grid)
-    dens_hat = np.fft.rfft(np.abs(u_fine) ** 2)[: grid.nx // 2 + 1]
-    density = np.fft.irfft(dens_hat, grid.nx) / PAD_FACTOR
-    return u_fine[::PAD_FACTOR], density
+    nx = uhat.shape[-1]
+    u_fine = upsampled_physical(uhat, dx)
+    dens_hat = np.fft.rfft(np.abs(u_fine) ** 2)[..., : nx // 2 + 1]
+    density = np.fft.irfft(dens_hat, nx) / PAD_FACTOR
+    return u_fine[..., ::PAD_FACTOR], density
 
 
 def cubic_values(uhat: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral coefficients of the dealiased |u|^2 u."""
-    u_fine = upsampled_physical(uhat, grid)
+    u_fine = upsampled_physical(uhat, grid.dx)
     w_fine = (np.abs(u_fine) ** 2) * u_fine
     w_hat_fine = np.fft.fft(w_fine) * (grid.dx / PAD_FACTOR)
     return resize_spectrum(w_hat_fine, grid.nx)

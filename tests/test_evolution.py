@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
-from fnls.evolution import SimConfig, evolve, picard_iterate
+from fnls.evolution import SimConfig, evolve, evolve_together, picard_iterate
 from fnls.experiments import initial_field
 
 
@@ -299,3 +300,135 @@ def test_trajectory_metadata(circle):
     assert traj.times[0] == 0.0
     assert np.allclose(np.diff(traj.times), 5e-3, rtol=1e-12)
     assert traj.states[0].grid.nx == 256
+
+
+def _stack_runs(t_final, record_every):
+    """Runs that share nx, dt, t_final, record_every and gamma but differ in
+    alpha, grid length, frame velocity, carrier and check_tail."""
+    g1, g2 = make_grid(64, 2 * np.pi), make_grid(64, 4 * np.pi)
+    common = dict(gamma=1.0, dt=1e-3, t_final=t_final, record_every=record_every)
+    return [
+        (_gaussian(g1), SimConfig(alpha=1.5, grid=g1, **common)),
+        (_gaussian(g2, a=0.7), SimConfig(alpha=2.0, grid=g2, check_tail=True, **common)),
+        (_gaussian(g1, k=2.0), SimConfig(alpha=1.3, grid=g1, frame_velocity=-2.0, **common)),
+        (_random_field(g1, 5), SimConfig(alpha=1.7, grid=g1, carrier=3.0, **common)),
+        (_gaussian(g2, sigma=0.8), SimConfig(alpha=1.2, grid=g2, carrier=-1.5, **common)),
+    ]
+
+
+@pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
+def test_evolve_together_rows_equal_evolve(t_final):
+    runs = _stack_runs(t_final, record_every=3)  # 3 divides neither 20 nor 21 steps
+    together = evolve_together(runs)
+    assert len(together) == len(runs)
+    for (phi, cfg), traj in zip(runs, together):
+        alone = evolve(phi, cfg)
+        assert np.array_equal(traj.times, alone.times)
+        assert traj.times[-1] == pytest.approx(t_final, rel=1e-12)
+        assert len(traj.states) == len(alone.states) == 8
+        for got, want in zip(traj.states, alone.states):
+            assert got.grid is cfg.grid
+            assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(dt=2e-3),
+        dict(t_final=0.03),
+        dict(record_every=2),
+        dict(gamma=-1.0),
+        dict(grid=make_grid(128, 2 * np.pi)),
+    ],
+)
+def test_evolve_together_requires_shared_step_parameters(change):
+    phi, cfg = _stack_runs(0.02, record_every=1)[0]
+    other = replace(cfg, **change)
+    with pytest.raises(ValidationError):
+        evolve_together([(phi, cfg), (Field.spectral(other.grid, np.zeros(other.grid.nx)), other)])
+
+
+def test_evolve_together_validations():
+    with pytest.raises(ValidationError):
+        evolve_together([])
+    (phi, cfg), (psi, _) = _stack_runs(0.02, record_every=1)[:2]
+    with pytest.raises(ValidationError):
+        evolve_together([(phi, cfg), (psi, cfg)])  # data on another grid
+
+
+def _failure(call):
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            call()
+        except (BlowUpError, WrapAroundError) as exc:
+            return type(exc), str(exc), getattr(exc, "t_reached", None)
+    raise AssertionError("no failure raised")
+
+
+def test_evolve_together_row_failure_matches_evolve(circle):
+    good = (_gaussian(circle), SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle))
+    big = (
+        _gaussian(circle, a=1.0),
+        replace(good[1], alpha=1.8, blowup_threshold=0.5),
+    )
+    # a packet against the boundary trips the wrap-around check at t = 0
+    edge = (
+        Field.physical(circle, np.exp(-0.5 * (circle.x / 0.3) ** 2)),
+        replace(good[1], check_tail=True),
+    )
+    nan = spectral_values(_gaussian(circle)).copy()
+    nan[3] = np.nan
+    bad = (Field.spectral(circle, nan), good[1])
+    for failing in (big, edge, bad):
+        want = _failure(lambda: evolve(*failing))
+        assert _failure(lambda: evolve_together([good, failing])) == want
+        assert _failure(lambda: evolve_together([failing, good])) == want
+
+
+def _band_limited_runs(data, nx, n_rows):
+    """Random data on the modes |m| < nx/8, with per-row alpha, length and
+    frame velocity; dt keeps every row inside the accuracy guard.
+
+    On that band the product of u with the cubic step's phase stays on the
+    grid to first order in dt, so a step of -dt undoes a step of dt up to
+    O(dt^3) (measured 3e-15 at dt = 1e-4); data on the inner half of the
+    band alias at first order and return only to O(dt^2), 7e-10.
+    """
+    runs = []
+    for row in range(n_rows):
+        grid = make_grid(nx, data.draw(st.sampled_from([2 * np.pi, 3.0, 10.0])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        uhat = np.zeros(nx, dtype=complex)
+        band = np.r_[0 : nx // 8, nx - nx // 8 : nx]
+        uhat[band] = rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)
+        uhat *= data.draw(st.floats(0.1, 2.0)) * grid.length / np.sum(np.abs(uhat))
+        cfg = SimConfig(
+            alpha=data.draw(st.floats(1.05, 2.0)), gamma=1.0, dt=1e-4, t_final=1e-3,
+            grid=grid, frame_velocity=data.draw(st.floats(-3.0, 3.0)),
+        )
+        runs.append((Field.spectral(grid, uhat), cfg))
+    return runs
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), nx=st.sampled_from([16, 64, 256]), n_rows=st.integers(1, 3))
+def test_evolve_together_conserves_each_row_mass(data, nx, n_rows):
+    runs = _band_limited_runs(data, nx, n_rows)
+    for (phi, _), traj in zip(runs, evolve_together(runs)):
+        masses = np.array([mass(s) for s in traj.states])
+        assert np.max(np.abs(masses - mass(phi))) <= 1e-12 * mass(phi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), nx=st.sampled_from([16, 64, 256]), n_rows=st.integers(1, 3))
+def test_evolve_together_step_back_returns_each_row(data, nx, n_rows):
+    # Strang splitting is symmetric: a step of -dt undoes a step of dt
+    runs = [(phi, replace(cfg, t_final=cfg.dt)) for phi, cfg in _band_limited_runs(data, nx, n_rows)]
+    forward = evolve_together(runs)
+    back = evolve_together(
+        [(traj.states[-1], replace(cfg, dt=-cfg.dt, t_final=-cfg.dt))
+         for (_, cfg), traj in zip(runs, forward)]
+    )
+    for (phi, _), traj in zip(runs, back):
+        got = traj.states[-1].values
+        assert np.linalg.norm(got - phi.values) <= 1e-12 * np.linalg.norm(phi.values)

@@ -124,14 +124,14 @@ def test_nls_pair_separation_grows_tenfold():
     # the proportional pair decoheres under the alpha = 2 flow: relative
     # separation grows well past 10x the initial gap within the window
     from fnls.constructions import nls_pair
-    from fnls.evolution import evolve
+    from fnls.evolution import evolve_together
     from fnls.norms import sobolev_norm
 
     grid = make_grid(2048, 1200.0)
     eps, delta, sigma = 0.64, 0.0064, 16.0
     p1, p2 = nls_pair(eps, delta, grid, sigma=sigma)
     cfg = SimConfig(alpha=2.0, gamma=1.0, dt=0.025, t_final=360.0, grid=grid, record_every=1440)
-    t1, t2 = evolve(p1, cfg), evolve(p2, cfg)
+    t1, t2 = evolve_together([(p1, cfg), (p2, cfg)])
     seps = [
         sobolev_norm(a - b, 0.0)
         for a, b in zip(t1.states, t2.states)

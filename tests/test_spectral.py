@@ -77,7 +77,7 @@ def test_transform_matches_direct_summation():
     direct = np.array(
         [g.dx * np.sum(u * np.exp(-1j * k * g.x)) for k in g.k]
     )
-    assert np.allclose(forward_transform(u, g), direct, rtol=1e-11, atol=1e-11)
+    assert np.allclose(forward_transform(u, g.dx), direct, rtol=1e-11, atol=1e-11)
 
 
 def _cubic_samples(grid, u):
