@@ -36,6 +36,10 @@ TAIL_MASS_LIMIT = 1e-8
 # may take at most this many bytes
 PICARD_HISTORY_LIMIT = 64 * 2**20
 
+# evolve_together keeps every recorded state of every run; together they
+# may take at most this many bytes
+EVOLVE_HISTORY_LIMIT = 2**30
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -179,6 +183,8 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     grid length, frame_velocity, carrier, blowup_threshold and check_tail
     may differ.  Each trajectory is bit-identical to evolve(phi, cfg) for
     its run, and a run that fails raises what evolve would raise for it.
+    Requests whose recorded states would exceed EVOLVE_HISTORY_LIMIT bytes
+    are rejected before anything is allocated.
     """
     runs = list(runs)
     if not runs:
@@ -190,6 +196,17 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
         if (phi.grid.nx, phi.grid.length) != (cfg.grid.nx, cfg.grid.length):
             raise ValidationError("initial data grid does not match config grid")
     cfg = cfgs[0]
+    n_whole, remainder = _step_plan(cfg)
+    n_records = 1 + n_whole // cfg.record_every
+    if remainder != 0.0 or n_whole % cfg.record_every != 0:
+        n_records += 1
+    history_bytes = 16 * len(runs) * n_records * cfg.grid.nx  # complex128 entries
+    if history_bytes > EVOLVE_HISTORY_LIMIT:
+        raise ValidationError(
+            f"{len(runs)} run(s) x {n_records} records x {cfg.grid.nx} values need "
+            f"{history_bytes / 2**20:.0f} MiB, over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB "
+            "limit; raise record_every, shorten t_final or lower nx"
+        )
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
     symbol = np.stack([c.symbol() for c in cfgs])
     dx = np.array([[c.grid.dx] for c in cfgs])
@@ -197,7 +214,6 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     threshold = np.array([c.blowup_threshold for c in cfgs])
     half_phase = np.exp(0.5j * cfg.dt * symbol)
 
-    n_whole, remainder = _step_plan(cfg)
     times: list[float] = []
     states: list[list[Field]] = [[] for _ in runs]
 

@@ -383,8 +383,8 @@ def run_illposedness_demo(
     length: float = 360.0,
     nx: int = 4096,
     nx_envelope: int = 512,
-    dt: float = 0.025,
-    record_every: int = 1600,
+    dt: float = 0.2,
+    record_every: int = 200,
 ) -> dict:
     """Full separation pipeline on one carrier.
 
@@ -398,6 +398,13 @@ def run_illposedness_demo(
     is the evolution window before time rescaling; the reported physical
     window is t_internal / lambda^alpha.  The rescaled grid has 2 * nx
     points.
+
+    The default dt is the largest step on the ladder 0.025 * 2^j whose
+    error estimate (4/3) max_X |X(dt) - X(dt/2)| / |X(dt/2)| over the eight
+    reported numbers X stays within 1e-5 at gate 8's parameters; Strang
+    splitting is second order, so halving dt divides that estimate by 4.
+    Measured there: 1.5e-6 at dt = 0.1, 6.0e-6 at dt = 0.2 and 2.4e-5 at
+    dt = 0.4.  The default record_every keeps records every 40 time units.
     """
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0

@@ -5,8 +5,6 @@ checks.  Desk-scale parameters and tolerances are pinned inside
 fnls.acceptance.
 """
 
-import pytest
-
 from fnls import acceptance
 
 
@@ -44,6 +42,5 @@ def test_criterion_7_approximation_error():
     _check(acceptance.criterion_7_approximation)
 
 
-@pytest.mark.slow
 def test_criterion_8_separation_demo():
     _check(acceptance.criterion_8_separation)

@@ -170,6 +170,13 @@ def test_picard_history_over_memory_limit_is_validation_error(capsys):
     assert "MiB" in capsys.readouterr().err
 
 
+def test_evolve_history_over_memory_limit_is_validation_error(capsys):
+    # 1,000,001 records x 256 complex values: about 3.8 GiB, rejected before
+    # anything is allocated
+    assert main(["evolve", "--t-final", "1000", "--record-every", "1"]) == 1
+    assert "MiB" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_two(tmp_path):
     # an envelope too wide for the torus trips the wrap-around guard
     rc = main(

@@ -432,3 +432,50 @@ def test_evolve_together_step_back_returns_each_row(data, nx, n_rows):
     for (phi, _), traj in zip(runs, back):
         got = traj.states[-1].values
         assert np.linalg.norm(got - phi.values) <= 1e-12 * np.linalg.norm(phi.values)
+
+
+def _assert_rows_match(got_trajs, want_states):
+    for traj, want in zip(got_trajs, want_states):
+        for got, ref in zip(traj.states, want):
+            assert np.linalg.norm(got.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), nx=st.sampled_from([16, 64, 256]), n_rows=st.integers(1, 3))
+def test_evolve_commutes_with_lattice_translation(data, nx, n_rows):
+    # translating by m grid points multiplies each coefficient by e^(-ik x0)
+    runs = _band_limited_runs(data, nx, n_rows)
+    shifts = [
+        np.exp(-1j * cfg.grid.k * data.draw(st.integers(0, nx - 1)) * cfg.grid.dx)
+        for _, cfg in runs
+    ]
+    moved = evolve_together(
+        [(Field.spectral(cfg.grid, phi.values * shift), cfg) for (phi, cfg), shift in zip(runs, shifts)]
+    )
+    _assert_rows_match(
+        moved,
+        [[s.values * shift for s in traj.states] for traj, shift in zip(evolve_together(runs), shifts)],
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), nx=st.sampled_from([16, 64, 256]), n_rows=st.integers(1, 3))
+def test_evolve_commutes_with_global_phase(data, nx, n_rows):
+    runs = _band_limited_runs(data, nx, n_rows)
+    phase = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
+    rotated = evolve_together([(Field.spectral(cfg.grid, phase * phi.values), cfg) for phi, cfg in runs])
+    _assert_rows_match(rotated, [[phase * s.values for s in traj.states] for traj in evolve_together(runs)])
+
+
+@pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
+def test_evolve_history_limit_counts_every_record(monkeypatch, t_final):
+    # a limit of exactly the recorded bytes passes, one byte less raises
+    import fnls.evolution as evolution
+
+    runs = _stack_runs(t_final, record_every=3)
+    exact = 16 * len(runs) * 8 * 64  # five runs, eight records, nx = 64
+    monkeypatch.setattr(evolution, "EVOLVE_HISTORY_LIMIT", exact)
+    assert len(evolve_together(runs)[0].states) == 8
+    monkeypatch.setattr(evolution, "EVOLVE_HISTORY_LIMIT", exact - 1)
+    with pytest.raises(ValidationError, match="5 run\\(s\\) x 8 records x 64 values"):
+        evolve_together(runs)

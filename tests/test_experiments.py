@@ -127,10 +127,10 @@ def test_nls_pair_separation_grows_tenfold():
     from fnls.evolution import evolve_together
     from fnls.norms import sobolev_norm
 
-    grid = make_grid(2048, 1200.0)
+    grid = make_grid(512, 1200.0)
     eps, delta, sigma = 0.64, 0.0064, 16.0
     p1, p2 = nls_pair(eps, delta, grid, sigma=sigma)
-    cfg = SimConfig(alpha=2.0, gamma=1.0, dt=0.025, t_final=360.0, grid=grid, record_every=1440)
+    cfg = SimConfig(alpha=2.0, gamma=1.0, dt=0.1, t_final=360.0, grid=grid, record_every=360)
     t1, t2 = evolve_together([(p1, cfg), (p2, cfg)])
     seps = [
         sobolev_norm(a - b, 0.0)
@@ -158,7 +158,7 @@ def test_illposedness_demo_short_window_calibration():
     # are exact by the linear calibration, amplification stays near 1
     rep = run_illposedness_demo(
         alpha=1.5, s=0.0, epsilon=0.4, delta=0.004,
-        t_internal=8.0, n_carrier=16.0, record_every=160,
+        t_internal=8.0, n_carrier=16.0, record_every=20,
     )
     assert rep["data_norm_1"] == pytest.approx(0.4, rel=1e-9)
     assert rep["data_norm_2"] == pytest.approx(0.404, rel=1e-9)
