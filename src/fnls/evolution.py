@@ -197,9 +197,11 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
             raise ValidationError("initial data grid does not match config grid")
     cfg = cfgs[0]
     n_whole, remainder = _step_plan(cfg)
-    n_records = 1 + n_whole // cfg.record_every
-    if remainder != 0.0 or n_whole % cfg.record_every != 0:
-        n_records += 1
+    # a record after each step in record_steps (step 0 is t = 0), and one
+    # at the end when the last step is not among them
+    record_steps = range(0, n_whole + 1, cfg.record_every)
+    final_record = remainder != 0.0 or n_whole not in record_steps
+    n_records = len(record_steps) + final_record
     history_bytes = 16 * len(runs) * n_records * cfg.grid.nx  # complex128 entries
     if history_bytes > EVOLVE_HISTORY_LIMIT:
         raise ValidationError(
@@ -229,14 +231,13 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
         uhat = _strang_kernel(uhat, half_phase, cfg.gamma, cfg.dt, dx)
         t = n * cfg.dt
         _guard(uhat, dx, length, threshold, t)
-        if n % cfg.record_every == 0:
+        if n in record_steps:
             record(t)
     if remainder != 0.0:
         uhat = _strang_kernel(uhat, np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)
         _guard(uhat, dx, length, threshold, cfg.t_final)
-        record(cfg.t_final, check_tail=False)
-    elif n_whole % cfg.record_every != 0:
-        record(n_whole * cfg.dt, check_tail=False)
+    if final_record:
+        record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
     return [Trajectory(np.array(times), row_states) for row_states in states]
 
 

@@ -42,6 +42,12 @@ from .constructions import (
 # frequency samples across [-xi_max, xi_max] in scan_remainder
 REMAINDER_SAMPLES = 800
 
+# run_illposedness_demo's default time step and record interval; the phase
+# limit is dt * max|symbol| of gate 8's runs at dt = 0.2
+ILLPOSED_DT_LADDER = (0.2, 0.1, 0.05, 0.025)
+ILLPOSED_PHASE_LIMIT = 6.4
+ILLPOSED_RECORD_INTERVAL = 40.0
+
 
 def scan_workers() -> int:
     """Worker cap for parameter scans (FNLS_THREADS wins when set)."""
@@ -383,8 +389,8 @@ def run_illposedness_demo(
     length: float = 360.0,
     nx: int = 4096,
     nx_envelope: int = 512,
-    dt: float = 0.2,
-    record_every: int = 200,
+    dt: float | None = None,
+    record_every: int | None = None,
 ) -> dict:
     """Full separation pipeline on one carrier.
 
@@ -399,12 +405,18 @@ def run_illposedness_demo(
     window is t_internal / lambda^alpha.  The rescaled grid has 2 * nx
     points.
 
-    The default dt is the largest step on the ladder 0.025 * 2^j whose
-    error estimate (4/3) max_X |X(dt) - X(dt/2)| / |X(dt/2)| over the eight
-    reported numbers X stays within 1e-5 at gate 8's parameters; Strang
-    splitting is second order, so halving dt divides that estimate by 4.
-    Measured there: 1.5e-6 at dt = 0.1, 6.0e-6 at dt = 0.2 and 2.4e-5 at
-    dt = 0.4.  The default record_every keeps records every 40 time units.
+    dt = None takes the largest step of ILLPOSED_DT_LADDER (0.025 * 2^j, up
+    to 0.2) whose phase dt * max|symbol| over the evolutions stays within
+    ILLPOSED_PHASE_LIMIT, else the smallest; record_every = None records
+    every ILLPOSED_RECORD_INTERVAL time units.  The report gives the dt
+    used.  At gate 8's parameters this picks the cap dt = 0.2, the largest
+    0.025 * 2^j whose error estimate
+    (4/3) max_X |X(dt) - X(dt/2)| / |X(dt/2)| over the eight reported
+    numbers X stays within 1e-5; Strang splitting is second order, so
+    halving dt divides that estimate by 4.  Measured there: 1.5e-6 at
+    dt = 0.1, 6.0e-6 at dt = 0.2 and 2.4e-5 at dt = 0.4.  The budget was
+    measured at gate 8's parameters only; elsewhere the phase limit keeps
+    the step no coarser than there, relative to the fastest linear phase.
     """
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
@@ -438,15 +450,28 @@ def run_illposedness_demo(
         s=s,
     )
 
-    v_cfg = SimConfig(
-        alpha=2.0, gamma=1.0, dt=dt, t_final=t_internal,
-        grid=y_grid, record_every=record_every, check_tail=True,
-    )
-    u_cfg = SimConfig(
-        alpha=alpha, gamma=1.0, dt=dt, t_final=t_internal,
-        grid=band_grid, record_every=record_every,
-        frame_velocity=-vel, carrier=n_carrier, check_tail=True,
-    )
+    def configs(step, every):
+        v_cfg = SimConfig(
+            alpha=2.0, gamma=1.0, dt=step, t_final=t_internal,
+            grid=y_grid, record_every=every, check_tail=True,
+        )
+        u_cfg = SimConfig(
+            alpha=alpha, gamma=1.0, dt=step, t_final=t_internal,
+            grid=band_grid, record_every=every,
+            frame_velocity=-vel, carrier=n_carrier, check_tail=True,
+        )
+        return v_cfg, u_cfg
+
+    if dt is None:
+        smallest = ILLPOSED_DT_LADDER[-1]
+        peak = max(float(np.max(np.abs(c.symbol()))) for c in configs(smallest, 1))
+        dt = next(
+            (h for h in ILLPOSED_DT_LADDER if h * peak <= ILLPOSED_PHASE_LIMIT + 1e-12),
+            smallest,
+        )
+    if record_every is None:
+        record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
+    v_cfg, u_cfg = configs(dt, record_every)
     s_track = (2.0 - alpha) / 4.0
 
     def fractional_data(phi):
@@ -487,6 +512,7 @@ def run_illposedness_demo(
         "sigma": sigma,
         "t_internal": t_internal,
         "t_physical": t_internal / lam**alpha,
+        "dt": dt,
         "data_norm_1": norm1,
         "data_norm_2": norm2,
         "data_separation": float(sep[0]),

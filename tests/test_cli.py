@@ -261,3 +261,22 @@ def test_illposed_cli_short(tmp_path):
     }
     assert body["data_norm_1"] == pytest.approx(0.4, rel=1e-9)
     assert body["data_separation"] == pytest.approx(0.004, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "flags, dt",
+    [
+        (["--alpha", "1.7"], 0.05),
+        (["--alpha", "1.9"], 0.025),
+        (["--alpha", "1.7", "--n-carrier", "28"], 0.025),
+    ],
+)
+def test_illposed_cli_fast_carrier_takes_a_finer_step(tmp_path, flags, dt):
+    # these carriers turn faster per step than gate 8's, so the default step
+    # goes down the ladder; at dt = 0.2 the last two would fail the
+    # accuracy guard
+    out = tmp_path / "ill.txt"
+    rc = main(["illposed", *flags, "--t-internal", "5.0", "--out", str(out)])
+    assert rc == 0
+    body = dict(l.split("=", 1) for l in _read(out) if not l.startswith("#") and "=" in l)
+    assert float(body["dt"]) == dt
