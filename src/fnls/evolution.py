@@ -32,9 +32,13 @@ from .spectral import (
 
 TAIL_MASS_LIMIT = 1e-8
 
-# picard_iterate keeps several (n_t + 1) x nx complex histories; one of them
+# picard_iterate keeps three (n_t + 1) x nx complex histories; one of them
 # may take at most this many bytes
 PICARD_HISTORY_LIMIT = 64 * 2**20
+
+# time rows per cubic_values call in picard_iterate: a whole-history call
+# would hold padded temporaries several histories large
+PICARD_BLOCK_ROWS = 16
 
 # evolve_together keeps every recorded state of every run; together they
 # may take at most this many bytes
@@ -260,6 +264,13 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     three consecutive iterations raises NonContractionError.  Inputs whose
     (n_t + 1) x nx history would exceed PICARD_HISTORY_LIMIT bytes are
     rejected before anything is allocated.
+
+    The phases U(t) = exp(i omega t) are computed once per call and U(-t)
+    is their conjugate.  The cubic term is evaluated on blocks of
+    PICARD_BLOCK_ROWS time rows, the trapezoid sums are accumulated row by
+    row in the order of a cumulative sum, and each block of the next
+    iterate is completed as soon as its sums are, so the loop keeps three
+    histories (the phases and two iterates) plus a block of temporaries.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
@@ -277,28 +288,36 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     omega = cfg.symbol()
     times = cfg.dt * np.arange(n_whole + 1)
     s_diff = (2.0 - cfg.alpha) / 4.0
+    half_dt = 0.5 * cfg.dt
 
     phi_hat = spectral_values(phi)
-    free = np.exp(1j * omega * times[:, None]) * phi_hat[None, :]
-    current = free.copy()
-
+    rot = np.exp(1j * omega * times[:, None])
+    current = rot * phi_hat[None, :]  # the free evolution is the first iterate
+    nxt = np.empty_like(current)
     weight = (1.0 + grid.k**2) ** s_diff
-
-    def hs_diff(a, b):
-        d2 = weight[None, :] * np.abs(a - b) ** 2
-        return float(np.sqrt(np.max(np.sum(d2, axis=1)) / grid.length))
+    row_diffs = np.empty(times.size)
 
     diffs = []
     grow_streak = 0
     for _ in range(iterations):
-        # g(t) = U(-t) |u|^2 u (t) on the lattice, then cumulative trapezoid
-        g = np.empty_like(current)
-        for j in range(times.size):
-            g[j] = np.exp(-1j * omega * times[j]) * cubic_values(current[j], grid)
-        partial = np.zeros_like(current)
-        np.cumsum(0.5 * cfg.dt * (g[:-1] + g[1:]), axis=0, out=partial[1:])
-        nxt = free - 1j * cfg.gamma * np.exp(1j * omega * times[:, None]) * partial
-        diffs.append(hs_diff(nxt, current))
+        # g(t) = U(-t) |u|^2 u (t); partial(t_j) = trapezoid sum of g up to t_j
+        g_prev = partial = None
+        for start in range(0, times.size, PICARD_BLOCK_ROWS):
+            rows = slice(start, start + PICARD_BLOCK_ROWS)
+            g = np.conj(rot[rows]) * cubic_values(current[rows], grid)
+            block = nxt[rows]
+            for j, g_row in enumerate(g):
+                # partial(t_1) is the first term itself, not 0 + term, which
+                # keeps the bits of a cumulative sum (np.cumsum along time)
+                if g_prev is not None:
+                    step = half_dt * (g_prev + g_row)
+                    partial = step if partial is None else partial + step
+                block[j] = 0.0 if partial is None else partial
+                g_prev = g_row
+            block[...] = rot[rows] * phi_hat - 1j * cfg.gamma * rot[rows] * block
+            d2 = weight * np.abs(block - current[rows]) ** 2
+            row_diffs[rows] = np.sum(d2, axis=1)
+        diffs.append(float(np.sqrt(np.max(row_diffs) / grid.length)))
         if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
             grow_streak += 1
             if grow_streak >= 3:
@@ -308,7 +327,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
                 )
         else:
             grow_streak = 0
-        current = nxt
+        current, nxt = nxt, current
     return PicardResult(
         final=Field.spectral(grid, current[-1]),
         difference_norms=np.array(diffs),

@@ -408,9 +408,10 @@ def run_illposedness_demo(
     dt = None takes the largest step of ILLPOSED_DT_LADDER (0.025 * 2^j, up
     to 0.2) whose phase dt * max|symbol| over the evolutions stays within
     ILLPOSED_PHASE_LIMIT, else the smallest; record_every = None records
-    every ILLPOSED_RECORD_INTERVAL time units.  The report gives the dt
-    used.  At gate 8's parameters this picks the cap dt = 0.2, the largest
-    0.025 * 2^j whose error estimate
+    every ILLPOSED_RECORD_INTERVAL time units.  The report gives the
+    resolved dt, record_every, nx, nx_envelope and the length moved onto
+    the carrier's lattice.  At gate 8's parameters this picks the cap
+    dt = 0.2, the largest 0.025 * 2^j whose error estimate
     (4/3) max_X |X(dt) - X(dt/2)| / |X(dt/2)| over the eight reported
     numbers X stays within 1e-5; Strang splitting is second order, so
     halving dt divides that estimate by 4.  Measured there: 1.5e-6 at
@@ -513,6 +514,10 @@ def run_illposedness_demo(
         "t_internal": t_internal,
         "t_physical": t_internal / lam**alpha,
         "dt": dt,
+        "record_every": record_every,
+        "nx": nx,
+        "nx_envelope": nx_envelope,
+        "length": length,
         "data_norm_1": norm1,
         "data_norm_2": norm2,
         "data_separation": float(sep[0]),

@@ -261,6 +261,9 @@ def test_illposed_cli_short(tmp_path):
     }
     assert body["data_norm_1"] == pytest.approx(0.4, rel=1e-9)
     assert body["data_separation"] == pytest.approx(0.004, rel=1e-6)
+    # the resolved pipeline parameters: dt = 0.2 records every 40 time units
+    assert (body["dt"], body["record_every"], body["nx"], body["nx_envelope"]) == (0.2, 200, 4096, 512)
+    assert body["length"] == 2.0 * np.pi * 917 / 16.0  # 360 moved onto the N = 16 lattice
 
 
 @pytest.mark.parametrize(

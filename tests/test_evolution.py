@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
-from fnls.spectral import Field, make_grid, physical_values, spectral_values
+from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
 from fnls.evolution import SimConfig, evolve, evolve_together, picard_iterate
 from fnls.experiments import initial_field
@@ -293,6 +294,61 @@ def test_picard_divergence_guard(circle):
         picard_iterate(phi, cfg, iterations=12)
 
 
+def _per_row_picard(phi, cfg, iterations):
+    """Reference Picard loop: two exp histories per iteration, the cubic
+    term one time row at a time and the trapezoid by np.cumsum."""
+    grid = cfg.grid
+    omega = cfg.symbol()
+    times = cfg.dt * np.arange(int(round(cfg.t_final / cfg.dt)) + 1)
+    weight = (1.0 + grid.k**2) ** ((2.0 - cfg.alpha) / 4.0)
+    free = np.exp(1j * omega * times[:, None]) * spectral_values(phi)[None, :]
+    current = free.copy()
+    diffs = []
+    for _ in range(iterations):
+        g = np.empty_like(current)
+        for j in range(times.size):
+            g[j] = np.exp(-1j * omega * times[j]) * cubic_values(current[j], grid)
+        partial = np.zeros_like(current)
+        np.cumsum(0.5 * cfg.dt * (g[:-1] + g[1:]), axis=0, out=partial[1:])
+        nxt = free - 1j * cfg.gamma * np.exp(1j * omega * times[:, None]) * partial
+        d2 = weight[None, :] * np.abs(nxt - current) ** 2
+        diffs.append(float(np.sqrt(np.max(np.sum(d2, axis=1)) / grid.length)))
+        current = nxt
+    return current[-1], np.array(diffs)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("t_final", [0.1, 0.036])  # 101 and 37 time rows
+@pytest.mark.parametrize("nx", [16, 256])
+def test_picard_matches_per_row_reference(nx, t_final, gamma):
+    grid = make_grid(nx, 2 * np.pi)
+    rng = np.random.default_rng(nx)
+    uhat = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+    phi = Field.spectral(grid, 2.0 * grid.length * uhat / np.sum(np.abs(uhat)))
+    cfg = SimConfig(alpha=1.5, gamma=gamma, dt=1e-3, t_final=t_final, grid=grid)
+    res = picard_iterate(phi, cfg, iterations=5)
+    want_final, want_diffs = _per_row_picard(phi, cfg, iterations=5)
+    assert np.array_equal(spectral_values(res.final), want_final)
+    # differences at round-off level are compared to 1e-12 absolute only
+    head = want_diffs >= 1e-12 * want_diffs[0]
+    assert np.array_equal(res.difference_norms[head], want_diffs[head])
+    assert np.allclose(res.difference_norms[~head], want_diffs[~head], rtol=0.0, atol=1e-12)
+
+
+def test_picard_traced_peak_stays_within_six_histories(circle):
+    # the loop keeps three histories plus one block of cubic-term temporaries
+    phi = _gaussian(circle, a=0.2, sigma=0.6)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=circle)
+    history = 101 * circle.nx * 16
+    tracemalloc.start()
+    try:
+        picard_iterate(phi, cfg, iterations=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * history
+
+
 def test_trajectory_metadata(circle):
     phi = _gaussian(circle)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.02, grid=circle, record_every=5)
@@ -465,6 +521,39 @@ def test_evolve_commutes_with_global_phase(data, nx, n_rows):
     phase = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
     rotated = evolve_together([(Field.spectral(cfg.grid, phase * phi.values), cfg) for phi, cfg in runs])
     _assert_rows_match(rotated, [[phase * s.values for s in traj.states] for traj in evolve_together(runs)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), nx=st.sampled_from([16, 64, 256]), n_rows=st.integers(1, 3))
+def test_evolve_is_galilean_covariant_at_alpha_two(data, nx, n_rows):
+    # at alpha = 2, e^(i k0 x) phi evolves to e^(i k0^2 t) e^(i k0 x) u(t, x + 2 k0 t).
+    # The data sit on |m| < nx/8 - |m0|, so the shift by m0 = k0/dk wraps no
+    # data mode around the band; with sum|uhat|/L <= 0.5 the second-order
+    # aliasing that a non-lattice translation sees stays near 1e-13 (measured
+    # 5.6e-14 over 300 draws).
+    runs, moved, modes = [], [], []
+    for _ in range(n_rows):
+        grid = make_grid(nx, data.draw(st.sampled_from([2 * np.pi, 3.0, 10.0])))
+        m0 = data.draw(st.integers(-(nx // 16), nx // 16))
+        width = nx // 8 - abs(m0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        uhat = np.zeros(nx, dtype=complex)
+        band = np.r_[0:width, nx - width + 1 : nx]
+        uhat[band] = rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)
+        uhat *= data.draw(st.floats(0.1, 0.5)) * grid.length / np.sum(np.abs(uhat))
+        cfg = SimConfig(alpha=2.0, gamma=1.0, dt=1e-4, t_final=1e-3, grid=grid)
+        runs.append((Field.spectral(grid, uhat), cfg))
+        moved.append((Field.spectral(grid, np.roll(uhat, m0)), cfg))
+        modes.append(m0)
+    trajs = evolve_together(runs + moved)
+    want = []
+    for traj, (_, cfg), m0 in zip(trajs, runs, modes):
+        k0 = m0 * cfg.grid.dk
+        want.append([
+            np.exp(1j * k0**2 * t) * np.roll(np.exp(2j * k0 * t * cfg.grid.k) * state.values, m0)
+            for t, state in zip(traj.times, traj.states)
+        ])
+    _assert_rows_match(trajs[n_rows:], want)
 
 
 @pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none

@@ -1,15 +1,77 @@
 """Gate numbers pinned to 1e-10 relative, so that a kernel change that moves
 them fails in seconds rather than only in `fnls verify` or the benchmark.
+Numbers at round-off level (gate 1's errors, gate 2's mass drifts, gate 6's
+flat slope) are pinned to 1e-12 absolute instead: their last bits carry no
+meaning.
 
-The short-window and gate 7 values were recorded with evolutions run one at
-a time, before the pipelines stacked them; the stacked loop reproduces them
-bit for bit.  The short window passes dt = 0.025 explicitly, so its pins
-guard the kernel whatever the pipeline's default step.
+Each test repeats its gate's own call in fnls.acceptance.  The short-window
+and gate 7 values were recorded with evolutions run one at a time, before
+the pipelines stacked them; the stacked loop reproduces them bit for bit.
+Gate 3's values were recorded with the per-row Picard loop that the
+whole-lattice loop replaced.  The short window passes dt = 0.025
+explicitly, so its pins guard the kernel whatever the pipeline's default
+step.
 """
 
+import numpy as np
 import pytest
 
-from fnls.experiments import run_approximation_error, run_illposedness_demo
+from fnls.evolution import SimConfig, evolve, picard_iterate
+from fnls.experiments import (
+    initial_field,
+    run_approximation_error,
+    run_conservation_suite,
+    run_illposedness_demo,
+    scan_remainder,
+    scan_trilinear,
+    scan_wavepacket,
+)
+from fnls.spectral import Field, make_grid, spectral_values
+
+ROUND_OFF = 1e-12
+
+# gate 1: alpha -> relative L2 error of the plane wave at t = 1
+GATE_1_ERRORS = {
+    1.2: 2.7130002370679643e-14,
+    1.5: 9.905094984167152e-14,
+    1.8: 9.583182701255517e-14,
+    2.0: 6.130452013511951e-14,
+}
+
+# gate 2: run_conservation_suite's report
+GATE_2_REPORT = {
+    "alpha": 1.5,
+    "gamma": 1.0,
+    "dt": 0.001,
+    "t_final": 1.0,
+    "energy_drift": 1.739720241986825e-07,
+    "energy_drift_half": 4.3492892257984395e-08,
+    "energy_drift_ratio": 4.000010465313326,
+}
+GATE_2_MASS_DRIFTS = {"mass_drift": 1.617303518575482e-13, "mass_drift_half": 3.168211152964674e-13}
+
+# gate 3: the first five Picard differences and the L2 agreement with evolve
+GATE_3_DIFFERENCES = [
+    0.0006650665601116806,
+    1.1971267732346122e-06,
+    4.1782793717508176e-09,
+    4.315808129074426e-12,
+    8.448514001221629e-15,
+]
+GATE_3_AGREEMENT = 1.8071230585342164e-09
+
+# gate 4: s -> (factor slope, ratio slope)
+GATE_4_SLOPES = {
+    0.0: (0.12500003838709042, 0.24759190386010277),
+    0.125: (0.24676483371845515, -0.00229492687108773),
+}
+
+# gate 5: alpha -> slope of sup |R|/|xi|^3 against N
+GATE_5_SLOPES = {1.2: -0.6212405180728074, 1.5: -0.7559086651915752, 1.8: -0.902034440229742}
+
+# gate 6: s -> slope of the packet's H^s norm against M (s = 0 is flat)
+GATE_6_SLOPES = {-0.25: -0.24999017033037535, 0.25: 0.24997057765451583}
+GATE_6_FLAT_SLOPE = 4.185456629075698e-17
 
 # run_illposedness_demo on gate 8's carrier and exponents over a short window
 SHORT_SEPARATION = {
@@ -47,6 +109,10 @@ GATE_8_REPORT = {
     "t_internal": 600.0,
     "t_physical": 212.13203435596424,
     "dt": 0.2,
+    "record_every": 200,
+    "nx": 4096,
+    "nx_envelope": 512,
+    "length": 360.10505791773005,
     "data_norm_1": 0.5,
     "data_norm_2": 0.505,
     "data_separation": 0.005000000000000006,
@@ -69,6 +135,61 @@ STRANG_ERROR_BUDGET = 1e-5
 @pytest.fixture(scope="module")
 def gate_8_report():
     return run_illposedness_demo(**GATE_8_ARGS)
+
+
+def test_gate_1_errors_are_pinned():
+    grid = make_grid(256, 2.0 * np.pi)
+    errors = {}
+    for alpha in GATE_1_ERRORS:
+        cfg = SimConfig(alpha=alpha, gamma=1.0, dt=1e-3, t_final=1.0, grid=grid, record_every=1000)
+        got = spectral_values(evolve(initial_field(grid, "plane:a=0.1,k=2.0"), cfg).states[-1])
+        exact = Field.physical(grid, 0.1 * np.exp(1j * (2.0 * grid.x + (2.0**alpha - 0.1**2))))
+        errors[alpha] = float(np.linalg.norm(got - exact.values) / np.linalg.norm(exact.values))
+    assert errors == pytest.approx(GATE_1_ERRORS, rel=0.0, abs=ROUND_OFF)
+
+
+def test_gate_2_drift_report_is_pinned():
+    grid = make_grid(256, 2.0 * np.pi)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=grid, record_every=50)
+    rep = run_conservation_suite(cfg, "gaussian:a=1.0,sigma=0.5")
+    assert set(rep) == set(GATE_2_REPORT) | set(GATE_2_MASS_DRIFTS)
+    assert {key: rep[key] for key in GATE_2_REPORT} == pytest.approx(GATE_2_REPORT, rel=1e-10)
+    assert {key: rep[key] for key in GATE_2_MASS_DRIFTS} == pytest.approx(
+        GATE_2_MASS_DRIFTS, rel=0.0, abs=ROUND_OFF
+    )
+
+
+def test_gate_3_picard_numbers_are_pinned():
+    grid = make_grid(256, 2.0 * np.pi)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=grid, record_every=1)
+    phi = initial_field(grid, "gaussian:a=0.2,sigma=0.6")
+    pic = picard_iterate(phi, cfg, iterations=6)
+    diff = spectral_values(pic.final) - spectral_values(evolve(phi, cfg).states[-1])
+    agreement = float(np.linalg.norm(diff) / np.sqrt(grid.length))
+    assert list(pic.difference_norms[:5]) == pytest.approx(GATE_3_DIFFERENCES, rel=1e-10)
+    assert agreement == pytest.approx(GATE_3_AGREEMENT, rel=1e-10)
+
+
+def test_gate_4_slopes_are_pinned():
+    for s, (factor_slope, ratio_slope) in GATE_4_SLOPES.items():
+        scan = scan_trilinear(1.5, s, 0.51, [16, 32, 64, 128, 256])
+        assert scan.factors[0].fitted_slope == pytest.approx(factor_slope, rel=1e-10)
+        assert scan.ratio.fitted_slope == pytest.approx(ratio_slope, rel=1e-10)
+
+
+def test_gate_5_slopes_are_pinned():
+    slopes = {
+        alpha: scan_remainder(alpha, [2**j for j in range(4, 11)], xi_max=0.5).scan.fitted_slope
+        for alpha in GATE_5_SLOPES
+    }
+    assert slopes == pytest.approx(GATE_5_SLOPES, rel=1e-10)
+
+
+def test_gate_6_slopes_are_pinned():
+    scans = scan_wavepacket([-0.25, 0.0, 0.25], [2**j for j in range(4, 10)])
+    slopes = {s: scan.fitted_slope for s, scan in scans.items()}
+    assert slopes.pop(0.0) == pytest.approx(GATE_6_FLAT_SLOPE, rel=0.0, abs=ROUND_OFF)
+    assert slopes == pytest.approx(GATE_6_SLOPES, rel=1e-10)
 
 
 def test_short_window_separation_report_is_pinned():
