@@ -528,9 +528,10 @@ def test_evolve_commutes_with_global_phase(data, nx, n_rows):
 def test_evolve_is_galilean_covariant_at_alpha_two(data, nx, n_rows):
     # at alpha = 2, e^(i k0 x) phi evolves to e^(i k0^2 t) e^(i k0 x) u(t, x + 2 k0 t).
     # The data sit on |m| < nx/8 - |m0|, so the shift by m0 = k0/dk wraps no
-    # data mode around the band; with sum|uhat|/L <= 0.5 the second-order
-    # aliasing that a non-lattice translation sees stays near 1e-13 (measured
-    # 5.6e-14 over 300 draws).
+    # data mode around the band.  The cubic step's second-order products
+    # alias past the band, where neither a non-lattice translation nor the
+    # shift acts exactly; with sum|uhat|/L <= 0.5 they stay near 1e-13
+    # (measured 5.6e-14 over 300 draws).
     runs, moved, modes = [], [], []
     for _ in range(n_rows):
         grid = make_grid(nx, data.draw(st.sampled_from([2 * np.pi, 3.0, 10.0])))
