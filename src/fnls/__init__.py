@@ -22,7 +22,7 @@ from .symbols import (
     remainder_symbol,
     resonance,
 )
-from .norms import SpaceTimeField, energy, mass, sobolev_norm, window_trajectory, xsb_norm
+from .norms import SpaceTimeField, energy, mass, sobolev_norm, xsb_norm
 from .evolution import (
     PicardResult,
     SimConfig,

@@ -277,26 +277,37 @@ def wavepacket_grid(m_max: float, tau_scale: float) -> Grid:
 
 
 def scan_wavepacket(
-    s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1.0,
-    profile: str = "gaussian", grid: Grid | None = None,
+    s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1.0
 ) -> dict:
-    """H^s norm of the modulated packet against the carrier, one scan per s."""
+    """H^s norm of the modulated packet against the carrier, one scan per s.
+
+    The scaling hypotheses are checked for every (s, M) pair; the packet
+    itself does not depend on s, so each carrier's packet is sampled and
+    transformed once and its H^s norm taken for every s.
+    """
+    s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
-    if grid is None:
-        grid = wavepacket_grid(max(m_list), tau_scale)
-    x0 = 0.5 * grid.length
-
-    def norms_for(s):
-        def one(m):
-            spec = WavepacketSpec(
+    grid = wavepacket_grid(max(m_list), tau_scale)
+    specs = {
+        m: [
+            WavepacketSpec(
                 amplitude=amplitude, carrier=m, tau_scale=tau_scale,
-                x0=x0, s=s, profile=profile,
+                x0=0.5 * grid.length, s=s,
             )
-            return sobolev_norm(modulated_wavepacket(spec, grid), s)
+            for s in s_list
+        ]
+        for m in m_list
+    }
 
-        return fit_power_law("M", m_list, parallel_map(one, m_list))
+    def norms(m):
+        packet = modulated_wavepacket(specs[m][0], grid)
+        return [sobolev_norm(packet, s) for s in s_list]
 
-    return {float(s): norms_for(float(s)) for s in s_list}
+    rows = parallel_map(norms, m_list) if s_list else []
+    return {
+        s: fit_power_law("M", m_list, [row[j] for row in rows])
+        for j, s in enumerate(s_list)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,27 +105,68 @@ def test_trilinear_point_masses():
 def test_trilinear_matches_brute_force():
     rng = np.random.default_rng(0)
 
-    def rand_field(tau0, xi0, nt, nxi):
+    def rand_field(tau0, xi0, nt, nxi, real):
         tau = tau0 + 0.5 * np.arange(nt)
         xi = xi0 + 0.25 * np.arange(nxi)
-        vals = rng.standard_normal((nt, nxi)) + 1j * rng.standard_normal((nt, nxi))
+        vals = rng.standard_normal((nt, nxi))
+        if not real:
+            vals = vals + 1j * rng.standard_normal((nt, nxi))
         return SpaceTimeField(tau, xi, vals)
 
-    f1 = rand_field(0.0, 1.0, 4, 3)
-    f2 = rand_field(-2.0, -1.5, 3, 4)
-    f3 = rand_field(1.0, 0.0, 5, 2)
-    out = trilinear_convolution(f1, f2, f3)
+    # complex factors take complex transforms; real ones real transforms
+    # and give a real output
+    for real in (False, True):
+        f1 = rand_field(0.0, 1.0, 4, 3, real)
+        f2 = rand_field(-2.0, -1.5, 3, 4, real)
+        f3 = rand_field(1.0, 0.0, 5, 2, real)
+        out = trilinear_convolution(f1, f2, f3)
+        assert out.values.dtype == (np.float64 if real else np.complex128)
+        assert out.values.shape == (4 + 3 + 5 - 2, 3 + 4 + 2 - 2)
 
-    # O(n^3) direct accumulation
-    acc = {}
-    for (i1, j1), v1 in np.ndenumerate(f1.values):
-        for (i2, j2), v2 in np.ndenumerate(f2.values):
-            for (i3, j3), v3 in np.ndenumerate(f3.values):
-                key = (i1 + i2 + i3, j1 + j2 + j3)
-                acc[key] = acc.get(key, 0.0) + v1 * v2 * v3
-    cell = f1.cell
-    for (it, ix), val in acc.items():
-        assert out.values[it, ix] == pytest.approx(val * cell**2, rel=1e-10)
+        # O(n^3) direct accumulation
+        acc = {}
+        for (i1, j1), v1 in np.ndenumerate(f1.values):
+            for (i2, j2), v2 in np.ndenumerate(f2.values):
+                for (i3, j3), v3 in np.ndenumerate(f3.values):
+                    key = (i1 + i2 + i3, j1 + j2 + j3)
+                    acc[key] = acc.get(key, 0.0) + v1 * v2 * v3
+        cell = f1.cell
+        for (it, ix), val in acc.items():
+            assert out.values[it, ix] == pytest.approx(val * cell**2, rel=1e-10)
+
+
+def test_trilinear_real_boxes_match_complex_boxes():
+    # box indicators are real; the same data stored as complex128 take the
+    # complex transforms and must give the same convolution
+    alpha = 1.5
+    for n in (16.0, 256.0):
+        plus = box_data(BoxSpec(n=n, alpha=alpha))
+        minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
+        assert plus.values.dtype == np.float64
+
+        def as_complex(f):
+            return SpaceTimeField(f.tau, f.xi, f.values.astype(np.complex128))
+
+        real_out = trilinear_convolution(plus, minus, plus)
+        complex_out = trilinear_convolution(as_complex(plus), as_complex(minus), as_complex(plus))
+        assert real_out.values.dtype == np.float64
+        assert complex_out.values.dtype == np.complex128
+        assert np.array_equal(real_out.tau, complex_out.tau)
+        assert np.array_equal(real_out.xi, complex_out.xi)
+        scale = np.max(np.abs(complex_out.values))
+        assert np.max(np.abs(real_out.values - complex_out.values)) <= 1e-12 * scale
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second and 50 MiB on import; fnls uses
+    # scipy.fft only
+    code = "import sys, fnls; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_trilinear_resonant_output_support():

@@ -102,6 +102,21 @@ def test_scan_wavepacket_small():
     assert scans[0.25].fitted_slope == pytest.approx(0.25, abs=0.05)
 
 
+def test_scan_wavepacket_shares_packets_across_s():
+    m_list = [16, 32, 64, 128]
+    both = scan_wavepacket([-0.25, 0.5], m_list, amplitude=1.7)
+    assert list(both) == [-0.25, 0.5]
+    for s in both:
+        assert both[s] == scan_wavepacket([s], m_list, amplitude=1.7)[s]
+
+
+def test_scan_wavepacket_checks_every_s():
+    # the packet is shared, but each s keeps its own hypothesis check:
+    # the envelope smoothness (1) is below |s| = 1.5
+    with pytest.raises(ValidationError):
+        scan_wavepacket([0.0, -1.5], [16, 32, 64, 128])
+
+
 def test_pde_residual_detects_wrong_dispersion():
     # a free single-mode trajectory has zero residual only at its own alpha
     from fnls.evolution import Trajectory
