@@ -48,7 +48,6 @@ from .experiments import (
     ScanResult,
     fit_power_law,
     initial_field,
-    pde_residual,
     run_approximation_error,
     run_conservation_suite,
     run_illposedness_demo,

@@ -57,6 +57,16 @@ def _header_lines(command: str, options: dict) -> list[str]:
     return lines
 
 
+def _emit(path, lines: list[str]) -> None:
+    """Write the lines, each newline-terminated, to path (stdout when empty)."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_report(path, command, options, report: dict):
     lines = _header_lines(command, options)
     for key, val in report.items():
@@ -65,12 +75,7 @@ def _write_report(path, command, options, report: dict):
         else:
             val = fmt(val)
         lines.append(f"{key}={val}")
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, lines)
 
 
 def _write_scan_csv(path, command, options, rows, extra: dict):
@@ -81,12 +86,7 @@ def _write_scan_csv(path, command, options, rows, extra: dict):
     lines.append("parameter,value,aux1,aux2")
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(path, lines)
 
 
 def _float_list(text: str):

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ResolutionError, ValidationError, WrapAroundError
 from .spectral import (
@@ -82,6 +81,21 @@ def box_data(spec: BoxSpec) -> SpaceTimeField:
     return SpaceTimeField(tau, xi, values)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length that numpy's FFT
+    factors into radix-2, -3, -4 and -5 passes alone."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power-of-two multiple of `odd` that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def trilinear_convolution(
     f1: SpaceTimeField, f2bar: SpaceTimeField, f3: SpaceTimeField
 ) -> SpaceTimeField:
@@ -89,10 +103,11 @@ def trilinear_convolution(
 
     The output lattice covers the Minkowski sum of the three supports; the
     factor lattices must share spacings (offsets are free and simply add).
-    Each factor is transformed once at the full output shape (zero-padded
-    to a fast FFT length) and the three spectra are multiplied: one triple
-    product and one inverse transform.  Real factors (box indicators) take
-    real transforms and give a real output.
+    Each factor is transformed once at the full output shape, each axis
+    zero-padded to the next 5-smooth length (2^a 3^b 5^c), and the three
+    spectra are multiplied: one triple product and one inverse transform.
+    Real factors (box indicators) take the real transform along the tau
+    axis, the long axis of every box lattice, and give a real output.
     """
     fields = (f1, f2bar, f3)
     dtau, dxi = f1.dtau, f1.dxi
@@ -100,16 +115,17 @@ def trilinear_convolution(
         if abs(f.dtau - dtau) > 1e-9 * dtau or abs(f.dxi - dxi) > 1e-9 * dxi:
             raise ValidationError("lattice spacings do not match")
     shape = tuple(sum(f.values.shape[ax] for f in fields) - 2 for ax in (0, 1))
-    real = not any(np.iscomplexobj(f.values) for f in fields)
-    fshape = [scipy.fft.next_fast_len(n, real=real) for n in shape]
-    if real:
-        forward, inverse = scipy.fft.rfftn, scipy.fft.irfftn
+    # the last of `axes` takes the real transform: tau, axis 0
+    axes = (1, 0)
+    fshape = tuple(_fast_len(shape[ax]) for ax in axes)
+    if any(np.iscomplexobj(f.values) for f in fields):
+        forward, inverse = np.fft.fftn, np.fft.ifftn
     else:
-        forward, inverse = scipy.fft.fftn, scipy.fft.ifftn
-    spectrum = forward(f1.values, fshape)
+        forward, inverse = np.fft.rfftn, np.fft.irfftn
+    spectrum = forward(f1.values, fshape, axes)
     for f in fields[1:]:
-        spectrum *= forward(f.values, fshape)
-    vals = inverse(spectrum, fshape)[: shape[0], : shape[1]] * (dtau * dxi) ** 2
+        spectrum *= forward(f.values, fshape, axes)
+    vals = inverse(spectrum, fshape, axes)[: shape[0], : shape[1]] * (dtau * dxi) ** 2
 
     tau0 = f1.tau[0] + f2bar.tau[0] + f3.tau[0]
     xi0 = f1.xi[0] + f2bar.xi[0] + f3.xi[0]

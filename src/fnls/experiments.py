@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Field, Grid, cubic_values, lattice_mode, make_grid, spectral_values
+from .spectral import Field, Grid, lattice_mode, make_grid
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
 # picard_iterate is not called here; it stays importable from this module
@@ -538,35 +538,3 @@ def run_illposedness_demo(
         "approx_error_sup_1": track1,
         "approx_error_sup_2": track2,
     }
-
-
-# ---------------------------------------------------------------------------
-# PDE residual (verification utility)
-
-
-def pde_residual(
-    traj: Trajectory,
-    alpha: float,
-    gamma: float,
-    frame_velocity: float = 0.0,
-    phase_rate: float = 0.0,
-) -> np.ndarray:
-    """L^2 norms of i u_t + |D|^alpha u (+ frame terms) - gamma |u|^2 u at the
-    interior recorded times, with u_t from a fourth-order central difference.
-
-    phase_rate theta applies when the stored states were pre-rotated by
-    exp(-i theta t): the linear symbol is then shifted by -theta.
-    """
-    times = traj.times
-    if times.size < 5:
-        raise ValidationError("need at least five recorded states")
-    dt = float(times[1] - times[0])
-    grid = traj.grid
-    symbol = np.abs(grid.k) ** alpha + frame_velocity * grid.k - phase_rate
-    u = np.stack([spectral_values(st) for st in traj.states])
-    out = []
-    for n in range(2, times.size - 2):
-        du = (-u[n + 2] + 8 * u[n + 1] - 8 * u[n - 1] + u[n - 2]) / (12.0 * dt)
-        resid = 1j * du + symbol * u[n] - gamma * cubic_values(u[n], grid)
-        out.append(float(np.linalg.norm(resid) / np.sqrt(grid.length)))
-    return np.array(out)

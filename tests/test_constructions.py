@@ -22,9 +22,12 @@ from fnls.constructions import (
     nls_pair,
     remodulate,
     rescale_solution,
+    _fast_len,
     trilinear_convolution,
 )
-from fnls.experiments import _lattice_length, fit_power_law, pde_residual
+from fnls.experiments import _lattice_length, fit_power_law
+
+from oracles import pde_residual
 
 
 # ---------------------------------------------------------------------- boxes
@@ -102,6 +105,31 @@ def test_trilinear_point_masses():
     assert total == 1
 
 
+def _direct_trilinear(v1, v2, v3):
+    """O(n^3) reference: each cell triple adds v1 v2 v3 at its summed index."""
+    shape = tuple(a + b + c - 2 for a, b, c in zip(v1.shape, v2.shape, v3.shape))
+    out = np.zeros(shape, dtype=np.result_type(v1, v2, v3))
+    n1, m1 = v1.shape
+    for (i2, j2), a2 in np.ndenumerate(v2):
+        for (i3, j3), a3 in np.ndenumerate(v3):
+            out[i2 + i3 : i2 + i3 + n1, j2 + j3 : j2 + j3 + m1] += a2 * a3 * v1
+    return out
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 5001):
+        m = n
+        while not smooth(m):
+            m += 1
+        assert _fast_len(n) == m, n
+
+
 def test_trilinear_matches_brute_force():
     rng = np.random.default_rng(0)
 
@@ -113,26 +141,24 @@ def test_trilinear_matches_brute_force():
             vals = vals + 1j * rng.standard_normal((nt, nxi))
         return SpaceTimeField(tau, xi, vals)
 
-    # complex factors take complex transforms; real ones real transforms
-    # and give a real output
-    for real in (False, True):
-        f1 = rand_field(0.0, 1.0, 4, 3, real)
-        f2 = rand_field(-2.0, -1.5, 3, 4, real)
-        f3 = rand_field(1.0, 0.0, 5, 2, real)
-        out = trilinear_convolution(f1, f2, f3)
-        assert out.values.dtype == (np.float64 if real else np.complex128)
-        assert out.values.shape == (4 + 3 + 5 - 2, 3 + 4 + 2 - 2)
-
-        # O(n^3) direct accumulation
-        acc = {}
-        for (i1, j1), v1 in np.ndenumerate(f1.values):
-            for (i2, j2), v2 in np.ndenumerate(f2.values):
-                for (i3, j3), v3 in np.ndenumerate(f3.values):
-                    key = (i1 + i2 + i3, j1 + j2 + j3)
-                    acc[key] = acc.get(key, 0.0) + v1 * v2 * v3
-        cell = f1.cell
-        for (it, ix), val in acc.items():
-            assert out.values[it, ix] == pytest.approx(val * cell**2, rel=1e-10)
+    # the second set is tall (tau >> xi) like a box lattice; its output
+    # lengths 75 x 5 are already 5-smooth, so the real transform runs along
+    # an odd tau length that is not a power of two
+    assert _fast_len(75) == 75 and _fast_len(5) == 5
+    for shapes in (((4, 3), (3, 4), (5, 2)), ((40, 3), (29, 2), (8, 2))):
+        # complex factors take complex transforms; real ones real transforms
+        # and give a real output
+        for real in (False, True):
+            f1 = rand_field(0.0, 1.0, *shapes[0], real)
+            f2 = rand_field(-2.0, -1.5, *shapes[1], real)
+            f3 = rand_field(1.0, 0.0, *shapes[2], real)
+            out = trilinear_convolution(f1, f2, f3)
+            assert out.values.dtype == (np.float64 if real else np.complex128)
+            direct = _direct_trilinear(f1.values, f2.values, f3.values) * f1.cell**2
+            assert out.values.shape == direct.shape
+            err = np.max(np.abs(out.values - direct))
+            assert err <= 1e-12 * np.max(np.abs(direct))
+            np.testing.assert_allclose(out.values, direct, rtol=1e-10, atol=1e-12)
 
 
 def test_trilinear_real_boxes_match_complex_boxes():
@@ -157,16 +183,19 @@ def test_trilinear_real_boxes_match_complex_boxes():
         assert np.max(np.abs(real_out.values - complex_out.values)) <= 1e-12 * scale
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second and 50 MiB on import; fnls uses
-    # scipy.fft only
-    code = "import sys, fnls; print('scipy.signal' in sys.modules)"
+def test_import_loads_no_scipy():
+    # fnls runs on numpy alone: importing scipy.fft cost every process
+    # about 0.3 s and 24 MiB
+    code = (
+        "import sys, fnls, fnls.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_trilinear_resonant_output_support():

@@ -8,13 +8,14 @@ from fnls.experiments import (
     fit_power_law,
     initial_field,
     parallel_map,
-    pde_residual,
     run_conservation_suite,
     run_illposedness_demo,
     scan_remainder,
     scan_trilinear,
     scan_wavepacket,
 )
+
+from oracles import pde_residual
 
 
 def test_fit_power_law_recovers_exponent():
