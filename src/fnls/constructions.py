@@ -108,6 +108,8 @@ def trilinear_convolution(
     spectra are multiplied: one triple product and one inverse transform.
     Real factors (box indicators) take the real transform along the tau
     axis, the long axis of every box lattice, and give a real output.
+    A repeated factor (f3 is f1) is transformed once; the product keeps its
+    operand order, so the output is bit-identical to passing a copy.
     """
     fields = (f1, f2bar, f3)
     dtau, dxi = f1.dtau, f1.dxi
@@ -122,9 +124,14 @@ def trilinear_convolution(
         forward, inverse = np.fft.fftn, np.fft.ifftn
     else:
         forward, inverse = np.fft.rfftn, np.fft.irfftn
-    spectrum = forward(f1.values, fshape, axes)
-    for f in fields[1:]:
-        spectrum *= forward(f.values, fshape, axes)
+    first = forward(f1.values, fshape, axes)
+    spectrum = forward(f2bar.values, fshape, axes)
+    np.multiply(first, spectrum, out=spectrum)
+    if f3 is not f1:  # free the first spectrum before the third transform
+        del first
+        first = forward(f3.values, fshape, axes)
+    spectrum *= first
+    del first  # at most three spectra: each transform holds two of its own
     vals = inverse(spectrum, fshape, axes)[: shape[0], : shape[1]] * (dtau * dxi) ** 2
 
     tau0 = f1.tau[0] + f2bar.tau[0] + f3.tau[0]
@@ -205,17 +212,9 @@ def approximate_solution(
     return Trajectory(v_traj.times.copy(), states)
 
 
-ENVELOPES = {
-    "gaussian": lambda y: np.exp(-0.5 * y**2),
-    "bump": lambda y: np.where(
-        np.abs(y) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - y**2, 1e-300)), 0.0
-    ),
-}
-
-
 @dataclass(frozen=True)
 class WavepacketSpec:
-    """Modulated envelope A e^(iMx) w((x - x0)/tau_scale).
+    """Modulated Gaussian A e^(iMx) w((x - x0)/tau_scale), w(y) = e^(-y^2/2).
 
     The hypotheses of the norm-scaling bounds are enforced: M*tau >= 1 for
     s >= 0, and tau * M^(1 + s/smoothness) >= 1 with smoothness >= |s| for
@@ -227,7 +226,6 @@ class WavepacketSpec:
     tau_scale: float
     x0: float
     s: float = 0.0
-    profile: str = "gaussian"
     smoothness: float = 1.0
 
     def __post_init__(self):
@@ -235,8 +233,6 @@ class WavepacketSpec:
             raise ValidationError("carrier frequency must be >= 1")
         if self.tau_scale <= 0.0:
             raise ValidationError("tau_scale must be positive")
-        if self.profile not in ENVELOPES:
-            raise ValidationError(f"unknown profile {self.profile!r}")
         if self.s >= 0.0:
             if self.carrier * self.tau_scale < 1.0:
                 raise ValidationError(
@@ -253,7 +249,7 @@ class WavepacketSpec:
 
 def modulated_wavepacket(spec: WavepacketSpec, grid: Grid) -> Field:
     """Sample the modulated envelope on the grid (wrap-around checked)."""
-    w = ENVELOPES[spec.profile]((grid.x - spec.x0) / spec.tau_scale)
+    w = np.exp(-0.5 * ((grid.x - spec.x0) / spec.tau_scale) ** 2)
     values = spec.amplitude * np.exp(1j * spec.carrier * grid.x) * w
     frac = tail_fraction(values)
     if frac > TAIL_MASS_LIMIT:
@@ -351,25 +347,21 @@ def nls_pair(
     grid: Grid,
     sigma: float,
     s: float = 0.0,
-    profile: str = "gaussian",
-    x0: float | None = None,
 ) -> tuple[Field, Field]:
     """Two proportional wide-envelope data sets for the reference NLS run.
 
-    phi_j = a_j w(x/sigma) with a_2 = a_1 (1 + delta/epsilon) and a_1 chosen
-    so that |phi_j|_{H^s} is epsilon (up to the delta-size excess on phi_2);
-    the relative separation is then delta/epsilon exactly by construction.
-    Their alpha = 2 evolutions decohere through the amplitude-dependent
-    nonlinear phase, which is what the separation experiment measures.
+    phi_j = a_j e^(-y^2/2) with y = (x - L/2)/sigma, a_2 = a_1 (1 + delta/epsilon)
+    and a_1 chosen so that |phi_j|_{H^s} is epsilon (up to the delta-size
+    excess on phi_2); the relative separation is then delta/epsilon exactly
+    by construction.  Their alpha = 2 evolutions decohere through the
+    amplitude-dependent nonlinear phase, which the separation experiment
+    measures.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must lie in (0, 1)")
     if not (0.0 <= delta <= 0.5 * epsilon):
         raise ValidationError("delta must satisfy 0 <= delta << epsilon")
-    if profile not in ENVELOPES:
-        raise ValidationError(f"unknown profile {profile!r}")
-    center = 0.5 * grid.length if x0 is None else x0
-    env = ENVELOPES[profile]((grid.x - center) / sigma)
+    env = np.exp(-0.5 * ((grid.x - 0.5 * grid.length) / sigma) ** 2)
     if tail_fraction(env) > TAIL_MASS_LIMIT:
         raise WrapAroundError("envelope does not fit the grid")
     a1 = epsilon / sobolev_norm(Field.physical(grid, env), s)

@@ -61,14 +61,17 @@ def scan_workers() -> int:
 
 
 def parallel_map(fn, items):
-    """Map preserving order; each item independent, so results do not depend
-    on the worker count."""
+    """Map with results in input order; items are independent, so results do
+    not depend on the worker count.  Workers start the largest items first:
+    a scan's cost grows with N or M, so its costliest point never runs last."""
     items = list(items)
     workers = min(scan_workers(), len(items))
     if workers <= 1:
         return [fn(it) for it in items]
+    order = sorted(range(len(items)), key=items.__getitem__, reverse=True)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        return [futures[i].result() for i in range(len(items))]
 
 
 @dataclass(frozen=True)
@@ -268,10 +271,13 @@ def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
 # wavepacket norm scan
 
 
-def wavepacket_grid(m_max: float, tau_scale: float) -> Grid:
-    """Grid holding the envelope and resolving carriers up to m_max."""
+def wavepacket_grid(m: float, tau_scale: float) -> Grid:
+    """One carrier's grid: the torus of length 64 max(tau_scale, 1), the same
+    for every carrier, at the least power-of-two nx whose Nyquist frequency
+    is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below e^(-288)
+    of its peak at m = 16, tau_scale = 1, and falls faster as m grows."""
     length = 64.0 * max(tau_scale, 1.0)
-    need = length * (1.5 * m_max + 16.0 / tau_scale) / np.pi
+    need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
     nx = 1 << int(np.ceil(np.log2(max(need, 64.0))))
     return make_grid(nx, length)
 
@@ -281,18 +287,18 @@ def scan_wavepacket(
 ) -> dict:
     """H^s norm of the modulated packet against the carrier, one scan per s.
 
-    The scaling hypotheses are checked for every (s, M) pair; the packet
-    itself does not depend on s, so each carrier's packet is sampled and
-    transformed once and its H^s norm taken for every s.
+    Each carrier's packet is sampled on its own wavepacket_grid (one torus,
+    nx growing with m), transformed once, and its H^s norm taken for every s;
+    the scaling hypotheses are checked for every (s, M) pair.
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
-    grid = wavepacket_grid(max(m_list), tau_scale)
+    grids = {m: wavepacket_grid(m, tau_scale) for m in m_list}
     specs = {
         m: [
             WavepacketSpec(
                 amplitude=amplitude, carrier=m, tau_scale=tau_scale,
-                x0=0.5 * grid.length, s=s,
+                x0=0.5 * grids[m].length, s=s,
             )
             for s in s_list
         ]
@@ -300,7 +306,7 @@ def scan_wavepacket(
     }
 
     def norms(m):
-        packet = modulated_wavepacket(specs[m][0], grid)
+        packet = modulated_wavepacket(specs[m][0], grids[m])
         return [sobolev_norm(packet, s) for s in s_list]
 
     rows = parallel_map(norms, m_list) if s_list else []

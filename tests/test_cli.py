@@ -64,6 +64,9 @@ def test_scan_output_independent_of_thread_count(tmp_path, monkeypatch):
     scans = [
         ["scan-trilinear", "--n", "16,32,64,128"],
         ["scan-wavepacket", "--s", "0,0.25", "--m", "16,32,64,128"],
+        # unsorted points: the pool starts the largest first
+        ["scan-wavepacket", "--m", "128,16,64,32"],
+        ["scan-trilinear", "--n", "64,16,128,32"],
         ["approx-error", "--n", "8,16,32,64"],
     ]
     for args in scans:

@@ -1,5 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
+
+import fnls.experiments as experiments
+from fnls.constructions import WavepacketSpec, modulated_wavepacket
+from fnls.norms import sobolev_norm
 
 from fnls.errors import ValidationError
 from fnls.spectral import Field, make_grid, physical_values
@@ -13,6 +19,7 @@ from fnls.experiments import (
     scan_remainder,
     scan_trilinear,
     scan_wavepacket,
+    wavepacket_grid,
 )
 
 from oracles import pde_residual
@@ -52,6 +59,26 @@ def test_parallel_map_orders_results(monkeypatch):
     assert parallel_map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
     monkeypatch.setenv("FNLS_THREADS", "1")
     assert parallel_map(lambda v: -v, [3, 1]) == [-3, -1]
+
+    # two workers start the two largest items first; each of the first two
+    # holds its worker until both have started, so those two are the first
+    # two taken off the pool's queue
+    monkeypatch.setenv("FNLS_THREADS", "2")
+    started, lock, both = [], threading.Lock(), threading.Event()
+
+    def square(v):
+        with lock:
+            started.append(v)
+            if len(started) == 2:
+                both.set()
+        if not both.wait(timeout=30):
+            raise TimeoutError("second item never started")
+        return v * v
+
+    items = [3, 5, 1, 4, 2]
+    assert parallel_map(square, items) == [9, 25, 1, 16, 4]
+    assert sorted(started[:2]) == [4, 5]
+    assert sorted(started) == sorted(items)
 
 
 def test_initial_field_parsing():
@@ -109,6 +136,40 @@ def test_scan_wavepacket_shares_packets_across_s():
     assert list(both) == [-0.25, 0.5]
     for s in both:
         assert both[s] == scan_wavepacket([s], m_list, amplitude=1.7)[s]
+
+
+def test_scan_wavepacket_matches_shared_grid_reference(monkeypatch):
+    # reference: every packet sampled on one shared grid, the one sized for
+    # the largest carrier
+    s_list = [-0.25, 0.0, 0.25]
+    m_list = [2.0**j for j in range(4, 11)]
+    amplitude = 1.7
+    shared = wavepacket_grid(max(m_list), 1.0)
+    reference = {s: [] for s in s_list}
+    for m in m_list:
+        spec = WavepacketSpec(
+            amplitude=amplitude, carrier=m, tau_scale=1.0, x0=0.5 * shared.length
+        )
+        packet = modulated_wavepacket(spec, shared)
+        for s in s_list:
+            reference[s].append(sobolev_norm(packet, s))
+
+    grids = {}
+    original = experiments.modulated_wavepacket
+
+    def record(spec, grid):
+        grids[spec.carrier] = grid
+        return original(spec, grid)
+
+    monkeypatch.setattr(experiments, "modulated_wavepacket", record)
+    scans = scan_wavepacket(s_list, m_list, amplitude=amplitude)
+    for s in s_list:
+        np.testing.assert_allclose(scans[s].values, reference[s], rtol=1e-15, atol=0)
+        ref_slope = fit_power_law("M", m_list, reference[s]).fitted_slope
+        if s != 0.0:
+            assert scans[s].fitted_slope == pytest.approx(ref_slope, rel=1e-12, abs=0)
+    assert grids == {m: wavepacket_grid(m, 1.0) for m in m_list}
+    assert all(g.length == shared.length for g in grids.values())
 
 
 def test_scan_wavepacket_checks_every_s():
