@@ -20,7 +20,6 @@ from .symbols import (
     group_velocity,
     remainder_bound_constant,
     remainder_symbol,
-    resonance,
 )
 from .norms import SpaceTimeField, energy, mass, sobolev_norm, xsb_norm
 from .evolution import (

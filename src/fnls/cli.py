@@ -228,8 +228,7 @@ def _cmd_evolve(args) -> int:
         lines.append("x,re_u,im_u")
         for xj, uj in zip(grid.x, u):
             lines.append(f"{fmt(xj)},{fmt(uj.real)},{fmt(uj.imag)}")
-        with open(args.dump_state, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit(args.dump_state, lines)
     return 0
 
 

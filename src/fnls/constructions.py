@@ -28,6 +28,10 @@ from .evolution import Trajectory, TAIL_MASS_LIMIT
 
 INTERP_LOSS_LIMIT = 1e-8
 
+# box_data's lattice: frequency samples across a box, tau samples per unit
+BOX_XI_SAMPLES = 16
+BOX_TAU_SAMPLES_PER_UNIT = 8
+
 
 def _is_power_of_two(x: float) -> bool:
     m, e = math.frexp(x)
@@ -43,8 +47,6 @@ class BoxSpec:
 
     n: float
     alpha: float
-    xi_samples_per_box: int = 16
-    tau_samples_per_unit: int = 8
     conjugate: bool = False
 
     def __post_init__(self):
@@ -52,10 +54,6 @@ class BoxSpec:
             raise ValidationError(f"n must be a dyadic value >= 16, got {self.n}")
         if not (1.0 < self.alpha < 2.0):
             raise ValidationError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if self.xi_samples_per_box < 8:
-            raise ValidationError("need >= 8 frequency samples across the box")
-        if self.tau_samples_per_unit < 4:
-            raise ValidationError("need >= 4 tau samples per unit")
 
     @property
     def width(self) -> float:
@@ -64,18 +62,16 @@ class BoxSpec:
 
 def box_data(spec: BoxSpec) -> SpaceTimeField:
     """Real 0/1 indicator of the box on a midpoint-sampled (tau, xi) lattice."""
-    dxi = spec.width / spec.xi_samples_per_box
-    dtau = 1.0 / spec.tau_samples_per_unit
+    dxi = spec.width / BOX_XI_SAMPLES
+    dtau = 1.0 / BOX_TAU_SAMPLES_PER_UNIT
     start = -spec.n if spec.conjugate else spec.n
-    xi = start + (np.arange(spec.xi_samples_per_box) + 0.5) * dxi
+    xi = start + (np.arange(BOX_XI_SAMPLES) + 0.5) * dxi
 
     disp = np.abs(xi) ** spec.alpha
     line = -disp if spec.conjugate else disp
     lo, hi = line.min() - 1.0, line.max() + 1.0
     n_tau = int(np.ceil((hi - lo) / dtau)) + 1
     tau = lo + (np.arange(n_tau) + 0.5) * dtau
-    if n_tau < 2 * spec.tau_samples_per_unit:
-        raise ResolutionError("tau lattice too coarse for the unit strip")
 
     values = (np.abs(tau[:, None] - line[None, :]) <= 1.0).astype(np.float64)
     return SpaceTimeField(tau, xi, values)

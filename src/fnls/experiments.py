@@ -42,8 +42,21 @@ from .constructions import (
 # frequency samples across [-xi_max, xi_max] in scan_remainder
 REMAINDER_SAMPLES = 800
 
-# run_illposedness_demo's default time step and record interval; the phase
+# run_approximation_error's envelope width, torus length (before it moves
+# onto the lattice), grid sizes, time step and record interval
+APPROX_SIGMA = 3.0
+APPROX_LENGTH = 48.0
+APPROX_NX = 2048
+APPROX_NX_ENVELOPE = 512
+APPROX_DT = 1e-3
+APPROX_RECORD_EVERY = 10
+
+# run_illposedness_demo's torus length (before it moves onto the carrier's
+# lattice), grid sizes, default time step and record interval; the phase
 # limit is dt * max|symbol| of gate 8's runs at dt = 0.2
+ILLPOSED_LENGTH = 360.0
+ILLPOSED_NX = 4096
+ILLPOSED_NX_ENVELOPE = 512
 ILLPOSED_DT_LADDER = (0.2, 0.1, 0.05, 0.025)
 ILLPOSED_PHASE_LIMIT = 6.4
 ILLPOSED_RECORD_INTERVAL = 40.0
@@ -102,6 +115,7 @@ def fit_power_law(
     When five or more points are available the smallest parameter is treated
     as preasymptotic and excluded from the fit (it stays in the stored
     points).  Requires at least four fitted points and positive data.
+    Values constant to round-off give r_squared = 1.
     """
     params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -119,7 +133,11 @@ def fit_power_law(
     (slope, intercept), cov = np.polyfit(x, y, 1, cov=True)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    # values equal to a few ulps give log-values whose spread is round-off:
+    # that fit is flat, and r^2 of round-off would be noise
+    round_off = 4.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(y))))
+    flat = ss_tot <= y.size * round_off**2
+    r2 = 1.0 if flat else 1.0 - float(np.sum(resid**2)) / ss_tot
     return ScanResult(
         parameter_name=parameter_name,
         points=tuple(zip(params.tolist(), values.tolist())),
@@ -339,33 +357,29 @@ def run_approximation_error(
     n_list,
     epsilon: float = 0.2,
     t_final: float = 0.5,
-    sigma: float = 3.0,
-    length: float = 48.0,
-    nx: int = 2048,
-    nx_envelope: int = 512,
-    dt: float = 1e-3,
-    record_every: int = 10,
 ) -> ApproximationScan:
     """Evolve the fractional equation from modulated NLS data and track
-    sup_t of the H^((2-alpha)/4) distance to the modulated NLS image."""
+    sup_t of the H^((2-alpha)/4) distance to the modulated NLS image.
+    The remaining parameters are the APPROX_* constants; config reports
+    them with the length moved onto the lattice."""
     n_list = sorted(float(n) for n in n_list)
-    length = _lattice_length(length, n_list[0])
-    x_grid = make_grid(nx, length)
-    band_grid = make_grid(nx_envelope, length)
+    length = _lattice_length(APPROX_LENGTH, n_list[0])
+    x_grid = make_grid(APPROX_NX, length)
+    band_grid = make_grid(APPROX_NX_ENVELOPE, length)
     s_err = (2.0 - alpha) / 4.0
 
     def runs(n):
         beta = envelope_scale(alpha, n)
-        y_grid = make_grid(nx_envelope, length / beta)
-        env = epsilon * np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
+        y_grid = make_grid(APPROX_NX_ENVELOPE, length / beta)
+        env = epsilon * np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / APPROX_SIGMA) ** 2)
         phi = Field.physical(y_grid, env.astype(np.complex128))
         v_cfg = SimConfig(
-            alpha=2.0, gamma=1.0, dt=dt, t_final=t_final,
-            grid=y_grid, record_every=record_every,
+            alpha=2.0, gamma=1.0, dt=APPROX_DT, t_final=t_final,
+            grid=y_grid, record_every=APPROX_RECORD_EVERY,
         )
         u_cfg = SimConfig(
-            alpha=alpha, gamma=1.0, dt=dt, t_final=t_final,
-            grid=band_grid, record_every=record_every, carrier=n, check_tail=True,
+            alpha=alpha, gamma=1.0, dt=APPROX_DT, t_final=t_final,
+            grid=band_grid, record_every=APPROX_RECORD_EVERY, carrier=n, check_tail=True,
         )
         data = approximate_solution(Trajectory([0.0], [phi]), n, alpha, x_grid)
         return [(phi, v_cfg), (demodulate(data.states[0], n, band_grid), u_cfg)]
@@ -385,8 +399,8 @@ def run_approximation_error(
         errors=dict(zip(n_list, errors)),
         config={
             "alpha": alpha, "epsilon": epsilon, "t_final": t_final,
-            "sigma": sigma, "length": length, "nx": nx,
-            "nx_envelope": nx_envelope, "dt": dt,
+            "sigma": APPROX_SIGMA, "length": length, "nx": APPROX_NX,
+            "nx_envelope": APPROX_NX_ENVELOPE, "dt": APPROX_DT,
         },
     )
 
@@ -403,9 +417,6 @@ def run_illposedness_demo(
     t_internal: float,
     n_carrier: float,
     sigma: float = 16.0,
-    length: float = 360.0,
-    nx: int = 4096,
-    nx_envelope: int = 512,
     dt: float | None = None,
     record_every: int | None = None,
 ) -> dict:
@@ -419,8 +430,8 @@ def run_illposedness_demo(
     calibrated through the (linear) data pipeline so the reported data norm
     equals epsilon and the reported data separation equals delta.  t_internal
     is the evolution window before time rescaling; the reported physical
-    window is t_internal / lambda^alpha.  The rescaled grid has 2 * nx
-    points.
+    window is t_internal / lambda^alpha.  The torus and grid sizes are the
+    ILLPOSED_* constants; the rescaled grid has 2 * nx points.
 
     dt = None takes the largest step of ILLPOSED_DT_LADDER (0.025 * 2^j, up
     to 0.2) whose phase dt * max|symbol| over the evolutions stays within
@@ -443,13 +454,13 @@ def run_illposedness_demo(
             f"s = {s} outside the separation range ({lo:.6g}, {hi:.6g})"
         )
     lam = lambda_for(s, alpha, n_carrier)
-    length = _lattice_length(length, n_carrier)
-    x_grid = make_grid(nx, length)
-    target_grid = make_grid(2 * nx, length / lam)
-    band_grid = make_grid(nx_envelope, length)
+    length = _lattice_length(ILLPOSED_LENGTH, n_carrier)
+    x_grid = make_grid(ILLPOSED_NX, length)
+    target_grid = make_grid(2 * ILLPOSED_NX, length / lam)
+    band_grid = make_grid(ILLPOSED_NX_ENVELOPE, length)
     beta = envelope_scale(alpha, n_carrier)
     vel = group_velocity(alpha, n_carrier)
-    y_grid = make_grid(nx_envelope, length / beta)
+    y_grid = make_grid(ILLPOSED_NX_ENVELOPE, length / beta)
 
     # unit-amplitude probe through the (linear) data pipeline fixes the gain
     env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
@@ -532,8 +543,8 @@ def run_illposedness_demo(
         "t_physical": t_internal / lam**alpha,
         "dt": dt,
         "record_every": record_every,
-        "nx": nx,
-        "nx_envelope": nx_envelope,
+        "nx": ILLPOSED_NX,
+        "nx_envelope": ILLPOSED_NX_ENVELOPE,
         "length": length,
         "data_norm_1": norm1,
         "data_norm_2": norm2,

@@ -47,11 +47,6 @@ class Grid:
     def dk(self) -> float:
         return 2.0 * np.pi / self.length
 
-    @property
-    def k_max(self) -> float:
-        """Largest frequency magnitude on the lattice (the -nx/2 mode)."""
-        return (2.0 * np.pi / self.length) * (self.nx // 2)
-
 
 def make_grid(nx: int, length: float) -> Grid:
     """Build the torus grid; nx must be a power of two >= 8, length > 0."""
@@ -152,10 +147,10 @@ def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
     return out
 
 
-def upsampled_physical(uhat: np.ndarray, dx, factor: int = PAD_FACTOR):
-    """Physical samples of the trig interpolant on the factor-times finer grid."""
-    fine = resize_spectrum(uhat, factor * uhat.shape[-1])
-    dx_fine = dx / factor
+def upsampled_physical(uhat: np.ndarray, dx):
+    """Physical samples of the trig interpolant on the PAD_FACTOR-times finer grid."""
+    fine = resize_spectrum(uhat, PAD_FACTOR * uhat.shape[-1])
+    dx_fine = dx / PAD_FACTOR
     return np.fft.ifft(fine) / dx_fine
 
 

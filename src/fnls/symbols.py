@@ -1,5 +1,5 @@
-"""Scalar symbol functions: resonance, wavepacket frame, and the remainder
-of the dispersion symbol.
+"""Scalar symbol functions: the wavepacket frame and the remainder of the
+dispersion symbol.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -10,8 +10,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-SUM_ZERO_RTOL = 1e-9
-
 
 def _check_alpha(alpha: float, allow_two: bool = True) -> float:
     alpha = float(alpha)
@@ -20,22 +18,6 @@ def _check_alpha(alpha: float, allow_two: bool = True) -> float:
         rng = "(1, 2]" if allow_two else "(1, 2)"
         raise ValidationError(f"alpha must lie in {rng}, got {alpha}")
     return alpha
-
-
-def resonance(alpha: float, xi1, xi2, xi3):
-    """Resonance of a sum-zero triple: |xi1|^a - |xi2|^a + |xi3|^a."""
-    alpha = _check_alpha(alpha, allow_two=True)
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    xi3 = np.asarray(xi3, dtype=float)
-    scale = np.maximum(
-        1.0, np.maximum(np.abs(xi1), np.maximum(np.abs(xi2), np.abs(xi3)))
-    )
-    bad = np.abs(xi1 + xi2 + xi3) > SUM_ZERO_RTOL * scale
-    if np.any(bad):
-        raise ValidationError("frequencies must sum to zero")
-    out = np.abs(xi1) ** alpha - np.abs(xi2) ** alpha + np.abs(xi3) ** alpha
-    return out if out.ndim else float(out)
 
 
 def envelope_scale(alpha: float, n_carrier: float) -> float:

@@ -67,7 +67,8 @@ def test_scan_output_independent_of_thread_count(tmp_path, monkeypatch):
         # unsorted points: the pool starts the largest first
         ["scan-wavepacket", "--m", "128,16,64,32"],
         ["scan-trilinear", "--n", "64,16,128,32"],
-        ["approx-error", "--n", "8,16,32,64"],
+        # approx-error uses no threads; a fifth of gate 7's window keeps this cheap
+        ["approx-error", "--n", "8,16,32,64", "--t-final", "0.1"],
     ]
     for args in scans:
         outputs = []
@@ -193,7 +194,11 @@ def test_runtime_failure_exits_two(tmp_path):
 
 def test_approx_error_cli(tmp_path):
     out = tmp_path / "ae.csv"
-    rc = main(["approx-error", "--alpha", "1.5", "--n", "8,16,32,64", "--out", str(out)])
+    # gate 7's carriers over a fifth of its window: the slope is the same
+    rc = main([
+        "approx-error", "--alpha", "1.5", "--n", "8,16,32,64", "--t-final", "0.1",
+        "--out", str(out),
+    ])
     assert rc == 0
     lines = _read(out)
     slope = next(

@@ -45,8 +45,6 @@ def test_box_spec_validation():
         BoxSpec(n=8.0, alpha=1.5)  # below 16
     with pytest.raises(ValidationError):
         BoxSpec(n=64.0, alpha=2.0)
-    with pytest.raises(ValidationError):
-        BoxSpec(n=64.0, alpha=1.5, xi_samples_per_box=4)
 
 
 def test_box_mass_equals_area():
@@ -244,8 +242,6 @@ def test_import_loads_no_scipy():
 
 
 def test_trilinear_resonant_output_support():
-    from fnls.symbols import resonance
-
     alpha, n = 1.5, 64.0
     spec = BoxSpec(n=n, alpha=alpha)
     plus = box_data(spec)
@@ -263,17 +259,14 @@ def test_trilinear_resonant_output_support():
     assert support_xi.max() <= n + 3 * spec.width
 
     # the O(1) strip thickness is exactly the four-frequency resonance
-    # |x1|^a - |x2|^a + |x3|^a - |x1+x2+x3|^a, assembled from sum-zero
-    # resonance() evaluations; over the boxes it stays O(1)
+    # |x1|^a - |x2|^a + |x3|^a - |x1+x2+x3|^a; over the boxes it stays O(1)
     rng = np.random.default_rng(1)
     x1 = n + spec.width * rng.random(500)
     x2 = -n + spec.width * rng.random(500)
     x3 = n + spec.width * rng.random(500)
-    total = x1 + x2 + x3
     omega = (
-        resonance(alpha, x1, x2, -(x1 + x2))
-        + resonance(alpha, x3, -total, x1 + x2)
-        - 2.0 * np.abs(x1 + x2) ** alpha
+        np.abs(x1) ** alpha - np.abs(x2) ** alpha + np.abs(x3) ** alpha
+        - np.abs(x1 + x2 + x3) ** alpha
     )
     assert np.max(np.abs(omega)) <= 4.0
 

@@ -47,6 +47,17 @@ def test_fit_power_law_drops_preasymptotic_point():
     assert abs(kept.fitted_slope - 0.5) > 0.05
 
 
+def test_fit_power_law_flat_to_the_last_bit_has_unit_r_squared():
+    # constants perturbed in their last bit, as the M-independent L^2 norms
+    # of a wavepacket scan are: the spread is round-off, the fit is flat
+    c = 1.3313353575
+    for pattern in ([0, 1, 0, -1, 1, 0], [1, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, 1]):
+        values = c + np.array(pattern) * np.spacing(c)
+        res = fit_power_law("M", [16.0, 32.0, 64.0, 128.0, 256.0, 512.0], values)
+        assert res.r_squared == 1.0
+        assert abs(res.fitted_slope) < 1e-15
+
+
 def test_fit_power_law_validation():
     with pytest.raises(ValidationError):
         fit_power_law("N", [1.0, 2.0, 4.0], [1.0, 2.0, 3.0])

@@ -4,29 +4,20 @@ Numbers at round-off level (gate 1's errors, gate 2's mass drifts, gate 6's
 flat slope) are pinned to 1e-12 absolute instead: their last bits carry no
 meaning.
 
-Each test repeats its gate's own call in fnls.acceptance.  The short-window
-and gate 7 values were recorded with evolutions run one at a time, before
-the pipelines stacked them; the stacked loop reproduces them bit for bit.
+Each gate runs once, in the session fixture of tests/conftest.py; these
+tests pin the numbers its result carries.  Two runs of their own remain:
+the short window passes dt = 0.025 explicitly, so its pins guard the kernel
+whatever the pipeline's default step, and the budget check reruns gate 8 at
+half its step.  The short-window, gate 7 and gate 1 values were recorded
+with evolutions run one at a time, before the pipelines and gate 1 stacked
+them; the stacked loop reproduces them bit for bit.
 Gate 3's values were recorded with the per-row Picard loop that the
-whole-lattice loop replaced.  The short window passes dt = 0.025
-explicitly, so its pins guard the kernel whatever the pipeline's default
-step.
+whole-lattice loop replaced.
 """
 
-import numpy as np
 import pytest
 
-from fnls.evolution import SimConfig, evolve, picard_iterate
-from fnls.experiments import (
-    initial_field,
-    run_approximation_error,
-    run_conservation_suite,
-    run_illposedness_demo,
-    scan_remainder,
-    scan_trilinear,
-    scan_wavepacket,
-)
-from fnls.spectral import Field, make_grid, spectral_values
+from fnls.experiments import run_illposedness_demo
 
 ROUND_OFF = 1e-12
 
@@ -87,7 +78,7 @@ SHORT_SEPARATION = {
     "approx_error_sup_2": 3.7075687804701025e-05,
 }
 
-# gate 7's own call: N -> sup_t H^((2-alpha)/4) error, and the fitted slope
+# gate 7: N -> sup_t H^((2-alpha)/4) error, and the fitted slope
 GATE_7_ERRORS = {
     8.0: 0.0005259736783449213,
     16.0: 0.00031137701684389634,
@@ -96,8 +87,7 @@ GATE_7_ERRORS = {
 }
 GATE_7_SLOPE = -0.7529279935059969
 
-# gate 8's own call (default dt and record_every): the full report
-GATE_8_ARGS = dict(alpha=1.5, s=0.0, epsilon=0.5, delta=0.005, t_internal=600.0, n_carrier=16.0)
+# gate 8 (default dt and record_every): the full report
 GATE_8_REPORT = {
     "alpha": 1.5,
     "s": 0.0,
@@ -124,7 +114,9 @@ GATE_8_REPORT = {
 }
 
 # the numbers gate 8 reports; the default dt must keep the Strang error
-# estimate (4/3) max |X(dt) - X(dt/2)| / |X(dt/2)| of each within this budget
+# estimate (4/3) max |X(dt) - X(dt/2)| / |X(dt/2)| of each within this
+# budget, with X(dt/2) from gate 8's call rerun at half its step
+GATE_8_ARGS = dict(alpha=1.5, s=0.0, epsilon=0.5, delta=0.005, t_internal=600.0, n_carrier=16.0)
 GATE_8_MEASURED = (
     "data_norm_1", "data_norm_2", "data_separation", "solution_separation_max",
     "t_of_max", "amplification", "approx_error_sup_1", "approx_error_sup_2",
@@ -132,26 +124,13 @@ GATE_8_MEASURED = (
 STRANG_ERROR_BUDGET = 1e-5
 
 
-@pytest.fixture(scope="module")
-def gate_8_report():
-    return run_illposedness_demo(**GATE_8_ARGS)
-
-
-def test_gate_1_errors_are_pinned():
-    grid = make_grid(256, 2.0 * np.pi)
-    errors = {}
-    for alpha in GATE_1_ERRORS:
-        cfg = SimConfig(alpha=alpha, gamma=1.0, dt=1e-3, t_final=1.0, grid=grid, record_every=1000)
-        got = spectral_values(evolve(initial_field(grid, "plane:a=0.1,k=2.0"), cfg).states[-1])
-        exact = Field.physical(grid, 0.1 * np.exp(1j * (2.0 * grid.x + (2.0**alpha - 0.1**2))))
-        errors[alpha] = float(np.linalg.norm(got - exact.values) / np.linalg.norm(exact.values))
+def test_gate_1_errors_are_pinned(gate_results):
+    errors = gate_results[1].numbers["errors"]
     assert errors == pytest.approx(GATE_1_ERRORS, rel=0.0, abs=ROUND_OFF)
 
 
-def test_gate_2_drift_report_is_pinned():
-    grid = make_grid(256, 2.0 * np.pi)
-    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=grid, record_every=50)
-    rep = run_conservation_suite(cfg, "gaussian:a=1.0,sigma=0.5")
+def test_gate_2_drift_report_is_pinned(gate_results):
+    rep = gate_results[2].numbers
     assert set(rep) == set(GATE_2_REPORT) | set(GATE_2_MASS_DRIFTS)
     assert {key: rep[key] for key in GATE_2_REPORT} == pytest.approx(GATE_2_REPORT, rel=1e-10)
     assert {key: rep[key] for key in GATE_2_MASS_DRIFTS} == pytest.approx(
@@ -159,35 +138,27 @@ def test_gate_2_drift_report_is_pinned():
     )
 
 
-def test_gate_3_picard_numbers_are_pinned():
-    grid = make_grid(256, 2.0 * np.pi)
-    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=grid, record_every=1)
-    phi = initial_field(grid, "gaussian:a=0.2,sigma=0.6")
-    pic = picard_iterate(phi, cfg, iterations=6)
-    diff = spectral_values(pic.final) - spectral_values(evolve(phi, cfg).states[-1])
-    agreement = float(np.linalg.norm(diff) / np.sqrt(grid.length))
-    assert list(pic.difference_norms[:5]) == pytest.approx(GATE_3_DIFFERENCES, rel=1e-10)
-    assert agreement == pytest.approx(GATE_3_AGREEMENT, rel=1e-10)
+def test_gate_3_picard_numbers_are_pinned(gate_results):
+    numbers = gate_results[3].numbers
+    assert numbers["differences"] == pytest.approx(GATE_3_DIFFERENCES, rel=1e-10)
+    assert numbers["agreement"] == pytest.approx(GATE_3_AGREEMENT, rel=1e-10)
 
 
-def test_gate_4_slopes_are_pinned():
+def test_gate_4_slopes_are_pinned(gate_results):
+    numbers = gate_results[4].numbers
+    assert set(numbers) == set(GATE_4_SLOPES)
     for s, (factor_slope, ratio_slope) in GATE_4_SLOPES.items():
-        scan = scan_trilinear(1.5, s, 0.51, [16, 32, 64, 128, 256])
-        assert scan.factors[0].fitted_slope == pytest.approx(factor_slope, rel=1e-10)
-        assert scan.ratio.fitted_slope == pytest.approx(ratio_slope, rel=1e-10)
+        assert numbers[s]["factor_slope"] == pytest.approx(factor_slope, rel=1e-10)
+        assert numbers[s]["ratio_slope"] == pytest.approx(ratio_slope, rel=1e-10)
 
 
-def test_gate_5_slopes_are_pinned():
-    slopes = {
-        alpha: scan_remainder(alpha, [2**j for j in range(4, 11)], xi_max=0.5).scan.fitted_slope
-        for alpha in GATE_5_SLOPES
-    }
+def test_gate_5_slopes_are_pinned(gate_results):
+    slopes = {alpha: row["slope"] for alpha, row in gate_results[5].numbers.items()}
     assert slopes == pytest.approx(GATE_5_SLOPES, rel=1e-10)
 
 
-def test_gate_6_slopes_are_pinned():
-    scans = scan_wavepacket([-0.25, 0.0, 0.25], [2**j for j in range(4, 10)])
-    slopes = {s: scan.fitted_slope for s, scan in scans.items()}
+def test_gate_6_slopes_are_pinned(gate_results):
+    slopes = dict(gate_results[6].numbers["slopes"])
     assert slopes.pop(0.0) == pytest.approx(GATE_6_FLAT_SLOPE, rel=0.0, abs=ROUND_OFF)
     assert slopes == pytest.approx(GATE_6_SLOPES, rel=1e-10)
 
@@ -202,21 +173,22 @@ def test_short_window_separation_report_is_pinned():
     )
 
 
-def test_gate_7_errors_are_pinned():
-    res = run_approximation_error(1.5, [8, 16, 32, 64], epsilon=0.2, t_final=0.5)
-    assert res.errors == pytest.approx(GATE_7_ERRORS, rel=1e-10)
-    assert res.scan.fitted_slope == pytest.approx(GATE_7_SLOPE, rel=1e-10)
+def test_gate_7_errors_are_pinned(gate_results):
+    numbers = gate_results[7].numbers
+    assert numbers["errors"] == pytest.approx(GATE_7_ERRORS, rel=1e-10)
+    assert numbers["slope"] == pytest.approx(GATE_7_SLOPE, rel=1e-10)
 
 
-def test_gate_8_report_is_pinned(gate_8_report):
-    assert gate_8_report == pytest.approx(GATE_8_REPORT, rel=1e-10)
+def test_gate_8_report_is_pinned(gate_results):
+    assert gate_results[8].numbers == pytest.approx(GATE_8_REPORT, rel=1e-10)
 
 
-def test_gate_8_default_dt_meets_strang_error_budget(gate_8_report):
+def test_gate_8_default_dt_meets_strang_error_budget(gate_results):
     # a kernel that lost its second order fails here (a first-order Lie
     # split does)
-    half = run_illposedness_demo(**GATE_8_ARGS, dt=gate_8_report["dt"] / 2)
+    report = gate_results[8].numbers
+    half = run_illposedness_demo(**GATE_8_ARGS, dt=report["dt"] / 2)
     estimate = 4.0 / 3.0 * max(
-        abs(gate_8_report[key] - half[key]) / abs(half[key]) for key in GATE_8_MEASURED
+        abs(report[key] - half[key]) / abs(half[key]) for key in GATE_8_MEASURED
     )
     assert estimate <= STRANG_ERROR_BUDGET

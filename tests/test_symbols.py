@@ -4,7 +4,7 @@ import pytest
 from fnls.errors import ValidationError
 from fnls.evolution import SimConfig
 from fnls.spectral import make_grid
-from fnls.symbols import remainder_bound_constant, remainder_symbol, resonance
+from fnls.symbols import remainder_bound_constant, remainder_symbol
 
 
 def _dispersion(alpha, nx=16):
@@ -35,70 +35,6 @@ def test_dispersion_even_and_increasing():
         # FFT order: index m holds k = m, index nx - m holds k = -m
         assert np.array_equal(sym[1:128], sym[:128:-1])
         assert np.all(np.diff(sym[:128]) > 0)
-
-
-def test_resonance_values():
-    assert resonance(1.5, 8.0, -8.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert resonance(2.0, 1.0, -3.0, 2.0) == pytest.approx(-4.0)
-
-
-def test_resonance_sum_zero_guard():
-    with pytest.raises(ValidationError):
-        resonance(1.5, 1.0, 1.0, 1.0)
-
-
-def test_resonance_symmetries():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        x1, x2 = rng.uniform(-30, 30, 2)
-        x3 = -(x1 + x2)
-        alpha = rng.uniform(1.01, 2.0)
-        h = resonance(alpha, x1, x2, x3)
-        assert resonance(alpha, x3, x2, x1) == pytest.approx(h, rel=1e-12, abs=1e-12)
-        assert resonance(alpha, -x1, -x2, -x3) == pytest.approx(h, rel=1e-12, abs=1e-12)
-
-
-def test_resonance_upper_bound():
-    rng = np.random.default_rng(1)
-    x1 = rng.uniform(-100, 100, 5000)
-    x2 = rng.uniform(-100, 100, 5000)
-    x3 = -(x1 + x2)
-    for alpha in (1.2, 1.5, 1.9):
-        h = resonance(alpha, x1, x2, x3)
-        xi_max = np.max(np.abs([x1, x2, x3]), axis=0)
-        assert np.all(np.abs(h) <= 3.0 * xi_max**alpha + 1e-9)
-
-
-def _sum_zero_sample(rng, n):
-    """Sum-zero triples with |xi_min| >= 1 and max/min ratio <= 2^10."""
-    x1 = rng.uniform(-1024, 1024, 8 * n)
-    x2 = rng.uniform(-1024, 1024, 8 * n)
-    x3 = -(x1 + x2)
-    mags = np.abs(np.stack([x1, x2, x3]))
-    keep = (mags.min(axis=0) >= 1.0) & (mags.max(axis=0) <= 1024.0 * mags.min(axis=0))
-    batch = np.stack([x1, x2, x3], axis=1)[keep]
-    assert batch.shape[0] >= n
-    return batch[:n]
-
-
-def test_resonance_lower_bound_power_law():
-    # constant harvested from one sample batch, asserted on a fresh batch
-    alpha = 1.5
-    rng = np.random.default_rng(2)
-    batch = _sum_zero_sample(rng, 100_000)
-    x1, x2, x3 = batch.T
-    h = resonance(alpha, x1, x2, x3)
-    mags = np.abs(batch)
-    scale = np.max(mags, axis=1) ** (alpha - 1.0) * np.min(mags, axis=1)
-    c = float(np.min(np.abs(h) / scale))
-    assert c > 0
-
-    fresh = _sum_zero_sample(np.random.default_rng(3), 100_000)
-    y1, y2, y3 = fresh.T
-    h2 = resonance(alpha, y1, y2, y3)
-    mags2 = np.abs(fresh)
-    scale2 = np.max(mags2, axis=1) ** (alpha - 1.0) * np.min(mags2, axis=1)
-    assert np.all(np.abs(h2) >= 0.5 * c * scale2)
 
 
 def test_remainder_vanishes_to_second_order():
