@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from .spectral import (
+    PAD_FACTOR,
     Field,
     Grid,
     dealiased_density,
@@ -116,31 +117,53 @@ class Trajectory:
         return self.states[0].grid
 
 
-def _strang_kernel(uhat: np.ndarray, half_phase: np.ndarray, gamma: float, dt: float, dx):
-    """One split step on stacked (rows, nx) spectral coefficients; returns
-    new coefficients.  half_phase holds each row's exp(i dt symbol / 2) and
-    dx is the (rows, 1) column of grid spacings.
+def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
+    """The Strang step of size dt as a function from stacked (rows, nx)
+    spectral coefficients to new ones.  half_phase holds each row's
+    exp(i dt symbol / 2) and dx is the (rows, 1) column of grid spacings.
 
-    Four FFTs: the padded inverse transform inside dealiased_density gives
-    both the samples and the density (two more FFTs), and one forward
-    transform returns to spectral space.  Each covers all rows in one call
-    and no operation mixes rows, so a row computes exactly what it would
-    alone.
+    Four FFTs a step: the padded inverse transform inside dealiased_density
+    gives both the samples and the density (two more FFTs), and one forward
+    transform returns to spectral space.  The transforms' scalings ride on
+    the half-phases: the leading one, times PAD_FACTOR / dx, multiplies the
+    coefficients as they are copied into the outer bands of a kept padded
+    buffer whose middle band stays zero, and the trailing one, times dx, is
+    the forward transform's scaling.  The cubic phase is cos + i sin of the
+    real angle -gamma dt |u|^2, formed in a kept buffer.  Each FFT covers
+    all rows in one call and no operation mixes rows, so a row computes
+    exactly what it would alone.
     """
-    uhat = uhat * half_phase
-    if gamma != 0.0:
-        u, density = dealiased_density(uhat, dx)
-        uhat = forward_transform(u * np.exp(-1j * gamma * dt * density), dx)
-    return uhat * half_phase
+    if gamma == 0.0:
+        return lambda uhat: uhat * half_phase * half_phase
+    rows, nx = half_phase.shape
+    half = nx // 2
+    lead = half_phase * (PAD_FACTOR / dx)
+    trail = half_phase * dx
+    fine = np.zeros((rows, PAD_FACTOR * nx), dtype=np.complex128)
+    phase = np.empty((rows, nx), dtype=np.complex128)
+
+    def step(uhat: np.ndarray) -> np.ndarray:
+        np.multiply(uhat[:, :half], lead[:, :half], out=fine[:, :half])
+        np.multiply(uhat[:, half:], lead[:, half:], out=fine[:, -half:])
+        u, angle = dealiased_density(fine, -gamma * dt)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
+        np.multiply(u, phase, out=phase)
+        return forward_transform(phase, trail)
+
+    return step
 
 
-def _guard(uhat: np.ndarray, dx, length, threshold, t: float) -> None:
-    # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound per row;
-    # only fall back to a row's exact samples when it is exceeded.  A NaN or
-    # inf anywhere makes the bound NaN or inf, which fails the comparison too.
-    bound = np.sum(np.abs(uhat), axis=-1) / length
-    for row in np.flatnonzero(~(bound <= threshold)):
-        if not np.isfinite(bound[row]):
+def _guard(uhat: np.ndarray, dx, limit, threshold, t: float) -> None:
+    # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound per row, so
+    # a row with sum |uhat| <= limit = threshold * L is cleared; only a row
+    # that is not falls back to its exact samples.  A NaN or inf anywhere
+    # makes the sum NaN or inf, which fails the comparison too.
+    total = np.sum(np.abs(uhat), axis=-1)
+    if np.all(total <= limit):
+        return
+    for row in np.flatnonzero(~(total <= limit)):
+        if not np.isfinite(total[row]):
             raise BlowUpError(t, "non-finite spectrum")
         peak = float(np.max(np.abs(inverse_transform(uhat[row], dx[row]))))
         if peak > threshold[row]:
@@ -216,9 +239,9 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
     symbol = np.stack([c.symbol() for c in cfgs])
     dx = np.array([[c.grid.dx] for c in cfgs])
-    length = np.array([c.grid.length for c in cfgs])
     threshold = np.array([c.blowup_threshold for c in cfgs])
-    half_phase = np.exp(0.5j * cfg.dt * symbol)
+    limit = threshold * np.array([c.grid.length for c in cfgs])
+    step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
 
     times: list[float] = []
     states: list[list[Field]] = [[] for _ in runs]
@@ -232,14 +255,14 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
 
     record(0.0)
     for n in range(1, n_whole + 1):
-        uhat = _strang_kernel(uhat, half_phase, cfg.gamma, cfg.dt, dx)
+        uhat = step(uhat)
         t = n * cfg.dt
-        _guard(uhat, dx, length, threshold, t)
+        _guard(uhat, dx, limit, threshold, t)
         if n in record_steps:
             record(t)
     if remainder != 0.0:
-        uhat = _strang_kernel(uhat, np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)
-        _guard(uhat, dx, length, threshold, cfg.t_final)
+        uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
+        _guard(uhat, dx, limit, threshold, cfg.t_final)
     if final_record:
         record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
     return [Trajectory(np.array(times), row_states) for row_states in states]
@@ -291,11 +314,15 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     half_dt = 0.5 * cfg.dt
 
     phi_hat = spectral_values(phi)
-    rot = np.exp(1j * omega * times[:, None])
+    rot = 1j * omega * times[:, None]
+    np.exp(rot, out=rot)  # in place: one history-sized temporary fewer
     current = rot * phi_hat[None, :]  # the free evolution is the first iterate
     nxt = np.empty_like(current)
     weight = (1.0 + grid.k**2) ** s_diff
     row_diffs = np.empty(times.size)
+    # the cubic term's padded buffer (middle band kept zero) and its result
+    fine = np.zeros((PICARD_BLOCK_ROWS, PAD_FACTOR * grid.nx), dtype=np.complex128)
+    band = np.empty((PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
 
     diffs = []
     grow_streak = 0
@@ -304,7 +331,8 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
         g_prev = partial = None
         for start in range(0, times.size, PICARD_BLOCK_ROWS):
             rows = slice(start, start + PICARD_BLOCK_ROWS)
-            g = np.conj(rot[rows]) * cubic_values(current[rows], grid)
+            n_rows = min(PICARD_BLOCK_ROWS, times.size - start)
+            g = np.conj(rot[rows]) * cubic_values(current[rows], grid, fine[:n_rows], band[:n_rows])
             block = nxt[rows]
             for j, g_row in enumerate(g):
                 # partial(t_1) is the first term itself, not 0 + term, which

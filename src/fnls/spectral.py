@@ -147,36 +147,51 @@ def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
     return out
 
 
-def upsampled_physical(uhat: np.ndarray, dx):
-    """Physical samples of the trig interpolant on the PAD_FACTOR-times finer grid."""
-    fine = resize_spectrum(uhat, PAD_FACTOR * uhat.shape[-1])
-    dx_fine = dx / PAD_FACTOR
-    return np.fft.ifft(fine) / dx_fine
+def dealiased_density(fine: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of u and scale times the band-limited projection of |u|^2,
+    both on the coarse grid, from one inverse transform of ``fine``.
 
-
-def dealiased_density(uhat: np.ndarray, dx) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of u and the band-limited projection of |u|^2, both on the
-    coarse grid, from one padded inverse transform.  Rows of stacked
-    coefficients are transformed independently, each with its dx.
-
-    The even points of the 2x padded interpolant are the coarse samples.
-    |u|^2 on the padded lattice gives every retained mode of the quadratic
-    product exactly; it is real, so its projection goes through rfft/irfft,
-    which keeps only the real part of the lone Nyquist coefficient.
+    ``fine`` holds u's nx coefficients zero-padded to PAD_FACTOR * nx and
+    divided by the fine spacing dx / PAD_FACTOR, so that numpy's ifft of it
+    is the padded interpolant's samples; rows are transformed independently.
+    The even points of the 2x padded samples are the coarse samples.
+    |u|^2 = re^2 + im^2 on the padded lattice gives every retained mode of
+    the quadratic product exactly; it is real, so its projection goes
+    through rfft/irfft, which keeps only the real part of the lone Nyquist
+    coefficient.  That irfft is PAD_FACTOR times the projection, so one
+    multiply by scale / PAD_FACTOR gives the result.
     """
-    nx = uhat.shape[-1]
-    u_fine = upsampled_physical(uhat, dx)
-    dens_hat = np.fft.rfft(np.abs(u_fine) ** 2)[..., : nx // 2 + 1]
-    density = np.fft.irfft(dens_hat, nx) / PAD_FACTOR
+    nx = fine.shape[-1] // PAD_FACTOR
+    u_fine = np.fft.ifft(fine)
+    dens_hat = np.fft.rfft(u_fine.real**2 + u_fine.imag**2)[..., : nx // 2 + 1]
+    density = np.fft.irfft(dens_hat, nx)
+    density *= scale / PAD_FACTOR
     return u_fine[..., ::PAD_FACTOR], density
 
 
-def cubic_values(uhat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral coefficients of the dealiased |u|^2 u."""
-    u_fine = upsampled_physical(uhat, grid.dx)
+def cubic_values(uhat: np.ndarray, grid: Grid, fine=None, out=None) -> np.ndarray:
+    """Spectral coefficients of the dealiased |u|^2 u.
+
+    A caller that repeats the call may pass its own buffers: ``fine``, of
+    PAD_FACTOR * nx zeros along the last axis, of which only the outer bands
+    are written, so its middle band stays zero; and ``out``, shaped as
+    uhat, which receives and returns the result.
+    """
+    nx = uhat.shape[-1]
+    half = nx // 2
+    if fine is None:
+        fine = np.zeros(uhat.shape[:-1] + (PAD_FACTOR * nx,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(uhat.shape, dtype=np.complex128)
+    fine[..., :half] = uhat[..., :half]
+    fine[..., -half:] = uhat[..., -half:]
+    dx_fine = grid.dx / PAD_FACTOR
+    u_fine = np.fft.ifft(fine) / dx_fine
     w_fine = (np.abs(u_fine) ** 2) * u_fine
-    w_hat_fine = np.fft.fft(w_fine) * (grid.dx / PAD_FACTOR)
-    return resize_spectrum(w_hat_fine, grid.nx)
+    w_hat_fine = np.fft.fft(w_fine) * dx_fine
+    out[..., :half] = w_hat_fine[..., :half]
+    out[..., -half:] = w_hat_fine[..., -half:]
+    return out
 
 
 def tail_fraction(u: np.ndarray) -> float:

@@ -7,8 +7,8 @@ Desk-scale parameters and tolerances are pinned inside fnls.acceptance.
 
 # the eight lines `fnls verify` prints, without their timings
 VERIFY_LINES = (
-    "[PASS] criterion 1 (plane-wave oracle): max relative L2 error 9.905e-14 (gate 1e-06)",
-    "[PASS] criterion 2 (conservation): mass drift 1.617e-13 (gate 1e-10), "
+    "[PASS] criterion 1 (plane-wave oracle): max relative L2 error 1.002e-13 (gate 1e-06)",
+    "[PASS] criterion 2 (conservation): mass drift 2.305e-13 (gate 1e-10), "
     "energy ratio 4.000 (gate [3, 5])",
     "[PASS] criterion 3 (picard cross-check): L2 agreement 1.807e-09 (gate 1e-06), "
     "differences ['6.65e-04', '1.20e-06', '4.18e-09', '4.32e-12', '8.45e-15'] monotone=True",

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fnls
 from fnls.cli import main
 
 
@@ -138,6 +143,26 @@ def test_scan_wavepacket_cli(tmp_path):
         float(l.split("=")[1]) for l in lines if l.startswith("# fitted_slope_s=0.25=")
     )
     assert slope == pytest.approx(0.25, abs=0.05)
+
+
+def _run_module(module, args):
+    """`python -m module args` with this fnls first on the import path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fnls.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], env=env, capture_output=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["fnls.cli", "fnls"])
+def test_python_dash_m_runs_the_command(tmp_path, module):
+    args = ["scan-remainder", "--n", "16,32,64,128"]
+    want, got = tmp_path / "main.csv", tmp_path / "module.csv"
+    assert main(args + ["--out", str(want)]) == 0
+    assert _run_module(module, args + ["--out", str(got)]).returncode == 0
+    assert got.read_bytes() == want.read_bytes()
+    assert _run_module(module, ["not-a-command"]).returncode == 1
 
 
 def test_config_file_seeds_defaults_flags_win(tmp_path):

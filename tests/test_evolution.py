@@ -142,6 +142,81 @@ def test_strang_step_matches_five_fft_reference(nx):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def _four_fft_step(uhat, half_phase, gamma, dt, dx):
+    """Reference Strang step on stacked rows, each transform scaling a
+    separate pass: zero-fill a padded copy, divide the inverse transform by
+    the fine spacing, take |u|^2 through a square root and the phase through
+    a complex exp."""
+    nx = uhat.shape[-1]
+    uhat = uhat * half_phase
+    fine = np.zeros((uhat.shape[0], 2 * nx), dtype=complex)
+    fine[:, : nx // 2] = uhat[:, : nx // 2]
+    fine[:, -nx // 2 :] = uhat[:, -nx // 2 :]
+    u_fine = np.fft.ifft(fine) / (dx / 2)
+    dens_hat = np.fft.rfft(np.abs(u_fine) ** 2)[:, : nx // 2 + 1]
+    density = np.fft.irfft(dens_hat, nx) / 2
+    uhat = np.fft.fft(u_fine[:, ::2] * np.exp(-1j * gamma * dt * density)) * dx
+    return uhat * half_phase
+
+
+@pytest.mark.parametrize("gamma", [1.0, -0.7])
+def test_evolve_together_matches_four_fft_reference(gamma):
+    # three whole steps and a shorter final one on random rows of different
+    # length and alpha, each with a nonzero -nx/2 mode
+    nx, dt, t_final = 64, 1e-3, 3.4e-3
+    rng = np.random.default_rng(7)
+    runs = []
+    for alpha, length in ((1.5, 2 * np.pi), (2.0, 5.0), (1.2, 2 * np.pi)):
+        grid = make_grid(nx, length)
+        uhat = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+        uhat[nx // 2] = 0.7 - 0.4j
+        cfg = SimConfig(alpha=alpha, gamma=gamma, dt=dt, t_final=t_final, grid=grid,
+                        record_every=10**9, cfl_factor=100.0)
+        runs.append((Field.spectral(grid, uhat), cfg))
+    want = np.stack([phi.values for phi, _ in runs])
+    symbol = np.stack([cfg.symbol() for _, cfg in runs])
+    dx = np.array([[cfg.grid.dx] for _, cfg in runs])
+    for h in (dt, dt, dt, t_final - 3 * dt):
+        want = _four_fft_step(want, np.exp(0.5j * h * symbol), gamma, h, dx)
+    for row, traj in enumerate(evolve_together(runs)):
+        got = traj.states[-1].values
+        assert np.linalg.norm(got - want[row]) <= 1e-14 * np.linalg.norm(want[row])
+
+
+def test_evolve_makes_four_ffts_a_step(monkeypatch):
+    # ten whole steps and a shorter eleventh; without tail checks a record
+    # costs no transform, so every FFT call is a step's
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    grid = make_grid(64, 2 * np.pi)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.0105, grid=grid, record_every=4)
+    phi = Field.spectral(grid, np.exp(-np.arange(64.0)))
+    traj = evolve(phi, cfg)
+    assert len(traj.states) == 4
+    assert len(calls) == 4 * 11
+    assert sorted(set(calls)) == ["fft", "ifft", "irfft", "rfft"]
+
+
+def test_evolve_together_calls_share_no_state():
+    # a call on data A between two calls on data B leaves B's result
+    # unchanged to the bit, also when the calls differ in nx
+    def runs(nx, seed, t_final=0.0055):
+        grid = make_grid(nx, 2 * np.pi)
+        cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=t_final, grid=grid)
+        return [(_random_field(grid, seed + row), cfg) for row in range(2)]
+
+    fresh = evolve_together(runs(64, 1))
+    evolve_together(runs(64, 10))
+    evolve_together(runs(16, 20, t_final=0.003))
+    again = evolve_together(runs(64, 1))
+    for a, b in zip(fresh, again):
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a.states, b.states))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_guard_rejects_non_finite_spectrum(circle, bad):
     vals = spectral_values(_gaussian(circle)).copy()

@@ -130,6 +130,19 @@ def test_cubic_random_against_padded_oracle():
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
+def test_cubic_kept_buffers_match_fresh_calls():
+    # a kept padded buffer is written only on its outer bands, so its middle
+    # stays zero across calls, and the result buffer is overwritten whole
+    rng = np.random.default_rng(13)
+    g = make_grid(32, 3.0)
+    fine = np.zeros((4, 64), dtype=complex)
+    out = np.full((4, 32), np.nan, dtype=complex)
+    for rows in (4, 2, 4):
+        uhat = rng.standard_normal((rows, 32)) + 1j * rng.standard_normal((rows, 32))
+        got = cubic_values(uhat, g, fine[:rows], out[:rows])
+        assert np.array_equal(got, cubic_values(uhat, g))
+
+
 def test_cubic_homogeneity_degree_three():
     rng = np.random.default_rng(5)
     g = make_grid(64, 4.0)
