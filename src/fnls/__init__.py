@@ -35,7 +35,6 @@ from .constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
-    demodulate,
     lambda_for,
     modulated_wavepacket,
     nls_pair,

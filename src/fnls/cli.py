@@ -23,6 +23,7 @@ from .spectral import make_grid, physical_values
 from .norms import energy, mass
 from .evolution import SimConfig, evolve, picard_iterate
 from .experiments import (
+    drift,
     initial_field,
     run_approximation_error,
     run_illposedness_demo,
@@ -216,10 +217,8 @@ def _cmd_evolve(args) -> int:
     energies = np.array([r[2] for r in rows])
     extra = {
         "columns": "t,mass,energy,max_abs_u",
-        "mass_drift": float(np.max(np.abs(masses - masses[0])) / masses[0]),
-        "energy_drift": float(
-            np.max(np.abs(energies - energies[0])) / max(abs(energies[0]), 1e-300)
-        ),
+        "mass_drift": drift(masses),
+        "energy_drift": drift(energies),
     }
     _write_scan_csv(args.out, "evolve", opts, rows, extra)
     if args.dump_state:

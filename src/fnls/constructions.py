@@ -27,6 +27,7 @@ from .norms import SpaceTimeField, sobolev_norm
 from .evolution import Trajectory, TAIL_MASS_LIMIT
 
 INTERP_LOSS_LIMIT = 1e-8
+WAVEPACKET_SMOOTHNESS = 1.0  # sigma of WavepacketSpec's s < 0 hypotheses
 
 # box_data's lattice: frequency samples across a box, tau samples per unit
 BOX_XI_SAMPLES = 16
@@ -194,7 +195,7 @@ def approximate_solution(
         out = np.zeros(target_grid.nx, dtype=np.complex128)
         out[idx] = beta * vhat * np.exp(1j * k_v * drift * t)
         out *= np.exp(1j * phase_rate * t)
-        field = Field.spectral(target_grid, out)
+        field = Field(target_grid, out)
         # only a localized envelope makes a wrap-around claim to enforce
         if (
             tail_fraction(physical_values(state))
@@ -213,8 +214,8 @@ class WavepacketSpec:
     """Modulated Gaussian A e^(iMx) w((x - x0)/tau_scale), w(y) = e^(-y^2/2).
 
     The hypotheses of the norm-scaling bounds are enforced: M*tau >= 1 for
-    s >= 0, and tau * M^(1 + s/smoothness) >= 1 with smoothness >= |s| for
-    s < 0.
+    s >= 0, and tau * M^(1 + s/sigma) >= 1 with sigma >= |s| for s < 0,
+    where sigma is WAVEPACKET_SMOOTHNESS.
     """
 
     amplitude: float
@@ -222,7 +223,6 @@ class WavepacketSpec:
     tau_scale: float
     x0: float
     s: float = 0.0
-    smoothness: float = 1.0
 
     def __post_init__(self):
         if self.carrier < 1.0:
@@ -235,9 +235,9 @@ class WavepacketSpec:
                     "scaling hypothesis M*tau >= 1 violated for s >= 0"
                 )
         else:
-            if self.smoothness < abs(self.s):
+            if WAVEPACKET_SMOOTHNESS < abs(self.s):
                 raise ValidationError("envelope smoothness must be >= |s|")
-            if self.tau_scale * self.carrier ** (1.0 + self.s / self.smoothness) < 1.0:
+            if self.tau_scale * self.carrier ** (1.0 + self.s / WAVEPACKET_SMOOTHNESS) < 1.0:
                 raise ValidationError(
                     "scaling hypothesis tau*M^(1+s/sigma) >= 1 violated for s < 0"
                 )
@@ -276,13 +276,13 @@ def rescale_solution(
     states = []
     for state in traj.states:
         uhat = spectral_values(state)
-        _check_truncation(uhat, target_grid.nx, "rescaling")
-        states.append(Field.spectral(target_grid, resize_spectrum(uhat, target_grid.nx)))
+        _check_truncation(uhat, target_grid.nx)
+        states.append(Field(target_grid, resize_spectrum(uhat, target_grid.nx)))
 
     return Trajectory(traj.times * lam ** (-alpha), states)
 
 
-def _check_truncation(uhat: np.ndarray, nx: int, what: str) -> None:
+def _check_truncation(uhat: np.ndarray, nx: int) -> None:
     """Raise unless the modes resize_spectrum(uhat, nx) drops hold less than
     INTERP_LOSS_LIMIT of uhat's norm.
 
@@ -294,28 +294,12 @@ def _check_truncation(uhat: np.ndarray, nx: int, what: str) -> None:
     lost = float(np.sum(np.abs(uhat[half : uhat.shape[0] - half]) ** 2))
     total = float(np.sum(np.abs(uhat) ** 2))
     if total > 0 and np.sqrt(lost / total) > INTERP_LOSS_LIMIT:
-        raise ResolutionError(f"{what} would truncate {np.sqrt(lost / total):.3g} of the state")
-
-
-def demodulate(state: Field, n_carrier: float, band_grid: Grid) -> Field:
-    """Envelope e^(-iNx) u of a state on the band_grid.nx-mode grid of the
-    same torus: mode m_N + k of u becomes mode k.
-
-    Lossless for a state that approximate_solution built from an envelope
-    with band_grid.nx modes, whose band is exactly m_N +- band_grid.nx/2;
-    otherwise the dropped modes must hold < INTERP_LOSS_LIMIT of the norm.
-    """
-    grid = state.grid
-    if abs(band_grid.length - grid.length) > 1e-9 * grid.length:
-        raise ValidationError("band grid must lie on the same torus as the state")
-    m_n = _carrier_band(n_carrier, band_grid.nx, grid)
-    shifted = np.roll(spectral_values(state), -m_n)
-    _check_truncation(shifted, band_grid.nx, "demodulation")
-    return Field.spectral(band_grid, resize_spectrum(shifted, band_grid.nx))
+        raise ResolutionError(f"rescaling would truncate {np.sqrt(lost / total):.3g} of the state")
 
 
 def remodulate(traj: Trajectory, n_carrier: float, target_grid: Grid) -> Trajectory:
-    """Inverse of demodulate for every state: e^(iNx) w on target_grid."""
+    """e^(iNx) w for every state w of traj, on target_grid (the same torus,
+    more modes): mode k of the band becomes mode m_N + k."""
     band = traj.grid
     if abs(band.length - target_grid.length) > 1e-9 * target_grid.length:
         raise ValidationError("band grid must lie on the same torus as the target")
@@ -323,7 +307,7 @@ def remodulate(traj: Trajectory, n_carrier: float, target_grid: Grid) -> Traject
     states = []
     for state in traj.states:
         out = resize_spectrum(spectral_values(state), target_grid.nx)
-        states.append(Field.spectral(target_grid, np.roll(out, m_n)))
+        states.append(Field(target_grid, np.roll(out, m_n)))
     return Trajectory(traj.times.copy(), states)
 
 

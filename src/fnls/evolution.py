@@ -32,6 +32,8 @@ from .spectral import (
 )
 
 TAIL_MASS_LIMIT = 1e-8
+CFL_FACTOR = 4.0  # see SimConfig
+BLOWUP_THRESHOLD = 1e8  # |u| at which an evolution stops with BlowUpError
 
 # picard_iterate keeps three (n_t + 1) x nx complex histories; one of them
 # may take at most this many bytes
@@ -51,10 +53,10 @@ class SimConfig:
     """Parameters of one evolution run.
 
     dt may be negative (backward integration) provided t_final has the same
-    sign.  The accuracy guard dt * max|symbol| <= 2*pi*cfl_factor concerns
+    sign.  The accuracy guard dt * max|symbol| <= 2*pi*CFL_FACTOR concerns
     resolution of the fastest linear phase only; the linear step itself is
-    exact and unconditionally stable, so the default factor of 4 merely
-    flags grossly unresolved configurations.  frame_velocity = v evolves
+    exact and unconditionally stable, so the factor of 4 merely flags
+    grossly unresolved configurations.  frame_velocity = v evolves
     w(t, x) = u(t, x + v t), a change of frame that adds v*k to the
     dispersion symbol and leaves every translation-invariant norm unchanged.
     carrier = N (on the lattice) evolves the demodulated e^(-iNx) u: grid
@@ -68,10 +70,8 @@ class SimConfig:
     t_final: float
     grid: Grid
     record_every: int = 1
-    cfl_factor: float = 4.0
     frame_velocity: float = 0.0
     carrier: float = 0.0
-    blowup_threshold: float = 1e8
     check_tail: bool = False
 
     def __post_init__(self):
@@ -85,11 +85,10 @@ class SimConfig:
             raise ValidationError("record_every must be a positive integer")
         lattice_mode(self.carrier, self.grid)
         peak = float(np.max(np.abs(self.symbol())))
-        if abs(self.dt) * peak > 2.0 * np.pi * self.cfl_factor + 1e-12:
+        if abs(self.dt) * peak > 2.0 * np.pi * CFL_FACTOR + 1e-12:
             raise ValidationError(
                 f"dt*max|symbol| = {abs(self.dt) * peak:.3g} exceeds "
-                f"2*pi*cfl_factor = {2.0 * np.pi * self.cfl_factor:.3g}; "
-                "reduce dt or raise cfl_factor"
+                f"2*pi*CFL_FACTOR = {2.0 * np.pi * CFL_FACTOR:.3g}; reduce dt"
             )
 
     def symbol(self) -> np.ndarray:
@@ -154,7 +153,7 @@ def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
     return step
 
 
-def _guard(uhat: np.ndarray, dx, limit, threshold, t: float) -> None:
+def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float) -> None:
     # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound per row, so
     # a row with sum |uhat| <= limit = threshold * L is cleared; only a row
     # that is not falls back to its exact samples.  A NaN or inf anywhere
@@ -166,7 +165,7 @@ def _guard(uhat: np.ndarray, dx, limit, threshold, t: float) -> None:
         if not np.isfinite(total[row]):
             raise BlowUpError(t, "non-finite spectrum")
         peak = float(np.max(np.abs(inverse_transform(uhat[row], dx[row]))))
-        if peak > threshold[row]:
+        if peak > threshold:
             raise BlowUpError(t, f"|u| reached {peak:.3g}")
 
 
@@ -207,9 +206,9 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     The coefficients are stacked into a (runs, nx) array, so every step
     costs one call per numpy operation whatever the number of runs.  The
     runs must share nx, dt, t_final, record_every and gamma; alpha, the
-    grid length, frame_velocity, carrier, blowup_threshold and check_tail
-    may differ.  Each trajectory is bit-identical to evolve(phi, cfg) for
-    its run, and a run that fails raises what evolve would raise for it.
+    grid length, frame_velocity, carrier and check_tail may differ.  Each
+    trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
+    that fails raises what evolve would raise for it.
     Requests whose recorded states would exceed EVOLVE_HISTORY_LIMIT bytes
     are rejected before anything is allocated.
     """
@@ -239,8 +238,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
     symbol = np.stack([c.symbol() for c in cfgs])
     dx = np.array([[c.grid.dx] for c in cfgs])
-    threshold = np.array([c.blowup_threshold for c in cfgs])
-    limit = threshold * np.array([c.grid.length for c in cfgs])
+    limit = BLOWUP_THRESHOLD * np.array([c.grid.length for c in cfgs])
     step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
 
     times: list[float] = []
@@ -249,7 +247,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     def record(t: float, check_tail: bool = True) -> None:
         times.append(t)
         for row, c in enumerate(cfgs):
-            states[row].append(Field.spectral(c.grid, uhat[row]))
+            states[row].append(Field(c.grid, uhat[row]))
             if check_tail and c.check_tail:
                 _check_tail(states[row][-1], t)
 
@@ -257,12 +255,12 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     for n in range(1, n_whole + 1):
         uhat = step(uhat)
         t = n * cfg.dt
-        _guard(uhat, dx, limit, threshold, t)
+        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, t)
         if n in record_steps:
             record(t)
     if remainder != 0.0:
         uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
-        _guard(uhat, dx, limit, threshold, cfg.t_final)
+        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final)
     if final_record:
         record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
     return [Trajectory(np.array(times), row_states) for row_states in states]
@@ -290,10 +288,11 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
 
     The phases U(t) = exp(i omega t) are computed once per call and U(-t)
     is their conjugate.  The cubic term is evaluated on blocks of
-    PICARD_BLOCK_ROWS time rows, the trapezoid sums are accumulated row by
-    row in the order of a cumulative sum, and each block of the next
-    iterate is completed as soon as its sums are, so the loop keeps three
-    histories (the phases and two iterates) plus a block of temporaries.
+    PICARD_BLOCK_ROWS time rows, whose trapezoid sums are accumulated in
+    the next iterate's rows in the order of a cumulative sum, and each block
+    of the next iterate is completed as soon as its sums are, so the loop
+    keeps three histories (the phases and two iterates) plus a block of
+    temporaries.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
@@ -328,20 +327,25 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     grow_streak = 0
     for _ in range(iterations):
         # g(t) = U(-t) |u|^2 u (t); partial(t_j) = trapezoid sum of g up to t_j
-        g_prev = partial = None
         for start in range(0, times.size, PICARD_BLOCK_ROWS):
             rows = slice(start, start + PICARD_BLOCK_ROWS)
             n_rows = min(PICARD_BLOCK_ROWS, times.size - start)
             g = np.conj(rot[rows]) * cubic_values(current[rows], grid, fine[:n_rows], band[:n_rows])
             block = nxt[rows]
-            for j, g_row in enumerate(g):
-                # partial(t_1) is the first term itself, not 0 + term, which
-                # keeps the bits of a cumulative sum (np.cumsum along time)
-                if g_prev is not None:
-                    step = half_dt * (g_prev + g_row)
-                    partial = step if partial is None else partial + step
-                block[j] = 0.0 if partial is None else partial
-                g_prev = g_row
+            # trapezoid steps and their running sum, from the block before's;
+            # partial(t_1) is the first step, not 0 + step: np.cumsum's bits
+            np.add(g[:-1], g[1:], out=block[1:])
+            if start == 0:
+                block[0] = 0.0
+                steps = block[1:]
+            else:
+                np.add(g_last, g[0], out=block[0])
+                steps = block
+            steps *= half_dt
+            if start:
+                steps[0] += partial
+            np.add.accumulate(steps, axis=0, out=steps)
+            g_last, partial = g[-1], block[-1].copy()
             block[...] = rot[rows] * phi_hat - 1j * cfg.gamma * rot[rows] * block
             d2 = weight * np.abs(block - current[rows]) ** 2
             row_diffs[rows] = np.sum(d2, axis=1)
@@ -357,7 +361,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
             grow_streak = 0
         current, nxt = nxt, current
     return PicardResult(
-        final=Field.spectral(grid, current[-1]),
+        final=Field(grid, current[-1]),
         difference_norms=np.array(diffs),
         times=times,
     )

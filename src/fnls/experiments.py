@@ -30,7 +30,6 @@ from .constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
-    demodulate,
     lambda_for,
     modulated_wavepacket,
     nls_pair,
@@ -184,7 +183,8 @@ def initial_field(grid: Grid, spec: str) -> Field:
 # conservation
 
 
-def _drift(values: np.ndarray) -> float:
+def drift(values: np.ndarray) -> float:
+    """max |values - values[0]|, relative to |values[0]| unless that is 0."""
     ref = values[0]
     scale = abs(ref) if ref != 0 else 1.0
     return float(np.max(np.abs(values - ref)) / scale)
@@ -198,8 +198,8 @@ def run_conservation_suite(cfg: SimConfig, init: "Field | str") -> dict:
         traj = evolve(phi, config)
         masses = np.array([mass(s) for s in traj.states])
         energies = np.array([energy(s, cfg.alpha, cfg.gamma) for s in traj.states])
-        report[f"mass_drift{tag}"] = _drift(masses)
-        report[f"energy_drift{tag}"] = _drift(energies)
+        report[f"mass_drift{tag}"] = drift(masses)
+        report[f"energy_drift{tag}"] = drift(energies)
     drift_full = report["energy_drift"]
     drift_half = report["energy_drift_half"]
     report["energy_drift_ratio"] = drift_full / drift_half if drift_half > 0 else np.inf
@@ -345,6 +345,20 @@ def _lattice_length(target: float, n_base: float) -> float:
     return 2.0 * np.pi * m / n_base
 
 
+def _lift_and_track(v_traj, w_traj, n_carrier, alpha, x_grid, frame_velocity=0.0):
+    """The band run w_traj remodulated onto x_grid, and the sup over time of
+    its H^((2-alpha)/4) distance to the modulated image of the NLS run
+    v_traj.  Data beta * v(0) on the band remodulates to exactly the image
+    at t = 0, so the image's checks of v(0) cover the band run's data."""
+    v_image = approximate_solution(v_traj, n_carrier, alpha, x_grid, frame_velocity)
+    u_traj = remodulate(w_traj, n_carrier, x_grid)
+    track = max(
+        sobolev_norm(a - b, (2.0 - alpha) / 4.0)
+        for a, b in zip(u_traj.states, v_image.states)
+    )
+    return u_traj, track
+
+
 @dataclass(frozen=True)
 class ApproximationScan:
     scan: ScanResult
@@ -366,7 +380,6 @@ def run_approximation_error(
     length = _lattice_length(APPROX_LENGTH, n_list[0])
     x_grid = make_grid(APPROX_NX, length)
     band_grid = make_grid(APPROX_NX_ENVELOPE, length)
-    s_err = (2.0 - alpha) / 4.0
 
     def runs(n):
         beta = envelope_scale(alpha, n)
@@ -381,19 +394,13 @@ def run_approximation_error(
             alpha=alpha, gamma=1.0, dt=APPROX_DT, t_final=t_final,
             grid=band_grid, record_every=APPROX_RECORD_EVERY, carrier=n, check_tail=True,
         )
-        data = approximate_solution(Trajectory([0.0], [phi]), n, alpha, x_grid)
-        return [(phi, v_cfg), (demodulate(data.states[0], n, band_grid), u_cfg)]
+        return [(phi, v_cfg), (Field(band_grid, beta * phi.values), u_cfg)]
 
     trajs = evolve_together([run for n in n_list for run in runs(n)])
-    errors = []
-    for n, v_traj, w_traj in zip(n_list, trajs[::2], trajs[1::2]):
-        v_image = approximate_solution(v_traj, n, alpha, x_grid)
-        u_traj = remodulate(w_traj, n, x_grid)
-        errs = [
-            sobolev_norm(u_s - v_s, s_err)
-            for u_s, v_s in zip(u_traj.states, v_image.states)
-        ]
-        errors.append(float(np.max(errs)))
+    errors = [
+        _lift_and_track(v_traj, w_traj, n, alpha, x_grid)[1]
+        for n, v_traj, w_traj in zip(n_list, trajs[::2], trajs[1::2])
+    ]
     return ApproximationScan(
         scan=fit_power_law("N", n_list, errors, drop_preasymptotic=False),
         errors=dict(zip(n_list, errors)),
@@ -501,31 +508,14 @@ def run_illposedness_demo(
     if record_every is None:
         record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
     v_cfg, u_cfg = configs(dt, record_every)
-    s_track = (2.0 - alpha) / 4.0
-
-    def fractional_data(phi):
-        data = approximate_solution(
-            Trajectory([0.0], [phi]), n_carrier, alpha, x_grid, frame_velocity=-vel
-        )
-        return demodulate(data.states[0], n_carrier, band_grid)
-
     v1, v2, w1, w2 = evolve_together(
         [(phi1, v_cfg), (phi2, v_cfg)]
-        + [(fractional_data(phi), u_cfg) for phi in (phi1, phi2)]
+        + [(Field(band_grid, beta * phi.values), u_cfg) for phi in (phi1, phi2)]
     )
-
-    def branch(v_traj, w_traj):
-        v_image = approximate_solution(
-            v_traj, n_carrier, alpha, x_grid, frame_velocity=-vel
-        )
-        u_traj = remodulate(w_traj, n_carrier, x_grid)
-        track = max(
-            sobolev_norm(a - b, s_track)
-            for a, b in zip(u_traj.states, v_image.states)
-        )
-        return rescale_solution(u_traj, lam, alpha, target_grid), track
-
-    (u1, track1), (u2, track2) = branch(v1, w1), branch(v2, w2)
+    u1, track1 = _lift_and_track(v1, w1, n_carrier, alpha, x_grid, -vel)
+    u2, track2 = _lift_and_track(v2, w2, n_carrier, alpha, x_grid, -vel)
+    u1 = rescale_solution(u1, lam, alpha, target_grid)
+    u2 = rescale_solution(u2, lam, alpha, target_grid)
 
     sep = np.array([sobolev_norm(a - b, s) for a, b in zip(u1.states, u2.states)])
     norm1 = sobolev_norm(u1.states[0], s)

@@ -89,10 +89,6 @@ class Field:
     def physical(cls, grid: Grid, samples) -> "Field":
         return cls(grid, forward_transform(np.asarray(samples, dtype=np.complex128), grid.dx))
 
-    @classmethod
-    def spectral(cls, grid: Grid, values) -> "Field":
-        return cls(grid, values)
-
     def __sub__(self, other: "Field") -> "Field":
         if (self.grid.nx, self.grid.length) != (other.grid.nx, other.grid.length):
             raise ValidationError("fields live on different grids")

@@ -5,10 +5,15 @@ checks.  Each gate runs once, in the session fixture of tests/conftest.py.
 Desk-scale parameters and tolerances are pinned inside fnls.acceptance.
 """
 
-# the eight lines `fnls verify` prints, without their timings
+import re
+
+# the eight lines `fnls verify` prints, without their timings.  Gate 1's
+# error and gate 2's mass drift are round-off (~1e-13): {round_off} matches
+# them by pattern, and tests/test_gate_numbers.py pins their values
+ROUND_OFF = r"\d\.\d{3}e-1[3-6]"
 VERIFY_LINES = (
-    "[PASS] criterion 1 (plane-wave oracle): max relative L2 error 1.002e-13 (gate 1e-06)",
-    "[PASS] criterion 2 (conservation): mass drift 2.305e-13 (gate 1e-10), "
+    "[PASS] criterion 1 (plane-wave oracle): max relative L2 error {round_off} (gate 1e-06)",
+    "[PASS] criterion 2 (conservation): mass drift {round_off} (gate 1e-10), "
     "energy ratio 4.000 (gate [3, 5])",
     "[PASS] criterion 3 (picard cross-check): L2 agreement 1.807e-09 (gate 1e-06), "
     "differences ['6.65e-04', '1.20e-06', '4.18e-09', '4.32e-12', '8.45e-15'] monotone=True",
@@ -65,4 +70,8 @@ def test_criterion_8_separation_demo(gate_results):
 
 
 def test_verify_lines_are_pinned(gate_results):
-    assert tuple(res.line() for res in gate_results.values()) == VERIFY_LINES
+    lines = [res.line() for res in gate_results.values()]
+    assert len(lines) == len(VERIFY_LINES)
+    for line, want in zip(lines, VERIFY_LINES):
+        pattern = ROUND_OFF.join(re.escape(part) for part in want.split("{round_off}"))
+        assert re.fullmatch(pattern, line), line

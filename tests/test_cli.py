@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -46,43 +47,15 @@ def test_evolve_plane_wave_csv_and_state(tmp_path):
     assert err < 1e-6
 
 
-def test_evolve_is_deterministic(tmp_path):
-    args = [
-        "evolve", "--nx", "128", "--dt", "2e-3", "--t-final", "0.1",
-        "--init", "gaussian:a=0.5,sigma=0.6", "--record-every", "10",
-    ]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_scan_output_is_bit_identical(tmp_path):
-    args = ["scan-remainder", "--alpha", "1.5", "--n", "16,32,64,128"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_scan_output_independent_of_thread_count(tmp_path, monkeypatch):
-    scans = [
-        ["scan-trilinear", "--n", "16,32,64,128"],
-        ["scan-wavepacket", "--s", "0,0.25", "--m", "16,32,64,128"],
-        # unsorted points: the pool starts the largest first
-        ["scan-wavepacket", "--m", "128,16,64,32"],
-        ["scan-trilinear", "--n", "64,16,128,32"],
-        # approx-error uses no threads; a fifth of gate 7's window keeps this cheap
-        ["approx-error", "--n", "8,16,32,64", "--t-final", "0.1"],
-    ]
-    for args in scans:
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FNLS_THREADS", threads)
-            out = tmp_path / f"{args[0]}-{threads}.csv"
-            assert main(args + ["--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1], args[0]
+def test_evolve_zero_mass_header_drifts_are_zero(tmp_path):
+    # the drifts are relative to the first value, or absolute when it is 0
+    out = tmp_path / "zero.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["evolve", "--init", "plane:a=0", "--t-final", "0.01", "--out", str(out)])
+    assert rc == 0
+    lines = _read(out)
+    assert "# mass_drift=0" in lines and "# energy_drift=0" in lines
 
 
 def test_picard_report(tmp_path):
@@ -215,6 +188,16 @@ def test_runtime_failure_exits_two(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_approx_error_band_that_does_not_fit_exits_two(capsys):
+    # N = 128 sits at mode 976 of the 2048-mode grid: its 512-mode band
+    # would reach 1232; the lift of the envelope's image reports it
+    assert main(["approx-error", "--n", "8,16,32,128", "--t-final", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "runtime failure: grid cannot hold the modulated band: "
+        "carrier mode 976 +- 256 exceeds +-1024\n"
+    )
 
 
 def test_approx_error_cli(tmp_path):

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fnls.constructions as constructions
 from fnls.errors import ResolutionError, ValidationError, WrapAroundError
-from fnls.spectral import Field, make_grid, physical_values, spectral_values
+from fnls.spectral import Field, make_grid, physical_values, resize_spectrum, spectral_values
 from fnls.norms import SpaceTimeField, mass, sobolev_norm, xsb_norm
 from fnls.evolution import SimConfig, Trajectory, evolve
 from fnls.symbols import envelope_scale, group_velocity
@@ -16,7 +17,6 @@ from fnls.constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
-    demodulate,
     lambda_for,
     modulated_wavepacket,
     nls_pair,
@@ -384,7 +384,7 @@ def test_approximate_solution_residual_matches_remainder_term():
     image = approximate_solution(v_traj, n, alpha, x_grid)
 
     rot = [
-        Field.spectral(x_grid, spectral_values(st) * np.exp(-1j * n**alpha * t))
+        Field(x_grid, spectral_values(st) * np.exp(-1j * n**alpha * t))
         for t, st in zip(image.times, image.states)
     ]
     rot_traj = Trajectory(image.times, rot)
@@ -420,23 +420,26 @@ def test_approximate_solution_residual_decays_in_n():
 
 
 def _modulated_gaussian(nx=1024, band_nx=256, length=40.0, m=48, sigma=1.5):
+    """The full and band grids, the carrier, the envelope on the band and
+    the modulated packet on the full grid."""
     full = make_grid(nx, length)
     band = make_grid(band_nx, length)
     n = m * full.dk
-    env = np.exp(-0.5 * ((full.x - 0.5 * length) / sigma) ** 2)
-    return full, band, n, Field.physical(full, np.exp(1j * n * full.x) * env)
+    env = Field.physical(band, np.exp(-0.5 * ((band.x - 0.5 * length) / sigma) ** 2))
+    phi = remodulate(Trajectory(np.array([0.0]), [env]), n, full).states[0]
+    return full, band, n, env, phi
 
 
 @pytest.mark.parametrize("frame", [0.0, -1.0])
 def test_demodulated_grid_matches_full_grid(frame):
     # e^(-iNx) u on a 256-mode band with the symbol at k + N (frame term
     # included) is the same solution as u on the full 1024-mode grid
-    full, band, n, phi = _modulated_gaussian()
+    full, band, n, env, phi = _modulated_gaussian()
     alpha = 1.5
     v = frame * group_velocity(alpha, n)
     kw = dict(alpha=alpha, gamma=1.0, dt=1e-3, t_final=0.5, record_every=100, frame_velocity=v)
     ref = evolve(phi, SimConfig(grid=full, **kw))
-    w_traj = evolve(demodulate(phi, n, band), SimConfig(grid=band, carrier=n, **kw))
+    w_traj = evolve(env, SimConfig(grid=band, carrier=n, **kw))
     got = remodulate(w_traj, n, full)
     assert np.array_equal(got.times, ref.times)
     for a, b in zip(got.states, ref.states):
@@ -445,28 +448,24 @@ def test_demodulated_grid_matches_full_grid(frame):
     assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
 
 
-def test_demodulate_round_trip_and_validations():
-    full, band, n, phi = _modulated_gaussian()
-    w = demodulate(phi, n, band)
-    assert w.grid is band
-    assert mass(w) == pytest.approx(mass(phi), rel=1e-14)
-    back = remodulate(Trajectory(np.array([0.0]), [w]), n, full).states[0]
-    assert np.max(np.abs(back.values - phi.values)) <= 1e-12 * np.max(np.abs(phi.values))
+def test_remodulate_moves_the_band_and_validates():
+    full, band, n, env, phi = _modulated_gaussian()
+    traj = Trajectory(np.array([0.0]), [env])
+    assert phi.grid is full
+    assert mass(phi) == pytest.approx(mass(env), rel=1e-14)
+    back = np.roll(phi.values, -round(n / full.dk))
+    assert np.array_equal(back, resize_spectrum(env.values, full.nx))
     # carrier off the lattice: N*L/2pi not an integer
     off = n * 1.01
     with pytest.raises(ValidationError):
-        demodulate(phi, off, band)
-    with pytest.raises(ValidationError):
-        remodulate(Trajectory(np.array([0.0]), [w]), off, full)
+        remodulate(traj, off, full)
     with pytest.raises(ValidationError):
         SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=band, carrier=off)
-    # a band that holds only part of the packet, or that cannot fit the grid
+    # a band that cannot fit the grid, or that lies on another torus
     with pytest.raises(ResolutionError):
-        demodulate(phi, n, make_grid(16, full.length))
-    with pytest.raises(ResolutionError):
-        demodulate(phi, 400 * full.dk, band)
+        remodulate(traj, 400 * full.dk, full)
     with pytest.raises(ValidationError):
-        demodulate(phi, n, make_grid(256, 2 * full.length))
+        remodulate(traj, n, make_grid(1024, 2 * full.length))
 
 
 # -------------------------------------------------------------- wavepackets
@@ -493,11 +492,12 @@ def test_wavepacket_l2_identity():
         assert sobolev_norm(f, 0.0) == pytest.approx(expect, rel=0.01)
 
 
-def test_wavepacket_hypotheses_enforced():
+def test_wavepacket_hypotheses_enforced(monkeypatch):
     with pytest.raises(ValidationError):
         WavepacketSpec(amplitude=1.0, carrier=2.0, tau_scale=0.25, x0=0.0, s=0.5)
+    monkeypatch.setattr(constructions, "WAVEPACKET_SMOOTHNESS", 0.25)
     with pytest.raises(ValidationError):
-        WavepacketSpec(amplitude=1.0, carrier=4.0, tau_scale=1.0, x0=0.0, s=-0.5, smoothness=0.25)
+        WavepacketSpec(amplitude=1.0, carrier=4.0, tau_scale=1.0, x0=0.0, s=-0.5)
     with pytest.raises(ValidationError):
         WavepacketSpec(amplitude=1.0, carrier=0.5, tau_scale=4.0, x0=0.0)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fnls.evolution as evolution
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
@@ -31,7 +32,7 @@ def test_config_validation(circle):
     with pytest.raises(ValidationError):
         SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=-1.0, grid=circle)
     with pytest.raises(ValidationError):
-        # accuracy guard: dt*max|k|^alpha far beyond 2*pi*cfl_factor
+        # accuracy guard: dt*max|k|^alpha far beyond 2*pi*CFL_FACTOR
         SimConfig(alpha=2.0, gamma=1.0, dt=1.0, t_final=1.0, grid=circle)
 
 
@@ -80,9 +81,10 @@ def test_linear_propagate_group_law(circle):
     assert np.max(np.abs(one.values - two.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
-def test_linear_propagate_preserves_every_sobolev_norm(circle):
+def test_linear_propagate_preserves_every_sobolev_norm(circle, monkeypatch):
+    monkeypatch.setattr(evolution, "CFL_FACTOR", 10.0)
     f = _random_field(circle, 1)
-    out = _final(f, 1.3, 0.0, 0.01, 2.1, cfl_factor=10.0)
+    out = _final(f, 1.3, 0.0, 0.01, 2.1)
     for s in (-1.0, 0.0, 0.5, 2.0):
         assert sobolev_norm(out, s) == pytest.approx(sobolev_norm(f, s), rel=1e-12)
 
@@ -90,15 +92,16 @@ def test_linear_propagate_preserves_every_sobolev_norm(circle):
 def test_strang_step_linear_limit(circle):
     f = _gaussian(circle)
     out = physical_values(_final(f, 1.5, 0.0, 1e-2, 1e-2))
-    free = Field.spectral(circle, np.exp(1j * np.abs(circle.k) ** 1.5 * 1e-2) * f.values)
+    free = Field(circle, np.exp(1j * np.abs(circle.k) ** 1.5 * 1e-2) * f.values)
     assert np.max(np.abs(out - physical_values(free))) < 1e-14
 
 
-def test_strang_step_plane_wave_exact(circle):
+def test_strang_step_plane_wave_exact(circle, monkeypatch):
     # the split step is exact on plane waves: both substeps are diagonal
     a, k, gamma, dt, alpha = 0.3, 2.0, -1.0, 1e-2, 1.7
     f = Field.physical(circle, a * np.exp(1j * k * circle.x))
-    out = physical_values(_final(f, alpha, gamma, dt, dt, cfl_factor=10.0))
+    monkeypatch.setattr(evolution, "CFL_FACTOR", 10.0)
+    out = physical_values(_final(f, alpha, gamma, dt, dt))
     expect = a * np.exp(1j * (k * circle.x + (abs(k) ** alpha - gamma * a**2) * dt))
     assert np.max(np.abs(out - expect)) < 1e-13
 
@@ -129,14 +132,15 @@ def _five_fft_step(uhat, grid, symbol, gamma, dt):
 
 
 @pytest.mark.parametrize("nx", [16, 256])
-def test_strang_step_matches_five_fft_reference(nx):
+def test_strang_step_matches_five_fft_reference(nx, monkeypatch):
+    monkeypatch.setattr(evolution, "CFL_FACTOR", 100.0)
     grid = make_grid(nx, 2 * np.pi)
     rng = np.random.default_rng(nx)
     uhat = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
     uhat[nx // 2] = 0.7 - 0.4j  # the -nx/2 mode: the Nyquist edge of both paths
-    phi = Field.spectral(grid, uhat)
+    phi = Field(grid, uhat)
     for alpha, gamma, dt in ((1.5, 1.0, 1e-3), (2.0, -0.5, 1e-4)):
-        cfg = SimConfig(alpha=alpha, gamma=gamma, dt=dt, t_final=dt, grid=grid, cfl_factor=100.0)
+        cfg = SimConfig(alpha=alpha, gamma=gamma, dt=dt, t_final=dt, grid=grid)
         got = spectral_values(evolve(phi, cfg).states[-1])
         want = _five_fft_step(uhat, grid, cfg.symbol(), gamma, dt)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -160,7 +164,8 @@ def _four_fft_step(uhat, half_phase, gamma, dt, dx):
 
 
 @pytest.mark.parametrize("gamma", [1.0, -0.7])
-def test_evolve_together_matches_four_fft_reference(gamma):
+def test_evolve_together_matches_four_fft_reference(gamma, monkeypatch):
+    monkeypatch.setattr(evolution, "CFL_FACTOR", 100.0)
     # three whole steps and a shorter final one on random rows of different
     # length and alpha, each with a nonzero -nx/2 mode
     nx, dt, t_final = 64, 1e-3, 3.4e-3
@@ -171,8 +176,8 @@ def test_evolve_together_matches_four_fft_reference(gamma):
         uhat = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
         uhat[nx // 2] = 0.7 - 0.4j
         cfg = SimConfig(alpha=alpha, gamma=gamma, dt=dt, t_final=t_final, grid=grid,
-                        record_every=10**9, cfl_factor=100.0)
-        runs.append((Field.spectral(grid, uhat), cfg))
+                        record_every=10**9)
+        runs.append((Field(grid, uhat), cfg))
     want = np.stack([phi.values for phi, _ in runs])
     symbol = np.stack([cfg.symbol() for _, cfg in runs])
     dx = np.array([[cfg.grid.dx] for _, cfg in runs])
@@ -194,7 +199,7 @@ def test_evolve_makes_four_ffts_a_step(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     grid = make_grid(64, 2 * np.pi)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.0105, grid=grid, record_every=4)
-    phi = Field.spectral(grid, np.exp(-np.arange(64.0)))
+    phi = Field(grid, np.exp(-np.arange(64.0)))
     traj = evolve(phi, cfg)
     assert len(traj.states) == 4
     assert len(calls) == 4 * 11
@@ -223,7 +228,7 @@ def test_guard_rejects_non_finite_spectrum(circle, bad):
     vals[3] = bad
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.01, grid=circle)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowUpError) as info:
-        evolve(Field.spectral(circle, vals), cfg)
+        evolve(Field(circle, vals), cfg)
     assert "non-finite spectrum" in str(info.value)
     assert info.value.t_reached == pytest.approx(1e-3)
 
@@ -309,12 +314,10 @@ def test_evolve_matches_reference_nls_at_alpha_two(circle):
     assert np.linalg.norm(got - u) / np.linalg.norm(u) < 1e-10
 
 
-def test_evolve_blow_up_guard(circle):
+def test_evolve_blow_up_guard(circle, monkeypatch):
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)  # force the guard
     phi = _gaussian(circle, a=1.0)
-    cfg = SimConfig(
-        alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=circle,
-        blowup_threshold=0.5,  # force the guard
-    )
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=circle)
     with pytest.raises(BlowUpError) as info:
         evolve(phi, cfg)
     assert info.value.t_reached > 0
@@ -361,10 +364,11 @@ def test_picard_contracts_and_matches_evolve(circle):
     assert np.linalg.norm(diff) / np.sqrt(circle.length) <= 1e-6
 
 
-def test_picard_divergence_guard(circle):
+def test_picard_divergence_guard(circle, monkeypatch):
     # large data over a long window: the Duhamel map does not contract
+    monkeypatch.setattr(evolution, "CFL_FACTOR", 8.0)
     phi = _gaussian(circle, a=6.0, sigma=0.8)
-    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=2e-2, t_final=2.0, grid=circle, cfl_factor=8.0)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=2e-2, t_final=2.0, grid=circle)
     with pytest.raises(NonContractionError):
         picard_iterate(phi, cfg, iterations=12)
 
@@ -399,7 +403,7 @@ def test_picard_matches_per_row_reference(nx, t_final, gamma):
     grid = make_grid(nx, 2 * np.pi)
     rng = np.random.default_rng(nx)
     uhat = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-    phi = Field.spectral(grid, 2.0 * grid.length * uhat / np.sum(np.abs(uhat)))
+    phi = Field(grid, 2.0 * grid.length * uhat / np.sum(np.abs(uhat)))
     cfg = SimConfig(alpha=1.5, gamma=gamma, dt=1e-3, t_final=t_final, grid=grid)
     res = picard_iterate(phi, cfg, iterations=5)
     want_final, want_diffs = _per_row_picard(phi, cfg, iterations=5)
@@ -476,7 +480,7 @@ def test_evolve_together_requires_shared_step_parameters(change):
     phi, cfg = _stack_runs(0.02, record_every=1)[0]
     other = replace(cfg, **change)
     with pytest.raises(ValidationError):
-        evolve_together([(phi, cfg), (Field.spectral(other.grid, np.zeros(other.grid.nx)), other)])
+        evolve_together([(phi, cfg), (Field(other.grid, np.zeros(other.grid.nx)), other)])
 
 
 def test_evolve_together_validations():
@@ -496,12 +500,11 @@ def _failure(call):
     raise AssertionError("no failure raised")
 
 
-def test_evolve_together_row_failure_matches_evolve(circle):
-    good = (_gaussian(circle), SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle))
-    big = (
-        _gaussian(circle, a=1.0),
-        replace(good[1], alpha=1.8, blowup_threshold=0.5),
-    )
+def test_evolve_together_row_failure_matches_evolve(circle, monkeypatch):
+    # |u| of the big row passes the threshold; the good row's stays below
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)
+    good = (_gaussian(circle, a=0.1), SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle))
+    big = (_gaussian(circle, a=1.0), replace(good[1], alpha=1.8))
     # a packet against the boundary trips the wrap-around check at t = 0
     edge = (
         Field.physical(circle, np.exp(-0.5 * (circle.x / 0.3) ** 2)),
@@ -509,7 +512,7 @@ def test_evolve_together_row_failure_matches_evolve(circle):
     )
     nan = spectral_values(_gaussian(circle)).copy()
     nan[3] = np.nan
-    bad = (Field.spectral(circle, nan), good[1])
+    bad = (Field(circle, nan), good[1])
     for failing in (big, edge, bad):
         want = _failure(lambda: evolve(*failing))
         assert _failure(lambda: evolve_together([good, failing])) == want
@@ -537,7 +540,7 @@ def _band_limited_runs(data, nx, n_rows):
             alpha=data.draw(st.floats(1.05, 2.0)), gamma=1.0, dt=1e-4, t_final=1e-3,
             grid=grid, frame_velocity=data.draw(st.floats(-3.0, 3.0)),
         )
-        runs.append((Field.spectral(grid, uhat), cfg))
+        runs.append((Field(grid, uhat), cfg))
     return runs
 
 
@@ -581,7 +584,7 @@ def test_evolve_commutes_with_lattice_translation(data, nx, n_rows):
         for _, cfg in runs
     ]
     moved = evolve_together(
-        [(Field.spectral(cfg.grid, phi.values * shift), cfg) for (phi, cfg), shift in zip(runs, shifts)]
+        [(Field(cfg.grid, phi.values * shift), cfg) for (phi, cfg), shift in zip(runs, shifts)]
     )
     _assert_rows_match(
         moved,
@@ -594,7 +597,7 @@ def test_evolve_commutes_with_lattice_translation(data, nx, n_rows):
 def test_evolve_commutes_with_global_phase(data, nx, n_rows):
     runs = _band_limited_runs(data, nx, n_rows)
     phase = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
-    rotated = evolve_together([(Field.spectral(cfg.grid, phase * phi.values), cfg) for phi, cfg in runs])
+    rotated = evolve_together([(Field(cfg.grid, phase * phi.values), cfg) for phi, cfg in runs])
     _assert_rows_match(rotated, [[phase * s.values for s in traj.states] for traj in evolve_together(runs)])
 
 
@@ -618,8 +621,8 @@ def test_evolve_is_galilean_covariant_at_alpha_two(data, nx, n_rows):
         uhat[band] = rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)
         uhat *= data.draw(st.floats(0.1, 0.5)) * grid.length / np.sum(np.abs(uhat))
         cfg = SimConfig(alpha=2.0, gamma=1.0, dt=1e-4, t_final=1e-3, grid=grid)
-        runs.append((Field.spectral(grid, uhat), cfg))
-        moved.append((Field.spectral(grid, np.roll(uhat, m0)), cfg))
+        runs.append((Field(grid, uhat), cfg))
+        moved.append((Field(grid, np.roll(uhat, m0)), cfg))
         modes.append(m0)
     trajs = evolve_together(runs + moved)
     want = []

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 import fnls.experiments as experiments
-from fnls.constructions import WavepacketSpec, modulated_wavepacket
+from fnls.constructions import (
+    WavepacketSpec,
+    approximate_solution,
+    modulated_wavepacket,
+    remodulate,
+)
 from fnls.norms import sobolev_norm
 
 from fnls.errors import ValidationError
 from fnls.spectral import Field, make_grid, physical_values
-from fnls.evolution import SimConfig
+from fnls.evolution import SimConfig, Trajectory
 from fnls.experiments import (
     fit_power_law,
     initial_field,
@@ -254,3 +259,44 @@ def test_illposedness_demo_short_window_calibration():
     assert rep["t_physical"] == pytest.approx(8.0 / 2.0**1.5)
     assert rep["amplification"] >= 1.0
     assert rep["approx_error_sup_1"] < 1e-4
+
+
+class _Batch(Exception):
+    """Stops a pipeline at its evolve_together call, carrying the runs."""
+
+
+# gate 7, gate 8, and illposed's CLI defaults at four alphas
+BAND_DATA_PIPELINES = [
+    pytest.param(experiments.run_approximation_error, (1.5, [8, 16, 32, 64]),
+                 experiments.APPROX_NX, id="gate7"),
+    pytest.param(run_illposedness_demo, (1.5, 0.0, 0.5, 0.005, 600.0, 16.0),
+                 experiments.ILLPOSED_NX, id="gate8"),
+] + [
+    pytest.param(run_illposedness_demo, (alpha, 0.0, 0.5, 0.005, 1200.0, 16.0, 28.0),
+                 experiments.ILLPOSED_NX, id=f"illposed-alpha{alpha}")
+    for alpha in (1.2, 1.5, 1.7, 1.9)
+]
+
+
+@pytest.mark.parametrize("pipeline, args, nx", BAND_DATA_PIPELINES)
+def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, args, nx):
+    # the fractional run's data on the carrier's band is beta times the
+    # envelope's coefficients: on the full grid it is the modulated image
+    # of the envelope at t = 0, bit for bit
+    def stop(runs):
+        raise _Batch(runs)
+
+    monkeypatch.setattr(experiments, "evolve_together", stop)
+    with pytest.raises(_Batch) as batch:
+        pipeline(*args)
+    runs = batch.value.args[0]
+    envelopes = [phi for phi, cfg in runs if cfg.carrier == 0.0]
+    bands = [(w, cfg) for w, cfg in runs if cfg.carrier != 0.0]
+    assert len(envelopes) == len(bands) >= 2
+    for phi, (w, cfg) in zip(envelopes, bands):
+        full = make_grid(nx, w.grid.length)
+        lifted = approximate_solution(
+            Trajectory([0.0], [phi]), cfg.carrier, cfg.alpha, full, cfg.frame_velocity
+        )
+        got = remodulate(Trajectory([0.0], [w]), cfg.carrier, full)
+        assert np.array_equal(got.states[0].values, lifted.states[0].values)
