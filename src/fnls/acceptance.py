@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, make_grid, spectral_values
+from .spectral import Field, make_grid
 from .evolution import SimConfig, evolve, evolve_together, picard_iterate
 from .experiments import (
     initial_field,
@@ -65,7 +65,7 @@ def criterion_1_plane_wave() -> CriterionResult:
     for alpha, traj in zip(alphas, trajs):
         omega = abs(k) ** alpha - gamma * a**2
         exact = Field.physical(grid, a * np.exp(1j * (k * grid.x + omega * t_final)))
-        got = spectral_values(traj.states[-1])
+        got = traj.values[-1]
         errors[alpha] = float(np.linalg.norm(got - exact.values) / np.linalg.norm(exact.values))
     worst = max(errors.values())
     return CriterionResult(
@@ -98,7 +98,7 @@ def criterion_3_picard() -> CriterionResult:
     phi = initial_field(grid, "gaussian:a=0.2,sigma=0.6")
     pic = picard_iterate(phi, cfg, iterations=6)
     ref = evolve(phi, cfg)
-    diff = spectral_values(pic.final) - spectral_values(ref.states[-1])
+    diff = pic.final.values - ref.values[-1]
     agree = float(np.linalg.norm(diff) / np.sqrt(grid.length))
     d = pic.difference_norms[:5].tolist()
     monotone = all(later < earlier for earlier, later in zip(d, d[1:]))

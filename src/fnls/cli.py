@@ -207,14 +207,11 @@ def _cmd_evolve(args) -> int:
         grid=grid, record_every=args.record_every,
     )
     traj = evolve(initial_field(grid, args.init), cfg)
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        u = physical_values(state)
-        rows.append((t, mass(state), energy(state, cfg.alpha, cfg.gamma),
-                     float(np.max(np.abs(u)))))
+    u = physical_values(traj)
+    masses = mass(traj)
+    energies = energy(traj, cfg.alpha, cfg.gamma)
+    rows = zip(traj.times, masses, energies, np.max(np.abs(u), axis=-1))
     opts = _options(args)
-    masses = np.array([r[1] for r in rows])
-    energies = np.array([r[2] for r in rows])
     extra = {
         "columns": "t,mass,energy,max_abs_u",
         "mass_drift": drift(masses),
@@ -222,10 +219,9 @@ def _cmd_evolve(args) -> int:
     }
     _write_scan_csv(args.out, "evolve", opts, rows, extra)
     if args.dump_state:
-        u = physical_values(traj.states[-1])
         lines = _header_lines("evolve-state", opts)
         lines.append("x,re_u,im_u")
-        for xj, uj in zip(grid.x, u):
+        for xj, uj in zip(grid.x, u[-1]):
             lines.append(f"{fmt(xj)},{fmt(uj.real)},{fmt(uj.imag)}")
         _emit(args.dump_state, lines)
     return 0

@@ -1,7 +1,8 @@
 """Explicit objects used by the verification experiments: resonant
 counterexample boxes, modulated wavepackets, NLS-based approximate solutions
-of the fractional equation, amplitude/scale rescaling, and the nearly-equal
-data pair driving the separation experiment.
+of the fractional equation, carrier remodulation and amplitude/scale
+rescaling.  The trajectory constructions act on whole (records, nx)
+coefficient arrays; their checks run record by record, in time order.
 """
 
 from __future__ import annotations
@@ -15,15 +16,16 @@ from .errors import ResolutionError, ValidationError, WrapAroundError
 from .spectral import (
     Field,
     Grid,
+    inverse_transform,
     lattice_mode,
-    physical_values,
     resize_spectrum,
     spectral_tail_fraction,
-    spectral_values,
     tail_fraction,
 )
 from .symbols import envelope_scale, group_velocity
-from .norms import SpaceTimeField, sobolev_norm
+# sobolev_norm is not called here; it stays importable from this module
+# because perfbench/tracer.py wraps it at this lookup site
+from .norms import SpaceTimeField, sobolev_norm  # noqa: F401
 from .evolution import Trajectory, TAIL_MASS_LIMIT
 
 INTERP_LOSS_LIMIT = 1e-8
@@ -138,17 +140,17 @@ def trilinear_convolution(
     return SpaceTimeField(tau, xi, vals)
 
 
-def _carrier_band(n_carrier: float, band_nx: int, grid: Grid) -> int:
-    """Lattice index m_N of the carrier; the band_nx modes m_N + {-band_nx/2,
-    ..., band_nx/2 - 1} must fit on the grid's band."""
+def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:
+    """Indices on grid of the band's modes m shifted by the carrier's lattice
+    index m_N: m_N + m, FFT-ordered; the band must fit on the grid's band."""
     m_n = lattice_mode(n_carrier, grid)
-    half_b, half_g = band_nx // 2, grid.nx // 2
+    half_b, half_g = band.nx // 2, grid.nx // 2
     if m_n + half_b > half_g or m_n - half_b < -half_g:
         raise ResolutionError(
             "grid cannot hold the modulated band: "
             f"carrier mode {m_n} +- {half_b} exceeds +-{half_g}"
         )
-    return m_n
+    return (m_n + np.round(band.k / band.dk).astype(int)) % grid.nx
 
 
 def approximate_solution(
@@ -176,37 +178,31 @@ def approximate_solution(
             f"beta*L_v = L_target (beta*L_v = {beta * v_grid.length:.6g}, "
             f"L_target = {target_grid.length:.6g})"
         )
-    m_n = _carrier_band(n_carrier, v_grid.nx, target_grid)
-
-    k_v = v_grid.k
-    idx = (m_n + np.round(k_v / v_grid.dk).astype(int)) % target_grid.nx
+    idx = _carrier_band(n_carrier, v_grid, target_grid)
 
     drift = (vel + frame_velocity) / beta  # y-translation rate of the sampling
     phase_rate = n_carrier**alpha + n_carrier * frame_velocity
 
-    states = []
-    for t, state in zip(v_traj.times, v_traj.states):
-        vhat = spectral_values(state)
-        if spectral_tail_fraction(state) > INTERP_LOSS_LIMIT:
+    t_col = v_traj.times[:, None]
+    out = np.zeros((t_col.size, target_grid.nx), dtype=np.complex128)
+    out[:, idx] = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t_col)
+    out *= np.exp(1j * phase_rate * t_col)
+    for t, vhat, uhat in zip(v_traj.times, v_traj.values, out):
+        if spectral_tail_fraction(vhat) > INTERP_LOSS_LIMIT:
             raise ResolutionError(
                 f"envelope solution under-resolved at t={t:.6g}: outer-band "
-                f"mass fraction {spectral_tail_fraction(state):.3g}"
+                f"mass fraction {spectral_tail_fraction(vhat):.3g}"
             )
-        out = np.zeros(target_grid.nx, dtype=np.complex128)
-        out[idx] = beta * vhat * np.exp(1j * k_v * drift * t)
-        out *= np.exp(1j * phase_rate * t)
-        field = Field(target_grid, out)
         # only a localized envelope makes a wrap-around claim to enforce
         if (
-            tail_fraction(physical_values(state))
+            tail_fraction(inverse_transform(vhat, v_grid.dx))
             <= TAIL_MASS_LIMIT
-            < tail_fraction(physical_values(field))
+            < tail_fraction(inverse_transform(uhat, target_grid.dx))
         ):
             raise WrapAroundError(
                 f"modulated packet too close to the boundary at t={t:.6g}"
             )
-        states.append(field)
-    return Trajectory(v_traj.times.copy(), states)
+    return Trajectory(v_traj.times, target_grid, out)
 
 
 @dataclass(frozen=True)
@@ -273,13 +269,11 @@ def rescale_solution(
         raise ValidationError(
             "target grid length must be the source length divided by lambda"
         )
-    states = []
-    for state in traj.states:
-        uhat = spectral_values(state)
+    for uhat in traj.values:
         _check_truncation(uhat, target_grid.nx)
-        states.append(Field(target_grid, resize_spectrum(uhat, target_grid.nx)))
-
-    return Trajectory(traj.times * lam ** (-alpha), states)
+    return Trajectory(
+        traj.times * lam ** (-alpha), target_grid, resize_spectrum(traj.values, target_grid.nx)
+    )
 
 
 def _check_truncation(uhat: np.ndarray, nx: int) -> None:
@@ -298,17 +292,15 @@ def _check_truncation(uhat: np.ndarray, nx: int) -> None:
 
 
 def remodulate(traj: Trajectory, n_carrier: float, target_grid: Grid) -> Trajectory:
-    """e^(iNx) w for every state w of traj, on target_grid (the same torus,
+    """e^(iNx) w for every record w of traj, on target_grid (the same torus,
     more modes): mode k of the band becomes mode m_N + k."""
     band = traj.grid
     if abs(band.length - target_grid.length) > 1e-9 * target_grid.length:
         raise ValidationError("band grid must lie on the same torus as the target")
-    m_n = _carrier_band(n_carrier, band.nx, target_grid)
-    states = []
-    for state in traj.states:
-        out = resize_spectrum(spectral_values(state), target_grid.nx)
-        states.append(Field(target_grid, np.roll(out, m_n)))
-    return Trajectory(traj.times.copy(), states)
+    idx = _carrier_band(n_carrier, band, target_grid)
+    values = np.zeros((traj.times.size, target_grid.nx), dtype=np.complex128)
+    values[:, idx] = traj.values
+    return Trajectory(traj.times, target_grid, values)
 
 
 def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
@@ -319,34 +311,3 @@ def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
         raise ValidationError(f"alpha must lie in (1, 2], got {alpha}")
     exponent = ((2.0 - alpha) / 4.0 - s) / (s + 0.5)
     return float(n_carrier**exponent)
-
-
-def nls_pair(
-    epsilon: float,
-    delta: float,
-    grid: Grid,
-    sigma: float,
-    s: float = 0.0,
-) -> tuple[Field, Field]:
-    """Two proportional wide-envelope data sets for the reference NLS run.
-
-    phi_j = a_j e^(-y^2/2) with y = (x - L/2)/sigma, a_2 = a_1 (1 + delta/epsilon)
-    and a_1 chosen so that |phi_j|_{H^s} is epsilon (up to the delta-size
-    excess on phi_2); the relative separation is then delta/epsilon exactly
-    by construction.  Their alpha = 2 evolutions decohere through the
-    amplitude-dependent nonlinear phase, which the separation experiment
-    measures.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError("epsilon must lie in (0, 1)")
-    if not (0.0 <= delta <= 0.5 * epsilon):
-        raise ValidationError("delta must satisfy 0 <= delta << epsilon")
-    env = np.exp(-0.5 * ((grid.x - 0.5 * grid.length) / sigma) ** 2)
-    if tail_fraction(env) > TAIL_MASS_LIMIT:
-        raise WrapAroundError("envelope does not fit the grid")
-    a1 = epsilon / sobolev_norm(Field.physical(grid, env), s)
-    a2 = a1 * (1.0 + delta / epsilon)
-    return (
-        Field.physical(grid, a1 * env),
-        Field.physical(grid, a2 * env),
-    )

@@ -27,8 +27,9 @@ from .spectral import (
     forward_transform,
     inverse_transform,
     lattice_mode,
-    physical_values,
     spectral_values,
+    tail_fraction,
+    _frozen_array,
 )
 
 TAIL_MASS_LIMIT = 1e-8
@@ -99,21 +100,33 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States recorded at uniformly spaced times (monotone in the sign of dt)."""
+    """States on one grid at uniformly spaced times (monotone in the sign of
+    dt): values[j] holds the spectral coefficients at times[j].  values is a
+    read-only view of the (records, nx) array passed in, not a copy."""
 
     times: np.ndarray
-    states: Sequence[Field]
+    grid: Grid
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        if len(self.states) != self.times.size:
-            raise ValidationError("times and states length mismatch")
-        if len({(s.grid.nx, s.grid.length) for s in self.states}) != 1:
-            raise ValidationError("all states must share one grid")
+        times = _frozen_array(self.times, float)
+        vals = np.asarray(self.values, dtype=np.complex128).view()
+        if vals.shape != (times.size, self.grid.nx):
+            raise ValidationError(
+                f"values shape {vals.shape} does not match ({times.size}, {self.grid.nx})"
+            )
+        vals.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", vals)
 
     @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+    def states(self) -> list[Field]:
+        return [Field(self.grid, v) for v in self.values]
+
+    def __sub__(self, other: "Trajectory") -> "Trajectory":
+        if (self.grid.length, self.values.shape) != (other.grid.length, other.values.shape):
+            raise ValidationError("trajectories differ in grid or record count")
+        return Trajectory(self.times, self.grid, self.values - other.values)
 
 
 def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
@@ -169,17 +182,6 @@ def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float) -> None:
             raise BlowUpError(t, f"|u| reached {peak:.3g}")
 
 
-def _check_tail(state: Field, t: float) -> None:
-    from .spectral import tail_fraction
-
-    frac = tail_fraction(physical_values(state))
-    if frac > TAIL_MASS_LIMIT:
-        raise WrapAroundError(
-            f"tail mass fraction {frac:.3g} in the outer 10% of the domain "
-            f"at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
-        )
-
-
 def _step_plan(cfg: SimConfig):
     """Number of whole steps plus the (possibly zero) shrunken final step."""
     ratio = cfg.t_final / cfg.dt
@@ -209,8 +211,8 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     grid length, frame_velocity, carrier and check_tail may differ.  Each
     trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
     that fails raises what evolve would raise for it.
-    Requests whose recorded states would exceed EVOLVE_HISTORY_LIMIT bytes
-    are rejected before anything is allocated.
+    Each trajectory's values are a row of one (runs, records, nx) history;
+    a history over EVOLVE_HISTORY_LIMIT bytes is rejected before allocation.
     """
     runs = list(runs)
     if not runs:
@@ -241,15 +243,21 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     limit = BLOWUP_THRESHOLD * np.array([c.grid.length for c in cfgs])
     step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
 
+    history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
     times: list[float] = []
-    states: list[list[Field]] = [[] for _ in runs]
 
     def record(t: float, check_tail: bool = True) -> None:
+        history[:, len(times)] = uhat
         times.append(t)
         for row, c in enumerate(cfgs):
-            states[row].append(Field(c.grid, uhat[row]))
-            if check_tail and c.check_tail:
-                _check_tail(states[row][-1], t)
+            if not (check_tail and c.check_tail):
+                continue
+            frac = tail_fraction(inverse_transform(uhat[row], c.grid.dx))
+            if frac > TAIL_MASS_LIMIT:
+                raise WrapAroundError(
+                    f"tail mass fraction {frac:.3g} in the outer 10% of the domain "
+                    f"at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
+                )
 
     record(0.0)
     for n in range(1, n_whole + 1):
@@ -263,7 +271,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
         _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final)
     if final_record:
         record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
-    return [Trajectory(np.array(times), row_states) for row_states in states]
+    return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
 
 
 @dataclass(frozen=True)

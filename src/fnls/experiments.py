@@ -18,13 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
-from .spectral import Field, Grid, lattice_mode, make_grid
+from .errors import ValidationError, WrapAroundError
+from .spectral import Field, Grid, lattice_mode, make_grid, tail_fraction
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
+from .evolution import TAIL_MASS_LIMIT, SimConfig, Trajectory, evolve, evolve_together
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
-from .evolution import SimConfig, Trajectory, evolve, evolve_together, picard_iterate  # noqa: F401
+from .evolution import picard_iterate  # noqa: F401
 from .constructions import (
     BoxSpec,
     WavepacketSpec,
@@ -32,7 +33,6 @@ from .constructions import (
     box_data,
     lambda_for,
     modulated_wavepacket,
-    nls_pair,
     remodulate,
     rescale_solution,
     trilinear_convolution,
@@ -51,7 +51,7 @@ APPROX_DT = 1e-3
 APPROX_RECORD_EVERY = 10
 
 # run_illposedness_demo's torus length (before it moves onto the carrier's
-# lattice), grid sizes, default time step and record interval; the phase
+# lattice), grid sizes, time-step ladder and record interval; the phase
 # limit is dt * max|symbol| of gate 8's runs at dt = 0.2
 ILLPOSED_LENGTH = 360.0
 ILLPOSED_NX = 4096
@@ -196,10 +196,8 @@ def run_conservation_suite(cfg: SimConfig, init: "Field | str") -> dict:
     report = {"alpha": cfg.alpha, "gamma": cfg.gamma, "dt": cfg.dt, "t_final": cfg.t_final}
     for tag, config in (("", cfg), ("_half", replace(cfg, dt=cfg.dt / 2))):
         traj = evolve(phi, config)
-        masses = np.array([mass(s) for s in traj.states])
-        energies = np.array([energy(s, cfg.alpha, cfg.gamma) for s in traj.states])
-        report[f"mass_drift{tag}"] = drift(masses)
-        report[f"energy_drift{tag}"] = drift(energies)
+        report[f"mass_drift{tag}"] = drift(mass(traj))
+        report[f"energy_drift{tag}"] = drift(energy(traj, cfg.alpha, cfg.gamma))
     drift_full = report["energy_drift"]
     drift_half = report["energy_drift_half"]
     report["energy_drift_ratio"] = drift_full / drift_half if drift_half > 0 else np.inf
@@ -352,10 +350,7 @@ def _lift_and_track(v_traj, w_traj, n_carrier, alpha, x_grid, frame_velocity=0.0
     at t = 0, so the image's checks of v(0) cover the band run's data."""
     v_image = approximate_solution(v_traj, n_carrier, alpha, x_grid, frame_velocity)
     u_traj = remodulate(w_traj, n_carrier, x_grid)
-    track = max(
-        sobolev_norm(a - b, (2.0 - alpha) / 4.0)
-        for a, b in zip(u_traj.states, v_image.states)
-    )
+    track = float(np.max(sobolev_norm(u_traj - v_image, (2.0 - alpha) / 4.0)))
     return u_traj, track
 
 
@@ -424,29 +419,28 @@ def run_illposedness_demo(
     t_internal: float,
     n_carrier: float,
     sigma: float = 16.0,
-    dt: float | None = None,
-    record_every: int | None = None,
 ) -> dict:
     """Full separation pipeline on one carrier.
 
-    Builds the proportional NLS pair, evolves it at alpha = 2, lifts both to
-    modulated approximate solutions, evolves the fractional equation from
-    their initial data in the packet's rest frame, rescales by the
-    norm-equalizing zoom factor, and reports the measured data norms, data
-    separation, and maximal solution separation in H^s.  The amplitude is
+    Evolves the data pair a_j e^(-y^2/2), y = (x - L/2)/sigma, at alpha = 2,
+    lifts both to modulated approximate solutions, evolves the fractional
+    equation from their initial data in the packet's rest frame, rescales by
+    the norm-equalizing zoom factor, and reports the measured data norms,
+    data separation, and maximal solution separation in H^s.  a_1 is
     calibrated through the (linear) data pipeline so the reported data norm
-    equals epsilon and the reported data separation equals delta.  t_internal
-    is the evolution window before time rescaling; the reported physical
-    window is t_internal / lambda^alpha.  The torus and grid sizes are the
-    ILLPOSED_* constants; the rescaled grid has 2 * nx points.
+    equals epsilon, in (0, 1), and a_2 = a_1 (1 + delta/epsilon) so the data
+    separation equals delta, in [0, epsilon/2].  t_internal is the evolution
+    window before time rescaling; the reported physical window is
+    t_internal / lambda^alpha.  The torus and grid sizes are the ILLPOSED_*
+    constants; the rescaled grid has 2 * nx points.
 
-    dt = None takes the largest step of ILLPOSED_DT_LADDER (0.025 * 2^j, up
-    to 0.2) whose phase dt * max|symbol| over the evolutions stays within
-    ILLPOSED_PHASE_LIMIT, else the smallest; record_every = None records
-    every ILLPOSED_RECORD_INTERVAL time units.  The report gives the
-    resolved dt, record_every, nx, nx_envelope and the length moved onto
-    the carrier's lattice.  At gate 8's parameters this picks the cap
-    dt = 0.2, the largest 0.025 * 2^j whose error estimate
+    The step is the largest of ILLPOSED_DT_LADDER (0.025 * 2^j, up to 0.2)
+    whose phase dt * max|symbol| over the evolutions stays within
+    ILLPOSED_PHASE_LIMIT, else the smallest; states are recorded every
+    ILLPOSED_RECORD_INTERVAL time units.  The report gives the resolved dt,
+    record_every, nx, nx_envelope and the length moved onto the carrier's
+    lattice.  At gate 8's parameters this picks the cap dt = 0.2, the
+    largest 0.025 * 2^j whose error estimate
     (4/3) max_X |X(dt) - X(dt/2)| / |X(dt/2)| over the eight reported
     numbers X stays within 1e-5; Strang splitting is second order, so
     halving dt divides that estimate by 4.  Measured there: 1.5e-6 at
@@ -454,6 +448,10 @@ def run_illposedness_demo(
     measured at gate 8's parameters only; elsewhere the phase limit keeps
     the step no coarser than there, relative to the fastest linear phase.
     """
+    if not (0.0 < epsilon < 1.0):
+        raise ValidationError("epsilon must lie in (0, 1)")
+    if not (0.0 <= delta <= 0.5 * epsilon):
+        raise ValidationError("delta must satisfy 0 <= delta << epsilon")
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
     if not (lo < s < hi):
@@ -471,20 +469,13 @@ def run_illposedness_demo(
 
     # unit-amplitude probe through the (linear) data pipeline fixes the gain
     env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
-    probe = Field.physical(y_grid, env.astype(np.complex128))
-    probe_traj = Trajectory(np.array([0.0]), [probe])
-    probe_image = approximate_solution(probe_traj, n_carrier, alpha, x_grid)
-    probe_scaled = rescale_solution(probe_image, lam, alpha, target_grid)
-    gain = sobolev_norm(probe_scaled.states[0], s)
+    if tail_fraction(env) > TAIL_MASS_LIMIT:
+        raise WrapAroundError("envelope does not fit the grid")
+    probe = Trajectory([0.0], y_grid, Field.physical(y_grid, env).values[None])
+    probe_image = approximate_solution(probe, n_carrier, alpha, x_grid)
+    gain = sobolev_norm(rescale_solution(probe_image, lam, alpha, target_grid), s)[0]
     a1 = epsilon / gain
-
-    phi1, phi2 = nls_pair(
-        epsilon=a1 * sobolev_norm(probe, s),
-        delta=(delta / epsilon) * a1 * sobolev_norm(probe, s),
-        grid=y_grid,
-        sigma=sigma,
-        s=s,
-    )
+    phi1, phi2 = (Field.physical(y_grid, a * env) for a in (a1, a1 * (1.0 + delta / epsilon)))
 
     def configs(step, every):
         v_cfg = SimConfig(
@@ -498,15 +489,13 @@ def run_illposedness_demo(
         )
         return v_cfg, u_cfg
 
-    if dt is None:
-        smallest = ILLPOSED_DT_LADDER[-1]
-        peak = max(float(np.max(np.abs(c.symbol()))) for c in configs(smallest, 1))
-        dt = next(
-            (h for h in ILLPOSED_DT_LADDER if h * peak <= ILLPOSED_PHASE_LIMIT + 1e-12),
-            smallest,
-        )
-    if record_every is None:
-        record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
+    smallest = ILLPOSED_DT_LADDER[-1]
+    peak = max(float(np.max(np.abs(c.symbol()))) for c in configs(smallest, 1))
+    dt = next(
+        (h for h in ILLPOSED_DT_LADDER if h * peak <= ILLPOSED_PHASE_LIMIT + 1e-12),
+        smallest,
+    )
+    record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
     v_cfg, u_cfg = configs(dt, record_every)
     v1, v2, w1, w2 = evolve_together(
         [(phi1, v_cfg), (phi2, v_cfg)]
@@ -517,9 +506,11 @@ def run_illposedness_demo(
     u1 = rescale_solution(u1, lam, alpha, target_grid)
     u2 = rescale_solution(u2, lam, alpha, target_grid)
 
-    sep = np.array([sobolev_norm(a - b, s) for a, b in zip(u1.states, u2.states)])
-    norm1 = sobolev_norm(u1.states[0], s)
-    norm2 = sobolev_norm(u2.states[0], s)
+    # one record at a time: a whole difference would be a third rescaled array
+    sep = np.array(
+        [sobolev_norm(Field(target_grid, a - b), s) for a, b in zip(u1.values, u2.values)]
+    )
+    norm1, norm2 = (sobolev_norm(Field(target_grid, u.values[0]), s) for u in (u1, u2))
     i_max = int(np.argmax(sep))
     return {
         "alpha": alpha,

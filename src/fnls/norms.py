@@ -2,7 +2,9 @@
 
 The space-time norm weights values on a (tau, xi) lattice by
 (1+|xi|)^s (1+|tau -/+ |xi|^alpha|)^b and integrates with Riemann weights
-dtau*dxi.
+dtau*dxi.  mass, energy and sobolev_norm reduce along the last axis: a Field
+gives one float, and a Trajectory one value per record, each bit-equal to
+that record's as a Field.
 """
 
 from __future__ import annotations
@@ -12,15 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import Field, physical_values, spectral_values, _frozen_array
+from .spectral import physical_values, spectral_values, _frozen_array
 
 
-def mass(f: Field) -> float:
+def _per_record(total):
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def mass(f):
     """Integral of |u|^2 over the torus."""
-    return float(np.sum(np.abs(f.values) ** 2) / f.grid.length)
+    return _per_record(np.sum(np.abs(f.values) ** 2, axis=-1) / f.grid.length)
 
 
-def energy(f: Field, alpha: float, gamma: float) -> float:
+def energy(f, alpha: float, gamma: float):
     """Conserved energy (1/2)||D|^(alpha/2)u|_2^2 - (gamma/4)|u|_4^4.
 
     This is the first integral of i u_t + (-Delta)^(alpha/2) u = gamma|u|^2 u
@@ -29,17 +35,19 @@ def energy(f: Field, alpha: float, gamma: float) -> float:
     """
     uhat = spectral_values(f)
     u = physical_values(f)
-    kinetic = 0.5 * np.sum(np.abs(f.grid.k) ** alpha * np.abs(uhat) ** 2)
+    kinetic = 0.5 * np.sum(np.abs(f.grid.k) ** alpha * np.abs(uhat) ** 2, axis=-1)
     kinetic /= f.grid.length
-    quartic = 0.25 * gamma * f.grid.dx * np.sum(np.abs(u) ** 4)
-    return float(kinetic - quartic)
+    quartic = 0.25 * gamma * f.grid.dx * np.sum(np.abs(u) ** 4, axis=-1)
+    return _per_record(kinetic - quartic)
 
 
-def sobolev_norm(f: Field, s: float) -> float:
+def sobolev_norm(f, s: float):
     """H^s norm; s = 0 reduces to the square root of the mass."""
-    uhat = spectral_values(f)
-    weighted = (1.0 + f.grid.k**2) ** s * np.abs(uhat) ** 2
-    return float(np.sqrt(np.sum(weighted) / f.grid.length))
+    # squared in place: a trajectory's norm holds one real temporary
+    weighted = np.abs(spectral_values(f))
+    weighted *= weighted
+    weighted *= (1.0 + f.grid.k**2) ** s
+    return _per_record(np.sqrt(np.sum(weighted, axis=-1) / f.grid.length))
 
 
 def _uniform_spacing(lattice: np.ndarray, name: str) -> float:

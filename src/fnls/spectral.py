@@ -89,11 +89,6 @@ class Field:
     def physical(cls, grid: Grid, samples) -> "Field":
         return cls(grid, forward_transform(np.asarray(samples, dtype=np.complex128), grid.dx))
 
-    def __sub__(self, other: "Field") -> "Field":
-        if (self.grid.nx, self.grid.length) != (other.grid.nx, other.grid.length):
-            raise ValidationError("fields live on different grids")
-        return Field(self.grid, self.values - other.values)
-
 
 def forward_transform(u: np.ndarray, dx) -> np.ndarray:
     """Physical samples -> spectral coefficients (Riemann-sum normalization)
@@ -106,13 +101,13 @@ def inverse_transform(uhat: np.ndarray, dx) -> np.ndarray:
     return np.fft.ifft(uhat) / dx
 
 
-def spectral_values(f: Field) -> np.ndarray:
+def spectral_values(f) -> np.ndarray:
     """Spectral coefficients of f (the stored values)."""
     return f.values
 
 
-def physical_values(f: Field) -> np.ndarray:
-    """Physical samples of f on its grid."""
+def physical_values(f) -> np.ndarray:
+    """Physical samples of f on its grid (a row per record of a Trajectory)."""
     return inverse_transform(f.values, f.grid.dx)
 
 
@@ -207,13 +202,13 @@ def tail_fraction(u: np.ndarray) -> float:
     return outer / total
 
 
-def spectral_tail_fraction(f: Field) -> float:
-    """Fraction of the mass carried by the outer 10% of the frequency band."""
-    dens = np.abs(f.values) ** 2
+def spectral_tail_fraction(uhat: np.ndarray) -> float:
+    """Fraction of the mass of coefficients uhat in the outer 10% of the band."""
+    dens = np.abs(uhat) ** 2
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
-    half = f.grid.nx // 2
+    half = uhat.shape[0] // 2
     n_edge = max(1, half // 10)
     # outermost modes in FFT order sit around index nx/2
     outer = float(dens[half - n_edge : half + n_edge].sum())

@@ -5,7 +5,7 @@ import numpy as np
 
 from fnls.errors import ValidationError
 from fnls.evolution import Trajectory
-from fnls.spectral import cubic_values, spectral_values
+from fnls.spectral import cubic_values
 
 
 def pde_residual(
@@ -27,7 +27,7 @@ def pde_residual(
     dt = float(times[1] - times[0])
     grid = traj.grid
     symbol = np.abs(grid.k) ** alpha + frame_velocity * grid.k - phase_rate
-    u = np.stack([spectral_values(st) for st in traj.states])
+    u = traj.values
     out = []
     for n in range(2, times.size - 2):
         du = (-u[n + 2] + 8 * u[n + 1] - 8 * u[n - 1] + u[n - 2]) / (12.0 * dt)

@@ -282,6 +282,20 @@ def test_illposed_cli_short(tmp_path):
     assert body["length"] == 2.0 * np.pi * 917 / 16.0  # 360 moved onto the N = 16 lattice
 
 
+def test_illposed_cli_checks_the_callers_epsilon(tmp_path, capsys):
+    # the data norm epsilon may be anywhere in (0, 1): the envelope norm
+    # behind it (1.28 epsilon here) is not the caller's
+    out = tmp_path / "ill.txt"
+    rc = main(["illposed", "--epsilon", "0.8", "--delta", "0.004", "--t-internal", "4",
+               "--out", str(out)])
+    assert rc == 0
+    body = dict(l.split("=", 1) for l in _read(out) if not l.startswith("#") and "=" in l)
+    assert float(body["data_norm_1"]) == pytest.approx(0.8, rel=1e-12)
+    rc = main(["illposed", "--epsilon", "1.2", "--t-internal", "4", "--out", str(out)])
+    assert rc == 1
+    assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, dt",
     [

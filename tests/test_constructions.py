@@ -19,7 +19,6 @@ from fnls.constructions import (
     box_data,
     lambda_for,
     modulated_wavepacket,
-    nls_pair,
     remodulate,
     rescale_solution,
     _fast_len,
@@ -300,7 +299,7 @@ def test_change_of_variables_at_origin():
     x_grid, y_grid, phi = _envelope_setup(alpha, n)
     beta = envelope_scale(alpha, n)
     assert beta == pytest.approx(np.sqrt(0.5 * alpha * (alpha - 1)) * n ** ((alpha - 2) / 2))
-    image = approximate_solution(Trajectory(np.array([0.0]), [phi]), n, alpha, x_grid)
+    image = approximate_solution(Trajectory([0.0], y_grid, phi.values[None]), n, alpha, x_grid)
     expect = np.exp(1j * n * x_grid.x) * _gaussian_at(x_grid.x / beta, 0.5 * y_grid.length)
     assert np.max(np.abs(physical_values(image.states[0]) - expect)) < 1e-12
 
@@ -310,7 +309,7 @@ def test_change_of_variables_alpha_two():
     n, t = 8.0, 0.3
     x_grid, y_grid, phi = _envelope_setup(2.0, n)
     assert y_grid.length == pytest.approx(x_grid.length)
-    traj = Trajectory(np.array([0.0, t]), [phi, phi])
+    traj = Trajectory([0.0, t], y_grid, np.stack([phi.values, phi.values]))
     got = physical_values(approximate_solution(traj, n, 2.0, x_grid).states[1])
     expect = np.exp(1j * (n * x_grid.x + n**2 * t)) * _gaussian_at(
         x_grid.x + 2.0 * n * t, 0.5 * x_grid.length
@@ -323,7 +322,7 @@ def test_change_of_variables_group_velocity():
     alpha, n = 1.7, 32.0
     x_grid, _, phi = _envelope_setup(alpha, n)
     times = np.array([0.0, 0.1, 0.5, 2.0])
-    traj = Trajectory(times, [phi] * times.size)
+    traj = Trajectory(times, phi.grid, np.tile(phi.values, (times.size, 1)))
     image = approximate_solution(
         traj, n, alpha, x_grid, frame_velocity=-group_velocity(alpha, n)
     )
@@ -338,7 +337,7 @@ def test_approximate_solution_constant_envelope_is_plane_wave():
     a = 0.25
     const = Field.physical(y_grid, np.full(y_grid.nx, a, dtype=complex))
     times = np.array([0.0, 0.125, 0.25])
-    traj = Trajectory(times, [const] * 3)
+    traj = Trajectory(times, y_grid, np.tile(const.values, (3, 1)))
     image = approximate_solution(traj, n, alpha, x_grid)
     for t, state in zip(times, image.states):
         expect = a * np.exp(1j * (n * x_grid.x + n**alpha * t))
@@ -348,7 +347,7 @@ def test_approximate_solution_constant_envelope_is_plane_wave():
 def test_approximate_solution_mass_jacobian():
     alpha, n = 1.5, 16.0
     x_grid, y_grid, phi = _envelope_setup(alpha, n)
-    traj = Trajectory(np.array([0.0]), [phi])
+    traj = Trajectory([0.0], y_grid, phi.values[None])
     image = approximate_solution(traj, n, alpha, x_grid)
     beta = envelope_scale(alpha, n)
     assert mass(image.states[0]) == pytest.approx(beta * mass(phi), rel=1e-10)
@@ -357,7 +356,7 @@ def test_approximate_solution_mass_jacobian():
 def test_approximate_solution_validations():
     alpha, n = 1.5, 16.0
     x_grid, y_grid, phi = _envelope_setup(alpha, n)
-    traj = Trajectory(np.array([0.0]), [phi])
+    traj = Trajectory([0.0], y_grid, phi.values[None])
     # wrong torus ratio
     with pytest.raises(ValidationError):
         approximate_solution(traj, n, alpha, make_grid(1024, x_grid.length * 1.1))
@@ -383,18 +382,15 @@ def test_approximate_solution_residual_matches_remainder_term():
     v_traj = evolve(phi, v_cfg)
     image = approximate_solution(v_traj, n, alpha, x_grid)
 
-    rot = [
-        Field(x_grid, spectral_values(st) * np.exp(-1j * n**alpha * t))
-        for t, st in zip(image.times, image.states)
-    ]
-    rot_traj = Trajectory(image.times, rot)
+    rot = image.values * np.exp(-1j * n**alpha * image.times)[:, None]
+    rot_traj = Trajectory(image.times, x_grid, rot)
     resid = pde_residual(rot_traj, alpha, 1.0, phase_rate=n**alpha)
 
     # reference: beta^(1/2) * |R(-i d_y) v|_{L2(y)} at matching interior times
     beta = envelope_scale(alpha, n)
     refs = []
     for idx in range(2, image.times.size - 2):
-        vhat = spectral_values(v_traj.states[idx])
+        vhat = v_traj.values[idx]
         rv = remainder_symbol(alpha, n, y_grid.k) * vhat
         refs.append(np.sqrt(beta) * np.linalg.norm(rv) / np.sqrt(y_grid.length))
     refs = np.array(refs)
@@ -426,7 +422,7 @@ def _modulated_gaussian(nx=1024, band_nx=256, length=40.0, m=48, sigma=1.5):
     band = make_grid(band_nx, length)
     n = m * full.dk
     env = Field.physical(band, np.exp(-0.5 * ((band.x - 0.5 * length) / sigma) ** 2))
-    phi = remodulate(Trajectory(np.array([0.0]), [env]), n, full).states[0]
+    phi = remodulate(Trajectory([0.0], band, env.values[None]), n, full).states[0]
     return full, band, n, env, phi
 
 
@@ -442,15 +438,15 @@ def test_demodulated_grid_matches_full_grid(frame):
     w_traj = evolve(env, SimConfig(grid=band, carrier=n, **kw))
     got = remodulate(w_traj, n, full)
     assert np.array_equal(got.times, ref.times)
-    for a, b in zip(got.states, ref.states):
-        assert np.linalg.norm(a.values - b.values) <= 1e-10 * np.linalg.norm(b.values)
-    masses = np.array([mass(s) for s in w_traj.states])  # 500 steps of round-off
+    for a, b in zip(got.values, ref.values):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+    masses = mass(w_traj)  # 500 steps of round-off
     assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
 
 
 def test_remodulate_moves_the_band_and_validates():
     full, band, n, env, phi = _modulated_gaussian()
-    traj = Trajectory(np.array([0.0]), [env])
+    traj = Trajectory([0.0], band, env.values[None])
     assert phi.grid is full
     assert mass(phi) == pytest.approx(mass(env), rel=1e-14)
     back = np.roll(phi.values, -round(n / full.dk))
@@ -536,7 +532,7 @@ def test_rescale_identity_and_mass():
 def test_rescale_pointwise_definition():
     grid = make_grid(512, 2 * np.pi)
     vals = 0.7 * np.exp(-0.5 * ((grid.x - np.pi) / 0.5) ** 2)
-    traj = Trajectory(np.array([0.0]), [Field.physical(grid, vals)])
+    traj = Trajectory([0.0], grid, Field.physical(grid, vals).values[None])
     lam = 2.0
     target = make_grid(512, grid.length / lam)
     out = rescale_solution(traj, lam, 1.5, target)
@@ -576,7 +572,7 @@ def test_rescale_truncation_guard():
     grid = make_grid(256, 2 * np.pi)
     rng = np.random.default_rng(0)
     full = Field.physical(grid, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    traj = Trajectory(np.array([0.0]), [full])
+    traj = Trajectory([0.0], grid, full.values[None])
     target = make_grid(64, grid.length / 2.0)
     with pytest.raises(ResolutionError):
         rescale_solution(traj, 2.0, 1.5, target)
@@ -590,29 +586,3 @@ def test_lambda_for_values():
     assert lambda_for(0.2, 1.5, 64.0) < 1.0
     with pytest.raises(ValidationError):
         lambda_for(-0.5, 1.5, 16.0)
-
-
-# -------------------------------------------------------------------- nls pair
-
-
-def test_nls_pair_construction():
-    grid = make_grid(1024, 200.0)
-    eps, delta = 0.3, 0.003
-    p1, p2 = nls_pair(eps, delta, grid, sigma=8.0, s=0.0)
-    assert sobolev_norm(p1, 0.0) == pytest.approx(eps, rel=1e-12)
-    rel_sep = sobolev_norm(p2 - p1, 0.0)
-    assert rel_sep / sobolev_norm(p1, 0.0) == pytest.approx(delta / eps, rel=0.01)
-
-
-def test_nls_pair_zero_delta_identical():
-    grid = make_grid(1024, 200.0)
-    p1, p2 = nls_pair(0.3, 0.0, grid, sigma=8.0)
-    assert np.array_equal(p1.values, p2.values)
-
-
-def test_nls_pair_validation():
-    grid = make_grid(1024, 200.0)
-    with pytest.raises(ValidationError):
-        nls_pair(1.5, 0.001, grid, sigma=8.0)
-    with pytest.raises(ValidationError):
-        nls_pair(0.3, 0.2, grid, sigma=8.0)

@@ -9,7 +9,7 @@ import fnls.evolution as evolution
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
-from fnls.evolution import SimConfig, evolve, evolve_together, picard_iterate
+from fnls.evolution import SimConfig, Trajectory, evolve, evolve_together, picard_iterate
 from fnls.experiments import initial_field
 
 
@@ -435,6 +435,36 @@ def test_trajectory_metadata(circle):
     assert traj.times[0] == 0.0
     assert np.allclose(np.diff(traj.times), 5e-3, rtol=1e-12)
     assert traj.states[0].grid.nx == 256
+
+
+def test_trajectory_holds_one_read_only_array():
+    grid = make_grid(16, 2.0)
+    values = np.arange(48, dtype=complex).reshape(3, 16)
+    traj = Trajectory([0.0, 0.1, 0.2], grid, values)
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 1.0
+    assert np.array_equal(traj.values, values)
+    assert len(traj.states) == 3
+    for j, state in enumerate(traj.states):
+        assert state.grid is grid
+        assert np.array_equal(state.values, traj.values[j])
+    with pytest.raises(ValidationError, match="does not match"):
+        Trajectory([0.0, 0.1], grid, values)  # one time short
+    with pytest.raises(ValidationError, match="does not match"):
+        Trajectory([0.0, 0.1, 0.2], make_grid(32, 2.0), values)
+
+
+def test_trajectory_difference_needs_one_grid():
+    grid = make_grid(16, 2.0)
+    a = Trajectory([0.0, 0.5], grid, np.ones((2, 16)))
+    b = Trajectory([0.0, 0.5], grid, np.full((2, 16), 0.25))
+    assert np.array_equal((a - b).values, np.full((2, 16), 0.75))
+    with pytest.raises(ValidationError, match="differ in grid"):
+        a - Trajectory([0.0, 0.5], make_grid(16, 4.0), np.ones((2, 16)))
+    with pytest.raises(ValidationError, match="differ in grid"):
+        a - Trajectory([0.0, 0.5], make_grid(32, 2.0), np.ones((2, 32)))
+    with pytest.raises(ValidationError, match="record count"):
+        a - Trajectory([0.0], grid, np.ones((1, 16)))  # would broadcast
 
 
 def _stack_runs(t_final, record_every):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,63 +203,93 @@ def test_pde_residual_detects_wrong_dispersion():
     grid = make_grid(128, 2 * np.pi)
     alpha, k, dt = 1.5, 2.0, 1e-3
     times = dt * np.arange(9)
-    states = [
-        Field.physical(grid, 0.5 * np.exp(1j * (k * grid.x + abs(k) ** alpha * t)))
+    values = [
+        Field.physical(grid, 0.5 * np.exp(1j * (k * grid.x + abs(k) ** alpha * t))).values
         for t in times
     ]
-    traj = Trajectory(times, states)
+    traj = Trajectory(times, grid, values)
     good = np.max(pde_residual(traj, alpha, 0.0))
     bad = np.max(pde_residual(traj, 1.2, 0.0))
     assert good < 1e-6
     assert bad > 1e-2
 
 
+def _proportional_pair(grid, eps, delta, sigma):
+    """a_j e^(-y^2/2), y = (x - L/2)/sigma, with a_1 setting the first's L^2
+    norm to eps and a_2 = a_1 (1 + delta/eps), the shape of
+    run_illposedness_demo's pair."""
+    env = np.exp(-0.5 * ((grid.x - 0.5 * grid.length) / sigma) ** 2)
+    a1 = eps / sobolev_norm(Field.physical(grid, env), 0.0)
+    return [Field.physical(grid, a * env) for a in (a1, a1 * (1.0 + delta / eps))]
+
+
 def test_nls_pair_separation_grows_tenfold():
     # the proportional pair decoheres under the alpha = 2 flow: relative
     # separation grows well past 10x the initial gap within the window
-    from fnls.constructions import nls_pair
     from fnls.evolution import evolve_together
-    from fnls.norms import sobolev_norm
 
     grid = make_grid(512, 1200.0)
     eps, delta, sigma = 0.64, 0.0064, 16.0
-    p1, p2 = nls_pair(eps, delta, grid, sigma=sigma)
+    p1, p2 = _proportional_pair(grid, eps, delta, sigma)
+    assert sobolev_norm(p1, 0.0) == pytest.approx(eps, rel=1e-12)
     cfg = SimConfig(alpha=2.0, gamma=1.0, dt=0.1, t_final=360.0, grid=grid, record_every=360)
     t1, t2 = evolve_together([(p1, cfg), (p2, cfg)])
-    seps = [
-        sobolev_norm(a - b, 0.0)
-        for a, b in zip(t1.states, t2.states)
-    ]
+    seps = sobolev_norm(t1 - t2, 0.0)
     assert seps[0] == pytest.approx(delta, rel=0.01)
     assert max(seps) >= 10.0 * seps[0]
 
 
-def test_illposedness_demo_range_check():
-    with pytest.raises(ValidationError):
-        run_illposedness_demo(
-            alpha=1.5, s=0.2, epsilon=0.5, delta=0.005,
-            t_internal=1.0, n_carrier=16.0,
-        )
-    with pytest.raises(ValidationError):
-        run_illposedness_demo(
-            alpha=1.5, s=-0.3, epsilon=0.5, delta=0.005,
-            t_internal=1.0, n_carrier=16.0,
-        )
+def test_illposedness_demo_range_check(monkeypatch):
+    # bad inputs are rejected before any work: nothing is lifted or evolved
+    monkeypatch.setattr(experiments, "approximate_solution", None)
+    monkeypatch.setattr(experiments, "evolve_together", None)
+    for s, epsilon, delta, message in [
+        (0.2, 0.5, 0.005, "outside the separation range"),
+        (-0.3, 0.5, 0.005, "outside the separation range"),
+        (0.0, 1.5, 0.001, "epsilon must lie in"),
+        (0.0, 0.3, 0.2, "delta must satisfy"),
+        (0.0, 0.3, -0.001, "delta must satisfy"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            run_illposedness_demo(
+                alpha=1.5, s=s, epsilon=epsilon, delta=delta,
+                t_internal=1.0, n_carrier=16.0,
+            )
 
 
-def test_illposedness_demo_short_window_calibration():
+def test_illposedness_demo_short_window_calibration(monkeypatch):
     # a short window exercises the full pipeline; data norms and separation
     # are exact by the linear calibration, amplification stays near 1
+    monkeypatch.setattr(experiments, "ILLPOSED_DT_LADDER", (0.2,))
+    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 4.0)
     rep = run_illposedness_demo(
         alpha=1.5, s=0.0, epsilon=0.4, delta=0.004,
-        t_internal=8.0, n_carrier=16.0, record_every=20,
+        t_internal=8.0, n_carrier=16.0,
     )
+    assert rep["record_every"] == 20
     assert rep["data_norm_1"] == pytest.approx(0.4, rel=1e-9)
     assert rep["data_norm_2"] == pytest.approx(0.404, rel=1e-9)
     assert rep["data_separation"] == pytest.approx(0.004, rel=1e-6)
     assert rep["t_physical"] == pytest.approx(8.0 / 2.0**1.5)
     assert rep["amplification"] >= 1.0
     assert rep["approx_error_sup_1"] < 1e-4
+
+
+def test_separation_takes_the_pair_difference_record_by_record(monkeypatch):
+    # a whole difference of the rescaled pair would hold a third
+    # (records, 2 nx) array beside the pair (tracemalloc with numpy 2.4:
+    # 8.0 MiB against 5.9 MiB record by record, and the pair is 4 MiB)
+    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 4.0)
+    tracemalloc.start()
+    try:
+        rep = run_illposedness_demo(1.5, 0.0, 0.5, 0.005, 60.0, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = round(60.0 / (rep["dt"] * rep["record_every"])) + 1
+    pair_bytes = 2 * records * (2 * experiments.ILLPOSED_NX) * 16
+    assert records == 16
+    assert peak <= 1.6 * pair_bytes
 
 
 class _Batch(Exception):
@@ -296,7 +327,20 @@ def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, arg
     for phi, (w, cfg) in zip(envelopes, bands):
         full = make_grid(nx, w.grid.length)
         lifted = approximate_solution(
-            Trajectory([0.0], [phi]), cfg.carrier, cfg.alpha, full, cfg.frame_velocity
+            Trajectory([0.0], phi.grid, phi.values[None]), cfg.carrier, cfg.alpha, full,
+            cfg.frame_velocity,
         )
-        got = remodulate(Trajectory([0.0], [w]), cfg.carrier, full)
-        assert np.array_equal(got.states[0].values, lifted.states[0].values)
+        got = remodulate(Trajectory([0.0], w.grid, w.values[None]), cfg.carrier, full)
+        assert np.array_equal(got.values, lifted.values)
+
+
+def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):
+    def stop(runs):
+        raise _Batch(runs)
+
+    monkeypatch.setattr(experiments, "evolve_together", stop)
+    with pytest.raises(_Batch) as batch:
+        run_illposedness_demo(1.5, 0.0, 0.3, 0.0, 600.0, 16.0)
+    (p1, _), (p2, _), (w1, _), (w2, _) = batch.value.args[0]
+    assert np.array_equal(p1.values, p2.values)
+    assert np.array_equal(w1.values, w2.values)

@@ -20,6 +20,7 @@ by 1.1e-7 of itself, every other pin by round-off within its tolerance.
 
 import pytest
 
+import fnls.experiments as experiments
 from fnls.experiments import run_illposedness_demo
 
 ROUND_OFF = 1e-12
@@ -166,11 +167,15 @@ def test_gate_6_slopes_are_pinned(gate_results):
     assert slopes == pytest.approx(GATE_6_SLOPES, rel=1e-10)
 
 
-def test_short_window_separation_report_is_pinned():
+def test_short_window_separation_report_is_pinned(monkeypatch):
+    # dt = 0.025 and record_every = 160
+    monkeypatch.setattr(experiments, "ILLPOSED_DT_LADDER", (0.025,))
+    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 4.0)
     rep = run_illposedness_demo(
         alpha=1.5, s=0.0, epsilon=0.4, delta=0.004,
-        t_internal=8.0, n_carrier=16.0, dt=0.025, record_every=160,
+        t_internal=8.0, n_carrier=16.0,
     )
+    assert (rep["dt"], rep["record_every"]) == (0.025, 160)
     assert {key: rep[key] for key in SHORT_SEPARATION} == pytest.approx(
         SHORT_SEPARATION, rel=1e-10
     )
@@ -186,11 +191,13 @@ def test_gate_8_report_is_pinned(gate_results):
     assert gate_results[8].numbers == pytest.approx(GATE_8_REPORT, rel=1e-10)
 
 
-def test_gate_8_default_dt_meets_strang_error_budget(gate_results):
+def test_gate_8_default_dt_meets_strang_error_budget(gate_results, monkeypatch):
     # a kernel that lost its second order fails here (a first-order Lie
     # split does)
     report = gate_results[8].numbers
-    half = run_illposedness_demo(**GATE_8_ARGS, dt=report["dt"] / 2)
+    monkeypatch.setattr(experiments, "ILLPOSED_DT_LADDER", (report["dt"] / 2,))
+    half = run_illposedness_demo(**GATE_8_ARGS)
+    assert half["dt"] == report["dt"] / 2
     estimate = 4.0 / 3.0 * max(
         abs(report[key] - half[key]) / abs(half[key]) for key in GATE_8_MEASURED
     )

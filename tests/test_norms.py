@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fnls.errors import ValidationError
+from fnls.evolution import SimConfig, evolve
+from fnls.experiments import initial_field
 from fnls.spectral import Field, make_grid
 from fnls.norms import (
     SpaceTimeField,
@@ -62,6 +64,25 @@ def test_sobolev_monotone_in_s(circle):
     svals = np.linspace(-1, 1.5, 11)
     norms = [sobolev_norm(f, s) for s in svals]
     assert np.all(np.diff(norms) >= 0)
+
+
+def test_trajectory_norms_are_the_per_state_norms_bit_for_bit():
+    # reduced along the last axis of the (records, nx) array, each record's
+    # norm has the bits of the per-state formula
+    grid = make_grid(1024, 2 * np.pi)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.02, grid=grid, record_every=2)
+    traj = evolve(initial_field(grid, "gaussian:a=1,sigma=0.5,k=3"), cfg)
+    assert traj.values.shape == (11, 1024)
+    assert np.array_equal(mass(traj), [mass(f) for f in traj.states])
+    assert np.array_equal(energy(traj, 1.5, 1.0), [energy(f, 1.5, 1.0) for f in traj.states])
+    for s in (-0.25, 0.0, 0.5):
+        per_state = [
+            np.sqrt(np.sum((1.0 + grid.k**2) ** s * np.abs(v) ** 2) / grid.length)
+            for v in traj.values
+        ]
+        assert np.array_equal(sobolev_norm(traj, s), per_state)
+        assert np.array_equal(sobolev_norm(traj, s), [sobolev_norm(f, s) for f in traj.states])
+    assert isinstance(mass(traj.states[0]), float)
 
 
 def test_space_time_field_validation():
