@@ -24,7 +24,8 @@ from fnls.constructions import (
     _fast_len,
     trilinear_convolution,
 )
-from fnls.experiments import _lattice_length, fit_power_law
+import fnls.experiments as experiments
+from fnls.experiments import _lattice_length, fit_power_law, run_illposedness_demo
 
 from oracles import pde_residual
 
@@ -586,3 +587,20 @@ def test_lambda_for_values():
     assert lambda_for(0.2, 1.5, 64.0) < 1.0
     with pytest.raises(ValidationError):
         lambda_for(-0.5, 1.5, 16.0)
+
+
+def test_nls_pair_validation(monkeypatch):
+    # the pair's data norm epsilon and separation delta are checked where the
+    # pair is built, in run_illposedness_demo, before anything is lifted
+    monkeypatch.setattr(experiments, "approximate_solution", None)
+    monkeypatch.setattr(experiments, "evolve_together", None)
+    for epsilon, delta, message in [
+        (1.5, 0.001, "epsilon must lie in"),
+        (0.3, 0.2, "delta must satisfy"),
+        (0.3, -0.001, "delta must satisfy"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            run_illposedness_demo(
+                alpha=1.5, s=0.0, epsilon=epsilon, delta=delta,
+                t_internal=1.0, n_carrier=16.0,
+            )
