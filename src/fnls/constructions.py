@@ -62,82 +62,82 @@ class BoxSpec:
     def width(self) -> float:
         return self.n ** ((2.0 - self.alpha) / 2.0)
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoint xi samples across the box and the line tau = +-|xi|^alpha there."""
+        start = -self.n if self.conjugate else self.n
+        xi = start + (np.arange(BOX_XI_SAMPLES) + 0.5) * (self.width / BOX_XI_SAMPLES)
+        disp = np.abs(xi) ** self.alpha
+        return xi, (-disp if self.conjugate else disp)
+
+    @property
+    def tau_samples(self) -> int:
+        """Length of box_data's tau lattice: the line's range and unit distance either side."""
+        line = self.columns()[1]
+        return int(np.ceil((line.max() + 1.0 - (line.min() - 1.0)) * BOX_TAU_SAMPLES_PER_UNIT)) + 1
+
 
 def box_data(spec: BoxSpec) -> SpaceTimeField:
-    """Real 0/1 indicator of the box on a midpoint-sampled (tau, xi) lattice."""
-    dxi = spec.width / BOX_XI_SAMPLES
-    dtau = 1.0 / BOX_TAU_SAMPLES_PER_UNIT
-    start = -spec.n if spec.conjugate else spec.n
-    xi = start + (np.arange(BOX_XI_SAMPLES) + 0.5) * dxi
-
-    disp = np.abs(xi) ** spec.alpha
-    line = -disp if spec.conjugate else disp
-    lo, hi = line.min() - 1.0, line.max() + 1.0
-    n_tau = int(np.ceil((hi - lo) / dtau)) + 1
-    tau = lo + (np.arange(n_tau) + 0.5) * dtau
-
+    """Real 0/1 indicator of the box on a midpoint-sampled (tau, xi) lattice:
+    each xi column holds one run of ones along tau."""
+    xi, line = spec.columns()
+    tau = line.min() - 1.0 + (np.arange(spec.tau_samples) + 0.5) / BOX_TAU_SAMPLES_PER_UNIT
     values = (np.abs(tau[:, None] - line[None, :]) <= 1.0).astype(np.float64)
     return SpaceTimeField(tau, xi, values)
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length that numpy's FFT
-    factors into radix-2, -3, -4 and -5 passes alone."""
-    best = 1 << (n - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # the least power-of-two multiple of `odd` that reaches n
-            best = min(best, odd << (-(-n // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
+def _column_counts(fields, n_xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Triple-convolution counts of three box indicators by output column:
+    column J holds counts[r, J] at tau index first[J] + r."""
+    index, sign = 0, 1.0
+    for f in fields:
+        v = f.values
+        if np.iscomplexobj(v) or not np.all((v == 0.0) | (v == 1.0)):
+            raise ValidationError("trilinear factors must be real 0/1 box indicators")
+        step = np.diff(v, axis=0, prepend=0.0, append=0.0)
+        if np.any(np.count_nonzero(step == 1.0, axis=0) != 1):
+            raise ValidationError("each column of a box factor must hold one run of ones")
+        # +1 at each column's run start, -1 just past its end: the flat
+        # indices tau * n_xi + xi add over the factors, the signs multiply
+        runs = np.stack([np.argmax(step == 1.0, axis=0), np.argmax(step == -1.0, axis=0)])
+        index = np.add.outer(index, runs * n_xi + np.arange(v.shape[1]))
+        sign = np.multiply.outer(sign, np.repeat([[1.0], [-1.0]], v.shape[1], axis=1))
+    # each column is summed from its first point; past its last the sums are 0
+    point_tau, point_xi = np.divmod(index.ravel(), n_xi)
+    first = np.full(n_xi, point_tau.max())
+    np.minimum.at(first, point_xi, point_tau)
+    row = point_tau - first[point_xi]
+    width = row.max() + 1
+    counts = np.bincount(row * n_xi + point_xi, sign.ravel(), width * n_xi).reshape(width, n_xi)
+    for _ in range(3):
+        np.cumsum(counts, axis=0, out=counts)
+    return first, counts
 
 
 def trilinear_convolution(
     f1: SpaceTimeField, f2bar: SpaceTimeField, f3: SpaceTimeField
 ) -> SpaceTimeField:
-    """Double space-time convolution with Riemann weights.
+    """Exact double space-time convolution of three box indicators, with
+    Riemann weights.
 
-    The output lattice covers the Minkowski sum of the three supports; the
-    factor lattices must share spacings (offsets are free and simply add).
-    Each factor is transformed once at the full output shape, each axis
-    zero-padded to the next 5-smooth length (2^a 3^b 5^c), and the three
-    spectra are multiplied: one triple product and one inverse transform.
-    Real factors (box indicators) take the real transform along the tau
-    axis, the long axis of every box lattice, and give a real output.
-    A repeated factor (f3 is f1) is transformed once; the product keeps its
-    operand order, so the output is bit-identical to passing a copy.
+    Each factor must be real 0/1 with one run of ones per xi column, so the
+    convolution's third tau difference is 8 signed points per column triple:
+    counted and summed three times along tau, they give exact integer
+    counts, times (dtau dxi)^2.  The output lattice covers the Minkowski sum
+    of the supports; the factor lattices must share spacings (offsets add).
     """
     fields = (f1, f2bar, f3)
     dtau, dxi = f1.dtau, f1.dxi
     for f in fields[1:]:
         if abs(f.dtau - dtau) > 1e-9 * dtau or abs(f.dxi - dxi) > 1e-9 * dxi:
             raise ValidationError("lattice spacings do not match")
-    shape = tuple(sum(f.values.shape[ax] for f in fields) - 2 for ax in (0, 1))
-    # the last of `axes` takes the real transform: tau, axis 0
-    axes = (1, 0)
-    fshape = tuple(_fast_len(shape[ax]) for ax in axes)
-    if any(np.iscomplexobj(f.values) for f in fields):
-        forward, inverse = np.fft.fftn, np.fft.ifftn
-    else:
-        forward, inverse = np.fft.rfftn, np.fft.irfftn
-    first = forward(f1.values, fshape, axes)
-    spectrum = forward(f2bar.values, fshape, axes)
-    np.multiply(first, spectrum, out=spectrum)
-    if f3 is not f1:  # free the first spectrum before the third transform
-        del first
-        first = forward(f3.values, fshape, axes)
-    spectrum *= first
-    del first  # at most three spectra: each transform holds two of its own
-    vals = inverse(spectrum, fshape, axes)[: shape[0], : shape[1]] * (dtau * dxi) ** 2
-
-    tau0 = f1.tau[0] + f2bar.tau[0] + f3.tau[0]
-    xi0 = f1.xi[0] + f2bar.xi[0] + f3.xi[0]
-    tau = tau0 + dtau * np.arange(shape[0])
-    xi = xi0 + dxi * np.arange(shape[1])
-    return SpaceTimeField(tau, xi, vals)
+    n_tau, n_xi = (sum(f.values.shape[ax] for f in fields) - 2 for ax in (0, 1))
+    first, counts = _column_counts(fields, n_xi)
+    width = counts.shape[0]  # extra rows take the zeros past a column's support
+    values = np.zeros((n_tau + width, n_xi))
+    values[first + np.arange(width)[:, None], np.arange(n_xi)] = counts * (dtau * dxi) ** 2
+    tau = sum(f.tau[0] for f in fields) + dtau * np.arange(n_tau)
+    xi = sum(f.xi[0] for f in fields) + dxi * np.arange(n_xi)
+    return SpaceTimeField(tau, xi, values[:n_tau])
 
 
 def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:
@@ -239,16 +239,19 @@ class WavepacketSpec:
                 )
 
 
-def modulated_wavepacket(spec: WavepacketSpec, grid: Grid) -> Field:
-    """Sample the modulated envelope on the grid (wrap-around checked)."""
+def modulated_wavepacket(spec: WavepacketSpec, grid: Grid) -> tuple[Field, int]:
+    """The packet A e^(iMx) w((x - x0)/tau) on the grid's torus as (band, m):
+    M = m dk + phi with |phi| <= dk/2, and the band field samples
+    A e^(i phi x) w((x - x0)/tau), so packet mode k + m dk is band mode k.
+    The grid need only resolve the envelope; wrap-around is checked on the
+    band samples, since |packet| = A |w|."""
+    m = round(spec.carrier / grid.dk)
     w = np.exp(-0.5 * ((grid.x - spec.x0) / spec.tau_scale) ** 2)
-    values = spec.amplitude * np.exp(1j * spec.carrier * grid.x) * w
+    values = spec.amplitude * np.exp(1j * (spec.carrier - m * grid.dk) * grid.x) * w
     frac = tail_fraction(values)
     if frac > TAIL_MASS_LIMIT:
-        raise WrapAroundError(
-            f"envelope does not fit the grid: tail mass fraction {frac:.3g}"
-        )
-    return Field.physical(grid, values)
+        raise WrapAroundError(f"envelope does not fit the grid: tail mass fraction {frac:.3g}")
+    return Field.physical(grid, values), m
 
 
 def rescale_solution(

@@ -22,11 +22,13 @@ from .errors import ValidationError, WrapAroundError
 from .spectral import Field, Grid, lattice_mode, make_grid, tail_fraction
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
-from .evolution import TAIL_MASS_LIMIT, SimConfig, Trajectory, evolve, evolve_together
+from .evolution import EVOLVE_HISTORY_LIMIT, TAIL_MASS_LIMIT, SimConfig, Trajectory
+from .evolution import evolve, evolve_together
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
 from .evolution import picard_iterate  # noqa: F401
 from .constructions import (
+    BOX_XI_SAMPLES,
     BoxSpec,
     WavepacketSpec,
     approximate_solution,
@@ -75,7 +77,7 @@ def scan_workers() -> int:
 def parallel_map(fn, items):
     """Map with results in input order; items are independent, so results do
     not depend on the worker count.  Workers start the largest items first:
-    a scan's cost grows with N or M, so its costliest point never runs last."""
+    a box scan's cost grows with N, so its costliest point never runs last."""
     items = list(items)
     workers = min(scan_workers(), len(items))
     if workers <= 1:
@@ -221,6 +223,14 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValidationError("need at least four box sizes")
+    for n in n_list:  # each convolution lattice, counted before any box is built
+        n_tau = sum(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True, False)) - 2
+        lattice_bytes = 8 * n_tau * (3 * BOX_XI_SAMPLES - 2)
+        if lattice_bytes > EVOLVE_HISTORY_LIMIT:
+            raise ValidationError(
+                f"N = {n:g} needs a {lattice_bytes / 2**20:.0f} MiB convolution lattice, "
+                f"over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB limit"
+            )
 
     def one(n):
         plus = box_data(BoxSpec(n=n, alpha=alpha))
@@ -232,15 +242,10 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
         return num, g1, g2, g1
 
     rows = parallel_map(one, n_list)
-    nums = [r[0] for r in rows]
-    ratios = [r[0] / (r[1] * r[2] * r[3]) for r in rows]
-    factor_scans = tuple(
-        fit_power_law("N", n_list, [r[j] for r in rows]) for j in (1, 2, 3)
-    )
     return TrilinearScan(
-        ratio=fit_power_law("N", n_list, ratios),
-        factors=factor_scans,
-        numerator=fit_power_law("N", n_list, nums),
+        ratio=fit_power_law("N", n_list, [r[0] / (r[1] * r[2] * r[3]) for r in rows]),
+        factors=tuple(fit_power_law("N", n_list, [r[j] for r in rows]) for j in (1, 2, 3)),
+        numerator=fit_power_law("N", n_list, [r[0] for r in rows]),
     )
 
 
@@ -288,48 +293,41 @@ def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
 
 
 def wavepacket_grid(m: float, tau_scale: float) -> Grid:
-    """One carrier's grid: the torus of length 64 max(tau_scale, 1), the same
-    for every carrier, at the least power-of-two nx whose Nyquist frequency
-    is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below e^(-288)
-    of its peak at m = 16, tau_scale = 1, and falls faster as m grows."""
+    """The packet's grid at carrier m: the torus of length 64 max(tau_scale, 1),
+    the same for every carrier, at the least power-of-two nx whose Nyquist
+    frequency is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below
+    e^(-288) of its peak at m = 16, tau_scale = 1.  At m = 0 it holds the
+    envelope's band alone (512 points at tau_scale = 1)."""
     length = 64.0 * max(tau_scale, 1.0)
     need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
     nx = 1 << int(np.ceil(np.log2(max(need, 64.0))))
     return make_grid(nx, length)
 
 
-def scan_wavepacket(
-    s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1.0
-) -> dict:
+def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1.0) -> dict:
     """H^s norm of the modulated packet against the carrier, one scan per s.
 
-    Each carrier's packet is sampled on its own wavepacket_grid (one torus,
-    nx growing with m), transformed once, and its H^s norm taken for every s;
-    the scaling hypotheses are checked for every (s, M) pair.
+    Each packet is sampled once on the envelope's band grid,
+    wavepacket_grid(0, tau_scale), as its band and carrier mode m (see
+    modulated_wavepacket); band mode k is weighed as packet mode k + m dk
+    for every s.  The scaling hypotheses are checked for every (s, M) pair.
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
-    grids = {m: wavepacket_grid(m, tau_scale) for m in m_list}
+    grid = wavepacket_grid(0.0, tau_scale)
     specs = {
-        m: [
-            WavepacketSpec(
-                amplitude=amplitude, carrier=m, tau_scale=tau_scale,
-                x0=0.5 * grids[m].length, s=s,
-            )
-            for s in s_list
-        ]
+        m: [WavepacketSpec(amplitude, m, tau_scale, 0.5 * grid.length, s) for s in s_list]
         for m in m_list
     }
 
     def norms(m):
-        packet = modulated_wavepacket(specs[m][0], grids[m])
-        return [sobolev_norm(packet, s) for s in s_list]
+        band, mode = modulated_wavepacket(specs[m][0], grid)
+        power = np.abs(band.values) ** 2
+        k2 = (grid.k + mode * grid.dk) ** 2
+        return [float(np.sqrt(np.sum(power * (1.0 + k2) ** s) / grid.length)) for s in s_list]
 
     rows = parallel_map(norms, m_list) if s_list else []
-    return {
-        s: fit_power_law("M", m_list, [row[j] for row in rows])
-        for j, s in enumerate(s_list)
-    }
+    return {s: fit_power_law("M", m_list, [r[j] for r in rows]) for j, s in enumerate(s_list)}
 
 
 # ---------------------------------------------------------------------------

@@ -101,16 +101,15 @@ def xsb_norm(
 
     sign '-' weighs distance to tau = +|xi|^alpha (fields evolving like u);
     sign '+' weighs distance to tau = -|xi|^alpha (transforms of conjugates).
+    Only the nonzero cells are weighed: a zero cell adds exactly nothing.
     """
     if sign not in ("-", "+"):
         raise ValidationError("sign must be '-' or '+'")
-    disp = np.abs(f.xi) ** alpha
-    if sign == "-":
-        modulation = f.tau[:, None] - disp[None, :]
-    else:
-        modulation = f.tau[:, None] + disp[None, :]
-    weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (
-        2.0 * b
-    )
-    total = np.sum(weight * np.abs(f.values) ** 2) * f.cell
+    # flat indices from a boolean mask: numpy's fast path for nonzero
+    cells = np.flatnonzero(f.values != 0)
+    it, ix = np.divmod(cells, f.xi.size)
+    disp = np.abs(f.xi)[ix] ** alpha
+    modulation = f.tau[it] - disp if sign == "-" else f.tau[it] + disp
+    weight = ((1.0 + np.abs(f.xi)) ** (2.0 * s))[ix] * (1.0 + np.abs(modulation)) ** (2.0 * b)
+    total = np.sum(weight * np.abs(f.values.ravel()[cells]) ** 2) * f.cell
     return float(np.sqrt(total))

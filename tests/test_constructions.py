@@ -21,7 +21,6 @@ from fnls.constructions import (
     modulated_wavepacket,
     remodulate,
     rescale_solution,
-    _fast_len,
     trilinear_convolution,
 )
 import fnls.experiments as experiments
@@ -82,25 +81,13 @@ def test_box_norm_growth_exponent():
 # ---------------------------------------------------------------- convolution
 
 
-def test_trilinear_point_masses():
-    def delta(tau0, xi0, amp):
-        tau = tau0 + 0.5 * np.arange(3)
-        xi = xi0 + 0.25 * np.arange(3)
-        vals = np.zeros((3, 3), dtype=complex)
-        vals[0, 0] = amp
-        return SpaceTimeField(tau, xi, vals)
-
-    f1 = delta(1.0, 2.0, 2.0)
-    f2 = delta(-3.0, 0.5, 1.5)
-    f3 = delta(0.25, -1.0, -1.0 + 1.0j)
-    out = trilinear_convolution(f1, f2, f3)
-    cell = 0.5 * 0.25
-    it = int(np.argmin(np.abs(out.tau - (1.0 - 3.0 + 0.25))))
-    ix = int(np.argmin(np.abs(out.xi - (2.0 + 0.5 - 1.0))))
-    expect = 2.0 * 1.5 * (-1.0 + 1.0j) * cell**2
-    assert out.values[it, ix] == pytest.approx(expect, rel=1e-12)
-    total = np.sum(np.abs(out.values) > 1e-14)
-    assert total == 1
+def _box_field(tau0, xi0, n_tau, runs, dtau=0.5, dxi=0.25):
+    """0/1 field on an n_tau x len(runs) lattice; column j is one on
+    rows runs[j][0] .. runs[j][1] inclusive."""
+    vals = np.zeros((n_tau, len(runs)))
+    for j, (a, b) in enumerate(runs):
+        vals[a : b + 1, j] = 1.0
+    return SpaceTimeField(tau0 + dtau * np.arange(n_tau), xi0 + dxi * np.arange(len(runs)), vals)
 
 
 def _direct_trilinear(v1, v2, v3):
@@ -114,106 +101,71 @@ def _direct_trilinear(v1, v2, v3):
     return out
 
 
-def test_fast_len_is_the_least_5_smooth_length():
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
-
-    for n in range(1, 5001):
-        m = n
-        while not smooth(m):
-            m += 1
-        assert _fast_len(n) == m, n
+def test_trilinear_point_masses():
+    # runs of length one: every column triple adds one cell^2 at the sum of
+    # its three points, in physical coordinates too
+    f1 = _box_field(1.0, 2.0, 3, [(0, 0), (2, 2)])
+    f2 = _box_field(-3.0, 0.5, 3, [(1, 1), (0, 0)])
+    f3 = _box_field(0.25, -1.0, 2, [(0, 0), (1, 1)])
+    out = trilinear_convolution(f1, f2, f3)
+    cell = 0.5 * 0.25
+    assert out.values.shape == (6, 4)
+    assert out.tau[0] == 1.0 - 3.0 + 0.25 and out.xi[0] == 2.0 + 0.5 - 1.0
+    assert np.array_equal(out.values, _direct_trilinear(f1.values, f2.values, f3.values) * cell**2)
+    # the first columns' points meet at tau 1 - 2.5 + 0.25, xi 1.5, alone
+    it = int(np.argmin(np.abs(out.tau - (1.0 - 2.5 + 0.25))))
+    assert out.values[it, 0] == cell**2
+    assert np.sum(out.values) == 8 * cell**2
 
 
 def test_trilinear_matches_brute_force():
+    # random boxes, one run per column; the counts are exact, so the output
+    # equals the direct accumulation bit for bit
     rng = np.random.default_rng(0)
 
-    def rand_field(tau0, xi0, nt, nxi, real):
-        tau = tau0 + 0.5 * np.arange(nt)
-        xi = xi0 + 0.25 * np.arange(nxi)
-        vals = rng.standard_normal((nt, nxi))
-        if not real:
-            vals = vals + 1j * rng.standard_normal((nt, nxi))
-        return SpaceTimeField(tau, xi, vals)
+    def rand_box(tau0, xi0, n_tau, n_xi):
+        a = rng.integers(0, n_tau, n_xi)
+        b = a + rng.integers(0, n_tau - a)
+        return _box_field(tau0, xi0, n_tau, list(zip(a, b)))
 
-    # the second set is tall (tau >> xi) like a box lattice; its output
-    # lengths 75 x 5 are already 5-smooth, so the real transform runs along
-    # an odd tau length that is not a power of two
-    assert _fast_len(75) == 75 and _fast_len(5) == 5
-    for shapes in (((4, 3), (3, 4), (5, 2)), ((40, 3), (29, 2), (8, 2))):
-        # complex factors take complex transforms; real ones real transforms
-        # and give a real output
-        for real in (False, True):
-            f1 = rand_field(0.0, 1.0, *shapes[0], real)
-            f2 = rand_field(-2.0, -1.5, *shapes[1], real)
-            f3 = rand_field(1.0, 0.0, *shapes[2], real)
-            out = trilinear_convolution(f1, f2, f3)
-            assert out.values.dtype == (np.float64 if real else np.complex128)
-            direct = _direct_trilinear(f1.values, f2.values, f3.values) * f1.cell**2
-            assert out.values.shape == direct.shape
-            err = np.max(np.abs(out.values - direct))
-            assert err <= 1e-12 * np.max(np.abs(direct))
-            np.testing.assert_allclose(out.values, direct, rtol=1e-10, atol=1e-12)
+    # the second set is tall (tau >> xi) like a box lattice
+    for shapes in (((4, 3), (3, 4), (5, 2)), ((40, 3), (29, 2), (8, 2)), ((17, 16),) * 3):
+        f1 = rand_box(0.0, 1.0, *shapes[0])
+        f2 = rand_box(-2.0, -1.5, *shapes[1])
+        f3 = rand_box(1.0, 0.0, *shapes[2])
+        out = trilinear_convolution(f1, f2, f3)
+        direct = _direct_trilinear(f1.values, f2.values, f3.values) * f1.cell**2
+        assert out.values.dtype == np.float64
+        assert np.array_equal(out.values, direct)
+        np.testing.assert_allclose(out.tau, -1.0 + 0.5 * np.arange(direct.shape[0]))
+        np.testing.assert_allclose(out.xi, -0.5 + 0.25 * np.arange(direct.shape[1]))
 
 
-def test_trilinear_real_boxes_match_complex_boxes():
-    # box indicators are real; the same data stored as complex128 take the
-    # complex transforms and must give the same convolution
-    alpha = 1.5
-    for n in (16.0, 256.0):
-        plus = box_data(BoxSpec(n=n, alpha=alpha))
-        minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
-        assert plus.values.dtype == np.float64
-
-        def as_complex(f):
-            return SpaceTimeField(f.tau, f.xi, f.values.astype(np.complex128))
-
-        real_out = trilinear_convolution(plus, minus, plus)
-        complex_out = trilinear_convolution(as_complex(plus), as_complex(minus), as_complex(plus))
-        assert real_out.values.dtype == np.float64
-        assert complex_out.values.dtype == np.complex128
-        assert np.array_equal(real_out.tau, complex_out.tau)
-        assert np.array_equal(real_out.xi, complex_out.xi)
-        scale = np.max(np.abs(complex_out.values))
-        assert np.max(np.abs(real_out.values - complex_out.values)) <= 1e-12 * scale
-
-
-def test_trilinear_repeated_factor_matches_a_copy():
-    # f3 is f1 reuses the first spectrum; the product keeps its operand
-    # order, so the output is bit-identical to passing a separate copy
-    alpha = 1.5
-    plus = box_data(BoxSpec(n=64.0, alpha=alpha))
-    minus = box_data(BoxSpec(n=64.0, alpha=alpha, conjugate=True))
-    phase = np.exp(0.3j * np.arange(plus.xi.size))
-
-    def copy(f):
-        return SpaceTimeField(f.tau.copy(), f.xi.copy(), f.values.copy())
-
-    for a, b in (
-        (plus, minus),
-        (SpaceTimeField(plus.tau, plus.xi, plus.values * phase), minus),
-    ):
-        same = trilinear_convolution(a, b, a)
-        other = trilinear_convolution(a, b, copy(a))
-        assert same.values.dtype == a.values.dtype
-        assert np.array_equal(same.values, other.values)
-        assert np.array_equal(same.tau, other.tau)
-        assert np.array_equal(same.xi, other.xi)
+def test_trilinear_rejects_non_box_input():
+    box = _box_field(0.0, 0.0, 4, [(0, 1), (1, 3)])
+    tau, xi = box.tau, box.xi
+    bad = {
+        "complex values": box.values.astype(np.complex128),
+        "a value other than 0/1": box.values * 2.0,
+        "two runs in one column": np.array([[1, 0], [0, 1], [1, 1], [0, 1]], float),
+        "an empty column": np.array([[1, 0], [1, 0], [0, 0], [0, 0]], float),
+    }
+    for vals in bad.values():
+        other = SpaceTimeField(tau, xi, vals)
+        for args in ((other, box, box), (box, box, other)):
+            with pytest.raises(ValidationError, match="0/1 box|one run of ones"):
+                trilinear_convolution(*args)
 
 
 def test_trilinear_repeated_factor_peak_memory():
-    # one call on box data holds at most three spectra of the padded real
-    # transform at once, with the repeated factor or a copy of it (3.05 and
-    # 3.00 measured); multiplying the spectra into a new array holds five
+    # one call on box data holds at most the filled lattice (a column's
+    # support longer than the output) and the output field's copy of it:
+    # 2.06 output lattices measured, with the repeated factor or a copy
     alpha = 1.5
     plus = box_data(BoxSpec(n=1024.0, alpha=alpha))
     minus = box_data(BoxSpec(n=1024.0, alpha=alpha, conjugate=True))
     n_tau = 2 * plus.tau.size + minus.tau.size - 2
     n_xi = 2 * plus.xi.size + minus.xi.size - 2
-    spectrum_bytes = 16 * _fast_len(n_xi) * (_fast_len(n_tau) // 2 + 1)
     for third in (plus, box_data(BoxSpec(n=1024.0, alpha=alpha))):
         tracemalloc.start()
         try:
@@ -223,7 +175,7 @@ def test_trilinear_repeated_factor_peak_memory():
         finally:
             tracemalloc.stop()
         assert out.values.shape == (n_tau, n_xi)
-        assert (peak - base) / spectrum_bytes <= 3.1
+        assert (peak - base) / out.values.nbytes <= 2.1
 
 
 def test_import_loads_no_scipy():
@@ -247,28 +199,28 @@ def test_trilinear_resonant_output_support():
     plus = box_data(spec)
     minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
     out = trilinear_convolution(plus, minus, plus)
-    power = np.abs(out.values) ** 2
+    power = out.values**2
     tt, xx = np.meshgrid(out.tau, out.xi, indexing="ij")
     modulation = np.abs(tt - np.abs(xx) ** alpha)
     mean_mod = np.sum(modulation * power) / np.sum(power)
-    # output concentrates within an O(1) strip of the dispersion surface;
-    # the strip half-thickness is 3 (modulations) + curvature spread
+    # output concentrates within an O(1) strip of the dispersion surface
     assert mean_mod <= 4.0
     support_xi = out.xi[np.any(power > 0, axis=0)]
     assert support_xi.min() >= n
     assert support_xi.max() <= n + 3 * spec.width
 
-    # the O(1) strip thickness is exactly the four-frequency resonance
-    # |x1|^a - |x2|^a + |x3|^a - |x1+x2+x3|^a; over the boxes it stays O(1)
-    rng = np.random.default_rng(1)
-    x1 = n + spec.width * rng.random(500)
-    x2 = -n + spec.width * rng.random(500)
-    x3 = n + spec.width * rng.random(500)
+    # the four-frequency resonance |x1|^a - |x2|^a + |x3|^a - |x1+x2+x3|^a
+    # stays O(1) over the boxes' xi samples
+    x1, x2, x3 = np.meshgrid(plus.xi, minus.xi, plus.xi, indexing="ij")
     omega = (
         np.abs(x1) ** alpha - np.abs(x2) ** alpha + np.abs(x3) ** alpha
         - np.abs(x1 + x2 + x3) ** alpha
     )
     assert np.max(np.abs(omega)) <= 4.0
+    # the counts are exact, so every nonzero cell lies in the strip: three
+    # unit strips of the factors plus the resonance (5.62 <= 5.76 measured)
+    assert np.max(modulation[out.values != 0]) <= 3.0 + np.max(np.abs(omega)) + 1e-9
+    assert np.count_nonzero(out.values) < 0.1 * out.values.size
 
 
 def test_trilinear_spacing_mismatch():
@@ -471,12 +423,18 @@ def test_remodulate_moves_the_band_and_validates():
 def test_wavepacket_envelope_and_amplitude():
     grid = make_grid(4096, 64.0)
     spec = WavepacketSpec(amplitude=1.0, carrier=4.0, tau_scale=1.0, x0=32.0)
-    f = modulated_wavepacket(spec, grid)
+    f, m = modulated_wavepacket(spec, grid)
     envelope = np.exp(-0.5 * (grid.x - 32.0) ** 2)
     assert np.max(np.abs(np.abs(physical_values(f)) - envelope)) < 1e-12
-    g = modulated_wavepacket(
+    # 4 = 41 dk + phi with |phi| <= dk/2; the carrier mode times the band
+    # is the packet
+    assert m == 41
+    packet = np.exp(1j * m * grid.dk * grid.x) * physical_values(f)
+    assert np.max(np.abs(packet - np.exp(4.0j * grid.x) * envelope)) < 1e-12
+    g, m_g = modulated_wavepacket(
         WavepacketSpec(amplitude=-2.0, carrier=4.0, tau_scale=1.0, x0=32.0), grid
     )
+    assert m_g == m
     assert np.allclose(g.values, -2.0 * f.values, rtol=1e-12)
 
 
@@ -484,7 +442,7 @@ def test_wavepacket_l2_identity():
     grid = make_grid(8192, 96.0)
     for tau in (0.5, 1.0, 3.0):
         spec = WavepacketSpec(amplitude=1.3, carrier=8.0, tau_scale=tau, x0=48.0)
-        f = modulated_wavepacket(spec, grid)
+        f, _ = modulated_wavepacket(spec, grid)
         expect = 1.3 * np.sqrt(tau) * np.pi**0.25
         assert sobolev_norm(f, 0.0) == pytest.approx(expect, rel=0.01)
 

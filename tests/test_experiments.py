@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,7 @@ import pytest
 
 import fnls.experiments as experiments
 from fnls.constructions import (
-    WavepacketSpec,
     approximate_solution,
-    modulated_wavepacket,
     remodulate,
 )
 from fnls.norms import sobolev_norm
@@ -142,6 +141,26 @@ def test_scan_trilinear_needs_four_points():
         scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64])
 
 
+def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
+    # N = 2^22 needs a 1,098 MiB convolution lattice, over the 1 GiB limit:
+    # the box sizes alone reject it, before any box is built
+    def no_box(spec):
+        raise AssertionError("box built")
+
+    monkeypatch.setattr(experiments, "box_data", no_box)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="1098 MiB convolution lattice"):
+            scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 23)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # N = 2^21 (653 MiB) passes the check and reaches the boxes
+    with pytest.raises(AssertionError, match="box built"):
+        scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 22)])
+
+
 def test_scan_wavepacket_small():
     scans = scan_wavepacket([0.25], [16, 32, 64, 128])
     assert scans[0.25].fitted_slope == pytest.approx(0.25, abs=0.05)
@@ -155,38 +174,55 @@ def test_scan_wavepacket_shares_packets_across_s():
         assert both[s] == scan_wavepacket([s], m_list, amplitude=1.7)[s]
 
 
-def test_scan_wavepacket_matches_shared_grid_reference(monkeypatch):
-    # reference: every packet sampled on one shared grid, the one sized for
-    # the largest carrier
+def test_scan_wavepacket_matches_shared_grid_reference():
+    # reference: each packet A e^(iMx) w sampled on the full grid
+    # wavepacket_grid(M, tau), whose nx grows with M on the torus that every
+    # carrier shares, and weighed by that grid's own modes
     s_list = [-0.25, 0.0, 0.25]
-    m_list = [2.0**j for j in range(4, 11)]
     amplitude = 1.7
-    shared = wavepacket_grid(max(m_list), 1.0)
-    reference = {s: [] for s in s_list}
-    for m in m_list:
-        spec = WavepacketSpec(
-            amplitude=amplitude, carrier=m, tau_scale=1.0, x0=0.5 * shared.length
-        )
-        packet = modulated_wavepacket(spec, shared)
+    inputs = [
+        ([2.0**j for j in range(4, 15)], 1.0),
+        (list(np.geomspace(16.0, 1000.0, 7)), 1.0),  # off the lattice
+        ([2.0**j for j in range(4, 12)], 0.25),
+        ([2.0**j for j in range(4, 12)], 3.0),
+    ]
+    for m_list, tau in inputs:
+        reference = {s: [] for s in s_list}
+        for m in m_list:
+            full = wavepacket_grid(m, tau)
+            x0 = 0.5 * full.length
+            samples = amplitude * np.exp(1j * m * full.x - 0.5 * ((full.x - x0) / tau) ** 2)
+            packet = Field.physical(full, samples)
+            for s in s_list:
+                reference[s].append(sobolev_norm(packet, s))
+        scans = scan_wavepacket(s_list, m_list, tau_scale=tau, amplitude=amplitude)
         for s in s_list:
-            reference[s].append(sobolev_norm(packet, s))
+            np.testing.assert_allclose(scans[s].values, reference[s], rtol=1e-14, atol=0)
+            ref_slope = fit_power_law("M", m_list, reference[s]).fitted_slope
+            if s != 0.0:
+                assert scans[s].fitted_slope == pytest.approx(ref_slope, rel=1e-12, abs=0)
 
-    grids = {}
-    original = experiments.modulated_wavepacket
 
-    def record(spec, grid):
-        grids[spec.carrier] = grid
-        return original(spec, grid)
+def test_scan_wavepacket_samples_only_the_envelope_band(monkeypatch):
+    # carriers to 2^30 would need a 2^32-point grid sampled per carrier;
+    # the band grid has 512 points whatever the carrier
+    sizes = []
+    make_grid_ = experiments.make_grid
 
-    monkeypatch.setattr(experiments, "modulated_wavepacket", record)
-    scans = scan_wavepacket(s_list, m_list, amplitude=amplitude)
-    for s in s_list:
-        np.testing.assert_allclose(scans[s].values, reference[s], rtol=1e-15, atol=0)
-        ref_slope = fit_power_law("M", m_list, reference[s]).fitted_slope
-        if s != 0.0:
-            assert scans[s].fitted_slope == pytest.approx(ref_slope, rel=1e-12, abs=0)
-    assert grids == {m: wavepacket_grid(m, 1.0) for m in m_list}
-    assert all(g.length == shared.length for g in grids.values())
+    def small_grid(nx, length):
+        assert nx <= 512
+        sizes.append(nx)
+        return make_grid_(nx, length)
+
+    monkeypatch.setattr(experiments, "make_grid", small_grid)
+    m_list = [2.0**j for j in range(20, 31)]
+    start = time.perf_counter()
+    scans = scan_wavepacket([-0.25, 0.0, 0.25], m_list)
+    elapsed = time.perf_counter() - start
+    assert sizes == [512]
+    assert elapsed < 0.5  # about 5 ms on a 2-core host
+    for s, scan in scans.items():
+        assert scan.fitted_slope == pytest.approx(s, abs=1e-6)
 
 
 def test_scan_wavepacket_checks_every_s():

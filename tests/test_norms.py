@@ -122,6 +122,29 @@ def test_xsb_zero_weights_is_lattice_l2():
     assert xsb_norm(f, 0.0, 0.0, 1.5, "+") == xsb_norm(f, 0.0, 0.0, 1.5, "-")
 
 
+def _dense_xsb(f, s, b, alpha, sign):
+    """Every cell weighed, zeros included."""
+    disp = np.abs(f.xi) ** alpha
+    modulation = f.tau[:, None] + (-disp if sign == "-" else disp)[None, :]
+    weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)
+    return np.sqrt(np.sum(weight * np.abs(f.values) ** 2) * f.cell)
+
+
+def test_xsb_weighs_nonzero_cells_as_the_dense_formula():
+    rng = np.random.default_rng(5)
+    tau = np.linspace(-30.0, 30.0, 61)
+    xi = np.linspace(-8.0, 8.0, 17)
+    dense = rng.standard_normal((61, 17)) + 1j * rng.standard_normal((61, 17))
+    sparse = np.where(rng.random((61, 17)) < 0.02, dense, 0.0)
+    real_sparse = np.where(rng.random((61, 17)) < 0.02, 1.0, 0.0)
+    for vals in (dense, sparse, real_sparse):
+        f = SpaceTimeField(tau, xi, vals)
+        for s, b, sign in ((0.0, 0.0, "-"), (0.3, 0.51, "-"), (-0.2, -0.49, "+")):
+            got = xsb_norm(f, s, b, 1.5, sign)
+            assert got == pytest.approx(_dense_xsb(f, s, b, 1.5, sign), rel=1e-14)
+    assert xsb_norm(SpaceTimeField(tau, xi, np.zeros((61, 17))), 0.3, 0.51, 1.5, "-") == 0.0
+
+
 def test_xsb_sign_conventions():
     tau = np.arange(-40.0, 40.0, 0.5)
     xi = np.arange(-8.0, 8.5, 1.0)
