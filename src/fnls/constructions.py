@@ -78,39 +78,15 @@ class BoxSpec:
 
 def box_data(spec: BoxSpec) -> SpaceTimeField:
     """Real 0/1 indicator of the box on a midpoint-sampled (tau, xi) lattice:
-    each xi column holds one run of ones along tau."""
+    each xi column holds one run of ones along tau (the samples with
+    |tau - line| <= 1, consecutive as tau rises), stored from its start."""
     xi, line = spec.columns()
     tau = line.min() - 1.0 + (np.arange(spec.tau_samples) + 0.5) / BOX_TAU_SAMPLES_PER_UNIT
-    values = (np.abs(tau[:, None] - line[None, :]) <= 1.0).astype(np.float64)
-    return SpaceTimeField(tau, xi, values)
-
-
-def _column_counts(fields, n_xi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triple-convolution counts of three box indicators by output column:
-    column J holds counts[r, J] at tau index first[J] + r."""
-    index, sign = 0, 1.0
-    for f in fields:
-        v = f.values
-        if np.iscomplexobj(v) or not np.all((v == 0.0) | (v == 1.0)):
-            raise ValidationError("trilinear factors must be real 0/1 box indicators")
-        step = np.diff(v, axis=0, prepend=0.0, append=0.0)
-        if np.any(np.count_nonzero(step == 1.0, axis=0) != 1):
-            raise ValidationError("each column of a box factor must hold one run of ones")
-        # +1 at each column's run start, -1 just past its end: the flat
-        # indices tau * n_xi + xi add over the factors, the signs multiply
-        runs = np.stack([np.argmax(step == 1.0, axis=0), np.argmax(step == -1.0, axis=0)])
-        index = np.add.outer(index, runs * n_xi + np.arange(v.shape[1]))
-        sign = np.multiply.outer(sign, np.repeat([[1.0], [-1.0]], v.shape[1], axis=1))
-    # each column is summed from its first point; past its last the sums are 0
-    point_tau, point_xi = np.divmod(index.ravel(), n_xi)
-    first = np.full(n_xi, point_tau.max())
-    np.minimum.at(first, point_xi, point_tau)
-    row = point_tau - first[point_xi]
-    width = row.max() + 1
-    counts = np.bincount(row * n_xi + point_xi, sign.ravel(), width * n_xi).reshape(width, n_xi)
-    for _ in range(3):
-        np.cumsum(counts, axis=0, out=counts)
-    return first, counts
+    distance = tau[:, None] - line
+    inside = np.abs(distance, out=distance) <= 1.0
+    length = np.count_nonzero(inside, axis=0)
+    values = (np.arange(length.max())[:, None] < length).astype(np.float64)
+    return SpaceTimeField(tau, xi, np.argmax(inside, axis=0), values)
 
 
 def trilinear_convolution(
@@ -119,25 +95,48 @@ def trilinear_convolution(
     """Exact double space-time convolution of three box indicators, with
     Riemann weights.
 
-    Each factor must be real 0/1 with one run of ones per xi column, so the
-    convolution's third tau difference is 8 signed points per column triple:
-    counted and summed three times along tau, they give exact integer
-    counts, times (dtau dxi)^2.  The output lattice covers the Minkowski sum
-    of the supports; the factor lattices must share spacings (offsets add).
+    Each factor must be real 0/1 with one run of ones per xi column, stored
+    from the column's first row as box_data stores it, so the convolution's
+    third tau difference is 8 signed points per column triple: counted and
+    summed three times along tau, they give exact integer counts, times
+    (dtau dxi)^2.  The output lattice covers the Minkowski sum of the
+    supports; the factor lattices must share spacings (offsets add).  Each
+    output column is stored from its first point over the widest support's
+    rows, moved up where those would leave the lattice.
     """
     fields = (f1, f2bar, f3)
     dtau, dxi = f1.dtau, f1.dxi
     for f in fields[1:]:
         if abs(f.dtau - dtau) > 1e-9 * dtau or abs(f.dxi - dxi) > 1e-9 * dxi:
             raise ValidationError("lattice spacings do not match")
-    n_tau, n_xi = (sum(f.values.shape[ax] for f in fields) - 2 for ax in (0, 1))
-    first, counts = _column_counts(fields, n_xi)
-    width = counts.shape[0]  # extra rows take the zeros past a column's support
-    values = np.zeros((n_tau + width, n_xi))
-    values[first + np.arange(width)[:, None], np.arange(n_xi)] = counts * (dtau * dxi) ** 2
+    n_tau, n_xi = (sum(getattr(f, ax).size for f in fields) - 2 for ax in ("tau", "xi"))
+    # +1 at each run's start, -1 just past its end: a column triple's 8 signed
+    # points, laid out (2, m1, 2, m2, 2, m3), sit in output column j1 + j2 + j3
+    points, cols, sign = 0, 0, 1.0
+    for f in fields:
+        v = f.values
+        length = np.count_nonzero(v, axis=0)
+        ones_then_zeros = np.arange(v.shape[0])[:, None] < length
+        if np.iscomplexobj(v) or np.any(length == 0) or not np.array_equal(v, ones_then_zeros):
+            raise ValidationError("trilinear factors must be 0/1 boxes: one run of ones from row 0")
+        points = np.add.outer(points, np.stack([f.first, f.first + length]))
+        cols = np.add.outer(cols, np.arange(v.shape[1])[None, :])
+        sign = np.multiply.outer(sign, [[1.0], [-1.0]])
+    # a column is summed from its least start sum, and its support ends 3 rows
+    # before its last point; points past the stored rows change none of them
+    first = np.full(n_xi, n_tau)
+    np.minimum.at(first, cols.ravel(), points[0, :, 0, :, 0].ravel())
+    width = (points - first[cols]).max() - 2
+    first = np.minimum(first, n_tau - width)
+    bins = (points - first[cols]) * n_xi + cols
+    counts = np.bincount(bins.ravel(), np.broadcast_to(sign, bins.shape).ravel(), width * n_xi)
+    counts = counts[: width * n_xi].reshape(width, n_xi)
+    for _ in range(3):
+        np.cumsum(counts, axis=0, out=counts)
+    counts *= (dtau * dxi) ** 2
     tau = sum(f.tau[0] for f in fields) + dtau * np.arange(n_tau)
     xi = sum(f.xi[0] for f in fields) + dxi * np.arange(n_xi)
-    return SpaceTimeField(tau, xi, values[:n_tau])
+    return SpaceTimeField(tau, xi, first, counts)
 
 
 def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:

@@ -12,12 +12,9 @@ class ValidationError(ValueError):
 class BlowUpError(RuntimeError):
     """Solution left the trusted range (focusing blow-up or instability)."""
 
-    def __init__(self, t_reached, detail=""):
+    def __init__(self, t_reached, detail):
         self.t_reached = t_reached
-        msg = f"non-finite or oversized field at t={t_reached:.6g}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"non-finite or oversized field at t={t_reached:.6g} ({detail})")
 
 
 class WrapAroundError(RuntimeError):

@@ -166,7 +166,7 @@ def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
     return step
 
 
-def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float) -> None:
+def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float, where) -> None:
     # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound per row, so
     # a row with sum |uhat| <= limit = threshold * L is cleared; only a row
     # that is not falls back to its exact samples.  A NaN or inf anywhere
@@ -176,10 +176,10 @@ def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float) -> None:
         return
     for row in np.flatnonzero(~(total <= limit)):
         if not np.isfinite(total[row]):
-            raise BlowUpError(t, "non-finite spectrum")
+            raise BlowUpError(t, f"{where(row)}: non-finite spectrum")
         peak = float(np.max(np.abs(inverse_transform(uhat[row], dx[row]))))
         if peak > threshold:
-            raise BlowUpError(t, f"|u| reached {peak:.3g}")
+            raise BlowUpError(t, f"{where(row)}: |u| reached {peak:.3g}")
 
 
 def _step_plan(cfg: SimConfig):
@@ -210,7 +210,8 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     runs must share nx, dt, t_final, record_every and gamma; alpha, the
     grid length, frame_velocity, carrier and check_tail may differ.  Each
     trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
-    that fails raises what evolve would raise for it.
+    that fails raises what evolve would raise for it, naming the run by its
+    row, alpha and carrier.
     Each trajectory's values are a row of one (runs, records, nx) history;
     a history over EVOLVE_HISTORY_LIMIT bytes is rejected before allocation.
     """
@@ -243,6 +244,9 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     limit = BLOWUP_THRESHOLD * np.array([c.grid.length for c in cfgs])
     step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
 
+    def where(row: int) -> str:
+        return f"run {row} of {len(cfgs)}, alpha {cfgs[row].alpha:g}, carrier {cfgs[row].carrier:g}"
+
     history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
     times: list[float] = []
 
@@ -255,7 +259,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
             frac = tail_fraction(inverse_transform(uhat[row], c.grid.dx))
             if frac > TAIL_MASS_LIMIT:
                 raise WrapAroundError(
-                    f"tail mass fraction {frac:.3g} in the outer 10% of the domain "
+                    f"{where(row)}: tail mass fraction {frac:.3g} in the outer 10% of the domain "
                     f"at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
                 )
 
@@ -263,12 +267,12 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     for n in range(1, n_whole + 1):
         uhat = step(uhat)
         t = n * cfg.dt
-        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, t)
+        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, t, where)
         if n in record_steps:
             record(t)
     if remainder != 0.0:
         uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
-        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final)
+        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final, where)
     if final_record:
         record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
     return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]

@@ -223,12 +223,12 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValidationError("need at least four box sizes")
-    for n in n_list:  # each convolution lattice, counted before any box is built
-        n_tau = sum(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True, False)) - 2
-        lattice_bytes = 8 * n_tau * (3 * BOX_XI_SAMPLES - 2)
-        if lattice_bytes > EVOLVE_HISTORY_LIMIT:
+    for n in n_list:  # box_data's float difference array and its mask, before any box
+        samples = max(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True))
+        box_bytes = 9 * samples * BOX_XI_SAMPLES
+        if box_bytes > EVOLVE_HISTORY_LIMIT:
             raise ValidationError(
-                f"N = {n:g} needs a {lattice_bytes / 2**20:.0f} MiB convolution lattice, "
+                f"N = {n:g} needs a {box_bytes / 2**20:.0f} MiB box lattice, "
                 f"over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB limit"
             )
 

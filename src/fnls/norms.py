@@ -63,30 +63,33 @@ def _uniform_spacing(lattice: np.ndarray, name: str) -> float:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Values on a uniform (tau, xi) lattice, indexed [tau, xi]: real input
-    stays real (float64), complex input is stored as complex128."""
+    """Values on a uniform (tau, xi) lattice, stored by xi column: column j
+    holds values[r, j] at tau[first[j] + r], and every other cell is exactly
+    zero.  A dense field is first = 0 with tau.size rows.  Real values stay
+    real (float64), complex ones are stored as complex128."""
 
     tau: np.ndarray
     xi: np.ndarray
+    first: np.ndarray
     values: np.ndarray
     dtau: float = field(init=False)
     dxi: float = field(init=False)
 
     def __post_init__(self):
-        dtau = _uniform_spacing(self.tau, "tau lattice")
-        dxi = _uniform_spacing(self.xi, "xi lattice")
+        object.__setattr__(self, "dtau", _uniform_spacing(self.tau, "tau lattice"))
+        object.__setattr__(self, "dxi", _uniform_spacing(self.xi, "xi lattice"))
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
         vals = np.asarray(self.values, dtype=dtype)
-        if vals.shape != (self.tau.size, self.xi.size):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match lattice "
-                f"({self.tau.size}, {self.xi.size})"
-            )
+        first = np.asarray(self.first)
+        if vals.ndim != 2 or vals.shape[1:] != first.shape or first.shape != (self.xi.size,):
+            raise ValidationError(f"values {vals.shape} and first {first.shape} do not fit xi")
+        rows_end = first.max() + vals.shape[0]
+        if first.dtype.kind not in "iu" or first.min() < 0 or rows_end > self.tau.size:
+            raise ValidationError("first must be integer rows, with every stored row on tau")
         object.__setattr__(self, "tau", _frozen_array(self.tau, float))
         object.__setattr__(self, "xi", _frozen_array(self.xi, float))
+        object.__setattr__(self, "first", _frozen_array(first, np.intp))
         object.__setattr__(self, "values", _frozen_array(vals))
-        object.__setattr__(self, "dtau", dtau)
-        object.__setattr__(self, "dxi", dxi)
 
     @property
     def cell(self) -> float:
@@ -101,15 +104,12 @@ def xsb_norm(
 
     sign '-' weighs distance to tau = +|xi|^alpha (fields evolving like u);
     sign '+' weighs distance to tau = -|xi|^alpha (transforms of conjugates).
-    Only the nonzero cells are weighed: a zero cell adds exactly nothing.
+    Every stored cell is weighed: a cell off the stored rows is zero.
     """
     if sign not in ("-", "+"):
         raise ValidationError("sign must be '-' or '+'")
-    # flat indices from a boolean mask: numpy's fast path for nonzero
-    cells = np.flatnonzero(f.values != 0)
-    it, ix = np.divmod(cells, f.xi.size)
-    disp = np.abs(f.xi)[ix] ** alpha
-    modulation = f.tau[it] - disp if sign == "-" else f.tau[it] + disp
-    weight = ((1.0 + np.abs(f.xi)) ** (2.0 * s))[ix] * (1.0 + np.abs(modulation)) ** (2.0 * b)
-    total = np.sum(weight * np.abs(f.values.ravel()[cells]) ** 2) * f.cell
-    return float(np.sqrt(total))
+    tau = f.tau[f.first + np.arange(f.values.shape[0])[:, None]]
+    disp = np.abs(f.xi) ** alpha
+    modulation = tau - disp if sign == "-" else tau + disp
+    weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)
+    return float(np.sqrt(np.sum(weight * np.abs(f.values) ** 2) * f.cell))

@@ -1,11 +1,20 @@
-"""Test oracle shared by the test modules: the residual of the fractional
-equation along a recorded trajectory."""
+"""Test oracles shared by the test modules: the residual of the fractional
+equation along a recorded trajectory, and a space-time field's values on its
+whole lattice."""
 
 import numpy as np
 
 from fnls.errors import ValidationError
 from fnls.evolution import Trajectory
+from fnls.norms import SpaceTimeField
 from fnls.spectral import cubic_values
+
+
+def dense(f: SpaceTimeField) -> np.ndarray:
+    """The (tau, xi) lattice array of f: its stored rows, zeros elsewhere."""
+    out = np.zeros((f.tau.size, f.xi.size), dtype=f.values.dtype)
+    out[f.first + np.arange(f.values.shape[0])[:, None], np.arange(f.xi.size)] = f.values
+    return out
 
 
 def pde_residual(

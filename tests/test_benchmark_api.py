@@ -39,3 +39,19 @@ def test_every_pipeline_name_resolves(perfbench):
 
     for name in metrics.PIPELINES:
         assert callable(getattr(fnls.experiments, name, None)), name
+
+
+def test_traced_space_time_facts_read_a_box_and_its_convolution(perfbench):
+    # the traced scans count the stored band cells of each xsb_norm input
+    # and each convolution output: 16 x 16 and 54 x 46 at N = 2^13, where
+    # the output's whole lattice would be 29,114 x 46
+    tracer, _ = perfbench
+    from fnls.constructions import BoxSpec, box_data, trilinear_convolution
+
+    plus = box_data(BoxSpec(n=2.0**13, alpha=1.5))
+    minus = box_data(BoxSpec(n=2.0**13, alpha=1.5, conjugate=True))
+    conv = trilinear_convolution(plus, minus, plus)
+    assert tracer._xsb_facts((plus, 0.0, 0.51, 1.5, "-"), {}, 1.0) == {"cells": plus.values.size}
+    assert tracer._xsb_facts((), {"f": conv}, 1.0) == {"cells": conv.values.size}
+    assert tracer._cells_out_facts((plus, minus, plus), {}, conv) == {"cells_out": 54 * 46}
+    assert plus.values.size == 16 * 16 and conv.tau.size == 29_114

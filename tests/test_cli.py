@@ -180,10 +180,10 @@ def test_evolve_history_over_memory_limit_is_validation_error(capsys):
 
 
 def test_scan_trilinear_over_memory_limit_is_validation_error(capsys):
-    # N = 2^22's convolution lattice is 1,098 MiB: rejected before any box
-    n_list = ",".join(str(2**j) for j in range(4, 23))
+    # N = 2^26's box lattice is 1,146 MiB: rejected before any box
+    n_list = ",".join(str(2**j) for j in range(4, 27))
     assert main(["scan-trilinear", "--n", n_list]) == 1
-    assert "MiB convolution lattice" in capsys.readouterr().err
+    assert "MiB box lattice" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_two(tmp_path):

@@ -13,6 +13,7 @@ from fnls.norms import SpaceTimeField, mass, sobolev_norm, xsb_norm
 from fnls.evolution import SimConfig, Trajectory, evolve
 from fnls.symbols import envelope_scale, group_velocity
 from fnls.constructions import (
+    BOX_XI_SAMPLES,
     BoxSpec,
     WavepacketSpec,
     approximate_solution,
@@ -26,7 +27,7 @@ from fnls.constructions import (
 import fnls.experiments as experiments
 from fnls.experiments import _lattice_length, fit_power_law, run_illposedness_demo
 
-from oracles import pde_residual
+from oracles import dense, pde_residual
 
 
 # ---------------------------------------------------------------------- boxes
@@ -62,8 +63,21 @@ def test_box_indicator_support():
     assert box.xi.min() >= 32.0
     assert box.xi.max() <= 32.0 + spec.width
     tt, xx = np.meshgrid(box.tau, box.xi, indexing="ij")
-    on = np.abs(box.values) == 1.0
+    on = dense(box) == 1.0
     assert np.all(np.abs(tt[on] - np.abs(xx[on]) ** 1.5) <= 1.0)
+
+
+def test_box_stores_each_run_from_its_start():
+    # the stored band is ones then zeros in every column, and on the whole
+    # lattice it is the membership |tau - line| <= 1, bit for bit
+    for n, alpha, conjugate in ((16.0, 1.5, False), (1024.0, 1.2, True), (2.0**13, 1.8, False)):
+        spec = BoxSpec(n=n, alpha=alpha, conjugate=conjugate)
+        box = box_data(spec)
+        line = spec.columns()[1]
+        assert np.array_equal(dense(box), np.abs(box.tau[:, None] - line) <= 1.0)
+        length = np.count_nonzero(box.values, axis=0)
+        assert np.array_equal(box.values, np.arange(box.values.shape[0])[:, None] < length)
+        assert box.values.shape == (length.max(), BOX_XI_SAMPLES)
 
 
 def test_box_norm_growth_exponent():
@@ -82,12 +96,13 @@ def test_box_norm_growth_exponent():
 
 
 def _box_field(tau0, xi0, n_tau, runs, dtau=0.5, dxi=0.25):
-    """0/1 field on an n_tau x len(runs) lattice; column j is one on
-    rows runs[j][0] .. runs[j][1] inclusive."""
-    vals = np.zeros((n_tau, len(runs)))
-    for j, (a, b) in enumerate(runs):
-        vals[a : b + 1, j] = 1.0
-    return SpaceTimeField(tau0 + dtau * np.arange(n_tau), xi0 + dxi * np.arange(len(runs)), vals)
+    """0/1 box on an n_tau x len(runs) lattice, stored as box_data stores
+    one: column j is one on rows runs[j][0] .. runs[j][1] inclusive."""
+    first, last = np.array(runs).T
+    length = last - first + 1
+    vals = (np.arange(length.max())[:, None] < length).astype(np.float64)
+    tau = tau0 + dtau * np.arange(n_tau)
+    return SpaceTimeField(tau, xi0 + dxi * np.arange(len(runs)), first, vals)
 
 
 def _direct_trilinear(v1, v2, v3):
@@ -109,12 +124,13 @@ def test_trilinear_point_masses():
     f3 = _box_field(0.25, -1.0, 2, [(0, 0), (1, 1)])
     out = trilinear_convolution(f1, f2, f3)
     cell = 0.5 * 0.25
-    assert out.values.shape == (6, 4)
+    assert dense(out).shape == (6, 4)
     assert out.tau[0] == 1.0 - 3.0 + 0.25 and out.xi[0] == 2.0 + 0.5 - 1.0
-    assert np.array_equal(out.values, _direct_trilinear(f1.values, f2.values, f3.values) * cell**2)
+    direct = _direct_trilinear(dense(f1), dense(f2), dense(f3))
+    assert np.array_equal(dense(out), direct * cell**2)
     # the first columns' points meet at tau 1 - 2.5 + 0.25, xi 1.5, alone
     it = int(np.argmin(np.abs(out.tau - (1.0 - 2.5 + 0.25))))
-    assert out.values[it, 0] == cell**2
+    assert dense(out)[it, 0] == cell**2
     assert np.sum(out.values) == 8 * cell**2
 
 
@@ -124,49 +140,53 @@ def test_trilinear_matches_brute_force():
     rng = np.random.default_rng(0)
 
     def rand_box(tau0, xi0, n_tau, n_xi):
+        # the lattice grows where a late run cannot hold the longest run's rows
         a = rng.integers(0, n_tau, n_xi)
         b = a + rng.integers(0, n_tau - a)
-        return _box_field(tau0, xi0, n_tau, list(zip(a, b)))
+        return _box_field(tau0, xi0, max(n_tau, np.max(a + np.max(b - a) + 1)), list(zip(a, b)))
 
-    # the second set is tall (tau >> xi) like a box lattice
+    # the second set is tall (tau >> xi) like a box lattice; some output
+    # columns start late and are stored from a row moved up to fit
+    moved = 0
     for shapes in (((4, 3), (3, 4), (5, 2)), ((40, 3), (29, 2), (8, 2)), ((17, 16),) * 3):
         f1 = rand_box(0.0, 1.0, *shapes[0])
         f2 = rand_box(-2.0, -1.5, *shapes[1])
         f3 = rand_box(1.0, 0.0, *shapes[2])
         out = trilinear_convolution(f1, f2, f3)
-        direct = _direct_trilinear(f1.values, f2.values, f3.values) * f1.cell**2
+        direct = _direct_trilinear(dense(f1), dense(f2), dense(f3)) * f1.cell**2
         assert out.values.dtype == np.float64
-        assert np.array_equal(out.values, direct)
+        assert np.array_equal(dense(out), direct)
         np.testing.assert_allclose(out.tau, -1.0 + 0.5 * np.arange(direct.shape[0]))
         np.testing.assert_allclose(out.xi, -0.5 + 0.25 * np.arange(direct.shape[1]))
+        moved += np.count_nonzero(out.first < np.argmax(direct != 0, axis=0))
+    assert moved > 0
 
 
 def test_trilinear_rejects_non_box_input():
+    # stored as first rows (0, 1) and runs of 2 and 3: [[1, 1], [1, 1], [0, 1]]
     box = _box_field(0.0, 0.0, 4, [(0, 1), (1, 3)])
-    tau, xi = box.tau, box.xi
     bad = {
         "complex values": box.values.astype(np.complex128),
         "a value other than 0/1": box.values * 2.0,
-        "two runs in one column": np.array([[1, 0], [0, 1], [1, 1], [0, 1]], float),
-        "an empty column": np.array([[1, 0], [1, 0], [0, 0], [0, 0]], float),
+        "a run after a zero": np.array([[0, 1], [1, 1], [1, 1]], float),
+        "two runs in one column": np.array([[1, 1], [0, 1], [1, 1]], float),
+        "an empty column": np.array([[1, 0], [1, 0], [0, 0]], float),
     }
     for vals in bad.values():
-        other = SpaceTimeField(tau, xi, vals)
+        other = SpaceTimeField(box.tau, box.xi, box.first, vals)
         for args in ((other, box, box), (box, box, other)):
             with pytest.raises(ValidationError, match="0/1 box|one run of ones"):
                 trilinear_convolution(*args)
 
 
 def test_trilinear_repeated_factor_peak_memory():
-    # one call on box data holds at most the filled lattice (a column's
-    # support longer than the output) and the output field's copy of it:
-    # 2.06 output lattices measured, with the repeated factor or a copy
-    alpha = 1.5
-    plus = box_data(BoxSpec(n=1024.0, alpha=alpha))
-    minus = box_data(BoxSpec(n=1024.0, alpha=alpha, conjugate=True))
-    n_tau = 2 * plus.tau.size + minus.tau.size - 2
-    n_xi = 2 * plus.xi.size + minus.xi.size - 2
-    for third in (plus, box_data(BoxSpec(n=1024.0, alpha=alpha))):
+    # one call at N = 2^13 holds the 32,768 column-triple points a few
+    # times over and the output's tau lattice, never a (tau, xi) lattice
+    # (10.7 MB here): 1.45 MiB measured, with the repeated factor or a copy
+    alpha, n = 1.5, 2.0**13
+    plus = box_data(BoxSpec(n=n, alpha=alpha))
+    minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
+    for third in (plus, box_data(BoxSpec(n=n, alpha=alpha))):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -174,8 +194,8 @@ def test_trilinear_repeated_factor_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.values.shape == (n_tau, n_xi)
-        assert (peak - base) / out.values.nbytes <= 2.1
+        assert out.tau.size == 29_114 and out.values.shape == (54, 46)
+        assert peak - base < 2 * 2**20
 
 
 def test_import_loads_no_scipy():
@@ -199,7 +219,7 @@ def test_trilinear_resonant_output_support():
     plus = box_data(spec)
     minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
     out = trilinear_convolution(plus, minus, plus)
-    power = out.values**2
+    power = dense(out) ** 2
     tt, xx = np.meshgrid(out.tau, out.xi, indexing="ij")
     modulation = np.abs(tt - np.abs(xx) ** alpha)
     mean_mod = np.sum(modulation * power) / np.sum(power)
@@ -219,13 +239,14 @@ def test_trilinear_resonant_output_support():
     assert np.max(np.abs(omega)) <= 4.0
     # the counts are exact, so every nonzero cell lies in the strip: three
     # unit strips of the factors plus the resonance (5.62 <= 5.76 measured)
-    assert np.max(modulation[out.values != 0]) <= 3.0 + np.max(np.abs(omega)) + 1e-9
-    assert np.count_nonzero(out.values) < 0.1 * out.values.size
+    assert np.max(modulation[power != 0]) <= 3.0 + np.max(np.abs(omega)) + 1e-9
+    assert np.count_nonzero(power) < 0.1 * power.size
 
 
 def test_trilinear_spacing_mismatch():
-    a = SpaceTimeField(np.arange(3.0), np.arange(3.0), np.zeros((3, 3)))
-    b = SpaceTimeField(np.arange(3.0) * 0.5, np.arange(3.0), np.zeros((3, 3)))
+    first = np.zeros(3, dtype=int)
+    a = SpaceTimeField(np.arange(3.0), np.arange(3.0), first, np.ones((1, 3)))
+    b = SpaceTimeField(np.arange(3.0) * 0.5, np.arange(3.0), first, np.ones((1, 3)))
     with pytest.raises(ValidationError):
         trilinear_convolution(a, b, a)
 

@@ -544,9 +544,27 @@ def test_evolve_together_row_failure_matches_evolve(circle, monkeypatch):
     nan[3] = np.nan
     bad = (Field(circle, nan), good[1])
     for failing in (big, edge, bad):
-        want = _failure(lambda: evolve(*failing))
-        assert _failure(lambda: evolve_together([good, failing])) == want
-        assert _failure(lambda: evolve_together([failing, good])) == want
+        kind, message, t = _failure(lambda: evolve(*failing))
+        assert f"run 0 of 1, alpha {failing[1].alpha:g}, carrier 0: " in message
+        # the same failure, naming the run's row in the batch
+        for row, runs in ((1, [good, failing]), (0, [failing, good])):
+            want = (kind, message.replace("run 0 of 1", f"run {row} of 2"), t)
+            assert _failure(lambda: evolve_together(runs)) == want
+
+
+def test_evolve_together_failure_names_the_run():
+    # two runs on the carrier's band: the second, against the boundary,
+    # trips the wrap-around check, and the error names its row, alpha and
+    # carrier (a four-row separation batch used to leave the row unsaid)
+    grid = make_grid(64, 2 * np.pi)
+    cfg = SimConfig(
+        alpha=1.7, gamma=1.0, dt=1e-3, t_final=0.01, grid=grid, carrier=3.0, check_tail=True
+    )
+    centred = Field.physical(grid, np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2))
+    edge = Field.physical(grid, np.exp(-0.5 * (grid.x / 0.3) ** 2))
+    with pytest.raises(WrapAroundError) as info:
+        evolve_together([(centred, replace(cfg, alpha=1.2)), (edge, cfg)])
+    assert str(info.value).startswith("run 1 of 2, alpha 1.7, carrier 3: tail mass fraction")
 
 
 def _band_limited_runs(data, nx, n_rows):

@@ -142,23 +142,24 @@ def test_scan_trilinear_needs_four_points():
 
 
 def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
-    # N = 2^22 needs a 1,098 MiB convolution lattice, over the 1 GiB limit:
-    # the box sizes alone reject it, before any box is built
+    # box_data's (tau, xi) difference array and mask take 9 bytes a cell:
+    # at N = 2^26 that is 1,146 MiB, over the 1 GiB limit, and the box
+    # sizes alone reject it, before any box is built
     def no_box(spec):
         raise AssertionError("box built")
 
     monkeypatch.setattr(experiments, "box_data", no_box)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match="1098 MiB convolution lattice"):
-            scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 23)])
+        with pytest.raises(ValidationError, match="1146 MiB box lattice"):
+            scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 27)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # N = 2^21 (653 MiB) passes the check and reaches the boxes
+    # N = 2^25 (681 MiB) passes the check and reaches the boxes
     with pytest.raises(AssertionError, match="box built"):
-        scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 22)])
+        scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 26)])
 
 
 def test_scan_wavepacket_small():

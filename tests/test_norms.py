@@ -13,6 +13,8 @@ from fnls.norms import (
     xsb_norm,
 )
 
+import oracles
+
 
 @pytest.fixture
 def circle():
@@ -85,11 +87,31 @@ def test_trajectory_norms_are_the_per_state_norms_bit_for_bit():
     assert isinstance(mass(traj.states[0]), float)
 
 
+def _dense_field(tau, xi, vals):
+    return SpaceTimeField(tau, xi, np.zeros(xi.size, dtype=int), vals)
+
+
 def test_space_time_field_validation():
+    tau, xi = np.arange(3.0), np.array([0.0, 1.0])
     with pytest.raises(ValidationError):
-        SpaceTimeField(np.array([0.0, 1.0, 2.5]), np.array([0.0, 1.0]), np.zeros((3, 2)))
+        _dense_field(np.array([0.0, 1.0, 2.5]), xi, np.zeros((3, 2)))
     with pytest.raises(ValidationError):
-        SpaceTimeField(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
+        _dense_field(tau[:2], xi, np.zeros((3, 2)))
+    for vals in (np.zeros((3, 3)), np.zeros(2)):
+        with pytest.raises(ValidationError, match="do not fit xi"):
+            _dense_field(tau, xi, vals)
+    # first: one integer row per column, and every stored row on the lattice
+    for first, rows, message in (
+        (np.zeros(3, dtype=int), 1, "do not fit xi"),  # wrong shape
+        (np.zeros((2, 1), dtype=int), 1, "do not fit xi"),  # wrong shape
+        (np.zeros(2), 1, "integer rows"),  # not integers
+        (np.array([0, 2]), 2, "every stored row on tau"),  # rows 2 and 3 of column 1
+        (np.array([-1, 0]), 1, "every stored row on tau"),  # row -1 of column 0
+    ):
+        with pytest.raises(ValidationError, match=message):
+            SpaceTimeField(tau, xi, first, np.ones((rows, 2)))
+    band = SpaceTimeField(tau, xi, np.array([0, 2]), np.ones((1, 2)))
+    assert band.first.dtype == np.intp and not band.first.flags.writeable
 
 
 def test_xsb_single_delta():
@@ -98,7 +120,7 @@ def test_xsb_single_delta():
     vals = np.zeros((tau.size, xi.size), dtype=complex)
     it, ix = 5, 11
     vals[it, ix] = 2.5
-    f = SpaceTimeField(tau, xi, vals)
+    f = _dense_field(tau, xi, vals)
     alpha, s, b = 1.5, 0.3, 0.51
     expect = (
         2.5
@@ -114,7 +136,7 @@ def test_xsb_zero_weights_is_lattice_l2():
     tau = np.linspace(0, 3, 16)
     xi = np.linspace(-2, 2, 9)
     vals = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
-    f = SpaceTimeField(tau, xi, vals)
+    f = _dense_field(tau, xi, vals)
     cell = (tau[1] - tau[0]) * (xi[1] - xi[0])
     assert xsb_norm(f, 0.0, 0.0, 1.5, "-") == pytest.approx(
         np.linalg.norm(vals) * np.sqrt(cell), rel=1e-12
@@ -123,11 +145,11 @@ def test_xsb_zero_weights_is_lattice_l2():
 
 
 def _dense_xsb(f, s, b, alpha, sign):
-    """Every cell weighed, zeros included."""
+    """Every cell of the whole lattice weighed, zeros included."""
     disp = np.abs(f.xi) ** alpha
     modulation = f.tau[:, None] + (-disp if sign == "-" else disp)[None, :]
     weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)
-    return np.sqrt(np.sum(weight * np.abs(f.values) ** 2) * f.cell)
+    return np.sqrt(np.sum(weight * np.abs(oracles.dense(f)) ** 2) * f.cell)
 
 
 def test_xsb_weighs_nonzero_cells_as_the_dense_formula():
@@ -137,12 +159,14 @@ def test_xsb_weighs_nonzero_cells_as_the_dense_formula():
     dense = rng.standard_normal((61, 17)) + 1j * rng.standard_normal((61, 17))
     sparse = np.where(rng.random((61, 17)) < 0.02, dense, 0.0)
     real_sparse = np.where(rng.random((61, 17)) < 0.02, 1.0, 0.0)
-    for vals in (dense, sparse, real_sparse):
-        f = SpaceTimeField(tau, xi, vals)
+    # a band: each column's 5 values from its own first row, zeros elsewhere
+    first = rng.integers(0, 61 - 5, 17)
+    band = SpaceTimeField(tau, xi, first, dense[:5])
+    for f in [_dense_field(tau, xi, vals) for vals in (dense, sparse, real_sparse)] + [band]:
         for s, b, sign in ((0.0, 0.0, "-"), (0.3, 0.51, "-"), (-0.2, -0.49, "+")):
             got = xsb_norm(f, s, b, 1.5, sign)
             assert got == pytest.approx(_dense_xsb(f, s, b, 1.5, sign), rel=1e-14)
-    assert xsb_norm(SpaceTimeField(tau, xi, np.zeros((61, 17))), 0.3, 0.51, 1.5, "-") == 0.0
+    assert xsb_norm(_dense_field(tau, xi, np.zeros((61, 17))), 0.3, 0.51, 1.5, "-") == 0.0
 
 
 def test_xsb_sign_conventions():
@@ -152,6 +176,6 @@ def test_xsb_sign_conventions():
     ix = int(np.argmin(np.abs(xi - 6.0)))
     it = int(np.argmin(np.abs(tau - 6.0**1.5)))
     vals[it, ix] = 1.0
-    f = SpaceTimeField(tau, xi, vals)
+    f = _dense_field(tau, xi, vals)
     # point on tau = +|xi|^alpha: small '-' weight, large '+' weight
     assert xsb_norm(f, 0.0, 1.0, 1.5, "-") < 0.1 * xsb_norm(f, 0.0, 1.0, 1.5, "+")
