@@ -13,6 +13,7 @@ verify gate).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -92,9 +93,12 @@ def _write_scan_csv(path, command, options, rows, extra: dict):
 
 def _float_list(text: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(text)
     except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated number list, got {text!r}") from exc
+        raise ValidationError(f"expected comma-separated finite numbers, got {text!r}") from exc
+    return values
 
 
 def _load_config_defaults(argv) -> dict:
@@ -376,6 +380,9 @@ def main(argv=None) -> int:
     try:
         _seed_config_defaults(parser, argv)
         args = parser.parse_args(argv)
+        for key, val in vars(args).items():  # inf and nan, from a flag or a config file
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValidationError(f"--{key.replace('_', '-')} must be finite, got {val}")
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -1,19 +1,14 @@
 """Reproducible experiment pipelines with power-law exponent fitting.
 
 Each pipeline measures one scaling claim at desk scale and returns plain
-data (ScanResult / dict reports) that the CLI serializes.  Scans
-parallelize over the parameter values; FNLS_THREADS caps the worker count.
-The evolution pipelines (approximation error, separation demo) use no
-threads: their steps are short numpy calls that hold the interpreter lock,
-so they step all their evolutions as one stacked batch (evolve_together)
-and pay each call's fixed cost once for every run.
-Every pipeline is deterministic for a fixed configuration.
+data (ScanResult / dict reports) that the CLI serializes.  Everything runs
+on the calling thread: scans take their points in order, and the evolution
+pipelines (approximation error, separation demo) step all their runs as one
+stacked batch (evolve_together).  Every pipeline is deterministic.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,29 +58,16 @@ ILLPOSED_PHASE_LIMIT = 6.4
 ILLPOSED_RECORD_INTERVAL = 40.0
 
 
+# kept only for perfbench/tracer.py, which wraps parallel_map and reads
+# scan_workers here, until the benchmark drops those targets
 def scan_workers() -> int:
-    """Worker cap for parameter scans (FNLS_THREADS wins when set)."""
-    env = os.environ.get("FNLS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"FNLS_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
+    """Scan points run one at a time, on the calling thread."""
+    return 1
 
 
 def parallel_map(fn, items):
-    """Map with results in input order; items are independent, so results do
-    not depend on the worker count.  Workers start the largest items first:
-    a box scan's cost grows with N, so its costliest point never runs last."""
-    items = list(items)
-    workers = min(scan_workers(), len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    order = sorted(range(len(items)), key=items.__getitem__, reverse=True)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(fn, items[i]) for i in order}
-        return [futures[i].result() for i in range(len(items))]
+    """[fn(it) for it in items]: each scan point in order, on the calling thread."""
+    return [fn(it) for it in items]
 
 
 @dataclass(frozen=True)
@@ -298,6 +280,8 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
     frequency is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below
     e^(-288) of its peak at m = 16, tau_scale = 1.  At m = 0 it holds the
     envelope's band alone (512 points at tau_scale = 1)."""
+    if not tau_scale > 0.0:
+        raise ValidationError(f"tau_scale must be positive, got {tau_scale}")
     length = 64.0 * max(tau_scale, 1.0)
     need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
     nx = 1 << int(np.ceil(np.log2(max(need, 64.0))))
@@ -446,6 +430,8 @@ def run_illposedness_demo(
     measured at gate 8's parameters only; elsewhere the phase limit keeps
     the step no coarser than there, relative to the fastest linear phase.
     """
+    if not sigma > 0.0:
+        raise ValidationError(f"sigma must be positive, got {sigma}")
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must lie in (0, 1)")
     if not (0.0 <= delta <= 0.5 * epsilon):

@@ -165,6 +165,40 @@ def test_usage_errors_exit_one(capsys):
     assert main(["evolve", "--seed", "1"]) == 1  # no such option
 
 
+BAD_NUMBERS = [
+    (["scan-wavepacket", "--m", "16,32,64,inf"], "expected comma-separated finite numbers"),
+    (["scan-wavepacket", "--m", "nan"], "expected comma-separated finite numbers"),
+    (["scan-wavepacket", "--tau", "nan"], "--tau must be finite"),
+    (["scan-wavepacket", "--tau", "inf"], "--tau must be finite"),
+    (["scan-wavepacket", "--tau", "0"], "tau_scale must be positive"),
+    (["scan-remainder", "--xi-max", "nan"], "--xi-max must be finite"),
+    (["scan-remainder", "--xi-max", "inf"], "--xi-max must be finite"),
+    (["scan-remainder", "--n", "16,32,64,128,inf"], "expected comma-separated finite numbers"),
+    (["approx-error", "--n", "8,16,32,inf"], "expected comma-separated finite numbers"),
+    (["illposed", "--n-carrier", "inf"], "--n-carrier must be finite"),
+    (["illposed", "--sigma", "0"], "sigma must be positive"),
+    (["evolve", "--t-final", "inf"], "--t-final must be finite"),
+    (["evolve", "--t-final", "nan"], "--t-final must be finite"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
+def test_non_finite_or_zero_width_input_is_one_error_line(capsys, args, message):
+    # each is rejected before any work; each used to end in a traceback, a
+    # numpy message or a runtime failure
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
+def test_non_finite_config_value_is_validation_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("t_final=inf\n")
+    assert main(["evolve", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == "error: --t-final must be finite, got inf\n"
+
+
 def test_picard_history_over_memory_limit_is_validation_error(capsys):
     # 10001 x 1024 complex values per history: about 160 MiB each
     args = ["picard", "--t-final", "10", "--dt", "1e-3", "--nx", "1024"]

@@ -200,17 +200,21 @@ def test_trilinear_repeated_factor_peak_memory():
 
 def test_import_loads_no_scipy():
     # fnls runs on numpy alone: importing scipy.fft cost every process
-    # about 0.3 s and 24 MiB
+    # about 0.3 s and 24 MiB.  Scans run on the calling thread, so no
+    # thread pool (concurrent.futures) is loaded either.
     code = (
         "import sys, fnls, fnls.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    scipy_modules, concurrent_modules = out.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert concurrent_modules == "[]"
 
 
 def test_trilinear_resonant_output_support():

@@ -1,4 +1,3 @@
-import threading
 import time
 import tracemalloc
 
@@ -18,7 +17,6 @@ from fnls.evolution import SimConfig, Trajectory
 from fnls.experiments import (
     fit_power_law,
     initial_field,
-    parallel_map,
     run_conservation_suite,
     run_illposedness_demo,
     scan_remainder,
@@ -68,33 +66,6 @@ def test_fit_power_law_validation():
         fit_power_law("N", [1.0, 2.0, 4.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValidationError):
         fit_power_law("N", [1.0, 2.0, 4.0, 8.0], [1.0, -2.0, 3.0, 4.0])
-
-
-def test_parallel_map_orders_results(monkeypatch):
-    monkeypatch.setenv("FNLS_THREADS", "2")
-    assert parallel_map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
-    monkeypatch.setenv("FNLS_THREADS", "1")
-    assert parallel_map(lambda v: -v, [3, 1]) == [-3, -1]
-
-    # two workers start the two largest items first; each of the first two
-    # holds its worker until both have started, so those two are the first
-    # two taken off the pool's queue
-    monkeypatch.setenv("FNLS_THREADS", "2")
-    started, lock, both = [], threading.Lock(), threading.Event()
-
-    def square(v):
-        with lock:
-            started.append(v)
-            if len(started) == 2:
-                both.set()
-        if not both.wait(timeout=30):
-            raise TimeoutError("second item never started")
-        return v * v
-
-    items = [3, 5, 1, 4, 2]
-    assert parallel_map(square, items) == [9, 25, 1, 16, 4]
-    assert sorted(started[:2]) == [4, 5]
-    assert sorted(started) == sorted(items)
 
 
 def test_initial_field_parsing():
@@ -226,6 +197,15 @@ def test_scan_wavepacket_samples_only_the_envelope_band(monkeypatch):
         assert scan.fitted_slope == pytest.approx(s, abs=1e-6)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_scan_wavepacket_rejects_a_width_that_is_not_positive(monkeypatch, tau):
+    # before any grid is built: tau = 0 used to divide by zero in
+    # wavepacket_grid before WavepacketSpec could check it
+    monkeypatch.setattr(experiments, "make_grid", None)
+    with pytest.raises(ValidationError, match="tau_scale must be positive"):
+        scan_wavepacket([0.0], [16, 32, 64, 128], tau_scale=tau)
+
+
 def test_scan_wavepacket_checks_every_s():
     # the packet is shared, but each s keeps its own hypothesis check:
     # the envelope smoothness (1) is below |s| = 1.5
@@ -277,17 +257,22 @@ def test_nls_pair_separation_grows_tenfold():
 
 
 def test_illposedness_demo_range_check(monkeypatch):
-    # bad inputs are rejected before any work: nothing is lifted or evolved
+    # bad inputs are rejected before any work: no grid is built, nothing is
+    # lifted or evolved (sigma = 0 used to step on a nan envelope)
+    monkeypatch.setattr(experiments, "make_grid", None)
     monkeypatch.setattr(experiments, "approximate_solution", None)
     monkeypatch.setattr(experiments, "evolve_together", None)
-    for s, epsilon, delta, message in [
-        (0.2, 0.5, 0.005, "outside the separation range"),
-        (-0.3, 0.5, 0.005, "outside the separation range"),
+    for s, epsilon, delta, sigma, message in [
+        (0.2, 0.5, 0.005, 16.0, "outside the separation range"),
+        (-0.3, 0.5, 0.005, 16.0, "outside the separation range"),
+        (0.0, 0.5, 0.005, 0.0, "sigma must be positive"),
+        (0.0, 0.5, 0.005, -28.0, "sigma must be positive"),
+        (0.0, 0.5, 0.005, float("nan"), "sigma must be positive"),
     ]:
         with pytest.raises(ValidationError, match=message):
             run_illposedness_demo(
                 alpha=1.5, s=s, epsilon=epsilon, delta=delta,
-                t_internal=1.0, n_carrier=16.0,
+                t_internal=1.0, n_carrier=16.0, sigma=sigma,
             )
 
 

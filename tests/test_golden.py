@@ -1,12 +1,10 @@
 """Every CLI subcommand but verify against a committed golden artifact.
 
-Each run below rewrites its files with FNLS_THREADS=1 and again with
-FNLS_THREADS=2.  The two outputs must be byte-equal, and each must match
-its golden in tests/golden/: the text exactly, every number to 1e-12
-relative.  Numbers below 1e-12 in size (a mass drift, a flat slope) are
-round-off and match to 1e-12 absolute, as tests/test_gate_numbers.py pins
-them, so a host whose FFTs take other SIMD paths still passes.  The runs
-together take about half a second.
+Each run below writes its files once, and each must match its golden in
+tests/golden/: the text exactly, every number to 1e-12 relative.  Numbers
+below 1e-12 in size (a mass drift, a flat slope) are round-off and match
+to 1e-12 absolute, as tests/test_gate_numbers.py pins them, so a host whose
+FFTs take other SIMD paths still passes.
 
 A change that moves numbers on purpose re-records the goldens, from the
 repository root, and logs the move in CHANGES.md:
@@ -15,7 +13,6 @@ repository root, and logs the move in CHANGES.md:
 """
 
 import math
-import os
 import re
 from pathlib import Path
 
@@ -25,8 +22,8 @@ from fnls.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (arguments, output flag -> golden file); unsorted scan points make the
-# pool start the largest first
+# (arguments, output flag -> golden file); unsorted scan points pin that
+# the output keeps the order of the points
 RUNS = (
     (["evolve"], {"--out": "evolve.csv", "--dump-state": "evolve-state.csv"}),
     (["picard"], {"--out": "picard.txt"}),
@@ -61,15 +58,8 @@ def _same_artifact(got: str, want: str) -> bool:
 
 
 @pytest.mark.parametrize("args, files", RUNS, ids=[run[0][0] for run in RUNS])
-def test_cli_artifact_matches_golden(tmp_path, monkeypatch, args, files):
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FNLS_THREADS", threads)
-        directory = tmp_path / threads
-        directory.mkdir()
-        outputs.append(_run(args, files, directory))
-    assert outputs[0] == outputs[1], "output depends on FNLS_THREADS"
-    for name, text in outputs[0].items():
+def test_cli_artifact_matches_golden(tmp_path, args, files):
+    for name, text in _run(args, files, tmp_path).items():
         assert _same_artifact(text, (GOLDEN / name).read_text()), name
 
 
@@ -82,7 +72,6 @@ def test_artifact_comparison_is_strict_outside_round_off():
 
 
 if __name__ == "__main__":
-    os.environ["FNLS_THREADS"] = "1"
     GOLDEN.mkdir(exist_ok=True)
     for run_args, run_files in RUNS:
         _run(run_args, run_files, GOLDEN)
