@@ -49,6 +49,7 @@ def fmt(x) -> str:
 class CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

@@ -36,8 +36,8 @@ TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
 BLOWUP_THRESHOLD = 1e8  # |u| at which an evolution stops with BlowUpError
 
-# picard_iterate keeps three (n_t + 1) x nx complex histories; one of them
-# may take at most this many bytes
+# picard_iterate keeps two (n_t + 1) x nx complex histories, the phases and
+# the iterate; one of them may take at most this many bytes
 PICARD_HISTORY_LIMIT = 64 * 2**20
 
 # time rows per cubic_values call in picard_iterate: a whole-history call
@@ -182,9 +182,27 @@ def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float, where) -> No
             raise BlowUpError(t, f"{where(row)}: |u| reached {peak:.3g}")
 
 
+def _guard_can_fire(uhat: np.ndarray, lengths, limit, gamma_dt: float) -> bool:
+    # The step conserves each row's sum |uhat|^2 to round-off, so sum |uhat|
+    # stays below bound = sqrt(nx sum |uhat|^2) at t = 0, and a row with
+    # bound <= limit / 2 never fails _guard's first test.  Its dealiased
+    # density stays below nx (bound / L)^2, so a cubic angle under half the
+    # largest float keeps the spectrum finite.  Summing |uhat / max|uhat||^2
+    # cannot overflow or underflow; non-finite data fail both tests.
+    nx = uhat.shape[-1]
+    peak = np.max(np.abs(uhat), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = uhat / np.where(peak > 0.0, peak, 1.0)[:, None]
+        bound = peak * np.sqrt(nx * np.sum(unit.real**2 + unit.imag**2, axis=-1))
+        angle = abs(gamma_dt) * nx * (bound / lengths) ** 2
+    return not (np.all(bound <= 0.5 * limit) and np.all(angle <= 0.5 * np.finfo(float).max))
+
+
 def _step_plan(cfg: SimConfig):
     """Number of whole steps plus the (possibly zero) shrunken final step."""
     ratio = cfg.t_final / cfg.dt
+    if not np.isfinite(ratio):
+        raise ValidationError(f"t_final / dt overflows ({cfg.t_final:g} / {cfg.dt:g}); raise dt")
     n_whole = int(np.floor(ratio + 1e-9))
     remainder = cfg.t_final - n_whole * cfg.dt
     if abs(remainder) <= 1e-9 * abs(cfg.dt):
@@ -214,6 +232,9 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     row, alpha and carrier.
     Each trajectory's values are a row of one (runs, records, nx) history;
     a history over EVOLVE_HISTORY_LIMIT bytes is rejected before allocation.
+    The blow-up guard runs after every step unless, at t = 0, every row is
+    cleared for good (see _guard_can_fire): the step conserves each row's
+    sum |uhat|^2, which bounds sum |uhat| and the cubic angle for all time.
     """
     runs = list(runs)
     if not runs:
@@ -226,11 +247,10 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
             raise ValidationError("initial data grid does not match config grid")
     cfg = cfgs[0]
     n_whole, remainder = _step_plan(cfg)
-    # a record after each step in record_steps (step 0 is t = 0), and one
+    # a record after every record_every-th step (step 0 is t = 0), and one
     # at the end when the last step is not among them
-    record_steps = range(0, n_whole + 1, cfg.record_every)
-    final_record = remainder != 0.0 or n_whole not in record_steps
-    n_records = len(record_steps) + final_record
+    final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
+    n_records = n_whole // cfg.record_every + 1 + final_record
     history_bytes = 16 * len(runs) * n_records * cfg.grid.nx  # complex128 entries
     if history_bytes > EVOLVE_HISTORY_LIMIT:
         raise ValidationError(
@@ -241,8 +261,10 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
     symbol = np.stack([c.symbol() for c in cfgs])
     dx = np.array([[c.grid.dx] for c in cfgs])
-    limit = BLOWUP_THRESHOLD * np.array([c.grid.length for c in cfgs])
+    lengths = np.array([c.grid.length for c in cfgs])
+    limit = BLOWUP_THRESHOLD * lengths
     step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
+    guarded = _guard_can_fire(uhat, lengths, limit, cfg.gamma * cfg.dt)
 
     def where(row: int) -> str:
         return f"run {row} of {len(cfgs)}, alpha {cfgs[row].alpha:g}, carrier {cfgs[row].carrier:g}"
@@ -267,12 +289,14 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     for n in range(1, n_whole + 1):
         uhat = step(uhat)
         t = n * cfg.dt
-        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, t, where)
-        if n in record_steps:
+        if guarded:
+            _guard(uhat, dx, limit, BLOWUP_THRESHOLD, t, where)
+        if n % cfg.record_every == 0:
             record(t)
     if remainder != 0.0:
         uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
-        _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final, where)
+        if guarded:
+            _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final, where)
     if final_record:
         record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
     return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
@@ -300,11 +324,13 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
 
     The phases U(t) = exp(i omega t) are computed once per call and U(-t)
     is their conjugate.  The cubic term is evaluated on blocks of
-    PICARD_BLOCK_ROWS time rows, whose trapezoid sums are accumulated in
-    the next iterate's rows in the order of a cumulative sum, and each block
-    of the next iterate is completed as soon as its sums are, so the loop
-    keeps three histories (the phases and two iterates) plus a block of
-    temporaries.
+    PICARD_BLOCK_ROWS time rows, whose trapezoid sums are accumulated in a
+    block buffer in the order of a cumulative sum.  A block of the next
+    iterate reads the current one only at its own and earlier rows (the
+    earlier ones through the running sum and the last cubic term carried
+    from the block before), so it is completed in the buffer, measured
+    against the current rows and copied over them: the loop keeps two
+    histories (the phases and the iterate) plus a block of temporaries.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
@@ -328,7 +354,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     rot = 1j * omega * times[:, None]
     np.exp(rot, out=rot)  # in place: one history-sized temporary fewer
     current = rot * phi_hat[None, :]  # the free evolution is the first iterate
-    nxt = np.empty_like(current)
+    buffer = np.empty((PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
     weight = (1.0 + grid.k**2) ** s_diff
     row_diffs = np.empty(times.size)
     # the cubic term's padded buffer (middle band kept zero) and its result
@@ -343,7 +369,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
             rows = slice(start, start + PICARD_BLOCK_ROWS)
             n_rows = min(PICARD_BLOCK_ROWS, times.size - start)
             g = np.conj(rot[rows]) * cubic_values(current[rows], grid, fine[:n_rows], band[:n_rows])
-            block = nxt[rows]
+            block = buffer[:n_rows]
             # trapezoid steps and their running sum, from the block before's;
             # partial(t_1) is the first step, not 0 + step: np.cumsum's bits
             np.add(g[:-1], g[1:], out=block[1:])
@@ -361,6 +387,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
             block[...] = rot[rows] * phi_hat - 1j * cfg.gamma * rot[rows] * block
             d2 = weight * np.abs(block - current[rows]) ** 2
             row_diffs[rows] = np.sum(d2, axis=1)
+            current[rows] = block
         diffs.append(float(np.sqrt(np.max(row_diffs) / grid.length)))
         if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
             grow_streak += 1
@@ -371,7 +398,6 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
                 )
         else:
             grow_streak = 0
-        current, nxt = nxt, current
     return PicardResult(
         final=Field(grid, current[-1]),
         difference_norms=np.array(diffs),

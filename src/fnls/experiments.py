@@ -279,11 +279,19 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
     the same for every carrier, at the least power-of-two nx whose Nyquist
     frequency is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below
     e^(-288) of its peak at m = 16, tau_scale = 1.  At m = 0 it holds the
-    envelope's band alone (512 points at tau_scale = 1)."""
+    envelope's band alone (512 points at tau_scale = 1).  A grid whose
+    complex field would pass EVOLVE_HISTORY_LIMIT bytes is rejected before
+    anything is allocated."""
     if not tau_scale > 0.0:
         raise ValidationError(f"tau_scale must be positive, got {tau_scale}")
     length = 64.0 * max(tau_scale, 1.0)
     need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
+    if not 16.0 * need <= EVOLVE_HISTORY_LIMIT:
+        raise ValidationError(
+            f"tau_scale = {tau_scale:g} and m = {m:g} need a grid of over "
+            f"{EVOLVE_HISTORY_LIMIT // 16} points, whose complex field passes the "
+            f"{EVOLVE_HISTORY_LIMIT // 2**20} MiB limit; raise tau_scale or lower m"
+        )
     nx = 1 << int(np.ceil(np.log2(max(need, 64.0))))
     return make_grid(nx, length)
 

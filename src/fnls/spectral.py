@@ -167,6 +167,11 @@ def cubic_values(uhat: np.ndarray, grid: Grid, fine=None, out=None) -> np.ndarra
     PAD_FACTOR * nx zeros along the last axis, of which only the outer bands
     are written, so its middle band stays zero; and ``out``, shaped as
     uhat, which receives and returns the result.
+    The padded arrays are not scaled: numpy's ifft of the padded
+    coefficients is dx_fine = dx / PAD_FACTOR times the padded samples, so
+    the forward transform of |ifft|^2 ifft (taking |.|^2 as re^2 + im^2) is
+    dx_fine^2 times the coefficients, and one multiply by dx_fine^-2 as the
+    kept band is copied out gives them.
     """
     nx = uhat.shape[-1]
     half = nx // 2
@@ -176,12 +181,12 @@ def cubic_values(uhat: np.ndarray, grid: Grid, fine=None, out=None) -> np.ndarra
         out = np.empty(uhat.shape, dtype=np.complex128)
     fine[..., :half] = uhat[..., :half]
     fine[..., -half:] = uhat[..., -half:]
-    dx_fine = grid.dx / PAD_FACTOR
-    u_fine = np.fft.ifft(fine) / dx_fine
-    w_fine = (np.abs(u_fine) ** 2) * u_fine
-    w_hat_fine = np.fft.fft(w_fine) * dx_fine
-    out[..., :half] = w_hat_fine[..., :half]
-    out[..., -half:] = w_hat_fine[..., -half:]
+    u_fine = np.fft.ifft(fine)
+    u_fine *= u_fine.real**2 + u_fine.imag**2
+    w_hat_fine = np.fft.fft(u_fine)
+    scale = (PAD_FACTOR / grid.dx) ** 2
+    np.multiply(w_hat_fine[..., :half], scale, out=out[..., :half])
+    np.multiply(w_hat_fine[..., -half:], scale, out=out[..., -half:])
     return out
 
 

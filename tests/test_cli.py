@@ -165,6 +165,14 @@ def test_usage_errors_exit_one(capsys):
     assert main(["evolve", "--seed", "1"]) == 1  # no such option
 
 
+def test_argparse_error_names_the_option(capsys):
+    # the usage line, then argparse's own message
+    assert main(["evolve", "--nx", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fnls evolve ")
+    assert err.splitlines()[-1] == "error: argument --nx: invalid int value: 'abc'"
+
+
 BAD_NUMBERS = [
     (["scan-wavepacket", "--m", "16,32,64,inf"], "expected comma-separated finite numbers"),
     (["scan-wavepacket", "--m", "nan"], "expected comma-separated finite numbers"),
@@ -179,6 +187,9 @@ BAD_NUMBERS = [
     (["illposed", "--sigma", "0"], "sigma must be positive"),
     (["evolve", "--t-final", "inf"], "--t-final must be finite"),
     (["evolve", "--t-final", "nan"], "--t-final must be finite"),
+    (["evolve", "--dt", "1e-300"], "over the 1024 MiB limit"),
+    (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
+    (["scan-wavepacket", "--tau", "1e-300"], "tau_scale = 1e-300 and m = 0 need a grid"),
 ]
 
 

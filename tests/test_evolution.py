@@ -188,15 +188,20 @@ def test_evolve_together_matches_four_fft_reference(gamma, monkeypatch):
         assert np.linalg.norm(got - want[row]) <= 1e-14 * np.linalg.norm(want[row])
 
 
-def test_evolve_makes_four_ffts_a_step(monkeypatch):
-    # ten whole steps and a shorter eleventh; without tail checks a record
-    # costs no transform, so every FFT call is a step's
+def _count_fft_calls(monkeypatch) -> list:
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_evolve_makes_four_ffts_a_step(monkeypatch):
+    # ten whole steps and a shorter eleventh; without tail checks a record
+    # costs no transform, so every FFT call is a step's
+    calls = _count_fft_calls(monkeypatch)
     grid = make_grid(64, 2 * np.pi)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.0105, grid=grid, record_every=4)
     phi = Field(grid, np.exp(-np.arange(64.0)))
@@ -204,6 +209,17 @@ def test_evolve_makes_four_ffts_a_step(monkeypatch):
     assert len(traj.states) == 4
     assert len(calls) == 4 * 11
     assert sorted(set(calls)) == ["fft", "ifft", "irfft", "rfft"]
+
+
+def test_picard_makes_two_ffts_a_block(monkeypatch):
+    # 37 time rows are three blocks of PICARD_BLOCK_ROWS = 16; each block's
+    # cubic term is one padded inverse and one forward transform
+    calls = _count_fft_calls(monkeypatch)
+    grid = make_grid(64, 2 * np.pi)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.036, grid=grid)
+    picard_iterate(Field(grid, np.exp(-np.arange(64.0))), cfg, iterations=4)
+    assert evolution.PICARD_BLOCK_ROWS == 16
+    assert calls == ["ifft", "fft"] * 3 * 4
 
 
 def test_evolve_together_calls_share_no_state():
@@ -324,6 +340,100 @@ def test_evolve_blow_up_guard(circle, monkeypatch):
     assert "|u| reached" in str(info.value)
 
 
+def _spectral_bound(uhat):
+    """sqrt(nx sum |uhat|^2) per row: sum |uhat| can never pass it while the
+    sum of |uhat|^2 is conserved."""
+    return np.sqrt(uhat.shape[-1] * np.sum(np.abs(uhat) ** 2, axis=-1))
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_evolve_together_keeps_sum_abs_within_the_initial_bound(gamma):
+    # 4,000 steps of rows with alpha 1.2, 1.5 and 2, carriers and frame
+    # velocities: the bound taken at t = 0 holds at every record
+    grid, wide = make_grid(64, 2 * np.pi), make_grid(64, 4 * np.pi)
+    common = dict(gamma=gamma, dt=1e-3, t_final=4.0, record_every=50)
+    runs = [
+        (_gaussian(grid, a=2.0, k=3.0), SimConfig(alpha=1.2, grid=grid, **common)),
+        (_random_field(grid, 7), SimConfig(alpha=1.5, grid=grid, carrier=3.0, **common)),
+        (_gaussian(wide, a=1.5), SimConfig(alpha=2.0, grid=wide, frame_velocity=-2.0, **common)),
+        (_gaussian(grid, sigma=0.3), SimConfig(alpha=1.5, grid=grid, carrier=-2.0,
+                                               frame_velocity=1.5, **common)),
+    ]
+    for (phi, _), traj in zip(runs, evolve_together(runs)):
+        assert traj.times.size == 81
+        bound = _spectral_bound(phi.values)
+        assert np.all(np.sum(np.abs(traj.values), axis=-1) <= bound)
+
+
+def _count_guard_calls(monkeypatch) -> list:
+    calls = []
+    guard = evolution._guard
+
+    def counted(*args):
+        calls.append(args[4])  # the time
+        return guard(*args)
+
+    monkeypatch.setattr(evolution, "_guard", counted)
+    return calls
+
+
+def test_cleared_batch_skips_the_guard(circle, monkeypatch):
+    # every row's bound is far below half of BLOWUP_THRESHOLD * L, so no
+    # step calls _guard; ten whole steps and a shorter eleventh otherwise
+    # call it after every step
+    calls = _count_guard_calls(monkeypatch)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.0105, grid=circle)
+    runs = [(_gaussian(circle), cfg), (_random_field(circle, 3), replace(cfg, alpha=1.8))]
+    cleared = evolve_together(runs)
+    assert calls == []
+    # a threshold the second row's bound does not clear, though |u| stays
+    # below it, guards every step of the batch and changes no value
+    threshold = 2.0 * np.sum(np.abs(runs[1][0].values)) / circle.length
+    assert _spectral_bound(runs[1][0].values) > 0.5 * threshold * circle.length
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", threshold)
+    guarded = evolve_together(runs)
+    assert len(calls) == 11 and calls[-1] == 0.0105
+    for a, b in zip(cleared, guarded):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_huge_cubic_angle_keeps_the_guard(circle, monkeypatch):
+    # gamma = 1e308 at small data: every row clears the threshold, but its
+    # largest cubic angle overflows, so the guard stays on every step
+    calls = _count_guard_calls(monkeypatch)
+    cfg = SimConfig(alpha=1.5, gamma=1e308, dt=1e-3, t_final=0.005, grid=circle)
+    evolve(_gaussian(circle, a=1.0), cfg)
+    assert len(calls) == 5
+
+
+def test_uncleared_row_still_raises_and_is_named(circle, monkeypatch):
+    # the small row clears the bound and the large one does not; the large
+    # one's |u| passes the threshold and the error names its row
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle)
+    small, big = _gaussian(circle, a=0.01), _gaussian(circle, a=1.0)
+    assert _spectral_bound(small.values) <= 0.25 * circle.length
+    with pytest.raises(BlowUpError) as info:
+        evolve_together([(small, cfg), (big, replace(cfg, alpha=1.8))])
+    assert str(info.value).startswith("non-finite or oversized field at t=0.001 (run 1 of 2, alpha 1.8")
+    assert "|u| reached" in str(info.value)
+    assert info.value.t_reached == pytest.approx(1e-3)
+
+
+def test_overflowing_cubic_angle_raises_at_the_first_step(circle):
+    # at gamma = 1e308 the cubic angle of a tall packet overflows to inf in
+    # the first step, whose phase is then NaN: numpy warns, and the guard
+    # names the non-finite spectrum at t = dt
+    cfg = SimConfig(alpha=1.5, gamma=1e308, dt=1e-3, t_final=0.01, grid=circle)
+    with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError) as info:
+        evolve(_gaussian(circle, a=60.0), cfg)
+    assert str(info.value) == (
+        "non-finite or oversized field at t=0.001 "
+        "(run 0 of 1, alpha 1.5, carrier 0: non-finite spectrum)"
+    )
+    assert info.value.t_reached == 1e-3
+
+
 def test_evolve_tail_check(circle):
     # packet shoved against the boundary trips the wrap-around guard
     vals = np.exp(-0.5 * (circle.x / 0.3) ** 2)
@@ -415,7 +525,7 @@ def test_picard_matches_per_row_reference(nx, t_final, gamma):
 
 
 def test_picard_traced_peak_stays_within_six_histories(circle):
-    # the loop keeps three histories plus one block of cubic-term temporaries
+    # the loop keeps two histories plus one block of cubic-term temporaries
     phi = _gaussian(circle, a=0.2, sigma=0.6)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=circle)
     history = 101 * circle.nx * 16
@@ -426,6 +536,22 @@ def test_picard_traced_peak_stays_within_six_histories(circle):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * history
+
+
+def test_picard_peak_stays_within_two_and_a_half_histories():
+    # the phases and one iterate are the only histories; the next iterate
+    # is built a block at a time, so a second iterate history would fail
+    grid = make_grid(1024, 2 * np.pi)
+    phi = _gaussian(grid, a=0.2, sigma=0.6)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.5, grid=grid)
+    history = 501 * grid.nx * 16
+    tracemalloc.start()
+    try:
+        picard_iterate(phi, cfg, iterations=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * history
 
 
 def test_trajectory_metadata(circle):

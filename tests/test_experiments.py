@@ -206,6 +206,18 @@ def test_scan_wavepacket_rejects_a_width_that_is_not_positive(monkeypatch, tau):
         scan_wavepacket([0.0], [16, 32, 64, 128], tau_scale=tau)
 
 
+def test_wavepacket_grid_over_memory_limit_is_rejected_before_allocation(monkeypatch):
+    # a complex field on 2^26 points is exactly EVOLVE_HISTORY_LIMIT bytes;
+    # a carrier just past the one that needs it asks for 2^27 points
+    monkeypatch.setattr(experiments, "make_grid", lambda nx, length: nx)
+    edge = (2**26 * np.pi / 64.0 - 16.0) / 1.5
+    assert wavepacket_grid(edge * (1 - 1e-12), 1.0) == 2**26
+    with pytest.raises(ValidationError, match="tau_scale = 1 and m = 2.19612e\\+06 need a grid"):
+        wavepacket_grid(edge * (1 + 1e-12), 1.0)
+    with pytest.raises(ValidationError, match="tau_scale = 1e-300 and m = 16 need a grid"):
+        wavepacket_grid(16.0, 1e-300)
+
+
 def test_scan_wavepacket_checks_every_s():
     # the packet is shared, but each s keeps its own hypothesis check:
     # the envelope smoothness (1) is below |s| = 1.5
