@@ -36,17 +36,25 @@ TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
 BLOWUP_THRESHOLD = 1e8  # |u| at which an evolution stops with BlowUpError
 
-# picard_iterate keeps two (n_t + 1) x nx complex histories, the phases and
-# the iterate; one of them may take at most this many bytes
-PICARD_HISTORY_LIMIT = 64 * 2**20
+# a Picard run's work per iteration grows as (n_t + 1) x nx and the rows it
+# carries from block to block as iterations x nx; each may be at most this
+PICARD_LATTICE_LIMIT = 2**22
 
-# time rows per cubic_values call in picard_iterate: a whole-history call
-# would hold padded temporaries several histories large
+# time rows per block of the Picard sweep; every iteration's cubic term over a
+# block is one cubic_values call, whose padded temporaries grow with the block
 PICARD_BLOCK_ROWS = 16
 
 # evolve_together keeps every recorded state of every run; together they
 # may take at most this many bytes
 EVOLVE_HISTORY_LIMIT = 2**30
+
+# steps x runs x nx of one evolve_together call: 15-45 min on a 2-core host
+EVOLVE_WORK_LIMIT = 2**34
+
+
+def _count(x) -> str:
+    """x in full below a million, else to three significant digits."""
+    return f"{x:.0f}" if x < 1e6 else f"{x:.3g}" if x < 1e300 else "over 1e300"
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,8 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     that fails raises what evolve would raise for it, naming the run by its
     row, alpha and carrier.
     Each trajectory's values are a row of one (runs, records, nx) history;
-    a history over EVOLVE_HISTORY_LIMIT bytes is rejected before allocation.
+    a history over EVOLVE_HISTORY_LIMIT bytes, or steps x runs x nx over
+    EVOLVE_WORK_LIMIT, is rejected before allocation.
     The blow-up guard runs after every step unless, at t = 0, every row is
     cleared for good (see _guard_can_fire): the step conserves each row's
     sum |uhat|^2, which bounds sum |uhat| and the cubic angle for all time.
@@ -251,12 +260,18 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     # at the end when the last step is not among them
     final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
     n_records = n_whole // cfg.record_every + 1 + final_record
-    history_bytes = 16 * len(runs) * n_records * cfg.grid.nx  # complex128 entries
+    history_bytes = 16.0 * len(runs) * n_records * cfg.grid.nx  # complex128 entries
     if history_bytes > EVOLVE_HISTORY_LIMIT:
         raise ValidationError(
-            f"{len(runs)} run(s) x {n_records} records x {cfg.grid.nx} values need "
-            f"{history_bytes / 2**20:.0f} MiB, over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB "
+            f"{len(runs)} run(s) x {_count(n_records)} records x {cfg.grid.nx} values need "
+            f"{_count(history_bytes / 2**20)} MiB, over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB "
             "limit; raise record_every, shorten t_final or lower nx"
+        )
+    n_steps = n_whole + (remainder != 0.0)
+    if n_steps * len(runs) * cfg.grid.nx > EVOLVE_WORK_LIMIT:
+        raise ValidationError(
+            f"{_count(n_steps)} steps x {len(runs)} run(s) x {cfg.grid.nx} values pass the "
+            f"limit of {_count(EVOLVE_WORK_LIMIT)}; raise dt, shorten t_final or lower nx"
         )
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
     symbol = np.stack([c.symbol() for c in cfgs])
@@ -318,88 +333,86 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     form w' = -i U(-t) E(t) on the cfg.dt lattice over [0, t_final], which
     should be small for the map to contract.  Successive differences are
     measured in H^((2-alpha)/4), maximized over the time lattice; growth over
-    three consecutive iterations raises NonContractionError.  Inputs whose
-    (n_t + 1) x nx history would exceed PICARD_HISTORY_LIMIT bytes are
-    rejected before anything is allocated.
+    three consecutive iterations, or a non-finite difference, raises
+    NonContractionError.  Inputs with (n_t + 1) x nx or iterations x nx over
+    PICARD_LATTICE_LIMIT are rejected before any work.
 
-    The phases U(t) = exp(i omega t) are computed once per call and U(-t)
-    is their conjugate.  The cubic term is evaluated on blocks of
-    PICARD_BLOCK_ROWS time rows, whose trapezoid sums are accumulated in a
-    block buffer in the order of a cumulative sum.  A block of the next
-    iterate reads the current one only at its own and earlier rows (the
-    earlier ones through the running sum and the last cubic term carried
-    from the block before), so it is completed in the buffer, measured
-    against the current rows and copied over them: the loop keeps two
-    histories (the phases and the iterate) plus a block of temporaries.
+    Iterate k + 1 reads iterate k only at its own and earlier time rows, the
+    earlier ones through the running trapezoid sum and the last cubic term.
+    So one sweep over blocks of PICARD_BLOCK_ROWS rows advances all
+    iterations a block at a time; each carries its sum, last cubic term and
+    largest row difference to the next block, and a block's phases
+    U(t) = exp(i omega t), free evolution, U(-t) and i gamma U(t) serve them
+    all.  No (n_t + 1) x nx array is allocated.  Iterations past a
+    non-contracting one still run and may overflow, unreported.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
     n_whole, remainder = _step_plan(cfg)
     if remainder != 0.0:
         raise ValidationError("picard_iterate needs t_final to be a multiple of dt")
-    history_bytes = 16 * (n_whole + 1) * cfg.grid.nx  # complex128 entries
-    if history_bytes > PICARD_HISTORY_LIMIT:
-        raise ValidationError(
-            f"a Picard history of {n_whole + 1} x {cfg.grid.nx} values needs "
-            f"{history_bytes / 2**20:.0f} MiB, over the {PICARD_HISTORY_LIMIT // 2**20} MiB "
-            "limit; shorten t_final, raise dt or lower nx"
-        )
     grid = cfg.grid
+    if max(n_whole + 1, iterations) * grid.nx > PICARD_LATTICE_LIMIT:
+        raise ValidationError(
+            f"a Picard run of max({_count(n_whole + 1)} time rows, {_count(iterations)} "
+            f"iterations) x {grid.nx} values passes the {PICARD_LATTICE_LIMIT}-value limit; "
+            "shorten t_final, raise dt, lower nx or lower iterations"
+        )
     omega = cfg.symbol()
     times = cfg.dt * np.arange(n_whole + 1)
-    s_diff = (2.0 - cfg.alpha) / 4.0
     half_dt = 0.5 * cfg.dt
-
     phi_hat = spectral_values(phi)
-    rot = 1j * omega * times[:, None]
-    np.exp(rot, out=rot)  # in place: one history-sized temporary fewer
-    current = rot * phi_hat[None, :]  # the free evolution is the first iterate
-    buffer = np.empty((PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
-    weight = (1.0 + grid.k**2) ** s_diff
-    row_diffs = np.empty(times.size)
-    # the cubic term's padded buffer (middle band kept zero) and its result
+    weight = (1.0 + grid.k**2) ** ((2.0 - cfg.alpha) / 4.0)
+    # a block's current and next iterate and its cubic term (then scratch for
+    # the difference), and the cubic term's padded buffer (middle band zero)
+    block = np.empty((3, PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
     fine = np.zeros((PICARD_BLOCK_ROWS, PAD_FACTOR * grid.nx), dtype=np.complex128)
-    band = np.empty((PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
+    partial = np.empty((iterations, grid.nx), dtype=np.complex128)
+    g_last = np.empty_like(partial)
+    peak = np.zeros(iterations)  # each iteration's largest squared row difference
 
-    diffs = []
-    grow_streak = 0
-    for _ in range(iterations):
-        # g(t) = U(-t) |u|^2 u (t); partial(t_j) = trapezoid sum of g up to t_j
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, times.size, PICARD_BLOCK_ROWS):
-            rows = slice(start, start + PICARD_BLOCK_ROWS)
-            n_rows = min(PICARD_BLOCK_ROWS, times.size - start)
-            g = np.conj(rot[rows]) * cubic_values(current[rows], grid, fine[:n_rows], band[:n_rows])
-            block = buffer[:n_rows]
-            # trapezoid steps and their running sum, from the block before's;
-            # partial(t_1) is the first step, not 0 + step: np.cumsum's bits
-            np.add(g[:-1], g[1:], out=block[1:])
-            if start == 0:
-                block[0] = 0.0
-                steps = block[1:]
-            else:
-                np.add(g_last, g[0], out=block[0])
-                steps = block
-            steps *= half_dt
-            if start:
-                steps[0] += partial
-            np.add.accumulate(steps, axis=0, out=steps)
-            g_last, partial = g[-1], block[-1].copy()
-            block[...] = rot[rows] * phi_hat - 1j * cfg.gamma * rot[rows] * block
-            d2 = weight * np.abs(block - current[rows]) ** 2
-            row_diffs[rows] = np.sum(d2, axis=1)
-            current[rows] = block
-        diffs.append(float(np.sqrt(np.max(row_diffs) / grid.length)))
-        if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
-            grow_streak += 1
-            if grow_streak >= 3:
-                raise NonContractionError(
-                    "successive Picard differences grew three times in a row: "
-                    f"{diffs[-4:]}"
-                )
-        else:
-            grow_streak = 0
-    return PicardResult(
-        final=Field(grid, current[-1]),
-        difference_norms=np.array(diffs),
-        times=times,
-    )
+            rot = 1j * omega * times[start:start + PICARD_BLOCK_ROWS, None]
+            np.exp(rot, out=rot)
+            n_rows = rot.shape[0]
+            free, back, kick = rot * phi_hat, np.conj(rot), 1j * cfg.gamma * rot
+            current, nxt, g = block[:, :n_rows]
+            current[...] = free  # the free evolution is the first iterate
+            for k in range(iterations):
+                # g(t) = U(-t) |u|^2 u (t); partial(t_j) = trapezoid sum of g to t_j
+                np.multiply(back, cubic_values(current, grid, fine[:n_rows], g), out=g)
+                # trapezoid steps and their running sum, from the block before's;
+                # partial(t_1) is the first step, not 0 + step: np.cumsum's bits
+                np.add(g[:-1], g[1:], out=nxt[1:])
+                if start == 0:
+                    nxt[0] = 0.0
+                    steps = nxt[1:]
+                else:
+                    np.add(g_last[k], g[0], out=nxt[0])
+                    steps = nxt
+                steps *= half_dt
+                if start:
+                    steps[0] += partial[k]
+                np.add.accumulate(steps, axis=0, out=steps)
+                g_last[k], partial[k] = g[-1], nxt[-1]
+                np.subtract(free, np.multiply(kick, nxt, out=nxt), out=nxt)
+                d2 = np.abs(np.subtract(nxt, current, out=g))
+                d2 *= d2
+                d2 *= weight
+                peak[k] = np.maximum(peak[k], np.max(np.sum(d2, axis=1)))  # keeps a NaN
+                current, nxt = nxt, current
+
+    diffs = [float(d) for d in np.sqrt(peak / grid.length)]
+    grow_streak = 0
+    for i, d in enumerate(diffs):
+        grow_streak = grow_streak + 1 if i and d > diffs[i - 1] else 0
+        if grow_streak >= 3:
+            raise NonContractionError(
+                f"successive Picard differences grew three times in a row: {diffs[i - 3:i + 1]}"
+            )
+        if not np.isfinite(d):
+            raise NonContractionError(
+                f"Picard difference {i + 1} is not finite: {diffs[max(i - 3, 0):i + 1]}"
+            )
+    return PicardResult(Field(grid, current[-1]), np.array(diffs), times)

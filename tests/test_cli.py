@@ -189,6 +189,7 @@ BAD_NUMBERS = [
     (["evolve", "--t-final", "nan"], "--t-final must be finite"),
     (["evolve", "--dt", "1e-300"], "over the 1024 MiB limit"),
     (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
+    (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps x 1 run(s)"),
     (["scan-wavepacket", "--tau", "1e-300"], "tau_scale = 1e-300 and m = 0 need a grid"),
 ]
 
@@ -210,11 +211,21 @@ def test_non_finite_config_value_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --t-final must be finite, got inf\n"
 
 
-def test_picard_history_over_memory_limit_is_validation_error(capsys):
-    # 10001 x 1024 complex values per history: about 160 MiB each
-    args = ["picard", "--t-final", "10", "--dt", "1e-3", "--nx", "1024"]
-    assert main(args) == 1
-    assert "MiB" in capsys.readouterr().err
+def test_picard_lattice_over_work_limit_is_validation_error(capsys):
+    # 10001 time rows x 1024 values, or 10^5 iterations x 256 values, pass
+    # the 2^22 values that one iteration may sweep or that carry its rows
+    for args in (["--t-final", "10", "--dt", "1e-3", "--nx", "1024"], ["--iterations", "100000"]):
+        assert main(["picard", *args]) == 1
+        assert "values passes the 4194304-value limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "picard"])
+def test_limit_messages_of_tiny_dt_are_short(capsys, command):
+    # 1e299 records or time rows: counts to three digits, not in full
+    assert main([command, "--dt", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert "1e+299" in err
 
 
 def test_evolve_history_over_memory_limit_is_validation_error(capsys):

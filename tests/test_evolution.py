@@ -524,8 +524,43 @@ def test_picard_matches_per_row_reference(nx, t_final, gamma):
     assert np.allclose(res.difference_norms[~head], want_diffs[~head], rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 16, 64])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("t_final", [0.1, 0.036])
+@pytest.mark.parametrize("nx", [16, 256])
+def test_picard_block_rows_match_per_row_reference(monkeypatch, nx, t_final, gamma, block_rows):
+    # blocks of one row, whose carries are all there is; short last blocks
+    # (101 and 37 rows in blocks of 7, 16 and 64); all 37 rows in one block
+    monkeypatch.setattr(evolution, "PICARD_BLOCK_ROWS", block_rows)
+    test_picard_matches_per_row_reference(nx, t_final, gamma)
+
+
+def test_picard_non_finite_difference_is_non_contraction(circle):
+    # gamma = 1e308 overflows the first difference; nothing grows three
+    # times, so the growth rule alone would return an infinite difference
+    phi = _gaussian(circle, a=0.2, sigma=0.6)
+    cfg = SimConfig(alpha=1.5, gamma=1e308, dt=1e-3, t_final=0.01, grid=circle)
+    with pytest.raises(NonContractionError, match="Picard difference 1 is not finite: \\[inf\\]"):
+        picard_iterate(phi, cfg, iterations=3)
+
+
+def test_picard_divergence_reports_the_reference_differences(circle, monkeypatch):
+    # the sweep runs all twelve iterations, yet reports the four differences
+    # at which the per-row loop sees the third growth in a row
+    monkeypatch.setattr(evolution, "CFL_FACTOR", 8.0)
+    phi = _gaussian(circle, a=6.0, sigma=0.8)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=2e-2, t_final=2.0, grid=circle)
+    with np.errstate(all="ignore"):
+        want = [float(d) for d in _per_row_picard(phi, cfg, iterations=12)[1]]
+    grew = [i for i in range(3, 12) if want[i - 3] < want[i - 2] < want[i - 1] < want[i]]
+    message = f"successive Picard differences grew three times in a row: {want[grew[0] - 3:grew[0] + 1]}"
+    with pytest.raises(NonContractionError) as err:
+        picard_iterate(phi, cfg, iterations=12)
+    assert str(err.value) == message
+
+
 def test_picard_traced_peak_stays_within_six_histories(circle):
-    # the loop keeps two histories plus one block of cubic-term temporaries
+    # the sweep keeps blocks and per-iteration rows, no history at all
     phi = _gaussian(circle, a=0.2, sigma=0.6)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=circle)
     history = 101 * circle.nx * 16
@@ -538,20 +573,25 @@ def test_picard_traced_peak_stays_within_six_histories(circle):
     assert peak <= 6 * history
 
 
-def test_picard_peak_stays_within_two_and_a_half_histories():
-    # the phases and one iterate are the only histories; the next iterate
-    # is built a block at a time, so a second iterate history would fail
+def _picard_peak(t_final):
     grid = make_grid(1024, 2 * np.pi)
     phi = _gaussian(grid, a=0.2, sigma=0.6)
-    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.5, grid=grid)
-    history = 501 * grid.nx * 16
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=t_final, grid=grid)
     tracemalloc.start()
     try:
         picard_iterate(phi, cfg, iterations=2)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * history
+
+
+def test_picard_peak_does_not_grow_with_the_time_window():
+    # the sweep keeps blocks and per-iteration rows, no (n_t + 1) x nx
+    # history: 501 x 1024 peaks under 0.6 of one history, and a window four
+    # times as long peaks within 10% of that
+    peak = _picard_peak(0.5)
+    assert peak < 0.6 * 501 * 1024 * 16
+    assert _picard_peak(2.0) <= 1.1 * peak
 
 
 def test_trajectory_metadata(circle):
