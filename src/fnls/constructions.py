@@ -311,5 +311,7 @@ def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
         raise ValidationError(f"s must exceed -1/2, got {s}")
     if not (1.0 < alpha <= 2.0):
         raise ValidationError(f"alpha must lie in (1, 2], got {alpha}")
+    if not n_carrier > 0.0:
+        raise ValidationError(f"carrier frequency must be positive, got {n_carrier:g}")
     exponent = ((2.0 - alpha) / 4.0 - s) / (s + 0.5)
     return float(n_carrier**exponent)

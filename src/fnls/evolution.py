@@ -4,10 +4,11 @@ The linear flow is applied exactly in spectral space, so the only time
 discretization errors come from operator splitting (second order) and the
 Duhamel quadrature of the Picard map (interaction-picture trapezoid, also
 second order).
-The cubic substep is the exact flow of i u_t = gamma |u|^2 u, a pointwise
-phase rotation that preserves |u| sample by sample; the phase uses the
-dealiased band projection of |u|^2, which is real, so the discrete mass
-is conserved to round-off.
+The cubic substep is the exact flow of i u_t = gamma |u|^2 u at the nx
+samples: a phase rotation by the real angle -gamma dt |u|^2 that preserves
+|u| sample by sample, so the discrete mass is conserved to round-off.
+Nothing is zero-padded, so the harmonics the phase creates beyond the band
+alias back onto it, which is negligible only for resolved data.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 
 from .errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from .spectral import (
-    PAD_FACTOR,
+    EVOLVE_HISTORY_LIMIT,
     Field,
     Grid,
-    dealiased_density,
     cubic_values,
     forward_transform,
     inverse_transform,
@@ -31,6 +31,11 @@ from .spectral import (
     tail_fraction,
     _frozen_array,
 )
+
+# perfbench/tracer.py wraps fnls.evolution.dealiased_density, which nothing
+# here calls any more; the re-export goes once the benchmark's tracer
+# tolerates deleted names (ROADMAP item 1)
+from .spectral import PAD_FACTOR, dealiased_density  # noqa: F401
 
 TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
@@ -41,12 +46,8 @@ BLOWUP_THRESHOLD = 1e8  # |u| at which an evolution stops with BlowUpError
 PICARD_LATTICE_LIMIT = 2**22
 
 # time rows per block of the Picard sweep; every iteration's cubic term over a
-# block is one cubic_values call, whose padded temporaries grow with the block
+# block is one cubic_values call, whose temporaries grow with the block
 PICARD_BLOCK_ROWS = 16
-
-# evolve_together keeps every recorded state of every run; together they
-# may take at most this many bytes
-EVOLVE_HISTORY_LIMIT = 2**30
 
 # steps x runs x nx of one evolve_together call: 15-45 min on a 2-core host
 EVOLVE_WORK_LIMIT = 2**34
@@ -142,34 +143,29 @@ def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
     spectral coefficients to new ones.  half_phase holds each row's
     exp(i dt symbol / 2) and dx is the (rows, 1) column of grid spacings.
 
-    Four FFTs a step: the padded inverse transform inside dealiased_density
-    gives both the samples and the density (two more FFTs), and one forward
-    transform returns to spectral space.  The transforms' scalings ride on
-    the half-phases: the leading one, times PAD_FACTOR / dx, multiplies the
-    coefficients as they are copied into the outer bands of a kept padded
-    buffer whose middle band stays zero, and the trailing one, times dx, is
-    the forward transform's scaling.  The cubic phase is cos + i sin of the
-    real angle -gamma dt |u|^2, formed in a kept buffer.  Each FFT covers
-    all rows in one call and no operation mixes rows, so a row computes
-    exactly what it would alone.
+    Two FFTs a step, both of size nx: an inverse transform gives the
+    samples u, the cubic phase cos + i sin of the real angle
+    -gamma dt |u|^2 (|u|^2 as re^2 + im^2) is formed in a kept buffer and
+    multiplies them, and one forward transform returns to spectral space.
+    The transforms' scalings ride on the half-phases: the leading one is
+    divided by dx and the trailing one, times dx, is the forward
+    transform's scaling.  Each FFT covers all rows in one call and no
+    operation mixes rows, so a row computes exactly what it would alone.
     """
     if gamma == 0.0:
         return lambda uhat: uhat * half_phase * half_phase
-    rows, nx = half_phase.shape
-    half = nx // 2
-    lead = half_phase * (PAD_FACTOR / dx)
+    lead = half_phase / dx
     trail = half_phase * dx
-    fine = np.zeros((rows, PAD_FACTOR * nx), dtype=np.complex128)
-    phase = np.empty((rows, nx), dtype=np.complex128)
+    phase = np.empty(half_phase.shape, dtype=np.complex128)
 
     def step(uhat: np.ndarray) -> np.ndarray:
-        np.multiply(uhat[:, :half], lead[:, :half], out=fine[:, :half])
-        np.multiply(uhat[:, half:], lead[:, half:], out=fine[:, -half:])
-        u, angle = dealiased_density(fine, -gamma * dt)
+        u = np.fft.ifft(uhat * lead)
+        angle = u.real**2 + u.imag**2
+        angle *= -gamma * dt
         np.cos(angle, out=phase.real)
         np.sin(angle, out=phase.imag)
-        np.multiply(u, phase, out=phase)
-        return forward_transform(phase, trail)
+        u *= phase
+        return forward_transform(u, trail)
 
     return step
 
@@ -193,9 +189,10 @@ def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float, where) -> No
 def _guard_can_fire(uhat: np.ndarray, lengths, limit, gamma_dt: float) -> bool:
     # The step conserves each row's sum |uhat|^2 to round-off, so sum |uhat|
     # stays below bound = sqrt(nx sum |uhat|^2) at t = 0, and a row with
-    # bound <= limit / 2 never fails _guard's first test.  Its dealiased
-    # density stays below nx (bound / L)^2, so a cubic angle under half the
-    # largest float keeps the spectrum finite.  Summing |uhat / max|uhat||^2
+    # bound <= limit / 2 never fails _guard's first test.  Its sampled
+    # density |u|^2 stays below (bound / L)^2, and so below the looser
+    # nx (bound / L)^2 tested here, so a cubic angle under half the largest
+    # float keeps the spectrum finite.  Summing |uhat / max|uhat||^2
     # cannot overflow or underflow; non-finite data fail both tests.
     nx = uhat.shape[-1]
     peak = np.max(np.abs(uhat), axis=-1)
@@ -343,8 +340,11 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     iterations a block at a time; each carries its sum, last cubic term and
     largest row difference to the next block, and a block's phases
     U(t) = exp(i omega t), free evolution, U(-t) and i gamma U(t) serve them
-    all.  No (n_t + 1) x nx array is allocated.  Iterations past a
-    non-contracting one still run and may overflow, unreported.
+    all.  No (n_t + 1) x nx array is allocated.  Once an iteration's
+    largest difference is non-finite, the iterations after it are dropped
+    for the rest of the sweep: each would be non-finite too, and the
+    verdict, raised at that iteration or before, is already fixed.
+    Iterations past a growing streak still run and may overflow, unreported.
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
@@ -364,9 +364,8 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     phi_hat = spectral_values(phi)
     weight = (1.0 + grid.k**2) ** ((2.0 - cfg.alpha) / 4.0)
     # a block's current and next iterate and its cubic term (then scratch for
-    # the difference), and the cubic term's padded buffer (middle band zero)
+    # the difference)
     block = np.empty((3, PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
-    fine = np.zeros((PICARD_BLOCK_ROWS, PAD_FACTOR * grid.nx), dtype=np.complex128)
     partial = np.empty((iterations, grid.nx), dtype=np.complex128)
     g_last = np.empty_like(partial)
     peak = np.zeros(iterations)  # each iteration's largest squared row difference
@@ -381,7 +380,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
             current[...] = free  # the free evolution is the first iterate
             for k in range(iterations):
                 # g(t) = U(-t) |u|^2 u (t); partial(t_j) = trapezoid sum of g to t_j
-                np.multiply(back, cubic_values(current, grid, fine[:n_rows], g), out=g)
+                np.multiply(back, cubic_values(current, grid), out=g)
                 # trapezoid steps and their running sum, from the block before's;
                 # partial(t_1) is the first step, not 0 + step: np.cumsum's bits
                 np.add(g[:-1], g[1:], out=nxt[1:])
@@ -401,6 +400,8 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
                 d2 *= d2
                 d2 *= weight
                 peak[k] = np.maximum(peak[k], np.max(np.sum(d2, axis=1)))  # keeps a NaN
+                if not np.isfinite(peak[k]):
+                    break  # so in every later block too: peak[k] stays non-finite
                 current, nxt = nxt, current
 
     diffs = [float(d) for d in np.sqrt(peak / grid.length)]

@@ -444,6 +444,8 @@ def run_illposedness_demo(
         raise ValidationError("epsilon must lie in (0, 1)")
     if not (0.0 <= delta <= 0.5 * epsilon):
         raise ValidationError("delta must satisfy 0 <= delta << epsilon")
+    if not (1.0 < alpha <= 2.0):
+        raise ValidationError(f"alpha must lie in (1, 2], got {alpha:g}")
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
     if not (lo < s < hi):

@@ -1,4 +1,4 @@
-"""Grids, transforms and the dealiased cubic nonlinearity.
+"""Grids, transforms and the cubic nonlinearity.
 
 Conventions (fixed once, used everywhere):
 
@@ -9,6 +9,9 @@ Conventions (fixed once, used everywhere):
   dx * sum_j u(x_j) exp(-i k x_j), i.e. it approximates the continuum
   integral of u exp(-i k x) over one period.  Plancherel then reads
   integral |u|^2 dx = (1/L) * sum_k |uhat(k)|^2.
+* Products are taken at the nx samples, unpadded.  Their modes beyond the
+  band alias back onto it, which is nil only for resolved data: the cubic
+  term is exact when every mode index m has |m| < nx/6.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Cubic products of a band-limited field need zero padding by this factor
-# for the retained modes to be alias-free.
+# dealiased_density's zero-padding factor
 PAD_FACTOR = 2
+
+# evolve_together keeps every recorded state of every run; together they
+# may take at most this many bytes, and one grid's complex field no more
+EVOLVE_HISTORY_LIMIT = 2**30
 
 
 def _frozen_array(values, dtype=None):
@@ -49,12 +55,16 @@ class Grid:
 
 
 def make_grid(nx: int, length: float) -> Grid:
-    """Build the torus grid; nx must be a power of two >= 8, length > 0."""
+    """Build the torus grid; nx must be a power of two >= 8 whose complex
+    field fits in EVOLVE_HISTORY_LIMIT bytes (checked first), length > 0."""
     if not isinstance(nx, (int, np.integer)):
         raise ValidationError(f"nx must be an integer, got {nx!r}")
     nx = int(nx)
     if nx < 8 or (nx & (nx - 1)) != 0:
         raise ValidationError(f"nx must be a power of two >= 8, got {nx}")
+    if 16 * nx > EVOLVE_HISTORY_LIMIT:
+        limit = f"{EVOLVE_HISTORY_LIMIT >> 20} MiB limit"
+        raise ValidationError(f"nx = {nx} needs a complex field over the {limit}; lower nx")
     length = float(length)
     if not np.isfinite(length) or length <= 0:
         raise ValidationError(f"length must be positive, got {length}")
@@ -140,17 +150,10 @@ def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
 
 def dealiased_density(fine: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Samples of u and scale times the band-limited projection of |u|^2,
-    both on the coarse grid, from one inverse transform of ``fine``.
-
-    ``fine`` holds u's nx coefficients zero-padded to PAD_FACTOR * nx and
-    divided by the fine spacing dx / PAD_FACTOR, so that numpy's ifft of it
-    is the padded interpolant's samples; rows are transformed independently.
-    The even points of the 2x padded samples are the coarse samples.
-    |u|^2 = re^2 + im^2 on the padded lattice gives every retained mode of
-    the quadratic product exactly; it is real, so its projection goes
-    through rfft/irfft, which keeps only the real part of the lone Nyquist
-    coefficient.  That irfft is PAD_FACTOR times the projection, so one
-    multiply by scale / PAD_FACTOR gives the result.
+    both on the coarse grid, from one inverse transform of ``fine``: u's nx
+    coefficients zero-padded to PAD_FACTOR * nx and divided by the fine
+    spacing dx / PAD_FACTOR.  No integrator calls it; it stays for the
+    benchmark's tracer (see fnls.evolution).
     """
     nx = fine.shape[-1] // PAD_FACTOR
     u_fine = np.fft.ifft(fine)
@@ -160,34 +163,18 @@ def dealiased_density(fine: np.ndarray, scale: float) -> tuple[np.ndarray, np.nd
     return u_fine[..., ::PAD_FACTOR], density
 
 
-def cubic_values(uhat: np.ndarray, grid: Grid, fine=None, out=None) -> np.ndarray:
-    """Spectral coefficients of the dealiased |u|^2 u.
+def cubic_values(uhat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectral coefficients of |u|^2 u taken at the nx samples, along the
+    last axis (rows are transformed independently).
 
-    A caller that repeats the call may pass its own buffers: ``fine``, of
-    PAD_FACTOR * nx zeros along the last axis, of which only the outer bands
-    are written, so its middle band stays zero; and ``out``, shaped as
-    uhat, which receives and returns the result.
-    The padded arrays are not scaled: numpy's ifft of the padded
-    coefficients is dx_fine = dx / PAD_FACTOR times the padded samples, so
-    the forward transform of |ifft|^2 ifft (taking |.|^2 as re^2 + im^2) is
-    dx_fine^2 times the coefficients, and one multiply by dx_fine^-2 as the
-    kept band is copied out gives them.
+    Nothing is scaled on the way: numpy's ifft of the coefficients is dx
+    times the samples, so the fft of |ifft|^2 ifft (|.|^2 as re^2 + im^2)
+    is dx^2 times the coefficients, and one multiply by dx^-2 gives them.
+    Exact, with no aliasing, when every mode index m has |m| < nx/6.
     """
-    nx = uhat.shape[-1]
-    half = nx // 2
-    if fine is None:
-        fine = np.zeros(uhat.shape[:-1] + (PAD_FACTOR * nx,), dtype=np.complex128)
-    if out is None:
-        out = np.empty(uhat.shape, dtype=np.complex128)
-    fine[..., :half] = uhat[..., :half]
-    fine[..., -half:] = uhat[..., -half:]
-    u_fine = np.fft.ifft(fine)
-    u_fine *= u_fine.real**2 + u_fine.imag**2
-    w_hat_fine = np.fft.fft(u_fine)
-    scale = (PAD_FACTOR / grid.dx) ** 2
-    np.multiply(w_hat_fine[..., :half], scale, out=out[..., :half])
-    np.multiply(w_hat_fine[..., -half:], scale, out=out[..., -half:])
-    return out
+    u = np.fft.ifft(uhat)
+    u *= u.real**2 + u.imag**2
+    return np.fft.fft(u) * grid.dx**-2
 
 
 def tail_fraction(u: np.ndarray) -> float:

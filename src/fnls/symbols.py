@@ -72,6 +72,8 @@ def remainder_symbol(alpha: float, n_carrier: float, xi):
     n_carrier = float(n_carrier)
     if n_carrier < 4.0:
         raise ValidationError(f"carrier frequency must be >= 4, got {n_carrier}")
+    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
+        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     beta_n = np.sqrt(0.5 * alpha * (alpha - 1.0)) * n_carrier ** (alpha / 2.0)

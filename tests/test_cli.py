@@ -191,6 +191,12 @@ BAD_NUMBERS = [
     (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
     (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps x 1 run(s)"),
     (["scan-wavepacket", "--tau", "1e-300"], "tau_scale = 1e-300 and m = 0 need a grid"),
+    (["illposed", "--alpha", "-1"], "alpha must lie in (1, 2], got -1"),
+    (["illposed", "--n-carrier", "-1"], "carrier frequency must be positive, got -1"),
+    (["illposed", "--n-carrier", "0"], "carrier frequency must be positive, got 0"),
+    (["scan-remainder", "--n", "1e300,1e301,1e302,1e303"], "1e+300 overflows N^alpha"),
+    (["evolve", "--nx", "2147483648"], "nx = 2147483648 needs a complex field over"),
+    (["picard", "--nx", "1073741824"], "nx = 1073741824 needs a complex field over"),
 ]
 
 

@@ -7,13 +7,16 @@ to 1e-12 absolute, as tests/test_gate_numbers.py pins them, so a host whose
 FFTs take other SIMD paths still passes.
 
 A change that moves numbers on purpose re-records the goldens, from the
-repository root, and logs the move in CHANGES.md:
+repository root, and logs the move in CHANGES.md.  With no NAME every run is
+re-recorded; with names (the test ids, such as approx-error) only those are.
+Either way the files whose text changed are printed:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,7 +74,24 @@ def test_artifact_comparison_is_strict_outside_round_off():
     assert not _same_artifact("# mass_drift=2.3e-13\n1,0.5,x\n2\n", want)
 
 
-if __name__ == "__main__":
+def _record(names) -> list:
+    """Re-record the named runs (all when names is empty); the changed files."""
+    ids = [run[0][0] for run in RUNS]
+    unknown = sorted(set(names) - set(ids))
+    if unknown:
+        sys.exit(f"unknown run(s) {', '.join(unknown)}; known: {', '.join(ids)}")
     GOLDEN.mkdir(exist_ok=True)
-    for run_args, run_files in RUNS:
+    changed = []
+    for run_id, (run_args, run_files) in zip(ids, RUNS):
+        if names and run_id not in names:
+            continue
+        paths = [GOLDEN / name for name in run_files.values()]
+        before = [path.read_text() if path.exists() else None for path in paths]
         _run(run_args, run_files, GOLDEN)
+        changed += [path.name for path, old in zip(paths, before) if path.read_text() != old]
+    return changed
+
+
+if __name__ == "__main__":
+    for name in _record(sys.argv[1:]):
+        print(f"changed: {name}")

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import fnls.spectral as spectral
 
 from fnls.errors import ValidationError
 from fnls.spectral import (
@@ -31,6 +35,25 @@ def test_grid_frequency_spacing():
 def test_grid_rejects_bad_nx(nx):
     with pytest.raises(ValidationError):
         make_grid(nx, 1.0)
+
+
+def test_grid_rejects_an_nx_whose_field_passes_the_limit(monkeypatch):
+    # 2^26 complex values are exactly EVOLVE_HISTORY_LIMIT bytes; nx = 2^27
+    # and 2^31 are rejected before x or k is allocated
+    tracemalloc.start()
+    try:
+        for nx in (2**27, 2**31):
+            with pytest.raises(ValidationError, match=f"nx = {nx} needs a complex field over"):
+                make_grid(nx, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the boundary, at a small limit: a field of exactly the limit is allowed
+    monkeypatch.setattr(spectral, "EVOLVE_HISTORY_LIMIT", 16 * 64)
+    assert make_grid(64, 1.0).nx == 64
+    with pytest.raises(ValidationError):
+        make_grid(128, 1.0)
 
 
 def test_grid_rejects_bad_length():
@@ -81,7 +104,7 @@ def test_transform_matches_direct_summation():
 
 
 def _cubic_samples(grid, u):
-    """Physical samples of the dealiased |u|^2 u for physical samples u."""
+    """Physical samples of the cubic term |u|^2 u for physical samples u."""
     out = cubic_values(Field.physical(grid, u).values, grid)
     return physical_values(Field(grid, out))
 
@@ -121,26 +144,27 @@ def test_cubic_two_modes_against_padded_oracle():
 
 
 def test_cubic_random_against_padded_oracle():
+    # on modes |m| < nx/6 the product |u|^2 u stays inside the band, so the
+    # nx samples give it with no aliasing
     rng = np.random.default_rng(11)
     g = make_grid(64, 2 * np.pi)
-    u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    f = Field.physical(g, u)
-    got = cubic_values(f.values, g)
-    want = _brute_force_dealiased_cubic(f.values, g)
+    uhat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    uhat[np.abs(g.k / g.dk) >= 64 / 6] = 0.0
+    got = cubic_values(uhat, g)
+    want = _brute_force_dealiased_cubic(uhat, g)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
-def test_cubic_kept_buffers_match_fresh_calls():
-    # a kept padded buffer is written only on its outer bands, so its middle
-    # stays zero across calls, and the result buffer is overwritten whole
+def test_cubic_random_against_direct_oracle():
+    # full-spectrum rows: the forward transform of |u|^2 u at the samples,
+    # row by row; a stacked call transforms each row on its own
     rng = np.random.default_rng(13)
     g = make_grid(32, 3.0)
-    fine = np.zeros((4, 64), dtype=complex)
-    out = np.full((4, 32), np.nan, dtype=complex)
-    for rows in (4, 2, 4):
-        uhat = rng.standard_normal((rows, 32)) + 1j * rng.standard_normal((rows, 32))
-        got = cubic_values(uhat, g, fine[:rows], out[:rows])
-        assert np.array_equal(got, cubic_values(uhat, g))
+    u = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
+    got = cubic_values(forward_transform(u, g.dx), g)
+    for row in range(4):
+        want = forward_transform(np.abs(u[row]) ** 2 * u[row], g.dx)
+        assert np.max(np.abs(got[row] - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_cubic_homogeneity_degree_three():
