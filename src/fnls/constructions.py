@@ -26,7 +26,7 @@ from .symbols import envelope_scale, group_velocity
 # sobolev_norm is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
 from .norms import SpaceTimeField, sobolev_norm  # noqa: F401
-from .evolution import Trajectory, TAIL_MASS_LIMIT
+from .evolution import Trajectory, TAIL_MASS_LIMIT, _count
 
 INTERP_LOSS_LIMIT = 1e-8
 WAVEPACKET_SMOOTHNESS = 1.0  # sigma of WavepacketSpec's s < 0 hypotheses
@@ -35,10 +35,9 @@ WAVEPACKET_SMOOTHNESS = 1.0  # sigma of WavepacketSpec's s < 0 hypotheses
 BOX_XI_SAMPLES = 16
 BOX_TAU_SAMPLES_PER_UNIT = 8
 
-
-def _is_power_of_two(x: float) -> bool:
-    m, e = math.frexp(x)
-    return m == 0.5
+# trilinear_convolution's 8 run-end choices (a1, a2, a3) per column triple,
+# 1 just past the run: the 4 with an even number of 1s count +1, the rest -1
+_END_CHOICES = np.array(sorted(np.ndindex(2, 2, 2), key=lambda a: sum(a) % 2)).T
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class BoxSpec:
     conjugate: bool = False
 
     def __post_init__(self):
-        if self.n < 16 or not _is_power_of_two(self.n):
+        if self.n < 16 or math.frexp(self.n)[0] != 0.5:  # a power of two
             raise ValidationError(f"n must be a dyadic value >= 16, got {self.n}")
         if not (1.0 < self.alpha < 2.0):
             raise ValidationError(f"alpha must lie in (1, 2), got {self.alpha}")
@@ -81,12 +80,21 @@ def box_data(spec: BoxSpec) -> SpaceTimeField:
     each xi column holds one run of ones along tau (the samples with
     |tau - line| <= 1, consecutive as tau rises), stored from its start."""
     xi, line = spec.columns()
-    tau = line.min() - 1.0 + (np.arange(spec.tau_samples) + 0.5) / BOX_TAU_SAMPLES_PER_UNIT
-    distance = tau[:, None] - line
-    inside = np.abs(distance, out=distance) <= 1.0
-    length = np.count_nonzero(inside, axis=0)
+    dtau = 1.0 / BOX_TAU_SAMPLES_PER_UNIT
+    tau0 = line.min() - 1.0 + 0.5 * dtau
+
+    def outside(i):
+        return (np.abs(tau0 + dtau * i - line) > 1.0).astype(np.intp)
+
+    # each run's ends from the lattice arithmetic, with no tau array: an estimate
+    # is off by at most a node, and the exact test there and outside settles it
+    lo = np.ceil((line - 1.0 - tau0) / dtau).astype(np.intp)
+    hi = np.floor((line + 1.0 - tau0) / dtau).astype(np.intp)
+    lo += outside(lo) + outside(lo - 1) - 1
+    hi += 1 - outside(hi) - outside(hi + 1)
+    length = hi - lo + 1
     values = (np.arange(length.max())[:, None] < length).astype(np.float64)
-    return SpaceTimeField(tau, xi, np.argmax(inside, axis=0), values)
+    return SpaceTimeField(tau0, dtau, spec.tau_samples, xi, lo, values)
 
 
 def trilinear_convolution(
@@ -97,8 +105,8 @@ def trilinear_convolution(
 
     Each factor must be real 0/1 with one run of ones per xi column, stored
     from the column's first row as box_data stores it, so the convolution's
-    third tau difference is 8 signed points per column triple: counted and
-    summed three times along tau, they give exact integer counts, times
+    third tau difference is 8 signed points per column triple: counted in
+    integers and summed three times along tau, they give exact counts, times
     (dtau dxi)^2.  The output lattice covers the Minkowski sum of the
     supports; the factor lattices must share spacings (offsets add).  Each
     output column is stored from its first point over the widest support's
@@ -109,34 +117,36 @@ def trilinear_convolution(
     for f in fields[1:]:
         if abs(f.dtau - dtau) > 1e-9 * dtau or abs(f.dxi - dxi) > 1e-9 * dxi:
             raise ValidationError("lattice spacings do not match")
-    n_tau, n_xi = (sum(getattr(f, ax).size for f in fields) - 2 for ax in ("tau", "xi"))
-    # +1 at each run's start, -1 just past its end: a column triple's 8 signed
-    # points, laid out (2, m1, 2, m2, 2, m3), sit in output column j1 + j2 + j3
-    points, cols, sign = 0, 0, 1.0
-    for f in fields:
+    n_tau, n_xi = sum(f.n_tau for f in fields) - 2, sum(f.xi.size for f in fields) - 2
+    # +1 at each run's start, -1 just past its end: a column triple's points,
+    # one row per _END_CHOICES entry, sit in output column j1 + j2 + j3
+    points, cols = np.zeros((8, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for f, choice in zip(fields, _END_CHOICES):
         v = f.values
         length = np.count_nonzero(v, axis=0)
         ones_then_zeros = np.arange(v.shape[0])[:, None] < length
         if np.iscomplexobj(v) or np.any(length == 0) or not np.array_equal(v, ones_then_zeros):
             raise ValidationError("trilinear factors must be 0/1 boxes: one run of ones from row 0")
-        points = np.add.outer(points, np.stack([f.first, f.first + length]))
-        cols = np.add.outer(cols, np.arange(v.shape[1])[None, :])
-        sign = np.multiply.outer(sign, [[1.0], [-1.0]])
+        ends = np.stack([f.first, f.first + length])[choice]
+        points = (points[:, :, None] + ends[:, None, :]).reshape(8, -1)
+        cols = np.add.outer(cols, np.arange(v.shape[1])).ravel()
     # a column is summed from its least start sum, and its support ends 3 rows
     # before its last point; points past the stored rows change none of them
     first = np.full(n_xi, n_tau)
-    np.minimum.at(first, cols.ravel(), points[0, :, 0, :, 0].ravel())
-    width = (points - first[cols]).max() - 2
-    first = np.minimum(first, n_tau - width)
-    bins = (points - first[cols]) * n_xi + cols
-    counts = np.bincount(bins.ravel(), np.broadcast_to(sign, bins.shape).ravel(), width * n_xi)
-    counts = counts[: width * n_xi].reshape(width, n_xi)
+    np.minimum.at(first, cols, points[0])
+    points -= first[cols]
+    width = points.max() - 2
+    moved = np.minimum(first, n_tau - width)
+    points *= n_xi  # each point's cell in the (width, n_xi) band, row-major
+    points += ((first - moved) * n_xi + np.arange(n_xi))[cols]
+    size = width * n_xi
+    plus, minus = (np.bincount(half, minlength=size)[:size] for half in points.reshape(2, -1))
+    counts = (plus - minus).reshape(width, n_xi)
     for _ in range(3):
         np.cumsum(counts, axis=0, out=counts)
-    counts *= (dtau * dxi) ** 2
-    tau = sum(f.tau[0] for f in fields) + dtau * np.arange(n_tau)
     xi = sum(f.xi[0] for f in fields) + dxi * np.arange(n_xi)
-    return SpaceTimeField(tau, xi, first, counts)
+    tau0 = sum(f.tau0 for f in fields)
+    return SpaceTimeField(tau0, dtau, n_tau, xi, moved, counts * (dtau * dxi) ** 2)
 
 
 def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:
@@ -147,7 +157,7 @@ def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:
     if m_n + half_b > half_g or m_n - half_b < -half_g:
         raise ResolutionError(
             "grid cannot hold the modulated band: "
-            f"carrier mode {m_n} +- {half_b} exceeds +-{half_g}"
+            f"carrier mode {_count(m_n)} +- {half_b} exceeds +-{half_g}"
         )
     return (m_n + np.round(band.k / band.dk).astype(int)) % grid.nx
 
@@ -310,8 +320,8 @@ def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
     if s <= -0.5:
         raise ValidationError(f"s must exceed -1/2, got {s}")
     if not (1.0 < alpha <= 2.0):
-        raise ValidationError(f"alpha must lie in (1, 2], got {alpha}")
-    if not n_carrier > 0.0:
-        raise ValidationError(f"carrier frequency must be positive, got {n_carrier:g}")
+        raise ValidationError(f"alpha must lie in (1, 2], got {alpha:g}")
+    if not n_carrier >= 1.0:  # below 1, lambda < 1 in the separation range
+        raise ValidationError(f"carrier frequency must be >= 1, got {n_carrier:g}")
     exponent = ((2.0 - alpha) / 4.0 - s) / (s + 0.5)
     return float(n_carrier**exponent)

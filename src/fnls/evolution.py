@@ -372,8 +372,8 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, times.size, PICARD_BLOCK_ROWS):
-            rot = 1j * omega * times[start:start + PICARD_BLOCK_ROWS, None]
-            np.exp(rot, out=rot)
+            angle = omega * times[start:start + PICARD_BLOCK_ROWS, None]
+            rot = np.cos(angle) + 1j * np.sin(angle)  # exp(i angle)
             n_rows = rot.shape[0]
             free, back, kick = rot * phi_hat, np.conj(rot), 1j * cfg.gamma * rot
             current, nxt, g = block[:, :n_rows]
@@ -393,7 +393,8 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
                 steps *= half_dt
                 if start:
                     steps[0] += partial[k]
-                np.add.accumulate(steps, axis=0, out=steps)
+                for r in range(1, steps.shape[0]):  # np.add.accumulate's order, faster
+                    np.add(steps[r - 1], steps[r], out=steps[r])
                 g_last[k], partial[k] = g[-1], nxt[-1]
                 np.subtract(free, np.multiply(kick, nxt, out=nxt), out=nxt)
                 d2 = np.abs(np.subtract(nxt, current, out=g))

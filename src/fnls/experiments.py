@@ -17,7 +17,7 @@ from .errors import ValidationError, WrapAroundError
 from .spectral import Field, Grid, lattice_mode, make_grid, tail_fraction
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
-from .evolution import EVOLVE_HISTORY_LIMIT, TAIL_MASS_LIMIT, SimConfig, Trajectory
+from .evolution import EVOLVE_HISTORY_LIMIT, TAIL_MASS_LIMIT, SimConfig, Trajectory, _count
 from .evolution import evolve, evolve_together
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
@@ -97,7 +97,7 @@ def fit_power_law(
 
     When five or more points are available the smallest parameter is treated
     as preasymptotic and excluded from the fit (it stays in the stored
-    points).  Requires at least four fitted points and positive data.
+    points).  Requires at least four fitted points and positive finite data.
     Values constant to round-off give r_squared = 1.
     """
     params = np.asarray(params, dtype=float)
@@ -110,8 +110,10 @@ def fit_power_law(
     pf, vf = params[n_dropped:], values[n_dropped:]
     if pf.size < 4:
         raise ValidationError(f"need >= 4 points to fit, got {pf.size}")
-    if np.any(pf <= 0) or np.any(vf <= 0):
-        raise ValidationError("power-law fit needs positive data")
+    for p, v in zip(pf, vf):
+        if not (p > 0 and 0 < v < np.inf):
+            raise ValidationError(f"power-law fit needs positive finite data: "
+                                  f"{parameter_name} = {p:g} gives {v:g}")
     x, y = np.log(pf), np.log(vf)
     (slope, intercept), cov = np.polyfit(x, y, 1, cov=True)
     resid = y - (slope * x + intercept)
@@ -205,13 +207,13 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValidationError("need at least four box sizes")
-    for n in n_list:  # box_data's float difference array and its mask, before any box
-        samples = max(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True))
-        box_bytes = 9 * samples * BOX_XI_SAMPLES
-        if box_bytes > EVOLVE_HISTORY_LIMIT:
+    cell_limit = EVOLVE_HISTORY_LIMIT // 9  # the dense box's 9 bytes a cell: the same N pass
+    for n in n_list:
+        cells = max(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True)) * BOX_XI_SAMPLES
+        if cells > cell_limit:
             raise ValidationError(
-                f"N = {n:g} needs a {box_bytes / 2**20:.0f} MiB box lattice, "
-                f"over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB limit"
+                f"N = {n:g} needs a box lattice of {_count(cells)} (tau, xi) cells, "
+                f"over the {_count(cell_limit)}-cell limit"
             )
 
     def one(n):
@@ -444,15 +446,13 @@ def run_illposedness_demo(
         raise ValidationError("epsilon must lie in (0, 1)")
     if not (0.0 <= delta <= 0.5 * epsilon):
         raise ValidationError("delta must satisfy 0 <= delta << epsilon")
-    if not (1.0 < alpha <= 2.0):
-        raise ValidationError(f"alpha must lie in (1, 2], got {alpha:g}")
+    lam = lambda_for(s, alpha, n_carrier)  # checks alpha and the carrier first
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
     if not (lo < s < hi):
         raise ValidationError(
             f"s = {s} outside the separation range ({lo:.6g}, {hi:.6g})"
         )
-    lam = lambda_for(s, alpha, n_carrier)
     length = _lattice_length(ILLPOSED_LENGTH, n_carrier)
     x_grid = make_grid(ILLPOSED_NX, length)
     target_grid = make_grid(2 * ILLPOSED_NX, length / lam)

@@ -50,46 +50,45 @@ def sobolev_norm(f, s: float):
     return _per_record(np.sqrt(np.sum(weighted, axis=-1) / f.grid.length))
 
 
-def _uniform_spacing(lattice: np.ndarray, name: str) -> float:
-    lattice = np.asarray(lattice, dtype=float)
-    if lattice.ndim != 1 or lattice.size < 2:
-        raise ValidationError(f"{name} must be a 1-d lattice with >= 2 nodes")
-    steps = np.diff(lattice)
-    d = steps[0]
-    if d <= 0 or np.any(np.abs(steps - d) > 1e-9 * abs(d)):
-        raise ValidationError(f"{name} must be uniformly spaced and increasing")
-    return float(d)
-
-
 @dataclass(frozen=True)
 class SpaceTimeField:
     """Values on a uniform (tau, xi) lattice, stored by xi column: column j
-    holds values[r, j] at tau[first[j] + r], and every other cell is exactly
-    zero.  A dense field is first = 0 with tau.size rows.  Real values stay
-    real (float64), complex ones are stored as complex128."""
+    holds values[r, j] at tau0 + dtau * (first[j] + r), and every other cell
+    is exactly zero; `tau` builds the n_tau nodes on demand.  A dense field
+    is first = 0 with n_tau rows.  Real values stay real (float64), complex
+    ones are stored as complex128."""
 
-    tau: np.ndarray
+    tau0: float
+    dtau: float
+    n_tau: int
     xi: np.ndarray
     first: np.ndarray
     values: np.ndarray
-    dtau: float = field(init=False)
     dxi: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dtau", _uniform_spacing(self.tau, "tau lattice"))
-        object.__setattr__(self, "dxi", _uniform_spacing(self.xi, "xi lattice"))
+        if not (np.isfinite(self.tau0) and 0.0 < self.dtau < np.inf and self.n_tau >= 2):
+            raise ValidationError("tau lattice must be finite tau0, dtau > 0 and n_tau >= 2 nodes")
+        steps = np.diff(np.asarray(self.xi, dtype=float))
+        uniform = steps.ndim == 1 and steps.size > 0 and steps[0] > 0
+        if not (uniform and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
+            raise ValidationError("xi lattice must be 1-d, uniformly spaced and increasing")
+        object.__setattr__(self, "dxi", float(steps[0]))
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
         vals = np.asarray(self.values, dtype=dtype)
         first = np.asarray(self.first)
         if vals.ndim != 2 or vals.shape[1:] != first.shape or first.shape != (self.xi.size,):
             raise ValidationError(f"values {vals.shape} and first {first.shape} do not fit xi")
         rows_end = first.max() + vals.shape[0]
-        if first.dtype.kind not in "iu" or first.min() < 0 or rows_end > self.tau.size:
+        if first.dtype.kind not in "iu" or first.min() < 0 or rows_end > self.n_tau:
             raise ValidationError("first must be integer rows, with every stored row on tau")
-        object.__setattr__(self, "tau", _frozen_array(self.tau, float))
         object.__setattr__(self, "xi", _frozen_array(self.xi, float))
         object.__setattr__(self, "first", _frozen_array(first, np.intp))
         object.__setattr__(self, "values", _frozen_array(vals))
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.tau0 + self.dtau * np.arange(self.n_tau)
 
     @property
     def cell(self) -> float:
@@ -108,7 +107,7 @@ def xsb_norm(
     """
     if sign not in ("-", "+"):
         raise ValidationError("sign must be '-' or '+'")
-    tau = f.tau[f.first + np.arange(f.values.shape[0])[:, None]]
+    tau = f.tau0 + f.dtau * (f.first + np.arange(f.values.shape[0])[:, None])
     disp = np.abs(f.xi) ** alpha
     modulation = tau - disp if sign == "-" else tau + disp
     weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)

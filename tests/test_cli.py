@@ -192,11 +192,14 @@ BAD_NUMBERS = [
     (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps x 1 run(s)"),
     (["scan-wavepacket", "--tau", "1e-300"], "tau_scale = 1e-300 and m = 0 need a grid"),
     (["illposed", "--alpha", "-1"], "alpha must lie in (1, 2], got -1"),
-    (["illposed", "--n-carrier", "-1"], "carrier frequency must be positive, got -1"),
-    (["illposed", "--n-carrier", "0"], "carrier frequency must be positive, got 0"),
+    (["illposed", "--n-carrier", "-1"], "carrier frequency must be >= 1, got -1"),
+    (["illposed", "--n-carrier", "0"], "carrier frequency must be >= 1, got 0"),
     (["scan-remainder", "--n", "1e300,1e301,1e302,1e303"], "1e+300 overflows N^alpha"),
     (["evolve", "--nx", "2147483648"], "nx = 2147483648 needs a complex field over"),
     (["picard", "--nx", "1073741824"], "nx = 1073741824 needs a complex field over"),
+    (["illposed", "--n-carrier", "0.5"], "carrier frequency must be >= 1, got 0.5"),
+    (["illposed", "--n-carrier", "1e-300"], "carrier frequency must be >= 1, got 1e-300"),
+    (["scan-remainder", "--n", "1e200,1e201,1e202,1e203"], "finite data: N = 1e+200 gives 0"),
 ]
 
 
@@ -242,10 +245,11 @@ def test_evolve_history_over_memory_limit_is_validation_error(capsys):
 
 
 def test_scan_trilinear_over_memory_limit_is_validation_error(capsys):
-    # N = 2^26's box lattice is 1,146 MiB: rejected before any box
+    # N = 2^26's box lattice is 1.33e8 cells, over the 1 GiB // 9 limit:
+    # rejected before any box
     n_list = ",".join(str(2**j) for j in range(4, 27))
     assert main(["scan-trilinear", "--n", n_list]) == 1
-    assert "MiB box lattice" in capsys.readouterr().err
+    assert "(tau, xi) cells, over the 1.19e+08-cell limit" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_two(tmp_path):
@@ -266,6 +270,16 @@ def test_approx_error_band_that_does_not_fit_exits_two(capsys):
     assert capsys.readouterr().err == (
         "runtime failure: grid cannot hold the modulated band: "
         "carrier mode 976 +- 256 exceeds +-1024\n"
+    )
+
+
+def test_huge_carrier_mode_prints_to_three_digits(capsys):
+    # the carrier's lattice mode is about 5.7e301: counted, not in full
+    assert main(["illposed", "--n-carrier", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "runtime failure: grid cannot hold the modulated band: "
+        "carrier mode over 1e300 +- 256 exceeds +-2048\n"
     )
 
 

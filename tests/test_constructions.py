@@ -69,15 +69,19 @@ def test_box_indicator_support():
 
 def test_box_stores_each_run_from_its_start():
     # the stored band is ones then zeros in every column, and on the whole
-    # lattice it is the membership |tau - line| <= 1, bit for bit
-    for n, alpha, conjugate in ((16.0, 1.5, False), (1024.0, 1.2, True), (2.0**13, 1.8, False)):
-        spec = BoxSpec(n=n, alpha=alpha, conjugate=conjugate)
-        box = box_data(spec)
-        line = spec.columns()[1]
-        assert np.array_equal(dense(box), np.abs(box.tau[:, None] - line) <= 1.0)
-        length = np.count_nonzero(box.values, axis=0)
-        assert np.array_equal(box.values, np.arange(box.values.shape[0])[:, None] < length)
-        assert box.values.shape == (length.max(), BOX_XI_SAMPLES)
+    # lattice it is the membership |tau - line| <= 1, bit for bit: the runs
+    # come from the lattice arithmetic, for every alpha and both bands
+    for alpha in np.round(np.arange(1.1, 2.0, 0.1), 1):
+        for n in (16.0, 128.0, 1024.0, 2.0**13):
+            for conjugate in (False, True):
+                spec = BoxSpec(n=n, alpha=alpha, conjugate=conjugate)
+                box = box_data(spec)
+                line = spec.columns()[1]
+                assert np.array_equal(dense(box), np.abs(box.tau[:, None] - line) <= 1.0)
+                length = np.count_nonzero(box.values, axis=0)
+                assert np.array_equal(box.values, np.arange(box.values.shape[0])[:, None] < length)
+                assert box.values.shape == (length.max(), BOX_XI_SAMPLES)
+                assert box.n_tau == spec.tau_samples and box.dtau == 0.125
 
 
 def test_box_norm_growth_exponent():
@@ -101,8 +105,7 @@ def _box_field(tau0, xi0, n_tau, runs, dtau=0.5, dxi=0.25):
     first, last = np.array(runs).T
     length = last - first + 1
     vals = (np.arange(length.max())[:, None] < length).astype(np.float64)
-    tau = tau0 + dtau * np.arange(n_tau)
-    return SpaceTimeField(tau, xi0 + dxi * np.arange(len(runs)), first, vals)
+    return SpaceTimeField(tau0, dtau, n_tau, xi0 + dxi * np.arange(len(runs)), first, vals)
 
 
 def _direct_trilinear(v1, v2, v3):
@@ -173,7 +176,7 @@ def test_trilinear_rejects_non_box_input():
         "an empty column": np.array([[1, 0], [1, 0], [0, 0]], float),
     }
     for vals in bad.values():
-        other = SpaceTimeField(box.tau, box.xi, box.first, vals)
+        other = SpaceTimeField(box.tau0, box.dtau, box.n_tau, box.xi, box.first, vals)
         for args in ((other, box, box), (box, box, other)):
             with pytest.raises(ValidationError, match="0/1 box|one run of ones"):
                 trilinear_convolution(*args)
@@ -181,8 +184,8 @@ def test_trilinear_rejects_non_box_input():
 
 def test_trilinear_repeated_factor_peak_memory():
     # one call at N = 2^13 holds the 32,768 column-triple points a few
-    # times over and the output's tau lattice, never a (tau, xi) lattice
-    # (10.7 MB here): 1.45 MiB measured, with the repeated factor or a copy
+    # times over, never a tau lattice or a (tau, xi) lattice (10.7 MB
+    # here): 0.4 MiB measured, with the repeated factor or a copy
     alpha, n = 1.5, 2.0**13
     plus = box_data(BoxSpec(n=n, alpha=alpha))
     minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
@@ -194,8 +197,26 @@ def test_trilinear_repeated_factor_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.tau.size == 29_114 and out.values.shape == (54, 46)
-        assert peak - base < 2 * 2**20
+        assert out.n_tau == 29_114 and out.values.shape == (54, 46)
+        assert peak - base < 2**20
+
+
+def test_boxes_and_convolution_need_no_tau_lattice():
+    # at N = 2^19 a box lattice is 219,215 tau samples x 16 columns, and
+    # building it densely took 37 MiB: both boxes and their convolution
+    # stay under 1 MiB all together
+    alpha, n = 1.5, 2.0**19
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plus = box_data(BoxSpec(n=n, alpha=alpha))
+        minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
+        out = trilinear_convolution(plus, minus, plus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plus.n_tau == 219_215 and out.n_tau == 2 * plus.n_tau + minus.n_tau - 2
+    assert peak - base < 2**20
 
 
 def test_import_loads_no_scipy():
@@ -249,8 +270,8 @@ def test_trilinear_resonant_output_support():
 
 def test_trilinear_spacing_mismatch():
     first = np.zeros(3, dtype=int)
-    a = SpaceTimeField(np.arange(3.0), np.arange(3.0), first, np.ones((1, 3)))
-    b = SpaceTimeField(np.arange(3.0) * 0.5, np.arange(3.0), first, np.ones((1, 3)))
+    a = SpaceTimeField(0.0, 1.0, 3, np.arange(3.0), first, np.ones((1, 3)))
+    b = SpaceTimeField(0.0, 0.5, 3, np.arange(3.0), first, np.ones((1, 3)))
     with pytest.raises(ValidationError):
         trilinear_convolution(a, b, a)
 

@@ -66,6 +66,10 @@ def test_fit_power_law_validation():
         fit_power_law("N", [1.0, 2.0, 4.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValidationError):
         fit_power_law("N", [1.0, 2.0, 4.0, 8.0], [1.0, -2.0, 3.0, 4.0])
+    # a zero, negative, infinite or NaN value is named by its parameter
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match=f"finite data: M = 8 gives {bad:g}"):
+            fit_power_law("M", [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 3.0, bad])
 
 
 def test_initial_field_parsing():
@@ -113,24 +117,29 @@ def test_scan_trilinear_needs_four_points():
 
 
 def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
-    # box_data's (tau, xi) difference array and mask take 9 bytes a cell:
-    # at N = 2^26 that is 1,146 MiB, over the 1 GiB limit, and the box
-    # sizes alone reject it, before any box is built
+    # a box's (tau, xi) lattice may hold 2^30 // 9 cells, the bound of the
+    # dense box at 9 bytes a cell: at alpha = 1.5, N = 2^26 needs 1.33e8
+    # cells, and the box sizes alone reject it, before any box is built
     def no_box(spec):
         raise AssertionError("box built")
 
     monkeypatch.setattr(experiments, "box_data", no_box)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match="1146 MiB box lattice"):
+        with pytest.raises(ValidationError, match=r"box lattice of 1.33e\+08 \(tau, xi\) cells"):
             scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 27)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # N = 2^25 (681 MiB) passes the check and reaches the boxes
-    with pytest.raises(AssertionError, match="box built"):
-        scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 26)])
+    # the first rejected N is the dense box's: 2^26 at alpha 1.5 (2^25 needs
+    # 7.9e7 cells) and 2^20 at alpha 1.9 (1.20e8 cells; 2^19 needs 6.2e7);
+    # the N below each passes the check and reaches the boxes
+    for alpha, j in ((1.5, 26), (1.9, 20)):
+        with pytest.raises(ValidationError, match="over the 1.19e\\+08-cell limit"):
+            scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2**j])
+        with pytest.raises(AssertionError, match="box built"):
+            scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2 ** (j - 1)])
 
 
 def test_scan_wavepacket_small():
@@ -285,6 +294,12 @@ def test_illposedness_demo_range_check(monkeypatch):
             run_illposedness_demo(
                 alpha=1.5, s=s, epsilon=epsilon, delta=delta,
                 t_internal=1.0, n_carrier=16.0, sigma=sigma,
+            )
+    # a carrier below 1 would take the zoom factor below 1
+    for n_carrier in (0.5, 1e-300):
+        with pytest.raises(ValidationError, match=f"must be >= 1, got {n_carrier:g}"):
+            run_illposedness_demo(
+                alpha=1.5, s=0.0, epsilon=0.5, delta=0.005, t_internal=1.0, n_carrier=n_carrier,
             )
 
 

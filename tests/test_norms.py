@@ -87,14 +87,25 @@ def test_trajectory_norms_are_the_per_state_norms_bit_for_bit():
     assert isinstance(mass(traj.states[0]), float)
 
 
+def _field(tau, xi, first, vals):
+    """A field on the uniform tau lattice whose nodes are tau."""
+    return SpaceTimeField(tau[0], tau[1] - tau[0], tau.size, xi, first, vals)
+
+
 def _dense_field(tau, xi, vals):
-    return SpaceTimeField(tau, xi, np.zeros(xi.size, dtype=int), vals)
+    return _field(tau, xi, np.zeros(xi.size, dtype=int), vals)
 
 
 def test_space_time_field_validation():
     tau, xi = np.arange(3.0), np.array([0.0, 1.0])
+    first0 = np.zeros(2, dtype=int)
+    # the tau lattice: finite tau0, a positive finite step, >= 2 nodes
+    for tau0, dtau, n_tau in ((np.nan, 1.0, 3), (0.0, 0.0, 3), (0.0, -1.0, 3), (0.0, np.inf, 3),
+                              (0.0, 1.0, 1)):
+        with pytest.raises(ValidationError, match="tau lattice"):
+            SpaceTimeField(tau0, dtau, n_tau, xi, first0, np.zeros((1, 2)))
     with pytest.raises(ValidationError):
-        _dense_field(np.array([0.0, 1.0, 2.5]), xi, np.zeros((3, 2)))
+        _dense_field(tau, np.array([0.0, 1.0, 2.5]), np.zeros((3, 3)))
     with pytest.raises(ValidationError):
         _dense_field(tau[:2], xi, np.zeros((3, 2)))
     for vals in (np.zeros((3, 3)), np.zeros(2)):
@@ -109,9 +120,11 @@ def test_space_time_field_validation():
         (np.array([-1, 0]), 1, "every stored row on tau"),  # row -1 of column 0
     ):
         with pytest.raises(ValidationError, match=message):
-            SpaceTimeField(tau, xi, first, np.ones((rows, 2)))
-    band = SpaceTimeField(tau, xi, np.array([0, 2]), np.ones((1, 2)))
+            _field(tau, xi, first, np.ones((rows, 2)))
+    band = _field(tau, xi, np.array([0, 2]), np.ones((1, 2)))
     assert band.first.dtype == np.intp and not band.first.flags.writeable
+    # the tau nodes are the lattice formula, built on demand
+    assert np.array_equal(band.tau, tau) and (band.tau0, band.dtau, band.n_tau) == (0.0, 1.0, 3)
 
 
 def test_xsb_single_delta():
@@ -161,7 +174,7 @@ def test_xsb_weighs_nonzero_cells_as_the_dense_formula():
     real_sparse = np.where(rng.random((61, 17)) < 0.02, 1.0, 0.0)
     # a band: each column's 5 values from its own first row, zeros elsewhere
     first = rng.integers(0, 61 - 5, 17)
-    band = SpaceTimeField(tau, xi, first, dense[:5])
+    band = _field(tau, xi, first, dense[:5])
     for f in [_dense_field(tau, xi, vals) for vals in (dense, sparse, real_sparse)] + [band]:
         for s, b, sign in ((0.0, 0.0, "-"), (0.3, 0.51, "-"), (-0.2, -0.49, "+")):
             got = xsb_norm(f, s, b, 1.5, sign)

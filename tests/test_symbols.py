@@ -94,3 +94,30 @@ def test_remainder_explicit_constant():
     assert c1 == pytest.approx(
         max(8 * 1.5 * half**-1.5, 2 ** (4 - 1.5) / 6 * 0.5 * half**-0.5)
     )
+
+
+def _term_by_term_tail(alpha, z):
+    """The binomial tail with its stop rule tested after every term."""
+    coeff = alpha * (alpha - 1.0) * (alpha - 2.0) / 6.0
+    zpow = z**3
+    total = coeff * zpow
+    for m in range(4, 80):
+        coeff *= (alpha - m + 1.0) / m
+        zpow = zpow * z
+        term = coeff * zpow
+        total += term
+        if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(total), 1e-300)):
+            break
+    return total
+
+
+def test_remainder_series_stop_every_eighth_term_is_bit_equal():
+    # the terms past the stop are each below half an ulp of the sum, so
+    # testing the rule every 8th term adds nothing: bit-equal to the rule
+    # tested after every term, on the series' whole domain |z| <= 1/2
+    for alpha in np.round(np.arange(1.05, 1.96, 0.05), 2):
+        for n in [2.0**j for j in range(2, 12)] + [1e6]:
+            beta_n = np.sqrt(0.5 * alpha * (alpha - 1.0)) * n ** (alpha / 2.0)
+            xi = np.linspace(-0.5, 0.5, 401) * beta_n
+            want = n**alpha * _term_by_term_tail(alpha, xi / beta_n)
+            assert np.array_equal(remainder_symbol(alpha, n, xi), want), (alpha, n)
