@@ -37,7 +37,6 @@ from .constructions import (
     box_data,
     lambda_for,
     modulated_wavepacket,
-    remodulate,
     rescale_solution,
     trilinear_convolution,
 )

@@ -1,6 +1,6 @@
 """Explicit objects used by the verification experiments: resonant
 counterexample boxes, modulated wavepackets, NLS-based approximate solutions
-of the fractional equation, carrier remodulation and amplitude/scale
+of the fractional equation on their carrier's band, and amplitude/scale
 rescaling.  The trajectory constructions act on whole (records, nx)
 coefficient arrays; their checks run record by record, in time order.
 """
@@ -18,7 +18,7 @@ from .spectral import (
     Grid,
     inverse_transform,
     lattice_mode,
-    resize_spectrum,
+    make_grid,
     spectral_tail_fraction,
     tail_fraction,
 )
@@ -152,7 +152,7 @@ def trilinear_convolution(
 def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:
     """Indices on grid of the band's modes m shifted by the carrier's lattice
     index m_N: m_N + m, FFT-ordered; the band must fit on the grid's band."""
-    m_n = lattice_mode(n_carrier, grid)
+    m_n = lattice_mode(n_carrier, grid.length)
     half_b, half_g = band.nx // 2, grid.nx // 2
     if m_n + half_b > half_g or m_n - half_b < -half_g:
         raise ResolutionError(
@@ -170,13 +170,16 @@ def approximate_solution(
     frame_velocity: float = 0.0,
 ) -> Trajectory:
     """Modulated image V(t, x) = e^(iNx) e^(iN^alpha t) v(s, y) of an NLS
-    trajectory v under the wavepacket change of variables.
+    trajectory v under the wavepacket change of variables, on the carrier
+    grid of the v grid's nx modes around N on the target torus.
 
     The v grid must tile the target torus exactly: beta * L_v = L_target.
-    Sampling onto the target grid is band-limited (exact for the stored
-    band): each v mode m lands on target mode m_N + m with a time-dependent
-    translation phase.  With frame_velocity = -group_velocity the image is
-    evaluated in the frame where the packet rests.
+    The image is band-limited (exact for the stored band): each v mode m is
+    image mode m_N + m, with a time-dependent translation phase.  The
+    target grid must hold that band; the image's wrap-around is checked on
+    its samples there, one record at a time.  With frame_velocity =
+    -group_velocity the image is evaluated in the frame where the packet
+    rests.
     """
     beta = envelope_scale(alpha, n_carrier)
     vel = group_velocity(alpha, n_carrier)
@@ -193,9 +196,9 @@ def approximate_solution(
     phase_rate = n_carrier**alpha + n_carrier * frame_velocity
 
     t_col = v_traj.times[:, None]
-    out = np.zeros((t_col.size, target_grid.nx), dtype=np.complex128)
-    out[:, idx] = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t_col)
+    out = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t_col)
     out *= np.exp(1j * phase_rate * t_col)
+    row = np.zeros(target_grid.nx, dtype=np.complex128)
     for t, vhat, uhat in zip(v_traj.times, v_traj.values, out):
         if spectral_tail_fraction(vhat) > INTERP_LOSS_LIMIT:
             raise ResolutionError(
@@ -203,15 +206,14 @@ def approximate_solution(
                 f"mass fraction {spectral_tail_fraction(vhat):.3g}"
             )
         # only a localized envelope makes a wrap-around claim to enforce
-        if (
-            tail_fraction(inverse_transform(vhat, v_grid.dx))
-            <= TAIL_MASS_LIMIT
-            < tail_fraction(inverse_transform(uhat, target_grid.dx))
-        ):
-            raise WrapAroundError(
-                f"modulated packet too close to the boundary at t={t:.6g}"
-            )
-    return Trajectory(v_traj.times, target_grid, out)
+        if tail_fraction(inverse_transform(vhat, v_grid.dx)) <= TAIL_MASS_LIMIT:
+            row[idx] = uhat
+            if tail_fraction(inverse_transform(row, target_grid.dx)) > TAIL_MASS_LIMIT:
+                raise WrapAroundError(
+                    f"modulated packet too close to the boundary at t={t:.6g}"
+                )
+    band = make_grid(v_grid.nx, target_grid.length, carrier=n_carrier)
+    return Trajectory(v_traj.times, band, out)
 
 
 @dataclass(frozen=True)
@@ -263,56 +265,20 @@ def modulated_wavepacket(spec: WavepacketSpec, grid: Grid) -> tuple[Field, int]:
     return Field.physical(grid, values), m
 
 
-def rescale_solution(
-    traj: Trajectory, lam: float, alpha: float, target_grid: Grid
-) -> Trajectory:
+def rescale_solution(traj: Trajectory, lam: float, alpha: float) -> Trajectory:
     """Amplitude/space/time rescaling u -> lam * u(lam^alpha t, lam x).
 
-    The spectral coefficients carry over unchanged: the amplitude factor lam
-    is absorbed exactly by the lam-times finer Riemann sum, which is also how
-    mass(rescaled) = lam * mass(original) arises.  Coefficients are padded or
-    truncated to the target band; truncation must lose < 1e-8 of the norm.
-    Recorded times shrink by lam^(-alpha).
+    The spectral coefficients carry over unchanged onto the torus lam times
+    shorter, whose modes and carrier are lam times larger: the amplitude
+    factor lam is absorbed exactly by the lam-times finer Riemann sum, which
+    is also how mass(rescaled) = lam * mass(original) arises.  Recorded
+    times shrink by lam^(-alpha).
     """
     if lam < 1.0:
         raise ValidationError(f"lambda must be >= 1, got {lam}")
     src = traj.grid
-    if abs(target_grid.length - src.length / lam) > 1e-9 * target_grid.length:
-        raise ValidationError(
-            "target grid length must be the source length divided by lambda"
-        )
-    for uhat in traj.values:
-        _check_truncation(uhat, target_grid.nx)
-    return Trajectory(
-        traj.times * lam ** (-alpha), target_grid, resize_spectrum(traj.values, target_grid.nx)
-    )
-
-
-def _check_truncation(uhat: np.ndarray, nx: int) -> None:
-    """Raise unless the modes resize_spectrum(uhat, nx) drops hold less than
-    INTERP_LOSS_LIMIT of uhat's norm.
-
-    The dropped modes are summed directly: a difference of the total and
-    kept sums would leave round-off of order sqrt(1e-16) = 1e-8, the limit
-    itself.
-    """
-    half = nx // 2
-    lost = float(np.sum(np.abs(uhat[half : uhat.shape[0] - half]) ** 2))
-    total = float(np.sum(np.abs(uhat) ** 2))
-    if total > 0 and np.sqrt(lost / total) > INTERP_LOSS_LIMIT:
-        raise ResolutionError(f"rescaling would truncate {np.sqrt(lost / total):.3g} of the state")
-
-
-def remodulate(traj: Trajectory, n_carrier: float, target_grid: Grid) -> Trajectory:
-    """e^(iNx) w for every record w of traj, on target_grid (the same torus,
-    more modes): mode k of the band becomes mode m_N + k."""
-    band = traj.grid
-    if abs(band.length - target_grid.length) > 1e-9 * target_grid.length:
-        raise ValidationError("band grid must lie on the same torus as the target")
-    idx = _carrier_band(n_carrier, band, target_grid)
-    values = np.zeros((traj.times.size, target_grid.nx), dtype=np.complex128)
-    values[:, idx] = traj.values
-    return Trajectory(traj.times, target_grid, values)
+    grid = make_grid(src.nx, src.length / lam, carrier=lam * src.carrier)
+    return Trajectory(traj.times * lam ** (-alpha), grid, traj.values)
 
 
 def lambda_for(s: float, alpha: float, n_carrier: float) -> float:

@@ -26,7 +26,6 @@ from .spectral import (
     cubic_values,
     forward_transform,
     inverse_transform,
-    lattice_mode,
     spectral_values,
     tail_fraction,
     _frozen_array,
@@ -68,10 +67,10 @@ class SimConfig:
     exact and unconditionally stable, so the factor of 4 merely flags
     grossly unresolved configurations.  frame_velocity = v evolves
     w(t, x) = u(t, x + v t), a change of frame that adds v*k to the
-    dispersion symbol and leaves every translation-invariant norm unchanged.
-    carrier = N (on the lattice) evolves the demodulated e^(-iNx) u: grid
-    mode k stands for mode k + N of u, so the symbol is evaluated at k + N.
-    The defaults 0 are the plain equation.
+    dispersion symbol and leaves every translation-invariant norm unchanged
+    (the default 0 is the plain equation).  On a carrier grid the symbol is
+    evaluated at its frequencies k + N, so the run evolves the envelope
+    e^(-iNx) u.
     """
 
     alpha: float
@@ -81,7 +80,6 @@ class SimConfig:
     grid: Grid
     record_every: int = 1
     frame_velocity: float = 0.0
-    carrier: float = 0.0
     check_tail: bool = False
 
     def __post_init__(self):
@@ -93,7 +91,6 @@ class SimConfig:
             raise ValidationError("t_final must be nonzero with the sign of dt")
         if self.record_every < 1:
             raise ValidationError("record_every must be a positive integer")
-        lattice_mode(self.carrier, self.grid)
         peak = float(np.max(np.abs(self.symbol())))
         if abs(self.dt) * peak > 2.0 * np.pi * CFL_FACTOR + 1e-12:
             raise ValidationError(
@@ -102,9 +99,11 @@ class SimConfig:
             )
 
     def symbol(self) -> np.ndarray:
-        """Dispersion symbol |k+N|^alpha + frame_velocity*(k+N) on the lattice."""
-        k = self.grid.k + self.carrier
-        return np.abs(k) ** self.alpha + self.frame_velocity * k
+        """Dispersion symbol |k|^alpha + frame_velocity*k on the grid's
+        frequencies; one that overflows is inf, and the accuracy guard names it."""
+        k = self.grid.k
+        with np.errstate(over="ignore"):
+            return np.abs(k) ** self.alpha + self.frame_velocity * k
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ class Trajectory:
         return [Field(self.grid, v) for v in self.values]
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
-        if (self.grid.length, self.values.shape) != (other.grid.length, other.values.shape):
+        if (self.grid, self.values.shape) != (other.grid, other.values.shape):
             raise ValidationError("trajectories differ in grid or record count")
         return Trajectory(self.times, self.grid, self.values - other.values)
 
@@ -231,7 +230,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     The coefficients are stacked into a (runs, nx) array, so every step
     costs one call per numpy operation whatever the number of runs.  The
     runs must share nx, dt, t_final, record_every and gamma; alpha, the
-    grid length, frame_velocity, carrier and check_tail may differ.  Each
+    grid length and carrier, frame_velocity and check_tail may differ.  Each
     trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
     that fails raises what evolve would raise for it, naming the run by its
     row, alpha and carrier.
@@ -249,7 +248,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     if len({(c.grid.nx, c.dt, c.t_final, c.record_every, c.gamma) for c in cfgs}) != 1:
         raise ValidationError("runs must share nx, dt, t_final, record_every and gamma")
     for phi, cfg in runs:
-        if (phi.grid.nx, phi.grid.length) != (cfg.grid.nx, cfg.grid.length):
+        if phi.grid != cfg.grid:
             raise ValidationError("initial data grid does not match config grid")
     cfg = cfgs[0]
     n_whole, remainder = _step_plan(cfg)
@@ -279,7 +278,8 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     guarded = _guard_can_fire(uhat, lengths, limit, cfg.gamma * cfg.dt)
 
     def where(row: int) -> str:
-        return f"run {row} of {len(cfgs)}, alpha {cfgs[row].alpha:g}, carrier {cfgs[row].carrier:g}"
+        c = cfgs[row]
+        return f"run {row} of {len(cfgs)}, alpha {c.alpha:g}, carrier {c.grid.carrier:g}"
 
     history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
     times: list[float] = []

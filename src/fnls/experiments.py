@@ -30,7 +30,6 @@ from .constructions import (
     box_data,
     lambda_for,
     modulated_wavepacket,
-    remodulate,
     rescale_solution,
     trilinear_convolution,
 )
@@ -150,7 +149,7 @@ def initial_field(grid: Grid, spec: str) -> Field:
     if name == "plane":
         a = params.pop("a", 0.1)
         k = params.pop("k", 1.0)
-        lattice_mode(k, grid)
+        lattice_mode(k, grid.length)
         values = a * np.exp(1j * k * grid.x)
     elif name == "gaussian":
         a = params.pop("a", 1.0)
@@ -335,15 +334,13 @@ def _lattice_length(target: float, n_base: float) -> float:
     return 2.0 * np.pi * m / n_base
 
 
-def _lift_and_track(v_traj, w_traj, n_carrier, alpha, x_grid, frame_velocity=0.0):
-    """The band run w_traj remodulated onto x_grid, and the sup over time of
-    its H^((2-alpha)/4) distance to the modulated image of the NLS run
-    v_traj.  Data beta * v(0) on the band remodulates to exactly the image
-    at t = 0, so the image's checks of v(0) cover the band run's data."""
+def _track(v_traj, w_traj, n_carrier, alpha, x_grid, frame_velocity=0.0) -> float:
+    """Sup over time of the H^((2-alpha)/4) distance of the carrier run w_traj
+    to the modulated image of the NLS run v_traj, both on the carrier's band;
+    the image's checks use x_grid.  Data beta * v(0) on the band is exactly
+    the image at t = 0, so the image's checks of v(0) cover the run's data."""
     v_image = approximate_solution(v_traj, n_carrier, alpha, x_grid, frame_velocity)
-    u_traj = remodulate(w_traj, n_carrier, x_grid)
-    track = float(np.max(sobolev_norm(u_traj - v_image, (2.0 - alpha) / 4.0)))
-    return u_traj, track
+    return float(np.max(sobolev_norm(w_traj - v_image, (2.0 - alpha) / 4.0)))
 
 
 @dataclass(frozen=True)
@@ -364,12 +361,14 @@ def run_approximation_error(
     The remaining parameters are the APPROX_* constants; config reports
     them with the length moved onto the lattice."""
     n_list = sorted(float(n) for n in n_list)
+    if not n_list[0] > 0.0:
+        raise ValidationError(f"carrier frequency must be positive, got {n_list[0]:g}")
     length = _lattice_length(APPROX_LENGTH, n_list[0])
     x_grid = make_grid(APPROX_NX, length)
-    band_grid = make_grid(APPROX_NX_ENVELOPE, length)
 
     def runs(n):
         beta = envelope_scale(alpha, n)
+        band_grid = make_grid(APPROX_NX_ENVELOPE, length, carrier=n)
         y_grid = make_grid(APPROX_NX_ENVELOPE, length / beta)
         env = epsilon * np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / APPROX_SIGMA) ** 2)
         phi = Field.physical(y_grid, env.astype(np.complex128))
@@ -379,13 +378,13 @@ def run_approximation_error(
         )
         u_cfg = SimConfig(
             alpha=alpha, gamma=1.0, dt=APPROX_DT, t_final=t_final,
-            grid=band_grid, record_every=APPROX_RECORD_EVERY, carrier=n, check_tail=True,
+            grid=band_grid, record_every=APPROX_RECORD_EVERY, check_tail=True,
         )
         return [(phi, v_cfg), (Field(band_grid, beta * phi.values), u_cfg)]
 
     trajs = evolve_together([run for n in n_list for run in runs(n)])
     errors = [
-        _lift_and_track(v_traj, w_traj, n, alpha, x_grid)[1]
+        _track(v_traj, w_traj, n, alpha, x_grid)
         for n, v_traj, w_traj in zip(n_list, trajs[::2], trajs[1::2])
     ]
     return ApproximationScan(
@@ -424,7 +423,9 @@ def run_illposedness_demo(
     separation equals delta, in [0, epsilon/2].  t_internal is the evolution
     window before time rescaling; the reported physical window is
     t_internal / lambda^alpha.  The torus and grid sizes are the ILLPOSED_*
-    constants; the rescaled grid has 2 * nx points.
+    constants: the fractional runs, the images and the rescaled pair live on
+    the carrier's band of nx_envelope modes, and the images' wrap-around is
+    checked on the nx-point grid.
 
     The step is the largest of ILLPOSED_DT_LADDER (0.025 * 2^j, up to 0.2)
     whose phase dt * max|symbol| over the evolutions stays within
@@ -455,8 +456,7 @@ def run_illposedness_demo(
         )
     length = _lattice_length(ILLPOSED_LENGTH, n_carrier)
     x_grid = make_grid(ILLPOSED_NX, length)
-    target_grid = make_grid(2 * ILLPOSED_NX, length / lam)
-    band_grid = make_grid(ILLPOSED_NX_ENVELOPE, length)
+    band_grid = make_grid(ILLPOSED_NX_ENVELOPE, length, carrier=n_carrier)
     beta = envelope_scale(alpha, n_carrier)
     vel = group_velocity(alpha, n_carrier)
     y_grid = make_grid(ILLPOSED_NX_ENVELOPE, length / beta)
@@ -467,7 +467,7 @@ def run_illposedness_demo(
         raise WrapAroundError("envelope does not fit the grid")
     probe = Trajectory([0.0], y_grid, Field.physical(y_grid, env).values[None])
     probe_image = approximate_solution(probe, n_carrier, alpha, x_grid)
-    gain = sobolev_norm(rescale_solution(probe_image, lam, alpha, target_grid), s)[0]
+    gain = sobolev_norm(rescale_solution(probe_image, lam, alpha), s)[0]
     a1 = epsilon / gain
     phi1, phi2 = (Field.physical(y_grid, a * env) for a in (a1, a1 * (1.0 + delta / epsilon)))
 
@@ -478,8 +478,7 @@ def run_illposedness_demo(
         )
         u_cfg = SimConfig(
             alpha=alpha, gamma=1.0, dt=step, t_final=t_internal,
-            grid=band_grid, record_every=every,
-            frame_velocity=-vel, carrier=n_carrier, check_tail=True,
+            grid=band_grid, record_every=every, frame_velocity=-vel, check_tail=True,
         )
         return v_cfg, u_cfg
 
@@ -495,16 +494,11 @@ def run_illposedness_demo(
         [(phi1, v_cfg), (phi2, v_cfg)]
         + [(Field(band_grid, beta * phi.values), u_cfg) for phi in (phi1, phi2)]
     )
-    u1, track1 = _lift_and_track(v1, w1, n_carrier, alpha, x_grid, -vel)
-    u2, track2 = _lift_and_track(v2, w2, n_carrier, alpha, x_grid, -vel)
-    u1 = rescale_solution(u1, lam, alpha, target_grid)
-    u2 = rescale_solution(u2, lam, alpha, target_grid)
-
-    # one record at a time: a whole difference would be a third rescaled array
-    sep = np.array(
-        [sobolev_norm(Field(target_grid, a - b), s) for a, b in zip(u1.values, u2.values)]
-    )
-    norm1, norm2 = (sobolev_norm(Field(target_grid, u.values[0]), s) for u in (u1, u2))
+    track1 = _track(v1, w1, n_carrier, alpha, x_grid, -vel)
+    track2 = _track(v2, w2, n_carrier, alpha, x_grid, -vel)
+    u1, u2 = (rescale_solution(w, lam, alpha) for w in (w1, w2))
+    sep = sobolev_norm(u1 - u2, s)
+    norm1, norm2 = (sobolev_norm(u, s)[0] for u in (u1, u2))
     i_max = int(np.argmax(sep))
     return {
         "alpha": alpha,

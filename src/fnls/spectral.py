@@ -4,7 +4,10 @@ Conventions (fixed once, used everywhere):
 
 * The torus is [0, L) sampled at nx equispaced points, nx a power of two.
 * Frequencies are the exact lattice (2*pi/L) * {-nx/2, ..., nx/2 - 1},
-  stored in FFT order: [0, 1, ..., nx/2-1, -nx/2, ..., -1] * (2*pi/L).
+  stored in FFT order: [0, 1, ..., nx/2-1, -nx/2, ..., -1] * (2*pi/L),
+  plus the grid's carrier N (0 unless given, and on the lattice).  A
+  carrier grid holds the band of nx modes around N: a Field on it is
+  u = e^(iNx) w stored as w's coefficients, and its samples are w's.
 * The spectral coefficient at mode k is the Riemann sum
   dx * sum_j u(x_j) exp(-i k x_j), i.e. it approximates the continuum
   integral of u exp(-i k x) over one period.  Plancherel then reads
@@ -38,10 +41,12 @@ def _frozen_array(values, dtype=None):
 
 @dataclass(frozen=True)
 class Grid:
-    """Spatial and frequency lattice of a torus of circumference ``length``."""
+    """Spatial and frequency lattice of a torus of circumference ``length``;
+    k holds the frequencies of the nx modes around ``carrier``."""
 
     nx: int
     length: float
+    carrier: float
     x: np.ndarray = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
 
@@ -54,9 +59,10 @@ class Grid:
         return 2.0 * np.pi / self.length
 
 
-def make_grid(nx: int, length: float) -> Grid:
+def make_grid(nx: int, length: float, carrier: float = 0.0) -> Grid:
     """Build the torus grid; nx must be a power of two >= 8 whose complex
-    field fits in EVOLVE_HISTORY_LIMIT bytes (checked first), length > 0."""
+    field fits in EVOLVE_HISTORY_LIMIT bytes (checked first), length > 0,
+    and the carrier on the frequency lattice: the frequencies are k + carrier."""
     if not isinstance(nx, (int, np.integer)):
         raise ValidationError(f"nx must be an integer, got {nx!r}")
     nx = int(nx)
@@ -68,11 +74,13 @@ def make_grid(nx: int, length: float) -> Grid:
     length = float(length)
     if not np.isfinite(length) or length <= 0:
         raise ValidationError(f"length must be positive, got {length}")
+    carrier = float(carrier)
+    lattice_mode(carrier, length)
     dx = length / nx
     x = _frozen_array(np.arange(nx) * dx)
     # fftfreq(nx, 1/nx) is exactly [0, 1, ..., nx/2-1, -nx/2, ..., -1]
-    k = _frozen_array((2.0 * np.pi / length) * np.fft.fftfreq(nx, 1.0 / nx))
-    return Grid(nx=nx, length=length, x=x, k=k)
+    k = _frozen_array((2.0 * np.pi / length) * np.fft.fftfreq(nx, 1.0 / nx) + carrier)
+    return Grid(nx=nx, length=length, carrier=carrier, x=x, k=k)
 
 
 @dataclass(frozen=True)
@@ -117,35 +125,20 @@ def spectral_values(f) -> np.ndarray:
 
 
 def physical_values(f) -> np.ndarray:
-    """Physical samples of f on its grid (a row per record of a Trajectory)."""
+    """Physical samples of f on its grid (a row per record of a Trajectory);
+    on a carrier grid, those of the envelope e^(-iNx) u."""
     return inverse_transform(f.values, f.grid.dx)
 
 
-def lattice_mode(freq: float, grid: Grid) -> int:
-    """Index m with freq = m * dk; freq must lie on the grid's lattice."""
-    m = freq * grid.length / (2.0 * np.pi)
-    m_int = int(round(m))
-    if abs(m - m_int) > 1e-9 * max(1.0, abs(m)):
+def lattice_mode(freq: float, length: float) -> int:
+    """Index m with freq = m * 2pi/length; freq must lie on that lattice."""
+    m = freq * length / (2.0 * np.pi)
+    if not (np.isfinite(m) and abs(m - round(m)) <= 1e-9 * max(1.0, abs(m))):
         raise ValidationError(
             f"frequency {freq} is not on the grid lattice "
             f"(needs freq*L/2pi integer, got {m})"
         )
-    return m_int
-
-
-def resize_spectrum(uhat: np.ndarray, nx: int) -> np.ndarray:
-    """Carry FFT-ordered coefficients (last axis) onto the nx-mode band.
-
-    Growing zero-fills the new outer modes; shrinking drops the outermost
-    ones.  The -n/2 coefficient of the smaller band keeps its
-    negative-frequency identity, matching the asymmetric lattice
-    {-n/2, ..., n/2 - 1}.
-    """
-    half = min(uhat.shape[-1], nx) // 2
-    out = np.zeros(uhat.shape[:-1] + (nx,), dtype=np.complex128)
-    out[..., :half] = uhat[..., :half]
-    out[..., -half:] = uhat[..., -half:]
-    return out
+    return int(round(m))
 
 
 def dealiased_density(fine: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:

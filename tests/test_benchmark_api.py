@@ -55,3 +55,24 @@ def test_traced_space_time_facts_read_a_box_and_its_convolution(perfbench):
     assert tracer._xsb_facts((), {"f": conv}, 1.0) == {"cells": conv.values.size}
     assert tracer._cells_out_facts((plus, minus, plus), {}, conv) == {"cells_out": 54 * 46}
     assert plus.values.size == 16 * 16 and conv.tau.size == 29_114
+
+
+def test_traced_record_facts_read_a_band_image(perfbench):
+    # the tracer counts the records of approximate_solution's and
+    # rescale_solution's results through .states: 3 records on the carrier's
+    # band of 64 modes
+    tracer, _ = perfbench
+    import numpy as np
+    from fnls.constructions import approximate_solution, rescale_solution
+    from fnls.evolution import Trajectory
+    from fnls.spectral import Field, make_grid
+
+    length = 2.0 * np.pi * 61 / 8.0  # carrier 8 is mode 61
+    x_grid, y_grid = make_grid(256, length), make_grid(64, length)
+    env = Field.physical(y_grid, np.exp(-0.5 * ((y_grid.x - 0.5 * length) / 2.0) ** 2))
+    traj = Trajectory([0.0, 0.1, 0.2], y_grid, np.tile(env.values, (3, 1)))
+    image = approximate_solution(traj, 8.0, 2.0, x_grid)
+    zoomed = rescale_solution(image, 2.0, 2.0)
+    assert image.values.shape == zoomed.values.shape == (3, 64)
+    assert tracer._records_facts((traj, 8.0, 2.0, x_grid), {}, image) == {"records": 3}
+    assert tracer._records_facts((image, 2.0, 2.0), {}, zoomed) == {"records": 3}

@@ -200,6 +200,9 @@ BAD_NUMBERS = [
     (["illposed", "--n-carrier", "0.5"], "carrier frequency must be >= 1, got 0.5"),
     (["illposed", "--n-carrier", "1e-300"], "carrier frequency must be >= 1, got 1e-300"),
     (["scan-remainder", "--n", "1e200,1e201,1e202,1e203"], "finite data: N = 1e+200 gives 0"),
+    (["approx-error", "--n=0,8,16,32"], "carrier frequency must be positive, got 0"),
+    (["approx-error", "--n=-8,8,16,32"], "carrier frequency must be positive, got -8"),
+    (["approx-error", "--n", "1e300,8,16,32"], "dt*max|symbol| = inf exceeds"),
 ]
 
 

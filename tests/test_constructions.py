@@ -8,7 +8,7 @@ import pytest
 
 import fnls.constructions as constructions
 from fnls.errors import ResolutionError, ValidationError, WrapAroundError
-from fnls.spectral import Field, make_grid, physical_values, resize_spectrum, spectral_values
+from fnls.spectral import Field, make_grid, physical_values, spectral_values
 from fnls.norms import SpaceTimeField, mass, sobolev_norm, xsb_norm
 from fnls.evolution import SimConfig, Trajectory, evolve
 from fnls.symbols import envelope_scale, group_velocity
@@ -20,14 +20,13 @@ from fnls.constructions import (
     box_data,
     lambda_for,
     modulated_wavepacket,
-    remodulate,
     rescale_solution,
     trilinear_convolution,
 )
 import fnls.experiments as experiments
 from fnls.experiments import _lattice_length, fit_power_law, run_illposedness_demo
 
-from oracles import dense, pde_residual
+from oracles import dense, pde_residual, scatter
 
 
 # ---------------------------------------------------------------------- boxes
@@ -299,8 +298,10 @@ def test_change_of_variables_at_origin():
     beta = envelope_scale(alpha, n)
     assert beta == pytest.approx(np.sqrt(0.5 * alpha * (alpha - 1)) * n ** ((alpha - 2) / 2))
     image = approximate_solution(Trajectory([0.0], y_grid, phi.values[None]), n, alpha, x_grid)
+    assert (image.grid.nx, image.grid.length, image.grid.carrier) == (256, x_grid.length, n)
     expect = np.exp(1j * n * x_grid.x) * _gaussian_at(x_grid.x / beta, 0.5 * y_grid.length)
-    assert np.max(np.abs(physical_values(image.states[0]) - expect)) < 1e-12
+    got = physical_values(Field(x_grid, scatter(image.states[0], x_grid)))
+    assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_change_of_variables_alpha_two():
@@ -309,7 +310,8 @@ def test_change_of_variables_alpha_two():
     x_grid, y_grid, phi = _envelope_setup(2.0, n)
     assert y_grid.length == pytest.approx(x_grid.length)
     traj = Trajectory([0.0, t], y_grid, np.stack([phi.values, phi.values]))
-    got = physical_values(approximate_solution(traj, n, 2.0, x_grid).states[1])
+    image = approximate_solution(traj, n, 2.0, x_grid)
+    got = physical_values(Field(x_grid, scatter(image.states[1], x_grid)))
     expect = np.exp(1j * (n * x_grid.x + n**2 * t)) * _gaussian_at(
         x_grid.x + 2.0 * n * t, 0.5 * x_grid.length
     )
@@ -325,9 +327,9 @@ def test_change_of_variables_group_velocity():
     image = approximate_solution(
         traj, n, alpha, x_grid, frame_velocity=-group_velocity(alpha, n)
     )
-    rest = np.abs(physical_values(image.states[0]))
-    for state in image.states[1:]:
-        assert np.max(np.abs(np.abs(physical_values(state)) - rest)) < 1e-12
+    full = np.abs(physical_values(Trajectory(times, x_grid, scatter(image, x_grid))))
+    for samples in full[1:]:
+        assert np.max(np.abs(samples - full[0])) < 1e-12
 
 
 def test_approximate_solution_constant_envelope_is_plane_wave():
@@ -338,9 +340,10 @@ def test_approximate_solution_constant_envelope_is_plane_wave():
     times = np.array([0.0, 0.125, 0.25])
     traj = Trajectory(times, y_grid, np.tile(const.values, (3, 1)))
     image = approximate_solution(traj, n, alpha, x_grid)
-    for t, state in zip(times, image.states):
+    full = physical_values(Trajectory(times, x_grid, scatter(image, x_grid)))
+    for t, samples in zip(times, full):
         expect = a * np.exp(1j * (n * x_grid.x + n**alpha * t))
-        assert np.max(np.abs(physical_values(state) - expect)) < 1e-12
+        assert np.max(np.abs(samples - expect)) < 1e-12
 
 
 def test_approximate_solution_mass_jacobian():
@@ -359,9 +362,11 @@ def test_approximate_solution_validations():
     # wrong torus ratio
     with pytest.raises(ValidationError):
         approximate_solution(traj, n, alpha, make_grid(1024, x_grid.length * 1.1))
-    # carrier off the lattice
-    with pytest.raises(ValidationError):
-        approximate_solution(traj, n * 1.0001, alpha, x_grid)
+    # carrier off the lattice, with an envelope grid that tiles the torus
+    off = n * 1.0001
+    off_grid = make_grid(y_grid.nx, x_grid.length / envelope_scale(alpha, off))
+    with pytest.raises(ValidationError, match="not on the grid lattice"):
+        approximate_solution(Trajectory([0.0], off_grid, phi.values[None]), off, alpha, x_grid)
     # band does not fit: same torus but too few modes for carrier + envelope
     with pytest.raises(ResolutionError):
         approximate_solution(traj, n, alpha, make_grid(256, x_grid.length))
@@ -381,7 +386,7 @@ def test_approximate_solution_residual_matches_remainder_term():
     v_traj = evolve(phi, v_cfg)
     image = approximate_solution(v_traj, n, alpha, x_grid)
 
-    rot = image.values * np.exp(-1j * n**alpha * image.times)[:, None]
+    rot = scatter(image, x_grid) * np.exp(-1j * n**alpha * image.times)[:, None]
     rot_traj = Trajectory(image.times, x_grid, rot)
     resid = pde_residual(rot_traj, alpha, 1.0, phase_rate=n**alpha)
 
@@ -415,52 +420,30 @@ def test_approximate_solution_residual_decays_in_n():
 
 
 def _modulated_gaussian(nx=1024, band_nx=256, length=40.0, m=48, sigma=1.5):
-    """The full and band grids, the carrier, the envelope on the band and
-    the modulated packet on the full grid."""
+    """The full grid, the carrier N = m dk, its band grid, the envelope on the
+    band and the modulated packet on the full grid."""
     full = make_grid(nx, length)
-    band = make_grid(band_nx, length)
     n = m * full.dk
+    band = make_grid(band_nx, length, carrier=n)
     env = Field.physical(band, np.exp(-0.5 * ((band.x - 0.5 * length) / sigma) ** 2))
-    phi = remodulate(Trajectory([0.0], band, env.values[None]), n, full).states[0]
-    return full, band, n, env, phi
+    return full, band, n, env, Field(full, scatter(env, full))
 
 
 @pytest.mark.parametrize("frame", [0.0, -1.0])
 def test_demodulated_grid_matches_full_grid(frame):
-    # e^(-iNx) u on a 256-mode band with the symbol at k + N (frame term
-    # included) is the same solution as u on the full 1024-mode grid
+    # e^(-iNx) u on a 256-mode carrier grid, whose symbol is taken at k + N
+    # (frame term included), is the same solution as u on the full 1024-mode grid
     full, band, n, env, phi = _modulated_gaussian()
     alpha = 1.5
     v = frame * group_velocity(alpha, n)
     kw = dict(alpha=alpha, gamma=1.0, dt=1e-3, t_final=0.5, record_every=100, frame_velocity=v)
     ref = evolve(phi, SimConfig(grid=full, **kw))
-    w_traj = evolve(env, SimConfig(grid=band, carrier=n, **kw))
-    got = remodulate(w_traj, n, full)
-    assert np.array_equal(got.times, ref.times)
-    for a, b in zip(got.values, ref.values):
+    w_traj = evolve(env, SimConfig(grid=band, **kw))
+    assert np.array_equal(w_traj.times, ref.times)
+    for a, b in zip(scatter(w_traj, full), ref.values):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
     masses = mass(w_traj)  # 500 steps of round-off
     assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
-
-
-def test_remodulate_moves_the_band_and_validates():
-    full, band, n, env, phi = _modulated_gaussian()
-    traj = Trajectory([0.0], band, env.values[None])
-    assert phi.grid is full
-    assert mass(phi) == pytest.approx(mass(env), rel=1e-14)
-    back = np.roll(phi.values, -round(n / full.dk))
-    assert np.array_equal(back, resize_spectrum(env.values, full.nx))
-    # carrier off the lattice: N*L/2pi not an integer
-    off = n * 1.01
-    with pytest.raises(ValidationError):
-        remodulate(traj, off, full)
-    with pytest.raises(ValidationError):
-        SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=band, carrier=off)
-    # a band that cannot fit the grid, or that lies on another torus
-    with pytest.raises(ResolutionError):
-        remodulate(traj, 400 * full.dk, full)
-    with pytest.raises(ValidationError):
-        remodulate(traj, n, make_grid(1024, 2 * full.length))
 
 
 # -------------------------------------------------------------- wavepackets
@@ -524,25 +507,33 @@ def _short_trajectory(grid, alpha=1.5, gamma=1.0, a=0.5, dt=2e-4, steps=40):
 def test_rescale_identity_and_mass():
     grid = make_grid(256, 2 * np.pi)
     traj = _short_trajectory(grid)
-    same = rescale_solution(traj, 1.0, 1.5, grid)
+    same = rescale_solution(traj, 1.0, 1.5)
+    assert same.grid == grid
     assert np.max(np.abs(physical_values(same.states[0]) - physical_values(traj.states[0]))) < 1e-13
 
     lam = 4.0
-    target = make_grid(256, grid.length / lam)
-    scaled = rescale_solution(traj, lam, 1.5, target)
+    scaled = rescale_solution(traj, lam, 1.5)
+    assert (scaled.grid.nx, scaled.grid.length) == (256, grid.length / lam)
     assert mass(scaled.states[0]) == pytest.approx(lam * mass(traj.states[0]), rel=1e-12)
     assert scaled.times[-1] == pytest.approx(traj.times[-1] / lam**1.5)
 
 
 def test_rescale_pointwise_definition():
-    grid = make_grid(512, 2 * np.pi)
-    vals = 0.7 * np.exp(-0.5 * ((grid.x - np.pi) / 0.5) ** 2)
-    traj = Trajectory([0.0], grid, Field.physical(grid, vals).values[None])
+    # lam u(lam x) for u = e^(iNx) w, on the plain grid of the rescaled torus;
+    # a carrier grid's band moves to carrier lam N, with no padding
     lam = 2.0
-    target = make_grid(512, grid.length / lam)
-    out = rescale_solution(traj, lam, 1.5, target)
-    expect = lam * 0.7 * np.exp(-0.5 * ((lam * target.x - np.pi) / 0.5) ** 2)
-    assert np.max(np.abs(physical_values(out.states[0]) - expect)) < 1e-12
+    for nx, carrier in ((512, 0.0), (128, 20.0)):
+        full = make_grid(512, 2 * np.pi)
+        grid = make_grid(nx, full.length, carrier=carrier)
+        vals = 0.7 * np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2)
+        traj = Trajectory([0.0], grid, Field.physical(grid, vals).values[None])
+        out = rescale_solution(traj, lam, 1.5)
+        assert (out.grid.nx, out.grid.carrier) == (nx, lam * carrier)
+        target = make_grid(512, full.length / lam)
+        got = physical_values(Field(target, scatter(out.states[0], target)))
+        y = lam * target.x
+        expect = lam * 0.7 * np.exp(1j * carrier * y - 0.5 * ((y - np.pi) / 0.3) ** 2)
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_rescale_residual_scaling_invariance_alpha_two():
@@ -552,8 +543,7 @@ def test_rescale_residual_scaling_invariance_alpha_two():
     traj = _short_trajectory(grid, alpha=2.0, a=0.4, dt=1e-4, steps=40)
     floor = np.max(pde_residual(traj, 2.0, 1.0))
     lam = 2.0
-    target = make_grid(512, grid.length / lam)
-    scaled = rescale_solution(traj, lam, 2.0, target)
+    scaled = rescale_solution(traj, lam, 2.0)
     resid = np.max(pde_residual(scaled, 2.0, 1.0))
     # residual scales like lam^(alpha + 3/2) under the zoom; normalize it out
     assert resid <= max(lam**3.5 * floor * 2.0, 1e-6)
@@ -565,22 +555,11 @@ def test_rescale_modified_coupling_for_fractional_alpha():
     alpha, lam = 1.5, 2.0
     grid = make_grid(512, 8 * np.pi)
     traj = _short_trajectory(grid, alpha=alpha, a=0.4, dt=1e-4, steps=40)
-    target = make_grid(512, grid.length / lam)
-    scaled = rescale_solution(traj, lam, alpha, target)
+    scaled = rescale_solution(traj, lam, alpha)
     gamma_prime = lam ** (alpha - 2.0)
     good = np.max(pde_residual(scaled, alpha, gamma_prime))
     bad = np.max(pde_residual(scaled, alpha, 1.0))
     assert good < 0.05 * bad
-
-
-def test_rescale_truncation_guard():
-    grid = make_grid(256, 2 * np.pi)
-    rng = np.random.default_rng(0)
-    full = Field.physical(grid, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    traj = Trajectory([0.0], grid, full.values[None])
-    target = make_grid(64, grid.length / 2.0)
-    with pytest.raises(ResolutionError):
-        rescale_solution(traj, 2.0, 1.5, target)
 
 
 def test_lambda_for_values():

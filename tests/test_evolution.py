@@ -45,7 +45,7 @@ def test_accuracy_guard_counts_frame_and_carrier_terms(circle):
         SimConfig(**ok, frame_velocity=20.0)
     # a carrier N = 40 puts the top of the band at |127 + 40|^1.5: 32.4
     with pytest.raises(ValidationError):
-        SimConfig(**ok, carrier=40.0)
+        SimConfig(**dict(ok, grid=make_grid(256, 2 * np.pi, carrier=40.0)))
 
 
 def _final(phi, alpha, gamma, dt, t_final, **kw):
@@ -405,13 +405,13 @@ def test_evolve_together_keeps_sum_abs_within_the_initial_bound(gamma):
     # 4,000 steps of rows with alpha 1.2, 1.5 and 2, carriers and frame
     # velocities: the bound taken at t = 0 holds at every record
     grid, wide = make_grid(64, 2 * np.pi), make_grid(64, 4 * np.pi)
+    up, down = make_grid(64, 2 * np.pi, carrier=3.0), make_grid(64, 2 * np.pi, carrier=-2.0)
     common = dict(gamma=gamma, dt=1e-3, t_final=4.0, record_every=50)
     runs = [
         (_gaussian(grid, a=2.0, k=3.0), SimConfig(alpha=1.2, grid=grid, **common)),
-        (_random_field(grid, 7), SimConfig(alpha=1.5, grid=grid, carrier=3.0, **common)),
+        (_random_field(up, 7), SimConfig(alpha=1.5, grid=up, **common)),
         (_gaussian(wide, a=1.5), SimConfig(alpha=2.0, grid=wide, frame_velocity=-2.0, **common)),
-        (_gaussian(grid, sigma=0.3), SimConfig(alpha=1.5, grid=grid, carrier=-2.0,
-                                               frame_velocity=1.5, **common)),
+        (_gaussian(down, sigma=0.3), SimConfig(alpha=1.5, grid=down, frame_velocity=1.5, **common)),
     ]
     for (phi, _), traj in zip(runs, evolve_together(runs)):
         assert traj.times.size == 81
@@ -701,13 +701,14 @@ def _stack_runs(t_final, record_every):
     """Runs that share nx, dt, t_final, record_every and gamma but differ in
     alpha, grid length, frame velocity, carrier and check_tail."""
     g1, g2 = make_grid(64, 2 * np.pi), make_grid(64, 4 * np.pi)
+    c1, c2 = make_grid(64, 2 * np.pi, carrier=3.0), make_grid(64, 4 * np.pi, carrier=-1.5)
     common = dict(gamma=1.0, dt=1e-3, t_final=t_final, record_every=record_every)
     return [
         (_gaussian(g1), SimConfig(alpha=1.5, grid=g1, **common)),
         (_gaussian(g2, a=0.7), SimConfig(alpha=2.0, grid=g2, check_tail=True, **common)),
         (_gaussian(g1, k=2.0), SimConfig(alpha=1.3, grid=g1, frame_velocity=-2.0, **common)),
-        (_random_field(g1, 5), SimConfig(alpha=1.7, grid=g1, carrier=3.0, **common)),
-        (_gaussian(g2, sigma=0.8), SimConfig(alpha=1.2, grid=g2, carrier=-1.5, **common)),
+        (_random_field(c1, 5), SimConfig(alpha=1.7, grid=c1, **common)),
+        (_gaussian(c2, sigma=0.8), SimConfig(alpha=1.2, grid=c2, **common)),
     ]
 
 
@@ -786,10 +787,8 @@ def test_evolve_together_failure_names_the_run():
     # two runs on the carrier's band: the second, against the boundary,
     # trips the wrap-around check, and the error names its row, alpha and
     # carrier (a four-row separation batch used to leave the row unsaid)
-    grid = make_grid(64, 2 * np.pi)
-    cfg = SimConfig(
-        alpha=1.7, gamma=1.0, dt=1e-3, t_final=0.01, grid=grid, carrier=3.0, check_tail=True
-    )
+    grid = make_grid(64, 2 * np.pi, carrier=3.0)
+    cfg = SimConfig(alpha=1.7, gamma=1.0, dt=1e-3, t_final=0.01, grid=grid, check_tail=True)
     centred = Field.physical(grid, np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2))
     edge = Field.physical(grid, np.exp(-0.5 * (grid.x / 0.3) ** 2))
     with pytest.raises(WrapAroundError) as info:

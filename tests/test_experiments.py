@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 import fnls.experiments as experiments
-from fnls.constructions import (
-    approximate_solution,
-    remodulate,
-)
+from fnls.constructions import approximate_solution
 from fnls.norms import sobolev_norm
+from fnls.symbols import envelope_scale, group_velocity
 
 from fnls.errors import ValidationError
 from fnls.spectral import Field, make_grid, physical_values
@@ -25,7 +23,7 @@ from fnls.experiments import (
     wavepacket_grid,
 )
 
-from oracles import pde_residual
+from oracles import pde_residual, scatter
 
 
 def test_fit_power_law_recovers_exponent():
@@ -321,21 +319,81 @@ def test_illposedness_demo_short_window_calibration(monkeypatch):
     assert rep["approx_error_sup_1"] < 1e-4
 
 
-def test_separation_takes_the_pair_difference_record_by_record(monkeypatch):
-    # a whole difference of the rescaled pair would hold a third
-    # (records, 2 nx) array beside the pair (tracemalloc with numpy 2.4:
-    # 8.0 MiB against 5.9 MiB record by record, and the pair is 4 MiB)
-    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 4.0)
+def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
-        rep = run_illposedness_demo(1.5, 0.0, 0.5, 0.005, 60.0, 16.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    records = round(60.0 / (rep["dt"] * rep["record_every"])) + 1
-    pair_bytes = 2 * records * (2 * experiments.ILLPOSED_NX) * 16
-    assert records == 16
-    assert peak <= 1.6 * pair_bytes
+
+
+def test_modulated_pipelines_keep_their_runs_on_the_carrier_band():
+    # images, runs, differences and the zoomed pair are (records, 512)
+    # arrays; whole-grid ones of 2048 columns (gate 7) and 8192 (gate 8)
+    # peaked at 8.9 and 5.8 MiB (tracemalloc, numpy 2.4).  Gate 7's evolve
+    # history, 8 runs x 51 records x 512 values (3.3 MiB), is its floor
+    gate_8 = _peak_bytes(lambda: run_illposedness_demo(1.5, 0.0, 0.5, 0.005, 600.0, 16.0))
+    assert gate_8 < 2 * 2**20
+    gate_7 = _peak_bytes(lambda: experiments.run_approximation_error(1.5, [8, 16, 32, 64]))
+    assert gate_7 < 6 * 2**20
+
+
+def _dense_image(v_traj, n, alpha, grid, frame_velocity) -> np.ndarray:
+    """The modulated image of v_traj on the whole of grid, mode m_N + m
+    for v mode m, built as one (records, grid.nx) array."""
+    beta = envelope_scale(alpha, n)
+    drift = (group_velocity(alpha, n) + frame_velocity) / beta
+    v_grid, t = v_traj.grid, v_traj.times[:, None]
+    idx = (round(n / grid.dk) + np.round(v_grid.k / v_grid.dk).astype(int)) % grid.nx
+    out = np.zeros((t.size, grid.nx), dtype=np.complex128)
+    out[:, idx] = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t)
+    out *= np.exp(1j * (n**alpha + n * frame_velocity) * t)
+    return out
+
+
+def test_band_pipelines_match_whole_grid_arithmetic(monkeypatch):
+    # gate 7's tracked errors and gate 8's report, rebuilt from the same runs
+    # with every image, run and difference on the whole grid: 2048 and 4096
+    # points, and 8192 after gate 8's zoom
+    batches = []
+    evolve_together = experiments.evolve_together
+
+    def keep(runs):
+        batches.append(evolve_together(runs))
+        return batches[-1]
+
+    monkeypatch.setattr(experiments, "evolve_together", keep)
+    alpha, s_track = 1.5, 0.125
+    scan = experiments.run_approximation_error(alpha, [8, 16, 32, 64])
+    for n, v, w in zip(scan.errors, batches[0][::2], batches[0][1::2]):
+        grid = make_grid(experiments.APPROX_NX, w.grid.length)
+        diff = scatter(w, grid) - _dense_image(v, n, alpha, grid, 0.0)
+        want = np.max(sobolev_norm(Trajectory(w.times, grid, diff), s_track))
+        assert scan.errors[n] == pytest.approx(want, rel=1e-14, abs=0)
+
+    rep = run_illposedness_demo(alpha, 0.0, 0.5, 0.005, 600.0, 16.0)
+    n, lam, length = rep["n_carrier"], rep["lambda"], rep["length"]
+    grid = make_grid(experiments.ILLPOSED_NX, length)
+    v1, v2, w1, w2 = batches[1]
+    for v, w, key in ((v1, w1, "approx_error_sup_1"), (v2, w2, "approx_error_sup_2")):
+        diff = scatter(w, grid) - _dense_image(v, n, alpha, grid, -group_velocity(alpha, n))
+        want = np.max(sobolev_norm(Trajectory(w.times, grid, diff), s_track))
+        assert rep[key] == pytest.approx(want, rel=1e-14, abs=0)
+    # the zoom keeps every coefficient: mode m of the torus is mode lam m of
+    # the lam-times shorter one, on twice as many points
+    wide, target = make_grid(2 * grid.nx, length), make_grid(2 * grid.nx, length / lam)
+    u1, u2 = (Trajectory(w1.times, target, scatter(w, wide)) for w in (w1, w2))
+    sep = sobolev_norm(u1 - u2, 0.0)
+    want = {
+        "data_norm_1": sobolev_norm(u1.states[0], 0.0),
+        "data_norm_2": sobolev_norm(u2.states[0], 0.0),
+        "data_separation": sep[0],
+        "solution_separation_max": np.max(sep),
+        "amplification": np.max(sep) / sep[0],
+    }
+    assert {key: rep[key] for key in want} == pytest.approx(want, rel=1e-14, abs=0)
+    assert rep["t_of_max"] == w1.times[np.argmax(sep)] * lam ** (-alpha)
 
 
 class _Batch(Exception):
@@ -358,8 +416,8 @@ BAND_DATA_PIPELINES = [
 @pytest.mark.parametrize("pipeline, args, nx", BAND_DATA_PIPELINES)
 def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, args, nx):
     # the fractional run's data on the carrier's band is beta times the
-    # envelope's coefficients: on the full grid it is the modulated image
-    # of the envelope at t = 0, bit for bit
+    # envelope's coefficients: it is the modulated image of the envelope at
+    # t = 0, on the same carrier grid, bit for bit
     def stop(runs):
         raise _Batch(runs)
 
@@ -367,17 +425,17 @@ def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, arg
     with pytest.raises(_Batch) as batch:
         pipeline(*args)
     runs = batch.value.args[0]
-    envelopes = [phi for phi, cfg in runs if cfg.carrier == 0.0]
-    bands = [(w, cfg) for w, cfg in runs if cfg.carrier != 0.0]
+    envelopes = [phi for phi, cfg in runs if cfg.grid.carrier == 0.0]
+    bands = [(w, cfg) for w, cfg in runs if cfg.grid.carrier != 0.0]
     assert len(envelopes) == len(bands) >= 2
     for phi, (w, cfg) in zip(envelopes, bands):
         full = make_grid(nx, w.grid.length)
         lifted = approximate_solution(
-            Trajectory([0.0], phi.grid, phi.values[None]), cfg.carrier, cfg.alpha, full,
+            Trajectory([0.0], phi.grid, phi.values[None]), w.grid.carrier, cfg.alpha, full,
             cfg.frame_velocity,
         )
-        got = remodulate(Trajectory([0.0], w.grid, w.values[None]), cfg.carrier, full)
-        assert np.array_equal(got.values, lifted.values)
+        assert lifted.grid == w.grid
+        assert np.array_equal(lifted.values[0], w.values)
 
 
 def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):

@@ -31,6 +31,23 @@ def test_grid_frequency_spacing():
     assert np.array_equal(m, np.round(m))
 
 
+def test_carrier_grid_shifts_the_frequencies_and_checks_the_lattice():
+    # the 8 modes around N = 48 dk: frequencies k + N on the same samples,
+    # whose values and coefficients round-trip as on a plain grid
+    plain = make_grid(8, 40.0)
+    n = 48 * plain.dk
+    g = make_grid(8, 40.0, carrier=n)
+    assert g.carrier == n and np.array_equal(g.x, plain.x)
+    assert np.array_equal(g.k, plain.k + n)
+    assert g == make_grid(8, 40.0, carrier=n) and g != plain
+    samples = np.random.default_rng(3).standard_normal(8) + 1j
+    assert np.allclose(physical_values(Field.physical(g, samples)), samples, rtol=0, atol=1e-14)
+    # a carrier off the lattice, N L / 2pi not an integer, or not finite
+    for off in (1.01 * n, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="not on the grid lattice"):
+            make_grid(8, 40.0, carrier=off)
+
+
 @pytest.mark.parametrize("nx", [7, 6, 0, -8, 12])
 def test_grid_rejects_bad_nx(nx):
     with pytest.raises(ValidationError):
