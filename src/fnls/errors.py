@@ -10,11 +10,8 @@ class ValidationError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Solution left the trusted range (focusing blow-up or instability)."""
-
-    def __init__(self, t_reached, detail):
-        self.t_reached = t_reached
-        super().__init__(f"non-finite or oversized field at t={t_reached:.6g} ({detail})")
+    """Data that are not finite, or whose conserved bound on |u| or on the
+    cubic phase is too large; raised before the first step."""
 
 
 class WrapAroundError(RuntimeError):

@@ -38,7 +38,7 @@ from .spectral import PAD_FACTOR, dealiased_density  # noqa: F401
 
 TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
-BLOWUP_THRESHOLD = 1e8  # |u| at which an evolution stops with BlowUpError
+BLOWUP_THRESHOLD = 1e8  # a row whose conserved bound on |u| passes half of this is rejected
 
 # a Picard run's work per iteration grows as (n_t + 1) x nx and the rows it
 # carries from block to block as iterations x nx; each may be at most this
@@ -169,39 +169,6 @@ def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
     return step
 
 
-def _guard(uhat: np.ndarray, dx, limit, threshold: float, t: float, where) -> None:
-    # |u|_inf <= (1/L) sum |uhat| gives a cheap sufficient bound per row, so
-    # a row with sum |uhat| <= limit = threshold * L is cleared; only a row
-    # that is not falls back to its exact samples.  A NaN or inf anywhere
-    # makes the sum NaN or inf, which fails the comparison too.
-    total = np.sum(np.abs(uhat), axis=-1)
-    if np.all(total <= limit):
-        return
-    for row in np.flatnonzero(~(total <= limit)):
-        if not np.isfinite(total[row]):
-            raise BlowUpError(t, f"{where(row)}: non-finite spectrum")
-        peak = float(np.max(np.abs(inverse_transform(uhat[row], dx[row]))))
-        if peak > threshold:
-            raise BlowUpError(t, f"{where(row)}: |u| reached {peak:.3g}")
-
-
-def _guard_can_fire(uhat: np.ndarray, lengths, limit, gamma_dt: float) -> bool:
-    # The step conserves each row's sum |uhat|^2 to round-off, so sum |uhat|
-    # stays below bound = sqrt(nx sum |uhat|^2) at t = 0, and a row with
-    # bound <= limit / 2 never fails _guard's first test.  Its sampled
-    # density |u|^2 stays below (bound / L)^2, and so below the looser
-    # nx (bound / L)^2 tested here, so a cubic angle under half the largest
-    # float keeps the spectrum finite.  Summing |uhat / max|uhat||^2
-    # cannot overflow or underflow; non-finite data fail both tests.
-    nx = uhat.shape[-1]
-    peak = np.max(np.abs(uhat), axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        unit = uhat / np.where(peak > 0.0, peak, 1.0)[:, None]
-        bound = peak * np.sqrt(nx * np.sum(unit.real**2 + unit.imag**2, axis=-1))
-        angle = abs(gamma_dt) * nx * (bound / lengths) ** 2
-    return not (np.all(bound <= 0.5 * limit) and np.all(angle <= 0.5 * np.finfo(float).max))
-
-
 def _step_plan(cfg: SimConfig):
     """Number of whole steps plus the (possibly zero) shrunken final step."""
     ratio = cfg.t_final / cfg.dt
@@ -217,9 +184,10 @@ def _step_plan(cfg: SimConfig):
 def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     """Integrate the initial value problem, recording every record_every steps.
 
-    Raises BlowUpError if the solution leaves the trusted range and, when
-    cfg.check_tail is set, WrapAroundError if a recorded state accumulates
-    mass near the periodic boundary.
+    Raises BlowUpError before the first step if the data could leave the
+    trusted range (see evolve_together) and, when cfg.check_tail is set,
+    WrapAroundError if a recorded state accumulates mass near the periodic
+    boundary.
     """
     return evolve_together([(phi, cfg)])[0]
 
@@ -237,9 +205,10 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     Each trajectory's values are a row of one (runs, records, nx) history;
     a history over EVOLVE_HISTORY_LIMIT bytes, or steps x runs x nx over
     EVOLVE_WORK_LIMIT, is rejected before allocation.
-    The blow-up guard runs after every step unless, at t = 0, every row is
-    cleared for good (see _guard_can_fire): the step conserves each row's
-    sum |uhat|^2, which bounds sum |uhat| and the cubic angle for all time.
+    Blow-up is decided once, before the first step: the step conserves each
+    row's sum |uhat|^2, so |u| <= sqrt(nx sum |uhat|^2) / L for all time,
+    and a row whose data are not finite, whose bound passes half of
+    BLOWUP_THRESHOLD or whose cubic angle could overflow raises BlowUpError.
     """
     runs = list(runs)
     if not runs:
@@ -270,17 +239,34 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
             f"limit of {_count(EVOLVE_WORK_LIMIT)}; raise dt, shorten t_final or lower nx"
         )
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
-    symbol = np.stack([c.symbol() for c in cfgs])
-    dx = np.array([[c.grid.dx] for c in cfgs])
-    lengths = np.array([c.grid.length for c in cfgs])
-    limit = BLOWUP_THRESHOLD * lengths
-    step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
-    guarded = _guard_can_fire(uhat, lengths, limit, cfg.gamma * cfg.dt)
 
     def where(row: int) -> str:
         c = cfgs[row]
         return f"run {row} of {len(cfgs)}, alpha {c.alpha:g}, carrier {c.grid.carrier:g}"
 
+    # The step conserves each row's sum |uhat|^2 to round-off, so |u| stays
+    # below bound = sqrt(nx sum |uhat|^2) / L and the cubic angle below the
+    # looser |gamma dt| nx bound^2 for all time.  Summing |uhat / max|uhat||^2
+    # cannot overflow or underflow; non-finite data fail both tests.
+    peak = np.max(np.abs(uhat), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = uhat / np.where(peak > 0.0, peak, 1.0)[:, None]
+        sums = np.sum(unit.real**2 + unit.imag**2, axis=-1)
+        bound = peak * np.sqrt(cfg.grid.nx * sums) / [c.grid.length for c in cfgs]
+        angle = abs(cfg.gamma * cfg.dt) * cfg.grid.nx * bound**2
+    fits = (bound <= 0.5 * BLOWUP_THRESHOLD) & (angle <= 0.5 * np.finfo(float).max)
+    failed = np.flatnonzero(~fits)
+    if failed.size:
+        row = int(failed[0])
+        if not np.all(np.isfinite(uhat[row])):
+            raise BlowUpError(f"{where(row)}: non-finite spectrum")
+        if not bound[row] <= 0.5 * BLOWUP_THRESHOLD:
+            raise BlowUpError(f"{where(row)}: |u| <= sqrt(nx sum |uhat|^2) / L = {bound[row]:.3g}, "
+                              f"over BLOWUP_THRESHOLD / 2 = {0.5 * BLOWUP_THRESHOLD:.3g}")
+        raise BlowUpError(f"{where(row)}: cubic angle bound {angle[row]:.3g} may overflow")
+    symbol = np.stack([c.symbol() for c in cfgs])
+    dx = np.array([[c.grid.dx] for c in cfgs])
+    step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
     history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
     times: list[float] = []
 
@@ -300,15 +286,10 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     record(0.0)
     for n in range(1, n_whole + 1):
         uhat = step(uhat)
-        t = n * cfg.dt
-        if guarded:
-            _guard(uhat, dx, limit, BLOWUP_THRESHOLD, t, where)
         if n % cfg.record_every == 0:
-            record(t)
+            record(n * cfg.dt)
     if remainder != 0.0:
         uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
-        if guarded:
-            _guard(uhat, dx, limit, BLOWUP_THRESHOLD, cfg.t_final, where)
     if final_record:
         record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
     return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]

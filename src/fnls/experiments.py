@@ -96,8 +96,8 @@ def fit_power_law(
 
     When five or more points are available the smallest parameter is treated
     as preasymptotic and excluded from the fit (it stays in the stored
-    points).  Requires at least four fitted points and positive finite data.
-    Values constant to round-off give r_squared = 1.
+    points).  Requires at least four fitted points, distinct parameters and
+    positive finite data.  Values constant to round-off give r_squared = 1.
     """
     params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -109,6 +109,10 @@ def fit_power_law(
     pf, vf = params[n_dropped:], values[n_dropped:]
     if pf.size < 4:
         raise ValidationError(f"need >= 4 points to fit, got {pf.size}")
+    repeated = pf[1:][pf[1:] == pf[:-1]]
+    if repeated.size:
+        raise ValidationError(f"power-law fit needs distinct {parameter_name} values: "
+                              f"{parameter_name} = {repeated[0]:g} repeats")
     for p, v in zip(pf, vf):
         if not (p > 0 and 0 < v < np.inf):
             raise ValidationError(f"power-law fit needs positive finite data: "
@@ -361,6 +365,8 @@ def run_approximation_error(
     The remaining parameters are the APPROX_* constants; config reports
     them with the length moved onto the lattice."""
     n_list = sorted(float(n) for n in n_list)
+    if len(n_list) < 4:
+        raise ValidationError(f"need at least four carriers, got {len(n_list)}")
     if not n_list[0] > 0.0:
         raise ValidationError(f"carrier frequency must be positive, got {n_list[0]:g}")
     length = _lattice_length(APPROX_LENGTH, n_list[0])

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import fnls
-from fnls.cli import main
+from fnls.cli import _float_list, build_parser, main
 
 
 def _read(path):
@@ -118,14 +119,19 @@ def test_scan_wavepacket_cli(tmp_path):
     assert slope == pytest.approx(0.25, abs=0.05)
 
 
-def _run_module(module, args):
-    """`python -m module args` with this fnls first on the import path."""
+def _run_python(args, **kwargs):
+    """`python args` with this fnls first on the import path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fnls.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", module, *args], env=env, capture_output=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, timeout=120, **kwargs
     )
+
+
+def _run_module(module, args):
+    """`python -m module args` with this fnls first on the import path."""
+    return _run_python(["-m", module, *args])
 
 
 @pytest.mark.parametrize("module", ["fnls.cli", "fnls"])
@@ -203,12 +209,19 @@ BAD_NUMBERS = [
     (["approx-error", "--n=0,8,16,32"], "carrier frequency must be positive, got 0"),
     (["approx-error", "--n=-8,8,16,32"], "carrier frequency must be positive, got -8"),
     (["approx-error", "--n", "1e300,8,16,32"], "dt*max|symbol| = inf exceeds"),
+    (["approx-error", "--n="], "need at least four carriers, got 0"),
+    (["approx-error", "--n=8"], "need at least four carriers, got 1"),
+    (["approx-error", "--n=8,8,8,8"], "power-law fit needs distinct N values: N = 8 repeats"),
+    (["scan-remainder", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
+    (["scan-trilinear", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
+    (["scan-wavepacket", "--m=16,16,16,16"], "needs distinct M values: M = 16 repeats"),
 ]
 
 
 @pytest.mark.parametrize("args, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
 def test_non_finite_or_zero_width_input_is_one_error_line(capsys, args, message):
-    # each is rejected before any work; each used to end in a traceback, a
+    # each is rejected before any work but the repeated carriers, which the
+    # fit rejects after their runs; each used to end in a traceback, a
     # numpy message or a runtime failure
     assert main(args) == 1
     err = capsys.readouterr().err
@@ -399,3 +412,87 @@ def test_illposed_cli_fast_carrier_takes_a_finer_step(tmp_path, flags, dt):
     assert rc == 0
     body = dict(l.split("=", 1) for l in _read(out) if not l.startswith("#") and "=" in l)
     assert float(body["dt"]) == dt
+
+
+# the edge-value sweep: each numeric option of each subcommand but verify,
+# one at a time, takes each edge value (a number list, each edge list) on top
+# of a base that runs in milliseconds
+SWEEP_BASE = {
+    "evolve": ["--nx", "64", "--t-final", "0.01"],
+    "picard": ["--nx", "64", "--t-final", "0.01", "--iterations", "2"],
+    "scan-trilinear": ["--n", "16,32,64,128"],
+    "scan-remainder": ["--n", "16,32,64,128"],
+    "scan-wavepacket": ["--s", "0", "--m", "16,32,64,128"],
+    "approx-error": ["--t-final", "0.01"],
+    "illposed": ["--t-internal", "8"],
+}
+EDGE_VALUES = ["0", "-1", "1e-300", "1e300", "2147483648", "nan", "-inf"]
+EDGE_LISTS = ["", "8", "8,8,8,8", "0,1,2,3", "-4,-3,-2,-1", "1e300,1e301,1e302,1e303", "1,nan"]
+SWEEP_CASE_BUDGET_S = 2.0
+SWEEP_ADDRESS_SPACE = 3 * 2**30
+
+# runs each case through cli.main in one process under an address-space cap
+# and prints [args, exit code, stderr, seconds] for each as one JSON line
+SWEEP_CHILD = """
+import contextlib, io, json, resource, sys, time, traceback
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fnls.cli import main
+results = []
+for args in json.loads(sys.stdin.read()):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append([args, code, err.getvalue(), time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def _is_number_list(text):
+    try:
+        return bool(_float_list(text))
+    except ValueError:
+        return False
+
+
+def _sweep_cases():
+    subparsers = build_parser().subcommands.choices
+    assert set(SWEEP_BASE) == set(subparsers) - {"verify"}
+    cases = []
+    for command, base in SWEEP_BASE.items():
+        for action in subparsers[command]._actions:
+            if not action.option_strings or action.dest in ("help", "config", "out"):
+                continue
+            if action.type in (int, float):
+                edges = EDGE_VALUES
+            elif isinstance(action.default, str) and _is_number_list(action.default):
+                edges = EDGE_LISTS
+            else:
+                continue
+            cases += [[command, *base, f"{action.option_strings[0]}={v}"] for v in edges]
+    return cases
+
+
+def test_every_numeric_edge_value_ends_in_one_line():
+    cases = _sweep_cases()
+    assert len(cases) > 200
+    proc = _run_python(
+        ["-c", SWEEP_CHILD, str(SWEEP_ADDRESS_SPACE)], input=json.dumps(cases), text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    bad = []
+    for args, code, err, seconds in json.loads(proc.stdout.splitlines()[-1]):
+        last = (err.splitlines() or [""])[-1]
+        ends_in_one_line = code == 0 or (
+            last.startswith(("error:", "runtime failure:")) and len(last) < 200
+        )
+        if code not in (0, 1, 2) or not ends_in_one_line or "Traceback" in err:
+            bad.append(f"{' '.join(args)} -> exit {code}: {err.strip()[-400:]}")
+        elif seconds > SWEEP_CASE_BUDGET_S:
+            bad.append(f"{' '.join(args)} took {seconds:.2f} s")
+    assert not bad, "\n".join(bad)

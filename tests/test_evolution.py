@@ -297,10 +297,9 @@ def test_guard_rejects_non_finite_spectrum(circle, bad):
     vals = spectral_values(_gaussian(circle)).copy()
     vals[3] = bad
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.01, grid=circle)
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(BlowUpError) as info:
+    with pytest.raises(BlowUpError) as info:
         evolve(Field(circle, vals), cfg)
-    assert "non-finite spectrum" in str(info.value)
-    assert info.value.t_reached == pytest.approx(1e-3)
+    assert str(info.value) == "run 0 of 1, alpha 1.5, carrier 0: non-finite spectrum"
 
 
 def test_evolve_plane_wave_oracle(circle):
@@ -385,13 +384,22 @@ def test_evolve_matches_reference_nls_at_alpha_two(circle):
 
 
 def test_evolve_blow_up_guard(circle, monkeypatch):
-    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)  # force the guard
+    # the packet's conserved bound on |u| (6.0) passes half of a threshold
+    # of 0.5, so the run is rejected before any step: no FFT runs
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)
     phi = _gaussian(circle, a=1.0)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=circle)
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, f=transform: calls.append(f) or f(*a))
     with pytest.raises(BlowUpError) as info:
         evolve(phi, cfg)
-    assert info.value.t_reached > 0
-    assert "|u| reached" in str(info.value)
+    assert str(info.value) == (
+        "run 0 of 1, alpha 1.5, carrier 0: |u| <= sqrt(nx sum |uhat|^2) / L = 6.01, "
+        "over BLOWUP_THRESHOLD / 2 = 0.25"
+    )
+    assert calls == []
 
 
 def _spectral_bound(uhat):
@@ -419,73 +427,47 @@ def test_evolve_together_keeps_sum_abs_within_the_initial_bound(gamma):
         assert np.all(np.sum(np.abs(traj.values), axis=-1) <= bound)
 
 
-def _count_guard_calls(monkeypatch) -> list:
-    calls = []
-    guard = evolution._guard
-
-    def counted(*args):
-        calls.append(args[4])  # the time
-        return guard(*args)
-
-    monkeypatch.setattr(evolution, "_guard", counted)
-    return calls
-
-
-def test_cleared_batch_skips_the_guard(circle, monkeypatch):
-    # every row's bound is far below half of BLOWUP_THRESHOLD * L, so no
-    # step calls _guard; ten whole steps and a shorter eleventh otherwise
-    # call it after every step
-    calls = _count_guard_calls(monkeypatch)
+def test_row_just_inside_half_the_threshold_runs(circle, monkeypatch):
+    # a threshold just over twice the larger conserved bound on |u| lets the
+    # batch run, bit-identical to the default threshold; one just under it
+    # rejects the row with that bound
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.0105, grid=circle)
     runs = [(_gaussian(circle), cfg), (_random_field(circle, 3), replace(cfg, alpha=1.8))]
-    cleared = evolve_together(runs)
-    assert calls == []
-    # a threshold the second row's bound does not clear, though |u| stays
-    # below it, guards every step of the batch and changes no value
-    threshold = 2.0 * np.sum(np.abs(runs[1][0].values)) / circle.length
-    assert _spectral_bound(runs[1][0].values) > 0.5 * threshold * circle.length
-    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", threshold)
-    guarded = evolve_together(runs)
-    assert len(calls) == 11 and calls[-1] == 0.0105
-    for a, b in zip(cleared, guarded):
+    bounds = [_spectral_bound(phi.values) / circle.length for phi, _ in runs]
+    assert bounds[1] > bounds[0]
+    default = evolve_together(runs)
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 2.0 * bounds[1] * (1.0 + 1e-12))
+    for a, b in zip(default, evolve_together(runs)):
         assert np.array_equal(a.values, b.values)
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 2.0 * bounds[1] * (1.0 - 1e-12))
+    with pytest.raises(BlowUpError) as info:
+        evolve_together(runs)
+    assert str(info.value).startswith("run 1 of 2, alpha 1.8, carrier 0: |u| <= sqrt(")
 
 
-def test_huge_cubic_angle_keeps_the_guard(circle, monkeypatch):
-    # gamma = 1e308 at small data: every row clears the threshold, but its
-    # largest cubic angle overflows, so the guard stays on every step
-    calls = _count_guard_calls(monkeypatch)
-    cfg = SimConfig(alpha=1.5, gamma=1e308, dt=1e-3, t_final=0.005, grid=circle)
-    evolve(_gaussian(circle, a=1.0), cfg)
-    assert len(calls) == 5
+@pytest.mark.parametrize("a", [1.0, 60.0])
+def test_overflowing_cubic_angle_is_rejected_before_stepping(circle, a):
+    # at gamma = 1e308 the cubic angle bound |gamma dt| nx (bound / L)^2 of a
+    # small and of a tall packet is inf, though |u| is far below the threshold
+    cfg = SimConfig(alpha=1.5, gamma=1e308, dt=1e-3, t_final=0.01, grid=circle)
+    with pytest.raises(BlowUpError) as info:
+        evolve(_gaussian(circle, a=a), cfg)
+    assert str(info.value) == "run 0 of 1, alpha 1.5, carrier 0: cubic angle bound inf may overflow"
 
 
 def test_uncleared_row_still_raises_and_is_named(circle, monkeypatch):
-    # the small row clears the bound and the large one does not; the large
-    # one's |u| passes the threshold and the error names its row
+    # the small row clears the bound and the large one does not: in either
+    # order the error names the large one's row, and the small one runs alone
     monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle)
-    small, big = _gaussian(circle, a=0.01), _gaussian(circle, a=1.0)
-    assert _spectral_bound(small.values) <= 0.25 * circle.length
-    with pytest.raises(BlowUpError) as info:
-        evolve_together([(small, cfg), (big, replace(cfg, alpha=1.8))])
-    assert str(info.value).startswith("non-finite or oversized field at t=0.001 (run 1 of 2, alpha 1.8")
-    assert "|u| reached" in str(info.value)
-    assert info.value.t_reached == pytest.approx(1e-3)
-
-
-def test_overflowing_cubic_angle_raises_at_the_first_step(circle):
-    # at gamma = 1e308 the cubic angle of a tall packet overflows to inf in
-    # the first step, whose phase is then NaN: numpy warns, and the guard
-    # names the non-finite spectrum at t = dt
-    cfg = SimConfig(alpha=1.5, gamma=1e308, dt=1e-3, t_final=0.01, grid=circle)
-    with pytest.warns(RuntimeWarning), pytest.raises(BlowUpError) as info:
-        evolve(_gaussian(circle, a=60.0), cfg)
-    assert str(info.value) == (
-        "non-finite or oversized field at t=0.001 "
-        "(run 0 of 1, alpha 1.5, carrier 0: non-finite spectrum)"
-    )
-    assert info.value.t_reached == 1e-3
+    small = (_gaussian(circle, a=0.01), cfg)
+    big = (_gaussian(circle, a=1.0), replace(cfg, alpha=1.8))
+    assert _spectral_bound(small[0].values) <= 0.25 * circle.length
+    evolve(*small)
+    for row, runs in ((1, [small, big]), (0, [big, small])):
+        with pytest.raises(BlowUpError) as info:
+            evolve_together(runs)
+        assert str(info.value).startswith(f"run {row} of 2, alpha 1.8, carrier 0: |u| <= sqrt(")
 
 
 def test_evolve_tail_check(circle):
@@ -757,29 +739,30 @@ def _failure(call):
         try:
             call()
         except (BlowUpError, WrapAroundError) as exc:
-            return type(exc), str(exc), getattr(exc, "t_reached", None)
+            return type(exc), str(exc)
     raise AssertionError("no failure raised")
 
 
 def test_evolve_together_row_failure_matches_evolve(circle, monkeypatch):
-    # |u| of the big row passes the threshold; the good row's stays below
-    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)
+    # the big row's conserved bound on |u| (6.0) passes half the threshold;
+    # the good row's (0.6) and the edge row's (1.7) do not
+    monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 8.0)
     good = (_gaussian(circle, a=0.1), SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle))
     big = (_gaussian(circle, a=1.0), replace(good[1], alpha=1.8))
     # a packet against the boundary trips the wrap-around check at t = 0
     edge = (
-        Field.physical(circle, np.exp(-0.5 * (circle.x / 0.3) ** 2)),
+        Field.physical(circle, 0.5 * np.exp(-0.5 * (circle.x / 0.3) ** 2)),
         replace(good[1], check_tail=True),
     )
     nan = spectral_values(_gaussian(circle)).copy()
     nan[3] = np.nan
     bad = (Field(circle, nan), good[1])
     for failing in (big, edge, bad):
-        kind, message, t = _failure(lambda: evolve(*failing))
+        kind, message = _failure(lambda: evolve(*failing))
         assert f"run 0 of 1, alpha {failing[1].alpha:g}, carrier 0: " in message
         # the same failure, naming the run's row in the batch
         for row, runs in ((1, [good, failing]), (0, [failing, good])):
-            want = (kind, message.replace("run 0 of 1", f"run {row} of 2"), t)
+            want = (kind, message.replace("run 0 of 1", f"run {row} of 2"))
             assert _failure(lambda: evolve_together(runs)) == want
 
 
