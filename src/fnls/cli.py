@@ -102,16 +102,9 @@ def _float_list(text: str):
     return values
 
 
-def _load_config_defaults(argv) -> dict:
-    """Pull --config PATH out of argv and parse the key=value file."""
-    path = None
-    for i, item in enumerate(argv):
-        if item == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif item.startswith("--config="):
-            path = item.split("=", 1)[1]
-    if path is None:
-        return {}
+def _read_config(path, command, sub) -> dict:
+    """The key=value file at path, each key an option of command's subparser sub."""
+    dests = {a.dest for a in sub._actions}
     defaults = {}
     with open(path) as fh:
         for raw in fh:
@@ -119,9 +112,12 @@ def _load_config_defaults(argv) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, sep, val = line.partition("=")
+            key = key.strip().replace("-", "_")
             if not sep:
                 raise ValidationError(f"malformed config line {raw!r}")
-            defaults[key.strip().replace("-", "_")] = val.strip()
+            if key not in dests:
+                raise ValidationError(f"unknown config key {key!r} for {command}")
+            defaults[key] = val.strip()
     return defaults
 
 
@@ -356,31 +352,14 @@ COMMANDS = {
 }
 
 
-def _seed_config_defaults(parser: CliParser, argv) -> None:
-    """Install config-file values as subcommand defaults; explicit flags win."""
-    defaults = _load_config_defaults(argv)
-    if not defaults:
-        return
-    command = next((tok for tok in argv if tok in COMMANDS), None)
-    if command is None:
-        return
-    sub = parser.subcommands.choices[command]
-    actions = {a.dest: a for a in sub._actions}
-    typed = {}
-    for key, raw in defaults.items():
-        if key not in actions:
-            raise ValidationError(f"unknown config key {key!r} for {command}")
-        conv = actions[key].type
-        typed[key] = conv(raw) if conv is not None else raw
-    sub.set_defaults(**typed)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _seed_config_defaults(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:  # file values become string defaults: flags win, types convert
+            sub = parser.subcommands.choices[args.command]
+            sub.set_defaults(**_read_config(args.config, args.command, sub))
+            args = parser.parse_args(argv)
         for key, val in vars(args).items():  # inf and nan, from a flag or a config file
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValidationError(f"--{key.replace('_', '-')} must be finite, got {val}")

@@ -17,7 +17,6 @@ from .spectral import (
     Field,
     Grid,
     inverse_transform,
-    lattice_mode,
     make_grid,
     spectral_tail_fraction,
     tail_fraction,
@@ -26,7 +25,7 @@ from .symbols import envelope_scale, group_velocity
 # sobolev_norm is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
 from .norms import SpaceTimeField, sobolev_norm  # noqa: F401
-from .evolution import Trajectory, TAIL_MASS_LIMIT, _count
+from .evolution import Trajectory, TAIL_MASS_LIMIT
 
 INTERP_LOSS_LIMIT = 1e-8
 WAVEPACKET_SMOOTHNESS = 1.0  # sigma of WavepacketSpec's s < 0 hypotheses
@@ -149,19 +148,6 @@ def trilinear_convolution(
     return SpaceTimeField(tau0, dtau, n_tau, xi, moved, counts * (dtau * dxi) ** 2)
 
 
-def _carrier_band(n_carrier: float, band: Grid, grid: Grid) -> np.ndarray:
-    """Indices on grid of the band's modes m shifted by the carrier's lattice
-    index m_N: m_N + m, FFT-ordered; the band must fit on the grid's band."""
-    m_n = lattice_mode(n_carrier, grid.length)
-    half_b, half_g = band.nx // 2, grid.nx // 2
-    if m_n + half_b > half_g or m_n - half_b < -half_g:
-        raise ResolutionError(
-            "grid cannot hold the modulated band: "
-            f"carrier mode {_count(m_n)} +- {half_b} exceeds +-{half_g}"
-        )
-    return (m_n + np.round(band.k / band.dk).astype(int)) % grid.nx
-
-
 def approximate_solution(
     v_traj: Trajectory,
     n_carrier: float,
@@ -176,10 +162,11 @@ def approximate_solution(
     The v grid must tile the target torus exactly: beta * L_v = L_target.
     The image is band-limited (exact for the stored band): each v mode m is
     image mode m_N + m, with a time-dependent translation phase.  The
-    target grid must hold that band; the image's wrap-around is checked on
-    its samples there, one record at a time.  With frame_velocity =
-    -group_velocity the image is evaluated in the frame where the packet
-    rests.
+    image's wrap-around is checked on the target grid's samples, one record
+    at a time; |image| there does not depend on the carrier shift, so the
+    band is placed about mode 0 and need only have at most nx modes.  With
+    frame_velocity = -group_velocity the image is evaluated in the frame
+    where the packet rests.
     """
     beta = envelope_scale(alpha, n_carrier)
     vel = group_velocity(alpha, n_carrier)
@@ -190,7 +177,12 @@ def approximate_solution(
             f"beta*L_v = L_target (beta*L_v = {beta * v_grid.length:.6g}, "
             f"L_target = {target_grid.length:.6g})"
         )
-    idx = _carrier_band(n_carrier, v_grid, target_grid)
+    band = make_grid(v_grid.nx, target_grid.length, carrier=n_carrier)
+    if v_grid.nx > target_grid.nx:
+        raise ResolutionError(
+            f"a {target_grid.nx}-point grid cannot sample the {v_grid.nx}-mode band"
+        )
+    idx = np.round(v_grid.k / v_grid.dk).astype(int) % target_grid.nx
 
     drift = (vel + frame_velocity) / beta  # y-translation rate of the sampling
     phase_rate = n_carrier**alpha + n_carrier * frame_velocity
@@ -212,7 +204,6 @@ def approximate_solution(
                 raise WrapAroundError(
                     f"modulated packet too close to the boundary at t={t:.6g}"
                 )
-    band = make_grid(v_grid.nx, target_grid.length, carrier=n_carrier)
     return Trajectory(v_traj.times, band, out)
 
 
@@ -290,4 +281,6 @@ def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
     if not n_carrier >= 1.0:  # below 1, lambda < 1 in the separation range
         raise ValidationError(f"carrier frequency must be >= 1, got {n_carrier:g}")
     exponent = ((2.0 - alpha) / 4.0 - s) / (s + 0.5)
+    if exponent * np.log(n_carrier) >= np.log(np.finfo(float).max):
+        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^{exponent:.3g}")
     return float(n_carrier**exponent)

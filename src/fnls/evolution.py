@@ -270,11 +270,11 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
     times: list[float] = []
 
-    def record(t: float, check_tail: bool = True) -> None:
+    def record(t: float) -> None:
         history[:, len(times)] = uhat
         times.append(t)
         for row, c in enumerate(cfgs):
-            if not (check_tail and c.check_tail):
+            if not c.check_tail:
                 continue
             frac = tail_fraction(inverse_transform(uhat[row], c.grid.dx))
             if frac > TAIL_MASS_LIMIT:
@@ -291,7 +291,7 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     if remainder != 0.0:
         uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
     if final_record:
-        record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt, check_tail=False)
+        record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
     return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
 
 

@@ -223,9 +223,10 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
         plus = box_data(BoxSpec(n=n, alpha=alpha))
         minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
         conv = trilinear_convolution(plus, minus, plus)
-        num = xsb_norm(conv, s, b - 1.0, alpha, "-")
-        g1 = xsb_norm(plus, s, b, alpha, "-")
-        g2 = xsb_norm(minus, s, b, alpha, "+")
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge s: the fit rejects the nan
+            num = xsb_norm(conv, s, b - 1.0, alpha, "-")
+            g1 = xsb_norm(plus, s, b, alpha, "-")
+            g2 = xsb_norm(minus, s, b, alpha, "+")
         return num, g1, g2, g1
 
     rows = parallel_map(one, n_list)
@@ -259,8 +260,10 @@ def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
     c1 = remainder_bound_constant(alpha)
 
     def one(n):
-        r = remainder_symbol(alpha, n, xi)
-        ratio = np.abs(r) / np.abs(xi) ** 3
+        # an extreme xi_max overflows the symbol or |xi|^3: the fit rejects the nan
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            r = remainder_symbol(alpha, n, xi)
+            ratio = np.abs(r) / np.abs(xi) ** 3
         margin = ratio / (c1 * n ** (-alpha / 2.0))
         return float(np.max(ratio)), float(np.max(margin))
 
@@ -319,9 +322,12 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
 
     def norms(m):
         band, mode = modulated_wavepacket(specs[m][0], grid)
-        power = np.abs(band.values) ** 2
-        k2 = (grid.k + mode * grid.dk) ** 2
-        return [float(np.sqrt(np.sum(power * (1.0 + k2) ** s) / grid.length)) for s in s_list]
+        # a huge m, s or tau: inf or nan, which the fit rejects, but for s = 0,
+        # whose weight is 1 at any k
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.abs(band.values) ** 2
+            k2 = (grid.k + mode * grid.dk) ** 2
+            return [float(np.sqrt(np.sum(power * (1.0 + k2) ** s) / grid.length)) for s in s_list]
 
     rows = parallel_map(norms, m_list) if s_list else []
     return {s: fit_power_law("M", m_list, [r[j] for r in rows]) for j, s in enumerate(s_list)}
@@ -369,6 +375,8 @@ def run_approximation_error(
         raise ValidationError(f"need at least four carriers, got {len(n_list)}")
     if not n_list[0] > 0.0:
         raise ValidationError(f"carrier frequency must be positive, got {n_list[0]:g}")
+    if not epsilon > 0.0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon:g}")
     length = _lattice_length(APPROX_LENGTH, n_list[0])
     x_grid = make_grid(APPROX_NX, length)
 
@@ -454,6 +462,8 @@ def run_illposedness_demo(
     if not (0.0 <= delta <= 0.5 * epsilon):
         raise ValidationError("delta must satisfy 0 <= delta << epsilon")
     lam = lambda_for(s, alpha, n_carrier)  # checks alpha and the carrier first
+    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
+        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
     if not (lo < s < hi):
@@ -468,7 +478,8 @@ def run_illposedness_demo(
     y_grid = make_grid(ILLPOSED_NX_ENVELOPE, length / beta)
 
     # unit-amplitude probe through the (linear) data pipeline fixes the gain
-    env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
+    with np.errstate(over="ignore"):  # a tiny sigma: exp(-inf) = 0 off the centre
+        env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
     if tail_fraction(env) > TAIL_MASS_LIMIT:
         raise WrapAroundError("envelope does not fit the grid")
     probe = Trajectory([0.0], y_grid, Field.physical(y_grid, env).values[None])

@@ -32,6 +32,11 @@ PAD_FACTOR = 2
 # may take at most this many bytes, and one grid's complex field no more
 EVOLVE_HISTORY_LIMIT = 2**30
 
+# a grid's spectral coefficients are dx times the DFT, about length * |u|;
+# below this length no norm's sum of their squares overflows, for any nx a
+# grid may have and any |u| that evolve accepts
+LENGTH_LIMIT = 1e100
+
 
 def _frozen_array(values, dtype=None):
     arr = np.array(values, dtype=dtype)
@@ -61,8 +66,9 @@ class Grid:
 
 def make_grid(nx: int, length: float, carrier: float = 0.0) -> Grid:
     """Build the torus grid; nx must be a power of two >= 8 whose complex
-    field fits in EVOLVE_HISTORY_LIMIT bytes (checked first), length > 0,
-    and the carrier on the frequency lattice: the frequencies are k + carrier."""
+    field fits in EVOLVE_HISTORY_LIMIT bytes (checked first), length in
+    (0, LENGTH_LIMIT], and the carrier on the frequency lattice: the
+    frequencies are k + carrier."""
     if not isinstance(nx, (int, np.integer)):
         raise ValidationError(f"nx must be an integer, got {nx!r}")
     nx = int(nx)
@@ -72,8 +78,8 @@ def make_grid(nx: int, length: float, carrier: float = 0.0) -> Grid:
         limit = f"{EVOLVE_HISTORY_LIMIT >> 20} MiB limit"
         raise ValidationError(f"nx = {nx} needs a complex field over the {limit}; lower nx")
     length = float(length)
-    if not np.isfinite(length) or length <= 0:
-        raise ValidationError(f"length must be positive, got {length}")
+    if not 0.0 < length <= LENGTH_LIMIT:
+        raise ValidationError(f"length must lie in (0, {LENGTH_LIMIT:g}], got {length:g}")
     carrier = float(carrier)
     lattice_mode(carrier, length)
     dx = length / nx

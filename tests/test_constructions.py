@@ -367,9 +367,24 @@ def test_approximate_solution_validations():
     off_grid = make_grid(y_grid.nx, x_grid.length / envelope_scale(alpha, off))
     with pytest.raises(ValidationError, match="not on the grid lattice"):
         approximate_solution(Trajectory([0.0], off_grid, phi.values[None]), off, alpha, x_grid)
-    # band does not fit: same torus but too few modes for carrier + envelope
-    with pytest.raises(ResolutionError):
-        approximate_solution(traj, n, alpha, make_grid(256, x_grid.length))
+    # the band has more modes than the grid has samples
+    with pytest.raises(ResolutionError, match="a 128-point grid cannot sample the 256-mode band"):
+        approximate_solution(traj, n, alpha, make_grid(128, x_grid.length))
+
+
+def test_approximate_solution_band_need_not_fit_about_the_carrier():
+    # N = 16 sits at mode 122 of the torus, so its 256-mode band reaches
+    # mode 250, past a 256-point grid's Nyquist mode; the grid only samples
+    # the image's modulus for the wrap-around test, and the image is the one
+    # a 1024-point grid gives
+    alpha, n = 1.5, 16.0
+    x_grid, y_grid, phi = _envelope_setup(alpha, n)
+    assert round(n * x_grid.length / (2.0 * np.pi)) + y_grid.nx // 2 > 128
+    traj = Trajectory([0.0, 0.5], y_grid, np.stack([phi.values, phi.values]))
+    small = approximate_solution(traj, n, alpha, make_grid(256, x_grid.length))
+    full = approximate_solution(traj, n, alpha, x_grid)
+    assert small.grid == full.grid
+    assert np.array_equal(small.values, full.values)
 
 
 def test_approximate_solution_residual_matches_remainder_term():

@@ -478,6 +478,21 @@ def test_evolve_tail_check(circle):
         evolve(Field.physical(circle, vals), cfg)
 
 
+@pytest.mark.parametrize("t_final", [0.16, 0.155])
+def test_evolve_tail_check_covers_the_off_grid_last_record(t_final):
+    # a packet at group velocity 20 goes from the centre to the boundary by
+    # t_final, recorded only as the last record, off the record grid (after
+    # a shrunken final step at 0.155); that record used to go unchecked
+    grid = make_grid(64, 2 * np.pi)
+    vals = np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2 + 10j * grid.x)
+    cfg = SimConfig(
+        alpha=2.0, gamma=0.0, dt=1e-2, t_final=t_final, grid=grid,
+        record_every=10**9, check_tail=True,
+    )
+    with pytest.raises(WrapAroundError, match=f"at t={t_final:g} exceeds"):
+        evolve(Field.physical(grid, vals), cfg)
+
+
 def test_evolve_partial_final_step(circle):
     phi = _gaussian(circle, a=0.3)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.0505, grid=circle, record_every=10**9)
