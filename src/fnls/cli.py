@@ -7,7 +7,7 @@ scan CSVs use the fixed column order parameter,value,aux1,aux2 and reports
 are one key=value per line.  A flat key=value config file can seed any
 subcommand's options; explicit flags win.  Exit codes: 0 success, 1
 validation/usage error, 2 runtime failure (blow-up, resolution, failed
-verify gate).
+verify gate, out of memory).
 """
 
 from __future__ import annotations
@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"runtime failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -162,11 +162,13 @@ def approximate_solution(
     The v grid must tile the target torus exactly: beta * L_v = L_target.
     The image is band-limited (exact for the stored band): each v mode m is
     image mode m_N + m, with a time-dependent translation phase.  The
-    image's wrap-around is checked on the target grid's samples, one record
-    at a time; |image| there does not depend on the carrier shift, so the
-    band is placed about mode 0 and need only have at most nx modes.  With
-    frame_velocity = -group_velocity the image is evaluated in the frame
-    where the packet rests.
+    envelope's resolution and localization are measured for all records at
+    once; then, in time order, each record's are checked and, where the
+    envelope is localized, the image's wrap-around on the target grid's
+    samples, one record at a time.  |image| there does not depend on the
+    carrier shift, so the band is placed about mode 0 and need only have at
+    most nx modes.  With frame_velocity = -group_velocity the image is
+    evaluated in the frame where the packet rests.
     """
     beta = envelope_scale(alpha, n_carrier)
     vel = group_velocity(alpha, n_carrier)
@@ -190,17 +192,21 @@ def approximate_solution(
     t_col = v_traj.times[:, None]
     out = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t_col)
     out *= np.exp(1j * phase_rate * t_col)
+    # the envelope's checks of every record in one pass each, row by row
+    losses = spectral_tail_fraction(v_traj.values)
+    localized = tail_fraction(inverse_transform(v_traj.values, v_grid.dx)) <= TAIL_MASS_LIMIT
+    # kept rows: the image's band placed about mode 0, and its samples
     row = np.zeros(target_grid.nx, dtype=np.complex128)
-    for t, vhat, uhat in zip(v_traj.times, v_traj.values, out):
-        if spectral_tail_fraction(vhat) > INTERP_LOSS_LIMIT:
+    samples = np.empty_like(row)
+    for t, loss, local, uhat in zip(v_traj.times, losses, localized, out):
+        if loss > INTERP_LOSS_LIMIT:
             raise ResolutionError(
                 f"envelope solution under-resolved at t={t:.6g}: outer-band "
-                f"mass fraction {spectral_tail_fraction(vhat):.3g}"
+                f"mass fraction {loss:.3g}"
             )
-        # only a localized envelope makes a wrap-around claim to enforce
-        if tail_fraction(inverse_transform(vhat, v_grid.dx)) <= TAIL_MASS_LIMIT:
+        if local:  # only a localized envelope makes a wrap-around claim to enforce
             row[idx] = uhat
-            if tail_fraction(inverse_transform(row, target_grid.dx)) > TAIL_MASS_LIMIT:
+            if tail_fraction(inverse_transform(row, target_grid.dx, out=samples)) > TAIL_MASS_LIMIT:
                 raise WrapAroundError(
                     f"modulated packet too close to the boundary at t={t:.6g}"
                 )

@@ -24,17 +24,18 @@ from .spectral import (
     Field,
     Grid,
     cubic_values,
-    forward_transform,
     inverse_transform,
     spectral_values,
     tail_fraction,
     _frozen_array,
 )
 
-# perfbench/tracer.py wraps fnls.evolution.dealiased_density, which nothing
-# here calls any more; the re-export goes once the benchmark's tracer
-# tolerates deleted names (ROADMAP item 1)
-from .spectral import PAD_FACTOR, dealiased_density  # noqa: F401
+from . import spectral
+
+# perfbench/tracer.py wraps fnls.evolution.dealiased_density and
+# forward_transform, which nothing here calls any more; the re-exports go
+# once the benchmark's tracer tolerates deleted names (ROADMAP item 1)
+from .spectral import PAD_FACTOR, dealiased_density, forward_transform  # noqa: F401
 
 TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
@@ -45,7 +46,7 @@ BLOWUP_THRESHOLD = 1e8  # a row whose conserved bound on |u| passes half of this
 PICARD_LATTICE_LIMIT = 2**22
 
 # time rows per block of the Picard sweep; every iteration's cubic term over a
-# block is one cubic_values call, whose temporaries grow with the block
+# block is one cubic_values call, whose density temporaries grow with the block
 PICARD_BLOCK_ROWS = 16
 
 # steps x runs x nx of one evolve_together call: 15-45 min on a 2-core host
@@ -137,34 +138,50 @@ class Trajectory:
         return Trajectory(self.times, self.grid, self.values - other.values)
 
 
-def _split_step(half_phase: np.ndarray, gamma: float, dt: float, dx):
-    """The Strang step of size dt as a function from stacked (rows, nx)
-    spectral coefficients to new ones.  half_phase holds each row's
-    exp(i dt symbol / 2) and dx is the (rows, 1) column of grid spacings.
+def _split_step(symbol: np.ndarray, gamma: float, dt: float, dx):
+    """The Strang step of size dt as a function that advances stacked
+    (rows, nx) spectral coefficients in place.  symbol holds each row's
+    dispersion symbol and dx is the (rows, 1) column of grid spacings.
 
-    Two FFTs a step, both of size nx: an inverse transform gives the
-    samples u, the cubic phase cos + i sin of the real angle
-    -gamma dt |u|^2 (|u|^2 as re^2 + im^2) is formed in a kept buffer and
+    Two FFTs a step, both of size nx and both through the pair in
+    fnls.spectral: an inverse transform gives the samples u, the cubic phase
+    cos + i sin of the real angle -gamma dt |u|^2 (|u|^2 as re^2 + im^2)
     multiplies them, and one forward transform returns to spectral space.
-    The transforms' scalings ride on the half-phases: the leading one is
-    divided by dx and the trailing one, times dx, is the forward
-    transform's scaling.  Each FFT covers all rows in one call and no
-    operation mixes rows, so a row computes exactly what it would alone.
+    The transforms' scalings ride on the half-phases exp(i dt symbol / 2):
+    the leading one is divided by dx and the trailing one, times dx, is the
+    forward transform's scaling.  The lead product and the samples share one
+    buffer, transformed in place; the phase buffer holds the squares of the
+    samples' parts until it holds the phase, and the angle has its own.
+    All are made here, so a step allocates nothing.  Each FFT covers all
+    rows in one call and no operation mixes rows, so a row computes exactly
+    what it would alone.
     """
+    half_phase = np.exp(0.5j * dt * symbol)
     if gamma == 0.0:
-        return lambda uhat: uhat * half_phase * half_phase
-    lead = half_phase / dx
-    trail = half_phase * dx
-    phase = np.empty(half_phase.shape, dtype=np.complex128)
+        def linear(uhat: np.ndarray) -> None:
+            uhat *= half_phase
+            uhat *= half_phase
 
-    def step(uhat: np.ndarray) -> np.ndarray:
-        u = np.fft.ifft(uhat * lead)
-        angle = u.real**2 + u.imag**2
-        angle *= -gamma * dt
-        np.cos(angle, out=phase.real)
-        np.sin(angle, out=phase.imag)
-        u *= phase
-        return forward_transform(u, trail)
+        return linear
+    lead = half_phase / dx
+    trail = np.multiply(half_phase, dx, out=half_phase)  # half_phase is not kept
+    u = np.empty_like(lead)
+    phase = np.empty_like(lead)
+    angle = np.empty(lead.shape)
+    # each complex buffer's (re, im) pairs as one real array, and phase's parts
+    u_pairs, phase_pairs = u.view(np.float64), phase.view(np.float64)
+    phase_re, phase_im = phase.real, phase.imag
+    scale = -gamma * dt
+
+    def step(uhat: np.ndarray) -> None:
+        spectral.ifft(np.multiply(uhat, lead, out=u), out=u)
+        # re^2 and im^2 land in phase's parts, its scratch until cos and sin
+        np.multiply(u_pairs, u_pairs, out=phase_pairs)
+        np.multiply(np.add(phase_re, phase_im, out=angle), scale, out=angle)
+        np.cos(angle, out=phase_re)
+        np.sin(angle, out=phase_im)
+        np.multiply(u, phase, out=u)
+        np.multiply(spectral.fft(u, out=u), trail, out=uhat)
 
     return step
 
@@ -244,10 +261,50 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
         c = cfgs[row]
         return f"run {row} of {len(cfgs)}, alpha {c.alpha:g}, carrier {c.grid.carrier:g}"
 
+    _reject_blow_up(uhat, cfgs, where)
+    symbol = np.stack([c.symbol() for c in cfgs])
+    dx = np.array([[c.grid.dx] for c in cfgs])
+    tail = [row for row, c in enumerate(cfgs) if c.check_tail]
+    history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
+    times: list[float] = []
+
+    def record(t: float) -> None:
+        history[:, len(times)] = uhat
+        times.append(t)
+        if not tail:
+            return
+        fracs = tail_fraction(inverse_transform(uhat[tail], dx[tail]))
+        over = np.flatnonzero(fracs > TAIL_MASS_LIMIT)
+        if over.size:
+            raise WrapAroundError(
+                f"{where(tail[over[0]])}: tail mass fraction {fracs[over[0]]:.3g} in the outer "
+                f"10% of the domain at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
+            )
+
+    step = _split_step(symbol, cfg.gamma, cfg.dt, dx)
+    record(0.0)
+    for n in range(1, n_whole + 1):
+        step(uhat)
+        if n % cfg.record_every == 0:
+            record(n * cfg.dt)
+    if remainder != 0.0:
+        step = None  # its buffers go before the last step makes its own
+        _split_step(symbol, cfg.gamma, remainder, dx)(uhat)
+    if final_record:
+        record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
+    return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
+
+
+def _reject_blow_up(uhat: np.ndarray, cfgs: list[SimConfig], where) -> None:
+    """BlowUpError naming where(row) for the first row of uhat whose data
+    are not finite, whose conserved bound on |u| passes half of
+    BLOWUP_THRESHOLD or whose cubic angle could overflow (see
+    evolve_together); its temporaries go when it returns."""
     # The step conserves each row's sum |uhat|^2 to round-off, so |u| stays
     # below bound = sqrt(nx sum |uhat|^2) / L and the cubic angle below the
     # looser |gamma dt| nx bound^2 for all time.  Summing |uhat / max|uhat||^2
     # cannot overflow or underflow; non-finite data fail both tests.
+    cfg = cfgs[0]
     peak = np.max(np.abs(uhat), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         unit = uhat / np.where(peak > 0.0, peak, 1.0)[:, None]
@@ -264,35 +321,6 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
             raise BlowUpError(f"{where(row)}: |u| <= sqrt(nx sum |uhat|^2) / L = {bound[row]:.3g}, "
                               f"over BLOWUP_THRESHOLD / 2 = {0.5 * BLOWUP_THRESHOLD:.3g}")
         raise BlowUpError(f"{where(row)}: cubic angle bound {angle[row]:.3g} may overflow")
-    symbol = np.stack([c.symbol() for c in cfgs])
-    dx = np.array([[c.grid.dx] for c in cfgs])
-    step = _split_step(np.exp(0.5j * cfg.dt * symbol), cfg.gamma, cfg.dt, dx)
-    history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
-    times: list[float] = []
-
-    def record(t: float) -> None:
-        history[:, len(times)] = uhat
-        times.append(t)
-        for row, c in enumerate(cfgs):
-            if not c.check_tail:
-                continue
-            frac = tail_fraction(inverse_transform(uhat[row], c.grid.dx))
-            if frac > TAIL_MASS_LIMIT:
-                raise WrapAroundError(
-                    f"{where(row)}: tail mass fraction {frac:.3g} in the outer 10% of the domain "
-                    f"at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
-                )
-
-    record(0.0)
-    for n in range(1, n_whole + 1):
-        uhat = step(uhat)
-        if n % cfg.record_every == 0:
-            record(n * cfg.dt)
-    if remainder != 0.0:
-        uhat = _split_step(np.exp(0.5j * remainder * symbol), cfg.gamma, remainder, dx)(uhat)
-    if final_record:
-        record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
-    return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
 
 
 @dataclass(frozen=True)
@@ -321,10 +349,14 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     iterations a block at a time; each carries its sum, last cubic term and
     largest row difference to the next block, and a block's phases
     U(t) = exp(i omega t), free evolution, U(-t) and i gamma U(t) serve them
-    all.  No (n_t + 1) x nx array is allocated.  Once an iteration's
-    largest difference is non-finite, the iterations after it are dropped
-    for the rest of the sweep: each would be non-finite too, and the
-    verdict, raised at that iteration or before, is already fixed.
+    all.  These, the iterates, the cubic term and the difference live in
+    block buffers made once; an iteration's cubic term over a block is one
+    cubic_values call, run in the buffer it fills and transformed through
+    the FFT pair of fnls.spectral.  No (n_t + 1) x nx array is allocated.
+    Once an iteration's largest difference is non-finite, the iterations
+    after it are dropped for the rest of the sweep: each would be
+    non-finite too, and the verdict, raised at that iteration or before, is
+    already fixed.
     Iterations past a growing streak still run and may overflow, unreported.
     """
     if iterations < 1:
@@ -344,24 +376,34 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     half_dt = 0.5 * cfg.dt
     phi_hat = spectral_values(phi)
     weight = (1.0 + grid.k**2) ** ((2.0 - cfg.alpha) / 4.0)
-    # a block's current and next iterate and its cubic term (then scratch for
-    # the difference)
-    block = np.empty((3, PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
+    # kept block buffers: the current and next iterate, the cubic term (then
+    # the difference), the rotation and its three products; real ones for the
+    # angle, its cosine and sine and the squared difference
+    block = np.empty((7, PICARD_BLOCK_ROWS, grid.nx), dtype=np.complex128)
+    real = np.empty((4, PICARD_BLOCK_ROWS, grid.nx))
+    row_sums = np.empty(PICARD_BLOCK_ROWS)
     partial = np.empty((iterations, grid.nx), dtype=np.complex128)
     g_last = np.empty_like(partial)
     peak = np.zeros(iterations)  # each iteration's largest squared row difference
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, times.size, PICARD_BLOCK_ROWS):
-            angle = omega * times[start:start + PICARD_BLOCK_ROWS, None]
-            rot = np.cos(angle) + 1j * np.sin(angle)  # exp(i angle)
-            n_rows = rot.shape[0]
-            free, back, kick = rot * phi_hat, np.conj(rot), 1j * cfg.gamma * rot
-            current, nxt, g = block[:, :n_rows]
+            t_col = times[start:start + PICARD_BLOCK_ROWS, None]
+            n_rows = t_col.shape[0]
+            current, nxt, g, rot, free, back, kick = block[:, :n_rows]
+            angle, cos, sin, d2 = real[:, :n_rows]
+            sums = row_sums[:n_rows]
+            np.multiply(omega, t_col, out=angle)
+            np.cos(angle, out=cos)
+            np.sin(angle, out=sin)
+            np.add(cos, np.multiply(1j, sin, out=rot), out=rot)  # exp(i angle)
+            np.multiply(rot, phi_hat, out=free)
+            np.conjugate(rot, out=back)
+            np.multiply(1j * cfg.gamma, rot, out=kick)
             current[...] = free  # the free evolution is the first iterate
             for k in range(iterations):
                 # g(t) = U(-t) |u|^2 u (t); partial(t_j) = trapezoid sum of g to t_j
-                np.multiply(back, cubic_values(current, grid), out=g)
+                np.multiply(back, cubic_values(current, grid, out=g), out=g)
                 # trapezoid steps and their running sum, from the block before's;
                 # partial(t_1) is the first step, not 0 + step: np.cumsum's bits
                 np.add(g[:-1], g[1:], out=nxt[1:])
@@ -378,10 +420,11 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
                     np.add(steps[r - 1], steps[r], out=steps[r])
                 g_last[k], partial[k] = g[-1], nxt[-1]
                 np.subtract(free, np.multiply(kick, nxt, out=nxt), out=nxt)
-                d2 = np.abs(np.subtract(nxt, current, out=g))
+                np.abs(np.subtract(nxt, current, out=g), out=d2)
                 d2 *= d2
                 d2 *= weight
-                peak[k] = np.maximum(peak[k], np.max(np.sum(d2, axis=1)))  # keeps a NaN
+                np.sum(d2, axis=1, out=sums)
+                peak[k] = np.maximum(peak[k], np.max(sums))  # keeps a NaN
                 if not np.isfinite(peak[k]):
                     break  # so in every later block too: peak[k] stays non-finite
                 current, nxt = nxt, current

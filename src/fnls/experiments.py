@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError, WrapAroundError
-from .spectral import Field, Grid, lattice_mode, make_grid, tail_fraction
+from .spectral import LENGTH_LIMIT, Field, Grid, lattice_mode, make_grid, tail_fraction
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
 from .evolution import EVOLVE_HISTORY_LIMIT, TAIL_MASS_LIMIT, SimConfig, Trajectory, _count
@@ -287,11 +287,16 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
     the same for every carrier, at the least power-of-two nx whose Nyquist
     frequency is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below
     e^(-288) of its peak at m = 16, tau_scale = 1.  At m = 0 it holds the
-    envelope's band alone (512 points at tau_scale = 1).  A grid whose
-    complex field would pass EVOLVE_HISTORY_LIMIT bytes is rejected before
-    anything is allocated."""
+    envelope's band alone (512 points at tau_scale = 1).  A tau_scale whose
+    torus passes LENGTH_LIMIT, or a grid whose complex field would pass
+    EVOLVE_HISTORY_LIMIT bytes, is rejected before anything is allocated."""
     if not tau_scale > 0.0:
         raise ValidationError(f"tau_scale must be positive, got {tau_scale}")
+    if not 64.0 * tau_scale <= LENGTH_LIMIT:
+        raise ValidationError(
+            f"tau_scale must be at most LENGTH_LIMIT / 64 = {LENGTH_LIMIT / 64.0:g} "
+            f"(the torus is 64 tau_scale long), got {tau_scale:g}"
+        )
     length = 64.0 * max(tau_scale, 1.0)
     need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
     if not 16.0 * need <= EVOLVE_HISTORY_LIMIT:

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import physical_values, spectral_values, _frozen_array
-
-
-def _per_record(total):
-    return float(total) if np.ndim(total) == 0 else total
+from .spectral import physical_values, spectral_values, _frozen_array, _per_record
 
 
 def mass(f):

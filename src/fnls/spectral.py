@@ -15,6 +15,12 @@ Conventions (fixed once, used everywhere):
 * Products are taken at the nx samples, unpadded.  Their modes beyond the
   band alias back onto it, which is nil only for resolved data: the cubic
   term is exact when every mode index m has |m| < nx/6.
+* Every complex transform goes through one pair, fft and ifft: the
+  pocketfft ufuncs behind numpy.fft (numpy >= 2.0), called along the last
+  axis with numpy.fft's scalings 1 and 1/n, so bit-equal to numpy.fft.fft
+  and ifft.  numpy.fft's Python wrapper costs about as much as the
+  transform itself at nx = 256; the pair skips it and writes into a given
+  ``out``, so the integrators step on buffers they keep.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ValidationError
 
@@ -114,15 +121,36 @@ class Field:
         return cls(grid, forward_transform(np.asarray(samples, dtype=np.complex128), grid.dx))
 
 
+def fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.fft(a) along the last axis, bit for bit, into out (a new
+    complex array when None; out may be a itself)."""
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    return _pocketfft.fft(a, 1.0, out=out)
+
+
+def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.ifft(a) along the last axis, bit for bit, into out (a new
+    complex array when None; out may be a itself)."""
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
+
+
 def forward_transform(u: np.ndarray, dx) -> np.ndarray:
     """Physical samples -> spectral coefficients (Riemann-sum normalization)
     along the last axis; stacked rows take a (rows, 1) column of dx."""
-    return np.fft.fft(u) * dx
+    uhat = fft(u)
+    uhat *= dx
+    return uhat
 
 
-def inverse_transform(uhat: np.ndarray, dx) -> np.ndarray:
-    """Spectral coefficients -> physical samples along the last axis."""
-    return np.fft.ifft(uhat) / dx
+def inverse_transform(uhat: np.ndarray, dx, out: np.ndarray | None = None) -> np.ndarray:
+    """Spectral coefficients -> physical samples along the last axis, into
+    out (a new array when None)."""
+    out = ifft(uhat, out)
+    out /= dx
+    return out
 
 
 def spectral_values(f) -> np.ndarray:
@@ -155,52 +183,66 @@ def dealiased_density(fine: np.ndarray, scale: float) -> tuple[np.ndarray, np.nd
     benchmark's tracer (see fnls.evolution).
     """
     nx = fine.shape[-1] // PAD_FACTOR
-    u_fine = np.fft.ifft(fine)
+    u_fine = ifft(fine)
     dens_hat = np.fft.rfft(u_fine.real**2 + u_fine.imag**2)[..., : nx // 2 + 1]
     density = np.fft.irfft(dens_hat, nx)
     density *= scale / PAD_FACTOR
     return u_fine[..., ::PAD_FACTOR], density
 
 
-def cubic_values(uhat: np.ndarray, grid: Grid) -> np.ndarray:
+def cubic_values(uhat: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Spectral coefficients of |u|^2 u taken at the nx samples, along the
-    last axis (rows are transformed independently).
+    last axis (rows are transformed independently), into out (a new array
+    when None), which serves as the working buffer; out may not share
+    memory with uhat unless it is uhat.
 
-    Nothing is scaled on the way: numpy's ifft of the coefficients is dx
-    times the samples, so the fft of |ifft|^2 ifft (|.|^2 as re^2 + im^2)
-    is dx^2 times the coefficients, and one multiply by dx^-2 gives them.
-    Exact, with no aliasing, when every mode index m has |m| < nx/6.
+    Nothing is scaled on the way: the ifft of the coefficients is dx times
+    the samples, so the fft of |ifft|^2 ifft (|.|^2 as re^2 + im^2) is dx^2
+    times the coefficients, and one multiply by dx^-2 gives them.  Exact,
+    with no aliasing, when every mode index m has |m| < nx/6.
     """
-    u = np.fft.ifft(uhat)
-    u *= u.real**2 + u.imag**2
-    return np.fft.fft(u) * grid.dx**-2
+    u = ifft(uhat, out)  # the samples, then their cubic term, in one buffer
+    density = u.real**2
+    density += u.imag**2
+    u *= density
+    fft(u, out=u)
+    u *= grid.dx**-2
+    return u
 
 
-def tail_fraction(u: np.ndarray) -> float:
+def _per_record(total):
+    """A reduction along the last axis as a float for one row, else the
+    array of row values."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def _edge_share(dens: np.ndarray, outer):
+    """outer / (sum of dens along the last axis), 0 where that sum is 0 (and
+    so is outer: dens is not negative)."""
+    total = np.add.reduce(dens, axis=-1)
+    return _per_record(outer / np.where(total == 0.0, 1.0, total))
+
+
+def tail_fraction(u: np.ndarray):
     """Fraction of the mass of the samples u sitting in the outer 10% of the
-    domain.
+    domain, along the last axis: a float for one row, one value per row of
+    stacked rows, each bit-equal to that row's alone.
 
     Used to certify that a wavepacket run on the torus is a faithful stand-in
     for the whole line.  It takes samples, not a Field, so that callers
     holding the samples pay no inverse transform.
     """
     dens = np.abs(u) ** 2
-    total = float(dens.sum())
-    if total == 0.0:
-        return 0.0
-    n_edge = max(1, u.shape[0] // 20)
-    outer = float(dens[:n_edge].sum() + dens[-n_edge:].sum())
-    return outer / total
+    n_edge = max(1, u.shape[-1] // 20)
+    outer = np.add.reduce(dens[..., :n_edge], axis=-1) + np.add.reduce(dens[..., -n_edge:], axis=-1)
+    return _edge_share(dens, outer)
 
 
-def spectral_tail_fraction(uhat: np.ndarray) -> float:
-    """Fraction of the mass of coefficients uhat in the outer 10% of the band."""
+def spectral_tail_fraction(uhat: np.ndarray):
+    """Fraction of the mass of coefficients uhat in the outer 10% of the
+    band, along the last axis as tail_fraction."""
     dens = np.abs(uhat) ** 2
-    total = float(dens.sum())
-    if total == 0.0:
-        return 0.0
-    half = uhat.shape[0] // 2
+    half = uhat.shape[-1] // 2
     n_edge = max(1, half // 10)
     # outermost modes in FFT order sit around index nx/2
-    outer = float(dens[half - n_edge : half + n_edge].sum())
-    return outer / total
+    return _edge_share(dens, np.add.reduce(dens[..., half - n_edge : half + n_edge], axis=-1))

@@ -220,6 +220,7 @@ BAD_NUMBERS = [
     (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
     (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps x 1 run(s)"),
     (["scan-wavepacket", "--tau", "1e-300"], "tau_scale = 1e-300 and m = 0 need a grid"),
+    (["scan-wavepacket", "--tau", "1e300"], "tau_scale must be at most LENGTH_LIMIT / 64"),
     (["illposed", "--alpha", "-1"], "alpha must lie in (1, 2], got -1"),
     (["illposed", "--n-carrier", "-1"], "carrier frequency must be >= 1, got -1"),
     (["illposed", "--n-carrier", "0"], "carrier frequency must be >= 1, got 0"),
@@ -476,6 +477,19 @@ for args in json.loads(sys.stdin.read()):
     results.append([args, code, err.getvalue(), time.perf_counter() - start])
 print(json.dumps(results))
 """
+
+
+def test_out_of_memory_is_one_runtime_failure_line():
+    # nx = 2^24 passes every limit, but its 256 MiB fields do not fit under a
+    # 1 GiB address-space cap: the first allocation that fails ends the run in
+    # one line, before the child has touched the cap's worth of memory
+    args = ["evolve", "--nx", "16777216", "--length", "1e6", "--t-final", "0.002", "--dt", "0.001"]
+    proc = _run_python(["-c", SWEEP_CHILD, str(2**30)], input=json.dumps([args]), text=True)
+    assert proc.returncode == 0, proc.stderr
+    [[_, code, err, _]] = json.loads(proc.stdout.splitlines()[-1])
+    # numpy names the array it could not allocate; pocketfft's MemoryError is bare
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith(("runtime failure: Unable to allocate", "runtime failure: out of memory"))
 
 
 def _is_number_list(text):

@@ -372,6 +372,24 @@ def test_approximate_solution_validations():
         approximate_solution(traj, n, alpha, make_grid(128, x_grid.length))
 
 
+@pytest.mark.parametrize("second, third, error, message", [
+    ("centred", "rough", WrapAroundError, "modulated packet too close to the boundary at t=1.5"),
+    ("rough", "centred", ResolutionError, "envelope solution under-resolved at t=1.5: outer-band"),
+])
+def test_approximate_solution_checks_records_in_time_order(second, third, error, message):
+    # beta = 1 and group velocity 16: by t = 1.5 the image of the centred
+    # envelope has moved half the torus, against the boundary, while a record
+    # with band-edge mass is under-resolved at any time; the envelope's
+    # checks run for all records at once, yet the first failing record wins
+    x_grid, y_grid, phi = _envelope_setup(2.0, 8.0)
+    rough = phi.values.copy()
+    rough[y_grid.nx // 2] += 1.0
+    values = {"centred": phi.values, "rough": rough}
+    traj = Trajectory([0.0, 1.5, 1.6], y_grid, np.stack([phi.values, values[second], values[third]]))
+    with pytest.raises(error, match=message):
+        approximate_solution(traj, 8.0, 2.0, x_grid)
+
+
 def test_approximate_solution_band_need_not_fit_about_the_carrier():
     # N = 16 sits at mode 122 of the torus, so its 256-mode band reaches
     # mode 250, past a 256-point grid's Nyquist mode; the grid only samples

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fnls.evolution as evolution
+import fnls.spectral as spectral
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
@@ -244,12 +245,15 @@ def test_evolve_together_matches_four_fft_reference(gamma, monkeypatch):
 
 
 def _count_fft_calls(monkeypatch) -> list:
+    """Names of the calls made to fnls.spectral's FFT pair, through which
+    every complex transform goes, and to numpy.fft's transforms."""
     calls = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+    for module, name in ((spectral, "fft"), (spectral, "ifft"), (np.fft, "fft"),
+                         (np.fft, "ifft"), (np.fft, "rfft"), (np.fft, "irfft")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -389,10 +393,7 @@ def test_evolve_blow_up_guard(circle, monkeypatch):
     monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 0.5)
     phi = _gaussian(circle, a=1.0)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=circle)
-    calls = []
-    for name in ("fft", "ifft"):
-        transform = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, f=transform: calls.append(f) or f(*a))
+    calls = _count_fft_calls(monkeypatch)
     with pytest.raises(BlowUpError) as info:
         evolve(phi, cfg)
     assert str(info.value) == (
@@ -593,9 +594,9 @@ def test_picard_non_finite_difference_is_non_contraction(circle, monkeypatch):
     # dropped: one cubic term where all three iterations would take three
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return cubic_values(*args)
+        return cubic_values(*args, **kwargs)
 
     monkeypatch.setattr(evolution, "cubic_values", counted)
     phi = _gaussian(circle, a=0.2, sigma=0.6)
@@ -632,6 +633,26 @@ def test_picard_traced_peak_stays_within_six_histories(circle):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * history
+
+
+@pytest.mark.parametrize("t_final", [0.04, 0.035])  # four whole steps; three and a shorter one
+@pytest.mark.parametrize("nx", [2**16, 2**18])
+def test_evolve_peak_stays_within_eleven_fields(nx, t_final):
+    # three records of one run: the history, the coefficients and symbol, the
+    # half-phases and the step's kept buffers peak at 9.0 fields over the
+    # initial data; the last, shorter step's buffers are made after the
+    # others go
+    grid = make_grid(nx, nx / 8.0)
+    phi = _gaussian(grid, sigma=4.0)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=0.01, t_final=t_final, grid=grid, record_every=2)
+    tracemalloc.start()
+    try:
+        traj = evolve(phi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 3
+    assert peak <= 11.0 * 16 * nx
 
 
 def _picard_peak(t_final):

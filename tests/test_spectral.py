@@ -54,6 +54,34 @@ def test_grid_rejects_bad_nx(nx):
         make_grid(nx, 1.0)
 
 
+@pytest.mark.parametrize("shape", [(256,), (1, 256), (4, 512), (16, 1024)])
+def test_fft_pair_is_bit_equal_to_numpy_fft(shape):
+    # new arrays, a given buffer and the input itself all get numpy's bits
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for pair, numpy_fn in ((spectral.fft, np.fft.fft), (spectral.ifft, np.fft.ifft)):
+        want = numpy_fn(a)
+        assert np.array_equal(pair(a), want)
+        out = np.empty_like(a)
+        assert pair(a, out=out) is out and np.array_equal(out, want)
+        b = a.copy()
+        assert np.array_equal(pair(b, out=b), want)
+
+
+@pytest.mark.parametrize("fraction", [spectral.tail_fraction, spectral.spectral_tail_fraction])
+def test_tail_fractions_reduce_row_by_row(fraction):
+    # stacked rows give each row's own float, bits and all; a zero row gives 0
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((4, 256)) + 1j * rng.standard_normal((4, 256))
+    rows[2] = 0.0
+    got = fraction(rows)
+    assert got.shape == (4,)
+    for row, value in zip(rows, got):
+        alone = fraction(row)
+        assert isinstance(alone, float) and alone == value
+    assert got[2] == 0.0 and np.all(got[[0, 1, 3]] > 0.0)
+
+
 def test_grid_rejects_an_nx_whose_field_passes_the_limit(monkeypatch):
     # 2^26 complex values are exactly EVOLVE_HISTORY_LIMIT bytes; nx = 2^27
     # and 2^31 are rejected before x or k is allocated
