@@ -16,7 +16,6 @@ from .errors import ResolutionError, ValidationError, WrapAroundError
 from .spectral import (
     Field,
     Grid,
-    inverse_transform,
     make_grid,
     spectral_tail_fraction,
     tail_fraction,
@@ -152,64 +151,35 @@ def approximate_solution(
     v_traj: Trajectory,
     n_carrier: float,
     alpha: float,
-    target_grid: Grid,
-    frame_velocity: float = 0.0,
+    length: float,
 ) -> Trajectory:
-    """Modulated image V(t, x) = e^(iNx) e^(iN^alpha t) v(s, y) of an NLS
-    trajectory v under the wavepacket change of variables, on the carrier
-    grid of the v grid's nx modes around N on the target torus.
-
-    The v grid must tile the target torus exactly: beta * L_v = L_target.
-    The image is band-limited (exact for the stored band): each v mode m is
-    image mode m_N + m, with a time-dependent translation phase.  The
-    envelope's resolution and localization are measured for all records at
-    once; then, in time order, each record's are checked and, where the
-    envelope is localized, the image's wrap-around on the target grid's
-    samples, one record at a time.  |image| there does not depend on the
-    carrier shift, so the band is placed about mode 0 and need only have at
-    most nx modes.  With frame_velocity = -group_velocity the image is
-    evaluated in the frame where the packet rests.
+    """Modulated image V(t, x) = e^(iNx) e^(i(N^alpha - N c)t) v(t, x/beta)
+    of an NLS trajectory v under the wavepacket change of variables, in the
+    frame moving with the packet at c = group_velocity, where it rests, on
+    the carrier grid of v's nx modes around N on the torus of the given
+    length; v's grid must tile that torus: beta * L_v = length.  The image
+    is band-limited and exact for the stored band: v mode m is image mode
+    m_N + m, with beta times its coefficient.  |V(t, x)| = |v(t, x/beta)|,
+    so the image's wrap-around is its envelope's, which the envelope run's
+    check_tail covers.  The envelope's resolution is measured for all
+    records at once; the first under-resolved record, in time order, raises.
     """
     beta = envelope_scale(alpha, n_carrier)
-    vel = group_velocity(alpha, n_carrier)
     v_grid = v_traj.grid
-    if abs(beta * v_grid.length - target_grid.length) > 1e-9 * target_grid.length:
+    if abs(beta * v_grid.length - length) > 1e-9 * length:
         raise ValidationError(
-            "envelope grid does not tile the target torus: need "
-            f"beta*L_v = L_target (beta*L_v = {beta * v_grid.length:.6g}, "
-            f"L_target = {target_grid.length:.6g})"
+            f"envelope grid does not tile the torus: beta*L_v = {beta * v_grid.length:.6g}, "
+            f"length = {length:.6g}"
         )
-    band = make_grid(v_grid.nx, target_grid.length, carrier=n_carrier)
-    if v_grid.nx > target_grid.nx:
-        raise ResolutionError(
-            f"a {target_grid.nx}-point grid cannot sample the {v_grid.nx}-mode band"
-        )
-    idx = np.round(v_grid.k / v_grid.dk).astype(int) % target_grid.nx
-
-    drift = (vel + frame_velocity) / beta  # y-translation rate of the sampling
-    phase_rate = n_carrier**alpha + n_carrier * frame_velocity
-
-    t_col = v_traj.times[:, None]
-    out = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t_col)
-    out *= np.exp(1j * phase_rate * t_col)
-    # the envelope's checks of every record in one pass each, row by row
-    losses = spectral_tail_fraction(v_traj.values)
-    localized = tail_fraction(inverse_transform(v_traj.values, v_grid.dx)) <= TAIL_MASS_LIMIT
-    # kept rows: the image's band placed about mode 0, and its samples
-    row = np.zeros(target_grid.nx, dtype=np.complex128)
-    samples = np.empty_like(row)
-    for t, loss, local, uhat in zip(v_traj.times, losses, localized, out):
+    band = make_grid(v_grid.nx, length, carrier=n_carrier)
+    for t, loss in zip(v_traj.times, spectral_tail_fraction(v_traj.values)):
         if loss > INTERP_LOSS_LIMIT:
             raise ResolutionError(
                 f"envelope solution under-resolved at t={t:.6g}: outer-band "
                 f"mass fraction {loss:.3g}"
             )
-        if local:  # only a localized envelope makes a wrap-around claim to enforce
-            row[idx] = uhat
-            if tail_fraction(inverse_transform(row, target_grid.dx, out=samples)) > TAIL_MASS_LIMIT:
-                raise WrapAroundError(
-                    f"modulated packet too close to the boundary at t={t:.6g}"
-                )
+    phase_rate = n_carrier**alpha - n_carrier * group_velocity(alpha, n_carrier)
+    out = beta * v_traj.values * np.exp(1j * phase_rate * v_traj.times[:, None])
     return Trajectory(v_traj.times, band, out)
 
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, WrapAroundError
-from .spectral import LENGTH_LIMIT, Field, Grid, lattice_mode, make_grid, tail_fraction
+from .errors import ValidationError
+from .spectral import LENGTH_LIMIT, Field, Grid, lattice_mode, make_grid
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import energy, mass, sobolev_norm, xsb_norm
-from .evolution import EVOLVE_HISTORY_LIMIT, TAIL_MASS_LIMIT, SimConfig, Trajectory, _count
+from .evolution import EVOLVE_HISTORY_LIMIT, SimConfig, Trajectory, _count
 from .evolution import evolve, evolve_together
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
@@ -38,19 +38,17 @@ from .constructions import (
 REMAINDER_SAMPLES = 800
 
 # run_approximation_error's envelope width, torus length (before it moves
-# onto the lattice), grid sizes, time step and record interval
+# onto the lattice), envelope grid size, time step and record interval
 APPROX_SIGMA = 3.0
 APPROX_LENGTH = 48.0
-APPROX_NX = 2048
 APPROX_NX_ENVELOPE = 512
 APPROX_DT = 1e-3
 APPROX_RECORD_EVERY = 10
 
 # run_illposedness_demo's torus length (before it moves onto the carrier's
-# lattice), grid sizes, time-step ladder and record interval; the phase
-# limit is dt * max|symbol| of gate 8's runs at dt = 0.2
+# lattice), envelope grid size, time-step ladder and record interval; the
+# phase limit is dt * max|symbol| of gate 8's runs at dt = 0.2
 ILLPOSED_LENGTH = 360.0
-ILLPOSED_NX = 4096
 ILLPOSED_NX_ENVELOPE = 512
 ILLPOSED_DT_LADDER = (0.2, 0.1, 0.05, 0.025)
 ILLPOSED_PHASE_LIMIT = 6.4
@@ -349,13 +347,56 @@ def _lattice_length(target: float, n_base: float) -> float:
     return 2.0 * np.pi * m / n_base
 
 
-def _track(v_traj, w_traj, n_carrier, alpha, x_grid, frame_velocity=0.0) -> float:
-    """Sup over time of the H^((2-alpha)/4) distance of the carrier run w_traj
-    to the modulated image of the NLS run v_traj, both on the carrier's band;
-    the image's checks use x_grid.  Data beta * v(0) on the band is exactly
-    the image at t = 0, so the image's checks of v(0) cover the run's data."""
-    v_image = approximate_solution(v_traj, n_carrier, alpha, x_grid, frame_velocity)
-    return float(np.max(sobolev_norm(w_traj - v_image, (2.0 - alpha) / 4.0)))
+def _carrier_envelope(alpha: float, n_carrier: float, length: float, sigma: float, nx: int):
+    """beta = envelope_scale(alpha, N), N's envelope grid of nx points on the
+    torus length/beta, and the samples of e^(-y^2/2), y = (x - L_v/2)/sigma,
+    there.  A carrier whose N^alpha overflows is rejected."""
+    beta = envelope_scale(alpha, n_carrier)  # checks alpha first
+    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
+        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
+    y_grid = make_grid(nx, length / beta)
+    with np.errstate(over="ignore"):  # a tiny sigma: exp(-inf) = 0 off the centre
+        env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
+    return beta, y_grid, env
+
+
+def _modulated_runs(
+    alpha, length, carriers, sigma, nx_envelope, dt, t_final, record_every
+) -> list[tuple[Field, SimConfig]]:
+    """The (phi, cfg) runs of the modulated pairs, in the packets' rest frame.
+
+    Each amplitude a of each (N, amplitudes) in carriers gives two runs: the
+    alpha = 2 NLS run from a e^(-y^2/2) (see _carrier_envelope), and the
+    fractional run from beta times its coefficients, the envelope's image at
+    t = 0, on N's band of nx_envelope modes with frame_velocity =
+    -group_velocity.  Every run checks its wrap-around at each record, an
+    image's being its envelope's.  N's NLS runs come first, then its band runs.
+    """
+    runs = []
+    for n, amplitudes in carriers:
+        beta, y_grid, env = _carrier_envelope(alpha, n, length, sigma, nx_envelope)
+        band = make_grid(nx_envelope, length, carrier=n)
+        kw = dict(gamma=1.0, dt=dt, t_final=t_final, record_every=record_every, check_tail=True)
+        v_cfg = SimConfig(alpha=2.0, grid=y_grid, **kw)
+        u_cfg = SimConfig(alpha=alpha, grid=band, frame_velocity=-group_velocity(alpha, n), **kw)
+        phis = [Field.physical(y_grid, a * env) for a in amplitudes]
+        runs += [(phi, v_cfg) for phi in phis]
+        runs += [(Field(band, beta * phi.values), u_cfg) for phi in phis]
+    return runs
+
+
+def _evolve_pairs(runs, alpha: float) -> list[tuple[Trajectory, float]]:
+    """Evolve the runs of _modulated_runs as one batch; for each pair, in
+    order, the band run and the sup over time of its H^((2-alpha)/4) distance
+    to the image of its NLS run, whose checks of v(0) cover the band data."""
+    trajs = evolve_together(runs)
+    envelopes = [traj for traj in trajs if traj.grid.carrier == 0.0]
+    bands = [traj for traj in trajs if traj.grid.carrier != 0.0]
+    pairs = []
+    for v, w in zip(envelopes, bands):
+        image = approximate_solution(v, w.grid.carrier, alpha, w.grid.length)
+        pairs.append((w, float(np.max(sobolev_norm(w - image, (2.0 - alpha) / 4.0)))))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -371,10 +412,11 @@ def run_approximation_error(
     epsilon: float = 0.2,
     t_final: float = 0.5,
 ) -> ApproximationScan:
-    """Evolve the fractional equation from modulated NLS data and track
-    sup_t of the H^((2-alpha)/4) distance to the modulated NLS image.
-    The remaining parameters are the APPROX_* constants; config reports
-    them with the length moved onto the lattice."""
+    """Evolve the fractional equation from modulated NLS data of amplitude
+    epsilon and track sup_t of the H^((2-alpha)/4) distance to the modulated
+    NLS image, for each carrier, in the packet's rest frame (_modulated_runs).
+    The other parameters are the APPROX_* constants; config reports them
+    with the length moved onto the smallest carrier's lattice."""
     n_list = sorted(float(n) for n in n_list)
     if len(n_list) < 4:
         raise ValidationError(f"need at least four carriers, got {len(n_list)}")
@@ -383,35 +425,17 @@ def run_approximation_error(
     if not epsilon > 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon:g}")
     length = _lattice_length(APPROX_LENGTH, n_list[0])
-    x_grid = make_grid(APPROX_NX, length)
-
-    def runs(n):
-        beta = envelope_scale(alpha, n)
-        band_grid = make_grid(APPROX_NX_ENVELOPE, length, carrier=n)
-        y_grid = make_grid(APPROX_NX_ENVELOPE, length / beta)
-        env = epsilon * np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / APPROX_SIGMA) ** 2)
-        phi = Field.physical(y_grid, env.astype(np.complex128))
-        v_cfg = SimConfig(
-            alpha=2.0, gamma=1.0, dt=APPROX_DT, t_final=t_final,
-            grid=y_grid, record_every=APPROX_RECORD_EVERY,
-        )
-        u_cfg = SimConfig(
-            alpha=alpha, gamma=1.0, dt=APPROX_DT, t_final=t_final,
-            grid=band_grid, record_every=APPROX_RECORD_EVERY, check_tail=True,
-        )
-        return [(phi, v_cfg), (Field(band_grid, beta * phi.values), u_cfg)]
-
-    trajs = evolve_together([run for n in n_list for run in runs(n)])
-    errors = [
-        _track(v_traj, w_traj, n, alpha, x_grid)
-        for n, v_traj, w_traj in zip(n_list, trajs[::2], trajs[1::2])
-    ]
+    runs = _modulated_runs(
+        alpha, length, [(n, [epsilon]) for n in n_list], APPROX_SIGMA,
+        APPROX_NX_ENVELOPE, APPROX_DT, t_final, APPROX_RECORD_EVERY,
+    )
+    errors = [error for _, error in _evolve_pairs(runs, alpha)]
     return ApproximationScan(
         scan=fit_power_law("N", n_list, errors, drop_preasymptotic=False),
         errors=dict(zip(n_list, errors)),
         config={
             "alpha": alpha, "epsilon": epsilon, "t_final": t_final,
-            "sigma": APPROX_SIGMA, "length": length, "nx": APPROX_NX,
+            "sigma": APPROX_SIGMA, "length": length,
             "nx_envelope": APPROX_NX_ENVELOPE, "dt": APPROX_DT,
         },
     )
@@ -441,16 +465,15 @@ def run_illposedness_demo(
     equals epsilon, in (0, 1), and a_2 = a_1 (1 + delta/epsilon) so the data
     separation equals delta, in [0, epsilon/2].  t_internal is the evolution
     window before time rescaling; the reported physical window is
-    t_internal / lambda^alpha.  The torus and grid sizes are the ILLPOSED_*
-    constants: the fractional runs, the images and the rescaled pair live on
-    the carrier's band of nx_envelope modes, and the images' wrap-around is
-    checked on the nx-point grid.
+    t_internal / lambda^alpha.  The torus and the envelope grid size are the
+    ILLPOSED_* constants.  Its runs come from _modulated_runs, so the
+    fractional runs, the images and the rescaled pair are on the band.
 
     The step is the largest of ILLPOSED_DT_LADDER (0.025 * 2^j, up to 0.2)
     whose phase dt * max|symbol| over the evolutions stays within
     ILLPOSED_PHASE_LIMIT, else the smallest; states are recorded every
     ILLPOSED_RECORD_INTERVAL time units.  The report gives the resolved dt,
-    record_every, nx, nx_envelope and the length moved onto the carrier's
+    record_every, nx_envelope and the length moved onto the carrier's
     lattice.  At gate 8's parameters this picks the cap dt = 0.2, the
     largest 0.025 * 2^j whose error estimate
     (4/3) max_X |X(dt) - X(dt/2)| / |X(dt/2)| over the eight reported
@@ -467,8 +490,6 @@ def run_illposedness_demo(
     if not (0.0 <= delta <= 0.5 * epsilon):
         raise ValidationError("delta must satisfy 0 <= delta << epsilon")
     lam = lambda_for(s, alpha, n_carrier)  # checks alpha and the carrier first
-    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
-        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
     if not (lo < s < hi):
@@ -476,48 +497,29 @@ def run_illposedness_demo(
             f"s = {s} outside the separation range ({lo:.6g}, {hi:.6g})"
         )
     length = _lattice_length(ILLPOSED_LENGTH, n_carrier)
-    x_grid = make_grid(ILLPOSED_NX, length)
-    band_grid = make_grid(ILLPOSED_NX_ENVELOPE, length, carrier=n_carrier)
-    beta = envelope_scale(alpha, n_carrier)
-    vel = group_velocity(alpha, n_carrier)
-    y_grid = make_grid(ILLPOSED_NX_ENVELOPE, length / beta)
 
     # unit-amplitude probe through the (linear) data pipeline fixes the gain
-    with np.errstate(over="ignore"):  # a tiny sigma: exp(-inf) = 0 off the centre
-        env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
-    if tail_fraction(env) > TAIL_MASS_LIMIT:
-        raise WrapAroundError("envelope does not fit the grid")
+    _, y_grid, env = _carrier_envelope(alpha, n_carrier, length, sigma, ILLPOSED_NX_ENVELOPE)
     probe = Trajectory([0.0], y_grid, Field.physical(y_grid, env).values[None])
-    probe_image = approximate_solution(probe, n_carrier, alpha, x_grid)
+    probe_image = approximate_solution(probe, n_carrier, alpha, length)
     gain = sobolev_norm(rescale_solution(probe_image, lam, alpha), s)[0]
     a1 = epsilon / gain
-    phi1, phi2 = (Field.physical(y_grid, a * env) for a in (a1, a1 * (1.0 + delta / epsilon)))
+    amplitudes = (a1, a1 * (1.0 + delta / epsilon))
 
-    def configs(step, every):
-        v_cfg = SimConfig(
-            alpha=2.0, gamma=1.0, dt=step, t_final=t_internal,
-            grid=y_grid, record_every=every, check_tail=True,
+    def runs(step, every):
+        return _modulated_runs(
+            alpha, length, [(n_carrier, amplitudes)], sigma, ILLPOSED_NX_ENVELOPE,
+            step, t_internal, every,
         )
-        u_cfg = SimConfig(
-            alpha=alpha, gamma=1.0, dt=step, t_final=t_internal,
-            grid=band_grid, record_every=every, frame_velocity=-vel, check_tail=True,
-        )
-        return v_cfg, u_cfg
 
     smallest = ILLPOSED_DT_LADDER[-1]
-    peak = max(float(np.max(np.abs(c.symbol()))) for c in configs(smallest, 1))
+    peak = max(float(np.max(np.abs(cfg.symbol()))) for _, cfg in runs(smallest, 1))
     dt = next(
         (h for h in ILLPOSED_DT_LADDER if h * peak <= ILLPOSED_PHASE_LIMIT + 1e-12),
         smallest,
     )
     record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
-    v_cfg, u_cfg = configs(dt, record_every)
-    v1, v2, w1, w2 = evolve_together(
-        [(phi1, v_cfg), (phi2, v_cfg)]
-        + [(Field(band_grid, beta * phi.values), u_cfg) for phi in (phi1, phi2)]
-    )
-    track1 = _track(v1, w1, n_carrier, alpha, x_grid, -vel)
-    track2 = _track(v2, w2, n_carrier, alpha, x_grid, -vel)
+    (w1, track1), (w2, track2) = _evolve_pairs(runs(dt, record_every), alpha)
     u1, u2 = (rescale_solution(w, lam, alpha) for w in (w1, w2))
     sep = sobolev_norm(u1 - u2, s)
     norm1, norm2 = (sobolev_norm(u, s)[0] for u in (u1, u2))
@@ -534,7 +536,6 @@ def run_illposedness_demo(
         "t_physical": t_internal / lam**alpha,
         "dt": dt,
         "record_every": record_every,
-        "nx": ILLPOSED_NX,
         "nx_envelope": ILLPOSED_NX_ENVELOPE,
         "length": length,
         "data_norm_1": norm1,

@@ -145,12 +145,11 @@ def forward_transform(u: np.ndarray, dx) -> np.ndarray:
     return uhat
 
 
-def inverse_transform(uhat: np.ndarray, dx, out: np.ndarray | None = None) -> np.ndarray:
-    """Spectral coefficients -> physical samples along the last axis, into
-    out (a new array when None)."""
-    out = ifft(uhat, out)
-    out /= dx
-    return out
+def inverse_transform(uhat: np.ndarray, dx) -> np.ndarray:
+    """Spectral coefficients -> physical samples along the last axis."""
+    u = ifft(uhat)
+    u /= dx
+    return u
 
 
 def spectral_values(f) -> np.ndarray:

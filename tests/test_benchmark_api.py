@@ -68,11 +68,11 @@ def test_traced_record_facts_read_a_band_image(perfbench):
     from fnls.spectral import Field, make_grid
 
     length = 2.0 * np.pi * 61 / 8.0  # carrier 8 is mode 61
-    x_grid, y_grid = make_grid(256, length), make_grid(64, length)
+    y_grid = make_grid(64, length)
     env = Field.physical(y_grid, np.exp(-0.5 * ((y_grid.x - 0.5 * length) / 2.0) ** 2))
     traj = Trajectory([0.0, 0.1, 0.2], y_grid, np.tile(env.values, (3, 1)))
-    image = approximate_solution(traj, 8.0, 2.0, x_grid)
+    image = approximate_solution(traj, 8.0, 2.0, length)
     zoomed = rescale_solution(image, 2.0, 2.0)
     assert image.values.shape == zoomed.values.shape == (3, 64)
-    assert tracer._records_facts((traj, 8.0, 2.0, x_grid), {}, image) == {"records": 3}
+    assert tracer._records_facts((traj, 8.0, 2.0, length), {}, image) == {"records": 3}
     assert tracer._records_facts((image, 2.0, 2.0), {}, zoomed) == {"records": 3}

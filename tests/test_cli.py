@@ -237,7 +237,7 @@ BAD_NUMBERS = [
     (["scan-remainder", "--n", "1e200,1e201,1e202,1e203"], "finite data: N = 1e+200 gives 0"),
     (["approx-error", "--n=0,8,16,32"], "carrier frequency must be positive, got 0"),
     (["approx-error", "--n=-8,8,16,32"], "carrier frequency must be positive, got -8"),
-    (["approx-error", "--n", "1e300,8,16,32"], "dt*max|symbol| = inf exceeds"),
+    (["approx-error", "--n", "1e300,8,16,32"], "carrier frequency 1e+300 overflows N^alpha, alpha 1.5"),
     (["approx-error", "--n="], "need at least four carriers, got 0"),
     (["approx-error", "--n=8"], "need at least four carriers, got 1"),
     (["approx-error", "--n=8,8,8,8"], "power-law fit needs distinct N values: N = 8 repeats"),
@@ -318,11 +318,20 @@ def test_runtime_failure_exits_two(tmp_path):
     ids=lambda args: " ".join(args),
 )
 def test_carrier_band_past_the_nx_grid_runs(tmp_path, args):
-    # the nx grid only samples the images for their wrap-around test, so
-    # their bands need not fit on it about the carrier's mode: N = 32's
-    # band reaches mode 2089 of illposed's 4096 points, N = 128's mode 1232
-    # of approx-error's 2048 (each exited 2 while the band had to fit)
+    # the runs and images live on the carrier's band, with no whole-torus
+    # grid for the band to fit: N = 32's band reaches mode 2089 of the
+    # torus of illposed, N = 128's mode 1232 of approx-error's (each exited
+    # 2 while the band had to fit a 4096- or 2048-point grid)
     assert main([*args, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("args", [["--t-final", "5"], ["--alpha", "1.9", "--t-final", "5"]],
+                         ids=lambda args: " ".join(args))
+def test_approx_error_long_window_runs_in_the_rest_frame(tmp_path, args):
+    # in the lab frame the carrier-64 packet crossed its 47.9-long torus at
+    # speed 12 (80 at alpha 1.9), and its band run wrapped around at
+    # t = 1.58 (t = 0.16); in the packet's rest frame the window runs
+    assert main(["approx-error", *args, "--out", str(tmp_path / "ae.csv")]) == 0
 
 
 def test_approx_error_cli(tmp_path):
@@ -403,7 +412,7 @@ def test_illposed_cli_short(tmp_path):
     assert body["data_norm_1"] == pytest.approx(0.4, rel=1e-9)
     assert body["data_separation"] == pytest.approx(0.004, rel=1e-6)
     # the resolved pipeline parameters: dt = 0.2 records every 40 time units
-    assert (body["dt"], body["record_every"], body["nx"], body["nx_envelope"]) == (0.2, 200, 4096, 512)
+    assert (body["dt"], body["record_every"], body["nx_envelope"]) == (0.2, 200, 512)
     assert body["length"] == 2.0 * np.pi * 917 / 16.0  # 360 moved onto the N = 16 lattice
 
 

@@ -339,16 +339,15 @@ def test_modulated_pipelines_keep_their_runs_on_the_carrier_band():
     assert gate_7 < 6 * 2**20
 
 
-def _dense_image(v_traj, n, alpha, grid, frame_velocity) -> np.ndarray:
-    """The modulated image of v_traj on the whole of grid, mode m_N + m
-    for v mode m, built as one (records, grid.nx) array."""
-    beta = envelope_scale(alpha, n)
-    drift = (group_velocity(alpha, n) + frame_velocity) / beta
+def _dense_image(v_traj, n, alpha, grid) -> np.ndarray:
+    """The modulated image of v_traj in the packet's rest frame on the whole
+    of grid, mode m_N + m for v mode m, built as one (records, grid.nx)
+    array."""
     v_grid, t = v_traj.grid, v_traj.times[:, None]
     idx = (round(n / grid.dk) + np.round(v_grid.k / v_grid.dk).astype(int)) % grid.nx
     out = np.zeros((t.size, grid.nx), dtype=np.complex128)
-    out[:, idx] = beta * v_traj.values * np.exp(1j * v_grid.k * drift * t)
-    out *= np.exp(1j * (n**alpha + n * frame_velocity) * t)
+    out[:, idx] = envelope_scale(alpha, n) * v_traj.values
+    out *= np.exp(1j * (n**alpha - n * group_velocity(alpha, n)) * t)
     return out
 
 
@@ -367,17 +366,17 @@ def test_band_pipelines_match_whole_grid_arithmetic(monkeypatch):
     alpha, s_track = 1.5, 0.125
     scan = experiments.run_approximation_error(alpha, [8, 16, 32, 64])
     for n, v, w in zip(scan.errors, batches[0][::2], batches[0][1::2]):
-        grid = make_grid(experiments.APPROX_NX, w.grid.length)
-        diff = scatter(w, grid) - _dense_image(v, n, alpha, grid, 0.0)
+        grid = make_grid(2048, w.grid.length)
+        diff = scatter(w, grid) - _dense_image(v, n, alpha, grid)
         want = np.max(sobolev_norm(Trajectory(w.times, grid, diff), s_track))
         assert scan.errors[n] == pytest.approx(want, rel=1e-14, abs=0)
 
     rep = run_illposedness_demo(alpha, 0.0, 0.5, 0.005, 600.0, 16.0)
     n, lam, length = rep["n_carrier"], rep["lambda"], rep["length"]
-    grid = make_grid(experiments.ILLPOSED_NX, length)
+    grid = make_grid(4096, length)
     v1, v2, w1, w2 = batches[1]
     for v, w, key in ((v1, w1, "approx_error_sup_1"), (v2, w2, "approx_error_sup_2")):
-        diff = scatter(w, grid) - _dense_image(v, n, alpha, grid, -group_velocity(alpha, n))
+        diff = scatter(w, grid) - _dense_image(v, n, alpha, grid)
         want = np.max(sobolev_norm(Trajectory(w.times, grid, diff), s_track))
         assert rep[key] == pytest.approx(want, rel=1e-14, abs=0)
     # the zoom keeps every coefficient: mode m of the torus is mode lam m of
@@ -402,49 +401,58 @@ class _Batch(Exception):
 
 # gate 7, gate 8, and illposed's CLI defaults at four alphas
 BAND_DATA_PIPELINES = [
-    pytest.param(experiments.run_approximation_error, (1.5, [8, 16, 32, 64]),
-                 experiments.APPROX_NX, id="gate7"),
-    pytest.param(run_illposedness_demo, (1.5, 0.0, 0.5, 0.005, 600.0, 16.0),
-                 experiments.ILLPOSED_NX, id="gate8"),
+    pytest.param(experiments.run_approximation_error, (1.5, [8, 16, 32, 64]), id="gate7"),
+    pytest.param(run_illposedness_demo, (1.5, 0.0, 0.5, 0.005, 600.0, 16.0), id="gate8"),
 ] + [
     pytest.param(run_illposedness_demo, (alpha, 0.0, 0.5, 0.005, 1200.0, 16.0, 28.0),
-                 experiments.ILLPOSED_NX, id=f"illposed-alpha{alpha}")
+                 id=f"illposed-alpha{alpha}")
     for alpha in (1.2, 1.5, 1.7, 1.9)
 ]
 
 
-@pytest.mark.parametrize("pipeline, args, nx", BAND_DATA_PIPELINES)
-def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, args, nx):
-    # the fractional run's data on the carrier's band is beta times the
-    # envelope's coefficients: it is the modulated image of the envelope at
-    # t = 0, on the same carrier grid, bit for bit
+def _batch(monkeypatch, pipeline, args) -> list:
+    """The (phi, cfg) runs pipeline(*args) passes to evolve_together."""
     def stop(runs):
         raise _Batch(runs)
 
     monkeypatch.setattr(experiments, "evolve_together", stop)
     with pytest.raises(_Batch) as batch:
         pipeline(*args)
-    runs = batch.value.args[0]
+    return batch.value.args[0]
+
+
+@pytest.mark.parametrize("pipeline, args", BAND_DATA_PIPELINES)
+def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, args):
+    # the fractional run's data on the carrier's band is beta times the
+    # envelope's coefficients: it is the modulated image of the envelope at
+    # t = 0, on the same carrier grid, bit for bit
+    runs = _batch(monkeypatch, pipeline, args)
     envelopes = [phi for phi, cfg in runs if cfg.grid.carrier == 0.0]
     bands = [(w, cfg) for w, cfg in runs if cfg.grid.carrier != 0.0]
     assert len(envelopes) == len(bands) >= 2
     for phi, (w, cfg) in zip(envelopes, bands):
-        full = make_grid(nx, w.grid.length)
         lifted = approximate_solution(
-            Trajectory([0.0], phi.grid, phi.values[None]), w.grid.carrier, cfg.alpha, full,
-            cfg.frame_velocity,
+            Trajectory([0.0], phi.grid, phi.values[None]), w.grid.carrier, cfg.alpha,
+            w.grid.length,
         )
         assert lifted.grid == w.grid
         assert np.array_equal(lifted.values[0], w.values)
 
 
-def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):
-    def stop(runs):
-        raise _Batch(runs)
+def test_modulated_batches_run_in_the_rest_frame_and_check_every_tail(monkeypatch):
+    # gates 7 and 8: every run checks its wrap-around at each record (the
+    # image's is its envelope's), and every band run moves with its packet
+    for gate in BAND_DATA_PIPELINES[:2]:
+        runs = _batch(monkeypatch, *gate.values)
+        assert all(cfg.check_tail for _, cfg in runs)
+        bands = [cfg for _, cfg in runs if cfg.grid.carrier != 0.0]
+        assert len(bands) == len(runs) // 2
+        for cfg in bands:
+            assert cfg.frame_velocity == -group_velocity(cfg.alpha, cfg.grid.carrier)
 
-    monkeypatch.setattr(experiments, "evolve_together", stop)
-    with pytest.raises(_Batch) as batch:
-        run_illposedness_demo(1.5, 0.0, 0.3, 0.0, 600.0, 16.0)
-    (p1, _), (p2, _), (w1, _), (w2, _) = batch.value.args[0]
+
+def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):
+    runs = _batch(monkeypatch, run_illposedness_demo, (1.5, 0.0, 0.3, 0.0, 600.0, 16.0))
+    (p1, _), (p2, _), (w1, _), (w2, _) = runs
     assert np.array_equal(p1.values, p2.values)
     assert np.array_equal(w1.values, w2.values)

@@ -107,7 +107,6 @@ GATE_8_REPORT = {
     "t_physical": 212.13203435596424,
     "dt": 0.2,
     "record_every": 200,
-    "nx": 4096,
     "nx_envelope": 512,
     "length": 360.10505791773005,
     "data_norm_1": 0.5,
