@@ -147,6 +147,35 @@ def trilinear_convolution(
     return SpaceTimeField(tau0, dtau, n_tau, xi, moved, counts * (dtau * dxi) ** 2)
 
 
+def image_phase_rate(n_carrier: float, alpha: float) -> float:
+    """Rest-frame phase rate N^alpha - N c, c = group_velocity, of N's
+    modulated image (see approximate_solution)."""
+    return n_carrier**alpha - n_carrier * group_velocity(alpha, n_carrier)
+
+
+def image_values(values: np.ndarray, t, beta, phase_rate) -> np.ndarray:
+    """The image's coefficients beta e^(i phase_rate t) times the envelope's
+    values, for any shapes that broadcast: a column of times against
+    records, or columns of beta and image_phase_rate against stacked rows."""
+    return beta * values * np.exp(1j * phase_rate * t)
+
+
+def check_resolved(values: np.ndarray, times, where=None) -> None:
+    """ResolutionError for the first row of envelope coefficients values
+    (row i at times[i]; times may be one t for all rows) whose outer-band
+    mass fraction passes INTERP_LOSS_LIMIT; where(i), when given, names its
+    run.  All rows are measured at once."""
+    loss = np.atleast_1d(spectral_tail_fraction(values))
+    over = np.flatnonzero(loss > INTERP_LOSS_LIMIT)
+    if over.size:
+        i = int(over[0])
+        t = np.broadcast_to(times, loss.shape)[i]
+        raise ResolutionError(
+            f"{where(i) + ': ' if where else ''}envelope solution under-resolved at t={t:.6g}: "
+            f"outer-band mass fraction {loss[i]:.3g}"
+        )
+
+
 def approximate_solution(
     v_traj: Trajectory,
     n_carrier: float,
@@ -159,10 +188,11 @@ def approximate_solution(
     the carrier grid of v's nx modes around N on the torus of the given
     length; v's grid must tile that torus: beta * L_v = length.  The image
     is band-limited and exact for the stored band: v mode m is image mode
-    m_N + m, with beta times its coefficient.  |V(t, x)| = |v(t, x/beta)|,
-    so the image's wrap-around is its envelope's, which the envelope run's
-    check_tail covers.  The envelope's resolution is measured for all
-    records at once; the first under-resolved record, in time order, raises.
+    m_N + m, with beta times its coefficient (image_values).  |V(t, x)| =
+    |v(t, x/beta)|, so the image's wrap-around is its envelope's, which the
+    envelope run's check_tail covers.  The envelope's resolution is measured
+    for all records at once; the first under-resolved record, in time
+    order, raises (check_resolved).
     """
     beta = envelope_scale(alpha, n_carrier)
     v_grid = v_traj.grid
@@ -172,14 +202,9 @@ def approximate_solution(
             f"length = {length:.6g}"
         )
     band = make_grid(v_grid.nx, length, carrier=n_carrier)
-    for t, loss in zip(v_traj.times, spectral_tail_fraction(v_traj.values)):
-        if loss > INTERP_LOSS_LIMIT:
-            raise ResolutionError(
-                f"envelope solution under-resolved at t={t:.6g}: outer-band "
-                f"mass fraction {loss:.3g}"
-            )
-    phase_rate = n_carrier**alpha - n_carrier * group_velocity(alpha, n_carrier)
-    out = beta * v_traj.values * np.exp(1j * phase_rate * v_traj.times[:, None])
+    check_resolved(v_traj.values, v_traj.times)
+    phase_rate = image_phase_rate(n_carrier, alpha)
+    out = image_values(v_traj.values, v_traj.times[:, None], beta, phase_rate)
     return Trajectory(v_traj.times, band, out)
 
 

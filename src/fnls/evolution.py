@@ -14,7 +14,7 @@ alias back onto it, which is negligible only for resolved data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -209,25 +209,10 @@ def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     return evolve_together([(phi, cfg)])[0]
 
 
-def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]:
-    """Integrate several (phi, cfg) problems in one loop, one trajectory each.
-
-    The coefficients are stacked into a (runs, nx) array, so every step
-    costs one call per numpy operation whatever the number of runs.  The
-    runs must share nx, dt, t_final, record_every and gamma; alpha, the
-    grid length and carrier, frame_velocity and check_tail may differ.  Each
-    trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
-    that fails raises what evolve would raise for it, naming the run by its
-    row, alpha and carrier.
-    Each trajectory's values are a row of one (runs, records, nx) history;
-    a history over EVOLVE_HISTORY_LIMIT bytes, or steps x runs x nx over
-    EVOLVE_WORK_LIMIT, is rejected before allocation.
-    Blow-up is decided once, before the first step: the step conserves each
-    row's sum |uhat|^2, so |u| <= sqrt(nx sum |uhat|^2) / L for all time,
-    and a row whose data are not finite, whose bound passes half of
-    BLOWUP_THRESHOLD or whose cubic angle could overflow raises BlowUpError.
-    """
-    runs = list(runs)
+def _plan(runs: list) -> tuple[list[SimConfig], int, float, bool]:
+    """The runs' configs, whole steps, last shrunken step and whether the
+    end gets a record of its own, once the runs are checked to share their
+    step settings (see evolve_together)."""
     if not runs:
         raise ValidationError("evolve_together needs at least one run")
     cfgs = [cfg for _, cfg in runs]
@@ -241,14 +226,24 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     # a record after every record_every-th step (step 0 is t = 0), and one
     # at the end when the last step is not among them
     final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
-    n_records = n_whole // cfg.record_every + 1 + final_record
-    history_bytes = 16.0 * len(runs) * n_records * cfg.grid.nx  # complex128 entries
-    if history_bytes > EVOLVE_HISTORY_LIMIT:
-        raise ValidationError(
-            f"{len(runs)} run(s) x {_count(n_records)} records x {cfg.grid.nx} values need "
-            f"{_count(history_bytes / 2**20)} MiB, over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB "
-            "limit; raise record_every, shorten t_final or lower nx"
-        )
+    return cfgs, n_whole, remainder, final_record
+
+
+def evolve_records(
+    runs: Sequence[tuple[Field, SimConfig]],
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The stepping loop of evolve_together, yielding (t, coefficients) at
+    each record: every run's spectral coefficients at time t, a read-only
+    view of the (runs, nx) buffer stepped in place, so a consumer copies
+    what it keeps.  It holds no record, whatever their number.
+
+    Before the first step, the work limit and the blow-up check raise as
+    evolve_together's do; each record's tail checks raise WrapAroundError
+    before it is yielded.  Errors name the run by its row, alpha and carrier.
+    """
+    runs = list(runs)
+    cfgs, n_whole, remainder, final_record = _plan(runs)
+    cfg = cfgs[0]
     n_steps = n_whole + (remainder != 0.0)
     if n_steps * len(runs) * cfg.grid.nx > EVOLVE_WORK_LIMIT:
         raise ValidationError(
@@ -265,33 +260,70 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     symbol = np.stack([c.symbol() for c in cfgs])
     dx = np.array([[c.grid.dx] for c in cfgs])
     tail = [row for row, c in enumerate(cfgs) if c.check_tail]
-    history = np.empty((len(runs), n_records, cfg.grid.nx), dtype=np.complex128)
-    times: list[float] = []
+    view = uhat.view()
+    view.setflags(write=False)
 
-    def record(t: float) -> None:
-        history[:, len(times)] = uhat
-        times.append(t)
-        if not tail:
-            return
-        fracs = tail_fraction(inverse_transform(uhat[tail], dx[tail]))
-        over = np.flatnonzero(fracs > TAIL_MASS_LIMIT)
-        if over.size:
-            raise WrapAroundError(
-                f"{where(tail[over[0]])}: tail mass fraction {fracs[over[0]]:.3g} in the outer "
-                f"10% of the domain at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
-            )
+    def record(t: float) -> tuple[float, np.ndarray]:
+        if tail:
+            fracs = tail_fraction(inverse_transform(uhat[tail], dx[tail]))
+            over = np.flatnonzero(fracs > TAIL_MASS_LIMIT)
+            if over.size:
+                raise WrapAroundError(
+                    f"{where(tail[over[0]])}: tail mass fraction {fracs[over[0]]:.3g} in the "
+                    f"outer 10% of the domain at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
+                )
+        return t, view
 
     step = _split_step(symbol, cfg.gamma, cfg.dt, dx)
-    record(0.0)
+    yield record(0.0)
     for n in range(1, n_whole + 1):
         step(uhat)
         if n % cfg.record_every == 0:
-            record(n * cfg.dt)
+            yield record(n * cfg.dt)
     if remainder != 0.0:
         step = None  # its buffers go before the last step makes its own
         _split_step(symbol, cfg.gamma, remainder, dx)(uhat)
     if final_record:
-        record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
+        yield record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
+
+
+def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]:
+    """Integrate several (phi, cfg) problems in one loop, one trajectory each.
+
+    The coefficients are stacked into a (runs, nx) array, so every step
+    costs one call per numpy operation whatever the number of runs.  The
+    runs must share nx, dt, t_final, record_every and gamma; alpha, the
+    grid length and carrier, frame_velocity and check_tail may differ.  Each
+    trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
+    that fails raises what evolve would raise for it, naming the run by its
+    row, alpha and carrier.
+    Each trajectory's values are a row of one (runs, records, nx) history,
+    filled from evolve_records; a history over EVOLVE_HISTORY_LIMIT bytes,
+    or steps x runs x nx over EVOLVE_WORK_LIMIT, is rejected before
+    allocation.
+    Blow-up is decided once, before the first step: the step conserves each
+    row's sum |uhat|^2, so |u| <= sqrt(nx sum |uhat|^2) / L for all time,
+    and a row whose data are not finite, whose bound passes half of
+    BLOWUP_THRESHOLD or whose cubic angle could overflow raises BlowUpError.
+    """
+    runs = list(runs)
+    cfgs, n_whole, _, final_record = _plan(runs)
+    n_records = n_whole // cfgs[0].record_every + 1 + final_record
+    nx = cfgs[0].grid.nx
+    history_bytes = 16.0 * len(runs) * n_records * nx  # complex128 entries
+    if history_bytes > EVOLVE_HISTORY_LIMIT:
+        raise ValidationError(
+            f"{len(runs)} run(s) x {_count(n_records)} records x {nx} values need "
+            f"{_count(history_bytes / 2**20)} MiB, over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB "
+            "limit; raise record_every, shorten t_final or lower nx"
+        )
+    history = None
+    times: list[float] = []
+    for t, coeffs in evolve_records(runs):
+        if history is None:  # after the stream's checks, as its first record comes
+            history = np.empty((len(runs), n_records, nx), dtype=np.complex128)
+        history[:, len(times)] = coeffs
+        times.append(t)
     return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
 
 

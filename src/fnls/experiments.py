@@ -4,7 +4,8 @@ Each pipeline measures one scaling claim at desk scale and returns plain
 data (ScanResult / dict reports) that the CLI serializes.  Everything runs
 on the calling thread: scans take their points in order, and the evolution
 pipelines (approximation error, separation demo) step all their runs as one
-stacked batch (evolve_together).  Every pipeline is deterministic.
+stacked batch and reduce each record as it is stepped (evolve_records), so
+they keep no history.  Every pipeline is deterministic.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 from .errors import ValidationError
 from .spectral import LENGTH_LIMIT, Field, Grid, lattice_mode, make_grid
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
-from .norms import energy, mass, sobolev_norm, xsb_norm
+from .norms import _sobolev_weight, _weighted_norm, energy, mass, sobolev_norm, xsb_norm
 from .evolution import EVOLVE_HISTORY_LIMIT, SimConfig, Trajectory, _count
-from .evolution import evolve, evolve_together
+from .evolution import evolve, evolve_records
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
 from .evolution import picard_iterate  # noqa: F401
@@ -28,6 +29,9 @@ from .constructions import (
     WavepacketSpec,
     approximate_solution,
     box_data,
+    check_resolved,
+    image_phase_rate,
+    image_values,
     lambda_for,
     modulated_wavepacket,
     rescale_solution,
@@ -87,6 +91,14 @@ class ScanResult:
         return np.array([v for _, v in self.points])
 
 
+def _check_distinct(parameter_name: str, params: np.ndarray) -> None:
+    """ValidationError naming the first repeated value of sorted params."""
+    repeated = params[1:][params[1:] == params[:-1]]
+    if repeated.size:
+        raise ValidationError(f"power-law fit needs distinct {parameter_name} values: "
+                              f"{parameter_name} = {repeated[0]:g} repeats")
+
+
 def fit_power_law(
     parameter_name: str, params, values, drop_preasymptotic: bool = True
 ) -> ScanResult:
@@ -107,10 +119,7 @@ def fit_power_law(
     pf, vf = params[n_dropped:], values[n_dropped:]
     if pf.size < 4:
         raise ValidationError(f"need >= 4 points to fit, got {pf.size}")
-    repeated = pf[1:][pf[1:] == pf[:-1]]
-    if repeated.size:
-        raise ValidationError(f"power-law fit needs distinct {parameter_name} values: "
-                              f"{parameter_name} = {repeated[0]:g} repeats")
+    _check_distinct(parameter_name, pf)
     for p, v in zip(pf, vf):
         if not (p > 0 and 0 < v < np.inf):
             raise ValidationError(f"power-law fit needs positive finite data: "
@@ -385,18 +394,34 @@ def _modulated_runs(
     return runs
 
 
-def _evolve_pairs(runs, alpha: float) -> list[tuple[Trajectory, float]]:
-    """Evolve the runs of _modulated_runs as one batch; for each pair, in
-    order, the band run and the sup over time of its H^((2-alpha)/4) distance
-    to the image of its NLS run, whose checks of v(0) cover the band data."""
-    trajs = evolve_together(runs)
-    envelopes = [traj for traj in trajs if traj.grid.carrier == 0.0]
-    bands = [traj for traj in trajs if traj.grid.carrier != 0.0]
-    pairs = []
-    for v, w in zip(envelopes, bands):
-        image = approximate_solution(v, w.grid.carrier, alpha, w.grid.length)
-        pairs.append((w, float(np.max(sobolev_norm(w - image, (2.0 - alpha) / 4.0)))))
-    return pairs
+def _evolve_pairs(runs, alpha: float):
+    """Step the runs of _modulated_runs as one batch (evolve_records),
+    yielding (t, coefficients, sups) at each record: the batch's record and,
+    for each pair in order, the sup so far of the H^((2-alpha)/4) distance
+    between its band run and the image of its NLS run (image_values), as
+    sobolev_norm takes it, in an array updated in place; a NaN distance stays, as np.max keeps it.  Each
+    NLS run's resolution is checked first (check_resolved), naming the run;
+    its checks of v(0) cover the band data.  No record is kept."""
+    grids = [cfg.grid for _, cfg in runs]
+    v_rows = [row for row, grid in enumerate(grids) if grid.carrier == 0.0]
+    w_rows = [row for row, grid in enumerate(grids) if grid.carrier != 0.0]
+    bands = [grids[row] for row in w_rows]
+    beta = np.array([[envelope_scale(alpha, band.carrier)] for band in bands])
+    phase_rate = np.array([[image_phase_rate(band.carrier, alpha)] for band in bands])
+    weight = np.stack([_sobolev_weight(band, (2.0 - alpha) / 4.0) for band in bands])
+    length = np.array([band.length for band in bands])
+    sups = np.full(len(bands), -np.inf)
+
+    def where(pair: int) -> str:
+        return (f"run {v_rows[pair]} of {len(runs)}, envelope of alpha {alpha:g}, "
+                f"carrier {bands[pair].carrier:g}")
+
+    for t, coeffs in evolve_records(runs):
+        v = coeffs[v_rows]
+        check_resolved(v, t, where)
+        diff = coeffs[w_rows] - image_values(v, t, beta, phase_rate)
+        np.maximum(sups, _weighted_norm(diff, weight, length), out=sups)
+        yield t, coeffs, sups
 
 
 @dataclass(frozen=True)
@@ -414,9 +439,11 @@ def run_approximation_error(
 ) -> ApproximationScan:
     """Evolve the fractional equation from modulated NLS data of amplitude
     epsilon and track sup_t of the H^((2-alpha)/4) distance to the modulated
-    NLS image, for each carrier, in the packet's rest frame (_modulated_runs).
-    The other parameters are the APPROX_* constants; config reports them
-    with the length moved onto the smallest carrier's lattice."""
+    NLS image, for each carrier, in the packet's rest frame (_modulated_runs),
+    record by record (_evolve_pairs).  Repeated carriers are rejected before
+    any run is built.  The other parameters are the APPROX_* constants;
+    config reports them with the length moved onto the smallest carrier's
+    lattice."""
     n_list = sorted(float(n) for n in n_list)
     if len(n_list) < 4:
         raise ValidationError(f"need at least four carriers, got {len(n_list)}")
@@ -424,12 +451,15 @@ def run_approximation_error(
         raise ValidationError(f"carrier frequency must be positive, got {n_list[0]:g}")
     if not epsilon > 0.0:
         raise ValidationError(f"epsilon must be positive, got {epsilon:g}")
+    _check_distinct("N", np.array(n_list))
     length = _lattice_length(APPROX_LENGTH, n_list[0])
     runs = _modulated_runs(
         alpha, length, [(n, [epsilon]) for n in n_list], APPROX_SIGMA,
         APPROX_NX_ENVELOPE, APPROX_DT, t_final, APPROX_RECORD_EVERY,
     )
-    errors = [error for _, error in _evolve_pairs(runs, alpha)]
+    for _, _, sups in _evolve_pairs(runs, alpha):
+        pass  # each record updates the running sups in place
+    errors = sups.tolist()
     return ApproximationScan(
         scan=fit_power_law("N", n_list, errors, drop_preasymptotic=False),
         errors=dict(zip(n_list, errors)),
@@ -467,7 +497,9 @@ def run_illposedness_demo(
     window before time rescaling; the reported physical window is
     t_internal / lambda^alpha.  The torus and the envelope grid size are the
     ILLPOSED_* constants.  Its runs come from _modulated_runs, so the
-    fractional runs, the images and the rescaled pair are on the band.
+    fractional runs, the images and the rescaled pair are on the band, and
+    each record is reduced as it is stepped (_evolve_pairs): the data norms
+    and separation at t = 0, and the largest separation and its first time.
 
     The step is the largest of ILLPOSED_DT_LADDER (0.025 * 2^j, up to 0.2)
     whose phase dt * max|symbol| over the evolutions stays within
@@ -519,11 +551,18 @@ def run_illposedness_demo(
         smallest,
     )
     record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
-    (w1, track1), (w2, track2) = _evolve_pairs(runs(dt, record_every), alpha)
-    u1, u2 = (rescale_solution(w, lam, alpha) for w in (w1, w2))
-    sep = sobolev_norm(u1 - u2, s)
-    norm1, norm2 = (sobolev_norm(u, s)[0] for u in (u1, u2))
-    i_max = int(np.argmax(sep))
+    batch = runs(dt, record_every)
+    band = batch[2][1].grid  # rows v1, v2, w1, w2
+    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(batch, alpha)):
+        u1, u2 = (rescale_solution(Trajectory([t], band, coeffs[row][None]), lam, alpha)
+                  for row in (2, 3))
+        sep = sobolev_norm(u1 - u2, s)[0]
+        if i == 0:
+            norm1, norm2 = (sobolev_norm(u, s)[0] for u in (u1, u2))
+            sep0 = sep
+        # np.argmax's pick: the first largest separation, or the first NaN
+        if i == 0 or (not np.isnan(sep_max) and not sep <= sep_max):
+            sep_max, t_max = sep, u1.times[0]
     return {
         "alpha": alpha,
         "s": s,
@@ -540,10 +579,10 @@ def run_illposedness_demo(
         "length": length,
         "data_norm_1": norm1,
         "data_norm_2": norm2,
-        "data_separation": float(sep[0]),
-        "solution_separation_max": float(sep[i_max]),
-        "t_of_max": float(u1.times[i_max]),
-        "amplification": float(sep[i_max] / sep[0]) if sep[0] > 0 else np.inf,
-        "approx_error_sup_1": track1,
-        "approx_error_sup_2": track2,
+        "data_separation": float(sep0),
+        "solution_separation_max": float(sep_max),
+        "t_of_max": float(t_max),
+        "amplification": float(sep_max / sep0) if sep0 > 0 else np.inf,
+        "approx_error_sup_1": float(sups[0]),
+        "approx_error_sup_2": float(sups[1]),
     }

@@ -39,11 +39,24 @@ def energy(f, alpha: float, gamma: float):
 
 def sobolev_norm(f, s: float):
     """H^s norm; s = 0 reduces to the square root of the mass."""
+    grid = f.grid
+    return _per_record(_weighted_norm(spectral_values(f), _sobolev_weight(grid, s), grid.length))
+
+
+def _sobolev_weight(grid, s: float) -> np.ndarray:
+    """(1 + k^2)^s at the grid's frequencies: H^s's weight on |uhat|^2."""
+    return (1.0 + grid.k**2) ** s
+
+
+def _weighted_norm(uhat: np.ndarray, weight: np.ndarray, length) -> np.ndarray:
+    """sqrt(sum weight |uhat|^2 / length) along the last axis, each row's
+    bit-equal to its own; rows of several grids take their stacked weights
+    and an array of lengths."""
     # squared in place: a trajectory's norm holds one real temporary
-    weighted = np.abs(spectral_values(f))
+    weighted = np.abs(uhat)
     weighted *= weighted
-    weighted *= (1.0 + f.grid.k**2) ** s
-    return _per_record(np.sqrt(np.sum(weighted, axis=-1) / f.grid.length))
+    weighted *= weight
+    return np.sqrt(np.sum(weighted, axis=-1) / length)
 
 
 @dataclass(frozen=True)

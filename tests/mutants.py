@@ -176,8 +176,8 @@ MUTANTS = [
     Mutant(
         "rest-frame phase sign flipped",
         "src/fnls/constructions.py",
-        "    phase_rate = n_carrier**alpha - n_carrier * group_velocity(alpha, n_carrier)\n",
-        "    phase_rate = n_carrier**alpha + n_carrier * group_velocity(alpha, n_carrier)\n",
+        "    return n_carrier**alpha - n_carrier * group_velocity(alpha, n_carrier)\n",
+        "    return n_carrier**alpha + n_carrier * group_velocity(alpha, n_carrier)\n",
         (
             "tests/test_constructions.py::test_change_of_variables_alpha_two",
             "tests/test_constructions.py::test_approximate_solution_constant_envelope_is_plane_wave",
@@ -213,6 +213,24 @@ MUTANTS = [
             "tests/test_experiments.py::"
             "test_modulated_batches_run_in_the_rest_frame_and_check_every_tail",
             "tests/test_gate_numbers.py::test_gate_7_errors_are_pinned",
+        ),
+    ),
+    # the modulated pipelines' reductions, record by record
+    Mutant(
+        "the sup over the last record only",
+        "src/fnls/experiments.py",
+        "        np.maximum(sups, _weighted_norm(diff, weight, length), out=sups)\n",
+        "        sups[:] = _weighted_norm(diff, weight, length)\n",
+        ("tests/test_experiments.py::test_pair_sups_take_every_record_in_any_order",),
+    ),
+    Mutant(
+        "gate 8's data norms read from the last record",
+        "src/fnls/experiments.py",
+        "        if i == 0:\n            norm1, norm2 = ",
+        "        if True:\n            norm1, norm2 = ",
+        (
+            "tests/test_experiments.py::test_record_reductions_equal_whole_trajectory_arithmetic",
+            "tests/test_gate_numbers.py::test_gate_8_report_is_pinned",
         ),
     ),
 ]

@@ -241,6 +241,7 @@ BAD_NUMBERS = [
     (["approx-error", "--n="], "need at least four carriers, got 0"),
     (["approx-error", "--n=8"], "need at least four carriers, got 1"),
     (["approx-error", "--n=8,8,8,8"], "power-law fit needs distinct N values: N = 8 repeats"),
+    (["approx-error", "--n", "8,8,16,32"], "power-law fit needs distinct N values: N = 8 repeats"),
     (["scan-remainder", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-trilinear", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-wavepacket", "--m=16,16,16,16"], "needs distinct M values: M = 16 repeats"),
@@ -249,8 +250,9 @@ BAD_NUMBERS = [
 
 @pytest.mark.parametrize("args, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
 def test_non_finite_or_zero_width_input_is_one_error_line(capsys, args, message):
-    # each is rejected before any work but the repeated carriers, which the
-    # fit rejects after their runs; each used to end in a traceback, a
+    # each is rejected before any work but the scans' repeated points, which
+    # the fit rejects after their points (approx-error rejects repeated
+    # carriers before building any run); each used to end in a traceback, a
     # numpy message, a runtime failure or a run on nonsense input
     assert main(args) == 1
     err = capsys.readouterr().err

@@ -598,7 +598,7 @@ def test_nls_pair_validation(monkeypatch):
     # the pair's data norm epsilon and separation delta are checked where the
     # pair is built, in run_illposedness_demo, before anything is lifted
     monkeypatch.setattr(experiments, "approximate_solution", None)
-    monkeypatch.setattr(experiments, "evolve_together", None)
+    monkeypatch.setattr(experiments, "evolve_records", None)
     for epsilon, delta, message in [
         (1.5, 0.001, "epsilon must lie in"),
         (0.3, 0.2, "delta must satisfy"),

@@ -10,7 +10,9 @@ import fnls.spectral as spectral
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
-from fnls.evolution import SimConfig, Trajectory, evolve, evolve_together, picard_iterate
+from fnls.evolution import (
+    SimConfig, Trajectory, evolve, evolve_records, evolve_together, picard_iterate,
+)
 from fnls.experiments import initial_field
 
 
@@ -743,6 +745,38 @@ def test_evolve_together_rows_equal_evolve(t_final):
         for got, want in zip(traj.states, alone.states):
             assert got.grid is cfg.grid
             assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
+def test_evolve_records_stream_the_history_rows_read_only(t_final):
+    # evolve_together's history is the record stream copied out: each record
+    # is a read-only view of the one (runs, nx) state the loop steps in place
+    runs = _stack_runs(t_final, record_every=3)
+    together = evolve_together(runs)
+    records = list(evolve_records(runs))
+    assert [t for t, _ in records] == together[0].times.tolist()
+    assert len({id(coeffs.base) for _, coeffs in records}) == 1
+    assert not records[0][1].flags.writeable
+    for index, (t, coeffs) in enumerate(evolve_records(runs)):
+        assert np.array_equal(coeffs, [traj.values[index] for traj in together])
+
+
+def test_evolve_records_checks_before_the_first_record(monkeypatch):
+    # the work limit and the blow-up check raise at the first request, before
+    # any step; evolve_together's history limit comes before both
+    runs = _stack_runs(0.02, record_every=1)
+    monkeypatch.setattr(evolution, "_split_step", None)
+    monkeypatch.setattr(evolution, "EVOLVE_WORK_LIMIT", 20 * len(runs) * 64 - 1)
+    with pytest.raises(ValidationError, match="20 steps x 5 run\\(s\\) x 64 values pass"):
+        next(evolve_records(runs))
+    monkeypatch.setattr(evolution, "EVOLVE_HISTORY_LIMIT", 16 * len(runs) * 21 * 64 - 1)
+    with pytest.raises(ValidationError, match="5 run\\(s\\) x 21 records x 64 values need"):
+        evolve_together(runs)
+    monkeypatch.setattr(evolution, "EVOLVE_WORK_LIMIT", 20 * len(runs) * 64)
+    phi, cfg = runs[1]
+    runs[1] = (Field(cfg.grid, 1e12 * phi.values), cfg)
+    with pytest.raises(BlowUpError, match="^run 1 of 5, alpha 2, carrier 0: "):
+        next(evolve_records(runs))
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import fnls.experiments as experiments
-from fnls.constructions import approximate_solution
+from fnls.constructions import approximate_solution, rescale_solution
 from fnls.norms import sobolev_norm
 from fnls.symbols import envelope_scale, group_velocity
 
-from fnls.errors import ValidationError
+from fnls.errors import ResolutionError, ValidationError
 from fnls.spectral import Field, make_grid, physical_values
-from fnls.evolution import SimConfig, Trajectory
+from fnls.evolution import SimConfig, Trajectory, evolve_records, evolve_together
 from fnls.experiments import (
     fit_power_law,
     initial_field,
@@ -262,8 +262,6 @@ def _proportional_pair(grid, eps, delta, sigma):
 def test_nls_pair_separation_grows_tenfold():
     # the proportional pair decoheres under the alpha = 2 flow: relative
     # separation grows well past 10x the initial gap within the window
-    from fnls.evolution import evolve_together
-
     grid = make_grid(512, 1200.0)
     eps, delta, sigma = 0.64, 0.0064, 16.0
     p1, p2 = _proportional_pair(grid, eps, delta, sigma)
@@ -280,7 +278,7 @@ def test_illposedness_demo_range_check(monkeypatch):
     # lifted or evolved (sigma = 0 used to step on a nan envelope)
     monkeypatch.setattr(experiments, "make_grid", None)
     monkeypatch.setattr(experiments, "approximate_solution", None)
-    monkeypatch.setattr(experiments, "evolve_together", None)
+    monkeypatch.setattr(experiments, "evolve_records", None)
     for s, epsilon, delta, sigma, message in [
         (0.2, 0.5, 0.005, 16.0, "outside the separation range"),
         (-0.3, 0.5, 0.005, 16.0, "outside the separation range"),
@@ -329,14 +327,25 @@ def _peak_bytes(call) -> int:
 
 
 def test_modulated_pipelines_keep_their_runs_on_the_carrier_band():
-    # images, runs, differences and the zoomed pair are (records, 512)
-    # arrays; whole-grid ones of 2048 columns (gate 7) and 8192 (gate 8)
-    # peaked at 8.9 and 5.8 MiB (tracemalloc, numpy 2.4).  Gate 7's evolve
-    # history, 8 runs x 51 records x 512 values (3.3 MiB), is its floor
-    gate_8 = _peak_bytes(lambda: run_illposedness_demo(1.5, 0.0, 0.5, 0.005, 600.0, 16.0))
-    assert gate_8 < 2 * 2**20
-    gate_7 = _peak_bytes(lambda: experiments.run_approximation_error(1.5, [8, 16, 32, 64]))
-    assert gate_7 < 6 * 2**20
+    # images, runs, differences and the zoomed pair are 512-mode rows, and
+    # each record is reduced as it is stepped, so the peak does not grow
+    # with the window.  Whole-grid ones of 2048 columns (gate 7) and 8192
+    # (gate 8) peaked at 8.9 and 5.8 MiB; with a (runs, records, 512)
+    # history, gate 7 peaked at 2.52 and 8.97 MiB at t_final 0.25 and 1,
+    # and gate 8 at 0.67 and 1.11 MiB at t_internal 300 and 600; without
+    # one, 0.76 and 0.42 MiB at every window (tracemalloc, numpy 2.4)
+    def gate_7(t_final):
+        return _peak_bytes(
+            lambda: experiments.run_approximation_error(1.5, [8, 16, 32, 64], t_final=t_final)
+        )
+
+    def gate_8(t_internal):
+        return _peak_bytes(lambda: run_illposedness_demo(1.5, 0.0, 0.5, 0.005, t_internal, 16.0))
+
+    short, long = gate_7(0.25), gate_7(1.0)
+    assert long < 2**20 and long <= 1.05 * short
+    short, long = gate_8(300.0), gate_8(600.0)
+    assert long < 2**20 and long <= 1.05 * short
 
 
 def _dense_image(v_traj, n, alpha, grid) -> np.ndarray:
@@ -351,18 +360,24 @@ def _dense_image(v_traj, n, alpha, grid) -> np.ndarray:
     return out
 
 
+def _keep_trajectories(monkeypatch) -> list:
+    """Each batch's trajectories (evolve_together) as the pipelines step it,
+    appended to the list returned."""
+    batches = []
+
+    def keep(runs):
+        batches.append(evolve_together(runs))
+        return evolve_records(runs)
+
+    monkeypatch.setattr(experiments, "evolve_records", keep)
+    return batches
+
+
 def test_band_pipelines_match_whole_grid_arithmetic(monkeypatch):
     # gate 7's tracked errors and gate 8's report, rebuilt from the same runs
     # with every image, run and difference on the whole grid: 2048 and 4096
     # points, and 8192 after gate 8's zoom
-    batches = []
-    evolve_together = experiments.evolve_together
-
-    def keep(runs):
-        batches.append(evolve_together(runs))
-        return batches[-1]
-
-    monkeypatch.setattr(experiments, "evolve_together", keep)
+    batches = _keep_trajectories(monkeypatch)
     alpha, s_track = 1.5, 0.125
     scan = experiments.run_approximation_error(alpha, [8, 16, 32, 64])
     for n, v, w in zip(scan.errors, batches[0][::2], batches[0][1::2]):
@@ -395,8 +410,116 @@ def test_band_pipelines_match_whole_grid_arithmetic(monkeypatch):
     assert rep["t_of_max"] == w1.times[np.argmax(sep)] * lam ** (-alpha)
 
 
+def test_record_reductions_equal_whole_trajectory_arithmetic(monkeypatch):
+    # what each pipeline reduces record by record is, bit for bit, what the
+    # whole trajectories give: images (approximate_solution), their
+    # distances' sup, and gate 8's zoomed separation, data norms and first
+    # argmax, here at s = 0.1, where the data norm is not conserved
+    batches = _keep_trajectories(monkeypatch)
+    alpha, s_track = 1.5, 0.125
+    scan = experiments.run_approximation_error(alpha, [8, 16, 32, 64], t_final=0.1)
+    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 8.0)
+    s = 0.1
+    rep = run_illposedness_demo(alpha, s, 0.5, 0.005, 120.0, 16.0)
+
+    def sup(v, w):
+        image = approximate_solution(v, w.grid.carrier, alpha, w.grid.length)
+        return float(np.max(sobolev_norm(w - image, s_track)))
+
+    trajs = batches[0]
+    assert scan.errors == {n: sup(v, w) for n, v, w in zip(scan.errors, trajs[::2], trajs[1::2])}
+    v1, v2, w1, w2 = batches[1]
+    u1, u2 = (rescale_solution(w, rep["lambda"], alpha) for w in (w1, w2))
+    sep = sobolev_norm(u1 - u2, s)
+    assert sep.size == 16
+    i_max = int(np.argmax(sep))
+    want = {
+        "data_norm_1": sobolev_norm(u1, s)[0],
+        "data_norm_2": sobolev_norm(u2, s)[0],
+        "data_separation": float(sep[0]),
+        "solution_separation_max": float(sep[i_max]),
+        "t_of_max": float(u1.times[i_max]),
+        "amplification": float(sep[i_max] / sep[0]),
+        "approx_error_sup_1": sup(v1, w1),
+        "approx_error_sup_2": sup(v2, w2),
+    }
+    assert {key: rep[key] for key in want} == want
+    assert sobolev_norm(u1, s)[-1] != want["data_norm_1"]
+
+
+def _fed_records(monkeypatch, change) -> None:
+    """The pipelines step their batches as usual, but read the records that
+    change(list of (t, coefficients) copies) returns."""
+    def fed(runs):
+        return change([(t, coeffs.copy()) for t, coeffs in evolve_records(runs)])
+
+    monkeypatch.setattr(experiments, "evolve_records", fed)
+
+
+def test_pair_sups_take_every_record_in_any_order(monkeypatch):
+    # a sup is over every record: fed in reverse, the records give the same
+    # errors, though the last record read is t = 0, where each distance is 0
+    args = (1.5, [8, 16, 32, 64], 0.2, 0.1)
+    forward = experiments.run_approximation_error(*args)
+    _fed_records(monkeypatch, lambda records: records[::-1])
+    assert experiments.run_approximation_error(*args).errors == forward.errors
+
+
+def test_pair_reductions_pick_as_max_and_argmax_do(monkeypatch):
+    # gate 8's separation grows to its last record; fed that record again
+    # at a later time, the tie goes to the first, as np.argmax's does.  A
+    # NaN distance or separation at record 3 is the sup, and its record is
+    # the argmax, as np.max and np.argmax would have it
+    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 8.0)
+    args = (1.5, 0.0, 0.5, 0.005, 80.0, 16.0)
+    clean = run_illposedness_demo(*args)
+    assert clean["t_of_max"] == 80.0 * clean["lambda"] ** -1.5
+
+    def tie_last(records):
+        return records + [(records[-1][0] + 8.0, records[-1][1])]
+
+    _fed_records(monkeypatch, tie_last)
+    rep = run_illposedness_demo(*args)
+    assert (rep["t_of_max"], rep["solution_separation_max"]) == (
+        clean["t_of_max"], clean["solution_separation_max"])
+
+    def nan_at_three(records):
+        records[3][1][2, 7] = np.nan  # band run w1's coefficients
+        return records
+
+    _fed_records(monkeypatch, nan_at_three)
+    rep = run_illposedness_demo(*args)
+    assert np.isnan(rep["approx_error_sup_1"]) and np.isnan(rep["solution_separation_max"])
+    assert rep["approx_error_sup_2"] == clean["approx_error_sup_2"]
+    assert rep["t_of_max"] == 3 * 8.0 * rep["lambda"] ** -1.5
+
+
+def test_pair_resolution_error_names_the_run_at_the_earliest_record(monkeypatch):
+    # band-edge mass in carrier 32's envelope (row 4) at record 3 and in
+    # carrier 8's (row 0) at record 5: the earlier record raises, whatever
+    # the pairs' order, and the error names the envelope's run
+    def rough(records):
+        for index, row in ((3, 4), (5, 0)):
+            records[index][1][row, 256] += 1.0
+        return records
+
+    _fed_records(monkeypatch, rough)
+    with pytest.raises(ResolutionError, match=(
+        r"^run 4 of 8, envelope of alpha 1\.5, carrier 32: envelope solution under-resolved "
+        r"at t=0\.03: outer-band mass fraction"
+    )):
+        experiments.run_approximation_error(1.5, [8, 16, 32, 64], t_final=0.1)
+
+
+def test_repeated_carriers_are_rejected_before_any_run(monkeypatch):
+    monkeypatch.setattr(experiments, "_modulated_runs", None)
+    monkeypatch.setattr(experiments, "evolve_records", None)
+    with pytest.raises(ValidationError, match="power-law fit needs distinct N values: N = 8 repeats"):
+        experiments.run_approximation_error(1.5, [16, 8, 32, 8])
+
+
 class _Batch(Exception):
-    """Stops a pipeline at its evolve_together call, carrying the runs."""
+    """Stops a pipeline at its evolve_records call, carrying the runs."""
 
 
 # gate 7, gate 8, and illposed's CLI defaults at four alphas
@@ -411,11 +534,11 @@ BAND_DATA_PIPELINES = [
 
 
 def _batch(monkeypatch, pipeline, args) -> list:
-    """The (phi, cfg) runs pipeline(*args) passes to evolve_together."""
+    """The (phi, cfg) runs pipeline(*args) passes to evolve_records."""
     def stop(runs):
         raise _Batch(runs)
 
-    monkeypatch.setattr(experiments, "evolve_together", stop)
+    monkeypatch.setattr(experiments, "evolve_records", stop)
     with pytest.raises(_Batch) as batch:
         pipeline(*args)
     return batch.value.args[0]
