@@ -19,8 +19,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
+from .spectral import PASS_OVERHEAD, STEP_FIELDS, _count, admit
 from .spectral import (
-    EVOLVE_HISTORY_LIMIT,
     Field,
     Grid,
     cubic_values,
@@ -41,21 +41,9 @@ TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
 BLOWUP_THRESHOLD = 1e8  # a row whose conserved bound on |u| passes half of this is rejected
 
-# a Picard run's work per iteration grows as (n_t + 1) x nx and the rows it
-# carries from block to block as iterations x nx; each may be at most this
-PICARD_LATTICE_LIMIT = 2**22
-
 # time rows per block of the Picard sweep; every iteration's cubic term over a
 # block is one cubic_values call, whose density temporaries grow with the block
 PICARD_BLOCK_ROWS = 16
-
-# steps x runs x nx of one evolve_together call: 15-45 min on a 2-core host
-EVOLVE_WORK_LIMIT = 2**34
-
-
-def _count(x) -> str:
-    """x in full below a million, else to three significant digits."""
-    return f"{x:.0f}" if x < 1e6 else f"{x:.3g}" if x < 1e300 else "over 1e300"
 
 
 @dataclass(frozen=True)
@@ -209,10 +197,10 @@ def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     return evolve_together([(phi, cfg)])[0]
 
 
-def _plan(runs: list) -> tuple[list[SimConfig], int, float, bool]:
-    """The runs' configs, whole steps, last shrunken step and whether the
-    end gets a record of its own, once the runs are checked to share their
-    step settings (see evolve_together)."""
+def _plan(runs: list, keep_records: bool) -> tuple[list[SimConfig], int, float, int]:
+    """The runs' configs, whole steps, last shrunken step and number of
+    records, once the runs are checked to share their step settings and the
+    call is admitted (see evolve_together)."""
     if not runs:
         raise ValidationError("evolve_together needs at least one run")
     cfgs = [cfg for _, cfg in runs]
@@ -223,10 +211,16 @@ def _plan(runs: list) -> tuple[list[SimConfig], int, float, bool]:
             raise ValidationError("initial data grid does not match config grid")
     cfg = cfgs[0]
     n_whole, remainder = _step_plan(cfg)
+    n_steps = n_whole + (remainder != 0.0)
     # a record after every record_every-th step (step 0 is t = 0), and one
     # at the end when the last step is not among them
     final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
-    return cfgs, n_whole, remainder, final_record
+    n_records = n_whole // cfg.record_every + 1 + final_record
+    rows, nx, kept = len(runs), cfg.grid.nx, (n_records if keep_records else 0)
+    admit(f"{_count(n_steps)} steps of {rows} x {nx} values, {_count(kept)} records kept",
+          "raise dt or record_every, or lower t_final or nx",
+          16 * rows * (STEP_FIELDS * nx + kept * (nx + 1)), n_steps * (rows * nx + PASS_OVERHEAD))
+    return cfgs, n_whole, remainder, n_records
 
 
 def evolve_records(
@@ -237,19 +231,19 @@ def evolve_records(
     view of the (runs, nx) buffer stepped in place, so a consumer copies
     what it keeps.  It holds no record, whatever their number.
 
-    Before the first step, the work limit and the blow-up check raise as
-    evolve_together's do; each record's tail checks raise WrapAroundError
-    before it is yielded.  Errors name the run by its row, alpha and carrier.
+    The call is admitted as evolve_together's is, with no records kept.
+    Before the first step the blow-up check raises as evolve_together's
+    does; each record's tail checks raise WrapAroundError before it is
+    yielded.  Errors name the run by its row, alpha and carrier.
     """
     runs = list(runs)
-    cfgs, n_whole, remainder, final_record = _plan(runs)
+    return _stream(runs, _plan(runs, keep_records=False))
+
+
+def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
+    """evolve_records' loop over the admitted runs and their _plan."""
+    cfgs, n_whole, remainder, n_records = plan
     cfg = cfgs[0]
-    n_steps = n_whole + (remainder != 0.0)
-    if n_steps * len(runs) * cfg.grid.nx > EVOLVE_WORK_LIMIT:
-        raise ValidationError(
-            f"{_count(n_steps)} steps x {len(runs)} run(s) x {cfg.grid.nx} values pass the "
-            f"limit of {_count(EVOLVE_WORK_LIMIT)}; raise dt, shorten t_final or lower nx"
-        )
     uhat = np.stack([spectral_values(phi) for phi, _ in runs])
 
     def where(row: int) -> str:
@@ -283,7 +277,7 @@ def evolve_records(
     if remainder != 0.0:
         step = None  # its buffers go before the last step makes its own
         _split_step(symbol, cfg.gamma, remainder, dx)(uhat)
-    if final_record:
+    if n_records > n_whole // cfg.record_every + 1:  # the end's own record
         yield record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
 
 
@@ -298,32 +292,23 @@ def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]
     that fails raises what evolve would raise for it, naming the run by its
     row, alpha and carrier.
     Each trajectory's values are a row of one (runs, records, nx) history,
-    filled from evolve_records; a history over EVOLVE_HISTORY_LIMIT bytes,
-    or steps x runs x nx over EVOLVE_WORK_LIMIT, is rejected before
-    allocation.
+    filled from evolve_records.  The call is admitted (fnls.spectral.admit)
+    before allocation: each run pins STEP_FIELDS fields, a record holds each
+    run's coefficients and a time, and a step costs runs x nx + PASS_OVERHEAD.
     Blow-up is decided once, before the first step: the step conserves each
     row's sum |uhat|^2, so |u| <= sqrt(nx sum |uhat|^2) / L for all time,
     and a row whose data are not finite, whose bound passes half of
     BLOWUP_THRESHOLD or whose cubic angle could overflow raises BlowUpError.
     """
     runs = list(runs)
-    cfgs, n_whole, _, final_record = _plan(runs)
-    n_records = n_whole // cfgs[0].record_every + 1 + final_record
-    nx = cfgs[0].grid.nx
-    history_bytes = 16.0 * len(runs) * n_records * nx  # complex128 entries
-    if history_bytes > EVOLVE_HISTORY_LIMIT:
-        raise ValidationError(
-            f"{len(runs)} run(s) x {_count(n_records)} records x {nx} values need "
-            f"{_count(history_bytes / 2**20)} MiB, over the {EVOLVE_HISTORY_LIMIT // 2**20} MiB "
-            "limit; raise record_every, shorten t_final or lower nx"
-        )
-    history = None
-    times: list[float] = []
-    for t, coeffs in evolve_records(runs):
+    cfgs, _, _, n_records = plan = _plan(runs, keep_records=True)
+    history = times = None
+    for index, (t, coeffs) in enumerate(_stream(runs, plan)):
         if history is None:  # after the stream's checks, as its first record comes
-            history = np.empty((len(runs), n_records, nx), dtype=np.complex128)
-        history[:, len(times)] = coeffs
-        times.append(t)
+            history = np.empty((len(runs), n_records, cfgs[0].grid.nx), dtype=np.complex128)
+            times = np.empty(n_records)
+        history[:, index] = coeffs
+        times[index] = t
     return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
 
 
@@ -372,8 +357,9 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     should be small for the map to contract.  Successive differences are
     measured in H^((2-alpha)/4), maximized over the time lattice; growth over
     three consecutive iterations, or a non-finite difference, raises
-    NonContractionError.  Inputs with (n_t + 1) x nx or iterations x nx over
-    PICARD_LATTICE_LIMIT are rejected before any work.
+    NonContractionError.  The call is admitted (fnls.spectral.admit) before
+    any work: 11 block buffers, 2 rows and 4 values an iteration carries and
+    the times; blocks x iterations x (a block's values + PASS_OVERHEAD) units.
 
     Iterate k + 1 reads iterate k only at its own and earlier time rows, the
     earlier ones through the running trapezoid sum and the last cubic term.
@@ -396,13 +382,12 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     n_whole, remainder = _step_plan(cfg)
     if remainder != 0.0:
         raise ValidationError("picard_iterate needs t_final to be a multiple of dt")
-    grid = cfg.grid
-    if max(n_whole + 1, iterations) * grid.nx > PICARD_LATTICE_LIMIT:
-        raise ValidationError(
-            f"a Picard run of max({_count(n_whole + 1)} time rows, {_count(iterations)} "
-            f"iterations) x {grid.nx} values passes the {PICARD_LATTICE_LIMIT}-value limit; "
-            "shorten t_final, raise dt, lower nx or lower iterations"
-        )
+    grid, n_rows = cfg.grid, n_whole + 1
+    n_blocks = -(-n_rows // PICARD_BLOCK_ROWS)
+    admit(f"{_count(n_rows)} Picard rows x {_count(iterations)} iterations x {grid.nx} values",
+          "raise dt or lower t_final, nx or iterations",
+          16 * (11 * PICARD_BLOCK_ROWS * grid.nx + iterations * (2 * grid.nx + 4)) + 8 * n_rows,
+          n_blocks * iterations * (PICARD_BLOCK_ROWS * grid.nx + PASS_OVERHEAD))
     omega = cfg.symbol()
     times = cfg.dt * np.arange(n_whole + 1)
     half_dt = 0.5 * cfg.dt

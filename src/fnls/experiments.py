@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import LENGTH_LIMIT, Field, Grid, lattice_mode, make_grid
+from .spectral import LENGTH_LIMIT, Field, Grid, _count, admit, lattice_mode, make_grid
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
 from .norms import _sobolev_weight, _weighted_norm, energy, mass, sobolev_norm, xsb_norm
-from .evolution import EVOLVE_HISTORY_LIMIT, SimConfig, Trajectory, _count
-from .evolution import evolve, evolve_records
+from .evolution import SimConfig, Trajectory, evolve, evolve_records
 # picard_iterate is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
 from .evolution import picard_iterate  # noqa: F401
@@ -213,18 +212,15 @@ class TrilinearScan:
 
 def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
     """Resonant-box norms: numerator |u1*conj(u2)*u3| in the (s, b-1) norm
-    against the product of the three (s, b) factor norms."""
+    against the product of the three (s, b) factor norms.  Each N's larger
+    box lattice is admitted at the dense box's 9 bytes a cell before any box."""
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValidationError("need at least four box sizes")
-    cell_limit = EVOLVE_HISTORY_LIMIT // 9  # the dense box's 9 bytes a cell: the same N pass
     for n in n_list:
         cells = max(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True)) * BOX_XI_SAMPLES
-        if cells > cell_limit:
-            raise ValidationError(
-                f"N = {n:g} needs a box lattice of {_count(cells)} (tau, xi) cells, "
-                f"over the {_count(cell_limit)}-cell limit"
-            )
+        admit(f"N = {n:g}'s box lattice of {_count(cells)} (tau, xi) cells", "lower N",
+              9 * cells, cells)
 
     def one(n):
         plus = box_data(BoxSpec(n=n, alpha=alpha))
@@ -295,8 +291,8 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
     frequency is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below
     e^(-288) of its peak at m = 16, tau_scale = 1.  At m = 0 it holds the
     envelope's band alone (512 points at tau_scale = 1).  A tau_scale whose
-    torus passes LENGTH_LIMIT, or a grid whose complex field would pass
-    EVOLVE_HISTORY_LIMIT bytes, is rejected before anything is allocated."""
+    torus passes LENGTH_LIMIT is rejected, and the grid is admitted at 16
+    bytes a point, before anything is allocated."""
     if not tau_scale > 0.0:
         raise ValidationError(f"tau_scale must be positive, got {tau_scale}")
     if not 64.0 * tau_scale <= LENGTH_LIMIT:
@@ -306,12 +302,8 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
         )
     length = 64.0 * max(tau_scale, 1.0)
     need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
-    if not 16.0 * need <= EVOLVE_HISTORY_LIMIT:
-        raise ValidationError(
-            f"tau_scale = {tau_scale:g} and m = {m:g} need a grid of over "
-            f"{EVOLVE_HISTORY_LIMIT // 16} points, whose complex field passes the "
-            f"{EVOLVE_HISTORY_LIMIT // 2**20} MiB limit; raise tau_scale or lower m"
-        )
+    admit(f"the packet grid at tau_scale = {tau_scale:g} and m = {m:g}",
+          "raise tau_scale or lower m", 16.0 * need, need)
     nx = 1 << int(np.ceil(np.log2(max(need, 64.0))))
     return make_grid(nx, length)
 

@@ -35,9 +35,17 @@ from .errors import ValidationError
 # dealiased_density's zero-padding factor
 PAD_FACTOR = 2
 
-# evolve_together keeps every recorded state of every run; together they
-# may take at most this many bytes, and one grid's complex field no more
-EVOLVE_HISTORY_LIMIT = 2**30
+# every call's predicted peak bytes and work must fit these (see admit); a
+# work unit is one value through one pass (a Strang step or a Picard block
+# iteration), 18-56 ns on a 2-core host, so a budget's work takes 5-16 min
+MEMORY_BUDGET = 2**30
+WORK_BUDGET = 2**34
+# a pass's cost besides its values, in work units: a Strang step takes
+# 9-14 us at 1 x 16 values and about 0.02-0.03 us more a value beyond
+PASS_OVERHEAD = 2**9
+# complex fields a stepping row pins besides its records: coefficients,
+# symbol, half-phases and step buffers, and the tail check's (8.1 measured)
+STEP_FIELDS = 9
 
 # a grid's spectral coefficients are dx times the DFT, about length * |u|;
 # below this length no norm's sum of their squares overflows, for any nx a
@@ -71,19 +79,34 @@ class Grid:
         return 2.0 * np.pi / self.length
 
 
+def _count(x) -> str:
+    """x in full below a million, else to three significant digits."""
+    return f"{x:.0f}" if x < 1e6 else f"{x:.3g}" if x < 1e300 else "over 1e300"
+
+
+def admit(what: str, remedy: str, nbytes, work) -> None:
+    """The one resource check: ValidationError naming what and the remedy
+    unless a call's predicted peak nbytes and work fit MEMORY_BUDGET and
+    WORK_BUDGET (NaN fits neither), stated before the call allocates."""
+    if nbytes <= MEMORY_BUDGET and work <= WORK_BUDGET:
+        return
+    raise ValidationError(
+        f"{what}: {_count(nbytes // 2**20)} MiB and {_count(work)} work units exceed the "
+        f"{MEMORY_BUDGET >> 20} MiB / {_count(WORK_BUDGET)}-unit budget; {remedy}"
+    )
+
+
 def make_grid(nx: int, length: float, carrier: float = 0.0) -> Grid:
-    """Build the torus grid; nx must be a power of two >= 8 whose complex
-    field fits in EVOLVE_HISTORY_LIMIT bytes (checked first), length in
-    (0, LENGTH_LIMIT], and the carrier on the frequency lattice: the
+    """Build the torus grid; nx must be a power of two >= 8 on which one
+    stepping row of STEP_FIELDS fields is admitted (checked first), length
+    in (0, LENGTH_LIMIT], and the carrier on the frequency lattice: the
     frequencies are k + carrier."""
     if not isinstance(nx, (int, np.integer)):
         raise ValidationError(f"nx must be an integer, got {nx!r}")
     nx = int(nx)
     if nx < 8 or (nx & (nx - 1)) != 0:
         raise ValidationError(f"nx must be a power of two >= 8, got {nx}")
-    if 16 * nx > EVOLVE_HISTORY_LIMIT:
-        limit = f"{EVOLVE_HISTORY_LIMIT >> 20} MiB limit"
-        raise ValidationError(f"nx = {nx} needs a complex field over the {limit}; lower nx")
+    admit(f"a grid of nx = {nx}", "lower nx", 16 * STEP_FIELDS * nx, nx + PASS_OVERHEAD)
     length = float(length)
     if not 0.0 < length <= LENGTH_LIMIT:
         raise ValidationError(f"length must lie in (0, {LENGTH_LIMIT:g}], got {length:g}")

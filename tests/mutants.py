@@ -140,14 +140,37 @@ MUTANTS = [
             "tests/test_norms.py::test_xsb_weighs_nonzero_cells_as_the_dense_formula",
         ),
     ),
+    # admission: each call's predicted bytes and work
     Mutant(
-        "scan cell limit at 8 bytes a cell",
-        "src/fnls/experiments.py",
-        "    cell_limit = EVOLVE_HISTORY_LIMIT // 9",
-        "    cell_limit = EVOLVE_HISTORY_LIMIT // 8",
+        "the per-pass overhead dropped",
+        "src/fnls/spectral.py",
+        "PASS_OVERHEAD = 2**9\n",
+        "PASS_OVERHEAD = 0\n",
         (
-            "tests/test_cli.py::test_scan_trilinear_over_memory_limit_is_validation_error",
-            "tests/test_experiments.py::test_scan_trilinear_rejects_a_lattice_over_the_memory_limit",
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "evolve --nx 16 --dt 1e-6 --t-final 1000 --record-every 1000000000]",
+            "tests/test_evolution.py::test_evolve_records_checks_before_the_first_record",
+        ),
+    ),
+    Mutant(
+        "Picard's work a max of blocks and iterations",
+        "src/fnls/evolution.py",
+        "        n_blocks * iterations * (",
+        "        max(n_blocks, iterations) * (",
+        (
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "picard --nx 16 --t-final 262 --dt 1e-3 --iterations 262000]",
+            "tests/test_evolution.py::test_picard_is_admitted_at_exactly_the_budget",
+        ),
+    ),
+    Mutant(
+        "the history dropped from evolve_together's bytes",
+        "src/fnls/evolution.py",
+        "16 * rows * (STEP_FIELDS * nx + kept * (nx + 1)),",
+        "16 * rows * STEP_FIELDS * nx,",
+        (
+            "tests/test_cli.py::test_evolve_history_over_memory_limit_is_validation_error",
+            "tests/test_evolution.py::test_evolve_history_limit_counts_every_record[0.02]",
         ),
     ),
     # symbols, scalings and fits

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fnls
+import fnls.evolution as evolution
 from fnls.cli import _float_list, build_parser, main
 
 
@@ -216,17 +217,27 @@ BAD_NUMBERS = [
     (["illposed", "--sigma", "0"], "sigma must be positive"),
     (["evolve", "--t-final", "inf"], "--t-final must be finite"),
     (["evolve", "--t-final", "nan"], "--t-final must be finite"),
-    (["evolve", "--dt", "1e-300"], "over the 1024 MiB limit"),
+    (["evolve", "--dt", "1e-300"], "1e+299 records kept: 3.92e+296 MiB"),
     (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
-    (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps x 1 run(s)"),
-    (["scan-wavepacket", "--tau", "1e-300"], "tau_scale = 1e-300 and m = 0 need a grid"),
+    (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps of 1 x 256 values"),
+    (["scan-wavepacket", "--tau", "1e-300"], "packet grid at tau_scale = 1e-300 and m = 0: "),
     (["scan-wavepacket", "--tau", "1e300"], "tau_scale must be at most LENGTH_LIMIT / 64"),
     (["illposed", "--alpha", "-1"], "alpha must lie in (1, 2], got -1"),
     (["illposed", "--n-carrier", "-1"], "carrier frequency must be >= 1, got -1"),
     (["illposed", "--n-carrier", "0"], "carrier frequency must be >= 1, got 0"),
     (["scan-remainder", "--n", "1e300,1e301,1e302,1e303"], "1e+300 overflows N^alpha"),
-    (["evolve", "--nx", "2147483648"], "nx = 2147483648 needs a complex field over"),
-    (["picard", "--nx", "1073741824"], "nx = 1073741824 needs a complex field over"),
+    (["evolve", "--nx", "2147483648"], "a grid of nx = 2147483648: 294912 MiB"),
+    (["picard", "--nx", "1073741824"], "a grid of nx = 1073741824: 147456 MiB"),
+    # one stepping row on 2^24 points, 2304 MiB: rejected before initial_field
+    # allocates a field
+    (["evolve", "--nx", "16777216", "--length", "1e6", "--t-final", "0.002", "--dt", "0.001"],
+     "a grid of nx = 16777216: 2304 MiB"),
+    # 1e9 steps of 16 values and 16,376 Picard blocks x 262,000 iterations:
+    # hours of work, each pass paying PASS_OVERHEAD units
+    (["evolve", "--nx", "16", "--dt", "1e-6", "--t-final", "1000", "--record-every", "1000000000"],
+     "1e+09 steps of 1 x 16 values, 2 records kept: 0 MiB and 5.28e+11 work units exceed"),
+    (["picard", "--nx", "16", "--t-final", "262", "--dt", "1e-3", "--iterations", "262000"],
+     "262001 Picard rows x 262000 iterations x 16 values: 145 MiB and 3.3e+12 work units"),
     (["illposed", "--n-carrier", "0.5"], "carrier frequency must be >= 1, got 0.5"),
     (["illposed", "--n-carrier", "1e-300"], "carrier frequency must be >= 1, got 1e-300"),
     (["illposed", "--n-carrier", "1e300"], "carrier frequency 1e+300 overflows N^alpha, alpha 1.5"),
@@ -248,12 +259,24 @@ BAD_NUMBERS = [
 ]
 
 
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Integrators that fail at once, so an input admitted by mistake fails
+    fast instead of running for hours or filling its history."""
+    def stepped(*args, **kwargs):
+        raise AssertionError("an integrator ran")
+
+    monkeypatch.setattr(evolution, "_split_step", stepped)
+    monkeypatch.setattr(evolution, "cubic_values", stepped)
+
+
 @pytest.mark.parametrize("args, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
-def test_non_finite_or_zero_width_input_is_one_error_line(capsys, args, message):
-    # each is rejected before any work but the scans' repeated points, which
-    # the fit rejects after their points (approx-error rejects repeated
-    # carriers before building any run); each used to end in a traceback, a
-    # numpy message, a runtime failure or a run on nonsense input
+def test_non_finite_or_zero_width_input_is_one_error_line(capsys, no_steps, args, message):
+    # each is rejected before any step, and before any work but the scans'
+    # repeated points, which the fit rejects after their points (approx-error
+    # rejects repeated carriers before building any run); each used to end in
+    # a traceback, a numpy message, a runtime failure, a run on nonsense input
+    # or hours of stepping
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -267,16 +290,20 @@ def test_non_finite_config_value_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --t-final must be finite, got inf\n"
 
 
-def test_picard_lattice_over_work_limit_is_validation_error(capsys):
-    # 10001 time rows x 1024 values, or 10^5 iterations x 256 values, pass
-    # the 2^22 values that one iteration may sweep or that carry its rows
-    for args in (["--t-final", "10", "--dt", "1e-3", "--nx", "1024"], ["--iterations", "100000"]):
+def test_picard_lattice_over_work_limit_is_validation_error(capsys, no_steps):
+    # 2^18 iterations carry 2 rows of 256 values each, 2 GiB, in 1.2e9 work
+    # units; 626 blocks x 2000 iterations x (16 x 1024 + 512) units pass
+    # the work budget in 65 MiB
+    for args, message in (
+        (["--t-final", "0.01", "--iterations", "262144"], ": 2064 MiB and 1.21e+09 work units"),
+        (["--t-final", "10", "--nx", "1024", "--iterations", "2000"], ": 65 MiB and 2.12e+10 work"),
+    ):
         assert main(["picard", *args]) == 1
-        assert "values passes the 4194304-value limit" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evolve", "picard"])
-def test_limit_messages_of_tiny_dt_are_short(capsys, command):
+def test_limit_messages_of_tiny_dt_are_short(capsys, no_steps, command):
     # 1e299 records or time rows: counts to three digits, not in full
     assert main([command, "--dt", "1e-300"]) == 1
     err = capsys.readouterr().err
@@ -284,19 +311,19 @@ def test_limit_messages_of_tiny_dt_are_short(capsys, command):
     assert "1e+299" in err
 
 
-def test_evolve_history_over_memory_limit_is_validation_error(capsys):
-    # 1,000,001 records x 256 complex values: about 3.8 GiB, rejected before
-    # anything is allocated
+def test_evolve_history_over_memory_limit_is_validation_error(capsys, no_steps):
+    # 1,000,001 records x 256 complex values: about 3.8 GiB, in 7.7e8 work
+    # units, rejected before anything is allocated
     assert main(["evolve", "--t-final", "1000", "--record-every", "1"]) == 1
-    assert "MiB" in capsys.readouterr().err
+    assert "1e+06 records kept: 3921 MiB and 7.68e+08 work units" in capsys.readouterr().err
 
 
 def test_scan_trilinear_over_memory_limit_is_validation_error(capsys):
-    # N = 2^26's box lattice is 1.33e8 cells, over the 1 GiB // 9 limit:
+    # N = 2^26's box lattice is 1.33e8 cells, over 1 GiB at 9 bytes a cell:
     # rejected before any box
     n_list = ",".join(str(2**j) for j in range(4, 27))
     assert main(["scan-trilinear", "--n", n_list]) == 1
-    assert "(tau, xi) cells, over the 1.19e+08-cell limit" in capsys.readouterr().err
+    assert "box lattice of 1.33e+08 (tau, xi) cells: 1145 MiB" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_two(tmp_path):
@@ -491,11 +518,12 @@ print(json.dumps(results))
 
 
 def test_out_of_memory_is_one_runtime_failure_line():
-    # nx = 2^24 passes every limit, but its 256 MiB fields do not fit under a
-    # 1 GiB address-space cap: the first allocation that fails ends the run in
-    # one line, before the child has touched the cap's worth of memory
-    args = ["evolve", "--nx", "16777216", "--length", "1e6", "--t-final", "0.002", "--dt", "0.001"]
-    proc = _run_python(["-c", SWEEP_CHILD, str(2**30)], input=json.dumps([args]), text=True)
+    # nx = 2^22 is admitted (738 MiB predicted), but its 64 MiB fields do not
+    # fit under a 512 MiB address-space cap, of which the interpreter takes
+    # about 144 MiB: the first allocation that fails ends the run in one
+    # line, before the child has touched the cap's worth of memory
+    args = ["evolve", "--nx", "4194304", "--length", "1e6", "--t-final", "0.002", "--dt", "0.001"]
+    proc = _run_python(["-c", SWEEP_CHILD, str(2**29)], input=json.dumps([args]), text=True)
     assert proc.returncode == 0, proc.stderr
     [[_, code, err, _]] = json.loads(proc.stdout.splitlines()[-1])
     # numpy names the array it could not allocate; pocketfft's MemoryError is bare

@@ -657,6 +657,71 @@ def test_evolve_peak_stays_within_eleven_fields(nx, t_final):
     assert peak <= 11.0 * 16 * nx
 
 
+def _admitted_peak(monkeypatch, call):
+    """The bytes that call's admission predicted and its tracemalloc peak."""
+    predicted = []
+
+    def admit(what, remedy, nbytes, work):
+        predicted.append(nbytes)
+        spectral.admit(what, remedy, nbytes, work)
+
+    monkeypatch.setattr(evolution, "admit", admit)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [nbytes] = predicted
+    return nbytes, peak
+
+
+@pytest.mark.parametrize("rows, nx, t_final, check_tail", [
+    (1, 2**16, 0.02, False),  # 3 records, no tail check: 9.0 fields measured
+    (4, 2**14, 0.39, True),  # 40 records and the tail check's temporaries: 48.1
+])
+def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, check_tail):
+    grid = make_grid(nx, nx / 8.0)
+    runs = [
+        (_gaussian(grid, sigma=4.0), SimConfig(alpha=1.2 + 0.2 * row, gamma=1.0, dt=0.01,
+                                               t_final=t_final, grid=grid, check_tail=check_tail))
+        for row in range(rows)
+    ]
+    predicted, peak = _admitted_peak(monkeypatch, lambda: evolve_together(runs))
+    assert peak <= predicted <= 1.5 * peak
+
+
+@pytest.mark.parametrize("nx, dt, t_final, iterations", [
+    (256, 1e-3, 0.1, 200),  # the carried rows dominate
+    (2048, 1e-4, 0.01, 2),  # the block buffers dominate
+])
+def test_picard_prediction_bounds_its_peak(monkeypatch, nx, dt, t_final, iterations):
+    grid = make_grid(nx, 2 * np.pi)
+    phi = _gaussian(grid, a=0.2, sigma=0.6)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=dt, t_final=t_final, grid=grid)
+    predicted, peak = _admitted_peak(monkeypatch, lambda: picard_iterate(phi, cfg, iterations))
+    assert peak <= predicted <= 1.5 * peak
+
+
+def test_picard_is_admitted_at_exactly_the_budget(monkeypatch):
+    # 21 time rows make 2 blocks of 16; each iteration of a block passes
+    # 16 x 64 values plus the pass overhead of 512, and the bytes are 11
+    # block buffers of 16 x 64 values, 2 rows carried and 4 values a
+    # difference per iteration, and the 21 times
+    grid = make_grid(64, 2 * np.pi)
+    phi = _gaussian(grid, a=0.2, sigma=0.6)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.02, grid=grid)
+    work = 2 * 3 * (16 * 64 + 512)
+    nbytes = 16 * (11 * 16 * 64 + 3 * (2 * 64 + 4)) + 8 * 21
+    for name, exact in (("WORK_BUDGET", work), ("MEMORY_BUDGET", nbytes)):
+        monkeypatch.setattr(spectral, name, exact)
+        assert picard_iterate(phi, cfg, 3).difference_norms.size == 3
+        monkeypatch.setattr(spectral, name, exact - 1)
+        with pytest.raises(ValidationError, match="^21 Picard rows x 3 iterations x 64 values: "):
+            picard_iterate(phi, cfg, 3)
+        monkeypatch.undo()
+
+
 def _picard_peak(t_final):
     grid = make_grid(1024, 2 * np.pi)
     phi = _gaussian(grid, a=0.2, sigma=0.6)
@@ -762,17 +827,18 @@ def test_evolve_records_stream_the_history_rows_read_only(t_final):
 
 
 def test_evolve_records_checks_before_the_first_record(monkeypatch):
-    # the work limit and the blow-up check raise at the first request, before
-    # any step; evolve_together's history limit comes before both
+    # admission and the blow-up check raise before any step: a step's work is
+    # its 5 x 64 values plus the pass overhead of 512, and evolve_together's
+    # bytes add its 21 records, each 5 x 64 coefficients and a time
     runs = _stack_runs(0.02, record_every=1)
     monkeypatch.setattr(evolution, "_split_step", None)
-    monkeypatch.setattr(evolution, "EVOLVE_WORK_LIMIT", 20 * len(runs) * 64 - 1)
-    with pytest.raises(ValidationError, match="20 steps x 5 run\\(s\\) x 64 values pass"):
+    monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512) - 1)
+    with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values, 0 records kept: "):
         next(evolve_records(runs))
-    monkeypatch.setattr(evolution, "EVOLVE_HISTORY_LIMIT", 16 * len(runs) * 21 * 64 - 1)
-    with pytest.raises(ValidationError, match="5 run\\(s\\) x 21 records x 64 values need"):
+    monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512))
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", 16 * 5 * (9 * 64 + 21 * 65) - 1)
+    with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values, 21 records kept: "):
         evolve_together(runs)
-    monkeypatch.setattr(evolution, "EVOLVE_WORK_LIMIT", 20 * len(runs) * 64)
     phi, cfg = runs[1]
     runs[1] = (Field(cfg.grid, 1e12 * phi.values), cfg)
     with pytest.raises(BlowUpError, match="^run 1 of 5, alpha 2, carrier 0: "):
@@ -967,13 +1033,13 @@ def test_evolve_is_galilean_covariant_at_alpha_two(data, nx, n_rows):
 
 @pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
 def test_evolve_history_limit_counts_every_record(monkeypatch, t_final):
-    # a limit of exactly the recorded bytes passes, one byte less raises
-    import fnls.evolution as evolution
-
+    # a budget of exactly the predicted bytes passes, one byte less raises:
+    # five runs of nine pinned fields, and eight records of each run's 64
+    # coefficients and a time, all 16 bytes a value
     runs = _stack_runs(t_final, record_every=3)
-    exact = 16 * len(runs) * 8 * 64  # five runs, eight records, nx = 64
-    monkeypatch.setattr(evolution, "EVOLVE_HISTORY_LIMIT", exact)
+    exact = 16 * 5 * (9 * 64 + 8 * (64 + 1))
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact)
     assert len(evolve_together(runs)[0].states) == 8
-    monkeypatch.setattr(evolution, "EVOLVE_HISTORY_LIMIT", exact - 1)
-    with pytest.raises(ValidationError, match="5 run\\(s\\) x 8 records x 64 values"):
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact - 1)
+    with pytest.raises(ValidationError, match="of 5 x 64 values, 8 records kept: 0 MiB"):
         evolve_together(runs)

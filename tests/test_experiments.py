@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import fnls.experiments as experiments
+import fnls.spectral as spectral
+from fnls.constructions import BoxSpec
 from fnls.constructions import approximate_solution, rescale_solution
 from fnls.norms import sobolev_norm
 from fnls.symbols import envelope_scale, group_velocity
@@ -115,16 +117,16 @@ def test_scan_trilinear_needs_four_points():
 
 
 def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
-    # a box's (tau, xi) lattice may hold 2^30 // 9 cells, the bound of the
-    # dense box at 9 bytes a cell: at alpha = 1.5, N = 2^26 needs 1.33e8
-    # cells, and the box sizes alone reject it, before any box is built
+    # a box's (tau, xi) lattice is admitted at 9 bytes a cell, the dense
+    # box's price: at alpha = 1.5, N = 2^26 needs 1.33e8 cells, and the box
+    # sizes alone reject it, before any box is built
     def no_box(spec):
         raise AssertionError("box built")
 
     monkeypatch.setattr(experiments, "box_data", no_box)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match=r"box lattice of 1.33e\+08 \(tau, xi\) cells"):
+        with pytest.raises(ValidationError, match=r"box lattice of 1.33e\+08 \(tau, xi\) cells: "):
             scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 27)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -134,10 +136,19 @@ def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
     # 7.9e7 cells) and 2^20 at alpha 1.9 (1.20e8 cells; 2^19 needs 6.2e7);
     # the N below each passes the check and reaches the boxes
     for alpha, j in ((1.5, 26), (1.9, 20)):
-        with pytest.raises(ValidationError, match="over the 1.19e\\+08-cell limit"):
+        with pytest.raises(ValidationError, match="exceed the 1024 MiB"):
             scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2**j])
         with pytest.raises(AssertionError, match="box built"):
             scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2 ** (j - 1)])
+    # a budget of exactly 9 bytes a cell of N = 2^6's larger lattice passes,
+    # one byte less raises
+    cells = 16 * max(BoxSpec(64.0, 1.5, conj).tau_samples for conj in (False, True))
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", 9 * cells)
+    with pytest.raises(AssertionError, match="box built"):
+        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 64])
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", 9 * cells - 1)
+    with pytest.raises(ValidationError, match=f"N = 64's box lattice of {cells} "):
+        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 64])
 
 
 def test_scan_wavepacket_small():
@@ -214,14 +225,14 @@ def test_scan_wavepacket_rejects_a_width_that_is_not_positive(monkeypatch, tau):
 
 
 def test_wavepacket_grid_over_memory_limit_is_rejected_before_allocation(monkeypatch):
-    # a complex field on 2^26 points is exactly EVOLVE_HISTORY_LIMIT bytes;
-    # a carrier just past the one that needs it asks for 2^27 points
+    # the grid is admitted at 16 bytes a point, so 2^26 points are exactly
+    # MEMORY_BUDGET; a carrier just past the one that needs them asks for more
     monkeypatch.setattr(experiments, "make_grid", lambda nx, length: nx)
     edge = (2**26 * np.pi / 64.0 - 16.0) / 1.5
     assert wavepacket_grid(edge * (1 - 1e-12), 1.0) == 2**26
-    with pytest.raises(ValidationError, match="tau_scale = 1 and m = 2.19612e\\+06 need a grid"):
+    with pytest.raises(ValidationError, match="grid at tau_scale = 1 and m = 2.19612e\\+06: 1024 MiB"):
         wavepacket_grid(edge * (1 + 1e-12), 1.0)
-    with pytest.raises(ValidationError, match="tau_scale = 1e-300 and m = 16 need a grid"):
+    with pytest.raises(ValidationError, match="grid at tau_scale = 1e-300 and m = 16: "):
         wavepacket_grid(16.0, 1e-300)
 
 

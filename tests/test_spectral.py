@@ -83,22 +83,34 @@ def test_tail_fractions_reduce_row_by_row(fraction):
 
 
 def test_grid_rejects_an_nx_whose_field_passes_the_limit(monkeypatch):
-    # 2^26 complex values are exactly EVOLVE_HISTORY_LIMIT bytes; nx = 2^27
-    # and 2^31 are rejected before x or k is allocated
+    # a grid is admitted when one stepping row of nine fields on it is: 576
+    # MiB at nx = 2^22; nx = 2^23, 2^27 and 2^31 are rejected before x or k
+    # is allocated
     tracemalloc.start()
     try:
-        for nx in (2**27, 2**31):
-            with pytest.raises(ValidationError, match=f"nx = {nx} needs a complex field over"):
+        for nx in (2**23, 2**27, 2**31):
+            with pytest.raises(ValidationError, match=f"^a grid of nx = {nx}: {9 * nx >> 16} MiB"):
                 make_grid(nx, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # the boundary, at a small limit: a field of exactly the limit is allowed
-    monkeypatch.setattr(spectral, "EVOLVE_HISTORY_LIMIT", 16 * 64)
-    assert make_grid(64, 1.0).nx == 64
-    with pytest.raises(ValidationError):
-        make_grid(128, 1.0)
+    # the boundary, at small budgets: exactly nine fields of 64 values and
+    # one pass over them are allowed, one byte or one unit more is not
+    for name, exact in (("MEMORY_BUDGET", 9 * 16 * 64), ("WORK_BUDGET", 64 + 512)):
+        monkeypatch.setattr(spectral, name, exact)
+        assert make_grid(64, 1.0).nx == 64
+        monkeypatch.setattr(spectral, name, exact - 1)
+        with pytest.raises(ValidationError, match="^a grid of nx = 64: 0 MiB and 576 work units"):
+            make_grid(64, 1.0)
+        monkeypatch.undo()
+
+
+def test_admit_takes_exactly_the_budgets():
+    spectral.admit("a call", "shrink it", spectral.MEMORY_BUDGET, spectral.WORK_BUDGET)
+    for nbytes, work in ((2**30 + 1, 2**34), (2**30, 2**34 + 1), (float("nan"), 0), (0, float("nan"))):
+        with pytest.raises(ValidationError, match="^a call: .* exceed the 1024 MiB / 1.72e\\+10-unit budget; shrink it$"):
+            spectral.admit("a call", "shrink it", nbytes, work)
 
 
 def test_grid_rejects_bad_length():
