@@ -27,7 +27,7 @@ from .evolution import (
     SimConfig,
     Trajectory,
     evolve,
-    evolve_together,
+    evolve_records,
     picard_iterate,
 )
 from .constructions import (

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ValidationError
-from .spectral import make_grid, physical_values
-from .norms import energy, mass
-from .evolution import SimConfig, evolve, picard_iterate
+from .spectral import make_grid
+from .norms import mass
+from .evolution import SimConfig, picard_iterate
 from .experiments import (
     drift,
     initial_field,
+    summarize_records,
     run_approximation_error,
     run_illposedness_demo,
     scan_remainder,
@@ -33,6 +34,9 @@ from .experiments import (
     scan_wavepacket,
 )
 from .acceptance import run_acceptance
+
+# bytes evolve keeps of each record: its columns and CSV text (310 measured)
+EVOLVE_RECORD_BYTES = 360
 
 
 def fmt(x) -> str:
@@ -207,22 +211,19 @@ def _cmd_evolve(args) -> int:
         alpha=args.alpha, gamma=args.gamma, dt=args.dt, t_final=args.t_final,
         grid=grid, record_every=args.record_every,
     )
-    traj = evolve(initial_field(grid, args.init), cfg)
-    u = physical_values(traj)
-    masses = mass(traj)
-    energies = energy(traj, cfg.alpha, cfg.gamma)
-    rows = zip(traj.times, masses, energies, np.max(np.abs(u), axis=-1))
+    phi = initial_field(grid, args.init)
+    times, masses, energies, peaks, last = summarize_records(phi, cfg, EVOLVE_RECORD_BYTES)
     opts = _options(args)
     extra = {
         "columns": "t,mass,energy,max_abs_u",
         "mass_drift": drift(masses),
         "energy_drift": drift(energies),
     }
-    _write_scan_csv(args.out, "evolve", opts, rows, extra)
+    _write_scan_csv(args.out, "evolve", opts, zip(times, masses, energies, peaks), extra)
     if args.dump_state:
         lines = _header_lines("evolve-state", opts)
         lines.append("x,re_u,im_u")
-        for xj, uj in zip(grid.x, u[-1]):
+        for xj, uj in zip(grid.x, last):
             lines.append(f"{fmt(xj)},{fmt(uj.real)},{fmt(uj.imag)}")
         _emit(args.dump_state, lines)
     return 0

@@ -120,11 +120,6 @@ class Trajectory:
     def states(self) -> list[Field]:
         return [Field(self.grid, v) for v in self.values]
 
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        if (self.grid, self.values.shape) != (other.grid, other.values.shape):
-            raise ValidationError("trajectories differ in grid or record count")
-        return Trajectory(self.times, self.grid, self.values - other.values)
-
 
 def _split_step(symbol: np.ndarray, gamma: float, dt: float, dx):
     """The Strang step of size dt as a function that advances stacked
@@ -187,22 +182,36 @@ def _step_plan(cfg: SimConfig):
 
 
 def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
-    """Integrate the initial value problem, recording every record_every steps.
+    """Integrate the initial value problem, recording every record_every
+    steps: the one (records, nx) history, evolve_records' records as one
+    block (_record_blocks), priced at each one's coefficients and time."""
+    runs = [(phi, cfg)]
+    plan = _plan(runs, 16 * (cfg.grid.nx + 1), 0)
+    [(times, values)] = _record_blocks(_stream(runs, plan), plan[-1], cfg.grid.nx)
+    return Trajectory(times, cfg.grid, values)
 
-    Raises BlowUpError before the first step if the data could leave the
-    trusted range (see evolve_together) and, when cfg.check_tail is set,
-    WrapAroundError if a recorded state accumulates mass near the periodic
-    boundary.
-    """
-    return evolve_together([(phi, cfg)])[0]
+
+def _record_blocks(records, size: int, nx: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The first run's records of an evolve_records stream, size at a time,
+    as (times, values) views of two buffers refilled for each block."""
+    times, values = np.empty(size), np.empty((size, nx), dtype=np.complex128)
+    n = 0
+    for t, coeffs in records:
+        times[n], values[n] = t, coeffs[0]
+        n += 1
+        if n == size:
+            yield times, values
+            n = 0
+    if n:
+        yield times[:n], values[:n]
 
 
-def _plan(runs: list, keep_records: bool) -> tuple[list[SimConfig], int, float, int]:
+def _plan(runs: list, record_bytes, workspace_bytes) -> tuple[list[SimConfig], int, float, int]:
     """The runs' configs, whole steps, last shrunken step and number of
     records, once the runs are checked to share their step settings and the
-    call is admitted (see evolve_together)."""
+    call is admitted (see evolve_records)."""
     if not runs:
-        raise ValidationError("evolve_together needs at least one run")
+        raise ValidationError("evolve_records needs at least one run")
     cfgs = [cfg for _, cfg in runs]
     if len({(c.grid.nx, c.dt, c.t_final, c.record_every, c.gamma) for c in cfgs}) != 1:
         raise ValidationError("runs must share nx, dt, t_final, record_every and gamma")
@@ -216,28 +225,30 @@ def _plan(runs: list, keep_records: bool) -> tuple[list[SimConfig], int, float, 
     # at the end when the last step is not among them
     final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
     n_records = n_whole // cfg.record_every + 1 + final_record
-    rows, nx, kept = len(runs), cfg.grid.nx, (n_records if keep_records else 0)
-    admit(f"{_count(n_steps)} steps of {rows} x {nx} values, {_count(kept)} records kept",
+    rows, nx = len(runs), cfg.grid.nx
+    admit(f"{_count(n_steps)} steps of {rows} x {nx} values and {_count(n_records)} records",
           "raise dt or record_every, or lower t_final or nx",
-          16 * rows * (STEP_FIELDS * nx + kept * (nx + 1)), n_steps * (rows * nx + PASS_OVERHEAD))
+          16 * rows * STEP_FIELDS * nx + n_records * record_bytes + workspace_bytes,
+          n_steps * (rows * nx + PASS_OVERHEAD))
     return cfgs, n_whole, remainder, n_records
 
 
 def evolve_records(
-    runs: Sequence[tuple[Field, SimConfig]],
+    runs: Sequence[tuple[Field, SimConfig]], record_bytes: int = 0, workspace_bytes: int = 0,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """The stepping loop of evolve_together, yielding (t, coefficients) at
-    each record: every run's spectral coefficients at time t, a read-only
-    view of the (runs, nx) buffer stepped in place, so a consumer copies
-    what it keeps.  It holds no record, whatever their number.
-
-    The call is admitted as evolve_together's is, with no records kept.
-    Before the first step the blow-up check raises as evolve_together's
-    does; each record's tail checks raise WrapAroundError before it is
-    yielded.  Errors name the run by its row, alpha and carrier.
-    """
+    """Integrate several (phi, cfg) problems in one loop, yielding (t,
+    coefficients) at each record, a read-only view of the (runs, nx) buffer
+    stepped in place: a consumer copies what it keeps.  The runs share nx,
+    dt, t_final, record_every and gamma; no operation mixes rows, so each
+    is bit-identical to its run alone.  The call is admitted as it is made
+    (fnls.spectral.admit): STEP_FIELDS fields a run, and the consumer's
+    record_bytes a record and workspace_bytes besides; runs x nx +
+    PASS_OVERHEAD work a step.  A row that could blow up raises BlowUpError
+    before the first step (_reject_blow_up), and each record's tail checks
+    raise WrapAroundError before it is yielded, naming the run by its row,
+    alpha and carrier."""
     runs = list(runs)
-    return _stream(runs, _plan(runs, keep_records=False))
+    return _stream(runs, _plan(runs, record_bytes, workspace_bytes))
 
 
 def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
@@ -281,42 +292,10 @@ def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
         yield record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
 
 
-def evolve_together(runs: Sequence[tuple[Field, SimConfig]]) -> list[Trajectory]:
-    """Integrate several (phi, cfg) problems in one loop, one trajectory each.
-
-    The coefficients are stacked into a (runs, nx) array, so every step
-    costs one call per numpy operation whatever the number of runs.  The
-    runs must share nx, dt, t_final, record_every and gamma; alpha, the
-    grid length and carrier, frame_velocity and check_tail may differ.  Each
-    trajectory is bit-identical to evolve(phi, cfg) for its run, and a run
-    that fails raises what evolve would raise for it, naming the run by its
-    row, alpha and carrier.
-    Each trajectory's values are a row of one (runs, records, nx) history,
-    filled from evolve_records.  The call is admitted (fnls.spectral.admit)
-    before allocation: each run pins STEP_FIELDS fields, a record holds each
-    run's coefficients and a time, and a step costs runs x nx + PASS_OVERHEAD.
-    Blow-up is decided once, before the first step: the step conserves each
-    row's sum |uhat|^2, so |u| <= sqrt(nx sum |uhat|^2) / L for all time,
-    and a row whose data are not finite, whose bound passes half of
-    BLOWUP_THRESHOLD or whose cubic angle could overflow raises BlowUpError.
-    """
-    runs = list(runs)
-    cfgs, _, _, n_records = plan = _plan(runs, keep_records=True)
-    history = times = None
-    for index, (t, coeffs) in enumerate(_stream(runs, plan)):
-        if history is None:  # after the stream's checks, as its first record comes
-            history = np.empty((len(runs), n_records, cfgs[0].grid.nx), dtype=np.complex128)
-            times = np.empty(n_records)
-        history[:, index] = coeffs
-        times[index] = t
-    return [Trajectory(times, c.grid, history[row]) for row, c in enumerate(cfgs)]
-
-
 def _reject_blow_up(uhat: np.ndarray, cfgs: list[SimConfig], where) -> None:
-    """BlowUpError naming where(row) for the first row of uhat whose data
-    are not finite, whose conserved bound on |u| passes half of
-    BLOWUP_THRESHOLD or whose cubic angle could overflow (see
-    evolve_together); its temporaries go when it returns."""
+    """BlowUpError naming where(row) for the first row of uhat with data
+    that are not finite, a conserved |u| bound over BLOWUP_THRESHOLD / 2 or
+    a cubic angle that could overflow; its temporaries go as it returns."""
     # The step conserves each row's sum |uhat|^2 to round-off, so |u| stays
     # below bound = sqrt(nx sum |uhat|^2) / L and the cubic angle below the
     # looser |gamma dt| nx bound^2 for all time.  Summing |uhat / max|uhat||^2

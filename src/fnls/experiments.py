@@ -2,10 +2,9 @@
 
 Each pipeline measures one scaling claim at desk scale and returns plain
 data (ScanResult / dict reports) that the CLI serializes.  Everything runs
-on the calling thread: scans take their points in order, and the evolution
-pipelines (approximation error, separation demo) step all their runs as one
-stacked batch and reduce each record as it is stepped (evolve_records), so
-they keep no history.  Every pipeline is deterministic.
+on the calling thread, in order, and is deterministic.  Every evolution
+streams from evolve_records and keeps no history: the modulated pipelines
+reduce each record as it comes, summarize_records a block at a time.
 """
 
 from __future__ import annotations
@@ -15,27 +14,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import LENGTH_LIMIT, Field, Grid, _count, admit, lattice_mode, make_grid
+from .spectral import LENGTH_LIMIT, PASS_OVERHEAD, STEP_FIELDS, Field, Grid, _count, admit
+from .spectral import lattice_mode, make_grid, physical_values
 from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
-from .norms import _sobolev_weight, _weighted_norm, energy, mass, sobolev_norm, xsb_norm
-from .evolution import SimConfig, Trajectory, evolve, evolve_records
-# picard_iterate is not called here; it stays importable from this module
-# because perfbench/tracer.py wraps it at this lookup site
-from .evolution import picard_iterate  # noqa: F401
+from .norms import _sobolev_weight, _weighted_norm, energy, mass, xsb_norm
+from .evolution import SimConfig, Trajectory, _record_blocks, evolve_records
 from .constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
     WavepacketSpec,
-    approximate_solution,
     box_data,
     check_resolved,
     image_phase_rate,
     image_values,
     lambda_for,
     modulated_wavepacket,
-    rescale_solution,
     trilinear_convolution,
 )
+# none of these is called here; each stays importable from this module
+# because perfbench/tracer.py wraps it at this lookup site
+from .norms import sobolev_norm  # noqa: F401
+from .evolution import evolve, picard_iterate  # noqa: F401
+from .constructions import approximate_solution, rescale_solution  # noqa: F401
+
+SUMMARY_CHUNK_VALUES = 2**12  # values in a block of summarize_records
 
 # frequency samples across [-xi_max, xi_max] in scan_remainder
 REMAINDER_SAMPLES = 800
@@ -185,14 +187,32 @@ def drift(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - ref)) / scale)
 
 
+def summarize_records(phi: Field, cfg: SimConfig, record_bytes: int = 64) -> tuple:
+    """(times, masses, energies, max|u|) at each record of one run and the
+    samples of its last, reduced in blocks of SUMMARY_CHUNK_VALUES values
+    (_record_blocks) along the last axis, so bit-equal to the same
+    arithmetic over evolve's history.  Admitted with record_bytes a record
+    (64: the columns, twice while joined) and 4 block fields."""
+    chunk = max(1, SUMMARY_CHUNK_VALUES // cfg.grid.nx)
+    records = evolve_records([(phi, cfg)], record_bytes, 4 * 16 * chunk * cfg.grid.nx)
+    columns = []
+    for times, values in _record_blocks(records, chunk, cfg.grid.nx):
+        part = Trajectory(times, cfg.grid, values)
+        reduced = (part.times, mass(part), energy(part, cfg.alpha, cfg.gamma))
+        u = physical_values(part)  # made once energy's temporaries have gone
+        columns.append((*reduced, np.max(np.abs(u), axis=-1)))
+        u = u[-1].copy()  # the last samples: the block's go before the next block's
+    return (*map(np.concatenate, zip(*columns)), u)
+
+
 def run_conservation_suite(cfg: SimConfig, init: "Field | str") -> dict:
     """Mass and energy drift at dt and dt/2 for the given data."""
     phi = initial_field(cfg.grid, init) if isinstance(init, str) else init
     report = {"alpha": cfg.alpha, "gamma": cfg.gamma, "dt": cfg.dt, "t_final": cfg.t_final}
     for tag, config in (("", cfg), ("_half", replace(cfg, dt=cfg.dt / 2))):
-        traj = evolve(phi, config)
-        report[f"mass_drift{tag}"] = drift(mass(traj))
-        report[f"energy_drift{tag}"] = drift(energy(traj, cfg.alpha, cfg.gamma))
+        _, masses, energies, _, _ = summarize_records(phi, config)
+        report[f"mass_drift{tag}"] = drift(masses)
+        report[f"energy_drift{tag}"] = drift(energies)
     drift_full = report["energy_drift"]
     drift_half = report["energy_drift_half"]
     report["energy_drift_ratio"] = drift_full / drift_half if drift_half > 0 else np.inf
@@ -291,8 +311,8 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
     frequency is >= 1.5 m + 16/tau_scale: the packet's spectrum there is below
     e^(-288) of its peak at m = 16, tau_scale = 1.  At m = 0 it holds the
     envelope's band alone (512 points at tau_scale = 1).  A tau_scale whose
-    torus passes LENGTH_LIMIT is rejected, and the grid is admitted at 16
-    bytes a point, before anything is allocated."""
+    torus passes LENGTH_LIMIT is rejected; the rounded grid is admitted at
+    make_grid's rate, naming tau_scale and m, before any allocation."""
     if not tau_scale > 0.0:
         raise ValidationError(f"tau_scale must be positive, got {tau_scale}")
     if not 64.0 * tau_scale <= LENGTH_LIMIT:
@@ -302,10 +322,11 @@ def wavepacket_grid(m: float, tau_scale: float) -> Grid:
         )
     length = 64.0 * max(tau_scale, 1.0)
     need = length * (1.5 * m + 16.0 / tau_scale) / np.pi
+    with np.errstate(over="ignore"):  # inf or NaN past any grid, which admit rejects
+        nx = float(2.0 ** np.ceil(np.log2(max(need, 64.0))))
     admit(f"the packet grid at tau_scale = {tau_scale:g} and m = {m:g}",
-          "raise tau_scale or lower m", 16.0 * need, need)
-    nx = 1 << int(np.ceil(np.log2(max(need, 64.0))))
-    return make_grid(nx, length)
+          "raise tau_scale or lower m", 16 * STEP_FIELDS * nx, nx + PASS_OVERHEAD)
+    return make_grid(int(nx), length)
 
 
 def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1.0) -> dict:
@@ -390,8 +411,8 @@ def _evolve_pairs(runs, alpha: float):
     """Step the runs of _modulated_runs as one batch (evolve_records),
     yielding (t, coefficients, sups) at each record: the batch's record and,
     for each pair in order, the sup so far of the H^((2-alpha)/4) distance
-    between its band run and the image of its NLS run (image_values), as
-    sobolev_norm takes it, in an array updated in place; a NaN distance stays, as np.max keeps it.  Each
+    between its band run and the image of its NLS run (image_values), in an
+    array updated in place; a NaN distance stays, as np.max keeps it.  Each
     NLS run's resolution is checked first (check_resolved), naming the run;
     its checks of v(0) cover the band data.  No record is kept."""
     grids = [cfg.grid for _, cfg in runs]
@@ -488,10 +509,10 @@ def run_illposedness_demo(
     separation equals delta, in [0, epsilon/2].  t_internal is the evolution
     window before time rescaling; the reported physical window is
     t_internal / lambda^alpha.  The torus and the envelope grid size are the
-    ILLPOSED_* constants.  Its runs come from _modulated_runs, so the
-    fractional runs, the images and the rescaled pair are on the band, and
-    each record is reduced as it is stepped (_evolve_pairs): the data norms
-    and separation at t = 0, and the largest separation and its first time.
+    ILLPOSED_* constants.  Its runs come from _modulated_runs, and each
+    record is reduced as it is stepped (_evolve_pairs): the band runs'
+    coefficients are the zoomed pair's on rescale_solution's grid, weighed
+    there in H^s.
 
     The step is the largest of ILLPOSED_DT_LADDER (0.025 * 2^j, up to 0.2)
     whose phase dt * max|symbol| over the evolutions stays within
@@ -522,12 +543,13 @@ def run_illposedness_demo(
         )
     length = _lattice_length(ILLPOSED_LENGTH, n_carrier)
 
-    # unit-amplitude probe through the (linear) data pipeline fixes the gain
-    _, y_grid, env = _carrier_envelope(alpha, n_carrier, length, sigma, ILLPOSED_NX_ENVELOPE)
-    probe = Trajectory([0.0], y_grid, Field.physical(y_grid, env).values[None])
-    probe_image = approximate_solution(probe, n_carrier, alpha, length)
-    gain = sobolev_norm(rescale_solution(probe_image, lam, alpha), s)[0]
-    a1 = epsilon / gain
+    # a unit-amplitude probe's image at t = 0, beta times its coefficients, fixes the gain
+    beta, y_grid, env = _carrier_envelope(alpha, n_carrier, length, sigma, ILLPOSED_NX_ENVELOPE)
+    probe = Field.physical(y_grid, env).values
+    check_resolved(probe, 0.0)
+    zoom = make_grid(ILLPOSED_NX_ENVELOPE, length / lam, carrier=lam * n_carrier)
+    weight = _sobolev_weight(zoom, s)
+    a1 = epsilon / _weighted_norm(beta * probe, weight, zoom.length)
     amplitudes = (a1, a1 * (1.0 + delta / epsilon))
 
     def runs(step, every):
@@ -543,18 +565,15 @@ def run_illposedness_demo(
         smallest,
     )
     record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
-    batch = runs(dt, record_every)
-    band = batch[2][1].grid  # rows v1, v2, w1, w2
-    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(batch, alpha)):
-        u1, u2 = (rescale_solution(Trajectory([t], band, coeffs[row][None]), lam, alpha)
-                  for row in (2, 3))
-        sep = sobolev_norm(u1 - u2, s)[0]
+    # rows v1, v2, w1, w2: the band runs' coefficients are the zoomed pair's
+    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(runs(dt, record_every), alpha)):
+        sep = _weighted_norm(coeffs[2] - coeffs[3], weight, zoom.length)
         if i == 0:
-            norm1, norm2 = (sobolev_norm(u, s)[0] for u in (u1, u2))
+            norm1, norm2 = (_weighted_norm(coeffs[row], weight, zoom.length) for row in (2, 3))
             sep0 = sep
         # np.argmax's pick: the first largest separation, or the first NaN
         if i == 0 or (not np.isnan(sep_max) and not sep <= sep_max):
-            sep_max, t_max = sep, u1.times[0]
+            sep_max, t_max = sep, t * lam ** (-alpha)
     return {
         "alpha": alpha,
         "s": s,

@@ -164,13 +164,32 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the history dropped from evolve_together's bytes",
+        "the kept records dropped from a call's bytes",
         "src/fnls/evolution.py",
-        "16 * rows * (STEP_FIELDS * nx + kept * (nx + 1)),",
-        "16 * rows * STEP_FIELDS * nx,",
+        "16 * rows * STEP_FIELDS * nx + n_records * record_bytes + workspace_bytes,",
+        "16 * rows * STEP_FIELDS * nx + workspace_bytes,",
         (
             "tests/test_cli.py::test_evolve_history_over_memory_limit_is_validation_error",
             "tests/test_evolution.py::test_evolve_history_limit_counts_every_record[0.02]",
+        ),
+    ),
+    Mutant(
+        "the per-record CLI bytes set to 0",
+        "src/fnls/cli.py",
+        "EVOLVE_RECORD_BYTES = 360\n",
+        "EVOLVE_RECORD_BYTES = 0\n",
+        (
+            "tests/test_cli.py::test_evolve_history_over_memory_limit_is_validation_error",
+            "tests/test_cli.py::test_evolve_prediction_bounds_the_commands_peak[26.2]",
+        ),
+    ),
+    Mutant(
+        "the summary's blocks left unpriced",
+        "src/fnls/experiments.py",
+        "record_bytes, 4 * 16 * chunk * cfg.grid.nx)",
+        "record_bytes, 0)",
+        (
+            "tests/test_experiments.py::test_record_summary_prediction_bounds_its_peak[nx65536]",
         ),
     ),
     # symbols, scalings and fits
@@ -236,6 +255,19 @@ MUTANTS = [
             "tests/test_experiments.py::"
             "test_modulated_batches_run_in_the_rest_frame_and_check_every_tail",
             "tests/test_gate_numbers.py::test_gate_7_errors_are_pinned",
+        ),
+    ),
+    # the record summary of gate 2 and the evolve command
+    Mutant(
+        "the summary drops its last partial block",
+        "src/fnls/evolution.py",
+        "    if n:\n        yield times[:n], values[:n]\n",
+        "",
+        (
+            "tests/test_experiments.py::test_record_summary_equals_whole_history_arithmetic["
+            "256-0.001-0.016]",
+            "tests/test_experiments.py::test_record_summary_equals_whole_history_arithmetic["
+            "256-0.001-0.0155]",
         ),
     ),
     # the modulated pipelines' reductions, record by record

@@ -1,13 +1,25 @@
-"""Test oracles shared by the test modules: the residual of the fractional
-equation along a recorded trajectory, a space-time field's values on its
-whole lattice, and a carrier band's coefficients on a whole grid."""
+"""Test oracles shared by the test modules: each run's whole history of a
+batch, the residual of the fractional equation along a recorded trajectory,
+a space-time field's values on its whole lattice, and a carrier band's
+coefficients on a whole grid."""
 
 import numpy as np
 
 from fnls.errors import ValidationError
-from fnls.evolution import Trajectory
+from fnls.evolution import Trajectory, evolve_records
 from fnls.norms import SpaceTimeField
 from fnls.spectral import Grid, cubic_values
+
+
+def history(runs) -> list:
+    """One Trajectory per (phi, cfg) run, from every record of the batch's
+    evolve_records copied out: row i of the stepped (rows, nx) state at each
+    record is run i's values there."""
+    runs = list(runs)
+    records = [(t, coeffs.copy()) for t, coeffs in evolve_records(runs)]
+    values = np.stack([coeffs for _, coeffs in records], axis=1)
+    times = [t for t, _ in records]
+    return [Trajectory(times, cfg.grid, values[row]) for row, (_, cfg) in enumerate(runs)]
 
 
 def dense(f: SpaceTimeField) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import fnls
 import fnls.evolution as evolution
+import fnls.spectral as spectral
 from fnls.cli import _float_list, build_parser, main
 
 
@@ -217,11 +219,15 @@ BAD_NUMBERS = [
     (["illposed", "--sigma", "0"], "sigma must be positive"),
     (["evolve", "--t-final", "inf"], "--t-final must be finite"),
     (["evolve", "--t-final", "nan"], "--t-final must be finite"),
-    (["evolve", "--dt", "1e-300"], "1e+299 records kept: 3.92e+296 MiB"),
+    (["evolve", "--dt", "1e-300"], "1e+299 records: 3.43e+295 MiB"),
     (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
     (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps of 1 x 256 values"),
     (["scan-wavepacket", "--tau", "1e-300"], "packet grid at tau_scale = 1e-300 and m = 0: "),
     (["scan-wavepacket", "--tau", "1e300"], "tau_scale must be at most LENGTH_LIMIT / 64"),
+    # a 2^23-point packet grid: rejected by the packet grid, which names
+    # tau_scale, not by make_grid, whose remedy names an nx this command lacks
+    (["scan-wavepacket", "--tau", "5e-5", "--s", "0", "--m", "16,32,64,128"],
+     "packet grid at tau_scale = 5e-05 and m = 0: 1152 MiB and 8.39e+06 work units exceed"),
     (["illposed", "--alpha", "-1"], "alpha must lie in (1, 2], got -1"),
     (["illposed", "--n-carrier", "-1"], "carrier frequency must be >= 1, got -1"),
     (["illposed", "--n-carrier", "0"], "carrier frequency must be >= 1, got 0"),
@@ -235,7 +241,7 @@ BAD_NUMBERS = [
     # 1e9 steps of 16 values and 16,376 Picard blocks x 262,000 iterations:
     # hours of work, each pass paying PASS_OVERHEAD units
     (["evolve", "--nx", "16", "--dt", "1e-6", "--t-final", "1000", "--record-every", "1000000000"],
-     "1e+09 steps of 1 x 16 values, 2 records kept: 0 MiB and 5.28e+11 work units exceed"),
+     "1e+09 steps of 1 x 16 values and 2 records: 0 MiB and 5.28e+11 work units exceed"),
     (["picard", "--nx", "16", "--t-final", "262", "--dt", "1e-3", "--iterations", "262000"],
      "262001 Picard rows x 262000 iterations x 16 values: 145 MiB and 3.3e+12 work units"),
     (["illposed", "--n-carrier", "0.5"], "carrier frequency must be >= 1, got 0.5"),
@@ -312,10 +318,34 @@ def test_limit_messages_of_tiny_dt_are_short(capsys, no_steps, command):
 
 
 def test_evolve_history_over_memory_limit_is_validation_error(capsys, no_steps):
-    # 1,000,001 records x 256 complex values: about 3.8 GiB, in 7.7e8 work
-    # units, rejected before anything is allocated
-    assert main(["evolve", "--t-final", "1000", "--record-every", "1"]) == 1
-    assert "1e+06 records kept: 3921 MiB and 7.68e+08 work units" in capsys.readouterr().err
+    # 3,000,001 records at the 360 B evolve keeps of each (its summary
+    # columns and CSV text): 1030 MiB, in 1.56e9 work units, rejected before
+    # anything is allocated (the history alone, 144 B a record, was admitted)
+    assert main(["evolve", "--nx", "8", "--t-final", "3000", "--record-every", "1"]) == 1
+    assert "3e+06 records: 1030 MiB and 1.56e+09 work units" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_final", ["2.62", "26.2"])  # 2,621 and 26,201 records
+def test_evolve_prediction_bounds_the_commands_peak(tmp_path, monkeypatch, t_final):
+    # the one admission prices the whole command: the stepping, the summary's
+    # blocks, and each record's columns and CSV text (the whole history and
+    # its samples, built after the call returned, peaked at about 4x)
+    predicted = []
+
+    def admit(what, remedy, nbytes, work):
+        predicted.append(nbytes)
+        spectral.admit(what, remedy, nbytes, work)
+
+    monkeypatch.setattr(evolution, "admit", admit)
+    args = ["evolve", "--t-final", t_final, "--record-every", "1", "--out", str(tmp_path / "e.csv")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [nbytes] = predicted
+    assert peak <= nbytes <= 1.5 * peak
 
 
 def test_scan_trilinear_over_memory_limit_is_validation_error(capsys):

@@ -10,10 +10,10 @@ import fnls.spectral as spectral
 from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
-from fnls.evolution import (
-    SimConfig, Trajectory, evolve, evolve_records, evolve_together, picard_iterate,
-)
+from fnls.evolution import SimConfig, Trajectory, evolve, evolve_records, picard_iterate
 from fnls.experiments import initial_field
+
+from oracles import history
 
 
 @pytest.fixture
@@ -227,9 +227,9 @@ def test_evolve_together_matches_two_fft_reference(gamma, monkeypatch):
     runs, symbol, dx = _mixed_runs(want, gamma, dt, t_final)
     for h in (dt, dt, dt, t_final - 3 * dt):
         want = _two_fft_step(want, np.exp(0.5j * h * symbol), gamma, h, dx)
-    for row, traj in enumerate(evolve_together(runs)):
-        got = traj.states[-1].values
-        assert np.linalg.norm(got - want[row]) <= 1e-14 * np.linalg.norm(want[row])
+    *_, (_, final) = evolve_records(runs)
+    for got, row in zip(final, want):
+        assert np.linalg.norm(got - row) <= 1e-14 * np.linalg.norm(row)
 
 
 @pytest.mark.parametrize("gamma", [1.0, -0.7])
@@ -241,9 +241,9 @@ def test_evolve_together_matches_four_fft_reference(gamma, monkeypatch):
     want = _resolved(np.random.default_rng(7), 3, nx)
     runs, symbol, dx = _mixed_runs(want, gamma, dt, dt)
     want = _four_fft_step(want, np.exp(0.5j * dt * symbol), gamma, dt, dx)
-    for row, traj in enumerate(evolve_together(runs)):
-        got = traj.states[-1].values
-        assert np.linalg.norm(got - want[row]) <= 1e-14 * np.linalg.norm(want[row])
+    *_, (_, final) = evolve_records(runs)
+    for got, row in zip(final, want):
+        assert np.linalg.norm(got - row) <= 1e-14 * np.linalg.norm(row)
 
 
 def _count_fft_calls(monkeypatch) -> list:
@@ -283,19 +283,21 @@ def test_picard_makes_two_ffts_a_block(monkeypatch):
 
 
 def test_evolve_together_calls_share_no_state():
-    # a call on data A between two calls on data B leaves B's result
-    # unchanged to the bit, also when the calls differ in nx
-    def runs(nx, seed, t_final=0.0055):
+    # a batch stepped through evolve_records on data A between two on data B
+    # leaves B's records unchanged to the bit, also when the calls differ in nx
+    def records(nx, seed, t_final=0.0055):
         grid = make_grid(nx, 2 * np.pi)
         cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=t_final, grid=grid)
-        return [(_random_field(grid, seed + row), cfg) for row in range(2)]
+        return [(t, coeffs.copy()) for t, coeffs in
+                evolve_records([(_random_field(grid, seed + row), cfg) for row in range(2)])]
 
-    fresh = evolve_together(runs(64, 1))
-    evolve_together(runs(64, 10))
-    evolve_together(runs(16, 20, t_final=0.003))
-    again = evolve_together(runs(64, 1))
-    for a, b in zip(fresh, again):
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a.states, b.states))
+    fresh = records(64, 1)
+    records(64, 10)
+    records(16, 20, t_final=0.003)
+    again = records(64, 1)
+    assert len(fresh) == len(again) == 7
+    for (t, a), (u, b) in zip(fresh, again):
+        assert t == u and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -413,8 +415,8 @@ def _spectral_bound(uhat):
 
 @pytest.mark.parametrize("gamma", [1.0, -1.0])
 def test_evolve_together_keeps_sum_abs_within_the_initial_bound(gamma):
-    # 4,000 steps of rows with alpha 1.2, 1.5 and 2, carriers and frame
-    # velocities: the bound taken at t = 0 holds at every record
+    # 4,000 steps of a batch of rows with alpha 1.2, 1.5 and 2, carriers and
+    # frame velocities: the bound taken at t = 0 holds at every record
     grid, wide = make_grid(64, 2 * np.pi), make_grid(64, 4 * np.pi)
     up, down = make_grid(64, 2 * np.pi, carrier=3.0), make_grid(64, 2 * np.pi, carrier=-2.0)
     common = dict(gamma=gamma, dt=1e-3, t_final=4.0, record_every=50)
@@ -424,10 +426,12 @@ def test_evolve_together_keeps_sum_abs_within_the_initial_bound(gamma):
         (_gaussian(wide, a=1.5), SimConfig(alpha=2.0, grid=wide, frame_velocity=-2.0, **common)),
         (_gaussian(down, sigma=0.3), SimConfig(alpha=1.5, grid=down, frame_velocity=1.5, **common)),
     ]
-    for (phi, _), traj in zip(runs, evolve_together(runs)):
-        assert traj.times.size == 81
-        bound = _spectral_bound(phi.values)
-        assert np.all(np.sum(np.abs(traj.values), axis=-1) <= bound)
+    bound = _spectral_bound(np.stack([phi.values for phi, _ in runs]))
+    count = 0
+    for _, coeffs in evolve_records(runs):
+        assert np.all(np.sum(np.abs(coeffs), axis=-1) <= bound)
+        count += 1
+    assert count == 81
 
 
 def test_row_just_inside_half_the_threshold_runs(circle, monkeypatch):
@@ -438,13 +442,13 @@ def test_row_just_inside_half_the_threshold_runs(circle, monkeypatch):
     runs = [(_gaussian(circle), cfg), (_random_field(circle, 3), replace(cfg, alpha=1.8))]
     bounds = [_spectral_bound(phi.values) / circle.length for phi, _ in runs]
     assert bounds[1] > bounds[0]
-    default = evolve_together(runs)
+    default = history(runs)
     monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 2.0 * bounds[1] * (1.0 + 1e-12))
-    for a, b in zip(default, evolve_together(runs)):
+    for a, b in zip(default, history(runs)):
         assert np.array_equal(a.values, b.values)
     monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 2.0 * bounds[1] * (1.0 - 1e-12))
     with pytest.raises(BlowUpError) as info:
-        evolve_together(runs)
+        next(evolve_records(runs))
     assert str(info.value).startswith("run 1 of 2, alpha 1.8, carrier 0: |u| <= sqrt(")
 
 
@@ -469,7 +473,7 @@ def test_uncleared_row_still_raises_and_is_named(circle, monkeypatch):
     evolve(*small)
     for row, runs in ((1, [small, big]), (0, [big, small])):
         with pytest.raises(BlowUpError) as info:
-            evolve_together(runs)
+            next(evolve_records(runs))
         assert str(info.value).startswith(f"run {row} of 2, alpha 1.8, carrier 0: |u| <= sqrt(")
 
 
@@ -676,9 +680,14 @@ def _admitted_peak(monkeypatch, call):
     return nbytes, peak
 
 
+def _consume(records) -> None:
+    for _ in records:
+        pass
+
+
 @pytest.mark.parametrize("rows, nx, t_final, check_tail", [
-    (1, 2**16, 0.02, False),  # 3 records, no tail check: 9.0 fields measured
-    (4, 2**14, 0.39, True),  # 40 records and the tail check's temporaries: 48.1
+    (1, 2**16, 0.02, False),  # evolve's 3 records, no tail check: 9.0 fields measured
+    (4, 2**14, 0.39, True),  # 40 records streamed and the tail check's temporaries
 ])
 def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, check_tail):
     grid = make_grid(nx, nx / 8.0)
@@ -687,7 +696,8 @@ def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, check
                                                t_final=t_final, grid=grid, check_tail=check_tail))
         for row in range(rows)
     ]
-    predicted, peak = _admitted_peak(monkeypatch, lambda: evolve_together(runs))
+    call = (lambda: evolve(*runs[0])) if rows == 1 else (lambda: _consume(evolve_records(runs)))
+    predicted, peak = _admitted_peak(monkeypatch, call)
     assert peak <= predicted <= 1.5 * peak
 
 
@@ -769,19 +779,6 @@ def test_trajectory_holds_one_read_only_array():
         Trajectory([0.0, 0.1, 0.2], make_grid(32, 2.0), values)
 
 
-def test_trajectory_difference_needs_one_grid():
-    grid = make_grid(16, 2.0)
-    a = Trajectory([0.0, 0.5], grid, np.ones((2, 16)))
-    b = Trajectory([0.0, 0.5], grid, np.full((2, 16), 0.25))
-    assert np.array_equal((a - b).values, np.full((2, 16), 0.75))
-    with pytest.raises(ValidationError, match="differ in grid"):
-        a - Trajectory([0.0, 0.5], make_grid(16, 4.0), np.ones((2, 16)))
-    with pytest.raises(ValidationError, match="differ in grid"):
-        a - Trajectory([0.0, 0.5], make_grid(32, 2.0), np.ones((2, 32)))
-    with pytest.raises(ValidationError, match="record count"):
-        a - Trajectory([0.0], grid, np.ones((1, 16)))  # would broadcast
-
-
 def _stack_runs(t_final, record_every):
     """Runs that share nx, dt, t_final, record_every and gamma but differ in
     alpha, grid length, frame velocity, carrier and check_tail."""
@@ -799,8 +796,10 @@ def _stack_runs(t_final, record_every):
 
 @pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
 def test_evolve_together_rows_equal_evolve(t_final):
+    # each row of a batch stepped together through evolve_records is its
+    # run's evolve, record by record
     runs = _stack_runs(t_final, record_every=3)  # 3 divides neither 20 nor 21 steps
-    together = evolve_together(runs)
+    together = history(runs)
     assert len(together) == len(runs)
     for (phi, cfg), traj in zip(runs, together):
         alone = evolve(phi, cfg)
@@ -814,31 +813,34 @@ def test_evolve_together_rows_equal_evolve(t_final):
 
 @pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
 def test_evolve_records_stream_the_history_rows_read_only(t_final):
-    # evolve_together's history is the record stream copied out: each record
-    # is a read-only view of the one (runs, nx) state the loop steps in place
+    # each record is a read-only view of the one (runs, nx) state the loop
+    # steps in place, whose rows are the runs' evolve histories
     runs = _stack_runs(t_final, record_every=3)
-    together = evolve_together(runs)
+    alone = [evolve(phi, cfg) for phi, cfg in runs]
     records = list(evolve_records(runs))
-    assert [t for t, _ in records] == together[0].times.tolist()
+    assert [t for t, _ in records] == alone[0].times.tolist()
     assert len({id(coeffs.base) for _, coeffs in records}) == 1
     assert not records[0][1].flags.writeable
     for index, (t, coeffs) in enumerate(evolve_records(runs)):
-        assert np.array_equal(coeffs, [traj.values[index] for traj in together])
+        assert np.array_equal(coeffs, [traj.values[index] for traj in alone])
 
 
 def test_evolve_records_checks_before_the_first_record(monkeypatch):
     # admission and the blow-up check raise before any step: a step's work is
-    # its 5 x 64 values plus the pass overhead of 512, and evolve_together's
-    # bytes add its 21 records, each 5 x 64 coefficients and a time
+    # its 5 x 64 values plus the pass overhead of 512, and the bytes add what
+    # the consumer keeps of each of the 21 records and holds besides
     runs = _stack_runs(0.02, record_every=1)
     monkeypatch.setattr(evolution, "_split_step", None)
     monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512) - 1)
-    with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values, 0 records kept: "):
+    with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values and 21 records: "):
         next(evolve_records(runs))
     monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512))
-    monkeypatch.setattr(spectral, "MEMORY_BUDGET", 16 * 5 * (9 * 64 + 21 * 65) - 1)
-    with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values, 21 records kept: "):
-        evolve_together(runs)
+    exact = 16 * 5 * 9 * 64 + 21 * 100 + 7
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact)
+    evolve_records(runs, 100, 7)
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact - 1)
+    with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values and 21 records: "):
+        evolve_records(runs, 100, 7)
     phi, cfg = runs[1]
     runs[1] = (Field(cfg.grid, 1e12 * phi.values), cfg)
     with pytest.raises(BlowUpError, match="^run 1 of 5, alpha 2, carrier 0: "):
@@ -856,18 +858,19 @@ def test_evolve_records_checks_before_the_first_record(monkeypatch):
     ],
 )
 def test_evolve_together_requires_shared_step_parameters(change):
+    # runs stepped together through evolve_records, checked as it is called
     phi, cfg = _stack_runs(0.02, record_every=1)[0]
     other = replace(cfg, **change)
-    with pytest.raises(ValidationError):
-        evolve_together([(phi, cfg), (Field(other.grid, np.zeros(other.grid.nx)), other)])
+    with pytest.raises(ValidationError, match="runs must share"):
+        evolve_records([(phi, cfg), (Field(other.grid, np.zeros(other.grid.nx)), other)])
 
 
 def test_evolve_together_validations():
-    with pytest.raises(ValidationError):
-        evolve_together([])
+    with pytest.raises(ValidationError, match="needs at least one run"):
+        evolve_records([])
     (phi, cfg), (psi, _) = _stack_runs(0.02, record_every=1)[:2]
-    with pytest.raises(ValidationError):
-        evolve_together([(phi, cfg), (psi, cfg)])  # data on another grid
+    with pytest.raises(ValidationError, match="initial data grid"):
+        evolve_records([(phi, cfg), (psi, cfg)])  # data on another grid
 
 
 def _failure(call):
@@ -899,7 +902,7 @@ def test_evolve_together_row_failure_matches_evolve(circle, monkeypatch):
         # the same failure, naming the run's row in the batch
         for row, runs in ((1, [good, failing]), (0, [failing, good])):
             want = (kind, message.replace("run 0 of 1", f"run {row} of 2"))
-            assert _failure(lambda: evolve_together(runs)) == want
+            assert _failure(lambda: _consume(evolve_records(runs))) == want
 
 
 def test_evolve_together_failure_names_the_run():
@@ -911,7 +914,7 @@ def test_evolve_together_failure_names_the_run():
     centred = Field.physical(grid, np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2))
     edge = Field.physical(grid, np.exp(-0.5 * (grid.x / 0.3) ** 2))
     with pytest.raises(WrapAroundError) as info:
-        evolve_together([(centred, replace(cfg, alpha=1.2)), (edge, cfg)])
+        _consume(evolve_records([(centred, replace(cfg, alpha=1.2)), (edge, cfg)]))
     assert str(info.value).startswith("run 1 of 2, alpha 1.7, carrier 3: tail mass fraction")
 
 
@@ -944,7 +947,7 @@ def _band_limited_runs(data, nx, n_rows):
 @given(data=st.data(), nx=st.sampled_from([16, 64, 256]), n_rows=st.integers(1, 3))
 def test_evolve_together_conserves_each_row_mass(data, nx, n_rows):
     runs = _band_limited_runs(data, nx, n_rows)
-    for (phi, _), traj in zip(runs, evolve_together(runs)):
+    for (phi, _), traj in zip(runs, history(runs)):
         masses = np.array([mass(s) for s in traj.states])
         assert np.max(np.abs(masses - mass(phi))) <= 1e-12 * mass(phi)
 
@@ -954,8 +957,8 @@ def test_evolve_together_conserves_each_row_mass(data, nx, n_rows):
 def test_evolve_together_step_back_returns_each_row(data, nx, n_rows):
     # Strang splitting is symmetric: a step of -dt undoes a step of dt
     runs = [(phi, replace(cfg, t_final=cfg.dt)) for phi, cfg in _band_limited_runs(data, nx, n_rows)]
-    forward = evolve_together(runs)
-    back = evolve_together(
+    forward = history(runs)
+    back = history(
         [(traj.states[-1], replace(cfg, dt=-cfg.dt, t_final=-cfg.dt))
          for (_, cfg), traj in zip(runs, forward)]
     )
@@ -979,12 +982,12 @@ def test_evolve_commutes_with_lattice_translation(data, nx, n_rows):
         np.exp(-1j * cfg.grid.k * data.draw(st.integers(0, nx - 1)) * cfg.grid.dx)
         for _, cfg in runs
     ]
-    moved = evolve_together(
+    moved = history(
         [(Field(cfg.grid, phi.values * shift), cfg) for (phi, cfg), shift in zip(runs, shifts)]
     )
     _assert_rows_match(
         moved,
-        [[s.values * shift for s in traj.states] for traj, shift in zip(evolve_together(runs), shifts)],
+        [[s.values * shift for s in traj.states] for traj, shift in zip(history(runs), shifts)],
     )
 
 
@@ -993,8 +996,8 @@ def test_evolve_commutes_with_lattice_translation(data, nx, n_rows):
 def test_evolve_commutes_with_global_phase(data, nx, n_rows):
     runs = _band_limited_runs(data, nx, n_rows)
     phase = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
-    rotated = evolve_together([(Field(cfg.grid, phase * phi.values), cfg) for phi, cfg in runs])
-    _assert_rows_match(rotated, [[phase * s.values for s in traj.states] for traj in evolve_together(runs)])
+    rotated = history([(Field(cfg.grid, phase * phi.values), cfg) for phi, cfg in runs])
+    _assert_rows_match(rotated, [[phase * s.values for s in traj.states] for traj in history(runs)])
 
 
 @settings(max_examples=20, deadline=None)
@@ -1020,7 +1023,7 @@ def test_evolve_is_galilean_covariant_at_alpha_two(data, nx, n_rows):
         runs.append((Field(grid, uhat), cfg))
         moved.append((Field(grid, np.roll(uhat, m0)), cfg))
         modes.append(m0)
-    trajs = evolve_together(runs + moved)
+    trajs = history(runs + moved)
     want = []
     for traj, (_, cfg), m0 in zip(trajs, runs, modes):
         k0 = m0 * cfg.grid.dk
@@ -1034,12 +1037,12 @@ def test_evolve_is_galilean_covariant_at_alpha_two(data, nx, n_rows):
 @pytest.mark.parametrize("t_final", [0.0205, 0.02])  # shrunken final step, or none
 def test_evolve_history_limit_counts_every_record(monkeypatch, t_final):
     # a budget of exactly the predicted bytes passes, one byte less raises:
-    # five runs of nine pinned fields, and eight records of each run's 64
-    # coefficients and a time, all 16 bytes a value
-    runs = _stack_runs(t_final, record_every=3)
-    exact = 16 * 5 * (9 * 64 + 8 * (64 + 1))
+    # nine pinned fields, and eight records of the run's 64 coefficients and
+    # a time, all 16 bytes a value
+    phi, cfg = _stack_runs(t_final, record_every=3)[1]
+    exact = 16 * (9 * 64 + 8 * (64 + 1))
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact)
-    assert len(evolve_together(runs)[0].states) == 8
+    assert len(evolve(phi, cfg).states) == 8
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact - 1)
-    with pytest.raises(ValidationError, match="of 5 x 64 values, 8 records kept: 0 MiB"):
-        evolve_together(runs)
+    with pytest.raises(ValidationError, match="of 1 x 64 values and 8 records: 0 MiB"):
+        evolve(phi, cfg)

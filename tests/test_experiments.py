@@ -4,16 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fnls.evolution as evolution
 import fnls.experiments as experiments
 import fnls.spectral as spectral
 from fnls.constructions import BoxSpec
 from fnls.constructions import approximate_solution, rescale_solution
-from fnls.norms import sobolev_norm
+from fnls.norms import energy, mass, sobolev_norm
 from fnls.symbols import envelope_scale, group_velocity
 
 from fnls.errors import ResolutionError, ValidationError
 from fnls.spectral import Field, make_grid, physical_values
-from fnls.evolution import SimConfig, Trajectory, evolve_records, evolve_together
+from fnls.evolution import SimConfig, Trajectory, evolve, evolve_records
 from fnls.experiments import (
     fit_power_law,
     initial_field,
@@ -25,7 +26,13 @@ from fnls.experiments import (
     wavepacket_grid,
 )
 
-from oracles import pde_residual, scatter
+from oracles import history, pde_residual, scatter
+
+
+def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
+    """a's values less b's, record by record, on a's grid."""
+    assert a.grid == b.grid and a.values.shape == b.values.shape
+    return Trajectory(a.times, a.grid, a.values - b.values)
 
 
 def test_fit_power_law_recovers_exponent():
@@ -97,6 +104,60 @@ def test_conservation_suite_report():
     rep0 = run_conservation_suite(cfg0, "gaussian:a=1,sigma=0.5")
     assert rep0["energy_drift"] <= 1e-10
     assert rep0["mass_drift"] <= 1e-11
+
+
+@pytest.mark.parametrize("nx, dt, t_final", [
+    (256, 1e-3, 0.014),  # 15 records: one short of a block of 16
+    (256, 1e-3, 0.015),  # 16: one block
+    (256, 1e-3, 0.016),  # 17: a block and one record
+    (256, 1e-3, 0.0155),  # 17, the last after a shrunken step
+    (256, -1e-3, -0.016),  # 17, backward in time
+    (4096, 1e-5, 3e-5),  # blocks of one record
+])
+def test_record_summary_equals_whole_history_arithmetic(nx, dt, t_final):
+    # every transform and reduction of a block runs along the last axis, so
+    # the summary is bit for bit what evolve's whole history gives, however
+    # the records fall into blocks
+    assert experiments.SUMMARY_CHUNK_VALUES // 256 == 16
+    grid = make_grid(nx, 2 * np.pi)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=dt, t_final=t_final, grid=grid)
+    phi = initial_field(grid, "gaussian:a=1,sigma=0.5")
+    times, masses, energies, peaks, last = experiments.summarize_records(phi, cfg)
+    traj = evolve(phi, cfg)
+    u = physical_values(traj)
+    assert np.array_equal(times, traj.times)
+    assert np.array_equal(masses, mass(traj))
+    assert np.array_equal(energies, energy(traj, 1.5, 1.0))
+    assert np.array_equal(peaks, np.max(np.abs(u), axis=-1))
+    assert np.array_equal(last, u[-1])
+
+
+@pytest.mark.parametrize("nx, length, dt, t_final", [
+    (256, 2 * np.pi, 1e-3, 0.64),  # 641 records in blocks of 16
+    (2**16, 100.0, 1e-4, 0.0012),  # 13 records in blocks of one
+], ids=["nx256", "nx65536"])
+def test_record_summary_prediction_bounds_its_peak(monkeypatch, nx, length, dt, t_final):
+    # the call's one admission prices the stepping, the blocks and the
+    # columns; the prediction is 1.10x the peak at nx = 256 and 1.24x at
+    # 2^16, where a block's work costs 1.5 fields (tracemalloc, numpy 2.4)
+    predicted = []
+
+    def admit(what, remedy, nbytes, work):
+        predicted.append(nbytes)
+        spectral.admit(what, remedy, nbytes, work)
+
+    monkeypatch.setattr(evolution, "admit", admit)
+    grid = make_grid(nx, length)
+    cfg = SimConfig(alpha=1.5, gamma=1.0, dt=dt, t_final=t_final, grid=grid)
+    phi = initial_field(grid, "gaussian:a=1,sigma=0.5")
+    tracemalloc.start()
+    try:
+        experiments.summarize_records(phi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [nbytes] = predicted
+    assert peak <= nbytes <= 1.5 * peak
 
 
 def test_scan_remainder_small():
@@ -225,12 +286,14 @@ def test_scan_wavepacket_rejects_a_width_that_is_not_positive(monkeypatch, tau):
 
 
 def test_wavepacket_grid_over_memory_limit_is_rejected_before_allocation(monkeypatch):
-    # the grid is admitted at 16 bytes a point, so 2^26 points are exactly
-    # MEMORY_BUDGET; a carrier just past the one that needs them asks for more
+    # the rounded grid is admitted at make_grid's rate, one stepping row of
+    # STEP_FIELDS fields: 2^22 points fit MEMORY_BUDGET and 2^23 do not, so
+    # a carrier just past the one that needs 2^22 is rejected by the packet
+    # grid, naming tau_scale and m, not by make_grid
     monkeypatch.setattr(experiments, "make_grid", lambda nx, length: nx)
-    edge = (2**26 * np.pi / 64.0 - 16.0) / 1.5
-    assert wavepacket_grid(edge * (1 - 1e-12), 1.0) == 2**26
-    with pytest.raises(ValidationError, match="grid at tau_scale = 1 and m = 2.19612e\\+06: 1024 MiB"):
+    edge = (2**22 * np.pi / 64.0 - 16.0) / 1.5
+    assert wavepacket_grid(edge * (1 - 1e-12), 1.0) == 2**22
+    with pytest.raises(ValidationError, match="grid at tau_scale = 1 and m = 137248: 1152 MiB"):
         wavepacket_grid(edge * (1 + 1e-12), 1.0)
     with pytest.raises(ValidationError, match="grid at tau_scale = 1e-300 and m = 16: "):
         wavepacket_grid(16.0, 1e-300)
@@ -278,8 +341,8 @@ def test_nls_pair_separation_grows_tenfold():
     p1, p2 = _proportional_pair(grid, eps, delta, sigma)
     assert sobolev_norm(p1, 0.0) == pytest.approx(eps, rel=1e-12)
     cfg = SimConfig(alpha=2.0, gamma=1.0, dt=0.1, t_final=360.0, grid=grid, record_every=360)
-    t1, t2 = evolve_together([(p1, cfg), (p2, cfg)])
-    seps = sobolev_norm(t1 - t2, 0.0)
+    records = evolve_records([(p1, cfg), (p2, cfg)])
+    seps = [sobolev_norm(Field(grid, coeffs[0] - coeffs[1]), 0.0) for _, coeffs in records]
     assert seps[0] == pytest.approx(delta, rel=0.01)
     assert max(seps) >= 10.0 * seps[0]
 
@@ -372,12 +435,12 @@ def _dense_image(v_traj, n, alpha, grid) -> np.ndarray:
 
 
 def _keep_trajectories(monkeypatch) -> list:
-    """Each batch's trajectories (evolve_together) as the pipelines step it,
+    """Each batch's trajectories (oracles.history) as the pipelines step it,
     appended to the list returned."""
     batches = []
 
     def keep(runs):
-        batches.append(evolve_together(runs))
+        batches.append(history(runs))
         return evolve_records(runs)
 
     monkeypatch.setattr(experiments, "evolve_records", keep)
@@ -409,7 +472,7 @@ def test_band_pipelines_match_whole_grid_arithmetic(monkeypatch):
     # the lam-times shorter one, on twice as many points
     wide, target = make_grid(2 * grid.nx, length), make_grid(2 * grid.nx, length / lam)
     u1, u2 = (Trajectory(w1.times, target, scatter(w, wide)) for w in (w1, w2))
-    sep = sobolev_norm(u1 - u2, 0.0)
+    sep = sobolev_norm(_difference(u1, u2), 0.0)
     want = {
         "data_norm_1": sobolev_norm(u1.states[0], 0.0),
         "data_norm_2": sobolev_norm(u2.states[0], 0.0),
@@ -435,13 +498,13 @@ def test_record_reductions_equal_whole_trajectory_arithmetic(monkeypatch):
 
     def sup(v, w):
         image = approximate_solution(v, w.grid.carrier, alpha, w.grid.length)
-        return float(np.max(sobolev_norm(w - image, s_track)))
+        return float(np.max(sobolev_norm(_difference(w, image), s_track)))
 
     trajs = batches[0]
     assert scan.errors == {n: sup(v, w) for n, v, w in zip(scan.errors, trajs[::2], trajs[1::2])}
     v1, v2, w1, w2 = batches[1]
     u1, u2 = (rescale_solution(w, rep["lambda"], alpha) for w in (w1, w2))
-    sep = sobolev_norm(u1 - u2, s)
+    sep = sobolev_norm(_difference(u1, u2), s)
     assert sep.size == 16
     i_max = int(np.argmax(sep))
     want = {
