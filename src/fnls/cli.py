@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ValidationError
-from .spectral import make_grid
+from .spectral import Field, make_grid
 from .norms import mass
 from .evolution import SimConfig, picard_iterate
 from .experiments import (
@@ -125,9 +125,24 @@ def _read_config(path, command, sub) -> dict:
     return defaults
 
 
-def _add_common(p):
+def _add_command(sub, name: str, summary: str, handler):
+    """sub's subparser name, with the --config and --out of every command and its handler."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="key=value file seeding these options")
     p.add_argument("--out", help="output path (stdout when omitted)")
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _add_run_options(p, t_final: float, init: str):
+    """The options of one evolution run, which evolve and picard share."""
+    p.add_argument("--alpha", type=float, default=1.5)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--nx", type=int, default=256)
+    p.add_argument("--length", type=float, default=2.0 * np.pi)
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-final", type=float, default=t_final)
+    p.add_argument("--init", default=init)
 
 
 def build_parser() -> CliParser:
@@ -136,57 +151,38 @@ def build_parser() -> CliParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub  # .choices maps name -> subparser
 
-    p = sub.add_parser("evolve", help="integrate the initial value problem")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--nx", type=int, default=256)
-    p.add_argument("--length", type=float, default=2.0 * np.pi)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-final", type=float, default=1.0)
+    p = _add_command(sub, "evolve", "integrate the initial value problem", _cmd_evolve)
+    _add_run_options(p, t_final=1.0, init="gaussian:a=1,sigma=0.5")
     p.add_argument("--record-every", type=int, default=10)
-    p.add_argument("--init", default="gaussian:a=1,sigma=0.5")
     p.add_argument("--dump-state", help="write the final state samples here")
 
-    p = sub.add_parser("picard", help="Duhamel fixed-point iteration")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--nx", type=int, default=256)
-    p.add_argument("--length", type=float, default=2.0 * np.pi)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-final", type=float, default=0.1)
+    p = _add_command(sub, "picard", "Duhamel fixed-point iteration", _cmd_picard)
+    _add_run_options(p, t_final=0.1, init="gaussian:a=0.2,sigma=0.6")
     p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--init", default="gaussian:a=0.2,sigma=0.6")
 
-    p = sub.add_parser("scan-trilinear", help="resonant-box norm scan")
-    _add_common(p)
+    p = _add_command(sub, "scan-trilinear", "resonant-box norm scan", _cmd_scan_trilinear)
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.51)
     p.add_argument("--n", default="16,32,64,128,256")
 
-    p = sub.add_parser("scan-remainder", help="remainder-symbol bound scan")
-    _add_common(p)
+    p = _add_command(sub, "scan-remainder", "remainder-symbol bound scan", _cmd_scan_remainder)
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--n", default="16,32,64,128,256,512,1024")
     p.add_argument("--xi-max", type=float, default=0.5)
 
-    p = sub.add_parser("scan-wavepacket", help="modulated-packet norm scan")
-    _add_common(p)
+    p = _add_command(sub, "scan-wavepacket", "modulated-packet norm scan", _cmd_scan_wavepacket)
     p.add_argument("--s", default="-0.25,0,0.25")
     p.add_argument("--m", default="16,32,64,128,256,512")
     p.add_argument("--tau", type=float, default=1.0)
 
-    p = sub.add_parser("approx-error", help="NLS-image approximation error scan")
-    _add_common(p)
+    p = _add_command(sub, "approx-error", "NLS-image approximation error scan", _cmd_approx_error)
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--n", default="8,16,32,64")
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--t-final", type=float, default=0.5)
 
-    p = sub.add_parser("illposed", help="separation (ill-posedness) pipeline")
-    _add_common(p)
+    p = _add_command(sub, "illposed", "separation (ill-posedness) pipeline", _cmd_illposed)
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -195,23 +191,32 @@ def build_parser() -> CliParser:
     p.add_argument("--n-carrier", type=float, default=16.0)
     p.add_argument("--sigma", type=float, default=28.0)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    _add_common(p)
+    _add_command(sub, "verify", "run the acceptance suite", _cmd_verify)
 
     return parser
 
 
-def _options(args, skip=("command", "config", "out", "dump_state")) -> dict:
+def _options(args, skip=("command", "handler", "config", "out", "dump_state")) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _cmd_evolve(args) -> int:
+def _run_inputs(args, record_every: int) -> tuple[SimConfig, Field]:
+    """The config and initial data of evolve's and picard's run options."""
     grid = make_grid(args.nx, args.length)
     cfg = SimConfig(
         alpha=args.alpha, gamma=args.gamma, dt=args.dt, t_final=args.t_final,
-        grid=grid, record_every=args.record_every,
+        grid=grid, record_every=record_every,
     )
-    phi = initial_field(grid, args.init)
+    return cfg, initial_field(grid, args.init)
+
+
+def _fit_fields(scan) -> dict:
+    """A fitted scan's slope, its standard error and r^2, as header fields."""
+    return {key: getattr(scan, key) for key in ("fitted_slope", "slope_stderr", "r_squared")}
+
+
+def _cmd_evolve(args) -> int:
+    cfg, phi = _run_inputs(args, args.record_every)
     times, masses, energies, peaks, last = summarize_records(phi, cfg, EVOLVE_RECORD_BYTES)
     opts = _options(args)
     extra = {
@@ -223,19 +228,15 @@ def _cmd_evolve(args) -> int:
     if args.dump_state:
         lines = _header_lines("evolve-state", opts)
         lines.append("x,re_u,im_u")
-        for xj, uj in zip(grid.x, last):
+        for xj, uj in zip(cfg.grid.x, last):
             lines.append(f"{fmt(xj)},{fmt(uj.real)},{fmt(uj.imag)}")
         _emit(args.dump_state, lines)
     return 0
 
 
 def _cmd_picard(args) -> int:
-    grid = make_grid(args.nx, args.length)
-    cfg = SimConfig(
-        alpha=args.alpha, gamma=args.gamma, dt=args.dt, t_final=args.t_final,
-        grid=grid, record_every=1,
-    )
-    result = picard_iterate(initial_field(grid, args.init), cfg, args.iterations)
+    cfg, phi = _run_inputs(args, 1)
+    result = picard_iterate(phi, cfg, args.iterations)
     report = {
         "iterations": args.iterations,
         "difference_norms": list(result.difference_norms),
@@ -256,9 +257,7 @@ def _cmd_scan_trilinear(args) -> int:
     ]
     extra = {
         "columns": "N,ratio,numerator_norm,factor_norm",
-        "fitted_slope": scan.ratio.fitted_slope,
-        "slope_stderr": scan.ratio.slope_stderr,
-        "r_squared": scan.ratio.r_squared,
+        **_fit_fields(scan.ratio),
         "factor_slope": scan.factors[0].fitted_slope,
         "factor_r_squared": scan.factors[0].r_squared,
         "numerator_slope": scan.numerator.fitted_slope,
@@ -278,9 +277,7 @@ def _cmd_scan_remainder(args) -> int:
     ]
     extra = {
         "columns": "N,sup_ratio,c1_bound,margin",
-        "fitted_slope": res.scan.fitted_slope,
-        "slope_stderr": res.scan.slope_stderr,
-        "r_squared": res.scan.r_squared,
+        **_fit_fields(res.scan),
         "c1": res.c1,
         "bound_ok": res.bound_ok,
         "n_dropped": res.scan.n_dropped,
@@ -312,9 +309,7 @@ def _cmd_approx_error(args) -> int:
     rows = [(n, v, args.alpha, args.epsilon) for n, v in res.scan.points]
     extra = {
         "columns": "N,sup_error,alpha,epsilon",
-        "fitted_slope": res.scan.fitted_slope,
-        "slope_stderr": res.scan.slope_stderr,
-        "r_squared": res.scan.r_squared,
+        **_fit_fields(res.scan),
     }
     extra.update({f"cfg_{k}": v for k, v in res.config.items()})
     _write_scan_csv(args.out, "approx-error", _options(args), rows, extra)
@@ -341,18 +336,6 @@ def _cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 2
 
 
-COMMANDS = {
-    "evolve": _cmd_evolve,
-    "picard": _cmd_picard,
-    "scan-trilinear": _cmd_scan_trilinear,
-    "scan-remainder": _cmd_scan_remainder,
-    "scan-wavepacket": _cmd_scan_wavepacket,
-    "approx-error": _cmd_approx_error,
-    "illposed": _cmd_illposed,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -364,7 +347,7 @@ def main(argv=None) -> int:
         for key, val in vars(args).items():  # inf and nan, from a flag or a config file
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValidationError(f"--{key.replace('_', '-')} must be finite, got {val}")
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValidationError, ValueError, OSError) as exc:

@@ -20,7 +20,7 @@ from .spectral import (
     spectral_tail_fraction,
     tail_fraction,
 )
-from .symbols import envelope_scale, group_velocity
+from .symbols import _check_alpha, envelope_scale, group_velocity
 # sobolev_norm is not called here; it stays importable from this module
 # because perfbench/tracer.py wraps it at this lookup site
 from .norms import SpaceTimeField, sobolev_norm  # noqa: F401
@@ -52,8 +52,7 @@ class BoxSpec:
     def __post_init__(self):
         if self.n < 16 or math.frexp(self.n)[0] != 0.5:  # a power of two
             raise ValidationError(f"n must be a dyadic value >= 16, got {self.n}")
-        if not (1.0 < self.alpha < 2.0):
-            raise ValidationError(f"alpha must lie in (1, 2), got {self.alpha}")
+        _check_alpha(self.alpha, allow_two=False)
 
     @property
     def width(self) -> float:
@@ -277,8 +276,7 @@ def lambda_for(s: float, alpha: float, n_carrier: float) -> float:
     """Zoom factor N^(((2-alpha)/4 - s)/(s + 1/2)) equalizing data norms."""
     if s <= -0.5:
         raise ValidationError(f"s must exceed -1/2, got {s}")
-    if not (1.0 < alpha <= 2.0):
-        raise ValidationError(f"alpha must lie in (1, 2], got {alpha:g}")
+    alpha = _check_alpha(alpha)
     if not n_carrier >= 1.0:  # below 1, lambda < 1 in the separation range
         raise ValidationError(f"carrier frequency must be >= 1, got {n_carrier:g}")
     exponent = ((2.0 - alpha) / 4.0 - s) / (s + 0.5)

@@ -25,17 +25,18 @@ from .spectral import (
     Grid,
     cubic_values,
     inverse_transform,
-    spectral_values,
     tail_fraction,
     _frozen_array,
 )
+from .symbols import _check_alpha
 
 from . import spectral
 
-# perfbench/tracer.py wraps fnls.evolution.dealiased_density and
-# forward_transform, which nothing here calls any more; the re-exports go
-# once the benchmark's tracer tolerates deleted names (ROADMAP item 1)
+# perfbench/tracer.py wraps dealiased_density, forward_transform and
+# spectral_values here, which nothing here calls any more; the re-exports
+# go once the benchmark's tracer tolerates deleted names (ROADMAP item 1)
 from .spectral import PAD_FACTOR, dealiased_density, forward_transform  # noqa: F401
+from .spectral import spectral_values  # noqa: F401
 
 TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
@@ -72,8 +73,7 @@ class SimConfig:
     check_tail: bool = False
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValidationError(f"alpha must lie in (1, 2], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.dt == 0.0 or not np.isfinite(self.dt):
             raise ValidationError("dt must be nonzero and finite")
         if self.t_final == 0.0 or self.t_final * self.dt < 0.0:
@@ -137,15 +137,10 @@ def _split_step(symbol: np.ndarray, gamma: float, dt: float, dx):
     samples' parts until it holds the phase, and the angle has its own.
     All are made here, so a step allocates nothing.  Each FFT covers all
     rows in one call and no operation mixes rows, so a row computes exactly
-    what it would alone.
+    what it would alone.  A free run (gamma = 0) takes the same step: its
+    phase is exactly 1, so it adds only the transforms' round-off.
     """
     half_phase = np.exp(0.5j * dt * symbol)
-    if gamma == 0.0:
-        def linear(uhat: np.ndarray) -> None:
-            uhat *= half_phase
-            uhat *= half_phase
-
-        return linear
     lead = half_phase / dx
     trail = np.multiply(half_phase, dx, out=half_phase)  # half_phase is not kept
     u = np.empty_like(lead)
@@ -255,7 +250,7 @@ def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
     """evolve_records' loop over the admitted runs and their _plan."""
     cfgs, n_whole, remainder, n_records = plan
     cfg = cfgs[0]
-    uhat = np.stack([spectral_values(phi) for phi, _ in runs])
+    uhat = np.stack([phi.values for phi, _ in runs])
 
     def where(row: int) -> str:
         c = cfgs[row]
@@ -370,7 +365,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     omega = cfg.symbol()
     times = cfg.dt * np.arange(n_whole + 1)
     half_dt = 0.5 * cfg.dt
-    phi_hat = spectral_values(phi)
+    phi_hat = phi.values
     weight = (1.0 + grid.k**2) ** ((2.0 - cfg.alpha) / 4.0)
     # kept block buffers: the current and next iterate, the cubic term (then
     # the difference), the rotation and its three products; real ones for the

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ValidationError
 from .spectral import LENGTH_LIMIT, PASS_OVERHEAD, STEP_FIELDS, Field, Grid, _count, admit
 from .spectral import lattice_mode, make_grid, physical_values
-from .symbols import envelope_scale, group_velocity, remainder_bound_constant, remainder_symbol
+from .symbols import _carrier_power, envelope_scale, group_velocity
+from .symbols import remainder_bound_constant, remainder_symbol
 from .norms import _sobolev_weight, _weighted_norm, energy, mass, xsb_norm
 from .evolution import SimConfig, Trajectory, _record_blocks, evolve_records
 from .constructions import (
@@ -42,19 +43,20 @@ SUMMARY_CHUNK_VALUES = 2**12  # values in a block of summarize_records
 # frequency samples across [-xi_max, xi_max] in scan_remainder
 REMAINDER_SAMPLES = 800
 
+# the envelope grid size, and so the band size, of both modulated pipelines
+NX_ENVELOPE = 512
+
 # run_approximation_error's envelope width, torus length (before it moves
-# onto the lattice), envelope grid size, time step and record interval
+# onto the lattice), time step and record interval
 APPROX_SIGMA = 3.0
 APPROX_LENGTH = 48.0
-APPROX_NX_ENVELOPE = 512
 APPROX_DT = 1e-3
 APPROX_RECORD_EVERY = 10
 
 # run_illposedness_demo's torus length (before it moves onto the carrier's
-# lattice), envelope grid size, time-step ladder and record interval; the
-# phase limit is dt * max|symbol| of gate 8's runs at dt = 0.2
+# lattice), time-step ladder and record interval; the phase limit is
+# dt * max|symbol| of gate 8's runs at dt = 0.2
 ILLPOSED_LENGTH = 360.0
-ILLPOSED_NX_ENVELOPE = 512
 ILLPOSED_DT_LADDER = (0.2, 0.1, 0.05, 0.025)
 ILLPOSED_PHASE_LIMIT = 6.4
 ILLPOSED_RECORD_INTERVAL = 40.0
@@ -149,7 +151,8 @@ def fit_power_law(
 
 
 def initial_field(grid: Grid, spec: str) -> Field:
-    """Parse 'plane:a=0.1,k=2' / 'gaussian:a=1,sigma=0.5,x0=...,k=0' data."""
+    """Parse 'plane:a=0.1,k=2' / 'gaussian:a=1,sigma=0.5,x0=...,k=0' data;
+    every parameter must be finite, and sigma positive."""
     name, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -157,7 +160,10 @@ def initial_field(grid: Grid, spec: str) -> Field:
             key, _, val = item.partition("=")
             if not val:
                 raise ValidationError(f"malformed init parameter {item!r}")
-            params[key.strip()] = float(val)
+            key, value = key.strip(), float(val)
+            if not np.isfinite(value):
+                raise ValidationError(f"init parameter {key} must be finite, got {value}")
+            params[key] = value
     if name == "plane":
         a = params.pop("a", 0.1)
         k = params.pop("k", 1.0)
@@ -168,6 +174,8 @@ def initial_field(grid: Grid, spec: str) -> Field:
         sigma = params.pop("sigma", 0.5)
         x0 = params.pop("x0", 0.5 * grid.length)
         k = params.pop("k", 0.0)
+        if not sigma > 0.0:
+            raise ValidationError(f"sigma must be positive, got {sigma}")
         values = a * np.exp(-0.5 * ((grid.x - x0) / sigma) ** 2 + 1j * k * grid.x)
     else:
         raise ValidationError(f"unknown initial data {name!r}")
@@ -250,14 +258,12 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
             num = xsb_norm(conv, s, b - 1.0, alpha, "-")
             g1 = xsb_norm(plus, s, b, alpha, "-")
             g2 = xsb_norm(minus, s, b, alpha, "+")
-        return num, g1, g2, g1
+        return num, g1, g2
 
     rows = parallel_map(one, n_list)
-    return TrilinearScan(
-        ratio=fit_power_law("N", n_list, [r[0] / (r[1] * r[2] * r[3]) for r in rows]),
-        factors=tuple(fit_power_law("N", n_list, [r[j] for r in rows]) for j in (1, 2, 3)),
-        numerator=fit_power_law("N", n_list, [r[0] for r in rows]),
-    )
+    ratio = fit_power_law("N", n_list, [num / (g1 * g2 * g1) for num, g1, g2 in rows])
+    plus, minus, numerator = (fit_power_law("N", n_list, [r[j] for r in rows]) for j in (1, 2, 0))
+    return TrilinearScan(ratio, factors=(plus, minus, plus), numerator=numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -369,35 +375,34 @@ def _lattice_length(target: float, n_base: float) -> float:
     return 2.0 * np.pi * m / n_base
 
 
-def _carrier_envelope(alpha: float, n_carrier: float, length: float, sigma: float, nx: int):
-    """beta = envelope_scale(alpha, N), N's envelope grid of nx points on the
-    torus length/beta, and the samples of e^(-y^2/2), y = (x - L_v/2)/sigma,
-    there.  A carrier whose N^alpha overflows is rejected."""
+def _carrier_envelope(alpha: float, n_carrier: float, length: float, sigma: float):
+    """beta = envelope_scale(alpha, N), N's envelope grid of NX_ENVELOPE points
+    on the torus length/beta, and the samples of e^(-y^2/2), y = (x - L_v/2)/sigma,
+    there.  A carrier whose N^alpha overflows is rejected (_carrier_power)."""
     beta = envelope_scale(alpha, n_carrier)  # checks alpha first
-    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
-        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
-    y_grid = make_grid(nx, length / beta)
+    _carrier_power(alpha, n_carrier)
+    y_grid = make_grid(NX_ENVELOPE, length / beta)
     with np.errstate(over="ignore"):  # a tiny sigma: exp(-inf) = 0 off the centre
         env = np.exp(-0.5 * ((y_grid.x - 0.5 * y_grid.length) / sigma) ** 2)
     return beta, y_grid, env
 
 
 def _modulated_runs(
-    alpha, length, carriers, sigma, nx_envelope, dt, t_final, record_every
+    alpha, length, carriers, sigma, dt, t_final, record_every
 ) -> list[tuple[Field, SimConfig]]:
     """The (phi, cfg) runs of the modulated pairs, in the packets' rest frame.
 
     Each amplitude a of each (N, amplitudes) in carriers gives two runs: the
     alpha = 2 NLS run from a e^(-y^2/2) (see _carrier_envelope), and the
     fractional run from beta times its coefficients, the envelope's image at
-    t = 0, on N's band of nx_envelope modes with frame_velocity =
+    t = 0, on N's band of NX_ENVELOPE modes with frame_velocity =
     -group_velocity.  Every run checks its wrap-around at each record, an
     image's being its envelope's.  N's NLS runs come first, then its band runs.
     """
     runs = []
     for n, amplitudes in carriers:
-        beta, y_grid, env = _carrier_envelope(alpha, n, length, sigma, nx_envelope)
-        band = make_grid(nx_envelope, length, carrier=n)
+        beta, y_grid, env = _carrier_envelope(alpha, n, length, sigma)
+        band = make_grid(NX_ENVELOPE, length, carrier=n)
         kw = dict(gamma=1.0, dt=dt, t_final=t_final, record_every=record_every, check_tail=True)
         v_cfg = SimConfig(alpha=2.0, grid=y_grid, **kw)
         u_cfg = SimConfig(alpha=alpha, grid=band, frame_velocity=-group_velocity(alpha, n), **kw)
@@ -454,9 +459,9 @@ def run_approximation_error(
     epsilon and track sup_t of the H^((2-alpha)/4) distance to the modulated
     NLS image, for each carrier, in the packet's rest frame (_modulated_runs),
     record by record (_evolve_pairs).  Repeated carriers are rejected before
-    any run is built.  The other parameters are the APPROX_* constants;
-    config reports them with the length moved onto the smallest carrier's
-    lattice."""
+    any run is built.  The other parameters are NX_ENVELOPE and the APPROX_*
+    constants; config reports them with the length moved onto the smallest
+    carrier's lattice."""
     n_list = sorted(float(n) for n in n_list)
     if len(n_list) < 4:
         raise ValidationError(f"need at least four carriers, got {len(n_list)}")
@@ -468,7 +473,7 @@ def run_approximation_error(
     length = _lattice_length(APPROX_LENGTH, n_list[0])
     runs = _modulated_runs(
         alpha, length, [(n, [epsilon]) for n in n_list], APPROX_SIGMA,
-        APPROX_NX_ENVELOPE, APPROX_DT, t_final, APPROX_RECORD_EVERY,
+        APPROX_DT, t_final, APPROX_RECORD_EVERY,
     )
     for _, _, sups in _evolve_pairs(runs, alpha):
         pass  # each record updates the running sups in place
@@ -479,7 +484,7 @@ def run_approximation_error(
         config={
             "alpha": alpha, "epsilon": epsilon, "t_final": t_final,
             "sigma": APPROX_SIGMA, "length": length,
-            "nx_envelope": APPROX_NX_ENVELOPE, "dt": APPROX_DT,
+            "nx_envelope": NX_ENVELOPE, "dt": APPROX_DT,
         },
     )
 
@@ -508,15 +513,16 @@ def run_illposedness_demo(
     equals epsilon, in (0, 1), and a_2 = a_1 (1 + delta/epsilon) so the data
     separation equals delta, in [0, epsilon/2].  t_internal is the evolution
     window before time rescaling; the reported physical window is
-    t_internal / lambda^alpha.  The torus and the envelope grid size are the
-    ILLPOSED_* constants.  Its runs come from _modulated_runs, and each
-    record is reduced as it is stepped (_evolve_pairs): the band runs'
-    coefficients are the zoomed pair's on rescale_solution's grid, weighed
-    there in H^s.
+    t_internal / lambda^alpha.  The torus is ILLPOSED_LENGTH and the
+    envelope grid NX_ENVELOPE points.  Its runs come from _modulated_runs,
+    built once, and each record is reduced as it is stepped (_evolve_pairs):
+    the band runs' coefficients are the zoomed pair's on rescale_solution's
+    grid, weighed there in H^s.
 
     The step is the largest of ILLPOSED_DT_LADDER (0.025 * 2^j, up to 0.2)
     whose phase dt * max|symbol| over the evolutions stays within
-    ILLPOSED_PHASE_LIMIT, else the smallest; states are recorded every
+    ILLPOSED_PHASE_LIMIT, else the smallest: the runs are built at the
+    smallest and their configs re-made at dt.  States are recorded every
     ILLPOSED_RECORD_INTERVAL time units.  The report gives the resolved dt,
     record_every, nx_envelope and the length moved onto the carrier's
     lattice.  At gate 8's parameters this picks the cap dt = 0.2, the
@@ -543,30 +549,28 @@ def run_illposedness_demo(
         )
     length = _lattice_length(ILLPOSED_LENGTH, n_carrier)
 
-    # a unit-amplitude probe's image at t = 0, beta times its coefficients, fixes the gain
-    beta, y_grid, env = _carrier_envelope(alpha, n_carrier, length, sigma, ILLPOSED_NX_ENVELOPE)
+    # a unit-amplitude probe's image at t = 0, beta times its coefficients, fixes the gain;
+    # its resolution is the first record's check of the pair's envelopes
+    beta, y_grid, env = _carrier_envelope(alpha, n_carrier, length, sigma)
     probe = Field.physical(y_grid, env).values
-    check_resolved(probe, 0.0)
-    zoom = make_grid(ILLPOSED_NX_ENVELOPE, length / lam, carrier=lam * n_carrier)
+    zoom = make_grid(NX_ENVELOPE, length / lam, carrier=lam * n_carrier)
     weight = _sobolev_weight(zoom, s)
     a1 = epsilon / _weighted_norm(beta * probe, weight, zoom.length)
     amplitudes = (a1, a1 * (1.0 + delta / epsilon))
 
-    def runs(step, every):
-        return _modulated_runs(
-            alpha, length, [(n_carrier, amplitudes)], sigma, ILLPOSED_NX_ENVELOPE,
-            step, t_internal, every,
-        )
-
     smallest = ILLPOSED_DT_LADDER[-1]
-    peak = max(float(np.max(np.abs(cfg.symbol()))) for _, cfg in runs(smallest, 1))
+    runs = _modulated_runs(
+        alpha, length, [(n_carrier, amplitudes)], sigma, smallest, t_internal, 1,
+    )
+    peak = max(float(np.max(np.abs(cfg.symbol()))) for _, cfg in runs)
     dt = next(
         (h for h in ILLPOSED_DT_LADDER if h * peak <= ILLPOSED_PHASE_LIMIT + 1e-12),
         smallest,
     )
     record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
+    runs = [(phi, replace(cfg, dt=dt, record_every=record_every)) for phi, cfg in runs]
     # rows v1, v2, w1, w2: the band runs' coefficients are the zoomed pair's
-    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(runs(dt, record_every), alpha)):
+    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(runs, alpha)):
         sep = _weighted_norm(coeffs[2] - coeffs[3], weight, zoom.length)
         if i == 0:
             norm1, norm2 = (_weighted_norm(coeffs[row], weight, zoom.length) for row in (2, 3))
@@ -586,7 +590,7 @@ def run_illposedness_demo(
         "t_physical": t_internal / lam**alpha,
         "dt": dt,
         "record_every": record_every,
-        "nx_envelope": ILLPOSED_NX_ENVELOPE,
+        "nx_envelope": NX_ENVELOPE,
         "length": length,
         "data_norm_1": norm1,
         "data_norm_2": norm2,

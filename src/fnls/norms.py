@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import physical_values, spectral_values, _frozen_array, _per_record
+from .spectral import physical_values, _frozen_array, _per_record
 
 
 def mass(f):
@@ -29,7 +29,7 @@ def energy(f, alpha: float, gamma: float):
     under the propagator convention exp(i|k|^alpha t): differentiating along
     the flow gives dE/dt = 0 only with the minus sign on the quartic term.
     """
-    uhat = spectral_values(f)
+    uhat = f.values
     u = physical_values(f)
     kinetic = 0.5 * np.sum(np.abs(f.grid.k) ** alpha * np.abs(uhat) ** 2, axis=-1)
     kinetic /= f.grid.length
@@ -40,7 +40,7 @@ def energy(f, alpha: float, gamma: float):
 def sobolev_norm(f, s: float):
     """H^s norm; s = 0 reduces to the square root of the mass."""
     grid = f.grid
-    return _per_record(_weighted_norm(spectral_values(f), _sobolev_weight(grid, s), grid.length))
+    return _per_record(_weighted_norm(f.values, _sobolev_weight(grid, s), grid.length))
 
 
 def _sobolev_weight(grid, s: float) -> np.ndarray:

@@ -20,6 +20,13 @@ def _check_alpha(alpha: float, allow_two: bool = True) -> float:
     return alpha
 
 
+def _carrier_power(alpha: float, n_carrier: float) -> float:
+    """N^alpha for a checked alpha; a carrier whose N^alpha overflows is rejected."""
+    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
+        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
+    return n_carrier**alpha
+
+
 def envelope_scale(alpha: float, n_carrier: float) -> float:
     """Width ratio beta = (alpha(alpha-1)/2 * N^(alpha-2))^(1/2) of the
     wavepacket frame: y = (x + group_velocity*t) / beta."""
@@ -73,13 +80,11 @@ def remainder_symbol(alpha: float, n_carrier: float, xi):
     n_carrier = float(n_carrier)
     if n_carrier < 4.0:
         raise ValidationError(f"carrier frequency must be >= 4, got {n_carrier}")
-    if alpha * np.log(n_carrier) >= np.log(np.finfo(float).max):
-        raise ValidationError(f"carrier frequency {n_carrier:g} overflows N^alpha, alpha {alpha:g}")
+    n_a = _carrier_power(alpha, n_carrier)
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     beta_n = np.sqrt(0.5 * alpha * (alpha - 1.0)) * n_carrier ** (alpha / 2.0)
     z = np.atleast_1d(xi_arr / beta_n)
-    n_a = n_carrier**alpha
 
     out = np.empty_like(z)
     small = np.abs(z) <= _SERIES_Z_MAX

@@ -257,6 +257,36 @@ MUTANTS = [
             "tests/test_gate_numbers.py::test_gate_7_errors_are_pinned",
         ),
     ),
+    # the shared rules: one alpha check, one build of the separation runs,
+    # one set of fit fields
+    Mutant(
+        "a resonant box admitting alpha = 2",
+        "src/fnls/constructions.py",
+        "        _check_alpha(self.alpha, allow_two=False)\n",
+        "        _check_alpha(self.alpha, allow_two=True)\n",
+        ("tests/test_symbols.py::test_dispersion_domain",),
+    ),
+    Mutant(
+        "the illposed configs re-made at the smallest dt",
+        "src/fnls/experiments.py",
+        "replace(cfg, dt=dt, record_every=record_every)",
+        "replace(cfg, dt=smallest, record_every=record_every)",
+        (
+            "tests/test_gate_numbers.py::test_gate_8_report_is_pinned",
+            "tests/test_golden.py::test_cli_artifact_matches_golden[illposed]",
+        ),
+    ),
+    Mutant(
+        "the fit fields without r_squared",
+        "src/fnls/cli.py",
+        '("fitted_slope", "slope_stderr", "r_squared")',
+        '("fitted_slope", "slope_stderr")',
+        (
+            "tests/test_golden.py::test_cli_artifact_matches_golden[scan-trilinear]",
+            "tests/test_golden.py::test_cli_artifact_matches_golden[scan-remainder]",
+            "tests/test_golden.py::test_cli_artifact_matches_golden[approx-error]",
+        ),
+    ),
     # the record summary of gate 2 and the evolve command
     Mutant(
         "the summary drops its last partial block",

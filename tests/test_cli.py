@@ -262,6 +262,15 @@ BAD_NUMBERS = [
     (["scan-remainder", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-trilinear", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-wavepacket", "--m=16,16,16,16"], "needs distinct M values: M = 16 repeats"),
+    # numbers inside --init: a non-finite one or sigma = 0 reached the step as
+    # a non-finite spectrum (exit 2), and sigma < 0 ran (exit 0)
+    (["evolve", "--init", "gaussian:a=nan"], "init parameter a must be finite, got nan"),
+    (["evolve", "--init", "gaussian:a=inf"], "init parameter a must be finite, got inf"),
+    (["evolve", "--init", "gaussian:x0=nan"], "init parameter x0 must be finite, got nan"),
+    (["evolve", "--init", "plane:a=nan"], "init parameter a must be finite, got nan"),
+    (["evolve", "--init", "gaussian:sigma=0"], "sigma must be positive, got 0.0"),
+    (["evolve", "--init", "gaussian:sigma=-1"], "sigma must be positive, got -1.0"),
+    (["picard", "--init", "gaussian:sigma=-1"], "sigma must be positive, got -1.0"),
 ]
 
 

@@ -99,7 +99,7 @@ def test_conservation_suite_report():
     rep = run_conservation_suite(cfg, "gaussian:a=1,sigma=0.5")
     assert rep["mass_drift"] <= 1e-11
     assert 2.5 <= rep["energy_drift_ratio"] <= 5.5
-    # gamma = 0: the linear step is exact, so both drifts sit at round-off
+    # gamma = 0: the step's cubic phase is exactly 1, so both drifts sit at round-off
     cfg0 = SimConfig(alpha=1.5, gamma=0.0, dt=2e-3, t_final=0.2, grid=grid, record_every=20)
     rep0 = run_conservation_suite(cfg0, "gaussian:a=1,sigma=0.5")
     assert rep0["energy_drift"] <= 1e-10
@@ -170,6 +170,8 @@ def test_scan_trilinear_small():
     scan = scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 128])
     assert scan.factors[0].fitted_slope == pytest.approx(0.125, abs=0.15)
     assert scan.ratio.fitted_slope == pytest.approx(0.25, abs=0.15)
+    # u3 is u1's box: the plus box is fitted once and serves both
+    assert scan.factors[2] is scan.factors[0]
 
 
 def test_scan_trilinear_needs_four_points():
@@ -389,6 +391,24 @@ def test_illposedness_demo_short_window_calibration(monkeypatch):
     assert rep["t_physical"] == pytest.approx(8.0 / 2.0**1.5)
     assert rep["amplification"] >= 1.0
     assert rep["approx_error_sup_1"] < 1e-4
+
+
+def test_illposedness_demo_builds_its_runs_once(monkeypatch):
+    # the runs built at the ladder's smallest dt give the symbol peak that
+    # picks dt, and their configs are re-made there: one build, not two
+    build, calls = experiments._modulated_runs, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(experiments, "_modulated_runs", counted)
+    monkeypatch.setattr(experiments, "ILLPOSED_RECORD_INTERVAL", 4.0)
+    rep = run_illposedness_demo(
+        alpha=1.5, s=0.0, epsilon=0.4, delta=0.004, t_internal=8.0, n_carrier=16.0,
+    )
+    assert len(calls) == 1
+    assert (rep["dt"], rep["record_every"]) == (0.2, 20)
 
 
 def _peak_bytes(call) -> int:

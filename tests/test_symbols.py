@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from fnls.constructions import BoxSpec, lambda_for
 from fnls.errors import ValidationError
 from fnls.evolution import SimConfig
 from fnls.spectral import make_grid
@@ -23,10 +26,19 @@ def test_dispersion_values():
 
 
 def test_dispersion_domain():
+    # one rule (symbols._check_alpha) for each constructor that takes alpha:
+    # (1, 2] for a run and the zoom factor, (1, 2) for a resonant box
     grid = make_grid(16, 2 * np.pi)
-    for bad in (1.0, 0.5, 2.1, 3.0):
-        with pytest.raises(ValidationError):
-            SimConfig(alpha=bad, gamma=0.0, dt=1e-3, t_final=1e-3, grid=grid)
+    takers = [
+        (lambda a: SimConfig(alpha=a, gamma=0.0, dt=1e-3, t_final=1e-3, grid=grid), "(1, 2]"),
+        (lambda a: lambda_for(0.0, a, 16.0), "(1, 2]"),
+        (lambda a: BoxSpec(16.0, a), "(1, 2)"),
+    ]
+    for make, interval in takers:
+        bads = (1.0, 0.5, 2.1, 3.0, np.nan) + ((2.0,) if interval == "(1, 2)" else ())
+        for bad in bads:
+            with pytest.raises(ValidationError, match=re.escape(f"alpha must lie in {interval}")):
+                make(bad)
 
 
 def test_dispersion_even_and_increasing():
