@@ -79,7 +79,7 @@ def criterion_2_conservation() -> CriterionResult:
     cfg = SimConfig(
         alpha=1.5, gamma=1.0, dt=1e-3, t_final=1.0, grid=grid, record_every=50
     )
-    rep = run_conservation_suite(cfg, "gaussian:a=1.0,sigma=0.5")
+    rep = run_conservation_suite(cfg, initial_field(grid, "gaussian:a=1.0,sigma=0.5"))
     ok = rep["mass_drift"] <= 1e-10 and 3.0 <= rep["energy_drift_ratio"] <= 5.0
     return CriterionResult(
         2, "conservation", ok,

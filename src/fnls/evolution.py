@@ -18,27 +18,20 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, NonContractionError, ValidationError, WrapAroundError
+from .errors import BlowUpError, NonContractionError, ValidationError
 from .spectral import PASS_OVERHEAD, STEP_FIELDS, _count, admit
-from .spectral import (
-    Field,
-    Grid,
-    cubic_values,
-    inverse_transform,
-    tail_fraction,
-    _frozen_array,
-)
+from .spectral import Field, Grid, cubic_values, _frozen_array
 from .symbols import _check_alpha
+from .norms import _sobolev_weight
 
 from . import spectral
 
-# perfbench/tracer.py wraps dealiased_density, forward_transform and
+# perfbench/tracer.py wraps dealiased_density, the transforms and
 # spectral_values here, which nothing here calls any more; the re-exports
 # go once the benchmark's tracer tolerates deleted names (ROADMAP item 1)
-from .spectral import PAD_FACTOR, dealiased_density, forward_transform  # noqa: F401
+from .spectral import dealiased_density, forward_transform, inverse_transform  # noqa: F401
 from .spectral import spectral_values  # noqa: F401
 
-TAIL_MASS_LIMIT = 1e-8
 CFL_FACTOR = 4.0  # see SimConfig
 BLOWUP_THRESHOLD = 1e8  # a row whose conserved bound on |u| passes half of this is rejected
 
@@ -70,7 +63,6 @@ class SimConfig:
     grid: Grid
     record_every: int = 1
     frame_velocity: float = 0.0
-    check_tail: bool = False
 
     def __post_init__(self):
         _check_alpha(self.alpha)
@@ -182,16 +174,16 @@ def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     block (_record_blocks), priced at each one's coefficients and time."""
     runs = [(phi, cfg)]
     plan = _plan(runs, 16 * (cfg.grid.nx + 1), 0)
-    [(times, values)] = _record_blocks(_stream(runs, plan), plan[-1], cfg.grid.nx)
+    [(times, values)] = _record_blocks(runs, plan, plan[-1])
     return Trajectory(times, cfg.grid, values)
 
 
-def _record_blocks(records, size: int, nx: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The first run's records of an evolve_records stream, size at a time,
-    as (times, values) views of two buffers refilled for each block."""
-    times, values = np.empty(size), np.empty((size, nx), dtype=np.complex128)
+def _record_blocks(runs: list, plan, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The first run's records as the runs are stepped (_stream), size at a
+    time, as (times, values) views of two buffers refilled for each block."""
+    times, values = np.empty(size), np.empty((size, runs[0][1].grid.nx), dtype=np.complex128)
     n = 0
-    for t, coeffs in records:
+    for t, coeffs in _stream(runs, plan):
         times[n], values[n] = t, coeffs[0]
         n += 1
         if n == size:
@@ -203,8 +195,9 @@ def _record_blocks(records, size: int, nx: int) -> Iterator[tuple[np.ndarray, np
 
 def _plan(runs: list, record_bytes, workspace_bytes) -> tuple[list[SimConfig], int, float, int]:
     """The runs' configs, whole steps, last shrunken step and number of
-    records, once the runs are checked to share their step settings and the
-    call is admitted (see evolve_records)."""
+    records, once the runs share their step settings and the call is
+    admitted: STEP_FIELDS fields a run, the consumer's record_bytes a record
+    and workspace_bytes besides; runs x nx + PASS_OVERHEAD work a step."""
     if not runs:
         raise ValidationError("evolve_records needs at least one run")
     cfgs = [cfg for _, cfg in runs]
@@ -228,22 +221,16 @@ def _plan(runs: list, record_bytes, workspace_bytes) -> tuple[list[SimConfig], i
     return cfgs, n_whole, remainder, n_records
 
 
-def evolve_records(
-    runs: Sequence[tuple[Field, SimConfig]], record_bytes: int = 0, workspace_bytes: int = 0,
-) -> Iterator[tuple[float, np.ndarray]]:
+def evolve_records(runs: Sequence[tuple[Field, SimConfig]]) -> Iterator[tuple[float, np.ndarray]]:
     """Integrate several (phi, cfg) problems in one loop, yielding (t,
     coefficients) at each record, a read-only view of the (runs, nx) buffer
     stepped in place: a consumer copies what it keeps.  The runs share nx,
     dt, t_final, record_every and gamma; no operation mixes rows, so each
-    is bit-identical to its run alone.  The call is admitted as it is made
-    (fnls.spectral.admit): STEP_FIELDS fields a run, and the consumer's
-    record_bytes a record and workspace_bytes besides; runs x nx +
-    PASS_OVERHEAD work a step.  A row that could blow up raises BlowUpError
-    before the first step (_reject_blow_up), and each record's tail checks
-    raise WrapAroundError before it is yielded, naming the run by its row,
-    alpha and carrier."""
+    is bit-identical to its run alone.  The call is admitted as it is made,
+    for its stepping alone (_plan).  A row that could blow up raises
+    BlowUpError before the first step, naming its run (_reject_blow_up)."""
     runs = list(runs)
-    return _stream(runs, _plan(runs, record_bytes, workspace_bytes))
+    return _stream(runs, _plan(runs, 0, 0))
 
 
 def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
@@ -251,46 +238,34 @@ def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
     cfgs, n_whole, remainder, n_records = plan
     cfg = cfgs[0]
     uhat = np.stack([phi.values for phi, _ in runs])
-
-    def where(row: int) -> str:
-        c = cfgs[row]
-        return f"run {row} of {len(cfgs)}, alpha {c.alpha:g}, carrier {c.grid.carrier:g}"
-
-    _reject_blow_up(uhat, cfgs, where)
+    _reject_blow_up(uhat, cfgs)
     symbol = np.stack([c.symbol() for c in cfgs])
     dx = np.array([[c.grid.dx] for c in cfgs])
-    tail = [row for row, c in enumerate(cfgs) if c.check_tail]
     view = uhat.view()
     view.setflags(write=False)
-
-    def record(t: float) -> tuple[float, np.ndarray]:
-        if tail:
-            fracs = tail_fraction(inverse_transform(uhat[tail], dx[tail]))
-            over = np.flatnonzero(fracs > TAIL_MASS_LIMIT)
-            if over.size:
-                raise WrapAroundError(
-                    f"{where(tail[over[0]])}: tail mass fraction {fracs[over[0]]:.3g} in the "
-                    f"outer 10% of the domain at t={t:.6g} exceeds {TAIL_MASS_LIMIT:.0e}"
-                )
-        return t, view
-
     step = _split_step(symbol, cfg.gamma, cfg.dt, dx)
-    yield record(0.0)
+    yield 0.0, view
     for n in range(1, n_whole + 1):
         step(uhat)
         if n % cfg.record_every == 0:
-            yield record(n * cfg.dt)
+            yield n * cfg.dt, view
     if remainder != 0.0:
         step = None  # its buffers go before the last step makes its own
         _split_step(symbol, cfg.gamma, remainder, dx)(uhat)
     if n_records > n_whole // cfg.record_every + 1:  # the end's own record
-        yield record(cfg.t_final if remainder != 0.0 else n_whole * cfg.dt)
+        yield (cfg.t_final if remainder != 0.0 else n_whole * cfg.dt), view
 
 
-def _reject_blow_up(uhat: np.ndarray, cfgs: list[SimConfig], where) -> None:
-    """BlowUpError naming where(row) for the first row of uhat with data
-    that are not finite, a conserved |u| bound over BLOWUP_THRESHOLD / 2 or
-    a cubic angle that could overflow; its temporaries go as it returns."""
+def run_name(cfgs: list[SimConfig], row: int) -> str:
+    """How an error names row of a batch of runs with configs cfgs."""
+    c = cfgs[row]
+    return f"run {row} of {len(cfgs)}, alpha {c.alpha:g}, carrier {c.grid.carrier:g}"
+
+
+def _reject_blow_up(uhat: np.ndarray, cfgs: list[SimConfig]) -> None:
+    """BlowUpError naming its run (run_name) for the first row of uhat with
+    data that are not finite, a conserved |u| bound over BLOWUP_THRESHOLD / 2
+    or a cubic angle that could overflow; its temporaries go as it returns."""
     # The step conserves each row's sum |uhat|^2 to round-off, so |u| stays
     # below bound = sqrt(nx sum |uhat|^2) / L and the cubic angle below the
     # looser |gamma dt| nx bound^2 for all time.  Summing |uhat / max|uhat||^2
@@ -306,12 +281,13 @@ def _reject_blow_up(uhat: np.ndarray, cfgs: list[SimConfig], where) -> None:
     failed = np.flatnonzero(~fits)
     if failed.size:
         row = int(failed[0])
+        where = run_name(cfgs, row)
         if not np.all(np.isfinite(uhat[row])):
-            raise BlowUpError(f"{where(row)}: non-finite spectrum")
+            raise BlowUpError(f"{where}: non-finite spectrum")
         if not bound[row] <= 0.5 * BLOWUP_THRESHOLD:
-            raise BlowUpError(f"{where(row)}: |u| <= sqrt(nx sum |uhat|^2) / L = {bound[row]:.3g}, "
+            raise BlowUpError(f"{where}: |u| <= sqrt(nx sum |uhat|^2) / L = {bound[row]:.3g}, "
                               f"over BLOWUP_THRESHOLD / 2 = {0.5 * BLOWUP_THRESHOLD:.3g}")
-        raise BlowUpError(f"{where(row)}: cubic angle bound {angle[row]:.3g} may overflow")
+        raise BlowUpError(f"{where}: cubic angle bound {angle[row]:.3g} may overflow")
 
 
 @dataclass(frozen=True)
@@ -366,7 +342,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     times = cfg.dt * np.arange(n_whole + 1)
     half_dt = 0.5 * cfg.dt
     phi_hat = phi.values
-    weight = (1.0 + grid.k**2) ** ((2.0 - cfg.alpha) / 4.0)
+    weight = _sobolev_weight(grid, (2.0 - cfg.alpha) / 4.0)
     # kept block buffers: the current and next iterate, the cubic term (then
     # the difference), the rotation and its three products; real ones for the
     # angle, its cosine and sine and the squared difference

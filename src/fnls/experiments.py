@@ -15,16 +15,18 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectral import LENGTH_LIMIT, PASS_OVERHEAD, STEP_FIELDS, Field, Grid, _count, admit
+from . import spectral
 from .spectral import lattice_mode, make_grid, physical_values
 from .symbols import _carrier_power, envelope_scale, group_velocity
 from .symbols import remainder_bound_constant, remainder_symbol
 from .norms import _sobolev_weight, _weighted_norm, energy, mass, xsb_norm
-from .evolution import SimConfig, Trajectory, _record_blocks, evolve_records
+from .evolution import SimConfig, Trajectory, _plan, _record_blocks, evolve_records, run_name
 from .constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
     WavepacketSpec,
     box_data,
+    check_contained,
     check_resolved,
     image_phase_rate,
     image_values,
@@ -152,7 +154,8 @@ def fit_power_law(
 
 def initial_field(grid: Grid, spec: str) -> Field:
     """Parse 'plane:a=0.1,k=2' / 'gaussian:a=1,sigma=0.5,x0=...,k=0' data;
-    every parameter must be finite, and sigma positive."""
+    every parameter must be finite, sigma positive and k in the grid's band
+    [-nx/2, nx/2) dk, off which it would alias onto another mode."""
     name, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -167,7 +170,7 @@ def initial_field(grid: Grid, spec: str) -> Field:
     if name == "plane":
         a = params.pop("a", 0.1)
         k = params.pop("k", 1.0)
-        lattice_mode(k, grid.length)
+        _check_in_band(grid, lattice_mode(k, grid.length) * grid.dk)
         values = a * np.exp(1j * k * grid.x)
     elif name == "gaussian":
         a = params.pop("a", 1.0)
@@ -176,12 +179,21 @@ def initial_field(grid: Grid, spec: str) -> Field:
         k = params.pop("k", 0.0)
         if not sigma > 0.0:
             raise ValidationError(f"sigma must be positive, got {sigma}")
+        _check_in_band(grid, k)
         values = a * np.exp(-0.5 * ((grid.x - x0) / sigma) ** 2 + 1j * k * grid.x)
     else:
         raise ValidationError(f"unknown initial data {name!r}")
     if params:
         raise ValidationError(f"unused init parameters {sorted(params)}")
     return Field.physical(grid, values)
+
+
+def _check_in_band(grid: Grid, k: float) -> None:
+    """ValidationError unless the init frequency k lies in the grid's band."""
+    lo, hi = -0.5 * grid.nx * grid.dk, 0.5 * grid.nx * grid.dk
+    if not lo <= k < hi:
+        raise ValidationError(f"init parameter k = {k:g} lies outside the grid's band "
+                              f"[{lo:g}, {hi:g}) = [-nx/2, nx/2) dk")
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +207,30 @@ def drift(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - ref)) / scale)
 
 
-def summarize_records(phi: Field, cfg: SimConfig, record_bytes: int = 64) -> tuple:
+def summarize_records(phi: Field, cfg: SimConfig) -> tuple:
     """(times, masses, energies, max|u|) at each record of one run and the
     samples of its last, reduced in blocks of SUMMARY_CHUNK_VALUES values
     (_record_blocks) along the last axis, so bit-equal to the same
-    arithmetic over evolve's history.  Admitted with record_bytes a record
-    (64: the columns, twice while joined) and 4 block fields."""
+    arithmetic over evolve's history, into columns made once for _plan's
+    record count.  Admitted with 4 block fields and 48 B a record: the
+    columns and drift's temporaries (48.0 B measured by tracemalloc around
+    `fnls evolve` from 50,000 to 150,000 records at nx 256, 1,024 and
+    4,096, numpy 2.4)."""
     chunk = max(1, SUMMARY_CHUNK_VALUES // cfg.grid.nx)
-    records = evolve_records([(phi, cfg)], record_bytes, 4 * 16 * chunk * cfg.grid.nx)
-    columns = []
-    for times, values in _record_blocks(records, chunk, cfg.grid.nx):
-        part = Trajectory(times, cfg.grid, values)
-        reduced = (part.times, mass(part), energy(part, cfg.alpha, cfg.gamma))
+    runs = [(phi, cfg)]
+    plan = _plan(runs, 48, 4 * 16 * chunk * cfg.grid.nx)
+    columns = np.empty((4, plan[-1]))
+    for i, (times, values) in enumerate(_record_blocks(runs, plan, chunk)):
+        part, block = Trajectory(times, cfg.grid, values), columns[:, i * chunk:(i + 1) * chunk]
+        block[:3] = part.times, mass(part), energy(part, cfg.alpha, cfg.gamma)
         u = physical_values(part)  # made once energy's temporaries have gone
-        columns.append((*reduced, np.max(np.abs(u), axis=-1)))
+        block[3] = np.max(np.abs(u), axis=-1)
         u = u[-1].copy()  # the last samples: the block's go before the next block's
-    return (*map(np.concatenate, zip(*columns)), u)
+    return (*columns, u)
 
 
-def run_conservation_suite(cfg: SimConfig, init: "Field | str") -> dict:
-    """Mass and energy drift at dt and dt/2 for the given data."""
-    phi = initial_field(cfg.grid, init) if isinstance(init, str) else init
+def run_conservation_suite(cfg: SimConfig, phi: Field) -> dict:
+    """Mass and energy drift at dt and dt/2 for the data phi."""
     report = {"alpha": cfg.alpha, "gamma": cfg.gamma, "dt": cfg.dt, "t_final": cfg.t_final}
     for tag, config in (("", cfg), ("_half", replace(cfg, dt=cfg.dt / 2))):
         _, masses, energies, _, _ = summarize_records(phi, config)
@@ -254,15 +269,14 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
         plus = box_data(BoxSpec(n=n, alpha=alpha))
         minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
         conv = trilinear_convolution(plus, minus, plus)
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge s: the fit rejects the nan
+        with np.errstate(all="ignore"):  # a huge s or b: the fit rejects a nan, inf or 0
             num = xsb_norm(conv, s, b - 1.0, alpha, "-")
             g1 = xsb_norm(plus, s, b, alpha, "-")
             g2 = xsb_norm(minus, s, b, alpha, "+")
-        return num, g1, g2
+            return np.float64(num) / (g1 * g2 * g1), g1, g2, num
 
     rows = parallel_map(one, n_list)
-    ratio = fit_power_law("N", n_list, [num / (g1 * g2 * g1) for num, g1, g2 in rows])
-    plus, minus, numerator = (fit_power_law("N", n_list, [r[j] for r in rows]) for j in (1, 2, 0))
+    ratio, plus, minus, numerator = (fit_power_law("N", n_list, col) for col in zip(*rows))
     return TrilinearScan(ratio, factors=(plus, minus, plus), numerator=numerator)
 
 
@@ -396,14 +410,13 @@ def _modulated_runs(
     alpha = 2 NLS run from a e^(-y^2/2) (see _carrier_envelope), and the
     fractional run from beta times its coefficients, the envelope's image at
     t = 0, on N's band of NX_ENVELOPE modes with frame_velocity =
-    -group_velocity.  Every run checks its wrap-around at each record, an
-    image's being its envelope's.  N's NLS runs come first, then its band runs.
+    -group_velocity.  N's NLS runs come first, then its band runs.
     """
     runs = []
     for n, amplitudes in carriers:
         beta, y_grid, env = _carrier_envelope(alpha, n, length, sigma)
         band = make_grid(NX_ENVELOPE, length, carrier=n)
-        kw = dict(gamma=1.0, dt=dt, t_final=t_final, record_every=record_every, check_tail=True)
+        kw = dict(gamma=1.0, dt=dt, t_final=t_final, record_every=record_every)
         v_cfg = SimConfig(alpha=2.0, grid=y_grid, **kw)
         u_cfg = SimConfig(alpha=alpha, grid=band, frame_velocity=-group_velocity(alpha, n), **kw)
         phis = [Field.physical(y_grid, a * env) for a in amplitudes]
@@ -418,9 +431,12 @@ def _evolve_pairs(runs, alpha: float):
     for each pair in order, the sup so far of the H^((2-alpha)/4) distance
     between its band run and the image of its NLS run (image_values), in an
     array updated in place; a NaN distance stays, as np.max keeps it.  Each
-    NLS run's resolution is checked first (check_resolved), naming the run;
-    its checks of v(0) cover the band data.  No record is kept."""
-    grids = [cfg.grid for _, cfg in runs]
+    record is checked first: every run's wrap-around (check_contained), then
+    each NLS run's resolution (check_resolved), whose checks of v(0) cover
+    the band data; each error names the run.  No record is kept."""
+    cfgs = [cfg for _, cfg in runs]
+    grids = [cfg.grid for cfg in cfgs]
+    dx = np.array([[grid.dx] for grid in grids])
     v_rows = [row for row, grid in enumerate(grids) if grid.carrier == 0.0]
     w_rows = [row for row, grid in enumerate(grids) if grid.carrier != 0.0]
     bands = [grids[row] for row in w_rows]
@@ -435,6 +451,8 @@ def _evolve_pairs(runs, alpha: float):
                 f"carrier {bands[pair].carrier:g}")
 
     for t, coeffs in evolve_records(runs):
+        # through fnls.spectral, the lookup site perfbench/tracer.py wraps
+        check_contained(spectral.inverse_transform(coeffs, dx), t, lambda row: run_name(cfgs, row))
         v = coeffs[v_rows]
         check_resolved(v, t, where)
         diff = coeffs[w_rows] - image_values(v, t, beta, phase_rate)

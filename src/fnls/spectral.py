@@ -43,8 +43,8 @@ WORK_BUDGET = 2**34
 # a pass's cost besides its values, in work units: a Strang step takes
 # 9-14 us at 1 x 16 values and about 0.02-0.03 us more a value beyond
 PASS_OVERHEAD = 2**9
-# complex fields a stepping row pins besides its records: coefficients,
-# symbol, half-phases and step buffers, and the tail check's (8.1 measured)
+# complex fields a stepping row pins besides its records: coefficients, symbol,
+# half-phases, step buffers and a consumer's wrap-around check (8.8 measured)
 STEP_FIELDS = 9
 
 # a grid's spectral coefficients are dx times the DFT, about length * |u|;

@@ -74,16 +74,9 @@ MUTANTS = [
         ("tests/test_evolution.py::test_evolve_together_rows_equal_evolve[0.02]",),
     ),
     Mutant(
-        "the tail check on row 0 only",
-        "src/fnls/evolution.py",
-        "    tail = [row for row, c in enumerate(cfgs) if c.check_tail]\n",
-        "    tail = [row for row, c in enumerate(cfgs) if c.check_tail][:1]\n",
-        ("tests/test_evolution.py::test_evolve_together_failure_names_the_run",),
-    ),
-    Mutant(
         "blow-up check removed",
         "src/fnls/evolution.py",
-        "    _reject_blow_up(uhat, cfgs, where)\n",
+        "    _reject_blow_up(uhat, cfgs)\n",
         "",
         (
             "tests/test_evolution.py::test_evolve_blow_up_guard",
@@ -174,10 +167,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the per-record CLI bytes set to 0",
-        "src/fnls/cli.py",
-        "EVOLVE_RECORD_BYTES = 360\n",
-        "EVOLVE_RECORD_BYTES = 0\n",
+        "the summary's records left unpriced",
+        "src/fnls/experiments.py",
+        "_plan(runs, 48, ",
+        "_plan(runs, 0, ",
         (
             "tests/test_cli.py::test_evolve_history_over_memory_limit_is_validation_error",
             "tests/test_cli.py::test_evolve_prediction_bounds_the_commands_peak[26.2]",
@@ -186,10 +179,21 @@ MUTANTS = [
     Mutant(
         "the summary's blocks left unpriced",
         "src/fnls/experiments.py",
-        "record_bytes, 4 * 16 * chunk * cfg.grid.nx)",
-        "record_bytes, 0)",
+        "_plan(runs, 48, 4 * 16 * chunk * cfg.grid.nx)",
+        "_plan(runs, 48, 0)",
         (
             "tests/test_experiments.py::test_record_summary_prediction_bounds_its_peak[nx65536]",
+        ),
+    ),
+    # the CLI's artifacts, written line by line
+    Mutant(
+        "the last line of an artifact dropped",
+        "src/fnls/cli.py",
+        'fh.writelines(line + "\\n" for line in lines)',
+        'fh.writelines(line + "\\n" for line in list(lines)[:-1])',
+        (
+            "tests/test_golden.py::test_cli_artifact_matches_golden[evolve]",
+            "tests/test_golden.py::test_cli_artifact_matches_golden[picard]",
         ),
     ),
     # symbols, scalings and fits
@@ -227,11 +231,24 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "envelope runs without check_tail",
+        "the wrap-around check on the band runs only",
         "src/fnls/experiments.py",
-        "        v_cfg = SimConfig(alpha=2.0, grid=y_grid, **kw)\n",
-        "        v_cfg = SimConfig(alpha=2.0, grid=y_grid, **{**kw, 'check_tail': False})\n",
+        "check_contained(spectral.inverse_transform(coeffs, dx), t, lambda row: run_name(cfgs, row))",
+        "check_contained(spectral.inverse_transform(coeffs[w_rows], dx[w_rows]), t,\n"
+        "                        lambda row: run_name(cfgs, w_rows[row]))",
         (
+            "tests/test_evolution.py::test_evolve_tail_check_covers_the_off_grid_last_record[0.16]",
+            "tests/test_experiments.py::"
+            "test_modulated_batches_run_in_the_rest_frame_and_check_every_tail",
+        ),
+    ),
+    Mutant(
+        "the wrap-around check on row 0 only",
+        "src/fnls/constructions.py",
+        "    fracs = np.atleast_1d(tail_fraction(samples))\n",
+        "    fracs = np.atleast_1d(tail_fraction(samples))[:1]\n",
+        (
+            "tests/test_evolution.py::test_evolve_together_failure_names_the_run",
             "tests/test_experiments.py::"
             "test_modulated_batches_run_in_the_rest_frame_and_check_every_tail",
         ),

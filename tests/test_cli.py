@@ -219,7 +219,7 @@ BAD_NUMBERS = [
     (["illposed", "--sigma", "0"], "sigma must be positive"),
     (["evolve", "--t-final", "inf"], "--t-final must be finite"),
     (["evolve", "--t-final", "nan"], "--t-final must be finite"),
-    (["evolve", "--dt", "1e-300"], "1e+299 records: 3.43e+295 MiB"),
+    (["evolve", "--dt", "1e-300"], "1e+299 records: 4.58e+294 MiB"),
     (["evolve", "--dt", "5e-324"], "t_final / dt overflows"),
     (["evolve", "--dt", "1e-300", "--record-every", str(10**301)], "1e+300 steps of 1 x 256 values"),
     (["scan-wavepacket", "--tau", "1e-300"], "packet grid at tau_scale = 1e-300 and m = 0: "),
@@ -271,6 +271,10 @@ BAD_NUMBERS = [
     (["evolve", "--init", "gaussian:sigma=0"], "sigma must be positive, got 0.0"),
     (["evolve", "--init", "gaussian:sigma=-1"], "sigma must be positive, got -1.0"),
     (["picard", "--init", "gaussian:sigma=-1"], "sigma must be positive, got -1.0"),
+    # a frequency off the band [-128, 128) of nx 256 on 2 pi aliased onto
+    # another mode: plane:k=200 ran as k = -56 under a header saying 200
+    (["evolve", "--init", "plane:k=200"], "k = 200 lies outside the grid's band [-128, 128)"),
+    (["evolve", "--init", "gaussian:k=500"], "k = 500 lies outside the grid's band [-128, 128)"),
 ]
 
 
@@ -327,18 +331,28 @@ def test_limit_messages_of_tiny_dt_are_short(capsys, no_steps, command):
 
 
 def test_evolve_history_over_memory_limit_is_validation_error(capsys, no_steps):
-    # 3,000,001 records at the 360 B evolve keeps of each (its summary
-    # columns and CSV text): 1030 MiB, in 1.56e9 work units, rejected before
-    # anything is allocated (the history alone, 144 B a record, was admitted)
-    assert main(["evolve", "--nx", "8", "--t-final", "3000", "--record-every", "1"]) == 1
-    assert "3e+06 records: 1030 MiB and 1.56e+09 work units" in capsys.readouterr().err
+    # 24,000,001 records at the 48 B evolve keeps of each (its summary
+    # columns and drift's temporaries): 1098 MiB, in 1.25e10 work units,
+    # rejected before anything is allocated (the history alone, 144 B a
+    # record, was admitted)
+    assert main(["evolve", "--nx", "8", "--t-final", "24000", "--record-every", "1"]) == 1
+    assert "2.4e+07 records: 1098 MiB and 1.25e+10 work units" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_final", ["2.62", "26.2"])  # 2,621 and 26,201 records
-def test_evolve_prediction_bounds_the_commands_peak(tmp_path, monkeypatch, t_final):
+@pytest.mark.parametrize("args", [
+    ["--t-final", "2.62", "--record-every", "1"],  # 2,621 records
+    ["--t-final", "26.2", "--record-every", "1"],  # 26,201 records
+    # 3 records and 65,536 dumped samples, written as each line is formatted
+    # (a list of the lines and their joined text went unpriced: 1.32x over)
+    ["--nx", "65536", "--length", "8192", "--dt", "0.01", "--t-final", "0.02",
+     "--init", "gaussian:a=1,sigma=4,x0=4096", "--dump-state", "state.csv"],
+], ids=["2.62", "26.2", "dump-state"])
+def test_evolve_prediction_bounds_the_commands_peak(tmp_path, monkeypatch, args):
     # the one admission prices the whole command: the stepping, the summary's
-    # blocks, and each record's columns and CSV text (the whole history and
-    # its samples, built after the call returned, peaked at about 4x)
+    # blocks and each record's columns; the CSV is written line by line (the
+    # whole history and its samples, built after the call returned, peaked
+    # at about 4x), and the argument parser goes before the command runs
+    monkeypatch.chdir(tmp_path)
     predicted = []
 
     def admit(what, remedy, nbytes, work):
@@ -346,10 +360,9 @@ def test_evolve_prediction_bounds_the_commands_peak(tmp_path, monkeypatch, t_fin
         spectral.admit(what, remedy, nbytes, work)
 
     monkeypatch.setattr(evolution, "admit", admit)
-    args = ["evolve", "--t-final", t_final, "--record-every", "1", "--out", str(tmp_path / "e.csv")]
     tracemalloc.start()
     try:
-        assert main(args) == 0
+        assert main(["evolve", *args, "--out", "e.csv"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -531,6 +544,9 @@ SWEEP_BASE = {
 }
 EDGE_VALUES = ["0", "-1", "1e-300", "1e300", "2147483648", "nan", "-inf"]
 EDGE_LISTS = ["", "8", "8,8,8,8", "0,1,2,3", "-4,-3,-2,-1", "1e300,1e301,1e302,1e303", "1,nan"]
+# values past the edges above that reach a failure of their own: an s or b
+# this low underflows the trilinear factor norms to 0, which the fit rejects
+EDGE_EXTRA = {"scan-trilinear": ["--s=-200", "--b=-1e5"]}
 SWEEP_CASE_BUDGET_S = 2.0
 SWEEP_ADDRESS_SPACE = 3 * 2**30
 
@@ -592,6 +608,7 @@ def _sweep_cases():
             else:
                 continue
             cases += [[command, *base, f"{action.option_strings[0]}={v}"] for v in edges]
+        cases += [[command, *base, flag] for flag in EDGE_EXTRA.get(command, [])]
     return cases
 
 

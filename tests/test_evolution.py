@@ -11,7 +11,7 @@ from fnls.errors import BlowUpError, NonContractionError, ValidationError, WrapA
 from fnls.spectral import Field, cubic_values, make_grid, physical_values, spectral_values
 from fnls.norms import energy, mass, sobolev_norm
 from fnls.evolution import SimConfig, Trajectory, evolve, evolve_records, picard_iterate
-from fnls.experiments import initial_field
+from fnls.experiments import _evolve_pairs, initial_field
 
 from oracles import history
 
@@ -477,27 +477,39 @@ def test_uncleared_row_still_raises_and_is_named(circle, monkeypatch):
         assert str(info.value).startswith(f"run {row} of 2, alpha 1.8, carrier 0: |u| <= sqrt(")
 
 
+def _band_partner(cfg):
+    """A small centred packet on the band of carrier 3 over cfg's torus, as
+    the band run of a pair in _evolve_pairs: it keeps off the torus' ends
+    and far below any blow-up bound."""
+    band = make_grid(cfg.grid.nx, cfg.grid.length, carrier=3.0)
+    return _gaussian(band, a=0.1), replace(cfg, grid=band)
+
+
 def test_evolve_tail_check(circle):
-    # packet shoved against the boundary trips the wrap-around guard
+    # packet shoved against the boundary, a pair's NLS run, trips the
+    # wrap-around check of the modulated pipelines
     vals = np.exp(-0.5 * (circle.x / 0.3) ** 2)
-    cfg = SimConfig(alpha=1.5, gamma=0.0, dt=1e-3, t_final=0.01, grid=circle, check_tail=True)
-    with pytest.raises(WrapAroundError):
-        evolve(Field.physical(circle, vals), cfg)
+    cfg = SimConfig(alpha=1.5, gamma=0.0, dt=1e-3, t_final=0.01, grid=circle)
+    with pytest.raises(WrapAroundError, match=(
+        r"^run 0 of 2, alpha 1\.5, carrier 0: tail mass fraction 0\.\d+ in the outer 10% of "
+        r"the domain at t=0 exceeds 1e-08$"
+    )):
+        _consume(_evolve_pairs([(Field.physical(circle, vals), cfg), _band_partner(cfg)], 1.5))
 
 
 @pytest.mark.parametrize("t_final", [0.16, 0.155])
 def test_evolve_tail_check_covers_the_off_grid_last_record(t_final):
-    # a packet at group velocity 20 goes from the centre to the boundary by
-    # t_final, recorded only as the last record, off the record grid (after
-    # a shrunken final step at 0.155); that record used to go unchecked
-    grid = make_grid(64, 2 * np.pi)
+    # in a pair's window, the NLS run is a packet at group velocity 20 that
+    # goes from the centre to the boundary by t_final, recorded only as the
+    # last record, off the record grid (after a shrunken final step at
+    # 0.155); that record used to go unchecked
+    grid, band = make_grid(64, 2 * np.pi), make_grid(64, 2 * np.pi, carrier=3.0)
     vals = np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2 + 10j * grid.x)
-    cfg = SimConfig(
-        alpha=2.0, gamma=0.0, dt=1e-2, t_final=t_final, grid=grid,
-        record_every=10**9, check_tail=True,
-    )
-    with pytest.raises(WrapAroundError, match=f"at t={t_final:g} exceeds"):
-        evolve(Field.physical(grid, vals), cfg)
+    cfg = SimConfig(alpha=2.0, gamma=0.0, dt=1e-2, t_final=t_final, grid=grid, record_every=10**9)
+    runs = [(Field.physical(grid, vals), cfg), (_gaussian(band, sigma=0.3), replace(cfg, grid=band))]
+    with pytest.raises(WrapAroundError,
+                       match=f"^run 0 of 2, alpha 2, carrier 0: .* at t={t_final:g} exceeds"):
+        _consume(_evolve_pairs(runs, 1.5))
 
 
 def test_evolve_partial_final_step(circle):
@@ -685,18 +697,19 @@ def _consume(records) -> None:
         pass
 
 
-@pytest.mark.parametrize("rows, nx, t_final, check_tail", [
-    (1, 2**16, 0.02, False),  # evolve's 3 records, no tail check: 9.0 fields measured
-    (4, 2**14, 0.39, True),  # 40 records streamed and the tail check's temporaries
+@pytest.mark.parametrize("rows, nx, t_final, pairs", [
+    (1, 2**16, 0.02, False),  # evolve's 3 records, no wrap-around check: 9.0 fields measured
+    (4, 2**14, 0.39, True),  # 40 records of two modulated pairs (_evolve_pairs): 8.8 measured
 ])
-def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, check_tail):
+def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, pairs):
     grid = make_grid(nx, nx / 8.0)
+    band = make_grid(nx, nx / 8.0, carrier=1000 * grid.dk)
     runs = [
-        (_gaussian(grid, sigma=4.0), SimConfig(alpha=1.2 + 0.2 * row, gamma=1.0, dt=0.01,
-                                               t_final=t_final, grid=grid, check_tail=check_tail))
-        for row in range(rows)
+        (_gaussian(g, sigma=4.0), SimConfig(alpha=1.2 + 0.2 * row, gamma=1.0, dt=0.01,
+                                            t_final=t_final, grid=g))
+        for row, g in enumerate([grid, grid, band, band] if pairs else [grid] * rows)
     ]
-    call = (lambda: evolve(*runs[0])) if rows == 1 else (lambda: _consume(evolve_records(runs)))
+    call = (lambda: _consume(_evolve_pairs(runs, 1.5))) if pairs else (lambda: evolve(*runs[0]))
     predicted, peak = _admitted_peak(monkeypatch, call)
     assert peak <= predicted <= 1.5 * peak
 
@@ -781,13 +794,13 @@ def test_trajectory_holds_one_read_only_array():
 
 def _stack_runs(t_final, record_every):
     """Runs that share nx, dt, t_final, record_every and gamma but differ in
-    alpha, grid length, frame velocity, carrier and check_tail."""
+    alpha, grid length, frame velocity and carrier."""
     g1, g2 = make_grid(64, 2 * np.pi), make_grid(64, 4 * np.pi)
     c1, c2 = make_grid(64, 2 * np.pi, carrier=3.0), make_grid(64, 4 * np.pi, carrier=-1.5)
     common = dict(gamma=1.0, dt=1e-3, t_final=t_final, record_every=record_every)
     return [
         (_gaussian(g1), SimConfig(alpha=1.5, grid=g1, **common)),
-        (_gaussian(g2, a=0.7), SimConfig(alpha=2.0, grid=g2, check_tail=True, **common)),
+        (_gaussian(g2, a=0.7), SimConfig(alpha=2.0, grid=g2, **common)),
         (_gaussian(g1, k=2.0), SimConfig(alpha=1.3, grid=g1, frame_velocity=-2.0, **common)),
         (_random_field(c1, 5), SimConfig(alpha=1.7, grid=c1, **common)),
         (_gaussian(c2, sigma=0.8), SimConfig(alpha=1.2, grid=c2, **common)),
@@ -827,8 +840,8 @@ def test_evolve_records_stream_the_history_rows_read_only(t_final):
 
 def test_evolve_records_checks_before_the_first_record(monkeypatch):
     # admission and the blow-up check raise before any step: a step's work is
-    # its 5 x 64 values plus the pass overhead of 512, and the bytes add what
-    # the consumer keeps of each of the 21 records and holds besides
+    # its 5 x 64 values plus the pass overhead of 512, and _plan's bytes add
+    # what a consumer keeps of each of the 21 records and holds besides
     runs = _stack_runs(0.02, record_every=1)
     monkeypatch.setattr(evolution, "_split_step", None)
     monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512) - 1)
@@ -837,10 +850,10 @@ def test_evolve_records_checks_before_the_first_record(monkeypatch):
     monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512))
     exact = 16 * 5 * 9 * 64 + 21 * 100 + 7
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact)
-    evolve_records(runs, 100, 7)
+    evolution._plan(runs, 100, 7)
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact - 1)
     with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values and 21 records: "):
-        evolve_records(runs, 100, 7)
+        evolution._plan(runs, 100, 7)
     phi, cfg = runs[1]
     runs[1] = (Field(cfg.grid, 1e12 * phi.values), cfg)
     with pytest.raises(BlowUpError, match="^run 1 of 5, alpha 2, carrier 0: "):
@@ -888,33 +901,43 @@ def test_evolve_together_row_failure_matches_evolve(circle, monkeypatch):
     monkeypatch.setattr(evolution, "BLOWUP_THRESHOLD", 8.0)
     good = (_gaussian(circle, a=0.1), SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.05, grid=circle))
     big = (_gaussian(circle, a=1.0), replace(good[1], alpha=1.8))
-    # a packet against the boundary trips the wrap-around check at t = 0
-    edge = (
-        Field.physical(circle, 0.5 * np.exp(-0.5 * (circle.x / 0.3) ** 2)),
-        replace(good[1], check_tail=True),
-    )
+    # a packet against the boundary trips the wrap-around check at t = 0,
+    # where the modulated pipelines (_evolve_pairs) check each record; its
+    # pair's band run, and good's, keep off the ends
+    edge = (Field.physical(circle, 0.5 * np.exp(-0.5 * (circle.x / 0.3) ** 2)), good[1])
     nan = spectral_values(_gaussian(circle)).copy()
     nan[3] = np.nan
     bad = (Field(circle, nan), good[1])
-    for failing in (big, edge, bad):
-        kind, message = _failure(lambda: evolve(*failing))
-        assert f"run 0 of 1, alpha {failing[1].alpha:g}, carrier 0: " in message
+
+    def stepped(runs):
+        _consume(evolve_records(runs))
+
+    def paired(runs):
+        _consume(_evolve_pairs(runs + [_band_partner(cfg) for _, cfg in runs], 1.5))
+
+    for failing, consume in ((big, stepped), (edge, paired), (bad, stepped)):
+        kind, message = _failure(lambda: consume([failing]))
+        if consume is stepped:
+            assert _failure(lambda: evolve(*failing)) == (kind, message)
+        n = 2 if consume is paired else 1
+        assert f"run 0 of {n}, alpha {failing[1].alpha:g}, carrier 0: " in message
         # the same failure, naming the run's row in the batch
         for row, runs in ((1, [good, failing]), (0, [failing, good])):
-            want = (kind, message.replace("run 0 of 1", f"run {row} of 2"))
-            assert _failure(lambda: _consume(evolve_records(runs))) == want
+            want = (kind, message.replace(f"run 0 of {n}", f"run {row} of {2 * n}"))
+            assert _failure(lambda: consume(runs)) == want
 
 
 def test_evolve_together_failure_names_the_run():
-    # two runs on the carrier's band: the second, against the boundary,
-    # trips the wrap-around check, and the error names its row, alpha and
-    # carrier (a four-row separation batch used to leave the row unsaid)
+    # a pair's band run, against the boundary, trips the wrap-around check,
+    # and the error names its row, alpha and carrier (a four-row separation
+    # batch used to leave the row unsaid)
     grid = make_grid(64, 2 * np.pi, carrier=3.0)
-    cfg = SimConfig(alpha=1.7, gamma=1.0, dt=1e-3, t_final=0.01, grid=grid, check_tail=True)
-    centred = Field.physical(grid, np.exp(-0.5 * ((grid.x - np.pi) / 0.3) ** 2))
+    cfg = SimConfig(alpha=1.7, gamma=1.0, dt=1e-3, t_final=0.01, grid=grid)
+    envelope = make_grid(64, 2 * np.pi)
+    centred = Field.physical(envelope, np.exp(-0.5 * ((envelope.x - np.pi) / 0.3) ** 2))
     edge = Field.physical(grid, np.exp(-0.5 * (grid.x / 0.3) ** 2))
     with pytest.raises(WrapAroundError) as info:
-        _consume(evolve_records([(centred, replace(cfg, alpha=1.2)), (edge, cfg)]))
+        _consume(_evolve_pairs([(centred, replace(cfg, alpha=1.2, grid=envelope)), (edge, cfg)], 1.7))
     assert str(info.value).startswith("run 1 of 2, alpha 1.7, carrier 3: tail mass fraction")
 
 

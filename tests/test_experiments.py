@@ -12,7 +12,7 @@ from fnls.constructions import approximate_solution, rescale_solution
 from fnls.norms import energy, mass, sobolev_norm
 from fnls.symbols import envelope_scale, group_velocity
 
-from fnls.errors import ResolutionError, ValidationError
+from fnls.errors import ResolutionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, make_grid, physical_values
 from fnls.evolution import SimConfig, Trajectory, evolve, evolve_records
 from fnls.experiments import (
@@ -96,12 +96,12 @@ def test_initial_field_parsing():
 def test_conservation_suite_report():
     grid = make_grid(128, 2 * np.pi)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=2e-3, t_final=0.2, grid=grid, record_every=20)
-    rep = run_conservation_suite(cfg, "gaussian:a=1,sigma=0.5")
+    rep = run_conservation_suite(cfg, initial_field(grid, "gaussian:a=1,sigma=0.5"))
     assert rep["mass_drift"] <= 1e-11
     assert 2.5 <= rep["energy_drift_ratio"] <= 5.5
     # gamma = 0: the step's cubic phase is exactly 1, so both drifts sit at round-off
     cfg0 = SimConfig(alpha=1.5, gamma=0.0, dt=2e-3, t_final=0.2, grid=grid, record_every=20)
-    rep0 = run_conservation_suite(cfg0, "gaussian:a=1,sigma=0.5")
+    rep0 = run_conservation_suite(cfg0, initial_field(grid, "gaussian:a=1,sigma=0.5"))
     assert rep0["energy_drift"] <= 1e-10
     assert rep0["mass_drift"] <= 1e-11
 
@@ -134,12 +134,16 @@ def test_record_summary_equals_whole_history_arithmetic(nx, dt, t_final):
 
 @pytest.mark.parametrize("nx, length, dt, t_final", [
     (256, 2 * np.pi, 1e-3, 0.64),  # 641 records in blocks of 16
+    (4096, 512.0, 1e-2, 30.0),  # 3,001 records in blocks of one
     (2**16, 100.0, 1e-4, 0.0012),  # 13 records in blocks of one
-], ids=["nx256", "nx65536"])
+], ids=["nx256", "nx4096", "nx65536"])
 def test_record_summary_prediction_bounds_its_peak(monkeypatch, nx, length, dt, t_final):
     # the call's one admission prices the stepping, the blocks and the
-    # columns; the prediction is 1.10x the peak at nx = 256 and 1.24x at
-    # 2^16, where a block's work costs 1.5 fields (tracemalloc, numpy 2.4)
+    # columns, made once, so a record costs the same at every nx (kept as a
+    # block's own small arrays, it cost 586 B at nx = 4,096 against 104 B
+    # priced); the prediction is 1.14x the peak at nx = 256, 1.26x at 4,096
+    # and 1.24x at 2^16, where a block's work costs 1.5 fields (tracemalloc,
+    # numpy 2.4)
     predicted = []
 
     def admit(what, remedy, nbytes, work):
@@ -591,10 +595,14 @@ def test_pair_reductions_pick_as_max_and_argmax_do(monkeypatch):
 def test_pair_resolution_error_names_the_run_at_the_earliest_record(monkeypatch):
     # band-edge mass in carrier 32's envelope (row 4) at record 3 and in
     # carrier 8's (row 0) at record 5: the earlier record raises, whatever
-    # the pairs' order, and the error names the envelope's run
+    # the pairs' order, and the error names the envelope's run.  The edge
+    # mode holds 3e-8 of the row's mass, over the outer-band limit 1e-8;
+    # spread evenly in x, it puts a tenth of that in the domain's outer 10%,
+    # under the wrap-around limit, which each record meets first
     def rough(records):
         for index, row in ((3, 4), (5, 0)):
-            records[index][1][row, 256] += 1.0
+            coeffs = records[index][1][row]
+            coeffs[256] += np.sqrt(3e-8 * np.sum(np.abs(coeffs) ** 2))
         return records
 
     _fed_records(monkeypatch, rough)
@@ -657,15 +665,26 @@ def test_band_data_remodulates_to_the_lifted_envelope(monkeypatch, pipeline, arg
 
 
 def test_modulated_batches_run_in_the_rest_frame_and_check_every_tail(monkeypatch):
-    # gates 7 and 8: every run checks its wrap-around at each record (the
-    # image's is its envelope's), and every band run moves with its packet
+    # gates 7 and 8: every band run moves with its packet, and every run's
+    # wrap-around is checked at each record: any one pushed half a torus,
+    # against the boundary, fails the first record, and the error names it
     for gate in BAND_DATA_PIPELINES[:2]:
-        runs = _batch(monkeypatch, *gate.values)
-        assert all(cfg.check_tail for _, cfg in runs)
+        pipeline, args = gate.values
+        runs = _batch(monkeypatch, pipeline, args)
+        monkeypatch.undo()
         bands = [cfg for _, cfg in runs if cfg.grid.carrier != 0.0]
         assert len(bands) == len(runs) // 2
         for cfg in bands:
             assert cfg.frame_velocity == -group_velocity(cfg.alpha, cfg.grid.carrier)
+        for row, (phi, cfg) in enumerate(runs):
+            pushed = list(runs)
+            shifted = np.roll(physical_values(phi), phi.grid.nx // 2)
+            pushed[row] = (Field.physical(phi.grid, shifted), cfg)
+            with pytest.raises(WrapAroundError, match=(
+                rf"^run {row} of {len(runs)}, alpha {cfg.alpha:g}, carrier "
+                rf"{cfg.grid.carrier:g}: tail mass fraction .* at t=0 exceeds"
+            )):
+                next(experiments._evolve_pairs(pushed, args[0]))
 
 
 def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):
