@@ -156,8 +156,10 @@ def _split_step(symbol: np.ndarray, gamma: float, dt: float, dx):
     return step
 
 
-def _step_plan(cfg: SimConfig):
-    """Number of whole steps plus the (possibly zero) shrunken final step."""
+def _step_plan(cfg: SimConfig) -> tuple[int, float, int]:
+    """Number of whole steps, the (possibly zero) shrunken final step and
+    the number of records: one after every record_every-th step (step 0 is
+    t = 0), and one at the end when the last step is not among them."""
     ratio = cfg.t_final / cfg.dt
     if not np.isfinite(ratio):
         raise ValidationError(f"t_final / dt overflows ({cfg.t_final:g} / {cfg.dt:g}); raise dt")
@@ -165,39 +167,36 @@ def _step_plan(cfg: SimConfig):
     remainder = cfg.t_final - n_whole * cfg.dt
     if abs(remainder) <= 1e-9 * abs(cfg.dt):
         remainder = 0.0
-    return n_whole, remainder
+    final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
+    return n_whole, remainder, n_whole // cfg.record_every + 1 + final_record
 
 
 def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
     """Integrate the initial value problem, recording every record_every
-    steps: the one (records, nx) history, evolve_records' records as one
-    block (_record_blocks), priced at each one's coefficients and time."""
-    runs = [(phi, cfg)]
-    plan = _plan(runs, 16 * (cfg.grid.nx + 1), 0)
-    [(times, values)] = _record_blocks(runs, plan, plan[-1])
+    steps: evolve_records' records copied into one (records, nx) history,
+    priced at each one's coefficients and time."""
+    records = evolve_records([(phi, cfg)], 16 * (cfg.grid.nx + 1))
+    n_records = _step_plan(cfg)[2]
+    times, values = np.empty(n_records), np.empty((n_records, cfg.grid.nx), dtype=np.complex128)
+    for n, (t, coeffs) in enumerate(records):
+        times[n], values[n] = t, coeffs[0]
     return Trajectory(times, cfg.grid, values)
 
 
-def _record_blocks(runs: list, plan, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The first run's records as the runs are stepped (_stream), size at a
-    time, as (times, values) views of two buffers refilled for each block."""
-    times, values = np.empty(size), np.empty((size, runs[0][1].grid.nx), dtype=np.complex128)
-    n = 0
-    for t, coeffs in _stream(runs, plan):
-        times[n], values[n] = t, coeffs[0]
-        n += 1
-        if n == size:
-            yield times, values
-            n = 0
-    if n:
-        yield times[:n], values[:n]
-
-
-def _plan(runs: list, record_bytes, workspace_bytes) -> tuple[list[SimConfig], int, float, int]:
-    """The runs' configs, whole steps, last shrunken step and number of
-    records, once the runs share their step settings and the call is
-    admitted: STEP_FIELDS fields a run, the consumer's record_bytes a record
-    and workspace_bytes besides; runs x nx + PASS_OVERHEAD work a step."""
+def evolve_records(
+    runs: Sequence[tuple[Field, SimConfig]], record_bytes: int = 0, workspace_bytes: int = 0
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Integrate several (phi, cfg) problems in one loop, yielding (t,
+    coefficients) at each record, a read-only view of the (runs, nx) buffer
+    stepped in place: a consumer copies what it keeps.  The runs share nx,
+    dt, t_final, record_every and gamma; no operation mixes rows, so each
+    is bit-identical to its run alone.  This is the one way into the
+    stepping loop, admitted as it is called: STEP_FIELDS fields a run, the
+    record_bytes a consumer keeps of each record and the workspace_bytes it
+    holds besides; runs x nx + PASS_OVERHEAD work a step.  A row that could
+    blow up raises BlowUpError before the first step, naming its run
+    (_reject_blow_up)."""
+    runs = list(runs)
     if not runs:
         raise ValidationError("evolve_records needs at least one run")
     cfgs = [cfg for _, cfg in runs]
@@ -207,53 +206,36 @@ def _plan(runs: list, record_bytes, workspace_bytes) -> tuple[list[SimConfig], i
         if phi.grid != cfg.grid:
             raise ValidationError("initial data grid does not match config grid")
     cfg = cfgs[0]
-    n_whole, remainder = _step_plan(cfg)
+    n_whole, remainder, n_records = _step_plan(cfg)
     n_steps = n_whole + (remainder != 0.0)
-    # a record after every record_every-th step (step 0 is t = 0), and one
-    # at the end when the last step is not among them
-    final_record = remainder != 0.0 or n_whole % cfg.record_every != 0
-    n_records = n_whole // cfg.record_every + 1 + final_record
     rows, nx = len(runs), cfg.grid.nx
     admit(f"{_count(n_steps)} steps of {rows} x {nx} values and {_count(n_records)} records",
           "raise dt or record_every, or lower t_final or nx",
           16 * rows * STEP_FIELDS * nx + n_records * record_bytes + workspace_bytes,
           n_steps * (rows * nx + PASS_OVERHEAD))
-    return cfgs, n_whole, remainder, n_records
 
+    def stream():
+        uhat = np.stack([phi.values for phi, _ in runs])
+        _reject_blow_up(uhat, cfgs)
+        symbol = np.stack([c.symbol() for c in cfgs])
+        dx = np.array([[c.grid.dx] for c in cfgs])
+        view = uhat.view()
+        view.setflags(write=False)
+        step = _split_step(symbol, cfg.gamma, cfg.dt, dx)
+        records = 1
+        yield 0.0, view
+        for n in range(1, n_whole + 1):
+            step(uhat)
+            if n % cfg.record_every == 0:
+                records += 1
+                yield n * cfg.dt, view
+        if remainder != 0.0:
+            step = None  # its buffers go before the last step makes its own
+            _split_step(symbol, cfg.gamma, remainder, dx)(uhat)
+        if records < n_records:  # the end's own record
+            yield (cfg.t_final if remainder != 0.0 else n_whole * cfg.dt), view
 
-def evolve_records(runs: Sequence[tuple[Field, SimConfig]]) -> Iterator[tuple[float, np.ndarray]]:
-    """Integrate several (phi, cfg) problems in one loop, yielding (t,
-    coefficients) at each record, a read-only view of the (runs, nx) buffer
-    stepped in place: a consumer copies what it keeps.  The runs share nx,
-    dt, t_final, record_every and gamma; no operation mixes rows, so each
-    is bit-identical to its run alone.  The call is admitted as it is made,
-    for its stepping alone (_plan).  A row that could blow up raises
-    BlowUpError before the first step, naming its run (_reject_blow_up)."""
-    runs = list(runs)
-    return _stream(runs, _plan(runs, 0, 0))
-
-
-def _stream(runs: list, plan) -> Iterator[tuple[float, np.ndarray]]:
-    """evolve_records' loop over the admitted runs and their _plan."""
-    cfgs, n_whole, remainder, n_records = plan
-    cfg = cfgs[0]
-    uhat = np.stack([phi.values for phi, _ in runs])
-    _reject_blow_up(uhat, cfgs)
-    symbol = np.stack([c.symbol() for c in cfgs])
-    dx = np.array([[c.grid.dx] for c in cfgs])
-    view = uhat.view()
-    view.setflags(write=False)
-    step = _split_step(symbol, cfg.gamma, cfg.dt, dx)
-    yield 0.0, view
-    for n in range(1, n_whole + 1):
-        step(uhat)
-        if n % cfg.record_every == 0:
-            yield n * cfg.dt, view
-    if remainder != 0.0:
-        step = None  # its buffers go before the last step makes its own
-        _split_step(symbol, cfg.gamma, remainder, dx)(uhat)
-    if n_records > n_whole // cfg.record_every + 1:  # the end's own record
-        yield (cfg.t_final if remainder != 0.0 else n_whole * cfg.dt), view
+    return stream()
 
 
 def run_name(cfgs: list[SimConfig], row: int) -> str:
@@ -329,7 +311,7 @@ def picard_iterate(phi: Field, cfg: SimConfig, iterations: int) -> PicardResult:
     """
     if iterations < 1:
         raise ValidationError("iterations must be >= 1")
-    n_whole, remainder = _step_plan(cfg)
+    n_whole, remainder, _ = _step_plan(cfg)
     if remainder != 0.0:
         raise ValidationError("picard_iterate needs t_final to be a multiple of dt")
     grid, n_rows = cfg.grid, n_whole + 1

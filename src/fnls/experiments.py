@@ -20,7 +20,7 @@ from .spectral import lattice_mode, make_grid, physical_values
 from .symbols import _carrier_power, envelope_scale, group_velocity
 from .symbols import remainder_bound_constant, remainder_symbol
 from .norms import _sobolev_weight, _weighted_norm, energy, mass, xsb_norm
-from .evolution import SimConfig, Trajectory, _plan, _record_blocks, evolve_records, run_name
+from .evolution import SimConfig, Trajectory, _step_plan, evolve_records, run_name
 from .constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
@@ -180,7 +180,8 @@ def initial_field(grid: Grid, spec: str) -> Field:
         if not sigma > 0.0:
             raise ValidationError(f"sigma must be positive, got {sigma}")
         _check_in_band(grid, k)
-        values = a * np.exp(-0.5 * ((grid.x - x0) / sigma) ** 2 + 1j * k * grid.x)
+        with np.errstate(over="ignore"):  # a narrow or far packet: exp(-inf) = 0 off its centre
+            values = a * np.exp(-0.5 * ((grid.x - x0) / sigma) ** 2 + 1j * k * grid.x)
     else:
         raise ValidationError(f"unknown initial data {name!r}")
     if params:
@@ -210,18 +211,25 @@ def drift(values: np.ndarray) -> float:
 def summarize_records(phi: Field, cfg: SimConfig) -> tuple:
     """(times, masses, energies, max|u|) at each record of one run and the
     samples of its last, reduced in blocks of SUMMARY_CHUNK_VALUES values
-    (_record_blocks) along the last axis, so bit-equal to the same
-    arithmetic over evolve's history, into columns made once for _plan's
-    record count.  Admitted with 4 block fields and 48 B a record: the
-    columns and drift's temporaries (48.0 B measured by tracemalloc around
-    `fnls evolve` from 50,000 to 150,000 records at nx 256, 1,024 and
-    4,096, numpy 2.4)."""
+    along the last axis, so bit-equal to the same arithmetic over evolve's
+    history, into columns made once for the run's record count.  Each
+    record is copied into a block buffer made once, and a block is reduced
+    when it is full or holds the last record.  Admitted with 4 block
+    fields and 48 B a record: the columns and drift's temporaries (48.0 B
+    measured by tracemalloc around `fnls evolve` from 50,000 to 150,000
+    records at nx 256, 1,024 and 4,096, numpy 2.4)."""
     chunk = max(1, SUMMARY_CHUNK_VALUES // cfg.grid.nx)
-    runs = [(phi, cfg)]
-    plan = _plan(runs, 48, 4 * 16 * chunk * cfg.grid.nx)
-    columns = np.empty((4, plan[-1]))
-    for i, (times, values) in enumerate(_record_blocks(runs, plan, chunk)):
-        part, block = Trajectory(times, cfg.grid, values), columns[:, i * chunk:(i + 1) * chunk]
+    records = evolve_records([(phi, cfg)], 48, 4 * 16 * chunk * cfg.grid.nx)
+    n_records = _step_plan(cfg)[2]
+    columns = np.empty((4, n_records))
+    times, values = np.empty(chunk), np.empty((chunk, cfg.grid.nx), dtype=np.complex128)
+    for n, (t, coeffs) in enumerate(records):
+        i = n % chunk
+        times[i], values[i] = t, coeffs[0]
+        if i + 1 < chunk and n + 1 < n_records:
+            continue
+        part = Trajectory(times[:i + 1], cfg.grid, values[:i + 1])
+        block = columns[:, n - i:n + 1]
         block[:3] = part.times, mass(part), energy(part, cfg.alpha, cfg.gamma)
         u = physical_values(part)  # made once energy's temporaries have gone
         block[3] = np.max(np.abs(u), axis=-1)
@@ -359,6 +367,8 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
+    if not s_list:
+        raise ValidationError("need at least one s")
     grid = wavepacket_grid(0.0, tau_scale)
     specs = {
         m: [WavepacketSpec(amplitude, m, tau_scale, 0.5 * grid.length, s) for s in s_list]
@@ -374,7 +384,7 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
             k2 = (grid.k + mode * grid.dk) ** 2
             return [float(np.sqrt(np.sum(power * (1.0 + k2) ** s) / grid.length)) for s in s_list]
 
-    rows = parallel_map(norms, m_list) if s_list else []
+    rows = parallel_map(norms, m_list)
     return {s: fit_power_law("M", m_list, [r[j] for r in rows]) for j, s in enumerate(s_list)}
 
 
@@ -433,7 +443,9 @@ def _evolve_pairs(runs, alpha: float):
     array updated in place; a NaN distance stays, as np.max keeps it.  Each
     record is checked first: every run's wrap-around (check_contained), then
     each NLS run's resolution (check_resolved), whose checks of v(0) cover
-    the band data; each error names the run.  No record is kept."""
+    the band data; each error names the run.  No record is kept; the
+    stepping is admitted with the stacked Sobolev weights and one complex
+    field a pair, the record's temporaries, as its workspace."""
     cfgs = [cfg for _, cfg in runs]
     grids = [cfg.grid for cfg in cfgs]
     dx = np.array([[grid.dx] for grid in grids])
@@ -450,7 +462,7 @@ def _evolve_pairs(runs, alpha: float):
         return (f"run {v_rows[pair]} of {len(runs)}, envelope of alpha {alpha:g}, "
                 f"carrier {bands[pair].carrier:g}")
 
-    for t, coeffs in evolve_records(runs):
+    for t, coeffs in evolve_records(runs, workspace_bytes=weight.nbytes + 16 * weight.size):
         # through fnls.spectral, the lookup site perfbench/tracer.py wraps
         check_contained(spectral.inverse_transform(coeffs, dx), t, lambda row: run_name(cfgs, row))
         v = coeffs[v_rows]

@@ -76,7 +76,7 @@ MUTANTS = [
     Mutant(
         "blow-up check removed",
         "src/fnls/evolution.py",
-        "    _reject_blow_up(uhat, cfgs)\n",
+        "        _reject_blow_up(uhat, cfgs)\n",
         "",
         (
             "tests/test_evolution.py::test_evolve_blow_up_guard",
@@ -169,8 +169,8 @@ MUTANTS = [
     Mutant(
         "the summary's records left unpriced",
         "src/fnls/experiments.py",
-        "_plan(runs, 48, ",
-        "_plan(runs, 0, ",
+        "evolve_records([(phi, cfg)], 48, ",
+        "evolve_records([(phi, cfg)], 0, ",
         (
             "tests/test_cli.py::test_evolve_history_over_memory_limit_is_validation_error",
             "tests/test_cli.py::test_evolve_prediction_bounds_the_commands_peak[26.2]",
@@ -179,10 +179,20 @@ MUTANTS = [
     Mutant(
         "the summary's blocks left unpriced",
         "src/fnls/experiments.py",
-        "_plan(runs, 48, 4 * 16 * chunk * cfg.grid.nx)",
-        "_plan(runs, 48, 0)",
+        "evolve_records([(phi, cfg)], 48, 4 * 16 * chunk * cfg.grid.nx)",
+        "evolve_records([(phi, cfg)], 48, 0)",
         (
             "tests/test_experiments.py::test_record_summary_prediction_bounds_its_peak[nx65536]",
+        ),
+    ),
+    Mutant(
+        "the pairs' workspace left unpriced",
+        "src/fnls/experiments.py",
+        "evolve_records(runs, workspace_bytes=weight.nbytes + 16 * weight.size)",
+        "evolve_records(runs)",
+        (
+            "tests/test_evolution.py::test_strang_prediction_bounds_its_peak[4-4096-0.39-True]",
+            "tests/test_evolution.py::test_strang_prediction_bounds_its_peak[8-4096-0.39-True]",
         ),
     ),
     # the CLI's artifacts, written line by line
@@ -304,12 +314,19 @@ MUTANTS = [
             "tests/test_golden.py::test_cli_artifact_matches_golden[approx-error]",
         ),
     ),
-    # the record summary of gate 2 and the evolve command
+    # the records of a run, and the record summary of gate 2 and the evolve command
+    Mutant(
+        "the end's own record dropped",
+        "src/fnls/evolution.py",
+        "        if records < n_records:  # the end's own record\n",
+        "        if False:  # the end's own record\n",
+        ("tests/test_evolution.py::test_evolve_records_stream_the_history_rows_read_only[0.0205]",),
+    ),
     Mutant(
         "the summary drops its last partial block",
-        "src/fnls/evolution.py",
-        "    if n:\n        yield times[:n], values[:n]\n",
-        "",
+        "src/fnls/experiments.py",
+        "        if i + 1 < chunk and n + 1 < n_records:\n",
+        "        if i + 1 < chunk:\n",
         (
             "tests/test_experiments.py::test_record_summary_equals_whole_history_arithmetic["
             "256-0.001-0.016]",

@@ -12,6 +12,8 @@ import fnls
 import fnls.evolution as evolution
 import fnls.spectral as spectral
 from fnls.cli import _float_list, build_parser, main
+from fnls.experiments import initial_field
+from fnls.spectral import Field, make_grid
 
 
 def _read(path):
@@ -275,6 +277,10 @@ BAD_NUMBERS = [
     # another mode: plane:k=200 ran as k = -56 under a header saying 200
     (["evolve", "--init", "plane:k=200"], "k = 200 lies outside the grid's band [-128, 128)"),
     (["evolve", "--init", "gaussian:k=500"], "k = 500 lies outside the grid's band [-128, 128)"),
+    # with no s no packet was built, so no carrier was checked: both exited 0
+    # with a header-only CSV
+    (["scan-wavepacket", "--s="], "need at least one s"),
+    (["scan-wavepacket", "--s=", "--m", "0.5,-1,2"], "need at least one s"),
 ]
 
 
@@ -307,6 +313,22 @@ def test_non_finite_config_value_is_validation_error(tmp_path, capsys):
     cfgfile.write_text("t_final=inf\n")
     assert main(["evolve", "--config", str(cfgfile)]) == 1
     assert capsys.readouterr().err == "error: --t-final must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("spec, centre", [
+    ("gaussian:a=1,sigma=1e-300", 128),
+    ("gaussian:x0=1e160", None),
+])
+def test_narrow_or_far_gaussian_runs_without_a_warning(tmp_path, capsys, spec, centre):
+    # ((x - x0) / sigma)^2 overflows off the packet's centre, where its
+    # sample is exp(-inf) = 0: a unit spike at x = pi = x0, or no packet
+    grid = make_grid(256, 2.0 * np.pi)
+    samples = np.zeros(grid.nx)
+    if centre is not None:
+        samples[centre] = 1.0
+    assert np.array_equal(initial_field(grid, spec).values, Field.physical(grid, samples).values)
+    assert main(["evolve", "--init", spec, "--out", str(tmp_path / "e.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_picard_lattice_over_work_limit_is_validation_error(capsys, no_steps):

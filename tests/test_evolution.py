@@ -700,14 +700,18 @@ def _consume(records) -> None:
 @pytest.mark.parametrize("rows, nx, t_final, pairs", [
     (1, 2**16, 0.02, False),  # evolve's 3 records, no wrap-around check: 9.0 fields measured
     (4, 2**14, 0.39, True),  # 40 records of two modulated pairs (_evolve_pairs): 8.8 measured
+    # at nx 4,096 the pairs' weights and record temporaries pass the stepping's 9 fields
+    (4, 2**12, 0.39, True),
+    (8, 2**12, 0.39, True),
 ])
 def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, pairs):
     grid = make_grid(nx, nx / 8.0)
     band = make_grid(nx, nx / 8.0, carrier=1000 * grid.dk)
+    grids = [grid] * (rows // 2) + [band] * (rows // 2) if pairs else [grid] * rows
     runs = [
-        (_gaussian(g, sigma=4.0), SimConfig(alpha=1.2 + 0.2 * row, gamma=1.0, dt=0.01,
+        (_gaussian(g, sigma=4.0), SimConfig(alpha=1.2 + 0.2 * (row % 4), gamma=1.0, dt=0.01,
                                             t_final=t_final, grid=g))
-        for row, g in enumerate([grid, grid, band, band] if pairs else [grid] * rows)
+        for row, g in enumerate(grids)
     ]
     call = (lambda: _consume(_evolve_pairs(runs, 1.5))) if pairs else (lambda: evolve(*runs[0]))
     predicted, peak = _admitted_peak(monkeypatch, call)
@@ -840,7 +844,7 @@ def test_evolve_records_stream_the_history_rows_read_only(t_final):
 
 def test_evolve_records_checks_before_the_first_record(monkeypatch):
     # admission and the blow-up check raise before any step: a step's work is
-    # its 5 x 64 values plus the pass overhead of 512, and _plan's bytes add
+    # its 5 x 64 values plus the pass overhead of 512, and the bytes add
     # what a consumer keeps of each of the 21 records and holds besides
     runs = _stack_runs(0.02, record_every=1)
     monkeypatch.setattr(evolution, "_split_step", None)
@@ -850,10 +854,10 @@ def test_evolve_records_checks_before_the_first_record(monkeypatch):
     monkeypatch.setattr(spectral, "WORK_BUDGET", 20 * (5 * 64 + 512))
     exact = 16 * 5 * 9 * 64 + 21 * 100 + 7
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact)
-    evolution._plan(runs, 100, 7)
+    evolve_records(runs, 100, 7)
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", exact - 1)
     with pytest.raises(ValidationError, match="^20 steps of 5 x 64 values and 21 records: "):
-        evolution._plan(runs, 100, 7)
+        evolve_records(runs, 100, 7)
     phi, cfg = runs[1]
     runs[1] = (Field(cfg.grid, 1e12 * phi.values), cfg)
     with pytest.raises(BlowUpError, match="^run 1 of 5, alpha 2, carrier 0: "):

@@ -463,9 +463,9 @@ def _keep_trajectories(monkeypatch) -> list:
     appended to the list returned."""
     batches = []
 
-    def keep(runs):
+    def keep(runs, **costs):
         batches.append(history(runs))
-        return evolve_records(runs)
+        return evolve_records(runs, **costs)
 
     monkeypatch.setattr(experiments, "evolve_records", keep)
     return batches
@@ -548,8 +548,8 @@ def test_record_reductions_equal_whole_trajectory_arithmetic(monkeypatch):
 def _fed_records(monkeypatch, change) -> None:
     """The pipelines step their batches as usual, but read the records that
     change(list of (t, coefficients) copies) returns."""
-    def fed(runs):
-        return change([(t, coeffs.copy()) for t, coeffs in evolve_records(runs)])
+    def fed(runs, **costs):
+        return change([(t, coeffs.copy()) for t, coeffs in evolve_records(runs, **costs)])
 
     monkeypatch.setattr(experiments, "evolve_records", fed)
 
@@ -637,7 +637,7 @@ BAND_DATA_PIPELINES = [
 
 def _batch(monkeypatch, pipeline, args) -> list:
     """The (phi, cfg) runs pipeline(*args) passes to evolve_records."""
-    def stop(runs):
+    def stop(runs, **costs):
         raise _Batch(runs)
 
     monkeypatch.setattr(experiments, "evolve_records", stop)
