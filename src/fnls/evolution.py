@@ -184,7 +184,8 @@ def evolve(phi: Field, cfg: SimConfig) -> Trajectory:
 
 
 def evolve_records(
-    runs: Sequence[tuple[Field, SimConfig]], record_bytes: int = 0, workspace_bytes: int = 0
+    runs: Sequence[tuple[Field, SimConfig]], record_bytes: int = 0, workspace_bytes: int = 0,
+    remedy: str = "raise dt or record_every, or lower t_final or nx",
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Integrate several (phi, cfg) problems in one loop, yielding (t,
     coefficients) at each record, a read-only view of the (runs, nx) buffer
@@ -193,7 +194,8 @@ def evolve_records(
     is bit-identical to its run alone.  This is the one way into the
     stepping loop, admitted as it is called: STEP_FIELDS fields a run, the
     record_bytes a consumer keeps of each record and the workspace_bytes it
-    holds besides; runs x nx + PASS_OVERHEAD work a step.  A row that could
+    holds besides; runs x nx + PASS_OVERHEAD work a step; a refusal names
+    the caller's remedy, in its own options.  A row that could
     blow up raises BlowUpError before the first step, naming its run
     (_reject_blow_up)."""
     runs = list(runs)
@@ -210,7 +212,7 @@ def evolve_records(
     n_steps = n_whole + (remainder != 0.0)
     rows, nx = len(runs), cfg.grid.nx
     admit(f"{_count(n_steps)} steps of {rows} x {nx} values and {_count(n_records)} records",
-          "raise dt or record_every, or lower t_final or nx",
+          remedy,
           16 * rows * STEP_FIELDS * nx + n_records * record_bytes + workspace_bytes,
           n_steps * (rows * nx + PASS_OVERHEAD))
 

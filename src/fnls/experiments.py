@@ -124,7 +124,7 @@ def fit_power_law(
     pf, vf = params[n_dropped:], values[n_dropped:]
     if pf.size < 4:
         raise ValidationError(f"need >= 4 points to fit, got {pf.size}")
-    _check_distinct(parameter_name, pf)
+    _check_distinct(parameter_name, params)
     for p, v in zip(pf, vf):
         if not (p > 0 and 0 < v < np.inf):
             raise ValidationError(f"power-law fit needs positive finite data: "
@@ -435,7 +435,7 @@ def _modulated_runs(
     return runs
 
 
-def _evolve_pairs(runs, alpha: float):
+def _evolve_pairs(runs, alpha: float, remedy: str):
     """Step the runs of _modulated_runs as one batch (evolve_records),
     yielding (t, coefficients, sups) at each record: the batch's record and,
     for each pair in order, the sup so far of the H^((2-alpha)/4) distance
@@ -445,7 +445,8 @@ def _evolve_pairs(runs, alpha: float):
     each NLS run's resolution (check_resolved), whose checks of v(0) cover
     the band data; each error names the run.  No record is kept; the
     stepping is admitted with the stacked Sobolev weights and one complex
-    field a pair, the record's temporaries, as its workspace."""
+    field a pair, the record's temporaries, as its workspace, and a refusal
+    names the pipeline's remedy."""
     cfgs = [cfg for _, cfg in runs]
     grids = [cfg.grid for cfg in cfgs]
     dx = np.array([[grid.dx] for grid in grids])
@@ -462,7 +463,8 @@ def _evolve_pairs(runs, alpha: float):
         return (f"run {v_rows[pair]} of {len(runs)}, envelope of alpha {alpha:g}, "
                 f"carrier {bands[pair].carrier:g}")
 
-    for t, coeffs in evolve_records(runs, workspace_bytes=weight.nbytes + 16 * weight.size):
+    workspace = weight.nbytes + 16 * weight.size
+    for t, coeffs in evolve_records(runs, workspace_bytes=workspace, remedy=remedy):
         # through fnls.spectral, the lookup site perfbench/tracer.py wraps
         check_contained(spectral.inverse_transform(coeffs, dx), t, lambda row: run_name(cfgs, row))
         v = coeffs[v_rows]
@@ -505,7 +507,7 @@ def run_approximation_error(
         alpha, length, [(n, [epsilon]) for n in n_list], APPROX_SIGMA,
         APPROX_DT, t_final, APPROX_RECORD_EVERY,
     )
-    for _, _, sups in _evolve_pairs(runs, alpha):
+    for _, _, sups in _evolve_pairs(runs, alpha, "lower t_final"):
         pass  # each record updates the running sups in place
     errors = sups.tolist()
     return ApproximationScan(
@@ -600,7 +602,7 @@ def run_illposedness_demo(
     record_every = max(1, round(ILLPOSED_RECORD_INTERVAL / dt))
     runs = [(phi, replace(cfg, dt=dt, record_every=record_every)) for phi, cfg in runs]
     # rows v1, v2, w1, w2: the band runs' coefficients are the zoomed pair's
-    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(runs, alpha)):
+    for i, (t, coeffs, sups) in enumerate(_evolve_pairs(runs, alpha, "lower t_internal")):
         sep = _weighted_norm(coeffs[2] - coeffs[3], weight, zoom.length)
         if i == 0:
             norm1, norm2 = (_weighted_norm(coeffs[row], weight, zoom.length) for row in (2, 3))

@@ -188,11 +188,23 @@ MUTANTS = [
     Mutant(
         "the pairs' workspace left unpriced",
         "src/fnls/experiments.py",
-        "evolve_records(runs, workspace_bytes=weight.nbytes + 16 * weight.size)",
-        "evolve_records(runs)",
+        "    workspace = weight.nbytes + 16 * weight.size\n",
+        "    workspace = 0\n",
         (
             "tests/test_evolution.py::test_strang_prediction_bounds_its_peak[4-4096-0.39-True]",
             "tests/test_evolution.py::test_strang_prediction_bounds_its_peak[8-4096-0.39-True]",
+        ),
+    ),
+    Mutant(
+        "the pipelines' remedy dropped",
+        "src/fnls/experiments.py",
+        "evolve_records(runs, workspace_bytes=workspace, remedy=remedy)",
+        "evolve_records(runs, workspace_bytes=workspace)",
+        (
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "approx-error --t-final 1e9]",
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "illposed --t-internal 1e12]",
         ),
     ),
     # the CLI's artifacts, written line by line
@@ -227,6 +239,21 @@ MUTANTS = [
         "        if not (p > 0 and 0 < v < np.inf):\n",
         "        if not (p > 0 and 0 < v):\n",
         ("tests/test_experiments.py::test_fit_power_law_validation",),
+    ),
+    Mutant(
+        "distinctness checked after the drop",
+        "src/fnls/experiments.py",
+        "    _check_distinct(parameter_name, params)\n",
+        "    _check_distinct(parameter_name, pf)\n",
+        (
+            "tests/test_experiments.py::test_fit_power_law_validation",
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "scan-trilinear --n 16,32,64,128,16]",
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "scan-wavepacket --m 16,16,32,64,128]",
+            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
+            "scan-remainder --n 16,16,32,64,128]",
+        ),
     ),
     # the modulated pipelines in the packet's rest frame
     Mutant(

@@ -149,6 +149,22 @@ def test_python_dash_m_runs_the_command(tmp_path, module):
     assert _run_module(module, ["not-a-command"]).returncode == 1
 
 
+PACKAGE_SURFACE = """
+import sys
+import fnls
+print(sorted(name for name in vars(fnls) if not name.startswith("_")), fnls.__version__,
+      sorted(name for name in sys.modules if name.startswith("fnls.") or name == "numpy"))
+"""
+
+
+def test_package_holds_only_its_version():
+    # each name has one import path, its module's: `import fnls` exposes no
+    # other public name and loads neither a submodule nor numpy
+    proc = _run_python(["-c", PACKAGE_SURFACE], text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[] {fnls.__version__} []\n"
+
+
 def test_config_file_seeds_defaults_flags_win(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("dt=2e-3\nt_final=0.1\ninit=plane:a=0.1,k=1\nnx=128\n")
@@ -264,6 +280,17 @@ BAD_NUMBERS = [
     (["scan-remainder", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-trilinear", "--n=16,16,16,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-wavepacket", "--m=16,16,16,16"], "needs distinct M values: M = 16 repeats"),
+    # a repeat of the smallest of five points, which the fit drops as
+    # preasymptotic: each exited 0 and wrote the repeated row twice
+    (["scan-trilinear", "--n", "16,32,64,128,16"], "needs distinct N values: N = 16 repeats"),
+    (["scan-wavepacket", "--m", "16,16,32,64,128"], "needs distinct M values: M = 16 repeats"),
+    (["scan-remainder", "--n", "16,16,32,64,128"], "needs distinct N values: N = 16 repeats"),
+    # the modulated pipelines' stepping names their own window option, not
+    # evolve's dt, record_every and nx, which these commands lack
+    (["approx-error", "--t-final", "1e9"],
+     "exceed the 1024 MiB / 1.72e+10-unit budget; lower t_final\n"),
+    (["illposed", "--t-internal", "1e12"],
+     "exceed the 1024 MiB / 1.72e+10-unit budget; lower t_internal\n"),
     # numbers inside --init: a non-finite one or sigma = 0 reached the step as
     # a non-finite spectrum (exit 2), and sigma < 0 ran (exit 0)
     (["evolve", "--init", "gaussian:a=nan"], "init parameter a must be finite, got nan"),

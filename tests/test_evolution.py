@@ -494,7 +494,8 @@ def test_evolve_tail_check(circle):
         r"^run 0 of 2, alpha 1\.5, carrier 0: tail mass fraction 0\.\d+ in the outer 10% of "
         r"the domain at t=0 exceeds 1e-08$"
     )):
-        _consume(_evolve_pairs([(Field.physical(circle, vals), cfg), _band_partner(cfg)], 1.5))
+        runs = [(Field.physical(circle, vals), cfg), _band_partner(cfg)]
+        _consume(_evolve_pairs(runs, 1.5, "lower t_final"))
 
 
 @pytest.mark.parametrize("t_final", [0.16, 0.155])
@@ -509,7 +510,7 @@ def test_evolve_tail_check_covers_the_off_grid_last_record(t_final):
     runs = [(Field.physical(grid, vals), cfg), (_gaussian(band, sigma=0.3), replace(cfg, grid=band))]
     with pytest.raises(WrapAroundError,
                        match=f"^run 0 of 2, alpha 2, carrier 0: .* at t={t_final:g} exceeds"):
-        _consume(_evolve_pairs(runs, 1.5))
+        _consume(_evolve_pairs(runs, 1.5, "lower t_final"))
 
 
 def test_evolve_partial_final_step(circle):
@@ -713,7 +714,8 @@ def test_strang_prediction_bounds_its_peak(monkeypatch, rows, nx, t_final, pairs
                                             t_final=t_final, grid=g))
         for row, g in enumerate(grids)
     ]
-    call = (lambda: _consume(_evolve_pairs(runs, 1.5))) if pairs else (lambda: evolve(*runs[0]))
+    pair_call = lambda: _consume(_evolve_pairs(runs, 1.5, "lower t_final"))
+    call = pair_call if pairs else (lambda: evolve(*runs[0]))
     predicted, peak = _admitted_peak(monkeypatch, call)
     assert peak <= predicted <= 1.5 * peak
 
@@ -917,7 +919,7 @@ def test_evolve_together_row_failure_matches_evolve(circle, monkeypatch):
         _consume(evolve_records(runs))
 
     def paired(runs):
-        _consume(_evolve_pairs(runs + [_band_partner(cfg) for _, cfg in runs], 1.5))
+        _consume(_evolve_pairs(runs + [_band_partner(cfg) for _, cfg in runs], 1.5, "lower t_final"))
 
     for failing, consume in ((big, stepped), (edge, paired), (bad, stepped)):
         kind, message = _failure(lambda: consume([failing]))
@@ -941,7 +943,8 @@ def test_evolve_together_failure_names_the_run():
     centred = Field.physical(envelope, np.exp(-0.5 * ((envelope.x - np.pi) / 0.3) ** 2))
     edge = Field.physical(grid, np.exp(-0.5 * (grid.x / 0.3) ** 2))
     with pytest.raises(WrapAroundError) as info:
-        _consume(_evolve_pairs([(centred, replace(cfg, alpha=1.2, grid=envelope)), (edge, cfg)], 1.7))
+        runs = [(centred, replace(cfg, alpha=1.2, grid=envelope)), (edge, cfg)]
+        _consume(_evolve_pairs(runs, 1.7, "lower t_final"))
     assert str(info.value).startswith("run 1 of 2, alpha 1.7, carrier 3: tail mass fraction")
 
 

@@ -77,6 +77,10 @@ def test_fit_power_law_validation():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValidationError, match=f"finite data: M = 8 gives {bad:g}"):
             fit_power_law("M", [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 3.0, bad])
+    # of five points the smallest is dropped as preasymptotic, but a repeat
+    # of it is still a repeat
+    with pytest.raises(ValidationError, match="distinct N values: N = 16 repeats"):
+        fit_power_law("N", [16.0, 32.0, 64.0, 128.0, 16.0], [1.0, 2.0, 3.0, 4.0, 1.0])
 
 
 def test_initial_field_parsing():
@@ -684,7 +688,7 @@ def test_modulated_batches_run_in_the_rest_frame_and_check_every_tail(monkeypatc
                 rf"^run {row} of {len(runs)}, alpha {cfg.alpha:g}, carrier "
                 rf"{cfg.grid.carrier:g}: tail mass fraction .* at t=0 exceeds"
             )):
-                next(experiments._evolve_pairs(pushed, args[0]))
+                next(experiments._evolve_pairs(pushed, args[0], "lower t_final"))
 
 
 def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):
