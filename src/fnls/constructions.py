@@ -11,11 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResolutionError, ValidationError, WrapAroundError
 from .spectral import (
-    Field,
     Grid,
+    forward_transform,
     make_grid,
     spectral_tail_fraction,
     tail_fraction,
@@ -34,17 +35,13 @@ WAVEPACKET_SMOOTHNESS = 1.0  # sigma of WavepacketSpec's s < 0 hypotheses
 BOX_XI_SAMPLES = 16
 BOX_TAU_SAMPLES_PER_UNIT = 8
 
-# trilinear_convolution's 8 run-end choices (a1, a2, a3) per column triple,
-# 1 just past the run: the 4 with an even number of 1s count +1, the rest -1
-_END_CHOICES = np.array(sorted(np.ndindex(2, 2, 2), key=lambda a: sum(a) % 2)).T
-
-
 @dataclass(frozen=True)
 class BoxSpec:
     """A resonant box: frequencies in [N, N + N^((2-alpha)/2)] (or the mirror
     band starting at -N when conjugate), within unit distance of the
     dispersion surface.  The width is exactly the one that keeps the box
-    inside an O(1) strip of the surface."""
+    inside an O(1) strip of the surface.  An N whose |xi|^alpha overflows
+    across the box is rejected."""
 
     n: float
     alpha: float
@@ -54,6 +51,10 @@ class BoxSpec:
         if self.n < 16 or math.frexp(self.n)[0] != 0.5:  # a power of two
             raise ValidationError(f"n must be a dyadic value >= 16, got {self.n}")
         _check_alpha(self.alpha, allow_two=False)
+        if self.alpha * np.log(self.n + self.width) >= np.log(np.finfo(float).max):
+            raise ValidationError(
+                f"N = {self.n:g} overflows |xi|^alpha across its box, alpha {self.alpha:g}"
+            )
 
     @property
     def width(self) -> float:
@@ -61,25 +62,41 @@ class BoxSpec:
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint xi samples across the box and the line tau = +-|xi|^alpha there."""
-        start = -self.n if self.conjugate else self.n
-        xi = start + (np.arange(BOX_XI_SAMPLES) + 0.5) * (self.width / BOX_XI_SAMPLES)
-        disp = np.abs(xi) ** self.alpha
-        return xi, (-disp if self.conjugate else disp)
+        xi, line, _ = _box_lattices([self])
+        return xi[0], line[0]
 
     @property
     def tau_samples(self) -> int:
         """Length of box_data's tau lattice: the line's range and unit distance either side."""
-        line = self.columns()[1]
-        return int(np.ceil((line.max() + 1.0 - (line.min() - 1.0)) * BOX_TAU_SAMPLES_PER_UNIT)) + 1
+        return int(_box_lattices([self])[2][0])
 
 
-def box_data(spec: BoxSpec) -> SpaceTimeField:
-    """Real 0/1 indicator of the box on a midpoint-sampled (tau, xi) lattice:
-    each xi column holds one run of ones along tau (the samples with
-    |tau - line| <= 1, consecutive as tau rises), stored from its start."""
-    xi, line = spec.columns()
+def _box_lattices(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boxes' midpoint xi samples and the line tau = +-|xi|^alpha there,
+    one (boxes, BOX_XI_SAMPLES) row per box in order, and each box's tau
+    lattice length, the line's range and unit distance either side, as a
+    float: a box past the admission would have more nodes than an integer
+    holds."""
+    n, alpha, width, conjugate = (np.array(column)[:, None] for column in zip(
+        *((spec.n, spec.alpha, spec.width, spec.conjugate) for spec in specs)))
+    xi = np.where(conjugate, -n, n) + (np.arange(BOX_XI_SAMPLES) + 0.5) * (width / BOX_XI_SAMPLES)
+    disp = np.abs(xi) ** alpha
+    line = np.where(conjugate, -disp, disp)
+    span = line.max(axis=-1) + 1.0 - (line.min(axis=-1) - 1.0)
+    return xi, line, np.ceil(span * BOX_TAU_SAMPLES_PER_UNIT) + 1
+
+
+def box_data(specs) -> SpaceTimeField:
+    """Real 0/1 indicators of the boxes of a sequence of BoxSpecs, in order,
+    as a stack built at once, each entry bit-equal to its box alone (one
+    BoxSpec gives its one field).  A box lives on a midpoint-sampled
+    (tau, xi) lattice: each xi column holds one run of ones along tau (the
+    samples with |tau - line| <= 1, consecutive as tau rises), stored from
+    its start; the stack's entries share the longest run's row count."""
+    single = isinstance(specs, BoxSpec)
+    xi, line, n_tau = _box_lattices([specs] if single else specs)
     dtau = 1.0 / BOX_TAU_SAMPLES_PER_UNIT
-    tau0 = line.min() - 1.0 + 0.5 * dtau
+    tau0 = line.min(axis=-1, keepdims=True) - 1.0 + 0.5 * dtau
 
     def outside(i):
         return (np.abs(tau0 + dtau * i - line) > 1.0).astype(np.intp)
@@ -91,15 +108,29 @@ def box_data(spec: BoxSpec) -> SpaceTimeField:
     lo += outside(lo) + outside(lo - 1) - 1
     hi += 1 - outside(hi) - outside(hi + 1)
     length = hi - lo + 1
-    values = (np.arange(length.max())[:, None] < length).astype(np.float64)
-    return SpaceTimeField(tau0, dtau, spec.tau_samples, xi, lo, values)
+    values = (np.arange(length.max())[:, None] < length[:, None, :]).astype(np.float64)
+    boxes = (tau0[:, 0], n_tau.astype(np.intp), xi, lo, values)
+    tau0, n_tau, xi, lo, values = (part[0] for part in boxes) if single else boxes
+    return SpaceTimeField(tau0, dtau, n_tau, xi, lo, values)
+
+
+def _antidiagonal(reduce, a: np.ndarray, b: np.ndarray, fill) -> np.ndarray:
+    """reduce (np.minimum or np.maximum) of a[:, i] + b[:, j] over i + j = k,
+    entry by entry of the (entries, columns) arrays a and b."""
+    entries, k = a.shape[0], a.shape[1] + b.shape[1] - 1
+    out = np.full(entries * k, fill)
+    index = np.arange(entries)[:, None, None] * k + np.add.outer(np.arange(a.shape[1]),
+                                                                 np.arange(b.shape[1]))
+    reduce.at(out, index.ravel(), (a[:, :, None] + b[:, None, :]).ravel())
+    return out.reshape(entries, k)
 
 
 def trilinear_convolution(
     f1: SpaceTimeField, f2bar: SpaceTimeField, f3: SpaceTimeField
 ) -> SpaceTimeField:
     """Exact double space-time convolution of three box indicators, with
-    Riemann weights.
+    Riemann weights: of three fields, or entry by entry of three stacks of
+    one size, giving a stack.
 
     Each factor must be real 0/1 with one run of ones per xi column, stored
     from the column's first row as box_data stores it, so the convolution's
@@ -108,43 +139,73 @@ def trilinear_convolution(
     (dtau dxi)^2.  The output lattice covers the Minkowski sum of the
     supports; the factor lattices must share spacings (offsets add).  Each
     output column is stored from its first point over the widest support's
-    rows, moved up where those would leave the lattice.
+    rows, moved up where those would leave the lattice.  The checks, first
+    points and widths of all entries are found at once; the points are
+    counted one box triple and one end choice at a time, so the temporaries
+    beside the output stack are two arrays of one triple's column triples,
+    and every entry is bit-equal to its triple convolved alone.
     """
     fields = (f1, f2bar, f3)
+    stack = f1.values.shape[:-2]
     dtau, dxi = f1.dtau, f1.dxi
     for f in fields[1:]:
-        if abs(f.dtau - dtau) > 1e-9 * dtau or abs(f.dxi - dxi) > 1e-9 * dxi:
+        if f.values.shape[:-2] != stack:
+            raise ValidationError("trilinear factors must be stacks of one size")
+        if np.any(np.abs(f.dtau - dtau) > 1e-9 * dtau) or np.any(np.abs(f.dxi - dxi) > 1e-9 * dxi):
             raise ValidationError("lattice spacings do not match")
-    n_tau, n_xi = sum(f.n_tau for f in fields) - 2, sum(f.xi.size for f in fields) - 2
-    # +1 at each run's start, -1 just past its end: a column triple's points,
-    # one row per _END_CHOICES entry, sit in output column j1 + j2 + j3
-    points, cols = np.zeros((8, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for f, choice in zip(fields, _END_CHOICES):
-        v = f.values
-        length = np.count_nonzero(v, axis=0)
-        ones_then_zeros = np.arange(v.shape[0])[:, None] < length
+    n_tau, n_xi = sum(f.n_tau for f in fields) - 2, sum(f.xi.shape[-1] for f in fields) - 2
+    # +1 at each run's start, -1 just past its end, as (2, entries, columns)
+    # rows; a column triple's points sit in output column j1 + j2 + j3
+    ends = []
+    for f in fields:
+        v = f.values.reshape((int(np.prod(stack)),) + f.values.shape[-2:])
+        length = np.count_nonzero(v, axis=-2)
+        ones_then_zeros = np.arange(v.shape[-2])[:, None] < length[:, None, :]
         if np.iscomplexobj(v) or np.any(length == 0) or not np.array_equal(v, ones_then_zeros):
             raise ValidationError("trilinear factors must be 0/1 boxes: one run of ones from row 0")
-        ends = np.stack([f.first, f.first + length])[choice]
-        points = (points[:, :, None] + ends[:, None, :]).reshape(8, -1)
-        cols = np.add.outer(cols, np.arange(v.shape[1])).ravel()
+        start = f.first.reshape(length.shape)
+        ends.append(np.stack([start, start + length]))
     # a column is summed from its least start sum, and its support ends 3 rows
-    # before its last point; points past the stored rows change none of them
-    first = np.full(n_xi, n_tau)
-    np.minimum.at(first, cols, points[0])
-    points -= first[cols]
-    width = points.max() - 2
-    moved = np.minimum(first, n_tau - width)
-    points *= n_xi  # each point's cell in the (width, n_xi) band, row-major
-    points += ((first - moved) * n_xi + np.arange(n_xi))[cols]
-    size = width * n_xi
-    plus, minus = (np.bincount(half, minlength=size)[:size] for half in points.reshape(2, -1))
-    counts = (plus - minus).reshape(width, n_xi)
-    for _ in range(3):
-        np.cumsum(counts, axis=0, out=counts)
-    xi = sum(f.xi[0] for f in fields) + dxi * np.arange(n_xi)
+    # before its largest end sum; points past the stored rows change none of them
+    big = np.iinfo(np.intp).max
+    first = _antidiagonal(np.minimum, _antidiagonal(np.minimum, ends[0][0], ends[1][0], big),
+                          ends[2][0], big)
+    last = _antidiagonal(np.maximum, _antidiagonal(np.maximum, ends[0][1], ends[1][1], -1),
+                         ends[2][1], -1)
+    width = np.max(last - first, axis=-1) - 2
+    moved = np.minimum(first, np.reshape(n_tau, (-1, 1)) - width[:, None])
+    # each point's cell in its entry's (width, n_xi) band, row-major: n_xi
+    # times its row, plus its column, less n_xi times its column's moved row.
+    # A factor's term is n_xi times its end plus its column; factor 3's term
+    # less the moved rows, a (j1 + j2, j3) table, is taken at each column pair
+    terms = [n_xi * e + np.arange(e.shape[-1]) for e in ends]
+    j12 = np.add.outer(np.arange(ends[0].shape[-1]), np.arange(ends[1].shape[-1])).ravel()
+    tile, points = np.empty((2, j12.size, ends[2].shape[-1]), dtype=np.intp)
+    # shift[i, k, j3]: n_xi times entry i's moved row of output column k + j3
+    shift = sliding_window_view(n_xi * moved, tile.shape[1], axis=-1)
+    cell2 = np.broadcast_to(np.square(np.reshape(dtau * dxi, -1)), width.shape)
+    values = np.zeros((len(width), width.max(), n_xi))
+    for i, rows in enumerate(width):
+        # the counts, whole numbers far below 2^53, are summed in the entry's
+        # own float band, exactly
+        band = values[i, :rows]
+        flat = band.reshape(-1)
+        pairs = (terms[0][:, None, i, :, None] + terms[1][None, :, i, None, :]).reshape(2, 2, -1, 1)
+        for e3 in (0, 1):
+            np.take(terms[2][e3, i] - shift[i], j12, axis=0, out=tile, mode="wrap")
+            for e1, e2 in np.ndindex(2, 2):
+                np.copyto(points, pairs[e1, e2])
+                points += tile
+                # an odd number of ends: a -1 point
+                count = np.subtract if (e1 + e2 + e3) % 2 else np.add
+                count(flat, np.bincount(points.ravel(), minlength=flat.size)[:flat.size], out=flat)
+        for _ in range(3):
+            np.cumsum(band, axis=0, out=band)
+        band *= cell2[i]
+    xi = sum(f.xi[..., :1] for f in fields) + np.reshape(dxi, np.shape(dxi) + (1,)) * np.arange(n_xi)
     tau0 = sum(f.tau0 for f in fields)
-    return SpaceTimeField(tau0, dtau, n_tau, xi, moved, counts * (dtau * dxi) ** 2)
+    values, moved = values.reshape(stack + values.shape[1:]), moved.reshape(stack + (n_xi,))
+    return SpaceTimeField(tau0, dtau, n_tau, xi, moved, values)
 
 
 def image_phase_rate(n_carrier: float, alpha: float) -> float:
@@ -257,17 +318,29 @@ class WavepacketSpec:
                 )
 
 
-def modulated_wavepacket(spec: WavepacketSpec, grid: Grid) -> tuple[Field, int]:
-    """The packet A e^(iMx) w((x - x0)/tau) on the grid's torus as (band, m):
-    M = m dk + phi with |phi| <= dk/2, and the band field samples
+def modulated_wavepacket(specs, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The packets A e^(iMx) w((x - x0)/tau) of a sequence of specs on the
+    grid's torus, as (bands, m), row i for specs[i]: M = m dk + phi with
+    |phi| <= dk/2, and the band row holds the coefficients of
     A e^(i phi x) w((x - x0)/tau), so packet mode k + m dk is band mode k.
-    The grid need only resolve the envelope; wrap-around is checked on the
-    band samples at t = 0 (check_contained), since |packet| = A |w|."""
-    m = round(spec.carrier / grid.dk)
-    w = np.exp(-0.5 * ((grid.x - spec.x0) / spec.tau_scale) ** 2)
-    values = spec.amplitude * np.exp(1j * (spec.carrier - m * grid.dk) * grid.x) * w
-    check_contained(values, 0.0, lambda _: "envelope does not fit the grid")
-    return Field.physical(grid, values), m
+    The m are whole numbers held as floats.  The packets are sampled,
+    checked and transformed as one (packets, nx) array, each row bit-equal
+    to its packet's alone.  The grid need only resolve the envelopes;
+    wrap-around is checked on the band samples at t = 0 (check_contained),
+    since |packet| = A |w|.  A carrier whose mode index M / dk overflows is
+    rejected, naming M."""
+    carrier, amplitude, tau, x0 = (np.array([getattr(spec, key) for spec in specs]).reshape(-1, 1)
+                                   for key in ("carrier", "amplitude", "tau_scale", "x0"))
+    with np.errstate(over="ignore"):
+        m = np.round(carrier / grid.dk)
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"carrier M = {carrier[~np.isfinite(m)][0]:g} overflows its mode "
+                              f"index M / dk on the packet grid, dk = {grid.dk:g}")
+    w = np.exp(-0.5 * ((grid.x - x0) / tau) ** 2)
+    values = amplitude * np.exp(1j * (carrier - m * grid.dk) * grid.x) * w
+    check_contained(values, 0.0,
+                    lambda i: f"envelope of carrier M = {carrier[i, 0]:g} does not fit the grid")
+    return forward_transform(values, grid.dx), m[:, 0]
 
 
 def rescale_solution(traj: Trajectory, lam: float, alpha: float) -> Trajectory:

@@ -24,6 +24,7 @@ from .evolution import SimConfig, Trajectory, _step_plan, evolve_records, run_na
 from .constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
+    _box_lattices,
     WavepacketSpec,
     box_data,
     check_contained,
@@ -65,14 +66,15 @@ ILLPOSED_RECORD_INTERVAL = 40.0
 
 
 # kept only for perfbench/tracer.py, which wraps parallel_map and reads
-# scan_workers here, until the benchmark drops those targets
+# scan_workers here, until the benchmark drops those targets; no scan calls
+# them, since each scan evaluates all its points as one stack
 def scan_workers() -> int:
-    """Scan points run one at a time, on the calling thread."""
+    """Scans run on the calling thread."""
     return 1
 
 
 def parallel_map(fn, items):
-    """[fn(it) for it in items]: each scan point in order, on the calling thread."""
+    """[fn(it) for it in items], in order, on the calling thread."""
     return [fn(it) for it in items]
 
 
@@ -263,28 +265,30 @@ class TrilinearScan:
 
 def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
     """Resonant-box norms: numerator |u1*conj(u2)*u3| in the (s, b-1) norm
-    against the product of the three (s, b) factor norms.  Each N's larger
-    box lattice is admitted at the dense box's 9 bytes a cell before any box."""
+    against the product of the three (s, b) factor norms, for all N at once,
+    in input order: the plus boxes and the conjugate boxes are two stacks,
+    their convolutions one, and each stack is weighed by one xsb_norm call.
+    Each N is checked, and its larger box lattice admitted at the dense
+    box's 9 bytes a cell, before any box is built."""
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValidationError("need at least four box sizes")
-    for n in n_list:
-        cells = max(BoxSpec(n, alpha, conj).tau_samples for conj in (False, True)) * BOX_XI_SAMPLES
+    specs = [[BoxSpec(n, alpha, conj) for n in n_list] for conj in (False, True)]
+    # a repeated N, which the fit rejects, is built once: the admitted
+    # dyadic N, a few dozen at most, bound the stacks
+    _, once, point = np.unique(n_list, return_index=True, return_inverse=True)
+    specs = [[band[i] for i in once] for band in specs]
+    n_tau = np.maximum(*(_box_lattices(band)[2] for band in specs))
+    for n, cells in zip(n_list, n_tau[point] * BOX_XI_SAMPLES):
         admit(f"N = {n:g}'s box lattice of {_count(cells)} (tau, xi) cells", "lower N",
               9 * cells, cells)
-
-    def one(n):
-        plus = box_data(BoxSpec(n=n, alpha=alpha))
-        minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
-        conv = trilinear_convolution(plus, minus, plus)
-        with np.errstate(all="ignore"):  # a huge s or b: the fit rejects a nan, inf or 0
-            num = xsb_norm(conv, s, b - 1.0, alpha, "-")
-            g1 = xsb_norm(plus, s, b, alpha, "-")
-            g2 = xsb_norm(minus, s, b, alpha, "+")
-            return np.float64(num) / (g1 * g2 * g1), g1, g2, num
-
-    rows = parallel_map(one, n_list)
-    ratio, plus, minus, numerator = (fit_power_law("N", n_list, col) for col in zip(*rows))
+    plus, minus = (box_data(band) for band in specs)
+    with np.errstate(all="ignore"):  # a huge s or b: the fit rejects a nan, inf or 0
+        num = xsb_norm(trilinear_convolution(plus, minus, plus), s, b - 1.0, alpha, "-")[point]
+        g1 = xsb_norm(plus, s, b, alpha, "-")[point]
+        g2 = xsb_norm(minus, s, b, alpha, "+")[point]
+        ratio = num / (g1 * g2 * g1)
+    ratio, plus, minus, numerator = (fit_power_law("N", n_list, col) for col in (ratio, g1, g2, num))
     return TrilinearScan(ratio, factors=(plus, minus, plus), numerator=numerator)
 
 
@@ -302,31 +306,24 @@ class RemainderScan:
 
 def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
     """sup |R(xi)|/|xi|^3 over 0 < |xi| <= xi_max for each N, with the
-    explicit-constant bound checked at every sample."""
+    explicit-constant bound checked at every sample: the symbol of every N
+    (a column) at every sample (a row) in one pass, admitted first."""
     if xi_max <= 0:
         raise ValidationError("xi_max must be positive")
     n_list = [float(n) for n in n_list]
+    n = np.array(n_list).reshape(-1, 1)
     xi = np.linspace(-xi_max, xi_max, REMAINDER_SAMPLES)
     xi = xi[np.abs(xi) > 1e-9 * xi_max]
     c1 = remainder_bound_constant(alpha)
-
-    def one(n):
-        # an extreme xi_max overflows the symbol or |xi|^3: the fit rejects the nan
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            r = remainder_symbol(alpha, n, xi)
-            ratio = np.abs(r) / np.abs(xi) ** 3
-        margin = ratio / (c1 * n ** (-alpha / 2.0))
-        return float(np.max(ratio)), float(np.max(margin))
-
-    rows = parallel_map(one, n_list)
-    sups = [r[0] for r in rows]
-    worst = max(r[1] for r in rows)
-    return RemainderScan(
-        scan=fit_power_law("N", n_list, sups),
-        c1=c1,
-        bound_ok=worst <= 1.0 + 1e-12,
-        worst_margin=worst,
-    )
+    cells = n.size * xi.size  # 97.3 B a cell measured, at any alpha
+    admit(f"{n.size} carriers' symbols at {xi.size} samples", "give fewer N", 100 * cells, cells)
+    # an extreme xi_max overflows the symbol or |xi|^3: the fit rejects the nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = remainder_symbol(alpha, n, xi)
+        ratio = np.abs(r) / np.abs(xi) ** 3
+    scan = fit_power_law("N", n_list, np.max(ratio, axis=-1))
+    worst = float(np.max(ratio / (c1 * n ** (-alpha / 2.0))))
+    return RemainderScan(scan=scan, c1=c1, bound_ok=worst <= 1.0 + 1e-12, worst_margin=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +358,29 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
     """H^s norm of the modulated packet against the carrier, one scan per s.
 
     Each packet is sampled once on the envelope's band grid,
-    wavepacket_grid(0, tau_scale), as its band and carrier mode m (see
-    modulated_wavepacket); band mode k is weighed as packet mode k + m dk
-    for every s.  The scaling hypotheses are checked for every (s, M) pair.
+    wavepacket_grid(0, tau_scale), as its band and carrier mode m, all
+    carriers as one (M, nx) stack (see modulated_wavepacket); band mode k
+    is weighed as packet mode k + m dk for every s, all carriers at once.
+    The scaling hypotheses are checked for every (s, M) pair, and then the
+    stack is admitted, before any packet is sampled.
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
     if not s_list:
         raise ValidationError("need at least one s")
     grid = wavepacket_grid(0.0, tau_scale)
-    specs = {
-        m: [WavepacketSpec(amplitude, m, tau_scale, 0.5 * grid.length, s) for s in s_list]
-        for m in m_list
-    }
-
-    def norms(m):
-        band, mode = modulated_wavepacket(specs[m][0], grid)
-        # a huge m, s or tau: inf or nan, which the fit rejects, but for s = 0,
-        # whose weight is 1 at any k
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = np.abs(band.values) ** 2
-            k2 = (grid.k + mode * grid.dk) ** 2
-            return [float(np.sqrt(np.sum(power * (1.0 + k2) ** s) / grid.length)) for s in s_list]
-
-    rows = parallel_map(norms, m_list)
-    return {s: fit_power_law("M", m_list, [r[j] for r in rows]) for j, s in enumerate(s_list)}
+    specs = [[WavepacketSpec(amplitude, m, tau_scale, 0.5 * grid.length, s) for s in s_list]
+             for m in m_list]
+    cells = len(m_list) * grid.nx  # 48.5-50.3 B a cell measured, at 1 to 7 s
+    admit(f"{len(m_list)} packets of {grid.nx} modes", "give fewer M", 56 * cells, cells)
+    bands, modes = modulated_wavepacket([row[0] for row in specs], grid)
+    # a huge m, s or tau: inf or nan, which the fit rejects, but for s = 0,
+    # whose weight is 1 at any k
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(bands) ** 2
+        k2 = (grid.k + modes[:, None] * grid.dk) ** 2
+        norms = [np.sqrt(np.sum(power * (1.0 + k2) ** s, axis=-1) / grid.length) for s in s_list]
+    return {s: fit_power_law("M", m_list, col) for s, col in zip(s_list, norms)}
 
 
 # ---------------------------------------------------------------------------

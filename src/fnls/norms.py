@@ -4,7 +4,8 @@ The space-time norm weights values on a (tau, xi) lattice by
 (1+|xi|)^s (1+|tau -/+ |xi|^alpha|)^b and integrates with Riemann weights
 dtau*dxi.  mass, energy and sobolev_norm reduce along the last axis: a Field
 gives one float, and a Trajectory one value per record, each bit-equal to
-that record's as a Field.
+that record's as a Field.  xsb_norm likewise gives one value per entry of a
+stacked SpaceTimeField, each bit-equal to that entry's alone.
 """
 
 from __future__ import annotations
@@ -65,7 +66,19 @@ class SpaceTimeField:
     holds values[r, j] at tau0 + dtau * (first[j] + r), and every other cell
     is exactly zero; `tau` builds the n_tau nodes on demand.  A dense field
     is first = 0 with n_tau rows.  Real values stay real (float64), complex
-    ones are stored as complex128."""
+    ones are stored as complex128.
+
+    A stack holds one field per entry of a leading axis, as a Trajectory
+    holds a record per row, each entry on its own lattice: tau0, dtau, n_tau
+    and dxi have one value per entry (tau0, dtau and n_tau may be given as
+    one for all), xi and first one row, and values one (rows, xi) block.
+    The entries share one row count, the longest entry's, so a shorter
+    entry is padded below with zero rows, which may run past its lattice's
+    end: every stored row of a single field lies on its lattice, and so do
+    a stack entry's rows up to its last nonzero one.  Values are held as a
+    read-only view of the array given, not copied, since a stack's values
+    are a scan's largest array.
+    """
 
     tau0: float
     dtau: float
@@ -76,48 +89,89 @@ class SpaceTimeField:
     dxi: float = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau0) and 0.0 < self.dtau < np.inf and self.n_tau >= 2):
+        lattice = tau0, dtau, n_tau = [np.asarray(x) for x in (self.tau0, self.dtau, self.n_tau)]
+        if not (np.isfinite(tau0).all() and ((0.0 < dtau) & (dtau < np.inf)).all()
+                and (n_tau >= 2).all()):
             raise ValidationError("tau lattice must be finite tau0, dtau > 0 and n_tau >= 2 nodes")
-        steps = np.diff(np.asarray(self.xi, dtype=float))
-        uniform = steps.ndim == 1 and steps.size > 0 and steps[0] > 0
-        if not (uniform and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
-            raise ValidationError("xi lattice must be 1-d, uniformly spaced and increasing")
-        object.__setattr__(self, "dxi", float(steps[0]))
+        xi = np.asarray(self.xi, dtype=float)
+        steps = np.diff(xi) if xi.ndim in (1, 2) else np.zeros(0)
+        step = steps[..., :1]
+        if not (steps.shape[-1] > 0 and (step > 0).all()
+                and (np.abs(steps - step) <= 1e-9 * step).all()):
+            raise ValidationError("xi lattice must be 1-d (a row per entry), uniformly spaced "
+                                  "and increasing")
         dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
-        vals = np.asarray(self.values, dtype=dtype)
+        vals = np.asarray(self.values, dtype=dtype).view()
         first = np.asarray(self.first)
-        if vals.ndim != 2 or vals.shape[1:] != first.shape or first.shape != (self.xi.size,):
+        stack = xi.shape[:-1]
+        if (vals.ndim != xi.ndim + 1 or vals.shape[:-2] + vals.shape[-1:] != xi.shape
+                or first.shape != xi.shape or any(x.ndim not in (0, len(stack)) for x in lattice)):
             raise ValidationError(f"values {vals.shape} and first {first.shape} do not fit xi")
-        rows_end = first.max() + vals.shape[0]
-        if first.dtype.kind not in "iu" or first.min() < 0 or rows_end > self.n_tau:
+        # each entry's rows up to its last nonzero one lie on its lattice, and
+        # every row of some entry does: only a stack's padding may run past
+        held = (vals != 0).any(axis=-1)
+        rows = np.max(held * np.arange(1, held.shape[-1] + 1), axis=-1, initial=0)
+        last = first.max(axis=-1)
+        if (first.dtype.kind not in "iu" or first.min() < 0 or (last + rows > n_tau).any()
+                or not (last + vals.shape[-2] <= n_tau).any()):
             raise ValidationError("first must be integer rows, with every stored row on tau")
-        object.__setattr__(self, "xi", _frozen_array(self.xi, float))
+        for name, value, kind in zip(("tau0", "dtau", "n_tau"), lattice, (float, float, int)):
+            value = _frozen_array(np.full(stack, value), kind) if stack else kind(value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "dxi", _frozen_array(steps[..., 0]) if stack else float(steps[0]))
+        object.__setattr__(self, "xi", _frozen_array(xi))
         object.__setattr__(self, "first", _frozen_array(first, np.intp))
-        object.__setattr__(self, "values", _frozen_array(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
     def tau(self) -> np.ndarray:
+        """A single field's n_tau nodes."""
         return self.tau0 + self.dtau * np.arange(self.n_tau)
 
     @property
-    def cell(self) -> float:
-        """Quadrature weight of one lattice cell."""
+    def cell(self):
+        """Quadrature weight of one lattice cell (one per entry of a stack)."""
         return self.dtau * self.dxi
 
 
-def xsb_norm(
-    f: SpaceTimeField, s: float, b: float, alpha: float, sign: str = "-"
-) -> float:
+def xsb_norm(f: SpaceTimeField, s: float, b: float, alpha: float, sign: str = "-"):
     """Weighted lattice L^2 norm with weights (1+|xi|)^s (1+|tau -/+ |xi|^a|)^b.
 
     sign '-' weighs distance to tau = +|xi|^alpha (fields evolving like u);
     sign '+' weighs distance to tau = -|xi|^alpha (transforms of conjugates).
     Every stored cell is weighed: a cell off the stored rows is zero.
+
+    A stack gives one value per entry (a float for a single field), each
+    bit-equal to that entry weighed alone: an entry's weighted cells are
+    summed down each column, where a stack's zero padding rows come last,
+    then across.  The column terms of all entries are made at once and the
+    cell weights one entry at a time, so the temporaries are an entry's
+    size: a stacked convolution's values are a scan's largest array, and
+    weights of the stack's size beside them would pass the peak of the
+    point-by-point scan.
     """
     if sign not in ("-", "+"):
         raise ValidationError("sign must be '-' or '+'")
-    tau = f.tau0 + f.dtau * (f.first + np.arange(f.values.shape[0])[:, None])
-    disp = np.abs(f.xi) ** alpha
-    modulation = tau - disp if sign == "-" else tau + disp
-    weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)
-    return float(np.sqrt(np.sum(weight * np.abs(f.values) ** 2) * f.cell))
+    lead = f.values.shape[:-2]
+    values = f.values.reshape((int(np.prod(lead)),) + f.values.shape[-2:])
+    tau0, dtau, cell = (np.broadcast_to(x, lead).ravel() for x in (f.tau0, f.dtau, f.cell))
+    xi, first = (x.reshape(len(values), -1) for x in (f.xi, f.first))
+    rows = np.arange(values.shape[1])[:, None]
+    disp = np.abs(xi) ** alpha
+    if sign == "-":
+        disp = -disp
+    columns = (1.0 + np.abs(xi)) ** (2.0 * s)
+    totals = np.empty(len(values))
+    for i, v in enumerate(values):
+        # tau = tau0 + dtau (first + r), then its modulation's weight, in place
+        weight = dtau[i] * (first[i] + rows)
+        weight += tau0[i]
+        weight += disp[i]
+        np.abs(weight, out=weight)
+        weight += 1.0
+        weight **= 2.0 * b
+        weight *= columns[i]
+        weight *= np.abs(v) ** 2
+        totals[i] = np.sum(np.sum(weight, axis=0))
+    return _per_record(np.sqrt(totals * cell).reshape(lead))

@@ -65,7 +65,7 @@ def _binomial_tail(alpha: float, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def remainder_symbol(alpha: float, n_carrier: float, xi):
+def remainder_symbol(alpha: float, n_carrier, xi):
     """Cubic-and-higher remainder of the dispersion symbol expanded at N.
 
     R(xi) = |xi/(beta*N) + 1|^alpha * N^alpha - N^alpha
@@ -75,27 +75,37 @@ def remainder_symbol(alpha: float, n_carrier: float, xi):
     and naive evaluation cancels catastrophically for |xi| << beta*N; there
     the equivalent binomial tail N^alpha * sum_{m>=3} C(alpha,m) z^m,
     z = xi/(beta*N), is used instead.
+
+    N and xi broadcast: a column of N against a row of xi gives one row per
+    N, in one pass, each bit-equal to that N's alone (the series' terms
+    past an entry's own stop are below half its ulp).  A scalar N and xi
+    give a float.
     """
     alpha = _check_alpha(alpha, allow_two=False)
-    n_carrier = float(n_carrier)
-    if n_carrier < 4.0:
-        raise ValidationError(f"carrier frequency must be >= 4, got {n_carrier}")
-    n_a = _carrier_power(alpha, n_carrier)
+    n_carrier = np.asarray(n_carrier, dtype=float)
+    small_n = n_carrier[n_carrier < 4.0]
+    if small_n.size:
+        raise ValidationError(f"carrier frequency must be >= 4, got {small_n[0]}")
+    # each N's powers as one N's: Python floats, whatever the shape of N
+    powers = [(_carrier_power(alpha, n), n ** (alpha / 2.0)) for n in n_carrier.ravel().tolist()]
+    n_a, n_half = np.reshape(np.array(powers).T, (2,) + n_carrier.shape)
     xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    beta_n = np.sqrt(0.5 * alpha * (alpha - 1.0)) * n_carrier ** (alpha / 2.0)
-    z = np.atleast_1d(xi_arr / beta_n)
+    beta_n = np.sqrt(0.5 * alpha * (alpha - 1.0)) * n_half
+    z = xi_arr / beta_n
+    shape = z.shape
+    z, n_a, beta_n = (np.broadcast_to(a, shape).ravel() for a in (z, n_a, beta_n))
 
     out = np.empty_like(z)
     small = np.abs(z) <= _SERIES_Z_MAX
     if np.any(small):
-        out[small] = n_a * _binomial_tail(alpha, z[small])
-    if np.any(~small):
-        zl = z[~small]
-        out[~small] = n_a * (np.abs(1.0 + zl) ** alpha - 1.0 - alpha * zl) - (
-            zl * beta_n
+        out[small] = n_a[small] * _binomial_tail(alpha, z[small])
+    large = ~small
+    if np.any(large):
+        zl = z[large]
+        out[large] = n_a[large] * (np.abs(1.0 + zl) ** alpha - 1.0 - alpha * zl) - (
+            zl * beta_n[large]
         ) ** 2
-    return float(out[0]) if scalar else out.reshape(xi_arr.shape)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def remainder_bound_constant(alpha: float) -> float:

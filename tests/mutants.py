@@ -106,8 +106,8 @@ MUTANTS = [
     Mutant(
         "+ and - point counts swapped",
         "src/fnls/constructions.py",
-        "    counts = (plus - minus).reshape(width, n_xi)\n",
-        "    counts = (minus - plus).reshape(width, n_xi)\n",
+        "count = np.subtract if (e1 + e2 + e3) % 2 else np.add",
+        "count = np.add if (e1 + e2 + e3) % 2 else np.subtract",
         (
             "tests/test_constructions.py::test_trilinear_matches_brute_force",
             "tests/test_constructions.py::test_trilinear_point_masses",
@@ -116,8 +116,8 @@ MUTANTS = [
     Mutant(
         "two cumsums in place of three",
         "src/fnls/constructions.py",
-        "    for _ in range(3):\n        np.cumsum(counts",
-        "    for _ in range(2):\n        np.cumsum(counts",
+        "        for _ in range(3):\n            np.cumsum(band",
+        "        for _ in range(2):\n            np.cumsum(band",
         (
             "tests/test_constructions.py::test_trilinear_matches_brute_force",
             "tests/test_constructions.py::test_trilinear_point_masses",
@@ -126,11 +126,21 @@ MUTANTS = [
     Mutant(
         "xsb_norm one row off",
         "src/fnls/norms.py",
-        "    tau = f.tau0 + f.dtau * (f.first + np.arange(f.values.shape[0])[:, None])\n",
-        "    tau = f.tau0 + f.dtau * (f.first + 1 + np.arange(f.values.shape[0])[:, None])\n",
+        "        weight = dtau[i] * (first[i] + rows)\n",
+        "        weight = dtau[i] * (first[i] + 1 + rows)\n",
         (
             "tests/test_norms.py::test_xsb_single_delta",
             "tests/test_norms.py::test_xsb_weighs_nonzero_cells_as_the_dense_formula",
+        ),
+    ),
+    Mutant(
+        "a stack entry reads its neighbour's moved rows",
+        "src/fnls/constructions.py",
+        "terms[2][e3, i] - shift[i]",
+        "terms[2][e3, i] - shift[i - 1]",
+        (
+            "tests/test_experiments.py::test_trilinear_stack_entries_equal_each_point_alone",
+            "tests/test_experiments.py::test_scan_points_do_not_depend_on_their_neighbours",
         ),
     ),
     # admission: each call's predicted bytes and work

@@ -308,6 +308,14 @@ BAD_NUMBERS = [
     # with a header-only CSV
     (["scan-wavepacket", "--s="], "need at least one s"),
     (["scan-wavepacket", "--s=", "--m", "0.5,-1,2"], "need at least one s"),
+    # a carrier whose mode index M / dk overflows: round(inf) raised an
+    # OverflowError, a traceback
+    (["scan-wavepacket", "--m", "16,32,64,8.98846567431158e+307"],
+     "carrier M = 8.98847e+307 overflows its mode index"),
+    # 2^1000, whose |xi|^alpha overflows: RuntimeWarnings, then "cannot
+    # convert float NaN to integer", from the box lattice's length
+    (["scan-trilinear", "--n", "16,32,64,1.0715086071862673e+301"],
+     "N = 1.07151e+301 overflows |xi|^alpha across its box, alpha 1.5"),
 ]
 
 

@@ -474,7 +474,8 @@ def test_demodulated_grid_matches_full_grid(frame):
 def test_wavepacket_envelope_and_amplitude():
     grid = make_grid(4096, 64.0)
     spec = WavepacketSpec(amplitude=1.0, carrier=4.0, tau_scale=1.0, x0=32.0)
-    f, m = modulated_wavepacket(spec, grid)
+    bands, [m] = modulated_wavepacket([spec], grid)
+    f = Field(grid, bands[0])
     envelope = np.exp(-0.5 * (grid.x - 32.0) ** 2)
     assert np.max(np.abs(np.abs(physical_values(f)) - envelope)) < 1e-12
     # 4 = 41 dk + phi with |phi| <= dk/2; the carrier mode times the band
@@ -482,20 +483,20 @@ def test_wavepacket_envelope_and_amplitude():
     assert m == 41
     packet = np.exp(1j * m * grid.dk * grid.x) * physical_values(f)
     assert np.max(np.abs(packet - np.exp(4.0j * grid.x) * envelope)) < 1e-12
-    g, m_g = modulated_wavepacket(
-        WavepacketSpec(amplitude=-2.0, carrier=4.0, tau_scale=1.0, x0=32.0), grid
+    g, [m_g] = modulated_wavepacket(
+        [WavepacketSpec(amplitude=-2.0, carrier=4.0, tau_scale=1.0, x0=32.0)], grid
     )
     assert m_g == m
-    assert np.allclose(g.values, -2.0 * f.values, rtol=1e-12)
+    assert np.allclose(g[0], -2.0 * f.values, rtol=1e-12)
 
 
 def test_wavepacket_l2_identity():
     grid = make_grid(8192, 96.0)
     for tau in (0.5, 1.0, 3.0):
         spec = WavepacketSpec(amplitude=1.3, carrier=8.0, tau_scale=tau, x0=48.0)
-        f, _ = modulated_wavepacket(spec, grid)
+        bands, _ = modulated_wavepacket([spec], grid)
         expect = 1.3 * np.sqrt(tau) * np.pi**0.25
-        assert sobolev_norm(f, 0.0) == pytest.approx(expect, rel=0.01)
+        assert sobolev_norm(Field(grid, bands[0]), 0.0) == pytest.approx(expect, rel=0.01)
 
 
 def test_wavepacket_hypotheses_enforced(monkeypatch):
@@ -512,7 +513,7 @@ def test_wavepacket_wrap_guard():
     grid = make_grid(256, 8.0)
     spec = WavepacketSpec(amplitude=1.0, carrier=8.0 * np.pi / 4, tau_scale=2.0, x0=0.5)
     with pytest.raises(WrapAroundError):
-        modulated_wavepacket(spec, grid)
+        modulated_wavepacket([spec], grid)
 
 
 # ------------------------------------------------------------------ rescaling

@@ -7,10 +7,10 @@ import pytest
 import fnls.evolution as evolution
 import fnls.experiments as experiments
 import fnls.spectral as spectral
-from fnls.constructions import BoxSpec
-from fnls.constructions import approximate_solution, rescale_solution
-from fnls.norms import energy, mass, sobolev_norm
-from fnls.symbols import envelope_scale, group_velocity
+from fnls.constructions import BoxSpec, WavepacketSpec, box_data, modulated_wavepacket
+from fnls.constructions import approximate_solution, rescale_solution, trilinear_convolution
+from fnls.norms import energy, mass, sobolev_norm, xsb_norm
+from fnls.symbols import envelope_scale, group_velocity, remainder_symbol
 
 from fnls.errors import ResolutionError, ValidationError, WrapAroundError
 from fnls.spectral import Field, make_grid, physical_values
@@ -220,6 +220,151 @@ def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", 9 * cells - 1)
     with pytest.raises(ValidationError, match=f"N = 64's box lattice of {cells} "):
         scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 64])
+
+
+# each scan evaluates all its points as one stack: every point's numbers
+# equal that point run alone, as a stack of one, and do not depend on the
+# other points or their order; an entry that read a neighbour's offset,
+# width or lattice would differ from its stack of one
+
+def _scan_points(scan):
+    return dict(scan.points)
+
+
+def _padded(stack) -> bool:
+    """Whether some entry of the stack is padded: their widths differ."""
+    widths = {np.flatnonzero(np.any(v, axis=-1)).max() + 1 for v in stack.values}
+    return len(widths) > 1
+
+
+def test_trilinear_stack_entries_equal_each_point_alone():
+    alpha, n_list = 1.5, [2.0**j for j in range(4, 14)]
+
+    def stacks(ns):
+        plus = box_data([BoxSpec(n, alpha) for n in ns])
+        minus = box_data([BoxSpec(n, alpha, conjugate=True) for n in ns])
+        conv = trilinear_convolution(plus, minus, plus)
+        norms = (xsb_norm(conv, 0.3, -0.49, alpha, "-"), xsb_norm(plus, 0.3, 0.51, alpha, "-"),
+                 xsb_norm(minus, 0.3, 0.51, alpha, "+"))
+        return (plus, minus, conv), norms
+
+    fields, norms = stacks(n_list)
+    assert _padded(fields[2])
+    for i, n in enumerate(n_list):
+        alone, alone_norms = stacks([n])
+        for stack, one in zip(fields, alone):
+            # the counts and their lattice exactly; the stack's padding rows are zero
+            rows = one.values.shape[-2]
+            assert np.array_equal(stack.values[i, :rows], one.values[0])
+            assert not np.any(stack.values[i, rows:])
+            assert np.array_equal(stack.first[i], one.first[0])
+            assert np.array_equal(stack.xi[i], one.xi[0])
+            assert (stack.tau0[i], stack.dtau[i], stack.n_tau[i]) == (
+                one.tau0[0], one.dtau[0], one.n_tau[0])
+        for norm, one in zip(norms, alone_norms):
+            assert norm[i] == one[0]
+    # a single box and its convolution are the stack of one without its axis
+    plus, minus = box_data(BoxSpec(64.0, alpha)), box_data(BoxSpec(64.0, alpha, True))
+    conv = trilinear_convolution(plus, minus, plus)
+    alone = stacks([64.0])[0]
+    for single, one in zip((plus, minus, conv), alone):
+        assert np.array_equal(single.values, one.values[0]) and single.n_tau == one.n_tau[0]
+        assert np.array_equal(single.first, one.first[0]) and single.tau0 == one.tau0[0]
+
+
+def test_scan_points_do_not_depend_on_their_neighbours():
+    # the same N (M) in another list, in another order, gives the same
+    # numbers bit for bit
+    short, mixed = [16, 32, 64, 128], [256, 128, 2**13, 16, 64, 32]
+    a, b = scan_trilinear(1.5, 0.2, 0.51, short), scan_trilinear(1.5, 0.2, 0.51, mixed)
+    for fit_a, fit_b in zip((a.ratio, a.numerator, *a.factors), (b.ratio, b.numerator, *b.factors)):
+        assert set(_scan_points(fit_a).items()) <= set(_scan_points(fit_b).items())
+    a, b = scan_remainder(1.8, short, xi_max=0.7), scan_remainder(1.8, mixed, xi_max=0.7)
+    assert set(_scan_points(a.scan).items()) <= set(_scan_points(b.scan).items())
+    a, b = scan_wavepacket([-0.25, 0.3], short), scan_wavepacket([-0.25, 0.3], mixed)
+    for s in a:
+        assert set(_scan_points(a[s]).items()) <= set(_scan_points(b[s]).items())
+
+
+def test_remainder_stack_rows_equal_each_n_alone():
+    xi = np.linspace(-0.5, 0.5, experiments.REMAINDER_SAMPLES)
+    ns = np.array([2.0**j for j in range(4, 11)] + [1e6])
+    for alpha in (1.2, 1.5, 1.8):
+        rows = remainder_symbol(alpha, ns[:, None], xi)
+        assert rows.shape == (ns.size, xi.size)
+        for n, row in zip(ns, rows):
+            assert np.array_equal(row, remainder_symbol(alpha, np.array([[n]]), xi)[0])
+            assert np.array_equal(row, remainder_symbol(alpha, n, xi))
+        # one N at one xi is a float
+        assert isinstance(remainder_symbol(alpha, 64.0, 0.25), float)
+
+
+def test_wavepacket_stack_rows_equal_each_packet_alone():
+    grid = wavepacket_grid(0.0, 1.0)
+    carriers = [2.0**j for j in range(4, 15)] + [100.3, 1000.0 / 3.0]  # two off the lattice
+    specs = [WavepacketSpec(1.7, m, 1.0, 0.5 * grid.length) for m in carriers]
+    bands, modes = modulated_wavepacket(specs, grid)
+    assert bands.shape == (len(specs), grid.nx) and modes.shape == (len(specs),)
+    for spec, band, mode in zip(specs, bands, modes):
+        alone, [alone_mode] = modulated_wavepacket([spec], grid)
+        assert np.array_equal(band, alone[0]) and mode == alone_mode
+        assert mode == round(spec.carrier / grid.dk)
+
+
+def test_scan_trilinear_peak_stays_under_the_point_by_point_scan():
+    # the scan holds two box stacks (41 KiB) and the convolutions' stack
+    # (194 KiB at N = 2^4..2^13), counts one box triple at a time and
+    # weighs one entry at a time: 410 KB measured, under the 424,313 B
+    # tracemalloc peak of the point-by-point scan it replaced (numpy 2.4.6,
+    # Python 3.11).  Convolving the whole stack at once holds every
+    # triple's points together, 2.6 MB and more
+    n_list = [2**j for j in range(4, 14)]
+    scan_trilinear(1.5, 0.0, 0.51, n_list)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scan_trilinear(1.5, 0.0, 0.51, n_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 424_313
+
+
+def test_scan_stacks_are_admitted_before_they_are_built(monkeypatch):
+    # a stack grows with its points: the remainder's symbols are admitted at
+    # 100 B a (carrier, sample) cell and the packets at 56 B a (carrier,
+    # mode) cell, each prediction within 1.5 times the scan's peak at two
+    # sizes; the admitted dyadic N bound the trilinear stacks, where a
+    # repeated N, which the fit rejects, is built once
+    predicted = []
+    admit = experiments.admit
+
+    def spy(what, remedy, nbytes, work):
+        predicted.append(nbytes)
+        admit(what, remedy, nbytes, work)
+
+    monkeypatch.setattr(experiments, "admit", spy)
+    for scan in (lambda ns: scan_remainder(1.5, ns), lambda ns: scan_wavepacket([0.0, 0.5], ns)):
+        for k in (50, 500):
+            predicted.clear()
+            tracemalloc.start()
+            try:
+                scan(list(np.linspace(16.0, 1e4, k)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= predicted[-1] <= 1.5 * peak
+    monkeypatch.setattr(spectral, "MEMORY_BUDGET", 2**20)
+    with pytest.raises(ValidationError, match="14 carriers' symbols at 800 samples: .*; give fewer N"):
+        scan_remainder(1.5, list(range(16, 30)))
+    with pytest.raises(ValidationError, match="37 packets of 512 modes: .*; give fewer M"):
+        scan_wavepacket([0.0], list(range(16, 53)))
+    boxes = []
+    box_data_ = experiments.box_data
+    monkeypatch.setattr(experiments, "box_data", lambda specs: boxes.append(specs) or box_data_(specs))
+    with pytest.raises(ValidationError, match="needs distinct N values: N = 16 repeats"):
+        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 16, 64, 16, 16])
+    assert [[spec.n for spec in band] for band in boxes] == [[16, 32, 64]] * 2
 
 
 def test_scan_wavepacket_small():
