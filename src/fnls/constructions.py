@@ -60,16 +60,6 @@ class BoxSpec:
     def width(self) -> float:
         return self.n ** ((2.0 - self.alpha) / 2.0)
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint xi samples across the box and the line tau = +-|xi|^alpha there."""
-        xi, line, _ = _box_lattices([self])
-        return xi[0], line[0]
-
-    @property
-    def tau_samples(self) -> int:
-        """Length of box_data's tau lattice: the line's range and unit distance either side."""
-        return int(_box_lattices([self])[2][0])
-
 
 def _box_lattices(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The boxes' midpoint xi samples and the line tau = +-|xi|^alpha there,
@@ -88,13 +78,12 @@ def _box_lattices(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def box_data(specs) -> SpaceTimeField:
     """Real 0/1 indicators of the boxes of a sequence of BoxSpecs, in order,
-    as a stack built at once, each entry bit-equal to its box alone (one
-    BoxSpec gives its one field).  A box lives on a midpoint-sampled
+    as a stack built at once, each entry bit-equal to its box alone; a lone
+    BoxSpec gives a stack of one.  A box lives on a midpoint-sampled
     (tau, xi) lattice: each xi column holds one run of ones along tau (the
     samples with |tau - line| <= 1, consecutive as tau rises), stored from
     its start; the stack's entries share the longest run's row count."""
-    single = isinstance(specs, BoxSpec)
-    xi, line, n_tau = _box_lattices([specs] if single else specs)
+    xi, line, n_tau = _box_lattices([specs] if isinstance(specs, BoxSpec) else specs)
     dtau = 1.0 / BOX_TAU_SAMPLES_PER_UNIT
     tau0 = line.min(axis=-1, keepdims=True) - 1.0 + 0.5 * dtau
 
@@ -109,9 +98,7 @@ def box_data(specs) -> SpaceTimeField:
     hi += 1 - outside(hi) - outside(hi + 1)
     length = hi - lo + 1
     values = (np.arange(length.max())[:, None] < length[:, None, :]).astype(np.float64)
-    boxes = (tau0[:, 0], n_tau.astype(np.intp), xi, lo, values)
-    tau0, n_tau, xi, lo, values = (part[0] for part in boxes) if single else boxes
-    return SpaceTimeField(tau0, dtau, n_tau, xi, lo, values)
+    return SpaceTimeField(tau0[:, 0], dtau, n_tau.astype(np.intp), xi, lo, values)
 
 
 def _antidiagonal(reduce, a: np.ndarray, b: np.ndarray, fill) -> np.ndarray:
@@ -129,8 +116,7 @@ def trilinear_convolution(
     f1: SpaceTimeField, f2bar: SpaceTimeField, f3: SpaceTimeField
 ) -> SpaceTimeField:
     """Exact double space-time convolution of three box indicators, with
-    Riemann weights: of three fields, or entry by entry of three stacks of
-    one size, giving a stack.
+    Riemann weights, entry by entry of three stacks of one size.
 
     Each factor must be real 0/1 with one run of ones per xi column, stored
     from the column's first row as box_data stores it, so the convolution's
@@ -146,10 +132,9 @@ def trilinear_convolution(
     and every entry is bit-equal to its triple convolved alone.
     """
     fields = (f1, f2bar, f3)
-    stack = f1.values.shape[:-2]
     dtau, dxi = f1.dtau, f1.dxi
     for f in fields[1:]:
-        if f.values.shape[:-2] != stack:
+        if len(f.values) != len(f1.values):
             raise ValidationError("trilinear factors must be stacks of one size")
         if np.any(np.abs(f.dtau - dtau) > 1e-9 * dtau) or np.any(np.abs(f.dxi - dxi) > 1e-9 * dxi):
             raise ValidationError("lattice spacings do not match")
@@ -157,13 +142,11 @@ def trilinear_convolution(
     # +1 at each run's start, -1 just past its end, as (2, entries, columns)
     # rows; a column triple's points sit in output column j1 + j2 + j3
     ends = []
-    for f in fields:
-        v = f.values.reshape((int(np.prod(stack)),) + f.values.shape[-2:])
+    for v, start in ((f.values, f.first) for f in fields):
         length = np.count_nonzero(v, axis=-2)
         ones_then_zeros = np.arange(v.shape[-2])[:, None] < length[:, None, :]
         if np.iscomplexobj(v) or np.any(length == 0) or not np.array_equal(v, ones_then_zeros):
             raise ValidationError("trilinear factors must be 0/1 boxes: one run of ones from row 0")
-        start = f.first.reshape(length.shape)
         ends.append(np.stack([start, start + length]))
     # a column is summed from its least start sum, and its support ends 3 rows
     # before its largest end sum; points past the stored rows change none of them
@@ -173,7 +156,7 @@ def trilinear_convolution(
     last = _antidiagonal(np.maximum, _antidiagonal(np.maximum, ends[0][1], ends[1][1], -1),
                          ends[2][1], -1)
     width = np.max(last - first, axis=-1) - 2
-    moved = np.minimum(first, np.reshape(n_tau, (-1, 1)) - width[:, None])
+    moved = np.minimum(first, (n_tau - width)[:, None])
     # each point's cell in its entry's (width, n_xi) band, row-major: n_xi
     # times its row, plus its column, less n_xi times its column's moved row.
     # A factor's term is n_xi times its end plus its column; factor 3's term
@@ -183,7 +166,7 @@ def trilinear_convolution(
     tile, points = np.empty((2, j12.size, ends[2].shape[-1]), dtype=np.intp)
     # shift[i, k, j3]: n_xi times entry i's moved row of output column k + j3
     shift = sliding_window_view(n_xi * moved, tile.shape[1], axis=-1)
-    cell2 = np.broadcast_to(np.square(np.reshape(dtau * dxi, -1)), width.shape)
+    cell2 = np.square(dtau * dxi)
     values = np.zeros((len(width), width.max(), n_xi))
     for i, rows in enumerate(width):
         # the counts, whole numbers far below 2^53, are summed in the entry's
@@ -202,10 +185,8 @@ def trilinear_convolution(
         for _ in range(3):
             np.cumsum(band, axis=0, out=band)
         band *= cell2[i]
-    xi = sum(f.xi[..., :1] for f in fields) + np.reshape(dxi, np.shape(dxi) + (1,)) * np.arange(n_xi)
-    tau0 = sum(f.tau0 for f in fields)
-    values, moved = values.reshape(stack + values.shape[1:]), moved.reshape(stack + (n_xi,))
-    return SpaceTimeField(tau0, dtau, n_tau, xi, moved, values)
+    xi = sum(f.xi[:, :1] for f in fields) + dxi[:, None] * np.arange(n_xi)
+    return SpaceTimeField(sum(f.tau0 for f in fields), dtau, n_tau, xi, moved, values)
 
 
 def image_phase_rate(n_carrier: float, alpha: float) -> float:

@@ -361,13 +361,15 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
     wavepacket_grid(0, tau_scale), as its band and carrier mode m, all
     carriers as one (M, nx) stack (see modulated_wavepacket); band mode k
     is weighed as packet mode k + m dk for every s, all carriers at once.
-    The scaling hypotheses are checked for every (s, M) pair, and then the
+    A repeated s, whose scans would share one key, is rejected first; the
+    scaling hypotheses are checked for every (s, M) pair, and then the
     stack is admitted, before any packet is sampled.
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
     if not s_list:
         raise ValidationError("need at least one s")
+    _check_distinct("s", np.sort(s_list))
     grid = wavepacket_grid(0.0, tau_scale)
     specs = [[WavepacketSpec(amplitude, m, tau_scale, 0.5 * grid.length, s) for s in s_list]
              for m in m_list]
@@ -537,9 +539,9 @@ def run_illposedness_demo(
     the norm-equalizing zoom factor, and reports the measured data norms,
     data separation, and maximal solution separation in H^s.  a_1 is
     calibrated through the (linear) data pipeline so the reported data norm
-    equals epsilon, in (0, 1), and a_2 = a_1 (1 + delta/epsilon) so the data
-    separation equals delta, in [0, epsilon/2].  t_internal is the evolution
-    window before time rescaling; the reported physical window is
+    equals epsilon, in (0, 1), and a_2 = a_1 (1 + delta/epsilon) > a_1 so
+    the data separation equals delta, in (0, epsilon/2].  t_internal is the
+    evolution window before time rescaling; the reported physical window is
     t_internal / lambda^alpha.  The torus is ILLPOSED_LENGTH and the
     envelope grid NX_ENVELOPE points.  Its runs come from _modulated_runs,
     built once, and each record is reduced as it is stepped (_evolve_pairs):
@@ -565,8 +567,10 @@ def run_illposedness_demo(
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must lie in (0, 1)")
-    if not (0.0 <= delta <= 0.5 * epsilon):
-        raise ValidationError("delta must satisfy 0 <= delta << epsilon")
+    # a delta <= 0, or one too small to move 1 + delta/epsilon off 1, gives a_2 <= a_1
+    if not (1.0 < 1.0 + delta / epsilon and delta <= 0.5 * epsilon):
+        raise ValidationError(f"delta must satisfy 0 < delta <= epsilon/2 with a_2 = a_1 (1 + "
+                              f"delta/epsilon) > a_1 in floating point, got delta = {delta:g}")
     lam = lambda_for(s, alpha, n_carrier)  # checks alpha and the carrier first
     lo = (2.0 - 3.0 * alpha) / (4.0 * (alpha + 1.0))
     hi = (2.0 - alpha) / 4.0
@@ -624,7 +628,7 @@ def run_illposedness_demo(
         "data_separation": float(sep0),
         "solution_separation_max": float(sep_max),
         "t_of_max": float(t_max),
-        "amplification": float(sep_max / sep0) if sep0 > 0 else np.inf,
+        "amplification": float(sep_max / sep0),
         "approx_error_sup_1": float(sups[0]),
         "approx_error_sup_2": float(sups[1]),
     }

@@ -232,23 +232,17 @@ def cubic_values(uhat: np.ndarray, grid: Grid, out: np.ndarray | None = None) ->
     return u
 
 
-def _per_record(total):
-    """A reduction along the last axis as a float for one row, else the
-    array of row values."""
-    return float(total) if np.ndim(total) == 0 else total
-
-
 def _edge_share(dens: np.ndarray, outer):
     """outer / (sum of dens along the last axis), 0 where that sum is 0 (and
     so is outer: dens is not negative)."""
     total = np.add.reduce(dens, axis=-1)
-    return _per_record(outer / np.where(total == 0.0, 1.0, total))
+    return outer / np.where(total == 0.0, 1.0, total)
 
 
 def tail_fraction(u: np.ndarray):
     """Fraction of the mass of the samples u sitting in the outer 10% of the
-    domain, along the last axis: a float for one row, one value per row of
-    stacked rows, each bit-equal to that row's alone.
+    domain, along the last axis: an np.float64 (a float) for one row, one
+    value per row of stacked rows, each bit-equal to that row's alone.
 
     Used to certify that a wavepacket run on the torus is a faithful stand-in
     for the whole line.  It takes samples, not a Field, so that callers

@@ -126,8 +126,8 @@ MUTANTS = [
     Mutant(
         "xsb_norm one row off",
         "src/fnls/norms.py",
-        "        weight = dtau[i] * (first[i] + rows)\n",
-        "        weight = dtau[i] * (first[i] + 1 + rows)\n",
+        "        weight = f.dtau[i] * (f.first[i] + rows)\n",
+        "        weight = f.dtau[i] * (f.first[i] + 1 + rows)\n",
         (
             "tests/test_norms.py::test_xsb_single_delta",
             "tests/test_norms.py::test_xsb_weighs_nonzero_cells_as_the_dense_formula",
@@ -142,6 +142,17 @@ MUTANTS = [
             "tests/test_experiments.py::test_trilinear_stack_entries_equal_each_point_alone",
             "tests/test_experiments.py::test_scan_points_do_not_depend_on_their_neighbours",
         ),
+    ),
+    Mutant(
+        "a lone BoxSpec unwrapped to a single field",
+        "src/fnls/constructions.py",
+        "    return SpaceTimeField(tau0[:, 0], dtau, n_tau.astype(np.intp), xi, lo, values)\n",
+        "    box = SpaceTimeField(tau0[:, 0], dtau, n_tau.astype(np.intp), xi, lo, values)\n"
+        "    for name in ('tau0', 'dtau', 'n_tau', 'dxi', 'xi', 'first', 'values'):\n"
+        "        if isinstance(specs, BoxSpec):\n"
+        "            object.__setattr__(box, name, getattr(box, name)[0])\n"
+        "    return box\n",
+        ("tests/test_constructions.py::test_every_space_time_field_is_a_stack",),
     ),
     # admission: each call's predicted bytes and work
     Mutant(

@@ -23,9 +23,11 @@ def history(runs) -> list:
 
 
 def dense(f: SpaceTimeField) -> np.ndarray:
-    """The (tau, xi) lattice array of f: its stored rows, zeros elsewhere."""
-    out = np.zeros((f.tau.size, f.xi.size), dtype=f.values.dtype)
-    out[f.first + np.arange(f.values.shape[0])[:, None], np.arange(f.xi.size)] = f.values
+    """The (tau, xi) lattice array of f, a stack of one: its entry's stored
+    rows, zeros elsewhere."""
+    (n_tau,), (first,), (values,) = f.n_tau, f.first, f.values
+    out = np.zeros((n_tau, first.size), dtype=values.dtype)
+    out[first + np.arange(values.shape[0])[:, None], np.arange(first.size)] = values
     return out
 
 

@@ -316,6 +316,13 @@ BAD_NUMBERS = [
     # convert float NaN to integer", from the box lattice's length
     (["scan-trilinear", "--n", "16,32,64,1.0715086071862673e+301"],
      "N = 1.07151e+301 overflows |xi|^alpha across its box, alpha 1.5"),
+    # equal amplitudes a_2 = a_1 (1 + delta/epsilon) = a_1: each exited 0
+    # with data_separation=0 and amplification=inf
+    (["illposed", "--delta", "0"], "delta must satisfy 0 < delta <= epsilon/2"),
+    (["illposed", "--delta", "1e-17"], "got delta = 1e-17"),
+    # a repeated s: exited 0 with one block under a header naming both
+    (["scan-wavepacket", "--s", "0,0", "--m", "16,32,64,128"],
+     "needs distinct s values: s = 0 repeats"),
 ]
 
 

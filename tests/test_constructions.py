@@ -16,6 +16,7 @@ from fnls.constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
     WavepacketSpec,
+    _box_lattices,
     approximate_solution,
     box_data,
     lambda_for,
@@ -61,7 +62,7 @@ def test_box_indicator_support():
     assert set(np.unique(np.abs(box.values))) <= {0.0, 1.0}
     assert box.xi.min() >= 32.0
     assert box.xi.max() <= 32.0 + spec.width
-    tt, xx = np.meshgrid(box.tau, box.xi, indexing="ij")
+    tt, xx = np.meshgrid(box.tau[0], box.xi[0], indexing="ij")
     on = dense(box) == 1.0
     assert np.all(np.abs(tt[on] - np.abs(xx[on]) ** 1.5) <= 1.0)
 
@@ -75,22 +76,19 @@ def test_box_stores_each_run_from_its_start():
             for conjugate in (False, True):
                 spec = BoxSpec(n=n, alpha=alpha, conjugate=conjugate)
                 box = box_data(spec)
-                line = spec.columns()[1]
-                assert np.array_equal(dense(box), np.abs(box.tau[:, None] - line) <= 1.0)
-                length = np.count_nonzero(box.values, axis=0)
-                assert np.array_equal(box.values, np.arange(box.values.shape[0])[:, None] < length)
-                assert box.values.shape == (length.max(), BOX_XI_SAMPLES)
-                assert box.n_tau == spec.tau_samples and box.dtau == 0.125
+                _, (line,), n_tau = _box_lattices([spec])
+                assert np.array_equal(dense(box), np.abs(box.tau[0, :, None] - line) <= 1.0)
+                length = np.count_nonzero(box.values[0], axis=0)
+                assert np.array_equal(box.values[0], np.arange(box.values.shape[1])[:, None] < length)
+                assert box.values.shape == (1, length.max(), BOX_XI_SAMPLES)
+                assert np.array_equal(box.n_tau, n_tau) and np.array_equal(box.dtau, [0.125])
 
 
 def test_box_norm_growth_exponent():
     alpha, b = 1.5, 0.51
     ns = [16.0, 32.0, 64.0, 128.0]
     for s in (0.0, 0.125):
-        vals = [
-            xsb_norm(box_data(BoxSpec(n=n, alpha=alpha)), s, b, alpha, "-")
-            for n in ns
-        ]
+        vals = xsb_norm(box_data([BoxSpec(n=n, alpha=alpha) for n in ns]), s, b, alpha, "-")
         slope = fit_power_law("N", ns, vals, drop_preasymptotic=False).fitted_slope
         assert slope == pytest.approx(s + (2 - alpha) / 4.0, abs=0.05)
 
@@ -99,12 +97,14 @@ def test_box_norm_growth_exponent():
 
 
 def _box_field(tau0, xi0, n_tau, runs, dtau=0.5, dxi=0.25):
-    """0/1 box on an n_tau x len(runs) lattice, stored as box_data stores
-    one: column j is one on rows runs[j][0] .. runs[j][1] inclusive."""
+    """0/1 box on an n_tau x len(runs) lattice as a stack of one, stored as
+    box_data stores one: column j is one on rows runs[j][0] .. runs[j][1]
+    inclusive."""
     first, last = np.array(runs).T
     length = last - first + 1
     vals = (np.arange(length.max())[:, None] < length).astype(np.float64)
-    return SpaceTimeField(tau0, dtau, n_tau, xi0 + dxi * np.arange(len(runs)), first, vals)
+    xi = xi0 + dxi * np.arange(len(runs))
+    return SpaceTimeField(tau0, dtau, n_tau, xi[None], first[None], vals[None])
 
 
 def _direct_trilinear(v1, v2, v3):
@@ -127,11 +127,11 @@ def test_trilinear_point_masses():
     out = trilinear_convolution(f1, f2, f3)
     cell = 0.5 * 0.25
     assert dense(out).shape == (6, 4)
-    assert out.tau[0] == 1.0 - 3.0 + 0.25 and out.xi[0] == 2.0 + 0.5 - 1.0
+    assert out.tau[0, 0] == 1.0 - 3.0 + 0.25 and out.xi[0, 0] == 2.0 + 0.5 - 1.0
     direct = _direct_trilinear(dense(f1), dense(f2), dense(f3))
     assert np.array_equal(dense(out), direct * cell**2)
     # the first columns' points meet at tau 1 - 2.5 + 0.25, xi 1.5, alone
-    it = int(np.argmin(np.abs(out.tau - (1.0 - 2.5 + 0.25))))
+    it = int(np.argmin(np.abs(out.tau[0] - (1.0 - 2.5 + 0.25))))
     assert dense(out)[it, 0] == cell**2
     assert np.sum(out.values) == 8 * cell**2
 
@@ -158,9 +158,9 @@ def test_trilinear_matches_brute_force():
         direct = _direct_trilinear(dense(f1), dense(f2), dense(f3)) * f1.cell**2
         assert out.values.dtype == np.float64
         assert np.array_equal(dense(out), direct)
-        np.testing.assert_allclose(out.tau, -1.0 + 0.5 * np.arange(direct.shape[0]))
-        np.testing.assert_allclose(out.xi, -0.5 + 0.25 * np.arange(direct.shape[1]))
-        moved += np.count_nonzero(out.first < np.argmax(direct != 0, axis=0))
+        np.testing.assert_allclose(out.tau[0], -1.0 + 0.5 * np.arange(direct.shape[0]))
+        np.testing.assert_allclose(out.xi[0], -0.5 + 0.25 * np.arange(direct.shape[1]))
+        moved += np.count_nonzero(out.first[0] < np.argmax(direct != 0, axis=0))
     assert moved > 0
 
 
@@ -170,9 +170,9 @@ def test_trilinear_rejects_non_box_input():
     bad = {
         "complex values": box.values.astype(np.complex128),
         "a value other than 0/1": box.values * 2.0,
-        "a run after a zero": np.array([[0, 1], [1, 1], [1, 1]], float),
-        "two runs in one column": np.array([[1, 1], [0, 1], [1, 1]], float),
-        "an empty column": np.array([[1, 0], [1, 0], [0, 0]], float),
+        "a run after a zero": np.array([[[0, 1], [1, 1], [1, 1]]], float),
+        "two runs in one column": np.array([[[1, 1], [0, 1], [1, 1]]], float),
+        "an empty column": np.array([[[1, 0], [1, 0], [0, 0]]], float),
     }
     for vals in bad.values():
         other = SpaceTimeField(box.tau0, box.dtau, box.n_tau, box.xi, box.first, vals)
@@ -196,7 +196,7 @@ def test_trilinear_repeated_factor_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.n_tau == 29_114 and out.values.shape == (54, 46)
+        assert np.array_equal(out.n_tau, [29_114]) and out.values.shape == (1, 54, 46)
         assert peak - base < 2**20
 
 
@@ -214,7 +214,7 @@ def test_boxes_and_convolution_need_no_tau_lattice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert plus.n_tau == 219_215 and out.n_tau == 2 * plus.n_tau + minus.n_tau - 2
+    assert plus.n_tau[0] == 219_215 and out.n_tau[0] == 2 * plus.n_tau[0] + minus.n_tau[0] - 2
     assert peak - base < 2**20
 
 
@@ -244,18 +244,18 @@ def test_trilinear_resonant_output_support():
     minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
     out = trilinear_convolution(plus, minus, plus)
     power = dense(out) ** 2
-    tt, xx = np.meshgrid(out.tau, out.xi, indexing="ij")
+    tt, xx = np.meshgrid(out.tau[0], out.xi[0], indexing="ij")
     modulation = np.abs(tt - np.abs(xx) ** alpha)
     mean_mod = np.sum(modulation * power) / np.sum(power)
     # output concentrates within an O(1) strip of the dispersion surface
     assert mean_mod <= 4.0
-    support_xi = out.xi[np.any(power > 0, axis=0)]
+    support_xi = out.xi[0, np.any(power > 0, axis=0)]
     assert support_xi.min() >= n
     assert support_xi.max() <= n + 3 * spec.width
 
     # the four-frequency resonance |x1|^a - |x2|^a + |x3|^a - |x1+x2+x3|^a
     # stays O(1) over the boxes' xi samples
-    x1, x2, x3 = np.meshgrid(plus.xi, minus.xi, plus.xi, indexing="ij")
+    x1, x2, x3 = np.meshgrid(plus.xi[0], minus.xi[0], plus.xi[0], indexing="ij")
     omega = (
         np.abs(x1) ** alpha - np.abs(x2) ** alpha + np.abs(x3) ** alpha
         - np.abs(x1 + x2 + x3) ** alpha
@@ -268,11 +268,33 @@ def test_trilinear_resonant_output_support():
 
 
 def test_trilinear_spacing_mismatch():
-    first = np.zeros(3, dtype=int)
-    a = SpaceTimeField(0.0, 1.0, 3, np.arange(3.0), first, np.ones((1, 3)))
-    b = SpaceTimeField(0.0, 0.5, 3, np.arange(3.0), first, np.ones((1, 3)))
+    xi, first = np.arange(3.0)[None], np.zeros((1, 3), dtype=int)
+    a = SpaceTimeField(0.0, 1.0, 3, xi, first, np.ones((1, 1, 3)))
+    b = SpaceTimeField(0.0, 0.5, 3, xi, first, np.ones((1, 1, 3)))
     with pytest.raises(ValidationError):
         trilinear_convolution(a, b, a)
+
+
+def test_every_space_time_field_is_a_stack():
+    # one shape: a lone BoxSpec gives a stack of one, so does the
+    # convolution of lone boxes, and xsb_norm gives one value per entry of
+    # any stack; an unstacked field is rejected
+    plus, minus = box_data(BoxSpec(64.0, 1.5)), box_data(BoxSpec(64.0, 1.5, conjugate=True))
+    conv = trilinear_convolution(plus, minus, plus)
+    stack = box_data([BoxSpec(n, 1.5) for n in (16.0, 32.0, 64.0)])
+    for f, entries in ((plus, 1), (minus, 1), (conv, 1), (stack, 3)):
+        assert f.values.ndim == 3 and len(f.values) == entries
+        for lattice in (f.tau0, f.dtau, f.n_tau, f.dxi, f.cell):
+            assert lattice.shape == (entries,)
+        assert f.xi.shape == f.first.shape == (entries, f.values.shape[-1])
+        assert f.tau.shape == (entries, f.n_tau.max())
+        for sign in "-+":
+            assert xsb_norm(f, 0.3, 0.51, 1.5, sign).shape == (entries,)
+    # a lone box's lattice sizes, as the benchmark reads them
+    assert plus.tau.size == plus.n_tau[0] and plus.xi.size == BOX_XI_SAMPLES
+    with pytest.raises(ValidationError, match="xi lattice must be a row per entry"):
+        SpaceTimeField(plus.tau0[0], plus.dtau[0], plus.n_tau[0], plus.xi[0], plus.first[0],
+                       plus.values[0])
 
 
 # ------------------------------------------------------- approximate solution

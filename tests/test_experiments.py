@@ -7,7 +7,8 @@ import pytest
 import fnls.evolution as evolution
 import fnls.experiments as experiments
 import fnls.spectral as spectral
-from fnls.constructions import BoxSpec, WavepacketSpec, box_data, modulated_wavepacket
+from fnls.constructions import BoxSpec, WavepacketSpec, _box_lattices, box_data
+from fnls.constructions import modulated_wavepacket
 from fnls.constructions import approximate_solution, rescale_solution, trilinear_convolution
 from fnls.norms import energy, mass, sobolev_norm, xsb_norm
 from fnls.symbols import envelope_scale, group_velocity, remainder_symbol
@@ -213,7 +214,7 @@ def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
             scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2 ** (j - 1)])
     # a budget of exactly 9 bytes a cell of N = 2^6's larger lattice passes,
     # one byte less raises
-    cells = 16 * max(BoxSpec(64.0, 1.5, conj).tau_samples for conj in (False, True))
+    cells = 16 * int(max(_box_lattices([BoxSpec(64.0, 1.5), BoxSpec(64.0, 1.5, True)])[2]))
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", 9 * cells)
     with pytest.raises(AssertionError, match="box built"):
         scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 64])
@@ -263,13 +264,13 @@ def test_trilinear_stack_entries_equal_each_point_alone():
                 one.tau0[0], one.dtau[0], one.n_tau[0])
         for norm, one in zip(norms, alone_norms):
             assert norm[i] == one[0]
-    # a single box and its convolution are the stack of one without its axis
+    # a lone box and its convolution are the stack of one, bit for bit
     plus, minus = box_data(BoxSpec(64.0, alpha)), box_data(BoxSpec(64.0, alpha, True))
     conv = trilinear_convolution(plus, minus, plus)
     alone = stacks([64.0])[0]
-    for single, one in zip((plus, minus, conv), alone):
-        assert np.array_equal(single.values, one.values[0]) and single.n_tau == one.n_tau[0]
-        assert np.array_equal(single.first, one.first[0]) and single.tau0 == one.tau0[0]
+    for lone, one in zip((plus, minus, conv), alone):
+        for name in ("values", "first", "xi", "tau0", "dtau", "n_tau", "dxi"):
+            assert np.array_equal(getattr(lone, name), getattr(one, name))
 
 
 def test_scan_points_do_not_depend_on_their_neighbours():
@@ -454,11 +455,16 @@ def test_wavepacket_grid_over_memory_limit_is_rejected_before_allocation(monkeyp
         wavepacket_grid(16.0, 1e-300)
 
 
-def test_scan_wavepacket_checks_every_s():
+def test_scan_wavepacket_checks_every_s(monkeypatch):
     # the packet is shared, but each s keeps its own hypothesis check:
     # the envelope smoothness (1) is below |s| = 1.5
     with pytest.raises(ValidationError):
         scan_wavepacket([0.0, -1.5], [16, 32, 64, 128])
+    # the scans are keyed by s, so a repeated s, which kept one block under a
+    # header naming both, is rejected before any grid is built
+    monkeypatch.setattr(experiments, "make_grid", None)
+    with pytest.raises(ValidationError, match="needs distinct s values: s = 0 repeats"):
+        scan_wavepacket([0.25, 0.0, 0.0], [16, 32, 64, 128])
 
 
 def test_pde_residual_detects_wrong_dispersion():
@@ -514,6 +520,10 @@ def test_illposedness_demo_range_check(monkeypatch):
         (0.0, 0.5, 0.005, 0.0, "sigma must be positive"),
         (0.0, 0.5, 0.005, -28.0, "sigma must be positive"),
         (0.0, 0.5, 0.005, float("nan"), "sigma must be positive"),
+        # equal amplitudes: delta = 0, or too small to move 1 + delta/epsilon
+        # off 1, gave a pair with no separation and amplification = inf
+        (0.0, 0.5, 0.0, 16.0, "delta must satisfy 0 < delta .* got delta = 0$"),
+        (0.0, 0.5, 1e-17, 16.0, "delta must satisfy 0 < delta .* got delta = 1e-17$"),
     ]:
         with pytest.raises(ValidationError, match=message):
             run_illposedness_demo(
@@ -836,8 +846,13 @@ def test_modulated_batches_run_in_the_rest_frame_and_check_every_tail(monkeypatc
                 next(experiments._evolve_pairs(pushed, args[0], "lower t_final"))
 
 
-def test_illposedness_zero_delta_gives_identical_pair(monkeypatch):
-    runs = _batch(monkeypatch, run_illposedness_demo, (1.5, 0.0, 0.3, 0.0, 600.0, 16.0))
-    (p1, _), (p2, _), (w1, _), (w2, _) = runs
-    assert np.array_equal(p1.values, p2.values)
-    assert np.array_equal(w1.values, w2.values)
+def test_illposedness_zero_delta_is_rejected(monkeypatch):
+    # delta = 0 once gave an identical pair (separation 0, amplification =
+    # inf); the old call, and a delta too small to move 1 + delta/epsilon off
+    # 1, now fail with one line naming delta before anything is built
+    monkeypatch.setattr(experiments, "make_grid", None)
+    monkeypatch.setattr(experiments, "evolve_records", None)
+    for delta in (0.0, 1e-17):
+        with pytest.raises(ValidationError) as err:
+            run_illposedness_demo(1.5, 0.0, 0.3, delta, 600.0, 16.0)
+        assert "\n" not in str(err.value) and f"got delta = {delta:g}" in str(err.value)

@@ -88,8 +88,8 @@ def test_trajectory_norms_are_the_per_state_norms_bit_for_bit():
 
 
 def _field(tau, xi, first, vals):
-    """A field on the uniform tau lattice whose nodes are tau."""
-    return SpaceTimeField(tau[0], tau[1] - tau[0], tau.size, xi, first, vals)
+    """A stack of one field on the uniform tau lattice whose nodes are tau."""
+    return SpaceTimeField(tau[0], tau[1] - tau[0], tau.size, xi[None], first[None], vals[None])
 
 
 def _dense_field(tau, xi, vals):
@@ -98,12 +98,12 @@ def _dense_field(tau, xi, vals):
 
 def test_space_time_field_validation():
     tau, xi = np.arange(3.0), np.array([0.0, 1.0])
-    first0 = np.zeros(2, dtype=int)
+    first0 = np.zeros((1, 2), dtype=int)
     # the tau lattice: finite tau0, a positive finite step, >= 2 nodes
     for tau0, dtau, n_tau in ((np.nan, 1.0, 3), (0.0, 0.0, 3), (0.0, -1.0, 3), (0.0, np.inf, 3),
                               (0.0, 1.0, 1)):
         with pytest.raises(ValidationError, match="tau lattice"):
-            SpaceTimeField(tau0, dtau, n_tau, xi, first0, np.zeros((1, 2)))
+            SpaceTimeField(tau0, dtau, n_tau, xi[None], first0, np.zeros((1, 1, 2)))
     with pytest.raises(ValidationError):
         _dense_field(tau, np.array([0.0, 1.0, 2.5]), np.zeros((3, 3)))
     with pytest.raises(ValidationError):
@@ -123,8 +123,9 @@ def test_space_time_field_validation():
             _field(tau, xi, first, np.ones((rows, 2)))
     band = _field(tau, xi, np.array([0, 2]), np.ones((1, 2)))
     assert band.first.dtype == np.intp and not band.first.flags.writeable
-    # the tau nodes are the lattice formula, built on demand
-    assert np.array_equal(band.tau, tau) and (band.tau0, band.dtau, band.n_tau) == (0.0, 1.0, 3)
+    # the tau nodes are the lattice formula, built on demand, a row per entry
+    assert np.array_equal(band.tau, [tau])
+    assert np.array_equal(np.stack([band.tau0, band.dtau, band.n_tau]), [[0.0], [1.0], [3]])
 
 
 def test_xsb_single_delta():
@@ -141,7 +142,7 @@ def test_xsb_single_delta():
         * (1 + abs(tau[it] - abs(xi[ix]) ** alpha)) ** b
         * np.sqrt(0.5 * 1.0)
     )
-    assert xsb_norm(f, s, b, alpha, "-") == pytest.approx(expect, rel=1e-12)
+    assert xsb_norm(f, s, b, alpha, "-") == pytest.approx([expect], rel=1e-12)
 
 
 def test_xsb_zero_weights_is_lattice_l2():
@@ -152,17 +153,19 @@ def test_xsb_zero_weights_is_lattice_l2():
     f = _dense_field(tau, xi, vals)
     cell = (tau[1] - tau[0]) * (xi[1] - xi[0])
     assert xsb_norm(f, 0.0, 0.0, 1.5, "-") == pytest.approx(
-        np.linalg.norm(vals) * np.sqrt(cell), rel=1e-12
+        [np.linalg.norm(vals) * np.sqrt(cell)], rel=1e-12
     )
-    assert xsb_norm(f, 0.0, 0.0, 1.5, "+") == xsb_norm(f, 0.0, 0.0, 1.5, "-")
+    assert np.array_equal(xsb_norm(f, 0.0, 0.0, 1.5, "+"), xsb_norm(f, 0.0, 0.0, 1.5, "-"))
 
 
 def _dense_xsb(f, s, b, alpha, sign):
-    """Every cell of the whole lattice weighed, zeros included."""
-    disp = np.abs(f.xi) ** alpha
-    modulation = f.tau[:, None] + (-disp if sign == "-" else disp)[None, :]
-    weight = (1.0 + np.abs(f.xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)
-    return np.sqrt(np.sum(weight * np.abs(oracles.dense(f)) ** 2) * f.cell)
+    """Every cell of the whole lattice of a stack of one weighed, zeros
+    included."""
+    (tau,), (xi,), (cell,) = f.tau, f.xi, f.cell
+    disp = np.abs(xi) ** alpha
+    modulation = tau[:, None] + (-disp if sign == "-" else disp)[None, :]
+    weight = (1.0 + np.abs(xi)) ** (2.0 * s) * (1.0 + np.abs(modulation)) ** (2.0 * b)
+    return np.sqrt(np.sum(weight * np.abs(oracles.dense(f)) ** 2) * cell)
 
 
 def test_xsb_weighs_nonzero_cells_as_the_dense_formula():
@@ -178,8 +181,9 @@ def test_xsb_weighs_nonzero_cells_as_the_dense_formula():
     for f in [_dense_field(tau, xi, vals) for vals in (dense, sparse, real_sparse)] + [band]:
         for s, b, sign in ((0.0, 0.0, "-"), (0.3, 0.51, "-"), (-0.2, -0.49, "+")):
             got = xsb_norm(f, s, b, 1.5, sign)
-            assert got == pytest.approx(_dense_xsb(f, s, b, 1.5, sign), rel=1e-14)
-    assert xsb_norm(_dense_field(tau, xi, np.zeros((61, 17))), 0.3, 0.51, 1.5, "-") == 0.0
+            assert got == pytest.approx([_dense_xsb(f, s, b, 1.5, sign)], rel=1e-14)
+    assert np.array_equal(xsb_norm(_dense_field(tau, xi, np.zeros((61, 17))), 0.3, 0.51, 1.5, "-"),
+                          [0.0])
 
 
 def test_xsb_sign_conventions():
@@ -191,4 +195,5 @@ def test_xsb_sign_conventions():
     vals[it, ix] = 1.0
     f = _dense_field(tau, xi, vals)
     # point on tau = +|xi|^alpha: small '-' weight, large '+' weight
-    assert xsb_norm(f, 0.0, 1.0, 1.5, "-") < 0.1 * xsb_norm(f, 0.0, 1.0, 1.5, "+")
+    (minus,), (plus,) = (xsb_norm(f, 0.0, 1.0, 1.5, sign) for sign in "-+")
+    assert minus < 0.1 * plus
