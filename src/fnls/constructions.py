@@ -29,7 +29,7 @@ from .evolution import Trajectory
 
 TAIL_MASS_LIMIT = 1e-8  # check_contained's bound on the mass in the domain's outer 10%
 INTERP_LOSS_LIMIT = 1e-8
-WAVEPACKET_SMOOTHNESS = 1.0  # sigma of WavepacketSpec's s < 0 hypotheses
+WAVEPACKET_SMOOTHNESS = 1.0  # sigma of check_packet_hypotheses' s < 0 hypotheses
 
 # box_data's lattice: frequency samples across a box, tau samples per unit
 BOX_XI_SAMPLES = 16
@@ -207,7 +207,7 @@ def check_contained(samples: np.ndarray, t: float, where) -> None:
     fraction in the outer 10% of the domain passes TAIL_MASS_LIMIT, named
     by where(row): the torus stands in for the line only while a run keeps
     off its ends.  All rows are measured at once."""
-    fracs = np.atleast_1d(tail_fraction(samples))
+    fracs = tail_fraction(samples)
     over = np.flatnonzero(fracs > TAIL_MASS_LIMIT)
     if over.size:
         i = int(over[0])
@@ -222,7 +222,7 @@ def check_resolved(values: np.ndarray, times, where=None) -> None:
     (row i at times[i]; times may be one t for all rows) whose outer-band
     mass fraction passes INTERP_LOSS_LIMIT; where(i), when given, names its
     run.  All rows are measured at once."""
-    loss = np.atleast_1d(spectral_tail_fraction(values))
+    loss = spectral_tail_fraction(values)
     over = np.flatnonzero(loss > INTERP_LOSS_LIMIT)
     if over.size:
         i = int(over[0])
@@ -265,59 +265,45 @@ def approximate_solution(
     return Trajectory(v_traj.times, band, out)
 
 
-@dataclass(frozen=True)
-class WavepacketSpec:
-    """Modulated Gaussian A e^(iMx) w((x - x0)/tau_scale), w(y) = e^(-y^2/2).
-
-    The hypotheses of the norm-scaling bounds are enforced: M*tau >= 1 for
-    s >= 0, and tau * M^(1 + s/sigma) >= 1 with sigma >= |s| for s < 0,
-    where sigma is WAVEPACKET_SMOOTHNESS.
-    """
-
-    amplitude: float
-    carrier: float
-    tau_scale: float
-    x0: float
-    s: float = 0.0
-
-    def __post_init__(self):
-        if self.carrier < 1.0:
-            raise ValidationError("carrier frequency must be >= 1")
-        if self.tau_scale <= 0.0:
-            raise ValidationError("tau_scale must be positive")
-        if self.s >= 0.0:
-            if self.carrier * self.tau_scale < 1.0:
-                raise ValidationError(
-                    "scaling hypothesis M*tau >= 1 violated for s >= 0"
-                )
-        else:
-            if WAVEPACKET_SMOOTHNESS < abs(self.s):
-                raise ValidationError("envelope smoothness must be >= |s|")
-            if self.tau_scale * self.carrier ** (1.0 + self.s / WAVEPACKET_SMOOTHNESS) < 1.0:
-                raise ValidationError(
-                    "scaling hypothesis tau*M^(1+s/sigma) >= 1 violated for s < 0"
-                )
+def check_packet_hypotheses(carrier: float, tau_scale: float, s: float) -> None:
+    """ValidationError unless the packet of carrier M and width tau meets
+    the hypotheses of the H^s norm-scaling bounds: M >= 1, and M*tau >= 1
+    for s >= 0, or sigma >= |s| and tau * M^(1 + s/sigma) >= 1 for s < 0,
+    where sigma is WAVEPACKET_SMOOTHNESS.  Each message names M, and tau
+    and s where they enter."""
+    if carrier < 1.0:
+        raise ValidationError(f"carrier frequency must be >= 1, got M = {carrier:g}")
+    if s >= 0.0:
+        if carrier * tau_scale < 1.0:
+            raise ValidationError(f"scaling hypothesis M*tau >= 1 violated for s >= 0: "
+                                  f"M = {carrier:g}, tau = {tau_scale:g}, s = {s:g}")
+    elif WAVEPACKET_SMOOTHNESS < abs(s):
+        raise ValidationError(f"envelope smoothness {WAVEPACKET_SMOOTHNESS:g} must be >= |s|: "
+                              f"M = {carrier:g}, s = {s:g}")
+    elif tau_scale * carrier ** (1.0 + s / WAVEPACKET_SMOOTHNESS) < 1.0:
+        raise ValidationError(f"scaling hypothesis tau*M^(1+s/sigma) >= 1 violated for s < 0: "
+                              f"M = {carrier:g}, tau = {tau_scale:g}, s = {s:g}")
 
 
-def modulated_wavepacket(specs, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The packets A e^(iMx) w((x - x0)/tau) of a sequence of specs on the
-    grid's torus, as (bands, m), row i for specs[i]: M = m dk + phi with
-    |phi| <= dk/2, and the band row holds the coefficients of
-    A e^(i phi x) w((x - x0)/tau), so packet mode k + m dk is band mode k.
-    The m are whole numbers held as floats.  The packets are sampled,
-    checked and transformed as one (packets, nx) array, each row bit-equal
-    to its packet's alone.  The grid need only resolve the envelopes;
-    wrap-around is checked on the band samples at t = 0 (check_contained),
-    since |packet| = A |w|.  A carrier whose mode index M / dk overflows is
-    rejected, naming M."""
-    carrier, amplitude, tau, x0 = (np.array([getattr(spec, key) for spec in specs]).reshape(-1, 1)
-                                   for key in ("carrier", "amplitude", "tau_scale", "x0"))
+def modulated_wavepacket(carriers, grid: Grid, amplitude: float, tau_scale: float,
+                         x0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The packets A e^(iMx) w((x - x0)/tau), w(y) = e^(-y^2/2), of a
+    sequence of carriers M on the grid's torus, as (bands, m), row i for
+    carriers[i]: M = m dk + phi with |phi| <= dk/2, and the band row holds
+    the coefficients of A e^(i phi x) w((x - x0)/tau), so packet mode
+    k + m dk is band mode k.  The m are whole numbers held as floats.  The
+    packets are sampled, checked and transformed as one (packets, nx)
+    array, each row bit-equal to its packet's alone.  The grid need only
+    resolve the envelope; wrap-around is checked on the band samples at
+    t = 0 (check_contained), since |packet| = A |w|.  A carrier whose mode
+    index M / dk overflows is rejected, naming M."""
+    carrier = np.array(carriers, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore"):
         m = np.round(carrier / grid.dk)
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"carrier M = {carrier[~np.isfinite(m)][0]:g} overflows its mode "
                               f"index M / dk on the packet grid, dk = {grid.dk:g}")
-    w = np.exp(-0.5 * ((grid.x - x0) / tau) ** 2)
+    w = np.exp(-0.5 * ((grid.x - x0) / tau_scale) ** 2)
     values = amplitude * np.exp(1j * (carrier - m * grid.dk) * grid.x) * w
     check_contained(values, 0.0,
                     lambda i: f"envelope of carrier M = {carrier[i, 0]:g} does not fit the grid")

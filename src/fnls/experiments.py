@@ -25,9 +25,9 @@ from .constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
     _box_lattices,
-    WavepacketSpec,
     box_data,
     check_contained,
+    check_packet_hypotheses,
     check_resolved,
     image_phase_rate,
     image_values,
@@ -268,25 +268,22 @@ def scan_trilinear(alpha: float, s: float, b: float, n_list) -> TrilinearScan:
     against the product of the three (s, b) factor norms, for all N at once,
     in input order: the plus boxes and the conjugate boxes are two stacks,
     their convolutions one, and each stack is weighed by one xsb_norm call.
-    Each N is checked, and its larger box lattice admitted at the dense
-    box's 9 bytes a cell, before any box is built."""
+    Each N is checked, a repeated N rejected, and each larger box lattice
+    admitted at the dense box's 9 bytes a cell, before any box is built."""
     n_list = [float(n) for n in n_list]
     if len(n_list) < 4:
         raise ValidationError("need at least four box sizes")
     specs = [[BoxSpec(n, alpha, conj) for n in n_list] for conj in (False, True)]
-    # a repeated N, which the fit rejects, is built once: the admitted
-    # dyadic N, a few dozen at most, bound the stacks
-    _, once, point = np.unique(n_list, return_index=True, return_inverse=True)
-    specs = [[band[i] for i in once] for band in specs]
+    _check_distinct("N", np.sort(n_list))
     n_tau = np.maximum(*(_box_lattices(band)[2] for band in specs))
-    for n, cells in zip(n_list, n_tau[point] * BOX_XI_SAMPLES):
+    for n, cells in zip(n_list, n_tau * BOX_XI_SAMPLES):
         admit(f"N = {n:g}'s box lattice of {_count(cells)} (tau, xi) cells", "lower N",
               9 * cells, cells)
     plus, minus = (box_data(band) for band in specs)
     with np.errstate(all="ignore"):  # a huge s or b: the fit rejects a nan, inf or 0
-        num = xsb_norm(trilinear_convolution(plus, minus, plus), s, b - 1.0, alpha, "-")[point]
-        g1 = xsb_norm(plus, s, b, alpha, "-")[point]
-        g2 = xsb_norm(minus, s, b, alpha, "+")[point]
+        num = xsb_norm(trilinear_convolution(plus, minus, plus), s, b - 1.0, alpha, "-")
+        g1 = xsb_norm(plus, s, b, alpha, "-")
+        g2 = xsb_norm(minus, s, b, alpha, "+")
         ratio = num / (g1 * g2 * g1)
     ratio, plus, minus, numerator = (fit_power_law("N", n_list, col) for col in (ratio, g1, g2, num))
     return TrilinearScan(ratio, factors=(plus, minus, plus), numerator=numerator)
@@ -319,7 +316,7 @@ def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
     admit(f"{n.size} carriers' symbols at {xi.size} samples", "give fewer N", 100 * cells, cells)
     # an extreme xi_max overflows the symbol or |xi|^3: the fit rejects the nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = remainder_symbol(alpha, n, xi)
+        r = remainder_symbol(alpha, n_list, xi)
         ratio = np.abs(r) / np.abs(xi) ** 3
     scan = fit_power_law("N", n_list, np.max(ratio, axis=-1))
     worst = float(np.max(ratio / (c1 * n ** (-alpha / 2.0))))
@@ -362,20 +359,23 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
     carriers as one (M, nx) stack (see modulated_wavepacket); band mode k
     is weighed as packet mode k + m dk for every s, all carriers at once.
     A repeated s, whose scans would share one key, is rejected first; the
-    scaling hypotheses are checked for every (s, M) pair, and then the
+    scaling hypotheses are checked for every (M, s) pair, and then the
     stack is admitted, before any packet is sampled.
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
     if not s_list:
         raise ValidationError("need at least one s")
-    _check_distinct("s", np.sort(s_list))
+    repeated = sorted(s for s in set(s_list) if s_list.count(s) > 1)
+    if repeated:
+        raise ValidationError(f"each s keys one scan: s = {repeated[0]:g} repeats")
     grid = wavepacket_grid(0.0, tau_scale)
-    specs = [[WavepacketSpec(amplitude, m, tau_scale, 0.5 * grid.length, s) for s in s_list]
-             for m in m_list]
-    cells = len(m_list) * grid.nx  # 48.5-50.3 B a cell measured, at 1 to 7 s
+    for m in m_list:
+        for s in s_list:
+            check_packet_hypotheses(m, tau_scale, s)
+    cells = len(m_list) * grid.nx  # 48.1-48.6 B a cell measured, at 1 to 7 s
     admit(f"{len(m_list)} packets of {grid.nx} modes", "give fewer M", 56 * cells, cells)
-    bands, modes = modulated_wavepacket([row[0] for row in specs], grid)
+    bands, modes = modulated_wavepacket(m_list, grid, amplitude, tau_scale, 0.5 * grid.length)
     # a huge m, s or tau: inf or nan, which the fit rejects, but for s = 0,
     # whose weight is 1 at any k
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,7 +1,8 @@
-"""Scalar symbol functions: the wavepacket frame and the remainder of the
+"""Symbol functions: the wavepacket frame and the remainder of the
 dispersion symbol.
 
-All functions accept scalars or numpy arrays and are pure.
+The frame functions take one carrier N and return floats; the remainder
+takes a sequence of N against a row of frequencies.  All are pure.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _binomial_tail(alpha: float, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def remainder_symbol(alpha: float, n_carrier, xi):
+def remainder_symbol(alpha: float, n_carriers, xi) -> np.ndarray:
     """Cubic-and-higher remainder of the dispersion symbol expanded at N.
 
     R(xi) = |xi/(beta*N) + 1|^alpha * N^alpha - N^alpha
@@ -76,36 +77,31 @@ def remainder_symbol(alpha: float, n_carrier, xi):
     the equivalent binomial tail N^alpha * sum_{m>=3} C(alpha,m) z^m,
     z = xi/(beta*N), is used instead.
 
-    N and xi broadcast: a column of N against a row of xi gives one row per
-    N, in one pass, each bit-equal to that N's alone (the series' terms
-    past an entry's own stop are below half its ulp).  A scalar N and xi
-    give a float.
+    A sequence of N against a row of xi gives a (len(N), len(xi)) array,
+    one row per N, in one pass, each bit-equal to that N's alone (the
+    series' terms past an entry's own stop are below half its ulp).
     """
     alpha = _check_alpha(alpha, allow_two=False)
-    n_carrier = np.asarray(n_carrier, dtype=float)
-    small_n = n_carrier[n_carrier < 4.0]
+    n_carriers = np.asarray(n_carriers, dtype=float)
+    small_n = n_carriers[n_carriers < 4.0]
     if small_n.size:
         raise ValidationError(f"carrier frequency must be >= 4, got {small_n[0]}")
-    # each N's powers as one N's: Python floats, whatever the shape of N
-    powers = [(_carrier_power(alpha, n), n ** (alpha / 2.0)) for n in n_carrier.ravel().tolist()]
-    n_a, n_half = np.reshape(np.array(powers).T, (2,) + n_carrier.shape)
-    xi_arr = np.asarray(xi, dtype=float)
+    # each N's powers as one N's, in Python floats, then as two columns
+    powers = [(_carrier_power(alpha, n), n ** (alpha / 2.0)) for n in n_carriers.tolist()]
+    n_a, n_half = np.array(powers).reshape(-1, 2).T[..., None]
     beta_n = np.sqrt(0.5 * alpha * (alpha - 1.0)) * n_half
-    z = xi_arr / beta_n
-    shape = z.shape
-    z, n_a, beta_n = (np.broadcast_to(a, shape).ravel() for a in (z, n_a, beta_n))
+    z = np.asarray(xi, dtype=float) / beta_n
+    n_a, beta_n = (np.broadcast_to(a, z.shape) for a in (n_a, beta_n))
 
     out = np.empty_like(z)
     small = np.abs(z) <= _SERIES_Z_MAX
-    if np.any(small):
-        out[small] = n_a[small] * _binomial_tail(alpha, z[small])
+    out[small] = n_a[small] * _binomial_tail(alpha, z[small])
     large = ~small
-    if np.any(large):
-        zl = z[large]
-        out[large] = n_a[large] * (np.abs(1.0 + zl) ** alpha - 1.0 - alpha * zl) - (
-            zl * beta_n[large]
-        ) ** 2
-    return float(out[0]) if not shape else out.reshape(shape)
+    zl = z[large]
+    out[large] = n_a[large] * (np.abs(1.0 + zl) ** alpha - 1.0 - alpha * zl) - (
+        zl * beta_n[large]
+    ) ** 2
+    return out
 
 
 def remainder_bound_constant(alpha: float) -> float:

@@ -248,11 +248,33 @@ MUTANTS = [
         ("tests/test_symbols.py::test_remainder_series_stop_every_eighth_term_is_bit_equal",),
     ),
     Mutant(
+        "remainder series and literal split at < instead of <=",
+        "src/fnls/symbols.py",
+        "    small = np.abs(z) <= _SERIES_Z_MAX\n",
+        "    small = np.abs(z) < _SERIES_Z_MAX\n",
+        ("tests/test_symbols.py::test_remainder_series_stop_every_eighth_term_is_bit_equal",),
+    ),
+    Mutant(
+        "the s < 0 packet hypotheses skipped",
+        "src/fnls/constructions.py",
+        "    elif WAVEPACKET_SMOOTHNESS < abs(s):\n",
+        "    elif s < 0.0:\n        pass\n    elif WAVEPACKET_SMOOTHNESS < abs(s):\n",
+        ("tests/test_constructions.py::test_wavepacket_hypotheses_enforced",
+         "tests/test_experiments.py::test_scan_wavepacket_checks_every_s"),
+    ),
+    Mutant(
         "carrier check at > 0 instead of >= 1",
         "src/fnls/constructions.py",
         "    if not n_carrier >= 1.0:  # below 1",
         "    if not n_carrier > 0.0:  # below 1",
         ("tests/test_experiments.py::test_illposedness_demo_range_check",),
+    ),
+    Mutant(
+        "scan_trilinear's up-front repeated-N check removed",
+        "src/fnls/experiments.py",
+        '    _check_distinct("N", np.sort(n_list))\n',
+        "",
+        ("tests/test_experiments.py::test_scan_stacks_are_admitted_before_they_are_built",),
     ),
     Mutant(
         "fit_power_law accepting inf",
@@ -268,8 +290,6 @@ MUTANTS = [
         "    _check_distinct(parameter_name, pf)\n",
         (
             "tests/test_experiments.py::test_fit_power_law_validation",
-            "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
-            "scan-trilinear --n 16,32,64,128,16]",
             "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
             "scan-wavepacket --m 16,16,32,64,128]",
             "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["
@@ -303,8 +323,8 @@ MUTANTS = [
     Mutant(
         "the wrap-around check on row 0 only",
         "src/fnls/constructions.py",
-        "    fracs = np.atleast_1d(tail_fraction(samples))\n",
-        "    fracs = np.atleast_1d(tail_fraction(samples))[:1]\n",
+        "    fracs = tail_fraction(samples)\n",
+        "    fracs = tail_fraction(samples)[:1]\n",
         (
             "tests/test_evolution.py::test_evolve_together_failure_names_the_run",
             "tests/test_experiments.py::"

@@ -1,7 +1,9 @@
 """Test oracles shared by the test modules: each run's whole history of a
 batch, the residual of the fractional equation along a recorded trajectory,
-a space-time field's values on its whole lattice, and a carrier band's
-coefficients on a whole grid."""
+a space-time field's values on its whole lattice, a carrier band's
+coefficients on a whole grid, and the tracemalloc peak of a block."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -9,6 +11,20 @@ from fnls.errors import ValidationError
 from fnls.evolution import Trajectory, evolve_records
 from fnls.norms import SpaceTimeField
 from fnls.spectral import Grid, cubic_values
+
+
+class TracedPeak:
+    """`with TracedPeak() as traced:` runs the block under tracemalloc, and
+    traced.peak is then the block's peak of traced bytes: tracing starts
+    with the block, so it counts only what the block allocated."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 def history(runs) -> list:

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +13,8 @@ import fnls.spectral as spectral
 from fnls.cli import _float_list, build_parser, main
 from fnls.experiments import initial_field
 from fnls.spectral import Field, make_grid
+
+from oracles import TracedPeak
 
 
 def _read(path):
@@ -320,9 +321,17 @@ BAD_NUMBERS = [
     # with data_separation=0 and amplification=inf
     (["illposed", "--delta", "0"], "delta must satisfy 0 < delta <= epsilon/2"),
     (["illposed", "--delta", "1e-17"], "got delta = 1e-17"),
-    # a repeated s: exited 0 with one block under a header naming both
-    (["scan-wavepacket", "--s", "0,0", "--m", "16,32,64,128"],
-     "needs distinct s values: s = 0 repeats"),
+    # a repeated s: exited 0 with one block under a header naming both; s
+    # keys a scan and is not fitted, so the fit's message does not apply
+    (["scan-wavepacket", "--s", "0,0", "--m", "16,32,64,128"], "each s keys one scan: s = 0 repeats"),
+    # no N: the fit's count, not an unpacking error of the symbol's stack
+    (["scan-remainder", "--n="], "need >= 4 points to fit, got 0"),
+    # the packet hypotheses name the values that break them
+    (["scan-wavepacket", "--m=0.5,16,32,64"], "carrier frequency must be >= 1, got M = 0.5"),
+    (["scan-wavepacket", "--tau=0.001"],
+     "tau*M^(1+s/sigma) >= 1 violated for s < 0: M = 16, tau = 0.001, s = -0.25"),
+    (["scan-wavepacket", "--s", "0", "--tau=0.01"],
+     "M*tau >= 1 violated for s >= 0: M = 16, tau = 0.01, s = 0"),
 ]
 
 
@@ -339,11 +348,11 @@ def no_steps(monkeypatch):
 
 @pytest.mark.parametrize("args, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
 def test_non_finite_or_zero_width_input_is_one_error_line(capsys, no_steps, args, message):
-    # each is rejected before any step, and before any work but the scans'
-    # repeated points, which the fit rejects after their points (approx-error
-    # rejects repeated carriers before building any run); each used to end in
-    # a traceback, a numpy message, a runtime failure, a run on nonsense input
-    # or hours of stepping
+    # each is rejected before any step, and before any work but the remainder
+    # and packet scans' repeated points, which the fit rejects after their
+    # points (scan-trilinear and approx-error reject a repeated N before
+    # building any box or run); each used to end in a traceback, a numpy
+    # message, a runtime failure, a run on nonsense input or hours of stepping
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -424,14 +433,10 @@ def test_evolve_prediction_bounds_the_commands_peak(tmp_path, monkeypatch, args)
         spectral.admit(what, remedy, nbytes, work)
 
     monkeypatch.setattr(evolution, "admit", admit)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         assert main(["evolve", *args, "--out", "e.csv"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     [nbytes] = predicted
-    assert peak <= nbytes <= 1.5 * peak
+    assert traced.peak <= nbytes <= 1.5 * traced.peak
 
 
 def test_scan_trilinear_over_memory_limit_is_validation_error(capsys):

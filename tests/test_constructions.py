@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +14,10 @@ from fnls.symbols import envelope_scale, group_velocity
 from fnls.constructions import (
     BOX_XI_SAMPLES,
     BoxSpec,
-    WavepacketSpec,
     _box_lattices,
     approximate_solution,
     box_data,
+    check_packet_hypotheses,
     lambda_for,
     modulated_wavepacket,
     rescale_solution,
@@ -27,7 +26,7 @@ from fnls.constructions import (
 import fnls.experiments as experiments
 from fnls.experiments import _lattice_length, fit_power_law, run_illposedness_demo
 
-from oracles import dense, pde_residual, scatter
+from oracles import TracedPeak, dense, pde_residual, scatter
 
 
 # ---------------------------------------------------------------------- boxes
@@ -189,15 +188,10 @@ def test_trilinear_repeated_factor_peak_memory():
     plus = box_data(BoxSpec(n=n, alpha=alpha))
     minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
     for third in (plus, box_data(BoxSpec(n=n, alpha=alpha))):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with TracedPeak() as traced:
             out = trilinear_convolution(plus, minus, third)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert np.array_equal(out.n_tau, [29_114]) and out.values.shape == (1, 54, 46)
-        assert peak - base < 2**20
+        assert traced.peak < 2**20
 
 
 def test_boxes_and_convolution_need_no_tau_lattice():
@@ -205,17 +199,12 @@ def test_boxes_and_convolution_need_no_tau_lattice():
     # building it densely took 37 MiB: both boxes and their convolution
     # stay under 1 MiB all together
     alpha, n = 1.5, 2.0**19
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with TracedPeak() as traced:
         plus = box_data(BoxSpec(n=n, alpha=alpha))
         minus = box_data(BoxSpec(n=n, alpha=alpha, conjugate=True))
         out = trilinear_convolution(plus, minus, plus)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert plus.n_tau[0] == 219_215 and out.n_tau[0] == 2 * plus.n_tau[0] + minus.n_tau[0] - 2
-    assert peak - base < 2**20
+    assert traced.peak < 2**20
 
 
 def test_import_loads_no_scipy():
@@ -439,7 +428,7 @@ def test_approximate_solution_residual_matches_remainder_term():
     refs = []
     for idx in range(2, image.times.size - 2):
         vhat = v_traj.values[idx]
-        rv = remainder_symbol(alpha, n, y_grid.k) * vhat
+        rv = remainder_symbol(alpha, [n], y_grid.k)[0] * vhat
         refs.append(np.sqrt(beta) * np.linalg.norm(rv) / np.sqrt(y_grid.length))
     refs = np.array(refs)
     assert np.all(np.abs(resid - refs) <= 0.05 * refs)
@@ -454,7 +443,7 @@ def test_approximate_solution_residual_decays_in_n():
     for n in ns:
         _, y_grid, phi = _envelope_setup(alpha, n, nx_env=512, sigma=1.5)
         vhat = spectral_values(phi)
-        rv = remainder_symbol(alpha, n, y_grid.k) * vhat
+        rv = remainder_symbol(alpha, [n], y_grid.k)[0] * vhat
         sups.append(np.linalg.norm(rv) / np.sqrt(y_grid.length))
     slope = fit_power_law("N", ns, sups, drop_preasymptotic=False).fitted_slope
     assert slope <= -alpha / 2.0 + 0.3
@@ -495,8 +484,7 @@ def test_demodulated_grid_matches_full_grid(frame):
 
 def test_wavepacket_envelope_and_amplitude():
     grid = make_grid(4096, 64.0)
-    spec = WavepacketSpec(amplitude=1.0, carrier=4.0, tau_scale=1.0, x0=32.0)
-    bands, [m] = modulated_wavepacket([spec], grid)
+    bands, [m] = modulated_wavepacket([4.0], grid, amplitude=1.0, tau_scale=1.0, x0=32.0)
     f = Field(grid, bands[0])
     envelope = np.exp(-0.5 * (grid.x - 32.0) ** 2)
     assert np.max(np.abs(np.abs(physical_values(f)) - envelope)) < 1e-12
@@ -505,9 +493,7 @@ def test_wavepacket_envelope_and_amplitude():
     assert m == 41
     packet = np.exp(1j * m * grid.dk * grid.x) * physical_values(f)
     assert np.max(np.abs(packet - np.exp(4.0j * grid.x) * envelope)) < 1e-12
-    g, [m_g] = modulated_wavepacket(
-        [WavepacketSpec(amplitude=-2.0, carrier=4.0, tau_scale=1.0, x0=32.0)], grid
-    )
+    g, [m_g] = modulated_wavepacket([4.0], grid, amplitude=-2.0, tau_scale=1.0, x0=32.0)
     assert m_g == m
     assert np.allclose(g[0], -2.0 * f.values, rtol=1e-12)
 
@@ -515,27 +501,34 @@ def test_wavepacket_envelope_and_amplitude():
 def test_wavepacket_l2_identity():
     grid = make_grid(8192, 96.0)
     for tau in (0.5, 1.0, 3.0):
-        spec = WavepacketSpec(amplitude=1.3, carrier=8.0, tau_scale=tau, x0=48.0)
-        bands, _ = modulated_wavepacket([spec], grid)
+        bands, _ = modulated_wavepacket([8.0], grid, amplitude=1.3, tau_scale=tau, x0=48.0)
         expect = 1.3 * np.sqrt(tau) * np.pi**0.25
         assert sobolev_norm(Field(grid, bands[0]), 0.0) == pytest.approx(expect, rel=0.01)
 
 
 def test_wavepacket_hypotheses_enforced(monkeypatch):
-    with pytest.raises(ValidationError):
-        WavepacketSpec(amplitude=1.0, carrier=2.0, tau_scale=0.25, x0=0.0, s=0.5)
+    # each message names the carrier M, and tau and s where they enter
+    with pytest.raises(ValidationError, match=r"M\*tau >= 1 violated for s >= 0: "
+                                              r"M = 2, tau = 0.25, s = 0.5$"):
+        check_packet_hypotheses(2.0, 0.25, 0.5)
+    check_packet_hypotheses(2.0, 0.5, 0.5)
+    # s < 0: tau M^(1 + s/sigma) >= 1, with sigma = 1 here
+    with pytest.raises(ValidationError, match=r"tau\*M\^\(1\+s/sigma\) >= 1 violated for s < 0: "
+                                              r"M = 16, tau = 0.2, s = -0.5$"):
+        check_packet_hypotheses(16.0, 0.2, -0.5)
+    check_packet_hypotheses(16.0, 0.25, -0.5)
+    check_packet_hypotheses(16.0, 0.2, 0.0)
+    with pytest.raises(ValidationError, match="carrier frequency must be >= 1, got M = 0.5$"):
+        check_packet_hypotheses(0.5, 4.0, 0.0)
     monkeypatch.setattr(constructions, "WAVEPACKET_SMOOTHNESS", 0.25)
-    with pytest.raises(ValidationError):
-        WavepacketSpec(amplitude=1.0, carrier=4.0, tau_scale=1.0, x0=0.0, s=-0.5)
-    with pytest.raises(ValidationError):
-        WavepacketSpec(amplitude=1.0, carrier=0.5, tau_scale=4.0, x0=0.0)
+    with pytest.raises(ValidationError, match=r"smoothness 0.25 must be >= \|s\|: M = 4, s = -0.5$"):
+        check_packet_hypotheses(4.0, 1.0, -0.5)
 
 
 def test_wavepacket_wrap_guard():
     grid = make_grid(256, 8.0)
-    spec = WavepacketSpec(amplitude=1.0, carrier=8.0 * np.pi / 4, tau_scale=2.0, x0=0.5)
     with pytest.raises(WrapAroundError):
-        modulated_wavepacket([spec], grid)
+        modulated_wavepacket([8.0 * np.pi / 4], grid, amplitude=1.0, tau_scale=2.0, x0=0.5)
 
 
 # ------------------------------------------------------------------ rescaling

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from fnls.norms import energy, mass, sobolev_norm
 from fnls.evolution import SimConfig, Trajectory, evolve, evolve_records, picard_iterate
 from fnls.experiments import _evolve_pairs, initial_field
 
-from oracles import history
+from oracles import TracedPeak, history
 
 
 @pytest.fixture
@@ -645,13 +644,9 @@ def test_picard_traced_peak_stays_within_six_histories(circle):
     phi = _gaussian(circle, a=0.2, sigma=0.6)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=0.1, grid=circle)
     history = 101 * circle.nx * 16
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         picard_iterate(phi, cfg, iterations=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * history
+    assert traced.peak <= 6 * history
 
 
 @pytest.mark.parametrize("t_final", [0.04, 0.035])  # four whole steps; three and a shorter one
@@ -664,14 +659,10 @@ def test_evolve_peak_stays_within_eleven_fields(nx, t_final):
     grid = make_grid(nx, nx / 8.0)
     phi = _gaussian(grid, sigma=4.0)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=0.01, t_final=t_final, grid=grid, record_every=2)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         traj = evolve(phi, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert traj.times.size == 3
-    assert peak <= 11.0 * 16 * nx
+    assert traced.peak <= 11.0 * 16 * nx
 
 
 def _admitted_peak(monkeypatch, call):
@@ -683,14 +674,10 @@ def _admitted_peak(monkeypatch, call):
         spectral.admit(what, remedy, nbytes, work)
 
     monkeypatch.setattr(evolution, "admit", admit)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     [nbytes] = predicted
-    return nbytes, peak
+    return nbytes, traced.peak
 
 
 def _consume(records) -> None:
@@ -755,12 +742,9 @@ def _picard_peak(t_final):
     grid = make_grid(1024, 2 * np.pi)
     phi = _gaussian(grid, a=0.2, sigma=0.6)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=1e-3, t_final=t_final, grid=grid)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         picard_iterate(phi, cfg, iterations=2)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced.peak
 
 
 def test_picard_peak_does_not_grow_with_the_time_window():

@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 import fnls.evolution as evolution
 import fnls.experiments as experiments
 import fnls.spectral as spectral
-from fnls.constructions import BoxSpec, WavepacketSpec, _box_lattices, box_data
+from fnls.constructions import BoxSpec, _box_lattices, box_data
 from fnls.constructions import modulated_wavepacket
 from fnls.constructions import approximate_solution, rescale_solution, trilinear_convolution
 from fnls.norms import energy, mass, sobolev_norm, xsb_norm
@@ -27,7 +26,7 @@ from fnls.experiments import (
     wavepacket_grid,
 )
 
-from oracles import history, pde_residual, scatter
+from oracles import TracedPeak, history, pde_residual, scatter
 
 
 def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
@@ -159,14 +158,10 @@ def test_record_summary_prediction_bounds_its_peak(monkeypatch, nx, length, dt, 
     grid = make_grid(nx, length)
     cfg = SimConfig(alpha=1.5, gamma=1.0, dt=dt, t_final=t_final, grid=grid)
     phi = initial_field(grid, "gaussian:a=1,sigma=0.5")
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         experiments.summarize_records(phi, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     [nbytes] = predicted
-    assert peak <= nbytes <= 1.5 * peak
+    assert traced.peak <= nbytes <= 1.5 * traced.peak
 
 
 def test_scan_remainder_small():
@@ -196,14 +191,10 @@ def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
         raise AssertionError("box built")
 
     monkeypatch.setattr(experiments, "box_data", no_box)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         with pytest.raises(ValidationError, match=r"box lattice of 1.33e\+08 \(tau, xi\) cells: "):
             scan_trilinear(1.5, 0.0, 0.51, [2**j for j in range(4, 27)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced.peak < 2**20
     # the first rejected N is the dense box's: 2^26 at alpha 1.5 (2^25 needs
     # 7.9e7 cells) and 2^20 at alpha 1.9 (1.20e8 cells; 2^19 needs 6.2e7);
     # the N below each passes the check and reaches the boxes
@@ -212,15 +203,15 @@ def test_scan_trilinear_rejects_a_lattice_over_the_memory_limit(monkeypatch):
             scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2**j])
         with pytest.raises(AssertionError, match="box built"):
             scan_trilinear(alpha, 0.0, 0.51, [16, 32, 64, 2 ** (j - 1)])
-    # a budget of exactly 9 bytes a cell of N = 2^6's larger lattice passes,
+    # a budget of exactly 9 bytes a cell of N = 2^7's larger lattice passes,
     # one byte less raises
-    cells = 16 * int(max(_box_lattices([BoxSpec(64.0, 1.5), BoxSpec(64.0, 1.5, True)])[2]))
+    cells = 16 * int(max(_box_lattices([BoxSpec(128.0, 1.5), BoxSpec(128.0, 1.5, True)])[2]))
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", 9 * cells)
     with pytest.raises(AssertionError, match="box built"):
-        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 64])
+        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 128])
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", 9 * cells - 1)
-    with pytest.raises(ValidationError, match=f"N = 64's box lattice of {cells} "):
-        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 64])
+    with pytest.raises(ValidationError, match=f"N = 128's box lattice of {cells} "):
+        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 64, 128])
 
 
 # each scan evaluates all its points as one stack: every point's numbers
@@ -291,25 +282,24 @@ def test_remainder_stack_rows_equal_each_n_alone():
     xi = np.linspace(-0.5, 0.5, experiments.REMAINDER_SAMPLES)
     ns = np.array([2.0**j for j in range(4, 11)] + [1e6])
     for alpha in (1.2, 1.5, 1.8):
-        rows = remainder_symbol(alpha, ns[:, None], xi)
+        rows = remainder_symbol(alpha, ns, xi)
         assert rows.shape == (ns.size, xi.size)
         for n, row in zip(ns, rows):
-            assert np.array_equal(row, remainder_symbol(alpha, np.array([[n]]), xi)[0])
-            assert np.array_equal(row, remainder_symbol(alpha, n, xi))
-        # one N at one xi is a float
-        assert isinstance(remainder_symbol(alpha, 64.0, 0.25), float)
+            assert np.array_equal(row, remainder_symbol(alpha, [n], xi)[0])
+        # no N gives no rows
+        assert remainder_symbol(alpha, [], xi).shape == (0, xi.size)
 
 
 def test_wavepacket_stack_rows_equal_each_packet_alone():
     grid = wavepacket_grid(0.0, 1.0)
     carriers = [2.0**j for j in range(4, 15)] + [100.3, 1000.0 / 3.0]  # two off the lattice
-    specs = [WavepacketSpec(1.7, m, 1.0, 0.5 * grid.length) for m in carriers]
-    bands, modes = modulated_wavepacket(specs, grid)
-    assert bands.shape == (len(specs), grid.nx) and modes.shape == (len(specs),)
-    for spec, band, mode in zip(specs, bands, modes):
-        alone, [alone_mode] = modulated_wavepacket([spec], grid)
+    packet = dict(grid=grid, amplitude=1.7, tau_scale=1.0, x0=0.5 * grid.length)
+    bands, modes = modulated_wavepacket(carriers, **packet)
+    assert bands.shape == (len(carriers), grid.nx) and modes.shape == (len(carriers),)
+    for m, band, mode in zip(carriers, bands, modes):
+        alone, [alone_mode] = modulated_wavepacket([m], **packet)
         assert np.array_equal(band, alone[0]) and mode == alone_mode
-        assert mode == round(spec.carrier / grid.dk)
+        assert mode == round(m / grid.dk)
 
 
 def test_scan_trilinear_peak_stays_under_the_point_by_point_scan():
@@ -321,22 +311,18 @@ def test_scan_trilinear_peak_stays_under_the_point_by_point_scan():
     # triple's points together, 2.6 MB and more
     n_list = [2**j for j in range(4, 14)]
     scan_trilinear(1.5, 0.0, 0.51, n_list)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with TracedPeak() as traced:
         scan_trilinear(1.5, 0.0, 0.51, n_list)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base <= 424_313
+    assert traced.peak <= 424_313
 
 
 def test_scan_stacks_are_admitted_before_they_are_built(monkeypatch):
     # a stack grows with its points: the remainder's symbols are admitted at
     # 100 B a (carrier, sample) cell and the packets at 56 B a (carrier,
     # mode) cell, each prediction within 1.5 times the scan's peak at two
-    # sizes; the admitted dyadic N bound the trilinear stacks, where a
-    # repeated N, which the fit rejects, is built once
+    # sizes; the admitted dyadic N bound the trilinear stacks, and a
+    # repeated N, which the fit would reject, is rejected before any box
+    # is admitted or built
     predicted = []
     admit = experiments.admit
 
@@ -348,13 +334,9 @@ def test_scan_stacks_are_admitted_before_they_are_built(monkeypatch):
     for scan in (lambda ns: scan_remainder(1.5, ns), lambda ns: scan_wavepacket([0.0, 0.5], ns)):
         for k in (50, 500):
             predicted.clear()
-            tracemalloc.start()
-            try:
+            with TracedPeak() as traced:
                 scan(list(np.linspace(16.0, 1e4, k)))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= predicted[-1] <= 1.5 * peak
+            assert traced.peak <= predicted[-1] <= 1.5 * traced.peak
     monkeypatch.setattr(spectral, "MEMORY_BUDGET", 2**20)
     with pytest.raises(ValidationError, match="14 carriers' symbols at 800 samples: .*; give fewer N"):
         scan_remainder(1.5, list(range(16, 30)))
@@ -363,9 +345,10 @@ def test_scan_stacks_are_admitted_before_they_are_built(monkeypatch):
     boxes = []
     box_data_ = experiments.box_data
     monkeypatch.setattr(experiments, "box_data", lambda specs: boxes.append(specs) or box_data_(specs))
+    predicted.clear()
     with pytest.raises(ValidationError, match="needs distinct N values: N = 16 repeats"):
         scan_trilinear(1.5, 0.0, 0.51, [16, 32, 16, 64, 16, 16])
-    assert [[spec.n for spec in band] for band in boxes] == [[16, 32, 64]] * 2
+    assert boxes == [] and predicted == []
 
 
 def test_scan_wavepacket_small():
@@ -463,7 +446,7 @@ def test_scan_wavepacket_checks_every_s(monkeypatch):
     # the scans are keyed by s, so a repeated s, which kept one block under a
     # header naming both, is rejected before any grid is built
     monkeypatch.setattr(experiments, "make_grid", None)
-    with pytest.raises(ValidationError, match="needs distinct s values: s = 0 repeats"):
+    with pytest.raises(ValidationError, match="^each s keys one scan: s = 0 repeats$"):
         scan_wavepacket([0.25, 0.0, 0.0], [16, 32, 64, 128])
 
 
@@ -574,15 +557,6 @@ def test_illposedness_demo_builds_its_runs_once(monkeypatch):
     assert (rep["dt"], rep["record_every"]) == (0.2, 20)
 
 
-def _peak_bytes(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_modulated_pipelines_keep_their_runs_on_the_carrier_band():
     # images, runs, differences and the zoomed pair are 512-mode rows, and
     # each record is reduced as it is stepped, so the peak does not grow
@@ -592,12 +566,14 @@ def test_modulated_pipelines_keep_their_runs_on_the_carrier_band():
     # and gate 8 at 0.67 and 1.11 MiB at t_internal 300 and 600; without
     # one, 0.76 and 0.42 MiB at every window (tracemalloc, numpy 2.4)
     def gate_7(t_final):
-        return _peak_bytes(
-            lambda: experiments.run_approximation_error(1.5, [8, 16, 32, 64], t_final=t_final)
-        )
+        with TracedPeak() as traced:
+            experiments.run_approximation_error(1.5, [8, 16, 32, 64], t_final=t_final)
+        return traced.peak
 
     def gate_8(t_internal):
-        return _peak_bytes(lambda: run_illposedness_demo(1.5, 0.0, 0.5, 0.005, t_internal, 16.0))
+        with TracedPeak() as traced:
+            run_illposedness_demo(1.5, 0.0, 0.5, 0.005, t_internal, 16.0)
+        return traced.peak
 
     short, long = gate_7(0.25), gate_7(1.0)
     assert long < 2**20 and long <= 1.05 * short

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,8 @@ from fnls.spectral import (
     spectral_values,
 )
 from fnls.norms import mass
+
+from oracles import TracedPeak
 
 
 def test_grid_frequency_lattice():
@@ -86,15 +86,11 @@ def test_grid_rejects_an_nx_whose_field_passes_the_limit(monkeypatch):
     # a grid is admitted when one stepping row of nine fields on it is: 576
     # MiB at nx = 2^22; nx = 2^23, 2^27 and 2^31 are rejected before x or k
     # is allocated
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         for nx in (2**23, 2**27, 2**31):
             with pytest.raises(ValidationError, match=f"^a grid of nx = {nx}: {9 * nx >> 16} MiB"):
                 make_grid(nx, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced.peak < 2**20
     # the boundary, at small budgets: exactly nine fields of 64 values and
     # one pass over them are allowed, one byte or one unit more is not
     for name, exact in (("MEMORY_BUDGET", 9 * 16 * 64), ("WORK_BUDGET", 64 + 512)):
