@@ -177,8 +177,7 @@ def trilinear_convolution(
         for e3 in (0, 1):
             np.take(terms[2][e3, i] - shift[i], j12, axis=0, out=tile, mode="wrap")
             for e1, e2 in np.ndindex(2, 2):
-                np.copyto(points, pairs[e1, e2])
-                points += tile
+                np.add(pairs[e1, e2], tile, out=points)
                 # an odd number of ends: a -1 point
                 count = np.subtract if (e1 + e2 + e3) % 2 else np.add
                 count(flat, np.bincount(points.ravel(), minlength=flat.size)[:flat.size], out=flat)

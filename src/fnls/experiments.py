@@ -106,15 +106,31 @@ def _check_distinct(parameter_name: str, params: np.ndarray) -> None:
                               f"{parameter_name} = {repeated[0]:g} repeats")
 
 
+def _check_fit_points(
+    parameter_name: str, params: np.ndarray, drop_preasymptotic: bool = True
+) -> int:
+    """The number of sorted params the fit drops as preasymptotic; a
+    ValidationError unless four or more are left to fit, and then one
+    naming the first repeated value (_check_distinct)."""
+    n_dropped = 1 if (drop_preasymptotic and params.size >= 5) else 0
+    if params.size - n_dropped < 4:
+        raise ValidationError(f"need >= 4 points to fit, got {params.size - n_dropped}")
+    _check_distinct(parameter_name, params)
+    return n_dropped
+
+
 def fit_power_law(
     parameter_name: str, params, values, drop_preasymptotic: bool = True
 ) -> ScanResult:
-    """Least-squares fit of log(value) against log(parameter).
+    """Least-squares fit of log(value) against log(parameter), in closed
+    form: the slope is Sxy / Sxx over centred logs and its standard error
+    sqrt(SSR / (n - 2) / Sxx).
 
     When five or more points are available the smallest parameter is treated
     as preasymptotic and excluded from the fit (it stays in the stored
-    points).  Requires at least four fitted points, distinct parameters and
-    positive finite data.  Values constant to round-off give r_squared = 1.
+    points).  Requires at least four fitted points, distinct parameters
+    whose fitted logs are not all one value, and positive finite data.
+    Values constant to round-off give r_squared = 1.
     """
     params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -122,30 +138,32 @@ def fit_power_law(
         raise ValidationError("params and values must be matching 1-d sequences")
     order = np.argsort(params)
     params, values = params[order], values[order]
-    n_dropped = 1 if (drop_preasymptotic and params.size >= 5) else 0
+    n_dropped = _check_fit_points(parameter_name, params, drop_preasymptotic)
     pf, vf = params[n_dropped:], values[n_dropped:]
-    if pf.size < 4:
-        raise ValidationError(f"need >= 4 points to fit, got {pf.size}")
-    _check_distinct(parameter_name, params)
-    for p, v in zip(pf, vf):
-        if not (p > 0 and 0 < v < np.inf):
-            raise ValidationError(f"power-law fit needs positive finite data: "
-                                  f"{parameter_name} = {p:g} gives {v:g}")
+    bad = ~((pf > 0) & (vf > 0) & (vf < np.inf))
+    if bad.any():
+        p, v = pf[bad][0], vf[bad][0]
+        raise ValidationError(f"power-law fit needs positive finite data: "
+                              f"{parameter_name} = {p:g} gives {v:g}")
     x, y = np.log(pf), np.log(vf)
-    (slope, intercept), cov = np.polyfit(x, y, 1, cov=True)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    dx, dy = x - x.sum() / x.size, y - y.sum() / y.size
+    sxx = float((dx * dx).sum())
+    if not sxx > 0.0:
+        raise ValidationError(f"power-law fit needs distinct log {parameter_name} values: "
+                              f"log {parameter_name} = {x[0]:.17g} at every fitted point")
+    slope = float((dx * dy).sum()) / sxx
+    ssr = float(((dy - slope * dx) ** 2).sum())
+    ss_tot = float((dy**2).sum())
     # values equal to a few ulps give log-values whose spread is round-off:
     # that fit is flat, and r^2 of round-off would be noise
-    round_off = 4.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(y))))
+    round_off = 4.0 * np.finfo(float).eps * max(1.0, float(np.abs(y).max()))
     flat = ss_tot <= y.size * round_off**2
-    r2 = 1.0 if flat else 1.0 - float(np.sum(resid**2)) / ss_tot
     return ScanResult(
         parameter_name=parameter_name,
         points=tuple(zip(params.tolist(), values.tolist())),
-        fitted_slope=float(slope),
-        slope_stderr=float(np.sqrt(max(cov[0, 0], 0.0))),
-        r_squared=r2,
+        fitted_slope=slope,
+        slope_stderr=float(np.sqrt(ssr / (y.size - 2) / sxx)),
+        r_squared=1.0 if flat else 1.0 - ssr / ss_tot,
         n_dropped=n_dropped,
     )
 
@@ -304,7 +322,9 @@ class RemainderScan:
 def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
     """sup |R(xi)|/|xi|^3 over 0 < |xi| <= xi_max for each N, with the
     explicit-constant bound checked at every sample: the symbol of every N
-    (a column) at every sample (a row) in one pass, admitted first."""
+    (a column) at every sample (a row) in one pass.  The fit's point count
+    and a repeated N are checked, and then the pass admitted, before any
+    symbol is evaluated."""
     if xi_max <= 0:
         raise ValidationError("xi_max must be positive")
     n_list = [float(n) for n in n_list]
@@ -312,6 +332,7 @@ def scan_remainder(alpha: float, n_list, xi_max: float = 0.5) -> RemainderScan:
     xi = np.linspace(-xi_max, xi_max, REMAINDER_SAMPLES)
     xi = xi[np.abs(xi) > 1e-9 * xi_max]
     c1 = remainder_bound_constant(alpha)
+    _check_fit_points("N", np.sort(n_list))
     cells = n.size * xi.size  # 97.3 B a cell measured, at any alpha
     admit(f"{n.size} carriers' symbols at {xi.size} samples", "give fewer N", 100 * cells, cells)
     # an extreme xi_max overflows the symbol or |xi|^3: the fit rejects the nan
@@ -359,8 +380,9 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
     carriers as one (M, nx) stack (see modulated_wavepacket); band mode k
     is weighed as packet mode k + m dk for every s, all carriers at once.
     A repeated s, whose scans would share one key, is rejected first; the
-    scaling hypotheses are checked for every (M, s) pair, and then the
-    stack is admitted, before any packet is sampled.
+    scaling hypotheses are checked for every (M, s) pair, then the fit's
+    point count and a repeated M, and then the stack is admitted, before
+    any packet is sampled.
     """
     s_list = [float(s) for s in s_list]
     m_list = [float(m) for m in m_list]
@@ -373,6 +395,7 @@ def scan_wavepacket(s_list, m_list, tau_scale: float = 1.0, amplitude: float = 1
     for m in m_list:
         for s in s_list:
             check_packet_hypotheses(m, tau_scale, s)
+    _check_fit_points("M", np.sort(m_list))
     cells = len(m_list) * grid.nx  # 48.1-48.6 B a cell measured, at 1 to 7 s
     admit(f"{len(m_list)} packets of {grid.nx} modes", "give fewer M", 56 * cells, cells)
     bands, modes = modulated_wavepacket(m_list, grid, amplitude, tau_scale, 0.5 * grid.length)

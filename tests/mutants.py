@@ -270,6 +270,16 @@ MUTANTS = [
         ("tests/test_experiments.py::test_illposedness_demo_range_check",),
     ),
     Mutant(
+        "zoom exponent x1.1",
+        "src/fnls/constructions.py",
+        "    exponent = ((2.0 - alpha) / 4.0 - s) / (s + 0.5)\n",
+        "    exponent = 1.1 * ((2.0 - alpha) / 4.0 - s) / (s + 0.5)\n",
+        (
+            "tests/test_experiments.py::test_calibrated_probe_gain_does_not_depend_on_the_carrier[0.0]",
+            "tests/test_experiments.py::test_calibrated_probe_gain_does_not_depend_on_the_carrier[-0.1]",
+        ),
+    ),
+    Mutant(
         "scan_trilinear's up-front repeated-N check removed",
         "src/fnls/experiments.py",
         '    _check_distinct("N", np.sort(n_list))\n',
@@ -277,17 +287,45 @@ MUTANTS = [
         ("tests/test_experiments.py::test_scan_stacks_are_admitted_before_they_are_built",),
     ),
     Mutant(
+        "scan_remainder's up-front point check removed",
+        "src/fnls/experiments.py",
+        '    _check_fit_points("N", np.sort(n_list))\n',
+        "",
+        ("tests/test_experiments.py::test_scan_stacks_are_admitted_before_they_are_built",),
+    ),
+    Mutant(
+        "scan_wavepacket's up-front point check removed",
+        "src/fnls/experiments.py",
+        '    _check_fit_points("M", np.sort(m_list))\n',
+        "",
+        ("tests/test_experiments.py::test_scan_stacks_are_admitted_before_they_are_built",),
+    ),
+    Mutant(
         "fit_power_law accepting inf",
         "src/fnls/experiments.py",
-        "        if not (p > 0 and 0 < v < np.inf):\n",
-        "        if not (p > 0 and 0 < v):\n",
+        "    bad = ~((pf > 0) & (vf > 0) & (vf < np.inf))\n",
+        "    bad = ~((pf > 0) & (vf > 0))\n",
         ("tests/test_experiments.py::test_fit_power_law_validation",),
+    ),
+    Mutant(
+        "fit's slope error over n - 1 degrees of freedom",
+        "src/fnls/experiments.py",
+        "np.sqrt(ssr / (y.size - 2) / sxx)",
+        "np.sqrt(ssr / (y.size - 1) / sxx)",
+        ("tests/test_experiments.py::test_fit_power_law_matches_the_lapack_fit",),
+    ),
+    Mutant(
+        "fit's Sxy uncentred",
+        "src/fnls/experiments.py",
+        "    slope = float((dx * dy).sum()) / sxx\n",
+        "    slope = float((x * y).sum()) / sxx\n",
+        ("tests/test_experiments.py::test_fit_power_law_matches_the_lapack_fit",),
     ),
     Mutant(
         "distinctness checked after the drop",
         "src/fnls/experiments.py",
         "    _check_distinct(parameter_name, params)\n",
-        "    _check_distinct(parameter_name, pf)\n",
+        "    _check_distinct(parameter_name, params[n_dropped:])\n",
         (
             "tests/test_experiments.py::test_fit_power_law_validation",
             "tests/test_cli.py::test_non_finite_or_zero_width_input_is_one_error_line["

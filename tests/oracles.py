@@ -1,7 +1,8 @@
 """Test oracles shared by the test modules: each run's whole history of a
 batch, the residual of the fractional equation along a recorded trajectory,
 a space-time field's values on its whole lattice, a carrier band's
-coefficients on a whole grid, and the tracemalloc peak of a block."""
+coefficients on a whole grid, the tracemalloc peak of a block, and a
+power-law fit by LAPACK least squares."""
 
 import tracemalloc
 
@@ -88,3 +89,23 @@ def pde_residual(
         resid = 1j * du + symbol * u[n] - gamma * cubic_values(u[n], grid)
         out.append(float(np.linalg.norm(resid) / np.sqrt(grid.length)))
     return np.array(out)
+
+
+def polyfit_power_law(params, values, drop_preasymptotic: bool = True) -> tuple:
+    """(slope, slope_stderr, r_squared) of log(values) against log(params) by
+    np.polyfit(cov=True), whose least squares and covariance are LAPACK's:
+    sorted by parameter, the smallest dropped when drop_preasymptotic and
+    there are five or more, r_squared 1 when the log-values' spread is
+    round-off, as fit_power_law states them."""
+    params = np.asarray(params, dtype=float)
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(params)
+    n_dropped = 1 if (drop_preasymptotic and params.size >= 5) else 0
+    x, y = np.log(params[order][n_dropped:]), np.log(values[order][n_dropped:])
+    (slope, intercept), cov = np.polyfit(x, y, 1, cov=True)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    round_off = 4.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(y))))
+    flat = ss_tot <= y.size * round_off**2
+    r2 = 1.0 if flat else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return float(slope), float(np.sqrt(max(cov[0, 0], 0.0))), r2

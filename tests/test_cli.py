@@ -286,6 +286,10 @@ BAD_NUMBERS = [
     (["scan-trilinear", "--n", "16,32,64,128,16"], "needs distinct N values: N = 16 repeats"),
     (["scan-wavepacket", "--m", "16,16,32,64,128"], "needs distinct M values: M = 16 repeats"),
     (["scan-remainder", "--n", "16,16,32,64,128"], "needs distinct N values: N = 16 repeats"),
+    # distinct N whose logs are one value: it ended in numpy's "Singular
+    # matrix", after RankWarning lines
+    (["scan-remainder", "--n", "10000000000,10000000000.000002,10000000000.000004,"
+      "10000000000.000006"], "power-law fit needs distinct log N values: log N = 23.025850929940457"),
     # the modulated pipelines' stepping names their own window option, not
     # evolve's dt, record_every and nx, which these commands lack
     (["approx-error", "--t-final", "1e9"],
@@ -348,11 +352,10 @@ def no_steps(monkeypatch):
 
 @pytest.mark.parametrize("args, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
 def test_non_finite_or_zero_width_input_is_one_error_line(capsys, no_steps, args, message):
-    # each is rejected before any step, and before any work but the remainder
-    # and packet scans' repeated points, which the fit rejects after their
-    # points (scan-trilinear and approx-error reject a repeated N before
-    # building any box or run); each used to end in a traceback, a numpy
-    # message, a runtime failure, a run on nonsense input or hours of stepping
+    # each is rejected before any step, and each scan's repeated point before
+    # any box, symbol, packet or run is built; each used to end in a
+    # traceback, a numpy message, a runtime failure, a run on nonsense input
+    # or hours of stepping
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -2,14 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fnls.evolution as evolution
 import fnls.experiments as experiments
 import fnls.spectral as spectral
 from fnls.constructions import BoxSpec, _box_lattices, box_data
-from fnls.constructions import modulated_wavepacket
+from fnls.constructions import lambda_for, modulated_wavepacket
 from fnls.constructions import approximate_solution, rescale_solution, trilinear_convolution
-from fnls.norms import energy, mass, sobolev_norm, xsb_norm
+from fnls.norms import _sobolev_weight, _weighted_norm, energy, mass, sobolev_norm, xsb_norm
 from fnls.symbols import envelope_scale, group_velocity, remainder_symbol
 
 from fnls.errors import ResolutionError, ValidationError, WrapAroundError
@@ -26,7 +27,7 @@ from fnls.experiments import (
     wavepacket_grid,
 )
 
-from oracles import TracedPeak, history, pde_residual, scatter
+from oracles import TracedPeak, history, pde_residual, polyfit_power_law, scatter
 
 
 def _difference(a: Trajectory, b: Trajectory) -> Trajectory:
@@ -81,6 +82,46 @@ def test_fit_power_law_validation():
     # of it is still a repeat
     with pytest.raises(ValidationError, match="distinct N values: N = 16 repeats"):
         fit_power_law("N", [16.0, 32.0, 64.0, 128.0, 16.0], [1.0, 2.0, 3.0, 4.0, 1.0])
+    # distinct parameters whose logs are one value: no slope to fit
+    with pytest.raises(ValidationError, match="distinct log N values: log N = 23.0258"):
+        fit_power_law("N", 1e10 + np.spacing(1e10) * np.arange(4), [1.0, 2.0, 3.0, 4.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    exponents=st.lists(st.integers(0, 48), min_size=4, max_size=20, unique=True),
+    level=st.floats(1e-3, 1e3),
+    slope=st.floats(-2.0, 2.0),
+    spread=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    drop=st.booleans(),
+    flat=st.booleans(),
+)
+@example(list(range(0, 40, 4)), 2.7, -1.31, 0.1, 0, True, False)
+@example(list(range(0, 24, 4)), 1.3313353575, 0.0, 0.1, 0, True, True)
+def test_fit_power_law_matches_the_lapack_fit(exponents, level, slope, spread, seed, drop, flat):
+    # the closed form against np.polyfit(cov=True) on scattered power laws
+    # whose smallest point sits off the law, fitted with and without the
+    # preasymptotic drop, and on constants perturbed in their last bits,
+    # whose slope and its error are round-off
+    rng = np.random.default_rng(seed)
+    params = 16.0 * 2.0 ** (np.array(exponents) / 4.0)
+    if flat:
+        values = level + rng.integers(-1, 2, params.size) * np.spacing(level)
+    else:
+        values = level * params**slope * np.exp(spread * rng.standard_normal(params.size))
+        values[np.argmin(params)] *= 3.0
+    res = fit_power_law("N", params, values, drop)
+    ref_slope, ref_stderr, ref_r2 = polyfit_power_law(params, values, drop)
+    if flat:
+        assert res.fitted_slope == pytest.approx(ref_slope, abs=1e-12)
+        assert res.slope_stderr == pytest.approx(ref_stderr, abs=1e-12)
+        assert res.r_squared == ref_r2 == 1.0
+    else:
+        # polyfit's own slope error reaches 1e-14 where the fitted slope is near 0
+        assert res.fitted_slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-13)
+        assert res.slope_stderr == pytest.approx(ref_stderr, rel=1e-12)
+        assert res.r_squared == pytest.approx(ref_r2, abs=1e-12)
 
 
 def test_initial_field_parsing():
@@ -321,8 +362,8 @@ def test_scan_stacks_are_admitted_before_they_are_built(monkeypatch):
     # 100 B a (carrier, sample) cell and the packets at 56 B a (carrier,
     # mode) cell, each prediction within 1.5 times the scan's peak at two
     # sizes; the admitted dyadic N bound the trilinear stacks, and a
-    # repeated N, which the fit would reject, is rejected before any box
-    # is admitted or built
+    # repeated N or M, which the fit would reject, is rejected before any
+    # box, symbol or packet is admitted or built
     predicted = []
     admit = experiments.admit
 
@@ -342,13 +383,22 @@ def test_scan_stacks_are_admitted_before_they_are_built(monkeypatch):
         scan_remainder(1.5, list(range(16, 30)))
     with pytest.raises(ValidationError, match="37 packets of 512 modes: .*; give fewer M"):
         scan_wavepacket([0.0], list(range(16, 53)))
-    boxes = []
-    box_data_ = experiments.box_data
-    monkeypatch.setattr(experiments, "box_data", lambda specs: boxes.append(specs) or box_data_(specs))
-    predicted.clear()
-    with pytest.raises(ValidationError, match="needs distinct N values: N = 16 repeats"):
-        scan_trilinear(1.5, 0.0, 0.51, [16, 32, 16, 64, 16, 16])
-    assert boxes == [] and predicted == []
+    built = []
+    for name in ("box_data", "remainder_symbol", "modulated_wavepacket"):
+        fn = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, fn=fn, name=name: built.append(name) or fn(*a))
+    repeated = [16, 32, 16, 64, 16, 16]
+    for scan, name, admitted in (
+        (lambda: scan_trilinear(1.5, 0.0, 0.51, repeated), "N", 0),
+        (lambda: scan_remainder(1.5, repeated), "N", 0),
+        # the packet scan admits its envelope grid, which checks tau_scale, first
+        (lambda: scan_wavepacket([0.0, 0.5], repeated), "M", 1),
+    ):
+        predicted.clear()
+        with pytest.raises(ValidationError, match=f"needs distinct {name} values: {name} = 16 repeats"):
+            scan()
+        assert built == [] and len(predicted) == admitted
 
 
 def test_scan_wavepacket_small():
@@ -537,6 +587,24 @@ def test_illposedness_demo_short_window_calibration(monkeypatch):
     assert rep["t_physical"] == pytest.approx(8.0 / 2.0**1.5)
     assert rep["amplification"] >= 1.0
     assert rep["approx_error_sup_1"] < 1e-4
+
+
+@pytest.mark.parametrize("s", [0.0, -0.1])
+def test_calibrated_probe_gain_does_not_depend_on_the_carrier(s):
+    # lambda_for's zoom equalizes the data norms across carriers, so the gain
+    # that calibrates a_1, the zoomed probe's H^s norm built as in
+    # run_illposedness_demo, is one number for every N: it spreads by 8.5e-16
+    # at s = 0 and 4.5e-6 at s = -0.1, and by 2.6% with the zoom's exponent
+    # x1.1.  A check of the zoom that pins no value
+    gains = []
+    for n in (16.0, 32.0, 64.0, 128.0):
+        length = experiments._lattice_length(experiments.ILLPOSED_LENGTH, n)
+        beta, y_grid, env = experiments._carrier_envelope(1.5, n, length, 16.0)
+        probe = Field.physical(y_grid, env).values
+        lam = lambda_for(s, 1.5, n)
+        zoom = make_grid(experiments.NX_ENVELOPE, length / lam, carrier=lam * n)
+        gains.append(_weighted_norm(beta * probe, _sobolev_weight(zoom, s), zoom.length))
+    assert np.ptp(gains) <= 1e-5 * np.min(gains), gains
 
 
 def test_illposedness_demo_builds_its_runs_once(monkeypatch):
